@@ -23,6 +23,15 @@ inline direct-engine loop on the routed workload.
 Every report also carries the shared-memory ring transport counters from
 one process-pool scan, uploaded by CI as an artifact.
 
+What this harness cannot see: every pool is a few thousand distinct
+targets cycled up to ``--probes`` (1,745 /64 blocks on the routed
+workload), so after the first pass each LPM lookup is a block-cache *hit*
+— the 8,192-block caches never fill and eviction never runs.  That is how
+~255 k probes/s here coexisted with 52 k probes/s on a whole survey, whose
+631 k distinct blocks miss on almost every probe.  The miss path is
+measured by ``benchmarks/e2e`` (``survey_serial``) and pinned by
+``tests/test_blockcache.py``.
+
     PYTHONPATH=src python benchmarks/engine_hotpath.py
     PYTHONPATH=src python benchmarks/engine_hotpath.py --probes 5000 \
         --check benchmarks/results/BENCH_engine.json --tolerance 0.5

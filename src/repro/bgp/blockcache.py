@@ -1,0 +1,133 @@
+"""The block-keyed result cache shared by every LPM structure.
+
+Two addresses that agree on their top ``k`` bits, where ``k`` is the
+longest stored prefix length (never finer than /48 — the paper's scans
+are /48- and /64-grained, many targets per covering /48), match
+identically at every stored length.  So one cached result, keyed by
+``address >> block_shift``, answers for the whole covering block.
+
+:class:`BlockCachedLPM` owns that cache once for
+:class:`~repro.bgp.lpm.LengthIndexedLPM`,
+:class:`~repro.bgp.trie.PrefixTrie` and
+:class:`~repro.bgp.frozenfib.FrozenLPM`; a structure supplies only
+``_probe(address)``, its own uncached walk, and calls ``_invalidate`` on
+every mutation, which keeps cached and uncached lookups
+indistinguishable.
+
+Policy: FIFO in insertion order, evicted an eighth at a time.  A hit is a
+single ``dict.get`` and never reorders anything.  A miss into a full
+cache first drops the oldest ``cache_size // 8`` blocks in one pass, so
+eviction is amortised O(1) per miss; deleting one head key per miss
+instead would make every miss re-scan the dict's growing run of dead head
+slots.  ``cache_size=0`` stores nothing.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+from typing import Generic, Iterable, Sequence, TypeVar
+
+from ..addr.ipv6 import ADDRESS_BITS, IPv6Prefix
+
+V = TypeVar("V")
+
+_MISS = object()
+
+# Cache granularity never finer than /48: the survey's target generators
+# emit many /64s per covering /48, which is exactly the reuse we want.
+_MIN_BLOCK_BITS = 48
+DEFAULT_CACHE_SIZE = 8192
+
+
+class BlockCachedLPM(Generic[V]):
+    """``longest_match`` / ``longest_match_batch`` over a subclass's
+    ``_probe``, behind one bounded block cache."""
+
+    __slots__ = ("_cache", "_cache_size", "_cache_shift")
+
+    def __init__(self, cache_size: int, longest: int = 0) -> None:
+        self._cache_size = cache_size
+        self._cache: dict[int, tuple[IPv6Prefix, V] | None] = {}
+        self._invalidate(longest)
+
+    def _probe(self, address: int) -> tuple[IPv6Prefix, V] | None:
+        """The structure's uncached longest-prefix walk.  Returns the
+        interned ``(prefix, value)`` tuple of the stored prefix: the same
+        object for every address that prefix matches."""
+        raise NotImplementedError
+
+    def _invalidate(self, longest: int) -> None:
+        """Drop every cached result; ``longest`` is the longest stored
+        prefix length after the mutation."""
+        self._cache_shift = ADDRESS_BITS - max(_MIN_BLOCK_BITS, longest)
+        self._cache.clear()
+
+    @property
+    def block_shift(self) -> int:
+        """Right-shift that maps an address to its covering cache block.
+
+        Two addresses with equal ``address >> block_shift`` match
+        identically at every stored length.  The value tracks the longest
+        stored length, so re-read it per batch, never cache it across
+        inserts/removes.
+        """
+        return self._cache_shift
+
+    def longest_match(self, address: int) -> tuple[IPv6Prefix, V] | None:
+        """The most specific stored prefix containing ``address``."""
+        key = address >> self._cache_shift
+        found = self._cache.get(key, _MISS)
+        if found is _MISS:
+            found = self._fill(key, address)
+        return found  # type: ignore[return-value]
+
+    def longest_match_batch(
+        self,
+        addresses: Sequence[int],
+        indices: Iterable[int],
+        out: list,
+    ) -> None:
+        """Vectorised LPM: fill ``out[i] = longest_match(addresses[i])``
+        for every ``i`` in ``indices``.
+
+        ``indices`` should visit equal covering blocks contiguously —
+        sort them by ``addresses[i]`` — so that one cache probe serves an
+        entire run of same-block addresses (zmap-style batch-sorted
+        lookup).  Results are bit-identical to per-address
+        :meth:`longest_match` calls in any order; unsorted indices stay
+        correct but degrade to one probe per index.
+        """
+        shift = self._cache_shift
+        get = self._cache.get
+        fill = self._fill
+        miss = _MISS
+        last_key = -1
+        last = None
+        for i in indices:
+            address = addresses[i]
+            key = address >> shift
+            if key != last_key:
+                last = get(key, miss)
+                if last is miss:
+                    last = fill(key, address)
+                last_key = key
+            out[i] = last
+
+    def _fill(self, key: int, address: int) -> tuple[IPv6Prefix, V] | None:
+        """Miss path: walk the structure and remember the block's result."""
+        result = self._probe(address)
+        cache = self._cache
+        size = self._cache_size
+        if len(cache) >= size:
+            if size <= 0:
+                return result
+            try:
+                for old in list(islice(cache, (size >> 3) or 1)):
+                    cache.pop(old, None)
+            except RuntimeError:
+                # Threaded shards share this map and may resize the dict
+                # under the scan; skipping one eviction is harmless (the
+                # cache is advisory, results are exact).
+                pass
+        cache[key] = result
+        return result

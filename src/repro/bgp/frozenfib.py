@@ -19,8 +19,9 @@ zero-copy by every shard worker — see :mod:`repro.topology.artifact`.
 Bit-identity contract: ``longest_match`` / ``longest_match_batch`` /
 ``items`` / ``has_cover`` / ``all_matches`` return exactly what the
 mutable map they were frozen from would return, including ``None``
-values matching and the bounded LRU block cache keyed by the covering
-``/max(48, longest)`` block (pinned by tests/test_frozenfib.py).
+values matching, behind the same bounded block cache keyed by the covering
+``/max(48, longest)`` block (:mod:`repro.bgp.blockcache`; pinned by
+tests/test_frozenfib.py and tests/test_blockcache.py).
 Mutation (``insert`` / ``remove``) raises :class:`TypeError` — freezing
 is one-way; build with the mutable structures, freeze, then share.
 """
@@ -29,21 +30,14 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
-from ..addr.ipv6 import ADDRESS_BITS, IPv6Prefix, prefix_mask
-
-V = TypeVar("V")
+from ..addr.ipv6 import IPv6Prefix, prefix_mask
+from .blockcache import DEFAULT_CACHE_SIZE, BlockCachedLPM, V
 
 __all__ = ["FrozenLPM", "FrozenRow"]
 
-_MISS = object()
 _LO_MASK = (1 << 64) - 1
-
-# Mirrors repro.bgp.lpm: cache granularity never finer than /48, bounded
-# LRU of DEFAULT_CACHE_SIZE covering blocks.
-_MIN_CACHE_BITS = 48
-DEFAULT_CACHE_SIZE = 8192
 
 
 class FrozenRow:
@@ -55,10 +49,12 @@ class FrozenRow:
     an mmap).  ``values`` is a parallel sequence; a lazy implementation
     may materialise entries on first access, but must return the *same*
     object for the same index every time (callers key caches by payload
-    identity).
+    identity).  :meth:`match` memoises the interned ``(prefix, value)``
+    tuple per index on first use, so the memo grows with the rows a scan
+    actually hits, not with the table.
     """
 
-    __slots__ = ("length", "mask", "keys_hi", "keys_lo", "values")
+    __slots__ = ("length", "mask", "keys_hi", "keys_lo", "values", "_matches")
 
     def __init__(
         self,
@@ -74,9 +70,21 @@ class FrozenRow:
         self.keys_hi = keys_hi
         self.keys_lo = keys_lo
         self.values = values
+        self._matches: dict[int, tuple[IPv6Prefix, object]] = {}
 
     def __len__(self) -> int:
         return len(self.keys_hi)
+
+    def match(self, i: int) -> tuple[IPv6Prefix, object]:
+        """The ``(prefix, value)`` tuple of entry ``i``: one object per
+        entry, however often and from whichever thread it is asked for."""
+        found = self._matches.get(i)
+        if found is None:
+            network = (self.keys_hi[i] << 64) | self.keys_lo[i]
+            found = self._matches.setdefault(
+                i, (IPv6Prefix(network, self.length), self.values[i])
+            )
+        return found
 
     def find(self, network: int) -> int:
         """Index of ``network`` in the columns, or -1."""
@@ -97,7 +105,7 @@ class FrozenRow:
         return -1
 
 
-class FrozenLPM(Generic[V]):
+class FrozenLPM(BlockCachedLPM[V]):
     """Read-only longest-prefix-match map over sorted array columns.
 
     Drop-in for the lookup side of :class:`~repro.bgp.lpm.LengthIndexedLPM`
@@ -106,7 +114,7 @@ class FrozenLPM(Generic[V]):
     raises.
     """
 
-    __slots__ = ("_rows_desc", "_size", "_cache", "_cache_size", "_cache_shift")
+    __slots__ = ("_rows_desc", "_size")
 
     def __init__(
         self,
@@ -123,10 +131,7 @@ class FrozenLPM(Generic[V]):
         if len(set(lengths)) != len(lengths):
             raise ValueError("duplicate per-length rows")
         self._size = sum(len(row) for row in self._rows_desc)
-        self._cache_size = cache_size
-        self._cache: dict[int, tuple[IPv6Prefix, V] | None] = {}
-        longest = lengths[0] if lengths else 0
-        self._cache_shift = ADDRESS_BITS - max(_MIN_CACHE_BITS, longest)
+        super().__init__(cache_size, lengths[0] if lengths else 0)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -172,71 +177,14 @@ class FrozenLPM(Generic[V]):
     def _probe(self, address: int) -> tuple[IPv6Prefix, V] | None:
         """Uncached longest-first walk (the dict-probe loop, with bisect)."""
         for row in self._rows_desc:
-            network = address & row.mask
-            i = row.find(network)
+            i = row.find(address & row.mask)
             if i >= 0:
-                return (IPv6Prefix(network, row.length), row.values[i])
+                return row.match(i)  # type: ignore[return-value]
         return None
 
-    def longest_match(self, address: int) -> tuple[IPv6Prefix, V] | None:
-        cache = self._cache
-        cache_key = address >> self._cache_shift
-        found = cache.pop(cache_key, _MISS)
-        if found is not _MISS:
-            cache[cache_key] = found  # LRU touch: re-insert as most recent
-            return found  # type: ignore[return-value]
-        result = self._probe(address)
-        if len(cache) >= self._cache_size:
-            try:
-                del cache[next(iter(cache))]
-            except (StopIteration, KeyError, RuntimeError):
-                # Threaded shards share this map; losing one eviction race
-                # is harmless (the cache is advisory, results are exact).
-                pass
-        cache[cache_key] = result
-        return result
-
-    @property
-    def block_shift(self) -> int:
-        """Right-shift mapping an address to its covering cache block (two
-        addresses with equal ``address >> block_shift`` match identically
-        at every stored length).  Constant here — frozen maps never change
-        their longest length."""
-        return self._cache_shift
-
-    def longest_match_batch(
-        self,
-        addresses: Sequence[int],
-        indices: Iterable[int],
-        out: list,
-    ) -> None:
-        """Vectorised LPM: ``out[i] = longest_match(addresses[i])`` for
-        every ``i`` in ``indices``; sort indices by address so same-block
-        runs share one walk (identical contract to the mutable maps)."""
-        shift = self._cache_shift
-        cache = self._cache
-        cache_size = self._cache_size
-        miss = _MISS
-        probe = self._probe
-        last_key = -1
-        last: tuple[IPv6Prefix, V] | None = None
-        for i in indices:
-            address = addresses[i]
-            key = address >> shift
-            if key != last_key:
-                found = cache.get(key, miss)
-                if found is not miss:
-                    last = found  # type: ignore[assignment]
-                else:
-                    last = probe(address)
-                    if len(cache) >= cache_size:
-                        try:
-                            del cache[next(iter(cache))]
-                        except (StopIteration, KeyError, RuntimeError):
-                            pass
-                    cache[key] = last
-                last_key = key
-            out[i] = last
+    # benchmarks/e2e/trace.py rebinds vars(cls)["longest_match_batch"], so
+    # the class body owns the name.
+    longest_match_batch = BlockCachedLPM.longest_match_batch
 
     def get(self, prefix: IPv6Prefix, default: V | None = None) -> V | None:
         for row in self._rows_desc:
@@ -260,10 +208,9 @@ class FrozenLPM(Generic[V]):
     def all_matches(self, address: int) -> Iterator[tuple[IPv6Prefix, V]]:
         """All stored prefixes containing ``address``, longest first."""
         for row in self._rows_desc:
-            network = address & row.mask
-            i = row.find(network)
+            i = row.find(address & row.mask)
             if i >= 0:
-                yield IPv6Prefix(network, row.length), row.values[i]
+                yield row.match(i)  # type: ignore[misc]
 
     def items(self) -> Iterator[tuple[IPv6Prefix, V]]:
         for row in reversed(self._rows_desc):  # ascending length

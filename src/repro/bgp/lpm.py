@@ -9,41 +9,32 @@ probe per distinct length present (≈8 in practice).
 Hot-path structure: the probe loop walks ``_tables_desc``, a flat list of
 ``(length, mask, table)`` rows sorted longest-first that contains only
 non-empty tables (``remove`` prunes; nothing ever iterates an empty
-per-length dict).  On top sits a bounded LRU result cache keyed by the
-covering ``/k`` of the address, where ``k`` is the longest stored prefix
-length (≥ 48 — the paper's scans are /48- and /64-grained): two addresses
-sharing their top ``k`` bits match identically at every stored length, so
-one cached result answers for the whole covering block.  Any mutation
-invalidates the cache, keeping lookups bit-identical to the uncached path.
+per-length dict).  Each table maps a network to the interned
+``(prefix, value)`` tuple built once at ``insert``, so a lookup returns a
+stored object instead of constructing and validating a prefix.  On top
+sits the bounded block cache of :mod:`repro.bgp.blockcache`; any mutation
+invalidates it, keeping lookups bit-identical to the uncached path.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator
 
-from ..addr.ipv6 import ADDRESS_BITS, IPv6Prefix, prefix_mask
+from ..addr.ipv6 import IPv6Prefix, prefix_mask
+from .blockcache import DEFAULT_CACHE_SIZE, BlockCachedLPM, V
 
-V = TypeVar("V")
-
-_MISS = object()
-
-# Cache granularity never finer than /48: the survey's target generators
-# emit many /64s per covering /48, which is exactly the reuse we want.
-_MIN_CACHE_BITS = 48
-DEFAULT_CACHE_SIZE = 8192
+_Match = tuple[IPv6Prefix, V]
 
 
-class LengthIndexedLPM(Generic[V]):
+class LengthIndexedLPM(BlockCachedLPM[V]):
     """Longest-prefix-match map optimised for few distinct lengths."""
 
     def __init__(self, *, cache_size: int = DEFAULT_CACHE_SIZE) -> None:
-        self._by_length: dict[int, dict[int, V]] = {}
+        super().__init__(cache_size)
+        self._by_length: dict[int, dict[int, _Match]] = {}
         # (length, mask, table) longest-first; non-empty tables only.
-        self._tables_desc: list[tuple[int, int, dict[int, V]]] = []
+        self._tables_desc: list[tuple[int, int, dict[int, _Match]]] = []
         self._size = 0
-        self._cache_size = cache_size
-        self._cache: dict[int, tuple[IPv6Prefix, V] | None] = {}
-        self._cache_shift = ADDRESS_BITS - _MIN_CACHE_BITS
 
     def __len__(self) -> int:
         return self._size
@@ -56,12 +47,12 @@ class LengthIndexedLPM(Generic[V]):
             self._by_length[prefix.length] = table
         if prefix.network not in table:
             self._size += 1
-        table[prefix.network] = value
+        table[prefix.network] = (prefix, value)
         if new_length:
             # Lookup rows reference the table dict, so only a new length
             # needs a rebuild (after populating — empty tables are pruned).
             self._rebuild_tables()
-        self._cache.clear()
+        self._invalidate(self._tables_desc[0][0])
 
     def remove(self, prefix: IPv6Prefix) -> bool:
         table = self._by_length.get(prefix.length)
@@ -72,118 +63,35 @@ class LengthIndexedLPM(Generic[V]):
         if not table:
             del self._by_length[prefix.length]
             self._rebuild_tables()
-        self._cache.clear()
+        self._invalidate(self._tables_desc[0][0] if self._tables_desc else 0)
         return True
 
     def _rebuild_tables(self) -> None:
-        """Recompute the lookup rows and drop every cached result.
-
-        Called on any mutation — correctness of the LRU cache depends on
-        it.  Empty per-length tables are pruned here, so ``longest_match``
-        never probes a dict that cannot match.
-        """
+        """Recompute the lookup rows.  Empty per-length tables are pruned
+        here, so ``_probe`` never probes a dict that cannot match."""
         self._tables_desc = [
             (length, prefix_mask(length), self._by_length[length])
             for length in sorted(self._by_length, reverse=True)
             if self._by_length[length]
         ]
-        longest = self._tables_desc[0][0] if self._tables_desc else 0
-        self._cache_shift = ADDRESS_BITS - max(_MIN_CACHE_BITS, longest)
 
     def get(self, prefix: IPv6Prefix, default: V | None = None) -> V | None:
         table = self._by_length.get(prefix.length)
-        if table is None:
-            return default
-        return table.get(prefix.network, default)
+        match = None if table is None else table.get(prefix.network)
+        return default if match is None else match[1]
 
-    def longest_match(self, address: int) -> tuple[IPv6Prefix, V] | None:
-        cache = self._cache
-        cache_key = address >> self._cache_shift
-        found = cache.pop(cache_key, _MISS)
-        if found is not _MISS:
-            cache[cache_key] = found  # LRU touch: re-insert as most recent
-            return found  # type: ignore[return-value]
-        result: tuple[IPv6Prefix, V] | None = None
-        for length, mask, table in self._tables_desc:
-            network = address & mask
-            # Sentinel default: a stored value of None still matches,
-            # mirroring PrefixTrie semantics.
-            value = table.get(network, _MISS)
-            if value is not _MISS:
-                result = (IPv6Prefix(network, length), value)
-                break
-        if len(cache) >= self._cache_size:
-            try:
-                del cache[next(iter(cache))]
-            except (StopIteration, KeyError, RuntimeError):
-                # Threaded shards share this map; losing one eviction race
-                # is harmless (the cache is advisory, results are exact).
-                pass
-        cache[cache_key] = result
-        return result
+    def _probe(self, address: int) -> _Match | None:
+        for _, mask, table in self._tables_desc:
+            # A stored value of None still matches (the tuple is not
+            # None), mirroring PrefixTrie semantics.
+            match = table.get(address & mask)
+            if match is not None:
+                return match
+        return None
 
-    @property
-    def block_shift(self) -> int:
-        """Right-shift that maps an address to its covering cache block.
-
-        Two addresses with equal ``address >> block_shift`` match
-        identically at every stored length — the invariant behind both
-        the LRU result cache and :meth:`longest_match_batch` runs.  The
-        value changes on mutation (it tracks the longest stored length),
-        so callers must re-read it per batch, never cache it across
-        inserts/removes.
-        """
-        return self._cache_shift
-
-    def longest_match_batch(
-        self,
-        addresses: Sequence[int],
-        indices: Iterable[int],
-        out: list,
-    ) -> None:
-        """Vectorised LPM: fill ``out[i] = longest_match(addresses[i])``
-        for every ``i`` in ``indices``.
-
-        ``indices`` should visit equal covering blocks contiguously —
-        sort them by ``addresses[i]`` — so that one table walk serves an
-        entire run of same-block addresses (zmap-style batch-sorted
-        lookup).  Results are bit-identical to per-address
-        :meth:`longest_match` calls in any order; only the walk count
-        changes.  Unsorted indices stay correct but degrade to one walk
-        per index.
-        """
-        shift = self._cache_shift
-        cache = self._cache
-        cache_size = self._cache_size
-        tables_desc = self._tables_desc
-        miss = _MISS
-        last_key = -1
-        last: tuple[IPv6Prefix, V] | None = None
-        for i in indices:
-            address = addresses[i]
-            key = address >> shift
-            if key != last_key:
-                # Inlined longest_match, minus the LRU touch on hits: the
-                # touch only reorders advisory eviction, never a result.
-                found = cache.get(key, miss)
-                if found is not miss:
-                    last = found  # type: ignore[assignment]
-                else:
-                    last = None
-                    for length, mask, table in tables_desc:
-                        network = address & mask
-                        value = table.get(network, miss)
-                        if value is not miss:
-                            last = (IPv6Prefix(network, length), value)
-                            break
-                    if len(cache) >= cache_size:
-                        try:
-                            del cache[next(iter(cache))]
-                        except (StopIteration, KeyError, RuntimeError):
-                            pass
-                    cache[key] = last
-                last_key = key
-            out[i] = last
+    # benchmarks/e2e/trace.py rebinds vars(cls)["longest_match_batch"], so
+    # the class body owns the name.
+    longest_match_batch = BlockCachedLPM.longest_match_batch
 
     def has_cover(self, prefix: IPv6Prefix, *, strict: bool = False) -> bool:
         """True if a stored prefix covers ``prefix``.
@@ -197,17 +105,18 @@ class LengthIndexedLPM(Generic[V]):
                 return True
         return False
 
-    def all_matches(self, address: int) -> Iterator[tuple[IPv6Prefix, V]]:
+    def all_matches(self, address: int) -> Iterator[_Match]:
         """All stored prefixes containing ``address``, longest first."""
-        for length, mask, table in self._tables_desc:
-            network = address & mask
-            if network in table:
-                yield IPv6Prefix(network, length), table[network]
+        for _, mask, table in self._tables_desc:
+            match = table.get(address & mask)
+            if match is not None:
+                yield match
 
-    def items(self) -> Iterator[tuple[IPv6Prefix, V]]:
+    def items(self) -> Iterator[_Match]:
         for length in sorted(self._by_length):
-            for network in sorted(self._by_length[length]):
-                yield IPv6Prefix(network, length), self._by_length[length][network]
+            table = self._by_length[length]
+            for network in sorted(table):
+                yield table[network]
 
     def frozen(self, *, cache_size: int | None = None):
         """A read-only :class:`~repro.bgp.frozenfib.FrozenLPM` snapshot of

@@ -9,35 +9,30 @@ The trie is a plain binary trie keyed on address bits; at IPv6 scale in the
 simulator (tens of thousands of prefixes, lengths mostly 32–64) the depth is
 bounded and lookups are a few dozen integer operations.
 
-``longest_match`` — the alias filter's per-record containment probe — gets
-a bounded LRU result cache keyed by the address's covering block at the
-longest stored prefix length (never finer than /48): two addresses sharing
-those top bits walk identical trie paths, so one cached result answers for
-the whole block.  Every mutation invalidates the cache, so cached and
+``longest_match`` — the alias filter's per-record containment probe — sits
+behind the bounded block cache of :mod:`repro.bgp.blockcache`: two
+addresses sharing their covering block walk identical trie paths, so one
+cached result answers for the whole block.  A valued node holds the
+interned ``(prefix, value)`` tuple built once at ``insert``, which is what
+a match returns.  Every mutation invalidates the cache, so cached and
 uncached lookups are indistinguishable.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Generic, Iterator
 
 from ..addr.ipv6 import ADDRESS_BITS, IPv6Prefix
-
-V = TypeVar("V")
-
-_MISSING = object()
-
-_MIN_CACHE_BITS = 48
-DEFAULT_CACHE_SIZE = 8192
+from .blockcache import DEFAULT_CACHE_SIZE, BlockCachedLPM, V
 
 
 class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
+    __slots__ = ("children", "match")
 
     def __init__(self) -> None:
         self.children: list["_Node[V] | None"] = [None, None]
-        self.value: V | None = None
-        self.has_value = False
+        # (prefix, value) if a prefix is stored here, else None.
+        self.match: tuple[IPv6Prefix, V] | None = None
 
 
 def _bit(address: int, depth: int) -> int:
@@ -45,28 +40,22 @@ def _bit(address: int, depth: int) -> int:
     return (address >> (ADDRESS_BITS - 1 - depth)) & 1
 
 
-class PrefixTrie(Generic[V]):
+class PrefixTrie(BlockCachedLPM[V]):
     """A map from :class:`IPv6Prefix` to values with LPM queries."""
 
     def __init__(self, *, cache_size: int = DEFAULT_CACHE_SIZE) -> None:
+        super().__init__(cache_size)
         self._root: _Node[V] = _Node()
         self._size = 0
         # Stored-prefix length census; the max drives the cache key width.
         self._length_counts: dict[int, int] = {}
-        self._cache_size = cache_size
-        self._cache: dict[int, tuple[IPv6Prefix, V] | None] = {}
-        self._cache_shift = ADDRESS_BITS - _MIN_CACHE_BITS
 
     def __len__(self) -> int:
         return self._size
 
     def __contains__(self, prefix: IPv6Prefix) -> bool:
-        return self.get(prefix, _MISSING) is not _MISSING
-
-    def _invalidate(self) -> None:
-        longest = max(self._length_counts, default=0)
-        self._cache_shift = ADDRESS_BITS - max(_MIN_CACHE_BITS, longest)
-        self._cache.clear()
+        node = self._node_at(prefix)
+        return node is not None and node.match is not None
 
     def insert(self, prefix: IPv6Prefix, value: V) -> None:
         """Insert or replace the value at ``prefix``."""
@@ -78,21 +67,20 @@ class PrefixTrie(Generic[V]):
                 child = _Node()
                 node.children[bit] = child
             node = child
-        if not node.has_value:
+        if node.match is None:
             self._size += 1
             self._length_counts[prefix.length] = (
                 self._length_counts.get(prefix.length, 0) + 1
             )
-        node.has_value = True
-        node.value = value
-        self._invalidate()
+        node.match = (prefix, value)
+        self._invalidate(max(self._length_counts))
 
     def get(self, prefix: IPv6Prefix, default: object = None) -> object:
         """Exact-match lookup."""
         node = self._node_at(prefix)
-        if node is None or not node.has_value:
+        if node is None or node.match is None:
             return default
-        return node.value
+        return node.match[1]
 
     def _node_at(self, prefix: IPv6Prefix) -> _Node[V] | None:
         node = self._root
@@ -117,113 +105,46 @@ class PrefixTrie(Generic[V]):
                 return False
             path.append((node, bit))
             node = child
-        if not node.has_value:
+        if node.match is None:
             return False
-        node.has_value = False
-        node.value = None
+        node.match = None
         self._size -= 1
         count = self._length_counts.get(prefix.length, 0) - 1
         if count > 0:
             self._length_counts[prefix.length] = count
         else:
             self._length_counts.pop(prefix.length, None)
-        self._invalidate()
+        self._invalidate(max(self._length_counts, default=0))
         for parent, bit in reversed(path):
             child = parent.children[bit]
             assert child is not None
-            if child.has_value or child.children[0] or child.children[1]:
+            if child.match is not None or child.children[0] or child.children[1]:
                 break
             parent.children[bit] = None
         return True
 
-    def longest_match(self, address: int) -> tuple[IPv6Prefix, V] | None:
-        """The most specific stored prefix containing ``address``."""
-        cache = self._cache
-        cache_key = address >> self._cache_shift
-        found = cache.pop(cache_key, _MISSING)
-        if found is not _MISSING:
-            cache[cache_key] = found  # LRU touch: re-insert as most recent
-            return found  # type: ignore[return-value]
+    def _probe(self, address: int) -> tuple[IPv6Prefix, V] | None:
         node = self._root
-        best: tuple[int, V] | None = None
-        depth = 0
+        best = None
         shift = ADDRESS_BITS - 1
         while True:
-            if node.has_value:
-                best = (depth, node.value)  # type: ignore[arg-type]
-            if depth == ADDRESS_BITS:
-                break
+            if node.match is not None:
+                best = node.match
+            if shift < 0:
+                return best
             child = node.children[(address >> shift) & 1]
             if child is None:
-                break
+                return best
             node = child
-            depth += 1
             shift -= 1
-        if best is None:
-            result = None
-        else:
-            length, value = best
-            result = (IPv6Prefix.of(address, length), value)
-        if len(cache) >= self._cache_size:
-            try:
-                del cache[next(iter(cache))]
-            except (StopIteration, KeyError, RuntimeError):
-                # Concurrent readers may race an eviction; the cache is
-                # advisory, so losing one eviction is harmless.
-                pass
-        cache[cache_key] = result
-        return result
-
-    @property
-    def block_shift(self) -> int:
-        """Right-shift mapping an address to its covering cache block.
-
-        Equal ``address >> block_shift`` implies an identical trie walk
-        (same invariant as the LRU cache key).  Re-read per batch — the
-        value tracks the longest stored length and changes on mutation.
-        """
-        return self._cache_shift
-
-    def longest_match_batch(
-        self,
-        addresses: Sequence[int],
-        indices: Iterable[int],
-        out: list,
-    ) -> None:
-        """Vectorised LPM: ``out[i] = longest_match(addresses[i])`` for
-        every ``i`` in ``indices``.
-
-        Sort ``indices`` by ``addresses[i]`` so equal covering blocks
-        are contiguous; one trie walk then serves each run.  Results are
-        bit-identical to per-address :meth:`longest_match` calls.
-        """
-        shift = self._cache_shift
-        cache = self._cache
-        missing = _MISSING
-        last_key = -1
-        last: tuple[IPv6Prefix, V] | None = None
-        for i in indices:
-            address = addresses[i]
-            key = address >> shift
-            if key != last_key:
-                # Cache hit without the LRU touch (advisory only); misses
-                # take the full walk via longest_match, which also fills
-                # the cache for the rest of this block's run.
-                found = cache.get(key, missing)
-                if found is not missing:
-                    last = found  # type: ignore[assignment]
-                else:
-                    last = self.longest_match(address)
-                last_key = key
-            out[i] = last
 
     def all_matches(self, address: int) -> Iterator[tuple[IPv6Prefix, V]]:
         """All stored prefixes containing ``address``, shortest first."""
         node = self._root
         depth = 0
         while True:
-            if node.has_value:
-                yield IPv6Prefix.of(address, depth), node.value  # type: ignore[misc]
+            if node.match is not None:
+                yield node.match
             if depth == ADDRESS_BITS:
                 return
             child = node.children[_bit(address, depth)]
@@ -237,20 +158,12 @@ class PrefixTrie(Generic[V]):
         start = self._node_at(prefix)
         if start is None:
             return
-        stack: list[tuple[_Node[V], int, int]] = [
-            (start, prefix.network, prefix.length)
-        ]
+        stack = [start]
         while stack:
-            node, network, length = stack.pop()
-            if node.has_value:
-                yield IPv6Prefix(network, length), node.value  # type: ignore[misc]
-            for bit in (0, 1):
-                child = node.children[bit]
-                if child is not None:
-                    child_network = network | (
-                        bit << (ADDRESS_BITS - 1 - length)
-                    )
-                    stack.append((child, child_network, length + 1))
+            node = stack.pop()
+            if node.match is not None:
+                yield node.match
+            stack.extend(child for child in node.children if child is not None)
 
     def has_cover(self, prefix: IPv6Prefix, *, strict: bool = False) -> bool:
         """True if a stored prefix covers ``prefix``.
@@ -259,13 +172,13 @@ class PrefixTrie(Generic[V]):
         """
         node = self._root
         for depth in range(prefix.length):
-            if node.has_value:
+            if node.match is not None:
                 return True
             child = node.children[_bit(prefix.network, depth)]
             if child is None:
                 return False
             node = child
-        return node.has_value and not strict
+        return node.match is not None and not strict
 
     def items(self) -> Iterator[tuple[IPv6Prefix, V]]:
         """All (prefix, value) pairs in depth-first (address) order."""

@@ -179,7 +179,8 @@ class TestLengthIndexedLPM:
 
 
 class TestLengthIndexedLPMHotPath:
-    """The lookup-row list and LRU result cache behind longest_match."""
+    """The lookup-row list behind longest_match (the block cache on top
+    has its own suite, tests/test_blockcache.py)."""
 
     def test_lookup_rows_skip_empty_lengths(self):
         lpm = LengthIndexedLPM()
@@ -198,114 +199,6 @@ class TestLengthIndexedLPMHotPath:
         lpm = LengthIndexedLPM()
         lpm.insert(p("2001:db8::/64"), "only")
         assert lpm.longest_match(parse_address("2001:db8::5"))[1] == "only"
-
-    def test_cache_repeats_without_rewalking(self):
-        lpm = LengthIndexedLPM()
-        lpm.insert(p("2001:db8::/32"), "a")
-        address = parse_address("2001:db8::1")
-        assert lpm.longest_match(address)[1] == "a"
-        key = address >> lpm._cache_shift
-        assert lpm._cache[key] == (p("2001:db8::/32"), "a")
-        assert lpm.longest_match(address)[1] == "a"
-
-    def test_negative_result_cached(self):
-        lpm = LengthIndexedLPM()
-        lpm.insert(p("2001:db8::/32"), "a")
-        address = parse_address("2002::1")
-        assert lpm.longest_match(address) is None
-        assert lpm._cache[address >> lpm._cache_shift] is None
-        assert lpm.longest_match(address) is None
-
-    def test_insert_invalidates_cache(self):
-        lpm = LengthIndexedLPM()
-        lpm.insert(p("2001:db8::/32"), "broad")
-        address = parse_address("2001:db8:1::9")
-        assert lpm.longest_match(address)[1] == "broad"
-        lpm.insert(p("2001:db8:1::/48"), "narrow")
-        assert lpm.longest_match(address)[1] == "narrow"
-
-    def test_remove_invalidates_cache(self):
-        lpm = LengthIndexedLPM()
-        lpm.insert(p("2001:db8::/32"), "broad")
-        lpm.insert(p("2001:db8:1::/48"), "narrow")
-        address = parse_address("2001:db8:1::9")
-        assert lpm.longest_match(address)[1] == "narrow"
-        assert lpm.remove(p("2001:db8:1::/48"))
-        assert lpm.longest_match(address)[1] == "broad"
-        assert lpm.remove(p("2001:db8::/32"))
-        assert lpm.longest_match(address) is None
-
-    def test_cache_key_tracks_longest_length(self):
-        # With a /64 stored the cache must distinguish sibling /64s of
-        # one /48; key granularity follows the longest stored length.
-        lpm = LengthIndexedLPM()
-        lpm.insert(p("2001:db8:1:1::/64"), "one")
-        lpm.insert(p("2001:db8:1:2::/64"), "two")
-        assert lpm.longest_match(parse_address("2001:db8:1:1::7"))[1] == "one"
-        assert lpm.longest_match(parse_address("2001:db8:1:2::7"))[1] == "two"
-
-    def test_cache_bounded(self):
-        lpm = LengthIndexedLPM(cache_size=4)
-        lpm.insert(p("2001:db8::/32"), "a")
-        for offset in range(64):
-            lpm.longest_match(parse_address("2001:db8::1") + (offset << 80))
-        assert len(lpm._cache) <= 4
-
-    def test_results_identical_with_and_without_cache(self):
-        import random as _random
-
-        rng = _random.Random(5)
-        cached = LengthIndexedLPM()
-        uncached = LengthIndexedLPM(cache_size=0)
-        for index in range(40):
-            prefix = IPv6Prefix.of(
-                (0x20010DB8 << 96) | (rng.getrandbits(32) << 64),
-                rng.choice([32, 40, 48, 56, 64]),
-            )
-            cached.insert(prefix, index)
-            uncached.insert(prefix, index)
-        addresses = [
-            (0x20010DB8 << 96) | rng.getrandbits(96) for _ in range(500)
-        ]
-        for address in addresses * 2:  # second pass exercises cache hits
-            assert cached.longest_match(address) == uncached.longest_match(
-                address
-            )
-
-
-class TestPrefixTrieCache:
-    """The same LRU cache contract on the Patricia trie."""
-
-    def test_insert_invalidates(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), "broad")
-        address = parse_address("2001:db8:1::9")
-        assert trie.longest_match(address)[1] == "broad"
-        trie.insert(p("2001:db8:1::/48"), "narrow")
-        assert trie.longest_match(address)[1] == "narrow"
-
-    def test_remove_invalidates(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), "broad")
-        trie.insert(p("2001:db8:1::/48"), "narrow")
-        address = parse_address("2001:db8:1::9")
-        assert trie.longest_match(address)[1] == "narrow"
-        assert trie.remove(p("2001:db8:1::/48"))
-        assert trie.longest_match(address)[1] == "broad"
-
-    def test_key_granularity_follows_longest_stored(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8:1:1::/64"), "one")
-        trie.insert(p("2001:db8:1:2::/64"), "two")
-        assert trie.longest_match(parse_address("2001:db8:1:1::7"))[1] == "one"
-        assert trie.longest_match(parse_address("2001:db8:1:2::7"))[1] == "two"
-
-    def test_cache_bounded(self):
-        trie = PrefixTrie(cache_size=4)
-        trie.insert(p("2001:db8::/32"), "a")
-        for offset in range(64):
-            trie.longest_match(parse_address("2001:db8::1") + (offset << 80))
-        assert len(trie._cache) <= 4
 
 
 class TestBGPTable:

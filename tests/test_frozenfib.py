@@ -131,21 +131,6 @@ class TestFrozenEquivalence:
                     prefix, strict=strict
                 )
 
-    @settings(max_examples=20, deadline=None)
-    @given(prefix_sets(), st.integers(min_value=1, max_value=8))
-    def test_tiny_cache_still_exact(self, data, cache_size):
-        """Heavy eviction pressure must never change results — the LRU
-        block cache is advisory."""
-        entries, removals = data
-        lpm, _ = _build(entries, removals)
-        frozen = lpm.frozen(cache_size=cache_size)
-        probes = _probes(entries, seed=3)
-        for _ in range(3):  # revisits hit, evict, refill
-            for address in probes:
-                assert frozen.longest_match(address) == lpm.longest_match(
-                    address
-                )
-
 
 class TestFrozenBehaviour:
     def test_mutation_raises(self):
