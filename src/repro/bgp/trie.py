@@ -1,9 +1,10 @@
 """Binary radix (Patricia-style) trie over IPv6 prefixes.
 
-This is the lookup structure behind both the BGP RIB and every simulated
-router's FIB.  It supports exact insert/remove, longest-prefix match, and
-covering/covered queries — the operations BGP processing and packet
-forwarding need.
+This is the lookup structure behind the hitlist's
+:class:`~repro.hitlist.aliases.AliasedPrefixList` (the BGP RIB and the
+routers' FIBs use :mod:`repro.bgp.lpm` and :mod:`repro.bgp.frozenfib`).
+It supports exact insert/remove, longest-prefix match, and
+covering/covered queries.
 
 The trie is a plain binary trie keyed on address bits; at IPv6 scale in the
 simulator (tens of thousands of prefixes, lengths mostly 32–64) the depth is

@@ -86,9 +86,9 @@ class SurveyConfig:
     # knobs change wall-clock time only, never results.
     shards: int = 1
     parallel: str = "auto"
-    # Probes per SimulationEngine.probe_batch() call (1 = legacy per-probe
-    # path).  Like the sharding knobs this is a pure throughput dial:
-    # results are bit-identical for any value.
+    # Probes handed to the backend per call — a chunk size.  Like the
+    # sharding knobs this is a pure throughput dial: results are
+    # bit-identical for any value.
     batch_size: int = 1024
     # Probe backend for every survey scan ("sim" or "wire-sim"; the
     # sharded runner refuses non-deterministic backends).  Another pure
@@ -101,8 +101,8 @@ class SurveyConfig:
     telemetry: bool = False
     progress_every: int = 0
     # Crash tolerance: retry budget per failed shard, and a directory for
-    # per-(scan, epoch) checkpoint journals.  Either switches the runner
-    # into recovery mode (journal after every shard, retry with backoff,
+    # per-(scan, epoch) checkpoint journals — inputs to the runner's one
+    # dispatch loop (journal after every shard, retry with backoff,
     # salvage on SIGINT/SIGTERM); a journal left in checkpoint_dir from
     # an interrupted run auto-resumes and finishes byte-identically.
     max_shard_retries: int = 0

@@ -4,7 +4,7 @@ A zero-cost adapter — every method is a direct delegation to the wrapped
 :class:`~repro.netsim.engine.SimulationEngine`, including the columnar
 ``probe_columns`` hot path, so the scanner's output through this backend
 is byte-identical to driving the engine directly (the determinism suite
-and the benchmark seam gate both pin this).
+pins this).
 """
 
 from __future__ import annotations

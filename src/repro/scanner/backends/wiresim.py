@@ -9,10 +9,10 @@ output (the round trip proves the codecs; it never changes an outcome),
 which is what lets the raw backend reuse this matching logic with
 confidence.
 
-This used to be an inline ``wire_format`` branch in ``zmapv6.py``; it is
-now a backend like any other, and the branch is gone.  One behavioural
-fix rode along: replies that fail payload extraction/validation were
-silently dropped before — they now count into
+This used to be an inline branch in ``zmapv6.py``; it is now a backend
+like any other, and the branch is gone.  One behavioural fix rode along:
+replies that fail payload extraction/validation were silently dropped
+before — they now count into
 :attr:`~repro.scanner.backends.base.ProbeBackend.unmatched_replies`, so
 the raw backend (where unmatched traffic is the norm, not a codec bug)
 inherits visible loss accounting.

@@ -82,7 +82,14 @@ from .shmring import (
     pack_outcome,
     release_outcome,
 )
-from .stream import RecordSink, StreamSpec, TargetStream, build_stream, stream_buffered
+from .stream import (
+    RecordSink,
+    StreamSpec,
+    TargetStream,
+    build_stream,
+    scannable,
+    stream_buffered,
+)
 from .zmapv6 import ScanConfig, ZMapV6Scanner
 
 __all__ = [
@@ -100,7 +107,9 @@ class ScanInterrupted(RuntimeError):
     """The scan stopped on SIGINT/SIGTERM after flushing a checkpoint.
 
     Completed shards are salvaged in the journal at ``checkpoint_path``;
-    re-running with ``resume`` finishes only the remaining shards.
+    re-running with ``resume`` finishes only the remaining shards.  A
+    scan that does not journal has ``checkpoint_path`` None and nothing
+    to resume from.
     """
 
     def __init__(
@@ -146,6 +155,9 @@ class ShardFailedError(RuntimeError):
 # Below this many targets a process pool costs more (world pickling, fork)
 # than the scan itself; fall back to threads.
 PROCESS_POOL_THRESHOLD = 16_384
+
+# Ceiling of the exponential backoff between shard retry rounds, seconds.
+SHARD_BACKOFF_CAP = 5.0
 
 
 def auto_shard_count(limit: int = 8) -> int:
@@ -286,8 +298,8 @@ def merge_shard_outcomes(
     for outcome in ordered:
         # Outcomes that crossed a process boundary carry their records and
         # checks in a shared-memory frame; drain them here, in serial
-        # shard order (no-op for thread/serial shards and for outcomes a
-        # recovery round already drained).
+        # shard order (no-op for thread/serial shards and for outcomes the
+        # dispatch loop already drained).
         drain_outcome(outcome, ring_stats)
     # (time, shard, router_id, record indices at that time) — at most one
     # rate-limit check exists per probe, and probe times are unique, so
@@ -484,20 +496,15 @@ def _merge_telemetry(
         )
 
 
-def _release_ring_futures(futures: Iterable[Future]) -> None:
-    """Unlink ring frames of completed-but-unconsumed shard futures.
+def _release_ring_frame(future: Future) -> None:
+    """Done-callback: unlink the ring frame of a shard nobody will drain.
 
-    Called on the failure/interrupt paths: a frame nobody drains outlives
-    the process in ``/dev/shm``.  Best-effort — still-running shards (an
-    interrupt does not wait for them) clean up only at machine scope.
+    Attached on the interrupt path to every unconsumed shard future: a
+    frame nobody drains outlives the process in ``/dev/shm``.  Shards
+    still running when the scan is abandoned release theirs on arrival.
     """
-    for future in futures:
-        if future.done() and not future.cancelled():
-            try:
-                outcome = future.result()
-            except BaseException:
-                continue
-            release_outcome(outcome)
+    if not future.cancelled() and future.exception() is None:
+        release_outcome(future.result())
 
 
 # ---------------------------------------------------------------------- #
@@ -526,29 +533,10 @@ def _init_worker(
     _WORKER_TARGETS = targets
 
 
-def _worker_scan_shard(
-    config: ScanConfig,
-    name: str,
-    epoch: int,
-    shard: int,
-    shards: int,
-    collect_telemetry: bool = False,
-    chaos: ChaosEngine | None = None,
-    attempt: int = 0,
-) -> ShardOutcome:
+def _worker_scan_shard(config: ScanConfig, **kwargs) -> ShardOutcome:
+    """:func:`scan_shard` against this worker's world and targets."""
     assert _WORKER_WORLD is not None and _WORKER_TARGETS is not None
-    outcome = scan_shard(
-        _WORKER_WORLD,
-        config,
-        _WORKER_TARGETS,
-        name=name,
-        epoch=epoch,
-        shard=shard,
-        shards=shards,
-        collect_telemetry=collect_telemetry,
-        chaos=chaos,
-        attempt=attempt,
-    )
+    outcome = scan_shard(_WORKER_WORLD, config, _WORKER_TARGETS, **kwargs)
     # Ship the records and checks through a shared-memory frame instead of
     # the pool's pickled-result channel; on platforms without shared
     # memory this no-ops and the ordinary pickle return does the job.
@@ -572,15 +560,18 @@ class ShardedScanRunner:
     :data:`PROCESS_POOL_THRESHOLD` targets on multi-core hosts, threads
     otherwise).
 
-    Crash tolerance: with a checkpoint path (or ``checkpoint_dir``), a
-    retry budget (``max_shard_retries``), or a :class:`ChaosEngine`, the
-    scan runs in *recovery mode* — every shard (even at ``shards=1``)
-    goes through the deferred-replay pipeline, a journal is flushed after
-    each completed shard, failed shards are retried on a fresh pool with
-    bounded exponential backoff, and SIGINT/SIGTERM salvage completed
-    shards into a final checkpoint (:class:`ScanInterrupted`).  A resumed
-    scan re-runs only the missing index windows and merges to the exact
-    bytes an uninterrupted run produces.
+    Every multi-shard scan runs one dispatch loop: each shard scans with
+    the rate limiter deferred, completed shards are collected (and, with
+    a checkpoint path or ``checkpoint_dir``, journaled) as they finish,
+    failed shards are retried on a fresh pool with bounded exponential
+    backoff up to ``max_shard_retries`` times and then end the scan in
+    :class:`ShardFailedError`, and SIGINT/SIGTERM end it in
+    :class:`ScanInterrupted` with the completed shards salvaged into the
+    journal.  A journal, a retry budget and a :class:`ChaosEngine` are
+    inputs to that loop, not a mode; any of them also sends a
+    ``shards=1`` scan through it, which otherwise runs in place.  A
+    resumed scan re-runs only the missing index windows and merges to
+    the exact bytes an uninterrupted run produces.
     """
 
     def __init__(
@@ -589,12 +580,9 @@ class ShardedScanRunner:
         *,
         shards: int | None = None,
         executor: str = "auto",
-        max_workers: int | None = None,
-        process_threshold: int = PROCESS_POOL_THRESHOLD,
         telemetry: ScanTelemetry | None = None,
         max_shard_retries: int = 0,
         retry_backoff: float = 0.1,
-        retry_backoff_cap: float = 5.0,
         checkpoint_dir: "str | Path | None" = None,
         chaos: ChaosEngine | None = None,
         sleep: "Callable[[float], None]" = time.sleep,
@@ -610,12 +598,9 @@ class ShardedScanRunner:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         self.executor = executor
-        self.max_workers = max_workers
-        self.process_threshold = process_threshold
         self.telemetry = telemetry
         self.max_shard_retries = max_shard_retries
         self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
         # Injectable so fault-injection tests drive the retry loop in
         # zero wall-time; the schedule itself comes from RetryPolicy's
         # backoff math (jitter 0 = the historical formula, bit for bit).
@@ -623,7 +608,7 @@ class ShardedScanRunner:
         self._retry_schedule = RetryPolicy(
             max_retries=max_shard_retries,
             backoff=retry_backoff,
-            backoff_cap=retry_backoff_cap,
+            backoff_cap=SHARD_BACKOFF_CAP,
         )
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -635,9 +620,10 @@ class ShardedScanRunner:
         self._interrupted = False
 
     def request_interrupt(self) -> None:
-        """Ask a recovery-mode scan to stop after the in-flight round,
-        flush a final checkpoint, and raise :class:`ScanInterrupted`.
-        Signal handlers and tests call this; safe from any thread."""
+        """Ask a multi-shard scan to stop after the in-flight round,
+        flush a final checkpoint (when it journals), and raise
+        :class:`ScanInterrupted`.  Signal handlers and tests call this;
+        safe from any thread."""
         self._interrupted = True
 
     def scan(
@@ -713,9 +699,7 @@ class ShardedScanRunner:
         ``checkpoint`` names the journal file for this scan (overriding
         the runner's ``checkpoint_dir`` naming); ``resume`` loads it if
         present and re-runs only the missing shards (a ``checkpoint_dir``
-        journal auto-resumes).  Either option — or a retry budget or
-        ``chaos`` plan on the runner — switches the scan into recovery
-        mode (see the class docstring).
+        journal auto-resumes).
         """
         config = config or ScanConfig()
         spec = config.backend_spec()
@@ -729,35 +713,16 @@ class ShardedScanRunner:
             )
         effective = telemetry if telemetry is not None else self.telemetry
         chaos = chaos if chaos is not None else self.chaos
-        target_list = (
-            targets
-            if isinstance(targets, (list, tuple, TargetStream))
-            else list(targets)
-        )
+        target_list = scannable(targets)
         checkpoint_path = self._checkpoint_path(checkpoint, name, epoch)
-        if checkpoint is not None and self.checkpoint_dir is None:
-            auto_resume = resume
-        else:
-            # checkpoint_dir journals auto-resume: a file left behind means
-            # an interrupted scan, and resuming is always byte-safe.
-            auto_resume = resume or self.checkpoint_dir is not None
         if (
-            checkpoint_path is not None
-            or self.max_shard_retries > 0
-            or chaos is not None
+            self.shards == 1
+            and checkpoint_path is None
+            and self.max_shard_retries == 0
+            and chaos is None
         ):
-            return self._scan_with_recovery(
-                target_list,
-                config,
-                name=name,
-                epoch=epoch,
-                telemetry=effective,
-                sink=sink,
-                checkpoint_path=checkpoint_path,
-                resume=auto_resume,
-                chaos=chaos,
-            )
-        if self.shards == 1:
+            # Nothing to merge, journal, retry or inject: scan in place,
+            # which is also what streams a sink record by record.
             engine = SimulationEngine(self.world, epoch=epoch)
             scanner = ZMapV6Scanner(
                 engine,
@@ -765,124 +730,26 @@ class ShardedScanRunner:
                 telemetry=effective,
             )
             return scanner.scan(target_list, name=name, epoch=epoch, sink=sink)
-        if effective is not None:
-            effective.scan_started(
-                scan=name,
-                epoch=epoch,
-                targets=len(target_list),
-                shards=self.shards,
-                pps=config.pps,
-            )
-            effective.backend_selected(
-                scan=name, epoch=epoch, backend=config.backend
-            )
-        outcomes = self._run_shards(
+        return self._scan_shards(
             target_list,
             config,
-            name,
-            epoch,
-            collect_telemetry=effective is not None,
-        )
-        return merge_shard_outcomes(
-            self.world,
-            outcomes,
             name=name,
             epoch=epoch,
             telemetry=effective,
-            targets_buffered=stream_buffered(target_list),
             sink=sink,
-            ring_stats=self.ring_stats,
-            backend=config.backend,
+            checkpoint_path=checkpoint_path,
+            # checkpoint_dir journals auto-resume: a file left behind means
+            # an interrupted scan, and resuming is always byte-safe.
+            resume=resume or self.checkpoint_dir is not None,
+            chaos=chaos,
         )
-
-    # ---------------- execution strategies ---------------- #
 
     def _resolve_executor(self, size: int) -> str:
         if self.executor != "auto":
             return self.executor
-        if size >= self.process_threshold and (os.cpu_count() or 1) > 1:
+        if size >= PROCESS_POOL_THRESHOLD and (os.cpu_count() or 1) > 1:
             return "process"
         return "thread"
-
-    def _run_shards(
-        self,
-        target_list: Sequence[int],
-        config: ScanConfig,
-        name: str,
-        epoch: int,
-        *,
-        collect_telemetry: bool = False,
-    ) -> list[ShardOutcome]:
-        mode = self._resolve_executor(len(target_list))
-        if mode == "serial":
-            return [
-                scan_shard(
-                    self.world,
-                    config,
-                    target_list,
-                    name=name,
-                    epoch=epoch,
-                    shard=shard,
-                    shards=self.shards,
-                    collect_telemetry=collect_telemetry,
-                )
-                for shard in range(self.shards)
-            ]
-        workers = self.max_workers or min(
-            self.shards, (os.cpu_count() or 1) if mode == "process" else self.shards
-        )
-        if mode == "process":
-            # Streams with a picklable recipe ship that recipe instead of
-            # their data: each worker rebuilds the stream from the world
-            # it already received, keeping the task payload O(1).
-            payload: Sequence[int] | StreamSpec = target_list
-            if isinstance(target_list, TargetStream):
-                spec = target_list.spec()
-                if spec is not None:
-                    payload = spec
-            pool: Executor = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(world_payload(self.world), payload),
-            )
-            with pool:
-                futures = [
-                    pool.submit(
-                        _worker_scan_shard,
-                        config,
-                        name,
-                        epoch,
-                        shard,
-                        self.shards,
-                        collect_telemetry,
-                    )
-                    for shard in range(self.shards)
-                ]
-                try:
-                    return [future.result() for future in futures]
-                except BaseException:
-                    # A failed shard aborts the scan before the merge can
-                    # drain the others' frames; unlink them or they leak.
-                    _release_ring_futures(futures)
-                    raise
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    scan_shard,
-                    self.world,
-                    config,
-                    target_list,
-                    name=name,
-                    epoch=epoch,
-                    shard=shard,
-                    shards=self.shards,
-                    collect_telemetry=collect_telemetry,
-                )
-                for shard in range(self.shards)
-            ]
-            return [future.result() for future in futures]
-
-    # ---------------- crash-tolerant execution ---------------- #
 
     def _checkpoint_path(
         self, checkpoint: "str | Path | None", name: str, epoch: int
@@ -899,8 +766,9 @@ class ShardedScanRunner:
 
     @contextmanager
     def _signal_guard(self):
-        """Route SIGINT/SIGTERM to a graceful interrupt while a recovery
-        scan runs (main thread only; restores handlers on exit)."""
+        """Route SIGINT/SIGTERM to a graceful interrupt while a
+        multi-shard scan runs (main thread only; restores handlers on
+        exit)."""
         if threading.current_thread() is not threading.main_thread():
             yield
             return
@@ -920,7 +788,7 @@ class ShardedScanRunner:
             for sig, old in previous.items():
                 signal.signal(sig, old)
 
-    def _scan_with_recovery(
+    def _scan_shards(
         self,
         target_list: Sequence[int],
         config: ScanConfig,
@@ -933,14 +801,16 @@ class ShardedScanRunner:
         resume: bool,
         chaos: ChaosEngine | None,
     ) -> ScanResult:
-        """The crash-tolerant scan loop: journal, retry, salvage, merge.
+        """The one dispatch loop: run, collect, journal, retry, merge.
 
         Every shard runs through the deferred-replay pipeline (even at
-        ``shards=1``, so checkpoint/resume and the plain run share one
-        code path and one byte-level outcome).  After each completed
-        shard the journal is rewritten atomically; failed shards retry on
-        a fresh pool with bounded exponential backoff; an interrupt
-        flushes a final checkpoint and raises :class:`ScanInterrupted`.
+        ``shards=1``, so a journaled scan and a plain one share one code
+        path and one byte-level outcome).  With a ``checkpoint_path`` the
+        journal is rewritten atomically after each completed shard;
+        without one ``flush`` does nothing.  Failed shards retry on a
+        fresh pool with bounded exponential backoff until the retry
+        budget (possibly zero) is spent; an interrupt flushes a final
+        checkpoint and raises :class:`ScanInterrupted`.
         """
         shards = self.shards
         scan_key = config_key(config)
@@ -949,7 +819,6 @@ class ShardedScanRunner:
         spec = (
             target_list.spec() if isinstance(target_list, TargetStream) else None
         )
-        collect = telemetry is not None
 
         outcomes: dict[int, ShardOutcome] = {}
         resumed = False
@@ -1028,22 +897,26 @@ class ShardedScanRunner:
             if chaos is not None and chaos.wants_interrupt(len(outcomes)):
                 self._interrupted = True
 
+        # What every attempt of every shard is called with.
+        work = dict(
+            name=name,
+            epoch=epoch,
+            shards=shards,
+            collect_telemetry=telemetry is not None,
+            chaos=chaos,
+        )
+        # Streams with a picklable recipe ship that recipe to a process
+        # pool instead of their data: each worker rebuilds the stream from
+        # the world it already received, keeping the payload O(1).
+        payload = spec if spec is not None else target_list
         pending = [s for s in range(shards) if s not in outcomes]
         attempts = {s: 0 for s in pending}
         self._interrupted = False
         round_index = 0
         with self._signal_guard():
             while pending:
-                failures = self._run_recovery_round(
-                    pending,
-                    target_list,
-                    config,
-                    name,
-                    epoch,
-                    collect_telemetry=collect,
-                    chaos=chaos,
-                    attempts=attempts,
-                    complete=complete,
+                failures = self._run_round(
+                    pending, target_list, payload, config, work, attempts, complete
                 )
                 if self._interrupted:
                     flush()
@@ -1089,18 +962,15 @@ class ShardedScanRunner:
             checkpoint_path.unlink(missing_ok=True)
         return merged
 
-    def _run_recovery_round(
+    def _run_round(
         self,
         pending: list[int],
         target_list: Sequence[int],
+        payload: "Sequence[int] | StreamSpec",
         config: ScanConfig,
-        name: str,
-        epoch: int,
-        *,
-        collect_telemetry: bool,
-        chaos: ChaosEngine | None,
+        work: dict,
         attempts: dict[int, int],
-        complete,
+        complete: "Callable[[ShardOutcome], None]",
     ) -> list[tuple[int, BaseException]]:
         """Run one attempt of every pending shard; report failures.
 
@@ -1121,64 +991,32 @@ class ShardedScanRunner:
                         self.world,
                         config,
                         target_list,
-                        name=name,
-                        epoch=epoch,
                         shard=shard,
-                        shards=self.shards,
-                        collect_telemetry=collect_telemetry,
-                        chaos=chaos,
                         attempt=attempts[shard],
+                        **work,
                     )
                 except Exception as error:
                     failures.append((shard, error))
                 else:
                     complete(outcome)
             return failures
-        workers = self.max_workers or min(
-            self.shards, (os.cpu_count() or 1) if mode == "process" else self.shards
-        )
-        futures: dict[Future, int] = {}
+        pool: Executor
         if mode == "process":
-            payload: Sequence[int] | StreamSpec = target_list
-            if isinstance(target_list, TargetStream):
-                spec = target_list.spec()
-                if spec is not None:
-                    payload = spec
-            pool: Executor = ProcessPoolExecutor(
-                max_workers=workers,
+            pool = ProcessPoolExecutor(
+                min(self.shards, os.cpu_count() or 1),
                 initializer=_init_worker,
                 initargs=(world_payload(self.world), payload),
             )
-            for shard in pending:
-                future = pool.submit(
-                    _worker_scan_shard,
-                    config,
-                    name,
-                    epoch,
-                    shard,
-                    self.shards,
-                    collect_telemetry,
-                    chaos,
-                    attempts[shard],
-                )
-                futures[future] = shard
+            function, arguments = _worker_scan_shard, (config,)
         else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-            for shard in pending:
-                future = pool.submit(
-                    scan_shard,
-                    self.world,
-                    config,
-                    target_list,
-                    name=name,
-                    epoch=epoch,
-                    shard=shard,
-                    shards=self.shards,
-                    collect_telemetry=collect_telemetry,
-                    chaos=chaos,
-                    attempt=attempts[shard],
-                )
-                futures[future] = shard
+            pool = ThreadPoolExecutor(self.shards)
+            function, arguments = scan_shard, (self.world, config, target_list)
+        futures: dict[Future, int] = {
+            pool.submit(
+                function, *arguments, shard=shard, attempt=attempts[shard], **work
+            ): shard
+            for shard in pending
+        }
         consumed: set[Future] = set()
         try:
             outstanding = set(futures)
@@ -1211,7 +1049,6 @@ class ShardedScanRunner:
             cancel = self._interrupted
             pool.shutdown(wait=not cancel, cancel_futures=cancel)
             if cancel:
-                _release_ring_futures(
-                    [future for future in futures if future not in consumed]
-                )
+                for future in futures.keys() - consumed:
+                    future.add_done_callback(_release_ring_frame)
         return failures

@@ -62,6 +62,7 @@ __all__ = [
     "as_stream",
     "build_stream",
     "register_stream_builder",
+    "scannable",
     "shard_positions",
     "stream_buffered",
 ]
@@ -489,6 +490,20 @@ def as_stream(
     return ListStream(
         targets, name=inferred_name, subnet_length=inferred_length
     )
+
+
+def scannable(targets):
+    """``targets`` itself when it can be scanned in place, else a list.
+
+    Duck-typed: anything indexable with a length — a list, a
+    :class:`~repro.scanner.targets.TargetList`, a ``range``, a lazy
+    :class:`TargetStream` — scans in place (materialising it would copy
+    the targets, and defeat O(1)-memory streams); other iterables are
+    materialised.
+    """
+    if hasattr(targets, "__getitem__") and hasattr(targets, "__len__"):
+        return targets
+    return list(targets)
 
 
 def stream_buffered(targets) -> int:

@@ -18,7 +18,7 @@ drives a :class:`~repro.scanner.backends.base.ProbeBackend` (``sim``,
 chosen by ``ScanConfig.backend``.  Everything above the backend seam —
 permutation, pacing, sharding, record building, telemetry — is backend
 agnostic, and the ``sim`` path is byte-identical to the pre-seam scanner
-(pinned by the determinism suite and the benchmark seam gate).
+(pinned by the determinism suite).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from ..netsim.engine import (
     FLAG_LOST,
     FLAG_REPLY,
     ProbeColumns,
-    ProbeResult,
     SimulationEngine,
 )
 from ..telemetry.events import make_event
@@ -45,6 +44,7 @@ from ..telemetry.scan import (
     record_metrics,
 )
 from .backends import (
+    DEFAULT_PROBE_KEY,
     BackendSpec,
     ProbeBackend,
     ResilienceStats,
@@ -54,7 +54,13 @@ from .backends import (
     make_backend_spec,
 )
 from .records import ScanRecord, ScanResult
-from .stream import IndexWindow, RecordSink, shard_positions, stream_buffered
+from .stream import (
+    IndexWindow,
+    RecordSink,
+    scannable,
+    shard_positions,
+    stream_buffered,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,19 +70,15 @@ class ScanConfig:
     pps: float = 50_000.0
     hop_limit: int = 64
     seed: int = 1
-    # Deprecated alias for ``backend="wire-sim"``; kept so existing
-    # configs and journals keep meaning the same scan.  Setting it maps
-    # the default backend to "wire-sim" in __post_init__.
-    wire_format: bool = False
     shard: int = 0
     shards: int = 1
     permute: bool = True
-    key: bytes = b"sra-probing-key-0123456789abcdef"
-    # Probes handed to the engine per probe_batch() call.  Results are
-    # bit-identical for any value (1 forces the legacy per-probe path);
-    # larger batches amortise per-probe Python overhead until the chunk
-    # bookkeeping itself stops mattering — past ~1k there is nothing left
-    # to win.  Memory cost is one ProbeResult list per batch.
+    key: bytes = DEFAULT_PROBE_KEY
+    # Probes handed to the backend per call: a chunk size, nothing more.
+    # Results are bit-identical for any value; larger chunks amortise
+    # per-probe Python overhead until the chunk bookkeeping itself stops
+    # mattering — past ~1k there is nothing left to win.  Memory cost is
+    # one chunk of targets, times and outcomes.
     batch_size: int = 1024
     # Telemetry progress cadence: emit one `progress` event every N
     # probes (0 = none).  Snapshots land at fixed probe-count boundaries,
@@ -114,16 +116,6 @@ class ScanConfig:
             raise ValueError("batch_size must be >= 1")
         if self.progress_every < 0:
             raise ValueError("progress_every must be >= 0")
-        if self.wire_format:
-            if self.backend == "sim":
-                # The deprecated flag selects the backend it used to be.
-                object.__setattr__(self, "backend", "wire-sim")
-            elif self.backend != "wire-sim":
-                raise ValueError(
-                    "wire_format is a deprecated alias for "
-                    f"backend='wire-sim'; it conflicts with backend="
-                    f"{self.backend!r}"
-                )
 
     def backend_spec(self) -> BackendSpec:
         """The picklable recipe for this config's backend.
@@ -219,14 +211,7 @@ class ZMapV6Scanner:
         backend.open()
         if epoch is not None:
             backend.new_epoch(epoch)
-        # Duck-typed: anything indexable with a length scans in place
-        # (materialising here would defeat O(1)-memory target streams).
-        if isinstance(targets, Sequence) or (
-            hasattr(targets, "__getitem__") and hasattr(targets, "__len__")
-        ):
-            target_list = targets
-        else:
-            target_list = list(targets)
+        target_list = scannable(targets)
         result = ScanResult(name=name, epoch=backend.epoch)
         unmatched_before = backend.unmatched_replies
         resilience_before = (
@@ -255,12 +240,14 @@ class ZMapV6Scanner:
         if collector is not None:
             backend.telemetry = collector
         try:
-            if config.batch_size == 1:
-                sent, last_position = self._scan_single(target_list, result)
-            elif backend.supports_columns:
-                sent, last_position = self._scan_batched(target_list, result)
+            # Chosen from what the backend can do, never by an option:
+            # the columnar kernel where there is one, outcome lists for
+            # backends (raw, wire-sim, the resilience wrapper) that return
+            # several replies per probe.
+            if backend.supports_columns:
+                sent, last_position = self._scan_columns(target_list, result)
             else:
-                sent, last_position = self._scan_batches(target_list, result)
+                sent, last_position = self._scan_outcomes(target_list, result)
         finally:
             if collector is not None:
                 backend.telemetry = None
@@ -357,102 +344,55 @@ class ZMapV6Scanner:
 
         return emit
 
-    def _scan_single(
-        self, target_list: Sequence[int], result: ScanResult
-    ) -> tuple[int, int]:
-        """Per-probe scan loop: column-less backends and ``batch_size=1``."""
-        config = self.config
+    def _chunks(
+        self, target_list: Sequence[int]
+    ) -> Iterator[tuple[int, list[int], list[float], "list[int] | None"]]:
+        """This shard's probes, ``batch_size`` at a time: ``(last global
+        position, targets, times, probe ids)`` per chunk, in visit order.
+
+        Probes pace on the *global* permutation position, not the
+        shard-local send counter: every shard of a multi-shard scan then
+        shares one virtual clock, exactly as zmap's multi-machine shards
+        share wall-clock time — and a sharded run becomes time-identical
+        to the serial run of the same seed/epoch.  The id column is
+        skipped only for a columnar backend that never reads it.
+        """
         backend = self.backend
-        probe = backend.probe
-        capture = self._capture
-        emit = self._emit
-        every = config.progress_every if capture is not None else 0
+        pps = self.config.pps
         epoch_bits = backend.epoch << 32
-        hop_limit = config.hop_limit
-        sent = 0
-        last_position = -1
-        for position, index in self._probe_positions(len(target_list)):
-            target = target_list[index]
-            # Pace on the *global* permutation position, not the shard-local
-            # send counter: every shard of a multi-shard scan then shares one
-            # virtual clock, exactly as zmap's multi-machine shards share
-            # wall-clock time — and a sharded run becomes time-identical to
-            # the serial run of the same seed/epoch.
-            time = position / config.pps
-            probe_id = epoch_bits | index
-            outcome = probe(target, time, hop_limit=hop_limit, probe_id=probe_id)
-            sent += 1
-            last_position = position
-            if outcome.looped:
-                result.loops_observed += 1
-            if outcome.lost:
-                result.lost += 1
-            else:
-                for reply in outcome.replies:
-                    emit(
-                        ScanRecord(
-                            target=target,
-                            source=reply.source,
-                            icmp_type=int(reply.icmp_type),
-                            code=reply.code,
-                            count=reply.count,
-                            time=time,
-                        )
-                    )
-            if every and sent % every == 0:
-                capture.events.append(
-                    make_event(
-                        "progress",
-                        scan=result.name,
-                        epoch=result.epoch,
-                        vtime=time,
-                        shard=config.shard,
-                        sent=sent,
-                        records=result.received,
-                        lost=result.lost,
-                        loops=result.loops_observed,
-                    )
-                )
-        return sent, last_position
+        need_ids = not backend.supports_columns or backend.needs_probe_ids
+        positions = self._probe_positions(len(target_list))
+        while chunk := list(islice(positions, self.config.batch_size)):
+            yield (
+                chunk[-1][0],
+                [target_list[index] for _, index in chunk],
+                [position / pps for position, _ in chunk],
+                [epoch_bits | index for _, index in chunk] if need_ids else None,
+            )
 
-    def _scan_batches(
+    def _scan_outcomes(
         self, target_list: Sequence[int], result: ScanResult
     ) -> tuple[int, int]:
-        """Chunked scan loop over ``send_batch`` for column-less backends.
+        """Scan loop over ``send_batch`` for column-less backends.
 
-        The probe sequence, record order, and telemetry events are
-        byte-identical to :meth:`_scan_single` — outcomes are processed
-        probe by probe in chunk order — but sends reach the backend in
-        ``batch_size`` groups, which is what lets the raw backend pace a
-        whole batch and pay its receive linger once per batch instead of
-        once per probe.
+        Outcomes are processed probe by probe in chunk order, so the
+        probe sequence, record order, and telemetry events do not depend
+        on ``batch_size`` — but sends reach the backend in ``batch_size``
+        groups, which is what lets the raw backend pace a whole batch and
+        pay its receive linger once per batch instead of once per probe.
         """
         config = self.config
-        backend = self.backend
-        send_batch = backend.send_batch
+        send_batch = self.backend.send_batch
         capture = self._capture
         emit = self._emit
         every = config.progress_every if capture is not None else 0
-        epoch_bits = backend.epoch << 32
         hop_limit = config.hop_limit
-        pps = config.pps
         sent = 0
         last_position = -1
-        positions = self._probe_positions(len(target_list))
-        while True:
-            chunk = list(islice(positions, config.batch_size))
-            if not chunk:
-                break
-            batch_targets = [target_list[index] for _, index in chunk]
-            batch_times = [position / pps for position, _ in chunk]
-            batch_ids = [epoch_bits | index for _, index in chunk]
+        for last_position, targets, times, ids in self._chunks(target_list):
             outcomes = send_batch(
-                batch_targets,
-                batch_times,
-                hop_limit=hop_limit,
-                probe_ids=batch_ids,
+                targets, times, hop_limit=hop_limit, probe_ids=ids
             )
-            last_position = chunk[-1][0]
             for offset, outcome in enumerate(outcomes):
                 sent += 1
                 if outcome.looped:
@@ -463,12 +403,12 @@ class ZMapV6Scanner:
                     for reply in outcome.replies:
                         emit(
                             ScanRecord(
-                                target=batch_targets[offset],
+                                target=targets[offset],
                                 source=reply.source,
                                 icmp_type=int(reply.icmp_type),
                                 code=reply.code,
                                 count=reply.count,
-                                time=batch_times[offset],
+                                time=times[offset],
                             )
                         )
                 if every and sent % every == 0:
@@ -477,7 +417,7 @@ class ZMapV6Scanner:
                             "progress",
                             scan=result.name,
                             epoch=result.epoch,
-                            vtime=batch_times[offset],
+                            vtime=times[offset],
                             shard=config.shard,
                             sent=sent,
                             records=result.received,
@@ -487,12 +427,12 @@ class ZMapV6Scanner:
                     )
         return sent, last_position
 
-    def _scan_batched(
+    def _scan_columns(
         self, target_list: Sequence[int], result: ScanResult
     ) -> tuple[int, int]:
-        """Chunked scan loop over the backend's columnar kernel.
+        """Scan loop over the backend's columnar kernel.
 
-        Same probe order, times, and ids as :meth:`_scan_single` — the
+        Same probe order, times, and ids as :meth:`_scan_outcomes` — the
         chunking is invisible in the results (the determinism regression
         tests pin this).  Each batch reuses one :class:`ProbeColumns`
         buffer; :class:`ScanRecord` rows are built straight from the
@@ -500,9 +440,7 @@ class ZMapV6Scanner:
         """
         config = self.config
         backend = self.backend
-        pps = config.pps
         hop_limit = config.hop_limit
-        epoch_bits = backend.epoch << 32
         probe_columns = backend.probe_columns
         append_record = self._emit
         capture = self._capture
@@ -515,33 +453,18 @@ class ZMapV6Scanner:
         flag_looped = FLAG_LOOPED
         flag_reply = FLAG_REPLY
         cols = ProbeColumns()
-        need_ids = backend.needs_probe_ids
-        positions = self._probe_positions(len(target_list))
-        while True:
-            chunk = list(islice(positions, config.batch_size))
-            if not chunk:
-                break
-            batch_targets = [target_list[index] for _, index in chunk]
-            batch_times = [position / pps for position, _ in chunk]
-            batch_ids = (
-                [epoch_bits | index for _, index in chunk] if need_ids else None
-            )
+        for last_position, targets, times, ids in self._chunks(target_list):
             probe_columns(
-                batch_targets,
-                batch_times,
-                hop_limit=hop_limit,
-                probe_ids=batch_ids,
-                out=cols,
+                targets, times, hop_limit=hop_limit, probe_ids=ids, out=cols
             )
-            sent += len(chunk)
-            last_position = chunk[-1][0]
+            sent += len(targets)
             flags = cols.flags
             source_hi = cols.source_hi
             source_lo = cols.source_lo
             icmp_col = cols.icmp_type
             code_col = cols.code
             count_col = cols.count
-            for offset in range(len(chunk)):
+            for offset in range(len(targets)):
                 f = flags[offset]
                 if not f:  # probed, no reply — the common quiet row
                     continue
@@ -550,12 +473,12 @@ class ZMapV6Scanner:
                         loops_observed += 1
                     append_record(
                         ScanRecord(
-                            target=batch_targets[offset],
+                            target=targets[offset],
                             source=(source_hi[offset] << 64) | source_lo[offset],
                             icmp_type=icmp_col[offset],
                             code=code_col[offset],
                             count=count_col[offset],
-                            time=batch_times[offset],
+                            time=times[offset],
                         )
                     )
                 elif f & flag_looped:
@@ -564,7 +487,7 @@ class ZMapV6Scanner:
                     probes_lost += 1
             if every:
                 progress = self._capture_batch_progress(
-                    capture, result, cols, batch_times, every, progress
+                    capture, result, cols, times, every, progress
                 )
         result.loops_observed += loops_observed
         result.lost += probes_lost
@@ -585,7 +508,7 @@ class ZMapV6Scanner:
         telemetry is on, so the record-building hot loop above stays
         untouched.  It reconstructs the cumulative counters probe by
         probe (every reply row becomes exactly one record), which makes
-        the progress stream byte-identical to the per-probe path's for
+        the progress stream byte-identical to the outcome-list loop's for
         any ``batch_size``.
         """
         shard = self.config.shard
@@ -616,10 +539,6 @@ class ZMapV6Scanner:
                 )
         return sent, n_records, lost, loops
 
-    def _probe_order(self, size: int) -> Iterable[int]:
-        """The target indices this shard visits, in probe order."""
-        return (index for _, index in self._probe_positions(size))
-
     def _probe_positions(self, size: int) -> Iterator[tuple[int, int]]:
         """Yield ``(global_position, target_index)`` for this shard.
 
@@ -634,10 +553,4 @@ class ZMapV6Scanner:
             epoch=self.backend.epoch,
             window=IndexWindow(config.shard, config.shards),
             permute=config.permute,
-        )
-
-    def _send_probe(self, target: int, time: float, probe_id: int) -> ProbeResult:
-        """Back-compat shim for callers that drove one probe at a time."""
-        return self.backend.probe(
-            target, time, hop_limit=self.config.hop_limit, probe_id=probe_id
         )

@@ -1,11 +1,11 @@
 """Unit tests for the probe-backend seam.
 
 The cross-backend contract lives in ``backend_contract.py``; this module
-covers the seam's specifics: the deprecated ``wire_format`` alias, the
-unmatched-reply accounting (the previously *silent* drop), checkpoint
-keys carrying the backend spec, the sharded runner refusing
-non-deterministic backends, the CLI validation one-liners, and — when
-the environment grants raw sockets — a live ``raw`` loopback scan.
+covers the seam's specifics: the unmatched-reply accounting (the
+previously *silent* drop), checkpoint keys carrying the backend spec,
+the sharded runner refusing non-deterministic backends, the CLI
+validation one-liners, and — when the environment grants raw sockets — a
+live ``raw`` loopback scan.
 """
 
 from __future__ import annotations
@@ -41,29 +41,6 @@ MINI_BUDGETS = dict(
     max_route6=400,
     max_hitlist=400,
 )
-
-
-class TestWireFormatAlias:
-    def test_wire_format_maps_to_wire_sim_backend(self):
-        config = ScanConfig(wire_format=True)
-        assert config.backend == "wire-sim"
-        assert config.backend_spec().name == "wire-sim"
-
-    def test_alias_is_idempotent_under_replace(self):
-        from dataclasses import replace
-
-        config = ScanConfig(wire_format=True)
-        again = replace(config, shard=0, shards=1)
-        assert again.backend == "wire-sim"
-
-    def test_alias_conflicts_with_other_backends(self):
-        with pytest.raises(ValueError, match="deprecated alias"):
-            ScanConfig(wire_format=True, backend="raw")
-
-    def test_explicit_wire_sim_accepts_redundant_flag(self):
-        assert ScanConfig(wire_format=True, backend="wire-sim").backend == (
-            "wire-sim"
-        )
 
 
 class TestMiniSurveyEquivalence:
@@ -155,9 +132,7 @@ class TestBackendSpecPlumbing:
     def test_config_key_carries_backend_spec(self):
         sim = config_key(ScanConfig())
         wire = config_key(ScanConfig(backend="wire-sim"))
-        legacy = config_key(ScanConfig(wire_format=True))
         assert sim != wire
-        assert wire == legacy  # the alias resumes wire-sim journals
         other_key = config_key(ScanConfig(backend="wire-sim", key=b"k" * 32))
         assert other_key != wire  # a different probe key is a mismatch
 

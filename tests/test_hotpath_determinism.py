@@ -2,10 +2,11 @@
 
 The batched probe engine, the LPM/trie result caches, and the memoised
 stable-randomness hashers are all pure throughput work: results must be
-bit-identical to the original per-probe path.  These tests pin that
-contract on the paper's two headline workloads — the Table 2 survey and
-the Fig. 5 SRA-vs-random campaign — through the single-probe path, the
-batched path, and 1/4/8-way sharded execution.
+bit-identical to ``SimulationEngine.probe`` called once per probe.  These
+tests pin that contract on the paper's two headline workloads — the
+Table 2 survey and the Fig. 5 SRA-vs-random campaign — across chunk
+sizes (1 vs N) and 1/4/8-way sharded execution, plus a scan-level
+comparison against an independent per-probe reference loop.
 """
 
 import random
@@ -17,12 +18,16 @@ from repro.core.probing import run_sra_vs_random
 from repro.core.survey import INPUT_SET_NAMES, SRASurvey, SurveyConfig
 from repro.netsim.engine import SimulationEngine
 from repro.scanner.sharded import ShardedScanRunner
+from repro.scanner.backends.sim import SimBackend
+from repro.scanner.records import ScanRecord
 from repro.scanner.stream import (
     CsvSink,
+    IndexWindow,
     JsonlSink,
     LazyStream,
     MemorySink,
     TeeSink,
+    shard_positions,
 )
 from repro.scanner.targets import bgp_slash48_targets
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
@@ -59,7 +64,8 @@ def scan_snapshot(result):
 
 
 class TestBatchPathEquivalence:
-    """probe_batch vs probe: identical ScanResults for any batch size."""
+    """Chunk-boundary invariance (identical ScanResults for any batch
+    size) and scalar-vs-kernel equality at engine and scan level."""
 
     def _scan(self, world, targets, *, batch_size, epoch=0):
         engine = SimulationEngine(world, epoch=epoch)
@@ -77,6 +83,75 @@ class TestBatchPathEquivalence:
             tiny_world, stress_targets, batch_size=batch_size
         )
         assert scan_snapshot(batched) == scan_snapshot(single)
+
+    @pytest.mark.parametrize("shard, shards", [(0, 1), (1, 3)])
+    def test_scan_matches_per_probe_reference(
+        self, tiny_world, stress_targets, shard, shards
+    ):
+        """The scanner (columnar kernel, chunking, pacing, probe ids)
+        against an independent loop: one ``SimulationEngine.probe`` call
+        per probe, in ``shard_positions`` order."""
+        pps, seed, epoch = 150_000.0, 5, 2
+        reference = SimulationEngine(tiny_world, epoch=epoch)
+        records, lost, loops = [], 0, 0
+        for position, index in shard_positions(
+            len(stress_targets),
+            seed=seed,
+            epoch=epoch,
+            window=IndexWindow(shard, shards),
+        ):
+            target, time = stress_targets[index], position / pps
+            outcome = reference.probe(
+                target, time, hop_limit=64, probe_id=(epoch << 32) | index
+            )
+            loops += outcome.looped
+            lost += outcome.lost
+            for reply in () if outcome.lost else outcome.replies:
+                records.append(
+                    ScanRecord(
+                        target=target,
+                        source=reply.source,
+                        icmp_type=int(reply.icmp_type),
+                        code=reply.code,
+                        count=reply.count,
+                        time=time,
+                    )
+                )
+        scanned = ZMapV6Scanner(
+            SimulationEngine(tiny_world, epoch=epoch),
+            ScanConfig(pps=pps, seed=seed, shard=shard, shards=shards),
+        ).scan(stress_targets, name="scan", epoch=epoch)
+        assert records and lost and loops  # every path is exercised
+        assert scanned.records == records
+        assert (scanned.lost, scanned.loops_observed) == (lost, loops)
+        assert asdict(scanned.engine_stats) == asdict(reference.stats)
+
+    def test_batch_size_one_is_a_chunk_of_one(self, tiny_world, stress_targets):
+        """``batch_size=1`` selects nothing: a columns-capable backend is
+        driven through ``probe_columns`` only, one probe per call."""
+
+        class ColumnsOnly(SimBackend):
+            calls = 0
+
+            def probe(self, *args, **kwargs):
+                raise AssertionError("per-probe path taken")
+
+            def send_batch(self, *args, **kwargs):
+                raise AssertionError("outcome-list path taken")
+
+            def probe_columns(self, targets, *args, **kwargs):
+                assert len(targets) == 1
+                self.calls += 1
+                return super().probe_columns(targets, *args, **kwargs)
+
+        backend = ColumnsOnly(SimulationEngine(tiny_world, epoch=0))
+        result = ZMapV6Scanner(
+            backend, ScanConfig(pps=150_000.0, seed=5, batch_size=1)
+        ).scan(stress_targets, name="scan", epoch=0)
+        assert backend.calls == result.sent == len(stress_targets)
+        assert scan_snapshot(result) == scan_snapshot(
+            self._scan(tiny_world, stress_targets, batch_size=1024)
+        )
 
     def test_engine_probe_batch_matches_probe(self, tiny_world, stress_targets):
         """Engine-level contract, independent of the scanner plumbing."""
@@ -130,7 +205,7 @@ class TestBatchPathEquivalence:
 
 
 class TestFig5Determinism:
-    """Fig. 5 campaign: single-probe vs batched vs sharded."""
+    """Fig. 5 campaign: chunks of one vs batched vs sharded."""
 
     @pytest.fixture(scope="class")
     def sra_targets(self, tiny_hitlist):
@@ -189,7 +264,7 @@ class TestTable2Determinism:
 
     @pytest.fixture(scope="class")
     def baseline(self, tiny_world, tiny_hitlist, tiny_alias_list):
-        """The single-probe, single-shard survey everything must match."""
+        """The chunk-of-one, single-shard survey everything must match."""
         return self._run(
             tiny_world, tiny_hitlist, tiny_alias_list, batch_size=1
         )
@@ -542,8 +617,8 @@ class TestCrashResumeDeterminism:
     mid-scan (exactly what the SIGINT/SIGTERM handlers do) and salvages
     completed shards into a checkpoint; the resume re-runs only the
     missing index windows.  The baseline runs with checkpointing enabled
-    too — recovery mode is one code path at every shard count, so this
-    also pins "journal on, never interrupted" against "journal on,
+    too — journaled scans run one dispatch loop at every shard count, so
+    this also pins "journal on, never interrupted" against "journal on,
     killed, resumed".
     """
 
@@ -638,8 +713,9 @@ class TestCrashResumeDeterminism:
     def test_recovery_mode_equals_plain_run(
         self, tiny_world, stress_targets, tmp_path
     ):
-        """Checkpointing itself must not perturb results: a journalled,
-        uninterrupted run equals the no-journal fast path."""
+        """Journal on == journal off.  Both run the one dispatch loop —
+        the journal only makes ``flush()`` write — so checkpointing must
+        not perturb a byte, and a finished scan leaves no journal."""
         plain = ScanTelemetry()
         plain_result = ShardedScanRunner(
             tiny_world, shards=4, executor="thread"
@@ -656,7 +732,11 @@ class TestCrashResumeDeterminism:
             shards=4,
             checkpoint=tmp_path / "scan.ckpt",
         )
+        assert not (tmp_path / "scan.ckpt").exists()
         assert journalled_result.records == plain_result.records
+        assert asdict(journalled_result.engine_stats) == asdict(
+            plain_result.engine_stats
+        )
         assert journalled.to_jsonl() == plain.to_jsonl()
         assert journalled.to_prometheus() == plain.to_prometheus()
 

@@ -224,15 +224,15 @@ class TestZMapScanner:
     def test_permutation_off_is_sequential(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=0)
         scanner = ZMapV6Scanner(engine, ScanConfig(pps=1000, permute=False))
-        order = list(scanner._probe_order(5))
+        order = [index for _, index in scanner._probe_positions(5)]
         assert order == [0, 1, 2, 3, 4]
 
     def test_epoch_reseeds_order(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=0)
         scanner = ZMapV6Scanner(engine, ScanConfig(pps=1000, seed=5))
-        order0 = list(scanner._probe_order(100))
+        order0 = [index for _, index in scanner._probe_positions(100)]
         engine.new_epoch(1)
-        order1 = list(scanner._probe_order(100))
+        order1 = [index for _, index in scanner._probe_positions(100)]
         assert order0 != order1
         assert sorted(order0) == sorted(order1)
 
@@ -245,7 +245,7 @@ class TestZMapScanner:
         ).scan(targets, name="fast", epoch=3)
         wire = ZMapV6Scanner(
             SimulationEngine(tiny_world, epoch=3),
-            ScanConfig(pps=1000, seed=5, wire_format=True),
+            ScanConfig(pps=1000, seed=5, backend="wire-sim"),
         ).scan(targets, name="wire", epoch=3)
         fast_rows = sorted((r.target, r.source, r.icmp_type) for r in fast.records)
         wire_rows = sorted((r.target, r.source, r.icmp_type) for r in wire.records)

@@ -1,12 +1,15 @@
 """Sharded parallel scan execution: partitioning, merge, determinism."""
 
+import os
 import random
+import signal
 
 import pytest
 
 from repro.core.survey import SRASurvey, SurveyConfig
 from repro.datasets.tum import harvest_hitlist, published_alias_list
 from repro.netsim.engine import EngineStats, SimulationEngine
+from repro.netsim.faults import CrashingSequence, InjectedCrash
 from repro.scanner.pacing import paced_pps
 from repro.scanner.records import (
     ScanRecord,
@@ -15,12 +18,19 @@ from repro.scanner.records import (
     merge_results,
 )
 from repro.scanner.sharded import (
+    ScanInterrupted,
     ShardedScanRunner,
+    ShardFailedError,
     auto_shard_count,
     merge_shard_outcomes,
     scan_shard,
 )
-from repro.scanner.targets import bgp_plain_targets, bgp_slash48_targets
+from repro.scanner.stream import IndexWindow, shard_positions
+from repro.scanner.targets import (
+    TargetList,
+    bgp_plain_targets,
+    bgp_slash48_targets,
+)
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
 
 
@@ -64,7 +74,9 @@ class TestShardPartitioning:
                     pps=1000, seed=9, shard=shard, shards=shards, permute=permute
                 ),
             )
-            streams.append(list(scanner._probe_order(size)))
+            streams.append(
+                [index for _, index in scanner._probe_positions(size)]
+            )
         seen = set()
         for stream in streams:
             as_set = set(stream)
@@ -605,6 +617,124 @@ class TestShmRingTransport:
         )
         assert runner.ring_stats.segments == 0
         assert runner.ring_stats.fallbacks == 0
+
+
+def shm_segments():
+    """Names of the shared-memory segments alive right now (empty where
+    the platform has no ``/dev/shm``)."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
+class PoisonedTargets(list):
+    """A target list (picklable, so it reaches pool workers) whose one
+    poisoned index raises — exactly one shard of a scan fails.  (Not
+    index 0: the runner's resume fingerprint samples the ends.)"""
+
+    poisoned = 1
+
+    def __getitem__(self, index):
+        if index == self.poisoned:
+            raise InjectedCrash(f"poisoned target index {index}")
+        return super().__getitem__(index)
+
+
+class SignallingTargets(list):
+    """Delivers a real SIGINT to the process when ``trigger`` is probed."""
+
+    trigger = 1
+
+    def __getitem__(self, index):
+        if index == self.trigger:
+            signal.raise_signal(signal.SIGINT)
+        return super().__getitem__(index)
+
+
+class TestJournallessFailures:
+    """A multi-shard scan with no checkpoint, retry budget or chaos plan
+    runs the same dispatch loop as a journaled one, so its failures are
+    the same typed errors — not a worker's raw traceback."""
+
+    CONFIG = ScanConfig(pps=200_000.0, seed=5)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_crashing_shard_raises_shard_failed_error(
+        self, tiny_world, stress_targets, executor
+    ):
+        before = shm_segments()
+        targets = CrashingSequence(stress_targets, at_probe=100, hard=False)
+        runner = ShardedScanRunner(tiny_world, shards=2, executor=executor)
+        with pytest.raises(ShardFailedError) as excinfo:
+            runner.scan(targets, self.CONFIG, name="plain", epoch=1)
+        failure = excinfo.value
+        assert isinstance(failure.error, InjectedCrash)
+        assert failure.attempts == 1
+        assert failure.checkpoint_path is None
+        assert "salvaged" not in str(failure)
+        assert shm_segments() == before
+
+    def test_completed_frames_are_drained_when_a_sibling_fails(
+        self, tiny_world, stress_targets
+    ):
+        """Process pool, one shard of two fails: the finished shard's
+        ring frame is drained (and so unlinked) before the error."""
+        before = shm_segments()
+        runner = ShardedScanRunner(tiny_world, shards=2, executor="process")
+        with pytest.raises(ShardFailedError) as excinfo:
+            runner.scan(
+                PoisonedTargets(stress_targets),
+                self.CONFIG,
+                name="plain",
+                epoch=1,
+            )
+        assert isinstance(excinfo.value.error, InjectedCrash)
+        assert runner.ring_stats.segments == 1
+        assert shm_segments() == before
+
+    def test_sigint_ends_in_scan_interrupted_without_resume_hint(
+        self, tiny_world, stress_targets
+    ):
+        targets = SignallingTargets(stress_targets)
+        # Signal from inside shard 0: its first probe in permuted order.
+        _, targets.trigger = next(
+            shard_positions(
+                len(targets), seed=5, epoch=1, window=IndexWindow(0, 2)
+            )
+        )
+        runner = ShardedScanRunner(tiny_world, shards=2, executor="serial")
+        handler = signal.getsignal(signal.SIGINT)
+        with pytest.raises(ScanInterrupted) as excinfo:
+            runner.scan(targets, self.CONFIG, name="plain", epoch=1)
+        interrupted = excinfo.value
+        assert interrupted.checkpoint_path is None
+        assert (interrupted.completed, interrupted.remaining) == (1, 1)
+        assert "saved to" not in str(interrupted)
+        assert signal.getsignal(signal.SIGINT) is handler
+
+    def test_target_list_reaches_scan_shard_uncopied(
+        self, tiny_world, stress_targets, monkeypatch
+    ):
+        """The runner scans in place whatever the scanner would: a
+        ``TargetList`` is handed to ``scan_shard`` as is, not as a copy."""
+        from repro.scanner import sharded
+
+        seen = []
+        real = sharded.scan_shard
+
+        def spy(world, config, targets, **kwargs):
+            seen.append(targets)
+            return real(world, config, targets, **kwargs)
+
+        monkeypatch.setattr(sharded, "scan_shard", spy)
+        targets = TargetList(name="stress", targets=stress_targets)
+        runner = ShardedScanRunner(tiny_world, shards=2, executor="thread")
+        merged = runner.scan(targets, self.CONFIG, name="scan", epoch=1)
+        assert len(seen) == 2 and all(item is targets for item in seen)
+        assert merged.records == serial_scan(
+            tiny_world, stress_targets, epoch=1
+        ).records
 
 
 class TestSurveyParallel:
