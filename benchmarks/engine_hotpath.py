@@ -17,8 +17,10 @@ Results go to ``benchmarks/results/BENCH_engine.json``; ``--check`` mode
 compares a fresh run against a committed baseline and fails on >30 %
 probes/sec regression or **any byte difference** in the records JSONL,
 Prometheus text, or telemetry JSONL between chunk sizes 1/1024 and
-1/4-way sharding (the CI smoke-perf gate: chunking and sharding must be
-invisible in the output).  The ``ProbeBackend`` seam is not timed here —
+1/4-way sharding, on the in-memory world and on its artifact-backed twin
+(the CI smoke-perf gate: chunking, sharding and the world's
+representation — dict FIB or ``FrozenLPM`` — must be invisible in the
+output).  The ``ProbeBackend`` seam is not timed here —
 ``benchmarks/e2e`` measures it as the ``scanner.backends.sim.seam_s``
 span of ``rescan_hot``.
 Every report also carries the shared-memory ring transport counters from
@@ -53,7 +55,7 @@ from repro.netsim.engine import SimulationEngine
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
 from repro.topology.config import tiny_config
 from repro.topology.entities import World
-from repro.topology.generator import build_world
+from repro.topology.generator import build_world, build_world_artifact
 
 DEFAULT_RESULTS = Path(__file__).parent / "results" / "BENCH_engine.json"
 DEFAULT_PROBES = 60_000
@@ -162,7 +164,10 @@ def verify_byte_identity(world: World, workloads: dict) -> list[str]:
     runner, comparing the records JSONL, the telemetry JSONL and the
     Prometheus text.  Chunk size must change nothing; sharding must
     change nothing in records and Prometheus (the telemetry event stream
-    legitimately reports its own shard count).  Returns human-readable
+    legitimately reports its own shard count).  The same three runs are
+    then made on the world's artifact-backed twin — every routing lookup
+    a ``FrozenLPM`` one, almost every one of them a block-cache miss —
+    and held to the in-memory world's bytes.  Returns human-readable
     failure strings, empty when identical.
     """
     import tempfile
@@ -174,7 +179,7 @@ def verify_byte_identity(world: World, workloads: dict) -> list[str]:
     for name in ("routed", "loop", "rate_limited"):
         targets.extend(workloads[name][0][:1_500])
 
-    def serial(batch_size):
+    def serial(world, batch_size):
         telemetry = ScanTelemetry()
         engine = SimulationEngine(world, epoch=0)
         scanner = ZMapV6Scanner(
@@ -189,7 +194,7 @@ def verify_byte_identity(world: World, workloads: dict) -> list[str]:
         )
         return scanner.scan(targets, name="bench"), telemetry
 
-    def sharded(shards):
+    def sharded(world, shards):
         telemetry = ScanTelemetry()
         runner = ShardedScanRunner(
             world, shards=shards, executor="thread", telemetry=telemetry
@@ -208,20 +213,26 @@ def verify_byte_identity(world: World, workloads: dict) -> list[str]:
             return path.read_bytes()
 
     failures = []
-    base_result, base_tel = serial(1)
+    base_result, base_tel = serial(world, 1)
     base_bytes = jsonl_bytes(base_result)
-    batched_result, batched_tel = serial(1024)
-    if jsonl_bytes(batched_result) != base_bytes:
-        failures.append("records JSONL differs: batch 1024 vs 1")
-    if batched_tel.to_jsonl() != base_tel.to_jsonl():
-        failures.append("telemetry JSONL differs: batch 1024 vs 1")
-    if batched_tel.to_prometheus() != base_tel.to_prometheus():
-        failures.append("Prometheus text differs: batch 1024 vs 1")
-    sharded_result, sharded_tel = sharded(4)
-    if jsonl_bytes(sharded_result) != base_bytes:
-        failures.append("records JSONL differs: 4 shards vs serial")
-    if sharded_tel.to_prometheus() != base_tel.to_prometheus():
-        failures.append("Prometheus text differs: 4 shards vs serial")
+
+    def compare(label, result, telemetry, events=True):
+        if jsonl_bytes(result) != base_bytes:
+            failures.append(f"records JSONL differs: {label}")
+        if events and telemetry.to_jsonl() != base_tel.to_jsonl():
+            failures.append(f"telemetry JSONL differs: {label}")
+        if telemetry.to_prometheus() != base_tel.to_prometheus():
+            failures.append(f"Prometheus text differs: {label}")
+
+    compare("batch 1024 vs 1", *serial(world, 1024))
+    compare("4 shards vs serial", *sharded(world, 4), events=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        twin = build_world_artifact(
+            tiny_config(seed=world.seed), Path(tmp) / "world.sraw"
+        )
+        compare("artifact world, batch 1", *serial(twin, 1))
+        compare("artifact world, batch 1024", *serial(twin, 1024))
+        compare("artifact world, 4 shards", *sharded(twin, 4), events=False)
     return failures
 
 
@@ -318,7 +329,10 @@ def main(argv=None):
         if failures:
             status = 1
         else:
-            print("byte-identity ok (batch 1/1024, shards 1/4)")
+            print(
+                "byte-identity ok (batch 1/1024, shards 1/4, "
+                "in-memory and artifact world)"
+            )
         return status
     return 0
 

@@ -10,11 +10,21 @@ dict overhead.
 :class:`FrozenLPM` is the read-only counterpart: the contents of either
 mutable structure flattened into per-length *sorted key columns* — two
 ``array('Q')``-compatible sequences holding the high and low 64-bit words
-of each network, plus a parallel value sequence.  Lookups probe lengths
-longest-first (the DIR scheme, same as the mutable map) and find the key
-by binary search instead of a dict probe.  The columns are plain machine
-words, so they can live in an mmap'd world artifact and be shared
+of each network, plus a parallel value sequence.  The columns are plain
+machine words, so they can live in an mmap'd world artifact and be shared
 zero-copy by every shard worker — see :mod:`repro.topology.artifact`.
+
+A cache miss costs at most two binary searches, however many lengths are
+stored: one in the longest row's key column, then one ``bisect`` in a
+table of disjoint address ranges that construction flattens all shorter
+rows into.  ``get`` / ``has_cover`` / ``all_matches`` / ``items`` read the
+per-length columns.  Only the longest row stays zero-copy and lazy: the
+range table is Python objects built per process, linear in the shorter
+rows.  That assumes those are few, as in generated worlds (the benchmark
+world's resolution table keeps 346 of 76,320 entries below its longest
+row, /64; its BGP table flattens 1,251 of 1,417 prefixes).  A table whose
+longest row is the sparse one — a few /128s over many /64s — would pay
+load time and memory proportional to its size in every worker.
 
 Bit-identity contract: ``longest_match`` / ``longest_match_batch`` /
 ``items`` / ``has_cover`` / ``all_matches`` return exactly what the
@@ -32,7 +42,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Sequence
 
-from ..addr.ipv6 import IPv6Prefix, prefix_mask
+from ..addr.ipv6 import ADDRESS_BITS, IPv6Prefix, prefix_mask
 from .blockcache import DEFAULT_CACHE_SIZE, BlockCachedLPM, V
 
 __all__ = ["FrozenLPM", "FrozenRow"]
@@ -50,8 +60,10 @@ class FrozenRow:
     may materialise entries on first access, but must return the *same*
     object for the same index every time (callers key caches by payload
     identity).  :meth:`match` memoises the interned ``(prefix, value)``
-    tuple per index on first use, so the memo grows with the rows a scan
-    actually hits, not with the table.
+    tuple per index on first use: in a :class:`FrozenLPM`'s longest row
+    the memo grows with the entries a scan actually hits, not with the
+    table; every shorter row is matched in full when the map is built
+    (:func:`_flatten`).
     """
 
     __slots__ = ("length", "mask", "keys_hi", "keys_lo", "values", "_matches")
@@ -105,16 +117,53 @@ class FrozenRow:
         return -1
 
 
+def _flatten(rows: Sequence[FrozenRow]) -> tuple[list[int], list]:
+    """``rows`` as disjoint address ranges: ``owners[j]`` is the interned
+    match of the longest prefix covering ``[starts[j], starts[j + 1])``,
+    or None.
+
+    Prefixes nest or are disjoint, so one sweep in (network, length) order
+    over a stack of the prefixes still open resolves every overlap: a
+    prefix owns its span until a more specific one opens, and again once
+    that one has closed.  Of several ranges starting at one address all
+    but the last are empty; ``bisect_right`` lands on the last, the
+    innermost prefix's.  Boundaries are whole 128-bit integers.
+
+    Every entry of ``rows`` is matched here (values materialised, memo
+    filled): linear in them, so they are assumed few — see the module
+    docstring.  ``benchmarks/world_scale.py --check`` bounds artifact
+    load time only for worlds of that shape.
+    """
+    starts: list[int] = [0]
+    owners: list = [None]
+    enclosing: list[tuple[int, object]] = []  # (end, owner), outermost first
+
+    def close(limit: int) -> None:
+        while enclosing and enclosing[-1][0] <= limit:
+            starts.append(enclosing.pop()[0])
+            owners.append(enclosing[-1][1] if enclosing else None)
+
+    matches = (row.match(i) for row in rows for i in range(len(row)))
+    for owner in sorted(matches, key=lambda match: match[0]):
+        prefix = owner[0]  # prefixes order by (network, length)
+        close(prefix.network)
+        starts.append(prefix.network)
+        owners.append(owner)
+        enclosing.append((prefix.last + 1, owner))
+    close(1 << ADDRESS_BITS)
+    return starts, owners
+
+
 class FrozenLPM(BlockCachedLPM[V]):
     """Read-only longest-prefix-match map over sorted array columns.
 
     Drop-in for the lookup side of :class:`~repro.bgp.lpm.LengthIndexedLPM`
     (``longest_match``, ``longest_match_batch``, ``block_shift``, ``get``,
     ``has_cover``, ``all_matches``, ``items``, ``len``); the mutation side
-    raises.
+    raises.  Construction is linear in every row but the longest.
     """
 
-    __slots__ = ("_rows_desc", "_size")
+    __slots__ = ("_rows_desc", "_size", "_longest", "_starts", "_owners")
 
     def __init__(
         self,
@@ -131,6 +180,8 @@ class FrozenLPM(BlockCachedLPM[V]):
         if len(set(lengths)) != len(lengths):
             raise ValueError("duplicate per-length rows")
         self._size = sum(len(row) for row in self._rows_desc)
+        self._longest = next(iter(self._rows_desc), FrozenRow(0, (), (), ()))
+        self._starts, self._owners = _flatten(self._rows_desc[1:])
         super().__init__(cache_size, lengths[0] if lengths else 0)
 
     # ------------------------------------------------------------------ #
@@ -175,12 +226,13 @@ class FrozenLPM(BlockCachedLPM[V]):
         return self._size
 
     def _probe(self, address: int) -> tuple[IPv6Prefix, V] | None:
-        """Uncached longest-first walk (the dict-probe loop, with bisect)."""
-        for row in self._rows_desc:
-            i = row.find(address & row.mask)
-            if i >= 0:
-                return row.match(i)  # type: ignore[return-value]
-        return None
+        """Uncached lookup: the longest row's key column, then the
+        flattened ranges of every shorter row."""
+        row = self._longest
+        i = row.find(address & row.mask)
+        if i >= 0:
+            return row.match(i)  # type: ignore[return-value]
+        return self._owners[bisect_right(self._starts, address) - 1]
 
     # benchmarks/e2e/trace.py rebinds vars(cls)["longest_match_batch"], so
     # the class body owns the name.

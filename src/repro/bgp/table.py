@@ -100,7 +100,9 @@ class BGPTable:
         Lookups (``origin_of``, ``lpm.longest_match_batch``, …) stay
         bit-identical; :meth:`add`/:meth:`withdraw` raise afterwards.
         Artifact-loaded worlds call this — their tables are static and the
-        frozen columns are cheaper to keep per worker than dicts.
+        frozen columns are cheaper to keep per worker than dicts; a cache
+        miss costs two binary searches (:mod:`repro.bgp.frozenfib`),
+        whatever the number of announced lengths.
         """
         self._trie = self._trie.frozen()  # type: ignore[assignment]
 

@@ -154,8 +154,8 @@ def _input_set_factories(
     """Zero-arg builders for the world-derived input sets.
 
     The single source of truth for *how* each set is built, shared by the
-    survey's lazy stream chain and the spec builder that pool workers use
-    to rebuild a set.  The RNG-consuming factories must run in
+    survey's lazy stream chain and the spec builder that rebuilds a set
+    from its recipe.  The RNG-consuming factories must run in
     :data:`_RNG_SET_ORDER` to reproduce the eager build's draws.
     """
     return {
@@ -184,12 +184,14 @@ def _input_set_factories(
 
 
 def _build_survey_input_set(world: World, *, set_name: str, **budgets) -> TargetStream:
-    """Spec builder: rebuild one world-derived input set in a pool worker.
+    """Spec builder: rebuild one world-derived input set from its recipe.
 
     RNG-consuming sets share one seeded ``random.Random``; to reproduce
-    the parent's draws the builder realises every RNG predecessor (and
-    discards it) before building the requested set.  The hitlist set is
-    not rebuildable from a world, so it never gets a spec.
+    the survey's draws the builder realises every RNG predecessor (and
+    discards it) before building the requested set — which is why a
+    process pool is sent the targets the survey already realised, never
+    this recipe.  The hitlist set is not rebuildable from a world, so it
+    never gets a spec.
     """
     config = SurveyConfig(**budgets)
     rng = random.Random(config.seed)
@@ -360,7 +362,7 @@ class SRASurvey:
                 previous = stream
             streams[name] = stream
         # The hitlist is not part of the world, so this set has no
-        # worker-rebuildable spec; sharded process pools ship its data.
+        # rebuildable spec.
         streams["hitlist-64"] = LazyStream(
             lambda: hitlist_slash64_targets(
                 self.hitlist, max_targets=self.config.max_hitlist

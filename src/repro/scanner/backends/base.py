@@ -15,8 +15,8 @@ Two pieces mirror the target-stream machinery in
 * :class:`BackendSpec` — a picklable recipe (``name`` + option pairs),
   the only backend representation that ever crosses a pickle boundary.
   Sharded pool workers rebuild their backend from the spec exactly the
-  way they rebuild streams from ``StreamSpec`` and worlds from
-  ``WorldRef`` — no live sockets or engines are ever pickled.
+  way they rebuild worlds from ``WorldRef`` — no live sockets or
+  engines are ever pickled.
 * a registry — :func:`register_backend` / :func:`build_backend` /
   :func:`backend_names` — keyed by spec name, importing the spec's
   module on demand so workers that never imported the registering

@@ -112,8 +112,8 @@ def build_targets(
 ) -> LazyStream:
     """One of the survey's input sets, as a lazily-realised target stream.
 
-    The stream carries a picklable spec, so sharded process-pool scans
-    ship the recipe (a few hundred bytes) instead of the target list.
+    The stream carries a picklable spec — the provenance a checkpoint
+    journal stores; a sharded process pool receives the realised targets.
     """
     return LazyStream(
         lambda: _materialise_targets(

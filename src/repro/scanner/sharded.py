@@ -24,6 +24,7 @@ suppressed and the same counters come out.
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
 import threading
@@ -80,6 +81,7 @@ from .shmring import (
     RingStats,
     drain_outcome,
     pack_outcome,
+    release_frame,
     release_outcome,
 )
 from .stream import (
@@ -212,8 +214,9 @@ def scan_shard(
     Picklable by construction (module-level, plain-data arguments) so it
     can serve as the process-pool work function.  ``targets`` may be a
     :class:`~repro.scanner.stream.StreamSpec`, in which case the stream
-    is rebuilt against ``world`` — the spec-plus-index-window protocol
-    that keeps worker input O(1) in target count.
+    is rebuilt against ``world`` — how a shard is replayed from the
+    recipe a checkpoint journal stores.  The runner's own pools are sent
+    the stream itself.
 
     ``config.batch_size`` is passed through unchanged, so shard scans run
     on the engine's batched hot path.  Batching composes with deferred
@@ -231,11 +234,11 @@ def scan_shard(
         targets = chaos.wrap_targets(targets, shard, attempt)
     # The backend is rebuilt from config.backend_spec() around this
     # deferred engine — the config crossing the pickle boundary *is* the
-    # backend transport, exactly like StreamSpec for targets and WorldRef
-    # for worlds; no live backend is ever pickled.  Built explicitly
-    # (rather than inside the scanner) so chaos can interpose transport
-    # faults *under* the resilience wrapper the scanner adds on top —
-    # the layering a flaky NIC would have.
+    # backend transport, exactly like WorldRef for worlds; no live
+    # backend is ever pickled.  Built explicitly (rather than inside the
+    # scanner) so chaos can interpose transport faults *under* the
+    # resilience wrapper the scanner adds on top — the layering a flaky
+    # NIC would have.
     engine = SimulationEngine(world, epoch=epoch, defer_rate_limit=True)
     backend = build_backend(
         config.backend_spec(), world=world, engine=engine, epoch=epoch
@@ -517,30 +520,32 @@ def _release_ring_frame(future: Future) -> None:
 _WORKER_WORLD: World | None = None
 _WORKER_TARGETS: Sequence[int] | None = None
 
+# The parent names the ring frames (pid, scan number, shard, attempt): one
+# worker dying takes every sibling's RingHandle down with the pool, and
+# the frames must be unlinked all the same.
+_SCAN_NUMBERS = itertools.count()
 
-def _init_worker(
-    world: "World | WorldRef", targets: "Sequence[int] | StreamSpec"
-) -> None:
+
+def _frame_name(scan: str, shard: int, attempt: int) -> str:
+    return f"{scan}-{shard}-{attempt}"
+
+
+def _init_worker(world: "World | WorldRef", targets: Sequence[int]) -> None:
     global _WORKER_WORLD, _WORKER_TARGETS
     if isinstance(world, WorldRef):
         world = resolve_world_ref(world)
     _WORKER_WORLD = world
-    if isinstance(targets, StreamSpec):
-        # Spec-shipped streams are rebuilt once per worker process; the
-        # pickled payload is a few hundred bytes regardless of target
-        # count, instead of the target list itself.
-        targets = build_stream(targets, world)
     _WORKER_TARGETS = targets
 
 
-def _worker_scan_shard(config: ScanConfig, **kwargs) -> ShardOutcome:
+def _worker_scan_shard(config: ScanConfig, scan: str, **kwargs) -> ShardOutcome:
     """:func:`scan_shard` against this worker's world and targets."""
     assert _WORKER_WORLD is not None and _WORKER_TARGETS is not None
     outcome = scan_shard(_WORKER_WORLD, config, _WORKER_TARGETS, **kwargs)
     # Ship the records and checks through a shared-memory frame instead of
     # the pool's pickled-result channel; on platforms without shared
     # memory this no-ops and the ordinary pickle return does the job.
-    pack_outcome(outcome)
+    pack_outcome(outcome, _frame_name(scan, kwargs["shard"], kwargs["attempt"]))
     return outcome
 
 
@@ -691,8 +696,7 @@ class ShardedScanRunner:
         returned result.  With one shard the scanner emits each record as
         it is matched; with several, shards must still buffer their
         records for the deferred rate-limit replay, so the sink is
-        drained once after the merge (the memory win there is on the
-        target side, via spec-shipped streams).  Either way the sink sees
+        drained once after the merge.  Either way the sink sees
         the records in exact serial order and the returned result carries
         them in ``records_streamed`` instead of ``records``.
 
@@ -905,10 +909,7 @@ class ShardedScanRunner:
             collect_telemetry=telemetry is not None,
             chaos=chaos,
         )
-        # Streams with a picklable recipe ship that recipe to a process
-        # pool instead of their data: each worker rebuilds the stream from
-        # the world it already received, keeping the payload O(1).
-        payload = spec if spec is not None else target_list
+        scan = f"sra{os.getpid()}-{next(_SCAN_NUMBERS)}"
         pending = [s for s in range(shards) if s not in outcomes]
         attempts = {s: 0 for s in pending}
         self._interrupted = False
@@ -916,7 +917,7 @@ class ShardedScanRunner:
         with self._signal_guard():
             while pending:
                 failures = self._run_round(
-                    pending, target_list, payload, config, work, attempts, complete
+                    pending, target_list, config, scan, work, attempts, complete
                 )
                 if self._interrupted:
                     flush()
@@ -966,8 +967,8 @@ class ShardedScanRunner:
         self,
         pending: list[int],
         target_list: Sequence[int],
-        payload: "Sequence[int] | StreamSpec",
         config: ScanConfig,
+        scan: str,
         work: dict,
         attempts: dict[int, int],
         complete: "Callable[[ShardOutcome], None]",
@@ -1005,9 +1006,12 @@ class ShardedScanRunner:
             pool = ProcessPoolExecutor(
                 min(self.shards, os.cpu_count() or 1),
                 initializer=_init_worker,
-                initargs=(world_payload(self.world), payload),
+                # The stream itself: inherited under fork, pickled
+                # otherwise — a computable one as a few hundred bytes, a
+                # realised one as its list, never as a recipe to re-run.
+                initargs=(world_payload(self.world), target_list),
             )
-            function, arguments = _worker_scan_shard, (config,)
+            function, arguments = _worker_scan_shard, (config, scan)
         else:
             pool = ThreadPoolExecutor(self.shards)
             function, arguments = scan_shard, (self.world, config, target_list)
@@ -1051,4 +1055,9 @@ class ShardedScanRunner:
             if cancel:
                 for future in futures.keys() - consumed:
                     future.add_done_callback(_release_ring_frame)
+            if mode == "process":
+                # The frame a failed shard may have packed before the pool
+                # broke under it: its worker is gone, nobody else unlinks it.
+                for shard, _ in failures:
+                    release_frame(_frame_name(scan, shard, attempts[shard]))
         return failures

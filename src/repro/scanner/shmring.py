@@ -57,6 +57,7 @@ __all__ = [
     "RingStats",
     "drain_outcome",
     "pack_outcome",
+    "release_frame",
     "release_outcome",
     "ring_available",
 ]
@@ -140,14 +141,16 @@ def _disinherit(segment) -> None:
         pass
 
 
-def pack_outcome(outcome: "ShardOutcome") -> bool:
+def pack_outcome(outcome: "ShardOutcome", name: str | None = None) -> bool:
     """Move an outcome's records and checks into a shared-memory frame.
 
     Runs in the pool worker, just before the outcome crosses the result
     channel.  On success the records and checks are emptied (the handle
     replaces them) and ``True`` is returned; on any failure the outcome
     is left untouched, ``ring_fallback`` is flagged, and the caller's
-    ordinary pickled return does the job.
+    ordinary pickled return does the job.  ``name`` lets the parent pick
+    the segment's name (and so :func:`release_frame` a frame whose handle
+    never reached it); a name already taken is one more such failure.
     """
     if shared_memory is None:
         outcome.ring_fallback = True
@@ -162,7 +165,7 @@ def pack_outcome(outcome: "ShardOutcome") -> bool:
         len(column) * column.itemsize for column in columns
     )
     try:
-        segment = shared_memory.SharedMemory(create=True, size=total)
+        segment = shared_memory.SharedMemory(name, create=True, size=total)
     except (OSError, ValueError):
         outcome.ring_fallback = True
         return False
@@ -269,10 +272,16 @@ def release_outcome(outcome: "ShardOutcome") -> None:
     """
     handle = getattr(outcome, "ring", None)
     outcome.ring = None
-    if handle is None or shared_memory is None:
+    if handle is not None:
+        release_frame(handle.name)
+
+
+def release_frame(name: str) -> None:
+    """Unlink the frame called ``name``, if there is one."""
+    if shared_memory is None:
         return
     try:
-        segment = shared_memory.SharedMemory(name=handle.name)
+        segment = shared_memory.SharedMemory(name=name)
     except (OSError, ValueError):
         return
     segment.close()

@@ -11,8 +11,8 @@ A :class:`TargetStrategy` produces one :class:`~repro.scanner.stream.TargetStrea
 per epoch (its *window*).  Windows ride the existing stream machinery
 unchanged: they are index-seekable (so :func:`shard_positions` tiles
 them), carry provenance (name, subnet length), and expose a picklable
-:class:`~repro.scanner.stream.StreamSpec` — sharded process pools ship
-the strategy recipe, never target data.
+:class:`~repro.scanner.stream.StreamSpec`, from which a journaled scan's
+window can be rebuilt.
 
 Feedback-driven strategies implement :meth:`TargetStrategy.observe`:
 the race feeds each epoch's merged records back before asking for the

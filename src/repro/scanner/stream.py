@@ -12,9 +12,11 @@ shape:
   (:class:`SubnetPartitionStream`) whose ``stream[i]`` is pure
   arithmetic and whose memory footprint is O(1) in target count.
 * :class:`StreamSpec` — a picklable recipe for rebuilding a stream from
-  a :class:`~repro.topology.entities.World`.  Sharded scans ship
-  ``(spec, index window)`` to pool workers instead of pickled target
-  lists, so worker memory stays O(1) in target count too.
+  a :class:`~repro.topology.entities.World`: the provenance a checkpoint
+  journal stores.  A process pool is sent the stream itself, not the
+  recipe — a computable stream is O(1) as an object too, and rebuilding
+  a realised :class:`LazyStream` would run the generators again in every
+  worker, each left holding the whole list.
 * :class:`RecordSink` — where matched reply records go.  The in-memory
   sink preserves today's :class:`~repro.scanner.records.ScanResult`
   semantics; the JSONL/CSV sinks write rows as they are matched (byte
@@ -35,6 +37,7 @@ import importlib
 from abc import abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -187,8 +190,7 @@ class TargetStream(Sequence):
     ``buffered`` reports how many target values the stream currently
     holds in memory (the telemetry ``targets_buffered`` gauge); fully
     computable streams report 0.  ``spec()`` returns a picklable rebuild
-    recipe when the stream has one, letting sharded scans ship the spec
-    instead of the data.
+    recipe when the stream has one; checkpoint journals store it.
 
     Slice contract (uniform across every implementation, pinned by the
     strategy contract suite): ``stream[i:j:k]`` returns a plain
@@ -357,6 +359,16 @@ class LazyStream(TargetStream):
 
     def spec(self) -> StreamSpec | None:
         return self._spec
+
+    def __reduce__(self):
+        # The factory (a closure, often over a shared RNG) cannot cross a
+        # process boundary; the targets it produced can.
+        return partial(
+            ListStream,
+            name=self.name,
+            subnet_length=self.subnet_length,
+            spec=self._spec,
+        ), (self._realise(),)
 
 
 class SubnetPartitionStream(TargetStream):

@@ -122,8 +122,8 @@ class ScanConfig:
 
         This — not a live backend — is what crosses pickle boundaries:
         sharded pool workers and checkpoint journals carry the spec and
-        rebuild the backend locally, the same protocol ``StreamSpec``
-        and ``WorldRef`` use.
+        rebuild the backend locally, the same protocol ``WorldRef``
+        uses.
         """
         if self.backend == "wire-sim":
             return make_backend_spec("wire-sim", key=self.key)

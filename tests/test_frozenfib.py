@@ -6,7 +6,9 @@ is a correctness pin, not an optimisation detail: any divergence would
 show up as scan output differing by world representation.
 """
 
+import pickle
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,68 @@ def prefix_sets(draw):
     remove_count = draw(st.integers(min_value=0, max_value=len(entries)))
     removals = [p for p, _ in entries[:remove_count]]
     return entries, removals
+
+
+@st.composite
+def nested_prefix_sets(draw):
+    """``prefix_sets`` plus the shapes the flattened range table has to get
+    right: prefixes nested on one network (longer and shorter than an
+    entry, across the /64 word split), adjacent siblings, and — half the
+    time — a single-length table, which has no shorter rows at all."""
+    entries, removals = draw(prefix_sets())
+    extra = []
+    for prefix, _ in entries:
+        shape = draw(st.sampled_from(["none", "inner", "outer", "sibling"]))
+        length = prefix.length
+        if shape == "inner" and length < 128:
+            length = draw(st.integers(min_value=prefix.length + 1, max_value=128))
+            network = prefix.network
+        elif shape == "outer" and length > 0:
+            length = draw(st.integers(min_value=0, max_value=prefix.length - 1))
+            network = network_of(prefix.network, length)
+        elif shape == "sibling" and length > 0:
+            network = prefix.network ^ (1 << (128 - length))
+        else:
+            continue
+        extra.append((IPv6Prefix(network, length), draw(st.integers())))
+    entries = entries + extra
+    if entries and draw(st.booleans()):
+        length = draw(lengths)
+        entries = [
+            (IPv6Prefix(network_of(prefix.network, length), length), value)
+            for prefix, value in entries
+        ]
+        removals = []
+    return entries, removals
+
+
+def _oracle(entries, removals, address):
+    """Longest covering prefix by linear scan over the entry list: the
+    reference that shares no code or idea with any LPM structure."""
+    live = dict(entries)  # later duplicates overwrite, as inserts do
+    for prefix in removals:
+        live.pop(prefix, None)
+    best = None
+    for prefix, value in live.items():
+        span = 1 << (128 - prefix.length)
+        if prefix.network <= address < prefix.network + span:
+            if best is None or prefix.length > best[0].length:
+                best = (prefix, value)
+    return best
+
+
+def _memoryview_row(length, networks, values):
+    """One row with key columns as memoryview casts over packed bytes —
+    the exact shape the mmap'd world artifact feeds in.  ``networks`` must
+    be sorted."""
+    hi = array("Q", (network >> 64 for network in networks))
+    lo = array("Q", (network & ((1 << 64) - 1) for network in networks))
+    return FrozenRow(
+        length,
+        memoryview(hi.tobytes()).cast("Q"),
+        memoryview(lo.tobytes()).cast("Q"),
+        values,
+    )
 
 
 def _build(entries, removals):
@@ -89,6 +153,44 @@ class TestFrozenEquivalence:
             assert trie.longest_match(address) == expected
             assert frozen.longest_match(address) == expected
             assert frozen_trie.longest_match(address) == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(nested_prefix_sets())
+    def test_longest_match_equals_linear_scan(self, data):
+        """Against an independent oracle, not a sibling structure: scalar
+        and batch lookups, at every boundary address of every entry."""
+        entries, removals = data
+        lpm, _ = _build(entries, removals)
+        frozen = lpm.frozen()
+        probes = _probes(entries, seed=3)
+        expected = [_oracle(entries, removals, address) for address in probes]
+        assert [frozen.longest_match(address) for address in probes] == expected
+        out: list = [None] * len(probes)
+        indices = sorted(range(len(probes)), key=lambda i: probes[i])
+        lpm.frozen().longest_match_batch(probes, indices, out)
+        assert out == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(nested_prefix_sets())
+    def test_memoryview_columns_and_pickle_round_trip(self, data):
+        """The artifact feeds every row in as memoryview casts over packed
+        bytes; a frozen table that is pickled (a world shipped to a pool)
+        carries array columns.  Both answer like the oracle."""
+        entries, removals = data
+        lpm, _ = _build(entries, removals)
+        by_length: dict = {}
+        for prefix, value in sorted(lpm.items(), key=lambda item: item[0]):
+            by_length.setdefault(prefix.length, []).append((prefix.network, value))
+        mapped: FrozenLPM = FrozenLPM(
+            _memoryview_row(length, *map(list, zip(*pairs)))
+            for length, pairs in by_length.items()
+        )
+        pickled = pickle.loads(pickle.dumps(lpm.frozen()))
+        assert len(mapped) == len(pickled) == len(lpm)
+        for address in _probes(entries, seed=4):
+            expected = _oracle(entries, removals, address)
+            assert mapped.longest_match(address) == expected
+            assert pickled.longest_match(address) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(prefix_sets())
@@ -162,23 +264,13 @@ class TestFrozenBehaviour:
         assert match is not None and match == (prefix, None)
 
     def test_memoryview_columns(self):
-        """Key columns can be memoryview casts over packed bytes — the
-        exact shape the mmap'd world artifact feeds in."""
-        from array import array
-
+        """Key columns can be memoryview casts over packed bytes."""
         networks = sorted(
             network_of(random.Random(5).getrandbits(128), 64)
             for _ in range(50)
         )
         networks = sorted(set(networks))
-        hi = array("Q", (n >> 64 for n in networks))
-        lo = array("Q", (n & ((1 << 64) - 1) for n in networks))
-        row = FrozenRow(
-            64,
-            memoryview(hi.tobytes()).cast("Q"),
-            memoryview(lo.tobytes()).cast("Q"),
-            list(range(len(networks))),
-        )
+        row = _memoryview_row(64, networks, list(range(len(networks))))
         frozen: FrozenLPM = FrozenLPM([row])
         reference: LengthIndexedLPM = LengthIndexedLPM()
         for i, network in enumerate(networks):

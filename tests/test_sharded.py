@@ -1,15 +1,24 @@
 """Sharded parallel scan execution: partitioning, merge, determinism."""
 
+import multiprocessing
 import os
 import random
 import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import pytest
 
 from repro.core.survey import SRASurvey, SurveyConfig
 from repro.datasets.tum import harvest_hitlist, published_alias_list
 from repro.netsim.engine import EngineStats, SimulationEngine
-from repro.netsim.faults import CrashingSequence, InjectedCrash
+from repro.netsim.faults import (
+    ChaosEngine,
+    CrashingSequence,
+    FaultPlan,
+    InjectedCrash,
+)
 from repro.scanner.pacing import paced_pps
 from repro.scanner.records import (
     ScanRecord,
@@ -25,7 +34,16 @@ from repro.scanner.sharded import (
     merge_shard_outcomes,
     scan_shard,
 )
-from repro.scanner.stream import IndexWindow, shard_positions
+from repro.scanner import sharded as sharded_module
+from repro.scanner import stream as stream_module
+from repro.scanner.stream import (
+    IndexWindow,
+    LazyStream,
+    SubnetPartitionStream,
+    make_spec,
+    register_stream_builder,
+    shard_positions,
+)
 from repro.scanner.targets import (
     TargetList,
     bgp_plain_targets,
@@ -304,10 +322,12 @@ class TestDeterminism:
         )
         assert merged.records == serial.records
 
-    def test_process_pool_ships_stream_spec(self, tiny_world):
-        """A spec-carrying stream crosses the pool as its recipe: workers
-        rebuild the targets from the world and the results still match a
-        serial scan of the materialised list."""
+    def test_process_pool_scan_of_spec_carrying_stream_equals_serial(
+        self, tiny_world
+    ):
+        """A spec-carrying stream scans through a process pool to the
+        results of a serial scan of the materialised list (how it crosses
+        the pool is ``TestTargetTransport``'s business)."""
         from repro.scanner.cli import build_targets
 
         stream = build_targets(
@@ -347,6 +367,78 @@ class TestDeterminism:
         runner = ShardedScanRunner(tiny_world, shards=4, executor="serial")
         merged = runner.scan([], ScanConfig(pps=1000.0), name="scan", epoch=0)
         assert merged.sent == 0 and merged.records == []
+
+
+class TestTargetTransport:
+    """A process pool receives the stream itself — inherited by fork,
+    pickled otherwise — never its recipe: no worker re-runs a generator
+    whose output the parent already holds."""
+
+    CONFIG = ScanConfig(pps=50_000.0, seed=5)
+
+    @pytest.fixture
+    def partition(self, tiny_world):
+        prefix = tiny_world.bgp.prefixes()[0]
+        return SubnetPartitionStream(prefix, min(64, prefix.length + 9))
+
+    @pytest.fixture
+    def builder_calls(self, partition, tmp_path):
+        """Registers a stream builder that rebuilds ``partition`` and logs
+        each call — to a file, since it runs in pool workers.  Yields a
+        function returning the calls so far."""
+        log = tmp_path / "builder-calls"
+
+        def build(world):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return SubnetPartitionStream(partition.prefix, partition.subnet_length)
+
+        register_stream_builder("counted-test-set", build)
+        yield lambda: log.read_text().split() if log.exists() else []
+        del stream_module._STREAM_BUILDERS["counted-test-set"]
+
+    def _process_scan(self, world, targets):
+        runner = ShardedScanRunner(world, shards=2, executor="process")
+        merged = runner.scan(targets, self.CONFIG, name="scan", epoch=1)
+        serial = serial_scan(world, list(targets), epoch=1, pps=self.CONFIG.pps)
+        assert serial.records  # the partition is routed: there are replies
+        assert merged.records == serial.records
+        assert merged.sent == serial.sent
+        assert merged.engine_stats == serial.engine_stats
+
+    def test_realised_stream_ships_its_data(
+        self, tiny_world, partition, builder_calls
+    ):
+        stream = LazyStream(
+            lambda: list(partition),
+            name="counted",
+            subnet_length=partition.subnet_length,
+            spec=make_spec("counted-test-set", __name__),
+        )
+        self._process_scan(tiny_world, stream)
+        assert builder_calls() == []
+
+    def test_closure_backed_stream_crosses_a_spawned_pool(
+        self, tiny_world, partition, monkeypatch
+    ):
+        """spawn and forkserver (the Linux default from Python 3.14) pickle
+        a pool's initargs; a realised ``LazyStream`` pickles as its data,
+        whatever closure produced it."""
+        monkeypatch.setattr(
+            sharded_module,
+            "ProcessPoolExecutor",
+            partial(
+                ProcessPoolExecutor,
+                mp_context=multiprocessing.get_context("spawn"),
+            ),
+        )
+        stream = LazyStream(lambda: list(partition), name="closure")
+        self._process_scan(tiny_world, stream)
+
+    def test_computable_stream_scans_in_place(self, tiny_world, partition):
+        assert partition.buffered == 0
+        self._process_scan(tiny_world, partition)
+        assert partition.buffered == 0
 
 
 class TestShardPrimitives:
@@ -652,6 +744,16 @@ class SignallingTargets(list):
         return super().__getitem__(index)
 
 
+_real_worker_scan_shard = sharded_module._worker_scan_shard
+
+
+def _pack_then_fail(*args, **kwargs):
+    """Pool work function (module level: it is pickled by name)."""
+    outcome = _real_worker_scan_shard(*args, **kwargs)
+    assert outcome.ring is not None
+    raise InjectedCrash("handle lost")
+
+
 class TestJournallessFailures:
     """A multi-shard scan with no checkpoint, retry budget or chaos plan
     runs the same dispatch loop as a journaled one, so its failures are
@@ -691,6 +793,36 @@ class TestJournallessFailures:
             )
         assert isinstance(excinfo.value.error, InjectedCrash)
         assert runner.ring_stats.segments == 1
+        assert shm_segments() == before
+
+    def test_hard_crashed_pool_leaves_no_frames(self, tiny_world, stress_targets):
+        """A worker dying (``os._exit``, as a kill -9 would) breaks the
+        pool, and the broken pool swallows the result — RingHandle
+        included — of a sibling that had packed its frame.  The parent
+        named the frames, so it unlinks them all the same."""
+        before = shm_segments()
+        chaos = ChaosEngine(
+            plan=FaultPlan(crash_shard=1, crash_at_probe=10, hard=True)
+        )
+        runner = ShardedScanRunner(tiny_world, shards=2, executor="process")
+        with pytest.raises(ShardFailedError) as excinfo:
+            runner.scan(
+                stress_targets, self.CONFIG, name="plain", epoch=1, chaos=chaos
+            )
+        assert isinstance(excinfo.value.error, BrokenProcessPool)
+        assert shm_segments() == before
+
+    def test_frame_of_a_lost_handle_is_unlinked(
+        self, tiny_world, stress_targets, monkeypatch
+    ):
+        """The same loss without the race: each worker packs its frame and
+        then fails, so no RingHandle ever reaches the parent."""
+        before = shm_segments()
+        monkeypatch.setattr(sharded_module, "_worker_scan_shard", _pack_then_fail)
+        runner = ShardedScanRunner(tiny_world, shards=2, executor="process")
+        with pytest.raises(ShardFailedError, match="handle lost"):
+            runner.scan(stress_targets, self.CONFIG, name="plain", epoch=1)
+        assert runner.ring_stats.segments == 0
         assert shm_segments() == before
 
     def test_sigint_ends_in_scan_interrupted_without_resume_hint(

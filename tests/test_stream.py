@@ -12,6 +12,7 @@ The load-bearing invariants:
 * sinks see exactly the records a buffered scan would keep.
 """
 
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,37 @@ class TestLazyStream:
         assert list(second) == [2]
         assert order == ["a", "b"]
 
+    @pytest.mark.parametrize("touch_first", [True, False])
+    def test_pickles_as_its_data(self, touch_first):
+        """The factory is a closure and cannot cross a process boundary
+        (spawn/forkserver pickle a pool's initargs); the targets can, with
+        everything a worker or a journal reads off the stream."""
+        spec = make_spec("some-builder", "some.module", budget=3)
+        stream = LazyStream(
+            lambda: [3, 1, 2], name="lazy", subnet_length=48, spec=spec
+        )
+        if touch_first:
+            assert len(stream) == 3
+        clone = pickle.loads(pickle.dumps(stream))
+        assert isinstance(clone, ListStream)
+        assert list(clone) == [3, 1, 2]
+        assert len(clone) == clone.buffered == 3
+        assert clone.name == "lazy"
+        assert clone.subnet_length == 48
+        assert clone.spec() == spec
+        assert stream.realised  # pickling realises; it never re-runs
+
+    def test_spec_less_stream_pickles_too(self):
+        clone = pickle.loads(pickle.dumps(LazyStream(lambda: [7], name="h")))
+        assert list(clone) == [7] and clone.spec() is None
+
+    def test_released_stream_refuses_to_pickle(self):
+        stream = LazyStream(lambda: [1, 2], name="once")
+        assert len(stream) == 2
+        stream.release()
+        with pytest.raises(RuntimeError, match="released"):
+            pickle.dumps(stream)
+
 
 class TestComputableStreams:
     def test_subnet_partition_matches_eager_enumeration(self):
@@ -218,6 +250,17 @@ class TestComputableStreams:
         rebuilt = build_stream(stream.spec(), world=None)
         assert list(rebuilt) == list(stream)
         assert rebuilt.name == stream.name
+
+    def test_pickles_as_itself_in_constant_size(self):
+        """What a process pool is sent for a computable stream: the object,
+        a few hundred bytes at any target count."""
+        stream = SubnetPartitionStream(IPv6Prefix.parse("2001:db8::/32"), 64)
+        payload = pickle.dumps(stream)
+        assert len(stream) == 1 << 32 and len(payload) < 512
+        clone = pickle.loads(payload)
+        assert type(clone) is SubnetPartitionStream and clone.buffered == 0
+        assert clone.name == stream.name and clone.spec() == stream.spec()
+        assert len(clone) == len(stream) and clone[-1] == stream[-1]
 
     def test_permuted_stream_matches_permutation(self):
         source = ListStream(list(range(100, 150)), name="src")
