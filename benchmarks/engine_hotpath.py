@@ -13,9 +13,11 @@ code paths and records a trajectory future PRs must defend:
 * **rate-limited** — unassigned addresses inside active subnets hammered
   fast enough that every reply fights the RFC 4443 token bucket.
 
-Results go to ``benchmarks/results/BENCH_engine.json``; ``--check`` mode
-compares a fresh run against a committed baseline and fails on >30 %
-probes/sec regression or **any byte difference** in the records JSONL,
+Results go to ``benchmarks/results/BENCH_engine.json``.  The rates are
+printed and recorded, not gated: the speed gate is ``probes_per_s`` on
+``rescan_hot`` in ``benchmarks/e2e``, whose seconds are corrected for
+host speed and whose targets leave the block caches (see below).
+``--check`` fails on **any byte difference** in the records JSONL,
 Prometheus text, or telemetry JSONL between chunk sizes 1/1024 and
 1/4-way sharding, on the in-memory world and on its artifact-backed twin
 (the CI smoke-perf gate: chunking, sharding and the world's
@@ -36,8 +38,7 @@ measured by ``benchmarks/e2e`` (``survey_serial``) and pinned by
 ``tests/test_blockcache.py``.
 
     PYTHONPATH=src python benchmarks/engine_hotpath.py
-    PYTHONPATH=src python benchmarks/engine_hotpath.py --probes 5000 \
-        --check benchmarks/results/BENCH_engine.json --tolerance 0.5
+    PYTHONPATH=src python benchmarks/engine_hotpath.py --probes 5000 --check
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from repro.topology.generator import build_world, build_world_artifact
 
 DEFAULT_RESULTS = Path(__file__).parent / "results" / "BENCH_engine.json"
 DEFAULT_PROBES = 60_000
-DEFAULT_TOLERANCE = 0.30
 
 # A ULA block: never announced by the generator, so always unrouted.
 _UNROUTED_BASE = IPv6Prefix.parse("fd00::/8").network
@@ -268,28 +268,6 @@ def run_benchmark(
     return report, world, workloads
 
 
-def check_regression(report: dict, baseline_path: Path, tolerance: float) -> int:
-    """Exit status 1 if any workload regressed more than ``tolerance``."""
-    baseline = json.loads(baseline_path.read_text())
-    failures = []
-    for name, stats in report["workloads"].items():
-        reference = baseline["workloads"].get(name)
-        if reference is None:
-            continue
-        floor = reference["pps"] * (1.0 - tolerance)
-        verdict = "ok" if stats["pps"] >= floor else "REGRESSED"
-        print(
-            f"check {name:<14} {stats['pps']:>12,.0f} vs baseline "
-            f"{reference['pps']:>12,.0f} (floor {floor:,.0f}) {verdict}"
-        )
-        if stats["pps"] < floor:
-            failures.append(name)
-    if failures:
-        print(f"probes/sec regression >{tolerance:.0%} in: {', '.join(failures)}")
-        return 1
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--probes", type=int, default=DEFAULT_PROBES)
@@ -300,40 +278,36 @@ def main(argv=None):
         help="where to write BENCH_engine.json",
     )
     parser.add_argument(
-        "--no-write", action="store_true", help="measure only, keep baseline file"
+        "--no-write", action="store_true", help="measure only, keep the report file"
     )
     parser.add_argument(
-        "--check", type=Path, default=None,
-        help="baseline JSON to compare against (CI smoke-perf gate)",
+        "--check", action="store_true",
+        help="run the byte-identity gate (CI smoke-perf); sets the exit code",
     )
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     args = parser.parse_args(argv)
 
     report, world, workloads = run_benchmark(
         args.probes, args.repeats, args.seed
     )
-    # Default runs refresh the committed baseline; --check runs only
+    # Default runs refresh the committed report; --check runs only
     # write when pointed at an explicit --output (the CI artifact).
     write = not args.no_write and (
-        args.check is None or args.output != DEFAULT_RESULTS
+        not args.check or args.output != DEFAULT_RESULTS
     )
     if write:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         args.output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.output}")
-    if args.check is not None:
-        status = check_regression(report, args.check, args.tolerance)
+    if args.check:
         failures = verify_byte_identity(world, workloads)
         for failure in failures:
             print(f"byte-identity FAILED: {failure}")
         if failures:
-            status = 1
-        else:
-            print(
-                "byte-identity ok (batch 1/1024, shards 1/4, "
-                "in-memory and artifact world)"
-            )
-        return status
+            return 1
+        print(
+            "byte-identity ok (batch 1/1024, shards 1/4, "
+            "in-memory and artifact world)"
+        )
     return 0
 
 

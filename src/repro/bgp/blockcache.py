@@ -90,12 +90,13 @@ class BlockCachedLPM(Generic[V]):
         """Vectorised LPM: fill ``out[i] = longest_match(addresses[i])``
         for every ``i`` in ``indices``.
 
-        ``indices`` should visit equal covering blocks contiguously —
-        sort them by ``addresses[i]`` — so that one cache probe serves an
-        entire run of same-block addresses (zmap-style batch-sorted
-        lookup).  Results are bit-identical to per-address
-        :meth:`longest_match` calls in any order; unsorted indices stay
-        correct but degrade to one probe per index.
+        A run of consecutive indices in one covering block costs one
+        cache probe, but callers should not sort to make runs: the probe
+        kernel passes batches in probe order, because on the benchmark
+        campaigns sorting found a same-block neighbour for 0 of 2.56 M
+        resolution lookups and 2.4–3.3 % of BGP lookups — less than the
+        sort cost.  Results are bit-identical to per-address
+        :meth:`longest_match` calls in any order.
         """
         shift = self._cache_shift
         get = self._cache.get

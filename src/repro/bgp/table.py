@@ -69,9 +69,9 @@ class BGPTable:
     def lpm(self) -> LengthIndexedLPM[int]:
         """The underlying LPM index (prefix, origin ASN).
 
-        Exposed for run-batched lookups: the probe hot path calls
-        ``table.lpm.longest_match_batch`` on a block-sorted batch instead
-        of one :meth:`origin_of` per target.  Treat as read-only; mutate
+        Exposed for batched lookups: the probe hot path calls
+        ``table.lpm.longest_match_batch`` once per batch, in probe order,
+        instead of one :meth:`origin_of` per target.  Treat as read-only; mutate
         through :meth:`add`/:meth:`withdraw` so the announcement map and
         the index stay in lockstep.
         """

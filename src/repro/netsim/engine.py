@@ -27,7 +27,8 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 from ..addr.ipv6 import split_into
 from ..packet.icmpv6 import ICMPv6Type, TimeExceededCode, UnreachableCode
@@ -42,7 +43,12 @@ from ..topology.entities import (
 )
 from ..topology.profiles import SRABehavior
 from .ratelimit import TokenBucket
-from .stochastic import base_hasher, stable_bool, stable_unit
+from .stochastic import (
+    base_hasher,
+    bernoulli_threshold,
+    prepared_unit,
+    stable_bool,
+)
 
 # Cap on materialised reply counts for amplified loops; counts above this
 # are reported truthfully in `Reply.count` but the engine never enumerates.
@@ -54,15 +60,29 @@ _PURPOSE_LOSS = b"loss"
 # (key, epoch); a key over 62 bits contributes two words, exactly as
 # stable_unit would pack it.
 _PACK_2 = struct.Struct(">2q")
-_PACK_LOSS_3 = struct.Struct(">3q")
+_PACK_3 = struct.Struct(">3q")
 _PACK_LOSS_4 = struct.Struct(">4q")
+_WORD_LIMIT = 1 << 62
 _MASK63 = 0x7FFFFFFFFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_UNIT_SCALE = float(1 << 64)
-_PURPOSE_FLAKY = b"flaky"
-_PURPOSE_HOST = b"host"
-_PURPOSE_DIRECT = b"direct"
-_PURPOSE_FLIP = b"flip"
+
+
+class _Draw(NamedTuple):
+    """One of the per-epoch behaviour draws: a Bernoulli keyed
+    ``(key, epoch)``; ``threshold`` is what the kernel compares digest
+    bytes with."""
+
+    purpose: bytes
+    probability: float
+    threshold: bytes
+
+
+_DRAW_FLAKY, _DRAW_HOST, _DRAW_DIRECT, _DRAW_FLIP = (
+    _Draw(purpose, probability, bernoulli_threshold(probability))
+    for purpose, probability in (
+        (b"flaky", 0.55), (b"host", 0.85), (b"direct", 0.96), (b"flip", 0.5)
+    )
+)
 _PURPOSE_BG_WINDOW = b"bgwin"
 _PURPOSE_BG_JITTER = b"bgjit"
 
@@ -263,14 +283,19 @@ class SimulationEngine:
         # the replay reproduces the serial outcome exactly (scanner/sharded).
         self.defer_rate_limit = defer_rate_limit
         self.pending_checks: list[tuple[float, int]] = []
-        self._buckets: dict[int, TokenBucket] = {}
-        self._bg_load: dict[int, float] = {}
-        # Memoised background-window draws, keyed (router_id, window).
-        # The draw is a pure keyed hash of exactly that pair (plus the
-        # epoch, which scopes the cache via new_epoch), so caching it
-        # changes nothing observable — it only spares one blake2 digest
-        # per error attempt within a window.
-        self._bg_window: dict[tuple[int, int], bool] = {}
+        # The RFC 4443 gate's only state, one record per router that has
+        # originated an error this epoch (new_epoch drops them all):
+        # [background load, token bucket or None until the window gate
+        # first opens, last window checked, that window's draw].  The
+        # window draw is a pure keyed hash of (router, epoch, window), so
+        # the last two slots are a memo, not state: a check in any other
+        # window recomputes it, whichever direction time moved.
+        self._limiters: dict[int, list] = {}
+        seed = world.seed
+        self._jitter_unit = prepared_unit(seed, _PURPOSE_BG_JITTER, 2)
+        self._burst_unit = prepared_unit(seed, _PURPOSE_BG_JITTER, 3)
+        self._window_unit = prepared_unit(seed, _PURPOSE_BG_WINDOW, 3)
+        self._aggroute_unit = prepared_unit(seed, b"aggroute", 2)
         # Optional hot-path observability hook (duck-typed: anything with
         # on_loop(router_id, time) / on_suppressed(router_id, time), e.g.
         # repro.telemetry.HotPathCollector).  Scanners attach one for the
@@ -285,13 +310,11 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
 
     def new_epoch(self, epoch: int) -> None:
-        """Start a new scan epoch: reset buckets, caches, and counters."""
+        """Start a new scan epoch: drop every limiter record, reset counters."""
         self.epoch = epoch
         self.stats = EngineStats()
         self.pending_checks.clear()
-        self._buckets.clear()
-        self._bg_load.clear()
-        self._bg_window.clear()
+        self._limiters.clear()
 
     def as_backend(self):
         """This engine behind the scanner's probe-backend seam.
@@ -383,20 +406,25 @@ class SimulationEngine:
         This is the scanner's hot path — the single batched kernel behind
         :meth:`probe_batch`.  Instead of one ``ProbeResult``/``Reply``
         allocation per probe it writes parallel ``array`` columns, in
-        three phases that together stay bit-identical to calling
-        :meth:`probe` once per ``(target, time, probe_id)`` in order:
+        three phases, all in probe order, that together stay bit-identical
+        to calling :meth:`probe` once per ``(target, time, probe_id)``:
 
-        A. *Loss draws*, in probe order — pure keyed-hash draws with the
-           hasher primed once per batch and copied per probe.
-        B. *Routing lookups*, in block-sorted order — live rows are
-           sorted by target and run through the vectorised LPMs
-           (``longest_match_batch``), so one BGP walk and one resolution
-           walk serve an entire run of same-block targets.  Lookups are
-           pure, so reordering cannot change results.
-        C. *Effects dispatch*, back in probe order — everything stateful
-           (token buckets, the background-load gate, stats, telemetry)
-           runs here, in exactly the order the serial path would, because
-           probe times are non-decreasing in probe order.
+        A. *Loss draws* — pure keyed-hash draws with the hasher primed
+           once per batch and copied per probe; digest bytes are compared
+           with the loss probability's precomputed threshold.
+        B. *Routing lookups* — live rows run through the vectorised LPMs
+           (``longest_match_batch``): BGP, then resolution for the rows
+           whose hop limit survives transit.  Rows are not sorted by block
+           first: one target per /64 in permuted order leaves nothing to
+           share (on the benchmark campaigns a sorted batch had a
+           same-block neighbour on 0 of 2.56 M resolution and 2.4–3.3 % of
+           BGP lookups), so the sort cost more than the probes it saved.
+        C. *Effects dispatch* — one straight-line pass per row in
+           :meth:`probe`'s own branch order, everything stateful (token
+           buckets, the background-load gate, stats, telemetry) included;
+           each draw and error source is computed on the branch that uses
+           it.  Nothing is memoised per subnet: in those campaigns no
+           batch held two rows of one subnet.
         """
         world = self.world
         seed = world.seed
@@ -408,66 +436,54 @@ class SimulationEngine:
         cols.targets = targets
         cols.times = times
         flags = cols.flags
+        memoryview(flags)[:n] = cols._zero_fill[:n]
 
-        # -------- phase A: loss draws, probe order -------------------- #
+        # -------- phase A: loss draws --------------------------------- #
         # Same digest stream as stable_bool(seed, b"loss", loss, target,
-        # probe_id, epoch); targets over 62 bits (every real IPv6
-        # address) contribute a second packed word, exactly as
-        # stable_unit packs them.  Odd-shaped probe_ids or epochs fall
-        # back to the generic draw.
-        pack2 = _PACK_2.pack
-        pack3 = _PACK_LOSS_3.pack
-        pack4 = _PACK_LOSS_4.pack
-        epoch_word = epoch & _MASK63
-        simple_epoch = 0 <= epoch and epoch.bit_length() <= 62
+        # probe_id, epoch) for targets over 62 bits (every real IPv6
+        # address), which contribute a second packed word, exactly as
+        # stable_unit packs them.  A batch with any odd-shaped target,
+        # probe id or epoch takes the generic draw throughout.
+        simple_epoch = 0 <= epoch < _WORD_LIMIT
         lost_count = 0
-        if loss > 0.0:
-            loss_base = base_hasher(seed, _PURPOSE_LOSS)
-            for i in range(n):
-                target = targets[i]
-                probe_id = probe_ids[i] if probe_ids is not None else 0
-                if (
-                    simple_epoch
-                    and target >= 0
-                    and 0 <= probe_id
-                    and probe_id.bit_length() <= 62
-                ):
-                    hasher = loss_base.copy()
-                    if target.bit_length() > 62:
-                        hasher.update(
-                            pack4(
-                                target & _MASK63,
-                                (target >> 62) & _MASK63,
-                                probe_id,
-                                epoch_word,
-                            )
+        if loss > 0.0 and n:
+            ids = probe_ids if probe_ids is not None else repeat(0, n)
+            if (
+                simple_epoch
+                and min(targets) >= _WORD_LIMIT
+                and (probe_ids is None or 0 <= min(ids) <= max(ids) < _WORD_LIMIT)
+            ):
+                copy = base_hasher(seed, _PURPOSE_LOSS).copy
+                pack = _PACK_LOSS_4.pack
+                threshold = bernoulli_threshold(loss)
+                for i, (target, probe_id) in enumerate(zip(targets, ids)):
+                    hasher = copy()
+                    hasher.update(
+                        pack(
+                            target & _MASK63,
+                            (target >> 62) & _MASK63,
+                            probe_id,
+                            epoch,
                         )
-                    else:
-                        hasher.update(pack3(target, probe_id, epoch_word))
-                    lost_draw = (
-                        int.from_bytes(hasher.digest(), "big") / _UNIT_SCALE
-                        < loss
                     )
-                else:
-                    lost_draw = stable_bool(
+                    if hasher.digest() < threshold:
+                        flags[i] = FLAG_LOST
+                        lost_count += 1
+            else:
+                for i, (target, probe_id) in enumerate(zip(targets, ids)):
+                    if stable_bool(
                         seed, _PURPOSE_LOSS, loss, target, probe_id, epoch
-                    )
-                if lost_draw:
-                    flags[i] = FLAG_LOST
-                    lost_count += 1
-                else:
-                    flags[i] = 0
-        else:
-            memoryview(flags)[:n] = cols._zero_fill[:n]
+                    ):
+                        flags[i] = FLAG_LOST
+                        lost_count += 1
         self.stats.probes += n
         self.stats.lost += lost_count
 
-        # -------- phase B: vectorised lookups, block-sorted ----------- #
+        # -------- phase B: vectorised lookups ------------------------- #
         if lost_count:
             live = [i for i in range(n) if not flags[i]]
         else:
-            live = list(range(n))
-        live.sort(key=targets.__getitem__)
+            live = range(n)
         paths_get = world.paths.get
         transit_col = cols.transit
         matches: list = [None] * n
@@ -490,14 +506,11 @@ class SimulationEngine:
         entries: list = [None] * n
         world.resolution.longest_match_batch(targets, resolve_rows, entries)
 
-        # -------- phase C: effects dispatch, probe order -------------- #
+        # -------- phase C: effects dispatch --------------------------- #
         routers = world.routers
         ases_get = world.ases.get
         upstream = routers[world.vantage.upstream_router_id]  # type: ignore[union-attr]
         upstream_source = self._router_error_source(upstream)
-        upstream_hi = upstream_source >> 64
-        upstream_lo = upstream_source & _MASK64
-        upstream_id = upstream.router_id
         subnet_kind = EntryKind.SUBNET
         alias_kind = EntryKind.ALIAS
         infra_kind = EntryKind.INFRA
@@ -506,6 +519,7 @@ class SimulationEngine:
         stats = self.stats
         telemetry = self.telemetry
         error_allowed = self._error_reply_allowed
+        error_source = self._router_error_source
         source_hi = cols.source_hi
         source_lo = cols.source_lo
         icmp_col = cols.icmp_type
@@ -517,248 +531,162 @@ class SimulationEngine:
         icmp_unreach = int(ICMPv6Type.DESTINATION_UNREACHABLE)
         icmp_exceeded = int(ICMPv6Type.TIME_EXCEEDED)
         code_addr_unreach = int(UnreachableCode.ADDRESS_UNREACHABLE)
-        unit_scale = _UNIT_SCALE
         mask63 = _MASK63
+        mask64 = _MASK64
+        pack2 = _PACK_2.pack
+        pack3 = _PACK_3.pack
+        flaky, host, direct, flip = [
+            (base_hasher(seed, kind.purpose).copy, kind)
+            for kind in (_DRAW_FLAKY, _DRAW_HOST, _DRAW_DIRECT, _DRAW_FLIP)
+        ]
 
-        if simple_epoch:
-            host_base = base_hasher(seed, _PURPOSE_HOST)
-            flaky_base = base_hasher(seed, _PURPOSE_FLAKY)
-            direct_base = base_hasher(seed, _PURPOSE_DIRECT)
-            flip_base = base_hasher(seed, _PURPOSE_FLIP)
-
-            def draw(base, purpose, probability, key):
-                # Inlined stable_bool(seed, purpose, probability, key,
-                # epoch): identical digest stream, minus the generic
-                # packing loop.  Negative keys take the generic path.
-                if key >= 0:
-                    hasher = base.copy()
-                    if key.bit_length() > 62:
-                        hasher.update(
-                            pack3(key & mask63, (key >> 62) & mask63, epoch_word)
-                        )
-                    else:
-                        hasher.update(pack2(key, epoch_word))
-                    return (
-                        int.from_bytes(hasher.digest(), "big") / unit_scale
-                        < probability
-                    )
-                return stable_bool(seed, purpose, probability, key, epoch)
-
-        else:
-            host_base = flaky_base = direct_base = flip_base = None
-
-            def draw(base, purpose, probability, key):
-                return stable_bool(seed, purpose, probability, key, epoch)
-
-        # Per-batch subnet plans: everything about a subnet's behaviour
-        # that is constant within an epoch — liveness (death epoch +
-        # flaky draw), the SRA behaviour and its reply source (including
-        # the unstable-source flip), the direct-ping draw, and the error
-        # source — computed once per subnet per batch.  All of it is pure
-        # (keyed-hash draws carry no state), so hoisting changes nothing
-        # observable; the cache lives only for this call, so topology
-        # mutations between batches are always picked up.
-        #   dead plan:  (False, router, src_hi, src_lo, rid)
-        #   alive plan: (True, router, aliased, action, ans_hi, ans_lo,
-        #                direct_ok, err_hi, err_lo, rid)
-        #   action: 0 = DROP, 1 = ERROR, 2 = ANSWER
-        subnet_plans: dict[int, tuple] = {}
-        plans_get = subnet_plans.get
+        def draw(prepared, key):
+            # self._draw(kind, key): identical digest stream, minus the
+            # generic packing loop and the float.  Odd-shaped keys and
+            # epochs take the generic path.
+            copy, kind = prepared
+            if simple_epoch and key >= 0:
+                hasher = copy()
+                if key < _WORD_LIMIT:
+                    hasher.update(pack2(key, epoch))
+                else:
+                    hasher.update(pack3(key & mask63, (key >> 62) & mask63, epoch))
+                return hasher.digest() < kind.threshold
+            return self._draw(kind, key)
 
         echo_replies = 0
-        for i in range(n):
-            if flags[i]:  # only FLAG_LOST is set at this point
-                continue
-            target = targets[i]
-            match = matches[i]
-            if match is None:
-                transit_col[i] = 0
-                if error_allowed(upstream, times[i], True):
-                    flags[i] = FLAG_REPLY
-                    source_hi[i] = upstream_hi
-                    source_lo[i] = upstream_lo
-                    icmp_col[i] = icmp_unreach
-                    # code stays 0 (NO_ROUTE), count stays 1 (prefilled)
-                    rid_col[i] = upstream_id
-                continue
-
-            transit = transit_col[i]
-            if hop_limit <= transit:
-                if hop_limit < 1:
-                    continue
-                hop = paths_get(match[1], ())[hop_limit - 1]
-                router = routers[hop.router_id]
-                if error_allowed(router, times[i], False):
-                    flags[i] = FLAG_REPLY
-                    source = hop.interface
-                    source_hi[i] = source >> 64
-                    source_lo[i] = source & _MASK64
-                    icmp_col[i] = icmp_exceeded
-                    # code stays 0 (HOP_LIMIT_EXCEEDED), count stays 1
-                    rid_col[i] = router.router_id
-                continue
-
-            entry_match = entries[i]
+        for i, match, entry_match in zip(range(n), matches, entries):
             if entry_match is None:
-                # Announced but unassigned space (see _unassigned_space).
+                # No resolution entry, the common row: announced but
+                # unassigned space (see _unassigned_space), or a row that
+                # never reached resolution — lost, unrouted, hop limit
+                # spent in transit.
+                if match is None:
+                    if flags[i]:  # only FLAG_LOST is set at this point
+                        continue
+                    transit_col[i] = 0
+                    if error_allowed(upstream, times[i], True):
+                        flags[i] = FLAG_REPLY
+                        source_hi[i] = upstream_source >> 64
+                        source_lo[i] = upstream_source & mask64
+                        icmp_col[i] = icmp_unreach
+                        # code stays 0 (NO_ROUTE), count stays 1 (prefilled)
+                        rid_col[i] = upstream.router_id
+                    continue
                 asn = match[1]
+                if hop_limit <= transit_col[i]:
+                    if hop_limit < 1:
+                        continue
+                    hop = paths_get(asn, ())[hop_limit - 1]
+                    router = routers[hop.router_id]
+                    if error_allowed(router, times[i], False):
+                        flags[i] = FLAG_REPLY
+                        source = hop.interface
+                        source_hi[i] = source >> 64
+                        source_lo[i] = source & mask64
+                        icmp_col[i] = icmp_exceeded
+                        # code stays 0 (HOP_LIMIT_EXCEEDED), count stays 1
+                        rid_col[i] = router.router_id
+                    continue
                 info = ases_get(asn)
                 if info is not None and info.filters_unroutable:
                     continue
+                target = targets[i]
                 responsible = self._responsible_router(asn, target)
                 if responsible is None:
                     continue
-                if responsible.errors_from_primary and responsible.loopback:
-                    source = responsible.loopback
-                else:
-                    source = ((target >> 72) << 72) | 0xFFFE
                 if error_allowed(responsible, times[i], True):
+                    if responsible.errors_from_primary and responsible.loopback:
+                        source = responsible.loopback
+                    else:
+                        source = ((target >> 72) << 72) | 0xFFFE
                     flags[i] = FLAG_REPLY
                     source_hi[i] = source >> 64
-                    source_lo[i] = source & _MASK64
+                    source_lo[i] = source & mask64
                     icmp_col[i] = icmp_unreach
                     # code stays 0 (NO_ROUTE), count stays 1 (prefilled)
                     rid_col[i] = responsible.router_id
                 continue
 
+            target = targets[i]
             entry = entry_match[1]
             kind = entry.kind
             if kind is subnet_kind:
+                # _probe_subnet, branch for branch.
                 subnet = entry.payload
-                plan = plans_get(id(subnet))
-                if plan is None:
-                    death = subnet.death_epoch
-                    router = routers[subnet.router_id]
-                    if (death is not None and epoch >= death) or (
-                        subnet.flaky
-                        and not draw(
-                            flaky_base,
-                            _PURPOSE_FLAKY,
-                            0.55,
-                            subnet.prefix.network,
-                        )
-                    ):
-                        # Dead (or flaky-off): the last-hop router answers
-                        # Address Unreachable from the subnet-facing
-                        # interface.
-                        iface = subnet.router_interface
-                        plan = (
-                            False,
-                            router,
-                            iface >> 64,
-                            iface & _MASK64,
-                            router.router_id,
-                        )
-                    else:
-                        behavior = router.vendor.sra_behavior
-                        ans_hi = ans_lo = 0
-                        if behavior is sra_drop:
-                            action = 0
-                        elif behavior is sra_error:
-                            action = 1
-                        else:
-                            action = 2
-                            # Source selection per _sra_reply_source.
-                            if (
-                                router.replies_from_peering
-                                and router.peering_lan_address is not None
-                            ):
-                                source = router.peering_lan_address
-                            elif router.sra_from_primary:
-                                source = router.loopback
-                            elif router.unstable_reply_source and draw(
-                                flip_base, _PURPOSE_FLIP, 0.5, router.router_id
-                            ):
-                                source = router.loopback
-                            else:
-                                source = subnet.router_interface
-                            ans_hi = source >> 64
-                            ans_lo = source & _MASK64
-                        err = self._router_error_source(
-                            router, subnet.router_interface
-                        )
-                        plan = (
-                            True,
-                            router,
-                            subnet.aliased,
-                            action,
-                            ans_hi,
-                            ans_lo,
-                            router.answers_direct_ping
-                            and draw(
-                                direct_base,
-                                _PURPOSE_DIRECT,
-                                0.96,
-                                router.router_id,
-                            ),
-                            err >> 64,
-                            err & _MASK64,
-                            router.router_id,
-                        )
-                    subnet_plans[id(subnet)] = plan
-                if not plan[0]:
-                    if error_allowed(plan[1], times[i], True):
-                        flags[i] = FLAG_REPLY
-                        source_hi[i] = plan[2]
-                        source_lo[i] = plan[3]
-                        icmp_col[i] = icmp_unreach
-                        code_col[i] = code_addr_unreach
-                        rid_col[i] = plan[4]
-                    continue
-                if plan[2]:  # aliased: every address echoes back
+                router = routers[subnet.router_id]
+                death = subnet.death_epoch
+                if (death is not None and epoch >= death) or (
+                    subnet.flaky and not draw(flaky, subnet.prefix.network)
+                ):
+                    # Dead (or flaky-off): the last-hop router answers
+                    # Address Unreachable from the subnet-facing interface.
+                    source = subnet.router_interface
+                elif subnet.aliased:  # every address echoes back
                     echo_replies += 1
                     flags[i] = FLAG_REPLY
                     source_hi[i] = target >> 64
-                    source_lo[i] = target & _MASK64
+                    source_lo[i] = target & mask64
                     rid_col[i] = -1
                     continue
-                if target == subnet.sra_address:
-                    action = plan[3]
-                    if action == 2:  # ANSWER
+                elif target == subnet.sra_address:
+                    behavior = router.vendor.sra_behavior
+                    if behavior is sra_drop:
+                        continue
+                    if behavior is not sra_error:
+                        # Source selection per _sra_reply_source.
+                        if (
+                            router.replies_from_peering
+                            and router.peering_lan_address is not None
+                        ):
+                            source = router.peering_lan_address
+                        elif router.sra_from_primary or (
+                            router.unstable_reply_source
+                            and draw(flip, router.router_id)
+                        ):
+                            source = router.loopback
+                        else:
+                            source = subnet.router_interface
                         echo_replies += 1
                         flags[i] = FLAG_REPLY
-                        source_hi[i] = plan[4]
-                        source_lo[i] = plan[5]
-                        rid_col[i] = plan[9]
-                    elif action == 1:  # ERROR
-                        if error_allowed(plan[1], times[i], True):
-                            flags[i] = FLAG_REPLY
-                            source_hi[i] = plan[7]
-                            source_lo[i] = plan[8]
-                            icmp_col[i] = icmp_unreach
-                            code_col[i] = code_addr_unreach
-                            rid_col[i] = plan[9]
-                    continue
-                if target == subnet.router_interface:
-                    if plan[6]:
+                        source_hi[i] = source >> 64
+                        source_lo[i] = source & mask64
+                        rid_col[i] = router.router_id
+                        continue
+                    source = error_source(router, subnet.router_interface)
+                elif target == subnet.router_interface:
+                    if router.answers_direct_ping and draw(
+                        direct, router.router_id
+                    ):
                         echo_replies += 1
                         flags[i] = FLAG_REPLY
                         source_hi[i] = target >> 64
-                        source_lo[i] = target & _MASK64
-                        rid_col[i] = plan[9]
+                        source_lo[i] = target & mask64
+                        rid_col[i] = router.router_id
                     continue
-                if target in subnet.hosts:
-                    if draw(host_base, _PURPOSE_HOST, 0.85, target):
+                elif target in subnet.hosts:
+                    if draw(host, target):
                         echo_replies += 1
                         flags[i] = FLAG_REPLY
                         source_hi[i] = target >> 64
-                        source_lo[i] = target & _MASK64
+                        source_lo[i] = target & mask64
                         rid_col[i] = -1
                     continue
-                # Unassigned address inside an active subnet.
-                if error_allowed(plan[1], times[i], True):
+                else:  # unassigned address inside an active subnet
+                    source = error_source(router, subnet.router_interface)
+                if error_allowed(router, times[i], True):
                     flags[i] = FLAG_REPLY
-                    source_hi[i] = plan[7]
-                    source_lo[i] = plan[8]
+                    source_hi[i] = source >> 64
+                    source_lo[i] = source & mask64
                     icmp_col[i] = icmp_unreach
                     code_col[i] = code_addr_unreach
-                    rid_col[i] = plan[9]
+                    rid_col[i] = router.router_id
                 continue
             if kind is alias_kind:
                 echo_replies += 1
                 flags[i] = FLAG_REPLY
                 source_hi[i] = target >> 64
-                source_lo[i] = target & _MASK64
+                source_lo[i] = target & mask64
                 rid_col[i] = -1
                 continue
             if kind is infra_kind:
@@ -767,12 +695,12 @@ class SimulationEngine:
                 if router_id is not None:
                     router = routers[router_id]
                     if router.answers_direct_ping and draw(
-                        direct_base, _PURPOSE_DIRECT, 0.96, router.router_id
+                        direct, router.router_id
                     ):
                         echo_replies += 1
                         flags[i] = FLAG_REPLY
                         source_hi[i] = target >> 64
-                        source_lo[i] = target & _MASK64
+                        source_lo[i] = target & mask64
                         rid_col[i] = router.router_id
                     continue
                 border = self._border_router(infra.asn)
@@ -780,9 +708,9 @@ class SimulationEngine:
                     continue
                 if error_allowed(border, times[i], True):
                     flags[i] = FLAG_REPLY
-                    source = self._router_error_source(border)
+                    source = error_source(border)
                     source_hi[i] = source >> 64
-                    source_lo[i] = source & _MASK64
+                    source_lo[i] = source & mask64
                     icmp_col[i] = icmp_unreach
                     code_col[i] = code_addr_unreach
                     rid_col[i] = border.router_id
@@ -794,11 +722,11 @@ class SimulationEngine:
             if telemetry is not None:
                 telemetry.on_loop(region.customer_router_id, time)
             customer = routers[region.customer_router_id]
-            remaining = hop_limit - transit
+            remaining = hop_limit - transit_col[i]
             if remaining < 1:
                 flags[i] = FLAG_LOOPED
                 continue
-            source = self._router_error_source(customer)
+            source = error_source(customer)
             amplification = self._loop_amplification(customer, remaining)
             if amplification > 1:
                 count = min(amplification, AMPLIFICATION_CAP)
@@ -806,7 +734,7 @@ class SimulationEngine:
                 stats.amplified_replies += count - 1
                 flags[i] = FLAG_LOOPED | FLAG_REPLY
                 source_hi[i] = source >> 64
-                source_lo[i] = source & _MASK64
+                source_lo[i] = source & mask64
                 icmp_col[i] = icmp_exceeded
                 # code stays 0 (HOP_LIMIT_EXCEEDED)
                 count_col[i] = count
@@ -814,7 +742,7 @@ class SimulationEngine:
             elif error_allowed(customer, time, False):
                 flags[i] = FLAG_LOOPED | FLAG_REPLY
                 source_hi[i] = source >> 64
-                source_lo[i] = source & _MASK64
+                source_lo[i] = source & mask64
                 icmp_col[i] = icmp_exceeded
                 # code stays 0 (HOP_LIMIT_EXCEEDED), count stays 1
                 rid_col[i] = customer.router_id
@@ -931,9 +859,7 @@ class SimulationEngine:
             reply = self._direct_ping(router, subnet.router_interface)
             return ProbeResult(target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit)
         if target in subnet.hosts:
-            if stable_bool(
-                world.seed, _PURPOSE_HOST, 0.85, target, self.epoch
-            ):
+            if self._draw(_DRAW_HOST, target):
                 self.stats.echo_replies += 1
                 reply = Reply(target, ICMPv6Type.ECHO_REPLY, 0)
                 return ProbeResult(target, time, self.epoch, replies=(reply,), transit_hops=transit)
@@ -978,8 +904,8 @@ class SimulationEngine:
             return router.peering_lan_address
         if router.sra_from_primary:
             return router.loopback
-        if router.unstable_reply_source and stable_bool(
-            self.world.seed, _PURPOSE_FLIP, 0.5, router.router_id, self.epoch
+        if router.unstable_reply_source and self._draw(
+            _DRAW_FLIP, router.router_id
         ):
             return router.loopback
         return subnet.router_interface
@@ -1138,10 +1064,7 @@ class SimulationEngine:
         if not info.router_ids:
             return self._border_router(asn)
         slash56 = target >> 72
-        index = int(
-            stable_unit(self.world.seed, b"aggroute", asn, slash56)
-            * len(info.router_ids)
-        )
+        index = int(self._aggroute_unit(asn, slash56) * len(info.router_ids))
         return self.world.routers[info.router_ids[index]]
 
     # ------------------------------------------------------------------ #
@@ -1169,27 +1092,25 @@ class SimulationEngine:
         """Behaviour for an Echo Request aimed at a router's own address."""
         if not router.answers_direct_ping:
             return None
-        if not stable_bool(
-            self.world.seed, _PURPOSE_DIRECT, 0.96, router.router_id, self.epoch
-        ):
+        if not self._draw(_DRAW_DIRECT, router.router_id):
             return None
         self.stats.echo_replies += 1
         return Reply(
             interface, ICMPv6Type.ECHO_REPLY, 0, router_id=router.router_id
         )
 
+    def _draw(self, kind: _Draw, key: int) -> bool:
+        """This epoch's draw of ``kind`` for ``key``."""
+        return stable_bool(
+            self.world.seed, kind.purpose, kind.probability, key, self.epoch
+        )
+
     def _subnet_alive(self, subnet: Subnet) -> bool:
         if subnet.death_epoch is not None and self.epoch >= subnet.death_epoch:
             return False
-        if subnet.flaky:
-            return stable_bool(
-                self.world.seed,
-                _PURPOSE_FLAKY,
-                0.55,
-                subnet.prefix.network,
-                self.epoch,
-            )
-        return True
+        return not subnet.flaky or self._draw(
+            _DRAW_FLAKY, subnet.prefix.network
+        )
 
     def _emit_error(
         self,
@@ -1233,57 +1154,41 @@ class SimulationEngine:
         if self.defer_rate_limit:
             self.pending_checks.append((time, router.router_id))
             return True
-        load = self._bg_load.get(router.router_id)
-        if load is None:
-            jitter = 0.5 + stable_unit(
-                self.world.seed, _PURPOSE_BG_JITTER, router.router_id, self.epoch
-            )
+        router_id = router.router_id
+        state = self._limiters.get(router_id)
+        if state is None:
+            jitter = 0.5 + self._jitter_unit(router_id, self.epoch)
             load = min(0.95, router.background_error_load * jitter)
-            self._bg_load[router.router_id] = load
+            state = self._limiters[router_id] = [load, None, None, False]
+        load = state[0]
         if load > 0.0:
             window = int(time / self.background_window)
-            window_key = (router.router_id, window)
-            suppressed = self._bg_window.get(window_key)
-            if suppressed is None:
-                suppressed = stable_bool(
-                    self.world.seed,
-                    _PURPOSE_BG_WINDOW,
-                    load,
-                    router.router_id,
-                    self.epoch,
-                    window,
+            if window != state[2]:
+                state[2] = window
+                state[3] = (
+                    self._window_unit(router_id, self.epoch, window) < load
                 )
-                self._bg_window[window_key] = suppressed
-            if suppressed:
+            if state[3]:
                 telemetry = self.telemetry
                 if telemetry is not None:
-                    telemetry.on_suppressed(router.router_id, time)
+                    telemetry.on_suppressed(router_id, time)
                 return False
-        bucket = self._buckets.get(router.router_id)
+        bucket = state[1]
         if bucket is None:
             vendor = router.vendor
             initial = vendor.error_burst * (
-                1.0
-                - stable_unit(
-                    self.world.seed,
-                    _PURPOSE_BG_JITTER,
-                    router.router_id,
-                    self.epoch,
-                    1,
-                )
-                * load
+                1.0 - self._burst_unit(router_id, self.epoch, 1) * load
             )
-            bucket = TokenBucket(
+            bucket = state[1] = TokenBucket(
                 vendor.error_rate * (1.0 - load),
                 vendor.error_burst,
                 initial=initial,
             )
-            self._buckets[router.router_id] = bucket
         allowed = bucket.allow(time)
         if not allowed:
             telemetry = self.telemetry
             if telemetry is not None:
-                telemetry.on_suppressed(router.router_id, time)
+                telemetry.on_suppressed(router_id, time)
         return allowed
 
 

@@ -14,14 +14,18 @@ The schedule depends only on ``(seed, purpose)``, of which the simulator
 uses a handful, so we build each base hasher once, memoise it, and
 ``.copy()`` it per draw; the copy is a plain state memcpy.  Key material
 is likewise packed with a single ``struct.pack`` call instead of one per
-key.  Digests are bit-identical to the naive implementation — pinned by
-``tests/test_stochastic_golden.py``.
+key.  Callers that repeat one draw shape hoist the rest as well:
+:func:`prepared_unit` binds the hasher and the packer once, and
+:func:`bernoulli_threshold` turns ``unit < probability`` into a compare
+of digest bytes.  Digests are bit-identical to the naive implementation —
+pinned by ``tests/test_stochastic_golden.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from functools import lru_cache, partial
 
 _SCALE = float(1 << 64)
 
@@ -37,6 +41,8 @@ _BASE_HASHERS_MAX = 1024
 _PACKERS = tuple(struct.Struct(f">{n}q") for n in range(9))
 
 _MASK63 = 0x7FFFFFFFFFFFFFFF
+# A key word below this packs as itself (see stable_unit).
+_WORD_LIMIT = 1 << 62
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -82,6 +88,32 @@ def stable_unit(seed: int, purpose: bytes, *keys: int) -> float:
     return int.from_bytes(hasher.digest(), "big") / _SCALE
 
 
+def prepared_unit(seed: int, purpose: bytes, count: int):
+    """``stable_unit(seed, purpose, *words)`` for exactly ``count`` words,
+    prepared once for callers that draw it many times.
+
+    The returned function copies the base hasher and packs its words with
+    one pre-bound ``Struct.pack``.  That equals :func:`stable_unit` only
+    while every word packs as itself — ``0 <= word < 2**62``: no sign
+    mask, no high-half second word — so anything else, and any ``count``
+    without a prebuilt packer, takes :func:`stable_unit` itself.
+    """
+    if not 0 < count < len(_PACKERS):
+        return partial(stable_unit, seed, purpose)
+    copy = _base_hasher(seed, purpose).copy
+    pack = _PACKERS[count].pack
+
+    def unit(*words: int) -> float:
+        for word in words:
+            if not 0 <= word < _WORD_LIMIT:
+                return stable_unit(seed, purpose, *words)
+        hasher = copy()
+        hasher.update(pack(*words))
+        return int.from_bytes(hasher.digest(), "big") / _SCALE
+
+    return unit
+
+
 def stable_bool(seed: int, purpose: bytes, probability: float, *keys: int) -> bool:
     """A deterministic Bernoulli draw with the given probability."""
     if probability <= 0:
@@ -89,3 +121,26 @@ def stable_bool(seed: int, purpose: bytes, probability: float, *keys: int) -> bo
     if probability >= 1:
         return True
     return stable_unit(seed, purpose, *keys) < probability
+
+
+@lru_cache(maxsize=256)
+def bernoulli_threshold(probability: float) -> bytes:
+    """``T`` such that ``digest < T`` is exactly ``unit(digest) <
+    probability`` for every 8-byte digest, ``unit`` being
+    :func:`stable_unit`'s ``int.from_bytes(digest, "big") / 2**64`` — a hot
+    loop then compares digest bytes and skips the int and the float.
+
+    ``T`` is the smallest 64-bit value whose unit is not below
+    ``probability``, big-endian, found by bisection on the comparison
+    itself (int-to-float rounding is monotone, so it is true up to one
+    value and false from it on); nine ``0xff`` bytes when every digest is
+    below (probability over 1), eight zero bytes when none is (0, NaN).
+    """
+    low, high = 0, 1 << 64
+    while low < high:
+        mid = (low + high) >> 1
+        if mid / _SCALE < probability:
+            low = mid + 1
+        else:
+            high = mid
+    return low.to_bytes(8, "big") if low >> 64 == 0 else b"\xff" * 9

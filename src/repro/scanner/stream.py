@@ -38,6 +38,7 @@ from abc import abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -65,8 +66,10 @@ __all__ = [
     "as_stream",
     "build_stream",
     "register_stream_builder",
+    "gather_targets",
     "scannable",
     "shard_positions",
+    "shard_window",
     "stream_buffered",
 ]
 
@@ -89,6 +92,32 @@ class IndexWindow(NamedTuple):
     shards: int = 1
 
 
+def shard_window(
+    size: int,
+    *,
+    seed: int,
+    epoch: int = 0,
+    window: IndexWindow = IndexWindow(),
+    permute: bool = True,
+) -> tuple[range, Iterator[int]]:
+    """One shard window of the visit order as two parallel columns,
+    ``(global positions, target indexes)`` — no pair per probe.
+
+    The global position is the probe's slot in the full (serial) visit
+    order; pacing on it gives every shard of a multi-shard scan the same
+    virtual clock as the serial scan.  O(1) in memory: positions are
+    arithmetic and the indexes walk a cyclic group, never a list.
+    """
+    shard, shards = window
+    if not 0 <= shard < shards:
+        raise ValueError("window shard must be in [0, shards)")
+    positions = range(shard, size, shards)
+    if not permute or size == 0:
+        return positions, iter(positions)
+    permutation = CyclicPermutation(size, seed=seed ^ epoch)
+    return positions, islice(permutation, shard, None, shards)
+
+
 def shard_positions(
     size: int,
     *,
@@ -97,29 +126,10 @@ def shard_positions(
     window: IndexWindow = IndexWindow(),
     permute: bool = True,
 ) -> Iterator[tuple[int, int]]:
-    """Yield ``(global_position, target_index)`` for one shard window.
-
-    The global position is the probe's slot in the full (serial) visit
-    order; pacing on it gives every shard of a multi-shard scan the same
-    virtual clock as the serial scan.  This generator is O(1) in memory:
-    the permutation walks a cyclic group, never a materialised list.
-    """
-    shard, shards = window
-    if not 0 <= shard < shards:
-        raise ValueError("window shard must be in [0, shards)")
-    if size == 0:
-        return
-    if not permute:
-        for index in range(shard, size, shards):
-            yield index, index
-        return
-    permutation = CyclicPermutation(size, seed=seed ^ epoch)
-    if shards == 1:
-        yield from enumerate(permutation)
-        return
-    for position, index in enumerate(permutation):
-        if position % shards == shard:
-            yield position, index
+    """``(global_position, target_index)`` pairs of :func:`shard_window`."""
+    return zip(
+        *shard_window(size, seed=seed, epoch=epoch, window=window, permute=permute)
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -213,6 +223,12 @@ class TargetStream(Sequence):
         """Uniform slice semantics: a plain list of the selected targets."""
         return [self[i] for i in range(*index.indices(len(self)))]
 
+    def gather(self, indexes: Iterable[int]) -> list[int]:
+        """The targets at ``indexes``, in that order — how a scan reads a
+        chunk.  Buffered streams override this to index their buffer
+        directly instead of coming back through ``self[i]`` per target."""
+        return [self[i] for i in indexes]
+
     @property
     def buffered(self) -> int:
         """Target values currently resident in memory."""
@@ -257,6 +273,9 @@ class ListStream(TargetStream):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.targets)
+
+    def gather(self, indexes: Iterable[int]) -> list[int]:
+        return list(map(self.targets.__getitem__, indexes))
 
     def spec(self) -> StreamSpec | None:
         return self._spec
@@ -352,6 +371,9 @@ class LazyStream(TargetStream):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._realise())
+
+    def gather(self, indexes: Iterable[int]) -> list[int]:
+        return list(map(self._realise().__getitem__, indexes))
 
     @property
     def buffered(self) -> int:
@@ -516,6 +538,14 @@ def scannable(targets):
     if hasattr(targets, "__getitem__") and hasattr(targets, "__len__"):
         return targets
     return list(targets)
+
+
+def gather_targets(targets, indexes: Iterable[int]) -> list[int]:
+    """``[targets[i] for i in indexes]``, for whatever :func:`scannable`
+    returned."""
+    if isinstance(targets, TargetStream):
+        return targets.gather(indexes)
+    return list(map(targets.__getitem__, indexes))
 
 
 def stream_buffered(targets) -> int:

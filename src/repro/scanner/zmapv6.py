@@ -24,7 +24,7 @@ agnostic, and the ``sim`` path is byte-identical to the pre-seam scanner
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import compress, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..netsim.engine import (
@@ -57,10 +57,14 @@ from .records import ScanRecord, ScanResult
 from .stream import (
     IndexWindow,
     RecordSink,
+    gather_targets,
     scannable,
-    shard_positions,
+    shard_window,
     stream_buffered,
 )
+
+# flags bytes -> truthy for rows that carry a reply (one record each).
+_REPLY_ROWS = bytes(flag & FLAG_REPLY for flag in range(256))
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,15 +363,18 @@ class ZMapV6Scanner:
         """
         backend = self.backend
         pps = self.config.pps
+        batch_size = self.config.batch_size
         epoch_bits = backend.epoch << 32
         need_ids = not backend.supports_columns or backend.needs_probe_ids
-        positions = self._probe_positions(len(target_list))
-        while chunk := list(islice(positions, self.config.batch_size)):
+        positions, indexes = self._probe_window(len(target_list))
+        for start in range(0, len(positions), batch_size):
+            chunk = positions[start : start + batch_size]
+            picked = list(islice(indexes, batch_size))
             yield (
-                chunk[-1][0],
-                [target_list[index] for _, index in chunk],
-                [position / pps for position, _ in chunk],
-                [epoch_bits | index for _, index in chunk] if need_ids else None,
+                chunk[-1],
+                gather_targets(target_list, picked),
+                [position / pps for position in chunk],
+                [epoch_bits | index for index in picked] if need_ids else None,
             )
 
     def _scan_outcomes(
@@ -450,41 +457,34 @@ class ZMapV6Scanner:
         last_position = -1
         loops_observed = 0
         probes_lost = 0
-        flag_looped = FLAG_LOOPED
-        flag_reply = FLAG_REPLY
+        looped_reply = FLAG_LOOPED | FLAG_REPLY
         cols = ProbeColumns()
         for last_position, targets, times, ids in self._chunks(target_list):
             probe_columns(
                 targets, times, hop_limit=hop_limit, probe_ids=ids, out=cols
             )
-            sent += len(targets)
-            flags = cols.flags
+            n = len(targets)
+            sent += n
+            # Most rows are silent: count and pick the others at C speed.
+            flags = memoryview(cols.flags)[:n].tobytes()
+            probes_lost += flags.count(FLAG_LOST)
+            loops_observed += flags.count(FLAG_LOOPED) + flags.count(looped_reply)
             source_hi = cols.source_hi
             source_lo = cols.source_lo
             icmp_col = cols.icmp_type
             code_col = cols.code
             count_col = cols.count
-            for offset in range(len(targets)):
-                f = flags[offset]
-                if not f:  # probed, no reply — the common quiet row
-                    continue
-                if f & flag_reply:
-                    if f & flag_looped:
-                        loops_observed += 1
-                    append_record(
-                        ScanRecord(
-                            target=targets[offset],
-                            source=(source_hi[offset] << 64) | source_lo[offset],
-                            icmp_type=icmp_col[offset],
-                            code=code_col[offset],
-                            count=count_col[offset],
-                            time=times[offset],
-                        )
+            for offset in compress(range(n), flags.translate(_REPLY_ROWS)):
+                append_record(
+                    ScanRecord(
+                        target=targets[offset],
+                        source=(source_hi[offset] << 64) | source_lo[offset],
+                        icmp_type=icmp_col[offset],
+                        code=code_col[offset],
+                        count=count_col[offset],
+                        time=times[offset],
                     )
-                elif f & flag_looped:
-                    loops_observed += 1
-                else:  # FLAG_LOST
-                    probes_lost += 1
+                )
             if every:
                 progress = self._capture_batch_progress(
                     capture, result, cols, times, every, progress
@@ -539,15 +539,15 @@ class ZMapV6Scanner:
                 )
         return sent, n_records, lost, loops
 
-    def _probe_positions(self, size: int) -> Iterator[tuple[int, int]]:
-        """Yield ``(global_position, target_index)`` for this shard.
+    def _probe_window(self, size: int) -> tuple[range, Iterator[int]]:
+        """This shard's ``(global positions, target indexes)`` columns.
 
-        Delegates to :func:`repro.scanner.stream.shard_positions`, the
+        Delegates to :func:`repro.scanner.stream.shard_window`, the
         shared definition of the permuted visit order and its shard
         windows (pairwise disjoint; position-ordered union == serial).
         """
         config = self.config
-        return shard_positions(
+        return shard_window(
             size,
             seed=config.seed,
             epoch=self.backend.epoch,

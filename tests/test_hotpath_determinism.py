@@ -51,6 +51,65 @@ def stress_targets(tiny_world):
     return targets
 
 
+@pytest.fixture(scope="module")
+def class_targets(tiny_world):
+    """Every destination class the kernel branches on, each address twice.
+
+    ``stress_targets`` holds one target per subnet; here, for one subnet
+    of every (state, router policy) combination the world has, the batch
+    repeats the SRA address, the router interface, a host and an
+    unassigned in-subnet address — several rows of one subnet and one
+    router per batch — and adds alias-region, infrastructure (interface
+    and not), announced-but-unassigned, unrouted and loop targets.
+    """
+    world = tiny_world
+    chosen = {}
+    for subnet in world.subnets.values():
+        router = world.routers[subnet.router_id]
+        key = (
+            subnet.aliased,
+            subnet.flaky,
+            subnet.death_epoch is not None and subnet.death_epoch <= 3,
+            bool(subnet.hosts),
+            router.vendor.sra_behavior,
+            router.replies_from_peering and router.peering_lan_address is not None,
+            router.sra_from_primary,
+            router.unstable_reply_source,
+            router.errors_from_primary,
+            router.emits_unreachables,
+            router.answers_direct_ping,
+        )
+        chosen.setdefault(key, subnet)
+    seen = {flag: set() for flag in range(2, 11)}
+    for key in chosen:
+        for flag in seen:
+            seen[flag].add(key[flag])
+    # The world must offer both sides of every policy the kernel reads.
+    assert all(len(values) > 1 for values in seen.values()), seen
+    assert {key[:2] for key in chosen} >= {(False, False), (True, False), (False, True)}
+    targets = []
+    for subnet in chosen.values():
+        unassigned = subnet.prefix.first | 0xFFF7
+        assert unassigned not in subnet.hosts
+        assert unassigned != subnet.router_interface
+        targets += [subnet.sra_address, subnet.router_interface, unassigned]
+        targets += subnet.hosts[:1]
+    for region in world.alias_regions[:2]:
+        targets += [region.prefix.network, region.prefix.network | 0xBEEF]
+    for infra in list(world.infra_subnets.values())[:6]:
+        targets += list(infra.interfaces)[:2]
+        targets.append(infra.prefix.first | 0xFFF7)
+    for region in world.loop_regions[:3]:
+        targets += [region.prefix.network | offset for offset in (1, 2)]
+    targets += bgp_slash48_targets(
+        world.bgp, max_per_prefix=2, max_targets=60, rng=random.Random(9)
+    )
+    targets += [0xFD00 << 112 | index << 64 for index in range(4)]  # unrouted
+    targets += targets
+    random.Random(11).shuffle(targets)
+    return targets
+
+
 def scan_snapshot(result):
     """Everything a scan produced, in comparable form."""
     return (
@@ -168,12 +227,31 @@ class TestBatchPathEquivalence:
         assert batched == serial
         assert batch_engine.stats == serial_engine.stats
 
+    @staticmethod
+    def _assert_row_matches(cols, i, expected):
+        """Row ``i`` of ``cols`` holds what ``probe()`` returned."""
+        from repro.netsim.engine import FLAG_LOOPED, FLAG_LOST, FLAG_REPLY
+
+        flags = cols.flags[i]
+        assert bool(flags & FLAG_LOST) == expected.lost, i
+        if expected.lost:
+            return
+        assert bool(flags & FLAG_LOOPED) == expected.looped, i
+        assert bool(flags & FLAG_REPLY) == expected.replied, i
+        assert cols.transit[i] == expected.transit_hops, i
+        if expected.replied:
+            (reply,) = expected.replies
+            assert cols.source(i) == reply.source, i
+            assert cols.icmp_type[i] == int(reply.icmp_type), i
+            assert cols.code[i] == reply.code, i
+            assert cols.count[i] == reply.count, i
+            rid = cols.router_id[i]
+            assert (None if rid < 0 else rid) == reply.router_id, i
+
     def test_probe_columns_match_serial_probe(self, tiny_world, stress_targets):
         """Column-level contract: the packed verdict/source/TTL columns
         hold, row for row, exactly what the per-probe dataclass path
         produces — the columnar kernel vs dataclass bit-identity pin."""
-        from repro.netsim.engine import FLAG_LOOPED, FLAG_LOST, FLAG_REPLY
-
         targets = stress_targets[:600]
         times = [i / 150_000.0 for i in range(len(targets))]
         ids = list(range(len(targets)))
@@ -187,21 +265,72 @@ class TestBatchPathEquivalence:
         assert cols.n == len(serial)
         assert col_engine.stats == serial_engine.stats
         for i, expected in enumerate(serial):
-            flags = cols.flags[i]
-            assert bool(flags & FLAG_LOST) == expected.lost, i
-            if expected.lost:
-                continue
-            assert bool(flags & FLAG_LOOPED) == expected.looped, i
-            assert bool(flags & FLAG_REPLY) == expected.replied, i
-            assert cols.transit[i] == expected.transit_hops, i
-            if expected.replied:
-                (reply,) = expected.replies
-                assert cols.source(i) == reply.source, i
-                assert cols.icmp_type[i] == int(reply.icmp_type), i
-                assert cols.code[i] == reply.code, i
-                assert cols.count[i] == reply.count, i
-                rid = cols.router_id[i]
-                assert (None if rid < 0 else rid) == reply.router_id, i
+            self._assert_row_matches(cols, i, expected)
+
+    # 2**62 and -1 do not pack as one key word: the kernel's draws take
+    # their generic fallback there.
+    @pytest.mark.parametrize("epoch", [0, 3, 2**62, -1])
+    def test_kernel_matches_probe_on_every_destination_class(
+        self, tiny_world, class_targets, epoch
+    ):
+        """Several rows of one subnet and one router in a batch, at hop
+        limits on both sides of every transit length: ``probe_columns``
+        at batch sizes n and 1 equals one ``probe()`` per row."""
+        targets = class_targets
+        times = [i / 150_000.0 for i in range(len(targets))]
+        ids = [(epoch << 32) | i for i in range(len(targets))]
+        transits = {len(path) for path in tiny_world.paths.values()}
+        hop_limits = {0, 1, 64} | transits | {hops + 1 for hops in transits}
+        suppressed = errors = echoes = lost = loops = 0
+        for hop_limit in sorted(hop_limits):
+            serial_engine = SimulationEngine(tiny_world, epoch=epoch)
+            serial = [
+                serial_engine.probe(
+                    target, time, hop_limit=hop_limit, probe_id=probe_id
+                )
+                for target, time, probe_id in zip(targets, times, ids)
+            ]
+            batch_engine = SimulationEngine(tiny_world, epoch=epoch)
+            cols = batch_engine.probe_columns(
+                targets, times, hop_limit=hop_limit, probe_ids=ids
+            )
+            assert batch_engine.stats == serial_engine.stats, hop_limit
+            single_engine = SimulationEngine(tiny_world, epoch=epoch)
+            for i, expected in enumerate(serial):
+                self._assert_row_matches(cols, i, expected)
+                single = single_engine.probe_columns(
+                    targets[i : i + 1],
+                    times[i : i + 1],
+                    hop_limit=hop_limit,
+                    probe_ids=ids[i : i + 1],
+                )
+                self._assert_row_matches(single, 0, expected)
+            assert single_engine.stats == serial_engine.stats, hop_limit
+            stats = serial_engine.stats
+            suppressed += stats.suppressed_errors
+            errors += stats.error_replies
+            echoes += stats.echo_replies
+            lost += stats.lost
+            loops += stats.loops_hit
+        # every effect is exercised, the rate limiter on both sides
+        assert suppressed and errors and echoes and lost and loops
+
+    @pytest.mark.parametrize("epoch", [0, 3, 2**62, -1])
+    @pytest.mark.parametrize("hop_limit", [1, 3, 64])
+    def test_deferred_shards_replay_to_serial_on_every_class(
+        self, tiny_world, class_targets, epoch, hop_limit
+    ):
+        """Four deferred shards plus the merge's rate-limit replay
+        through ``error_allowed()`` equal the serial scan."""
+        config = ScanConfig(pps=150_000.0, seed=5, hop_limit=hop_limit)
+        serial = ZMapV6Scanner(
+            SimulationEngine(tiny_world, epoch=epoch), config
+        ).scan(class_targets, name="scan", epoch=epoch)
+        sharded = ShardedScanRunner(
+            tiny_world, shards=4, executor="thread"
+        ).scan(class_targets, config, name="scan", epoch=epoch)
+        assert serial.engine_stats.suppressed_errors
+        assert scan_snapshot(sharded) == scan_snapshot(serial)
 
 
 class TestFig5Determinism:

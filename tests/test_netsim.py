@@ -389,6 +389,46 @@ class TestEngineRateLimiting:
         # replies as the first epoch rather than zero.
         assert second >= first * 0.3
 
+    @pytest.mark.parametrize("epoch", [0, 3, 2**62])
+    def test_window_gate_is_a_pure_function_of_the_window(self, tiny_world, epoch):
+        """The limiter remembers one window's draw per router; that is a
+        memo, not state: times that step back and forth across window
+        boundaries (what a deferred replay or a clamped clock may feed
+        it) get the pure per-window draw, then the bucket."""
+        times = [0.2, 0.7, 1.1, 0.9, 1.3, 0.95, 2.5, 1.99, 2.01, 0.1, 3.4,
+                 2.2, 3.6, 5.0, 4.999, 5.001, 0.0, 5.5]  # fmt: skip
+        seed = tiny_world.seed
+        outcomes = set()
+        loaded = [
+            router
+            for router in tiny_world.routers.values()
+            if router.background_error_load > 0.0
+        ]
+        assert loaded
+        for router in loaded[:40]:
+            rid, vendor = router.router_id, router.vendor
+            load = min(
+                0.95,
+                router.background_error_load
+                * (0.5 + stable_unit(seed, b"bgjit", rid, epoch)),
+            )
+            bucket = TokenBucket(
+                vendor.error_rate * (1.0 - load),
+                vendor.error_burst,
+                initial=vendor.error_burst
+                * (1.0 - stable_unit(seed, b"bgjit", rid, epoch, 1) * load),
+            )
+            engine = SimulationEngine(tiny_world, epoch=epoch)
+            for time in times * 4:  # four passes: enough to drain a bucket
+                suppressed = stable_bool(
+                    seed, b"bgwin", load, rid, epoch, int(time / 1.0)
+                )
+                expected = not suppressed and bucket.allow(time)
+                assert engine.error_allowed(rid, time) == expected, (rid, time)
+                outcomes.add((suppressed, expected))
+        # windows on and off, bucket full and empty
+        assert outcomes == {(True, False), (False, True), (False, False)}
+
     def test_stats_counters(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=0)
         subnet = _subnet_with_behavior(tiny_world, SRABehavior.REPLY)

@@ -224,15 +224,15 @@ class TestZMapScanner:
     def test_permutation_off_is_sequential(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=0)
         scanner = ZMapV6Scanner(engine, ScanConfig(pps=1000, permute=False))
-        order = [index for _, index in scanner._probe_positions(5)]
+        order = list(scanner._probe_window(5)[1])
         assert order == [0, 1, 2, 3, 4]
 
     def test_epoch_reseeds_order(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=0)
         scanner = ZMapV6Scanner(engine, ScanConfig(pps=1000, seed=5))
-        order0 = [index for _, index in scanner._probe_positions(100)]
+        order0 = list(scanner._probe_window(100)[1])
         engine.new_epoch(1)
-        order1 = [index for _, index in scanner._probe_positions(100)]
+        order1 = list(scanner._probe_window(100)[1])
         assert order0 != order1
         assert sorted(order0) == sorted(order1)
 

@@ -92,9 +92,7 @@ class TestShardPartitioning:
                     pps=1000, seed=9, shard=shard, shards=shards, permute=permute
                 ),
             )
-            streams.append(
-                [index for _, index in scanner._probe_positions(size)]
-            )
+            streams.append(list(scanner._probe_window(size)[1]))
         seen = set()
         for stream in streams:
             as_set = set(stream)
@@ -109,9 +107,11 @@ class TestShardPartitioning:
         size, shards = 200, 3
         serial_engine = SimulationEngine(tiny_world, epoch=0)
         serial = list(
-            ZMapV6Scanner(
-                serial_engine, ScanConfig(pps=1000, seed=9)
-            )._probe_positions(size)
+            zip(
+                *ZMapV6Scanner(
+                    serial_engine, ScanConfig(pps=1000, seed=9)
+                )._probe_window(size)
+            )
         )
         sharded = []
         for shard in range(shards):
@@ -119,7 +119,7 @@ class TestShardPartitioning:
             scanner = ZMapV6Scanner(
                 engine, ScanConfig(pps=1000, seed=9, shard=shard, shards=shards)
             )
-            sharded.extend(scanner._probe_positions(size))
+            sharded.extend(zip(*scanner._probe_window(size)))
         assert sorted(sharded) == serial
 
 

@@ -8,8 +8,16 @@ pinned — not just statistical properties.
 """
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.netsim.stochastic import base_hasher, stable_bool, stable_unit
+from repro.netsim.stochastic import (
+    base_hasher,
+    bernoulli_threshold,
+    prepared_unit,
+    stable_bool,
+    stable_unit,
+)
 
 # (seed, purpose, keys) -> exact stable_unit output of the pre-rewrite
 # implementation.  Chosen to cover every packing branch:
@@ -73,6 +81,106 @@ class TestStableUnitGolden:
         stable_unit(7, b"flaky", 99)
         stable_unit(8, b"loss", 1, 2, 3)
         assert stable_unit(7, b"loss", 1, 2, 3) == first
+
+
+class TestPreparedUnit:
+    """The prepared draw is ``stable_unit`` with the set-up hoisted."""
+
+    @pytest.mark.parametrize(
+        "seed,purpose,keys,expected",
+        [(s, p, k, v) for (s, p, k), v in GOLDEN.items()],
+        ids=[f"{s}/{p.decode()}/{len(k)}keys" for (s, p, k) in GOLDEN],
+    )
+    def test_reproduces_every_golden(self, seed, purpose, keys, expected):
+        # Covers the fast path (small non-negative words), the > 62-bit
+        # split and negative words (fallback), and the zero- and
+        # nine-plus-word counts that have no prebuilt packer.
+        assert prepared_unit(seed, purpose, len(keys))(*keys) == expected
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            (0, 0, 0),
+            (5, 3, (1 << 62) - 1),  # the last word that packs as itself
+            (5, 3, 1 << 62),
+            (1 << 62, 3, 4),
+            (5, 1 << 63, 4),
+            (5, 3, (1 << 128) - 1),
+            (-1, 3, 4),
+            (5, 3, -1),
+            (5, -(1 << 63), 4),
+        ],
+    )
+    def test_out_of_range_words_fall_back_and_match(self, words):
+        unit = prepared_unit(7, b"bgwin", 3)
+        assert unit(*words) == stable_unit(7, b"bgwin", *words)
+
+    def test_repeated_draws_identical(self):
+        unit = prepared_unit(7, b"bgjit", 2)
+        first = unit(12, 3)
+        unit(13, 3)
+        assert unit(12, 3) == first == stable_unit(7, b"bgjit", 12, 3)
+
+
+# Every probability the engine draws with, and the edges of the range.
+PROBABILITIES = (
+    0.0, 5e-324, 0.01, 0.5, 0.55, 0.85, 0.96, 1 - 2**-53, 1.0, 1.5
+)  # fmt: skip
+
+
+def _below(digest: bytes, probability: float) -> bool:
+    """The draw ``stable_unit`` callers make on a digest."""
+    return int.from_bytes(digest, "big") / 2**64 < probability
+
+
+class TestBernoulliThreshold:
+    """``digest < T(p)`` is ``unit(digest) < p``, for every digest."""
+
+    @staticmethod
+    def _check(probability, values):
+        threshold = bernoulli_threshold(probability)
+        edge = int.from_bytes(threshold, "big")
+        for value in (*values, edge - 1, edge, edge + 1, 0, 2**64 - 1):
+            digest = min(max(value, 0), 2**64 - 1).to_bytes(8, "big")
+            assert (digest < threshold) == _below(digest, probability), (
+                probability,
+                value,
+            )
+
+    @pytest.mark.parametrize("probability", PROBABILITIES)
+    def test_engine_probabilities_at_the_edge(self, probability):
+        self._check(probability, ())
+
+    @given(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.lists(st.integers(0, 2**64 - 1), max_size=8),
+    )
+    @example(float("nan"), [0])
+    @example(float("inf"), [2**64 - 1])
+    @example(-0.0, [0])
+    @example(2**-64, [0, 1, 2])
+    def test_equivalent_for_any_probability(self, probability, values):
+        self._check(probability, values)
+
+    @given(st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+    def test_equivalent_on_the_unit_interval(self, probability, value):
+        self._check(probability, (value,))
+
+    def test_degenerate_probabilities(self):
+        assert bernoulli_threshold(0.0) == bytes(8)  # nothing is below
+        assert bytes([255] * 8) < bernoulli_threshold(1.5)  # everything is
+        # 1.0 is not "always": units within 2**-54 of 1 round up to it.
+        assert bernoulli_threshold(1.0) == (2**64 - 2**10).to_bytes(8, "big")
+
+    def test_agrees_with_stable_bool_on_a_real_draw(self):
+        for probability in PROBABILITIES[2:7]:
+            threshold = bernoulli_threshold(probability)
+            for key in range(200):
+                hasher = base_hasher(7, b"loss").copy()
+                hasher.update((key).to_bytes(8, "big"))
+                assert (hasher.digest() < threshold) == stable_bool(
+                    7, b"loss", probability, key
+                )
 
 
 class TestBaseHasher:
