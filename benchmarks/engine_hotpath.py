@@ -17,14 +17,16 @@ Results go to ``benchmarks/results/BENCH_engine.json``.  The rates are
 printed and recorded, not gated: the speed gate is ``probes_per_s`` on
 ``rescan_hot`` in ``benchmarks/e2e``, whose seconds are corrected for
 host speed and whose targets leave the block caches (see below).
-``--check`` fails on **any byte difference** in the records JSONL,
+``--check`` fails on **any byte difference** in the records JSONL / CSV,
 Prometheus text, or telemetry JSONL between chunk sizes 1/1024 and
-1/4-way sharding, on the in-memory world and on its artifact-backed twin
-(the CI smoke-perf gate: chunking, sharding and the world's
-representation — dict FIB or ``FrozenLPM`` — must be invisible in the
-output).  The ``ProbeBackend`` seam is not timed here —
-``benchmarks/e2e`` measures it as the ``scanner.backends.sim.seam_s``
-span of ``rescan_hot``.
+1/4-way sharding, with and without a ``RetryPolicy`` (the resilience
+wrapper around the columnar kernel), streamed through the text sinks or
+written from the buffered result, on the in-memory world and on its
+artifact-backed twin (the CI smoke-perf gate: chunking, sharding, the
+wrapper, the sinks and the world's representation — dict FIB or
+``FrozenLPM`` — must be invisible in the output).  The ``ProbeBackend``
+seam is not timed here — ``benchmarks/e2e`` measures it as the
+``scanner.backends.sim.seam_s`` span of ``rescan_hot``.
 Every report also carries the shared-memory ring transport counters from
 one process-pool scan, uploaded by CI as an artifact.
 
@@ -161,25 +163,31 @@ def verify_byte_identity(world: World, workloads: dict) -> list[str]:
 
     Runs one mixed workload (routed + loop + rate-limited) through the
     serial scanner at chunk sizes 1 and 1024 and through a 4-way sharded
-    runner, comparing the records JSONL, the telemetry JSONL and the
-    Prometheus text.  Chunk size must change nothing; sharding must
+    runner, comparing the records JSONL and CSV, the telemetry JSONL and
+    the Prometheus text.  Chunk size must change nothing; sharding must
     change nothing in records and Prometheus (the telemetry event stream
     legitimately reports its own shard count).  The same three runs are
-    then made on the world's artifact-backed twin — every routing lookup
-    a ``FrozenLPM`` one, almost every one of them a block-cache miss —
-    and held to the in-memory world's bytes.  Returns human-readable
-    failure strings, empty when identical.
+    made again under a ``RetryPolicy`` (the resilience wrapper around the
+    columnar kernel, nothing to recover from), once streamed through
+    ``JsonlSink`` + ``CsvSink`` behind a ``TeeSink`` (the files must be
+    ``ScanResult.write_jsonl`` / ``write_csv``'s), and on the world's
+    artifact-backed twin — every routing lookup a ``FrozenLPM`` one,
+    almost every one of them a block-cache miss — all held to the first
+    run's bytes.  Returns human-readable failure strings, empty when
+    identical.
     """
     import tempfile
 
+    from repro.scanner.backends import RetryPolicy
     from repro.scanner.sharded import ShardedScanRunner
+    from repro.scanner.stream import CsvSink, JsonlSink, TeeSink
     from repro.telemetry import ScanTelemetry
 
     targets: list[int] = []
     for name in ("routed", "loop", "rate_limited"):
         targets.extend(workloads[name][0][:1_500])
 
-    def serial(world, batch_size):
+    def serial(world, batch_size, retry_policy=None, sink=None):
         telemetry = ScanTelemetry()
         engine = SimulationEngine(world, epoch=0)
         scanner = ZMapV6Scanner(
@@ -189,43 +197,79 @@ def verify_byte_identity(world: World, workloads: dict) -> list[str]:
                 seed=3,
                 batch_size=batch_size,
                 progress_every=1_000,
+                retry_policy=retry_policy,
             ),
             telemetry=telemetry,
         )
-        return scanner.scan(targets, name="bench"), telemetry
+        return scanner.scan(targets, name="bench", sink=sink), telemetry
 
-    def sharded(world, shards):
+    def sharded(world, shards, retry_policy=None):
         telemetry = ScanTelemetry()
         runner = ShardedScanRunner(
             world, shards=shards, executor="thread", telemetry=telemetry
         )
         result = runner.scan(
             targets,
-            ScanConfig(pps=200_000.0, seed=3, progress_every=1_000),
+            ScanConfig(
+                pps=200_000.0,
+                seed=3,
+                progress_every=1_000,
+                retry_policy=retry_policy,
+            ),
             name="bench",
         )
         return result, telemetry
 
-    def jsonl_bytes(result):
+    def written_bytes(result):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "records.jsonl"
-            result.write_jsonl(path)
-            return path.read_bytes()
+            result.write_jsonl(Path(tmp) / "records.jsonl")
+            result.write_csv(Path(tmp) / "records.csv")
+            return (
+                (Path(tmp) / "records.jsonl").read_bytes(),
+                (Path(tmp) / "records.csv").read_bytes(),
+            )
 
     failures = []
     base_result, base_tel = serial(world, 1)
-    base_bytes = jsonl_bytes(base_result)
+    base_bytes = written_bytes(base_result)
 
-    def compare(label, result, telemetry, events=True):
-        if jsonl_bytes(result) != base_bytes:
-            failures.append(f"records JSONL differs: {label}")
+    def prometheus(telemetry, streamed):
+        text = telemetry.to_prometheus()
+        if streamed:
+            # The one gauge that says which mode ran: a streamed scan
+            # buffers no records.
+            text = text.replace(
+                "sra_scan_records_buffered 0\n",
+                f"sra_scan_records_buffered {base_result.received}\n",
+            )
+        return text
+
+    def compare(label, result, telemetry, events=True, streamed=None):
+        if (streamed or written_bytes(result)) != base_bytes:
+            failures.append(f"records JSONL/CSV differ: {label}")
         if events and telemetry.to_jsonl() != base_tel.to_jsonl():
             failures.append(f"telemetry JSONL differs: {label}")
-        if telemetry.to_prometheus() != base_tel.to_prometheus():
+        if prometheus(telemetry, streamed) != prometheus(base_tel, False):
             failures.append(f"Prometheus text differs: {label}")
 
     compare("batch 1024 vs 1", *serial(world, 1024))
     compare("4 shards vs serial", *sharded(world, 4), events=False)
+    # The resilience wrapper passes the columnar kernel through: a policy
+    # with nothing to recover from must be invisible.
+    policy = RetryPolicy(max_retries=2)
+    compare("retry policy, batch 1", *serial(world, 1, policy))
+    compare("retry policy, batch 1024", *serial(world, 1024, policy))
+    compare("retry policy, 4 shards", *sharded(world, 4, policy), events=False)
+    # Streamed: the sinks' chunked writes are the buffered writers' bytes.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = Path(tmp) / "records.jsonl", Path(tmp) / "records.csv"
+        with TeeSink((JsonlSink(paths[0]), CsvSink(paths[1]))) as sink:
+            streamed = serial(world, 1024, sink=sink)
+        compare(
+            "streamed through TeeSink",
+            *streamed,
+            streamed=tuple(path.read_bytes() for path in paths),
+        )
     with tempfile.TemporaryDirectory() as tmp:
         twin = build_world_artifact(
             tiny_config(seed=world.seed), Path(tmp) / "world.sraw"
@@ -305,8 +349,8 @@ def main(argv=None):
         if failures:
             return 1
         print(
-            "byte-identity ok (batch 1/1024, shards 1/4, "
-            "in-memory and artifact world)"
+            "byte-identity ok (batch 1/1024, shards 1/4, retry policy, "
+            "streamed sinks, in-memory and artifact world)"
         )
     return 0
 

@@ -158,6 +158,18 @@ _ECHO_BYTE = bytes([int(ICMPv6Type.ECHO_REPLY)])
 _ONE_Q = array("Q", [1]).tobytes()
 
 
+_RESULT_COLUMNS = (
+    "flags",
+    "source_hi",
+    "source_lo",
+    "icmp_type",
+    "code",
+    "count",
+    "router_id",
+    "transit",
+)
+
+
 class ProbeColumns:
     """One probe batch as packed parallel columns (structure-of-arrays).
 
@@ -184,14 +196,7 @@ class ProbeColumns:
         "n",
         "targets",
         "times",
-        "flags",
-        "source_hi",
-        "source_lo",
-        "icmp_type",
-        "code",
-        "count",
-        "router_id",
-        "transit",
+        *_RESULT_COLUMNS,
         "_zero_fill",
         "_echo_fill",
         "_ones_fill",
@@ -239,6 +244,22 @@ class ProbeColumns:
         memoryview(self.icmp_type)[:n] = self._echo_fill[:n]
         memoryview(self.code)[:n] = self._zero_fill[:n]
         memoryview(self.count).cast("B")[: 8 * n] = self._ones_fill[: 8 * n]
+
+    def blank(self, targets: Sequence[int], times: Sequence[float]) -> None:
+        """Become the batch ``(targets, times)`` with every row "probed,
+        no reply" — what the kernel starts from, and what a quarantined
+        batch stays."""
+        n = len(targets)
+        self.reserve(n)
+        self.targets = targets
+        self.times = times
+        memoryview(self.flags)[:n] = self._zero_fill[:n]
+
+    def splice(self, offset: int, rows: "ProbeColumns") -> None:
+        """Copy the result columns of ``rows`` in at row ``offset``."""
+        end = offset + rows.n
+        for name in _RESULT_COLUMNS:
+            getattr(self, name)[offset:end] = getattr(rows, name)[: rows.n]
 
     def source(self, i: int) -> int:
         """The reply source address of row ``i`` as a 128-bit int."""
@@ -403,11 +424,11 @@ class SimulationEngine:
     ) -> ProbeColumns:
         """Send one Echo Request per target, filling packed result columns.
 
-        This is the scanner's hot path — the single batched kernel behind
-        :meth:`probe_batch`.  Instead of one ``ProbeResult``/``Reply``
-        allocation per probe it writes parallel ``array`` columns, in
-        three phases, all in probe order, that together stay bit-identical
-        to calling :meth:`probe` once per ``(target, time, probe_id)``:
+        This is the scanner's hot path and the only batched kernel.
+        Instead of one ``ProbeResult``/``Reply`` allocation per probe it
+        writes parallel ``array`` columns, in three phases, all in probe
+        order, that together stay bit-identical to calling :meth:`probe`
+        once per ``(target, time, probe_id)``:
 
         A. *Loss draws* — pure keyed-hash draws with the hasher primed
            once per batch and copied per probe; digest bytes are compared
@@ -432,11 +453,8 @@ class SimulationEngine:
         epoch = self.epoch
         n = len(targets)
         cols = out if out is not None else ProbeColumns()
-        cols.reserve(n)
-        cols.targets = targets
-        cols.times = times
+        cols.blank(targets, times)
         flags = cols.flags
-        memoryview(flags)[:n] = cols._zero_fill[:n]
 
         # -------- phase A: loss draws --------------------------------- #
         # Same digest stream as stable_bool(seed, b"loss", loss, target,
@@ -751,74 +769,6 @@ class SimulationEngine:
 
         stats.echo_replies += echo_replies
         return cols
-
-    def probe_batch(
-        self,
-        targets: list[int],
-        times: list[float],
-        *,
-        hop_limit: int = 64,
-        probe_ids: list[int] | None = None,
-    ) -> list[ProbeResult]:
-        """Send one Echo Request per target; bit-identical to calling
-        :meth:`probe` once per ``(target, time, probe_id)`` in order.
-
-        Compatibility adapter over :meth:`probe_columns` — the columnar
-        kernel is the single batched implementation; this reconstructs the
-        per-probe dataclasses from its packed result columns.
-        """
-        cols = self.probe_columns(
-            targets, times, hop_limit=hop_limit, probe_ids=probe_ids
-        )
-        epoch = self.epoch
-        flags = cols.flags
-        source_hi = cols.source_hi
-        source_lo = cols.source_lo
-        icmp_col = cols.icmp_type
-        code_col = cols.code
-        count_col = cols.count
-        rid_col = cols.router_id
-        transit_col = cols.transit
-        results: list[ProbeResult] = []
-        append = results.append
-        for i in range(len(targets)):
-            f = flags[i]
-            if f & FLAG_LOST:
-                append(ProbeResult(targets[i], times[i], epoch, lost=True))
-                continue
-            looped = bool(f & FLAG_LOOPED)
-            if f & FLAG_REPLY:
-                rid = rid_col[i]
-                count = count_col[i]
-                reply = Reply(
-                    (source_hi[i] << 64) | source_lo[i],
-                    ICMPv6Type(icmp_col[i]),
-                    code_col[i],
-                    count=count,
-                    router_id=None if rid < 0 else rid,
-                )
-                append(
-                    ProbeResult(
-                        targets[i],
-                        times[i],
-                        epoch,
-                        replies=(reply,),
-                        looped=looped,
-                        amplification=count if looped else 0,
-                        transit_hops=transit_col[i],
-                    )
-                )
-            else:
-                append(
-                    ProbeResult(
-                        targets[i],
-                        times[i],
-                        epoch,
-                        looped=looped,
-                        transit_hops=transit_col[i],
-                    )
-                )
-        return results
 
     # ------------------------------------------------------------------ #
     # destination behaviours

@@ -26,12 +26,14 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from pathlib import Path
 
+from ..packet.icmpv6 import ICMPv6Type
 from ..scanner.backends.base import BackendError, BackendSpec, ProbeBackend
+from .engine import FLAG_REPLY
 from .stochastic import stable_unit
 
 if TYPE_CHECKING:
     from ..topology.entities import World
-    from .engine import EngineStats, ProbeResult
+    from .engine import EngineStats, ProbeColumns, ProbeResult
 
 __all__ = [
     "ChaosEngine",
@@ -45,6 +47,8 @@ __all__ = [
     "truncate_tail",
 ]
 
+_ECHO_REPLY = int(ICMPv6Type.ECHO_REPLY)
+
 # Exit status a hard-crashed worker dies with; chosen to be recognisable
 # in pool post-mortems and unlike any real Python exit code.
 HARD_CRASH_EXIT = 66
@@ -55,7 +59,7 @@ class InjectedCrash(RuntimeError):
 
 
 class InjectedBackendError(BackendError):
-    """A deliberate, planned ``send_batch`` failure (transport fault)."""
+    """A deliberate, planned batch-send failure (transport fault)."""
 
 
 class InjectedSinkError(OSError):
@@ -93,7 +97,7 @@ class FaultPlan:
     interrupt_after_shards: int | None = None
 
     # ---- backend-level transport faults (FaultyBackend) ---- #
-    # Fated batches raise InjectedBackendError from send_batch.  Batch
+    # Fated batches raise InjectedBackendError from the send.  Batch
     # identity is the ordinal of the first sighting (stable across
     # retries of the same batch; split sub-batches get fresh ordinals).
     #
@@ -113,13 +117,13 @@ class FaultPlan:
     # A fated batch fails its first N send attempts (retries then
     # succeed); None makes the fault permanent (every attempt fails).
     backend_error_attempts: int | None = 1
-    # Hang the first attempt of this batch ordinal: send_batch blocks
+    # Hang the first attempt of this batch ordinal: the send blocks
     # (before touching the wrapped backend) until the chaos backend is
     # closed, then raises — the shape of a wedged raw socket.
     backend_hang_batch: int | None = None
-    # Return a truncated outcome list (one outcome short) from the first
-    # attempt of this batch ordinal — a seam-contract violation the
-    # resilience layer must catch and retry.
+    # Return a truncated result (one outcome, or one column row, short)
+    # from the first attempt of this batch ordinal — a seam-contract
+    # violation the resilience layer must catch and retry.
     backend_short_batch: int | None = None
     # Eat every echo reply in flight: probes are sent, replies never
     # arrive (stats stay coherent — the eaten replies are uncounted).
@@ -201,6 +205,10 @@ class FaultyBackend(ProbeBackend):
     the fault-free byte stream — the property the chaos contract tests
     pin for every registered backend.
 
+    Both calls of the seam pass through under the same faults
+    (:meth:`_before_send`), and ``supports_columns`` mirrors the wrapped
+    backend: a scan over ``sim`` stays on the columnar kernel under chaos.
+
     Batch identity: the ordinal of first sighting, keyed on
     ``(len, first target, last target)`` — retries of a batch keep their
     ordinal, split sub-batches get fresh ones.
@@ -217,8 +225,7 @@ class FaultyBackend(ProbeBackend):
         self._hang_fired = False
         self._release = threading.Event()
         self.name = inner.name
-        # Faults only fire through send_batch, never the columnar kernel.
-        self.supports_columns = False
+        self.supports_columns = inner.supports_columns
         self.deterministic = inner.deterministic
         self.requires_privilege = inner.requires_privilege
 
@@ -329,6 +336,45 @@ class FaultyBackend(ProbeBackend):
         hop_limit: int = 64,
         probe_ids: Sequence[int] | None = None,
     ) -> "list[ProbeResult]":
+        short = self._before_send(targets)
+        outcomes = self.inner.send_batch(
+            targets, times, hop_limit=hop_limit, probe_ids=probe_ids
+        )
+        if short:
+            return outcomes[:-1]
+        if self.plan.backend_blackhole:
+            outcomes = [self._eat_replies(outcome) for outcome in outcomes]
+        return outcomes
+
+    def probe_columns(
+        self,
+        targets: Sequence[int],
+        times: Sequence[float],
+        *,
+        hop_limit: int = 64,
+        probe_ids: Sequence[int] | None = None,
+        out: "ProbeColumns | None" = None,
+    ) -> "ProbeColumns":
+        """A short batch is ``cols.n`` one short; an eaten echo row is
+        "probed, no reply"."""
+        short = self._before_send(targets)
+        cols = self.inner.probe_columns(
+            targets, times, hop_limit=hop_limit, probe_ids=probe_ids, out=out
+        )
+        if short:
+            cols.n -= 1
+        elif self.plan.backend_blackhole:
+            flags, icmp_type = cols.flags, cols.icmp_type
+            for row in range(cols.n):
+                if flags[row] & FLAG_REPLY and icmp_type[row] == _ECHO_REPLY:
+                    flags[row] ^= FLAG_REPLY
+                    self.inner.stats.echo_replies -= 1
+        return cols
+
+    def _before_send(self, targets: Sequence[int]) -> bool:
+        """Count this attempt against its batch and act out a planned hang
+        or error — before the wrapped backend is touched.  Returns whether
+        the plan wants this attempt's result one row short."""
         plan = self.plan
         key = (
             len(targets),
@@ -359,18 +405,11 @@ class FaultyBackend(ProbeBackend):
                 f"injected backend error "
                 f"(shard {self.shard}, batch {ordinal}, attempt {attempt})"
             )
-        outcomes = self.inner.send_batch(
-            targets, times, hop_limit=hop_limit, probe_ids=probe_ids
-        )
-        if (
+        return (
             ordinal == plan.backend_short_batch
             and attempt == 0
-            and len(outcomes) > 1
-        ):
-            return outcomes[:-1]
-        if plan.backend_blackhole:
-            outcomes = [self._eat_replies(outcome) for outcome in outcomes]
-        return outcomes
+            and len(targets) > 1
+        )
 
     def _eat_replies(self, outcome: "ProbeResult") -> "ProbeResult":
         kept = tuple(r for r in outcome.replies if not r.is_echo)

@@ -27,7 +27,9 @@ sharded runner refuses non-deterministic backends *before* building
 anything):
 
 * ``supports_columns`` — the backend offers the columnar
-  ``probe_columns`` hot path (today: the simulator only),
+  ``probe_columns`` call, and a scan then makes no other (today: the
+  simulator, and wrappers around it, which mirror the wrapped backend's
+  flag); ``send_batch`` is all that ``wire-sim`` and ``raw`` have,
 * ``deterministic`` — byte-identical outcomes for identical inputs;
   required for sharded merges, checkpoint resume, and golden tests,
 * ``requires_privilege`` — needs raw-socket privileges (and explicit
@@ -211,7 +213,8 @@ class ProbeBackend(ABC):
         probe_ids: Sequence[int] | None = None,
     ) -> "list[ProbeResult]":
         """Send one probe per ``(target, time)`` row; one outcome per row,
-        in row order, replies matched back by probe id."""
+        in row order, replies matched back by probe id.  The column-less
+        call: what a scan makes on a backend without ``probe_columns``."""
 
     def probe(
         self, target: int, time: float, *, hop_limit: int = 64, probe_id: int = 0
@@ -230,7 +233,8 @@ class ProbeBackend(ABC):
         probe_ids: Sequence[int] | None = None,
         out: "ProbeColumns | None" = None,
     ) -> "ProbeColumns":
-        """The columnar kernel; only when :attr:`supports_columns`."""
+        """The columnar call; only when :attr:`supports_columns`.  Read
+        the columns *returned*: usually ``out``, but not necessarily."""
         raise NotImplementedError(
             f"backend {self.name!r} has no columnar probe path"
         )

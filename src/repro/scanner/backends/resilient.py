@@ -2,7 +2,7 @@
 
 PR 5 made the scanner crash-tolerant at the *shard process* level: a
 dead worker costs a whole-shard retry.  That is the wrong granularity
-for transient transport trouble — one failed ``send_batch`` out of
+for transient transport trouble — one failed batch out of
 thousands, a wedged raw socket, an RFC 4443 rate limiter eating a burst.
 This module adds resilience at the :class:`ProbeBackend` seam itself,
 where a fault costs at most one batch:
@@ -30,16 +30,20 @@ Every attempt is transactional: the wrapper snapshots the inner
 backend's ``stats``, ``pending_checks`` length, and ``unmatched_replies``
 before delegating and rolls all three back on failure, so a retried
 batch never double-counts probes or double-appends deferred rate-limit
-checks — the property that keeps retried runs byte-identical to
-fault-free ones (pinned by the backend contract suite).
+checks — which keeps a retried run byte-identical to a fault-free one
+(pinned by the backend contract suite) **over a deferred engine**, as
+every journalled, sharded or chaos run has.  A live engine also drains
+token buckets, which are not snapshotted: an attempt that fails *after*
+probing a live rate limiter (``stats.probes`` moved) is not sent again —
+neither retried nor bisected — but quarantined, ``"unrepeatable"``.
 
 The wrapper is built *around* an existing backend (never from a spec,
 never registered): nesting a policy inside ``BackendSpec`` options would
-break the plain-data spec contract.  ``supports_columns`` is ``False``
-on the wrapper — resilient scans take the ``send_batch`` path, whose
-records/telemetry are byte-identical to the columnar path's (the hot
-path determinism suite pins that equivalence), trading kernel throughput
-for per-batch rollback only when a policy is actually configured.
+break the plain-data spec contract.  ``supports_columns`` mirrors the
+inner backend, and ``probe_columns`` and ``send_batch`` (the column-less
+call: ``wire-sim``, ``raw``) run the *same* breaker / attempt / bisect /
+quarantine body, differing only in the inner call made and in the shape
+of a quiet or spliced result (zeroed flag rows, reply-less outcomes).
 """
 
 from __future__ import annotations
@@ -49,9 +53,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ...netsim.engine import ProbeResult
+from ...netsim.engine import ProbeColumns, ProbeResult
 from ...netsim.stochastic import stable_unit
 from .base import BackendError, BackendSpec, ProbeBackend
 
@@ -61,7 +66,7 @@ if TYPE_CHECKING:
 
 
 class BackendTimeoutError(BackendError):
-    """A ``send_batch`` call exceeded the policy's watchdog deadline."""
+    """A send exceeded the policy's watchdog deadline."""
 
 
 _JITTER_PURPOSE = b"backend-retry-jitter"
@@ -165,7 +170,7 @@ class BackendFault:
     probes: int  # probes quarantined with it
     attempts: int  # send attempts made before giving up
     error: str  # last failure, e.g. "InjectedBackendError: ..."
-    reason: str  # "exhausted" or "breaker-open"
+    reason: str  # "exhausted", "unrepeatable" or "breaker-open"
 
 
 @dataclass
@@ -273,9 +278,6 @@ class CircuitBreaker:
             self._window.clear()
 
 
-_FAILED = object()  # sentinel: an attempt loop exhausted its retries
-
-
 class ResilientBackend(ProbeBackend):
     """Wraps any :class:`ProbeBackend` with a :class:`RetryPolicy`.
 
@@ -312,11 +314,9 @@ class ResilientBackend(ProbeBackend):
                 cooldown=policy.breaker_cooldown,
                 clock=clock,
             )
-        # Instance-level capability flags mirror the wrapped backend —
-        # except supports_columns: resilient scans take the send_batch
-        # path (byte-identical output, per-batch rollback).
+        # Instance-level capability flags mirror the wrapped backend.
         self.name = inner.name
-        self.supports_columns = False
+        self.supports_columns = inner.supports_columns
         self.deterministic = inner.deterministic
         self.requires_privilege = inner.requires_privilege
 
@@ -396,19 +396,40 @@ class ResilientBackend(ProbeBackend):
         hop_limit: int = 64,
         probe_ids: Sequence[int] | None = None,
     ) -> "list[ProbeResult]":
+        return self._batch(targets, times, hop_limit, probe_ids, None)
+
+    def probe_columns(
+        self,
+        targets: Sequence[int],
+        times: Sequence[float],
+        *,
+        hop_limit: int = 64,
+        probe_ids: Sequence[int] | None = None,
+        out: ProbeColumns | None = None,
+    ) -> ProbeColumns:
+        """Read the columns this *returns*: a watchdog attempt never runs
+        into ``out``."""
+        cols = ProbeColumns() if out is None else out
+        return self._batch(targets, times, hop_limit, probe_ids, cols)
+
+    def _batch(self, targets, times, hop_limit, probe_ids, cols):
+        """One batch through breaker, attempts, bisection and quarantine.
+        ``cols`` picks the inner call and its result's shape: None for
+        ``send_batch`` outcome lists, else the ``probe_columns`` buffer."""
         self._batch_ordinal += 1
         ordinal = self._batch_ordinal
         if self.breaker is not None and not self.breaker.allow():
             # Fail fast: the breaker is open, the backend is not touched.
             self.resilience.breaker_fastfails += 1
             self._quarantine(ordinal, len(targets), 0, "breaker-open")
-            return self._quiet(targets, times)
+            return self._quiet(targets, times, cols)
         outcomes, quarantined = self._recover(
             ordinal,
             targets,
             times,
             hop_limit,
             probe_ids,
+            cols,
             retries=self.policy.max_retries,
             depth=0,
         )
@@ -428,36 +449,49 @@ class ResilientBackend(ProbeBackend):
         times: Sequence[float],
         hop_limit: int,
         probe_ids: Sequence[int] | None,
+        cols: ProbeColumns | None,
         *,
         retries: int,
         depth: int,
-    ) -> tuple["list[ProbeResult]", bool]:
+    ):
         """Attempt a (sub-)batch; on exhaustion split or quarantine.
 
-        Returns ``(outcomes, any_quarantined)`` — always one outcome per
+        Returns ``(outcomes, any_quarantined)`` — always one row per
         probe, quiet rows standing in for quarantined ones.
         """
-        outcomes = self._attempts(
-            ordinal, targets, times, hop_limit, probe_ids, retries
+        outcomes, failure, attempts = self._attempts(
+            ordinal, targets, times, hop_limit, probe_ids, cols, retries
         )
-        if outcomes is not _FAILED:
+        if failure is None:
             return outcomes, False
-        if len(targets) > 1 and depth < self.policy.max_split_depth:
+        if (
+            failure == "exhausted"
+            and len(targets) > 1
+            and depth < self.policy.max_split_depth
+        ):
             # Bisect to isolate poison probes: each half gets one shot.
             mid = len(targets) // 2
-            ids_left = probe_ids[:mid] if probe_ids is not None else None
-            ids_right = probe_ids[mid:] if probe_ids is not None else None
-            left, left_bad = self._recover(
-                ordinal, targets[:mid], times[:mid], hop_limit, ids_left,
-                retries=0, depth=depth + 1,
+            (left, left_bad), (right, right_bad) = (
+                self._recover(
+                    ordinal,
+                    targets[part],
+                    times[part],
+                    hop_limit,
+                    probe_ids[part] if probe_ids is not None else None,
+                    None if cols is None else ProbeColumns(),
+                    retries=0,
+                    depth=depth + 1,
+                )
+                for part in (slice(mid), slice(mid, None))
             )
-            right, right_bad = self._recover(
-                ordinal, targets[mid:], times[mid:], hop_limit, ids_right,
-                retries=0, depth=depth + 1,
-            )
-            return left + right, left_bad or right_bad
-        self._quarantine(ordinal, len(targets), retries + 1, "exhausted")
-        return self._quiet(targets, times), True
+            if cols is None:
+                return left + right, left_bad or right_bad
+            cols.blank(targets, times)
+            cols.splice(0, left)
+            cols.splice(mid, right)
+            return cols, left_bad or right_bad
+        self._quarantine(ordinal, len(targets), attempts, failure)
+        return self._quiet(targets, times, cols), True
 
     def _attempts(
         self,
@@ -466,42 +500,58 @@ class ResilientBackend(ProbeBackend):
         times: Sequence[float],
         hop_limit: int,
         probe_ids: Sequence[int] | None,
+        cols: ProbeColumns | None,
         retries: int,
     ):
-        for attempt in range(retries + 1):
-            if attempt:
+        """Up to ``retries + 1`` transactional sends: ``(outcomes, why it
+        failed or None, attempts made)``."""
+        stats = self.inner.stats
+        live_limiter = not getattr(self.engine, "defer_rate_limit", True)
+        for attempt in range(1, retries + 2):
+            if attempt > 1:
                 self.resilience.retries += 1
                 delay = self.policy.backoff_delay(
-                    attempt - 1, self.shard, ordinal
+                    attempt - 2, self.shard, ordinal
                 )
                 if delay > 0:
                     self._sleep(delay)
             marker = self._begin_attempt()
+            sent_before = stats.probes
             try:
-                outcomes = self._call(targets, times, hop_limit, probe_ids)
+                outcomes = self._call(targets, times, hop_limit, probe_ids, cols)
             except Exception as error:  # noqa: BLE001 — any backend fault
-                self._rollback(marker)
                 self._last_error = f"{type(error).__name__}: {error}"
                 if isinstance(error, BackendTimeoutError):
                     self.resilience.timeouts += 1
-                continue
-            if len(outcomes) != len(targets):
-                # Short/partial outcome list: a seam-contract violation
-                # (lost alignment would corrupt the merge) — roll back
-                # and retry the whole batch.
-                self._rollback(marker)
-                self._last_error = (
-                    f"short outcome list ({len(outcomes)}/{len(targets)})"
-                )
-                continue
-            return outcomes
-        return _FAILED
+            else:
+                rows = len(outcomes) if cols is None else outcomes.n
+                if rows == len(targets):
+                    return outcomes, None, attempt
+                # Short/partial result: a seam-contract violation (lost
+                # alignment would corrupt the merge) — the whole batch
+                # failed.
+                self._last_error = f"short outcome list ({rows}/{len(targets)})"
+            probed = stats.probes != sent_before
+            self._rollback(marker)
+            if probed and live_limiter:
+                # Counters roll back, token buckets do not: a second send
+                # would meet routers the first one already drained.
+                return None, "unrepeatable", attempt
+        return None, "exhausted", retries + 1
 
-    def _call(self, targets, times, hop_limit, probe_ids):
-        if self.policy.timeout is None:
-            return self.inner.send_batch(
-                targets, times, hop_limit=hop_limit, probe_ids=probe_ids
+    def _call(self, targets, times, hop_limit, probe_ids, cols):
+        watchdog = self.policy.timeout is not None
+        if cols is None:
+            send = self.inner.send_batch
+        else:
+            # An abandoned watchdog thread may still write: it gets columns
+            # of its own, never the caller's buffer.
+            send = partial(
+                self.inner.probe_columns,
+                out=ProbeColumns() if watchdog else cols,
             )
+        if not watchdog:
+            return send(targets, times, hop_limit=hop_limit, probe_ids=probe_ids)
         # Watchdog: run the send on a daemon thread and abandon it at
         # the deadline.  A well-behaved hung call (e.g. FaultyBackend's
         # injected hang) blocks *before* mutating shared state and
@@ -512,10 +562,7 @@ class ResilientBackend(ProbeBackend):
             try:
                 box.append((
                     "ok",
-                    self.inner.send_batch(
-                        targets, times,
-                        hop_limit=hop_limit, probe_ids=probe_ids,
-                    ),
+                    send(targets, times, hop_limit=hop_limit, probe_ids=probe_ids),
                 ))
             except BaseException as error:  # noqa: BLE001 — reraised below
                 box.append(("err", error))
@@ -527,7 +574,7 @@ class ResilientBackend(ProbeBackend):
         self._join(thread, self.policy.timeout)
         if not box:
             raise BackendTimeoutError(
-                f"send_batch exceeded the {self.policy.timeout}s deadline"
+                f"send exceeded the {self.policy.timeout}s deadline"
             )
         kind, value = box[0]
         if kind == "err":
@@ -565,17 +612,18 @@ class ResilientBackend(ProbeBackend):
                 batch=ordinal,
                 probes=probes,
                 attempts=attempts,
-                error=self._last_error if reason == "exhausted" else reason,
+                error=reason if reason == "breaker-open" else self._last_error,
                 reason=reason,
             )
         )
 
-    def _quiet(
-        self, targets: Sequence[int], times: Sequence[float]
-    ) -> "list[ProbeResult]":
+    def _quiet(self, targets, times, cols: ProbeColumns | None):
         # Quarantined probes become quiet rows — "probed, no reply" —
         # keeping outcome alignment and `sent` honest while
         # faulted_probes says how many of those silences were ours.
+        if cols is not None:
+            cols.blank(targets, times)
+            return cols
         epoch = self.inner.epoch
         return [
             ProbeResult(target=target, time=when, epoch=epoch)

@@ -1,14 +1,16 @@
 """``sim``: the simulation engine behind the backend seam.
 
 A zero-cost adapter — every method is a direct delegation to the wrapped
-:class:`~repro.netsim.engine.SimulationEngine`, including the columnar
-``probe_columns`` hot path, so the scanner's output through this backend
-is byte-identical to driving the engine directly (the determinism suite
-pins this).
+:class:`~repro.netsim.engine.SimulationEngine`: ``probe_columns``, the
+only call a scan makes, is the engine's columnar kernel, so the scanner's
+output through this backend is byte-identical to driving the engine
+directly (the determinism suite pins this); ``send_batch``, the seam's
+column-less call, is here the per-probe ``engine.probe`` reference loop.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from ...netsim.engine import SimulationEngine
@@ -102,12 +104,16 @@ class SimBackend(ProbeBackend):
         hop_limit: int = 64,
         probe_ids: Sequence[int] | None = None,
     ) -> "list[ProbeResult]":
-        return self.engine.probe_batch(
-            list(targets),
-            list(times),
-            hop_limit=hop_limit,
-            probe_ids=list(probe_ids) if probe_ids is not None else None,
-        )
+        """One ``engine.probe`` per row — the per-probe reference the
+        columnar kernel is held bit-identical to.  Scans never come this
+        way; callers that want outcome dataclasses do."""
+        probe = self.engine.probe
+        return [
+            probe(target, time, hop_limit=hop_limit, probe_id=probe_id)
+            for target, time, probe_id in zip(
+                targets, times, probe_ids if probe_ids is not None else repeat(0)
+            )
+        ]
 
     def probe_columns(
         self,

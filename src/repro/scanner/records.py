@@ -8,13 +8,10 @@ and the echo/error/both classification of router IPs (Fig. 4).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..addr.ipv6 import format_address
 from ..atomicio import atomic_write_text
@@ -53,25 +50,50 @@ class ScanRecord:
         return self.icmp_type == ICMPv6Type.TIME_EXCEEDED
 
 
-def record_jsonl_line(record: ScanRecord) -> str:
-    """One record as its canonical JSONL line (with trailing newline).
+# The two text formats of a record stream, each rendered a batch at a time
+# by one function — shared by ``ScanResult.write_*`` and the streaming sinks
+# of :mod:`repro.scanner.stream` — with plain f-strings: compressed
+# addresses, ints, ``repr`` of a finite float (what ``json.dumps`` emits)
+# and ``:.6f`` never need JSON escaping or CSV quoting.  The text is pure
+# ASCII, so its ``len`` is its size in bytes.
+CSV_HEADER = "target,source,icmp_type,code,count,time\r\n"
 
-    The single source of truth for the JSONL record format: both the
-    post-scan ``ScanResult.write_jsonl`` and the streaming
-    :class:`~repro.scanner.stream.JsonlSink` emit exactly these bytes.
-    """
-    return (
-        json.dumps(
-            {
-                "target": format_address(record.target),
-                "source": format_address(record.source),
-                "icmp_type": record.icmp_type,
-                "code": record.code,
-                "count": record.count,
-                "time": record.time,
-            }
-        )
-        + "\n"
+
+def address_text(records: "Sequence[ScanRecord]") -> list[tuple[str, str]]:
+    """``(target, source)`` of each record as RFC 5952 text — most of the
+    cost of either format, so whoever writes both renders it once."""
+    return [
+        (format_address(record.target), format_address(record.source))
+        for record in records
+    ]
+
+
+def records_jsonl(records: "Sequence[ScanRecord]", text=None) -> str:
+    """The records as canonical JSONL, one line each (``text``: their
+    :func:`address_text`, when the caller already has it)."""
+    return "".join(
+        [
+            f'{{"target": "{target}", "source": "{source}", '
+            f'"icmp_type": {record.icmp_type:d}, "code": {record.code:d}, '
+            f'"count": {record.count:d}, "time": {record.time!r}}}\n'
+            for record, (target, source) in zip(
+                records, text or address_text(records)
+            )
+        ]
+    )
+
+
+def records_csv(records: "Sequence[ScanRecord]", text=None) -> str:
+    """The records as :data:`CSV_HEADER` rows (excel dialect: nothing
+    quoted, ``\\r\\n`` line ends), header not included."""
+    return "".join(
+        [
+            f"{target},{source},{record.icmp_type:d},{record.code:d},"
+            f"{record.count:d},{record.time:.6f}\r\n"
+            for record, (target, source) in zip(
+                records, text or address_text(records)
+            )
+        ]
     )
 
 
@@ -158,18 +180,6 @@ class RecordColumns:
             )
             for i in range(len(icmp_type))
         ]
-
-
-def record_csv_row(record: ScanRecord) -> list:
-    """One record as its CSV row (shared with the streaming CSV sink)."""
-    return [
-        format_address(record.target),
-        format_address(record.source),
-        record.icmp_type,
-        record.code,
-        record.count,
-        f"{record.time:.6f}",
-    ]
 
 
 @dataclass(slots=True)
@@ -278,18 +288,10 @@ class ScanResult:
     def write_csv(self, path: str | Path) -> None:
         # Built in memory and written atomically (temp + rename + fsync):
         # a crash mid-write must never leave a torn CSV at the final path.
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(
-            ["target", "source", "icmp_type", "code", "count", "time"]
-        )
-        for record in self.records:
-            writer.writerow(record_csv_row(record))
-        atomic_write_text(Path(path), out.getvalue())
+        atomic_write_text(Path(path), CSV_HEADER + records_csv(self.records))
 
     def write_jsonl(self, path: str | Path) -> None:
-        text = "".join(record_jsonl_line(record) for record in self.records)
-        atomic_write_text(Path(path), text)
+        atomic_write_text(Path(path), records_jsonl(self.records))
 
 
 def merge_results(name: str, results: Iterable[ScanResult]) -> ScanResult:

@@ -17,11 +17,13 @@ shape:
   recipe — a computable stream is O(1) as an object too, and rebuilding
   a realised :class:`LazyStream` would run the generators again in every
   worker, each left holding the whole list.
-* :class:`RecordSink` — where matched reply records go.  The in-memory
+* :class:`RecordSink` — where matched reply records go.  ``drain`` is
+  the write path (``emit`` is a drain of one record).  The in-memory
   sink preserves today's :class:`~repro.scanner.records.ScanResult`
-  semantics; the JSONL/CSV sinks write rows as they are matched (byte
-  identical to ``ScanResult.write_jsonl``/``write_csv`` output); the
-  counting sink keeps aggregates only.
+  semantics; the JSONL/CSV sinks render and write a bounded chunk of rows
+  at a time (byte identical to ``ScanResult.write_jsonl``/``write_csv``
+  output, whose renderers they share); the counting sink keeps
+  aggregates only.
 * :func:`shard_positions` — the single source of truth for the
   zmap-style permuted visit order and its shard windows, shared by the
   serial scanner and the sharded runner.
@@ -45,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 from ..addr.ipv6 import ADDRESS_BITS, IPv6Prefix
 from ..addr.permutation import CyclicPermutation
 from ..atomicio import partial_path, replace_partial
-from .records import ScanRecord, record_csv_row, record_jsonl_line
+from .records import CSV_HEADER, ScanRecord, address_text, records_csv, records_jsonl
 
 if TYPE_CHECKING:  # specs rebuild streams from a world; ducks otherwise
     from ..topology.entities import World
@@ -563,13 +565,24 @@ def stream_buffered(targets) -> int:
 # --------------------------------------------------------------------- #
 
 
+# Records per chunk of a drain: bounds the text a sink renders at once
+# (~150 bytes per record and format) however long the input.
+_DRAIN_CHUNK = 1024
+
+
 class RecordSink:
     """Where matched reply records go, in probe order.
 
-    ``emit`` is the hot-path call; ``close`` flushes and releases any
-    underlying file handle.  Sinks count what they emit so callers can
-    report totals without buffering records.  Sinks are context
-    managers: ``with JsonlSink(path) as sink: scanner.scan(..., sink=sink)``.
+    :meth:`drain` is the write path: it hands its input, in bounded
+    chunks, to :meth:`_write_chunk` — by default a loop over :meth:`emit`,
+    which in turn defaults to a drain of one record, so a sink implements
+    exactly one of the two (the text sinks: the chunk).  No sink overrides
+    ``drain``: it is where a whole record stream passes, and where the
+    end-to-end benchmark's tracer times sink output.  ``close`` flushes
+    and releases any underlying file handle.  Sinks count what they emit
+    so callers can report totals without buffering records.  Sinks are
+    context managers:
+    ``with JsonlSink(path) as sink: scanner.scan(..., sink=sink)``.
 
     Crash safety: file-backed sinks stage their output at
     ``<dest>.partial`` and promote it to the final name only on a clean
@@ -580,17 +593,20 @@ class RecordSink:
 
     emitted: int = 0
 
-    def emit(self, record: ScanRecord) -> None:  # pragma: no cover
-        raise NotImplementedError
+    def emit(self, record: ScanRecord) -> None:
+        """One record: a drain of one."""
+        self.drain((record,))
 
     def drain(self, records: Iterable[ScanRecord]) -> None:
-        """Bulk-emit ``records`` in order (the post-merge drain path).
+        """Emit ``records`` in order, ``_DRAIN_CHUNK`` at a time."""
+        iterator = iter(records)
+        write_chunk = self._write_chunk
+        while chunk := list(islice(iterator, _DRAIN_CHUNK)):
+            write_chunk(chunk)
 
-        The default is a tight ``emit`` loop; sinks with a cheaper bulk
-        path (buffered writers, columnar stores) may override.
-        """
+    def _write_chunk(self, chunk: list[ScanRecord]) -> None:
         emit = self.emit
-        for record in records:
+        for record in chunk:
             emit(record)
 
     def close(self) -> None:
@@ -630,38 +646,42 @@ class MemorySink(RecordSink):
         self.records.append(record)
 
 
-class JsonlSink(RecordSink):
-    """Stream records to a JSONL file as they are matched.
-
-    The bytes written are identical to ``ScanResult.write_jsonl`` on the
-    buffered records — the streaming mode changes memory use, never
-    output (pinned by the determinism tests).  Path destinations stage at
-    ``<dest>.partial`` and promote atomically on clean close.
+class _TextSink(RecordSink):
+    """A record stream as text, a chunk per write, to a path — staged at
+    ``<dest>.partial``, promoted atomically on clean close — or to an open
+    text handle the caller keeps.  A subclass names its format's batch
+    renderer in :mod:`repro.scanner.records`: streamed bytes are those of
+    the matching ``ScanResult.write_*`` by construction.
     """
 
     __slots__ = ("emitted", "_handle", "_owns", "_dest", "_bytes")
+    _header = ""
 
     def __init__(self, destination) -> None:
         self.emitted = 0
-        self._bytes = 0
         if isinstance(destination, (str, Path)):
             self._dest = Path(destination)
+            # newline="": the renderers write their own line ends.
             self._handle = open(
-                partial_path(self._dest), "w", encoding="utf-8"
+                partial_path(self._dest), "w", encoding="utf-8", newline=""
             )
             self._owns = True
         else:
             self._dest = None
             self._handle = destination
             self._owns = False
+        self._handle.write(self._header)
+        # Text-mode tell() returns opaque cookies; count bytes ourselves so
+        # checkpoints can journal a real file offset (pure ASCII: one
+        # character written is one byte).
+        self._bytes = len(self._header)
 
-    def emit(self, record: ScanRecord) -> None:
-        line = record_jsonl_line(record)
-        self._handle.write(line)
-        # Text-mode tell() returns opaque cookies; count encoded bytes
-        # ourselves so checkpoints can journal a real file offset.
-        self._bytes += len(line.encode("utf-8"))
-        self.emitted += 1
+    def _write_chunk(self, chunk: list[ScanRecord], text=None) -> None:
+        """``text``: the chunk's ``address_text``, when a tee has it."""
+        rendered = self._render(chunk, text)
+        self._handle.write(rendered)
+        self._bytes += len(rendered)
+        self.emitted += len(chunk)
 
     def byte_offset(self) -> int:
         return self._bytes
@@ -676,65 +696,24 @@ class JsonlSink(RecordSink):
             self._handle.close()
 
 
-class CsvSink(RecordSink):
-    """Stream records to CSV, byte-identical to ``ScanResult.write_csv``.
+class JsonlSink(_TextSink):
+    """Stream records to a JSONL file as they are matched.
 
-    Path destinations stage at ``<dest>.partial`` and promote atomically
-    on clean close, like :class:`JsonlSink`.
+    The bytes written are identical to ``ScanResult.write_jsonl`` on the
+    buffered records — the streaming mode changes memory use, never
+    output (pinned by the determinism tests).
     """
 
-    __slots__ = ("emitted", "_handle", "_writer", "_owns", "_dest", "_counter")
-
-    HEADER = ("target", "source", "icmp_type", "code", "count", "time")
-
-    def __init__(self, destination) -> None:
-        import csv
-
-        self.emitted = 0
-        if isinstance(destination, (str, Path)):
-            self._dest = Path(destination)
-            self._handle = open(
-                partial_path(self._dest), "w", encoding="utf-8", newline=""
-            )
-            self._owns = True
-        else:
-            self._dest = None
-            self._handle = destination
-            self._owns = False
-        self._counter = _ByteCountingWriter(self._handle)
-        self._writer = csv.writer(self._counter)
-        self._writer.writerow(self.HEADER)
-
-    def emit(self, record: ScanRecord) -> None:
-        self._writer.writerow(record_csv_row(record))
-        self.emitted += 1
-
-    def byte_offset(self) -> int:
-        return self._counter.bytes_written
-
-    def close(self) -> None:
-        if self._owns and not self._handle.closed:
-            self._handle.close()
-            replace_partial(self._dest)
-
-    def abort(self) -> None:
-        if self._owns and not self._handle.closed:
-            self._handle.close()
+    __slots__ = ()
+    _render = staticmethod(records_jsonl)
 
 
-class _ByteCountingWriter:
-    """A write() adapter that counts encoded bytes as they pass through
-    (``csv.writer`` only needs ``write``)."""
+class CsvSink(_TextSink):
+    """Stream records to CSV, byte-identical to ``ScanResult.write_csv``."""
 
-    __slots__ = ("_handle", "bytes_written")
-
-    def __init__(self, handle) -> None:
-        self._handle = handle
-        self.bytes_written = 0
-
-    def write(self, text: str):
-        self.bytes_written += len(text.encode("utf-8"))
-        return self._handle.write(text)
+    __slots__ = ()
+    _render = staticmethod(records_csv)
+    _header = CSV_HEADER
 
 
 class CountingSink(RecordSink):
@@ -795,10 +774,18 @@ class TeeSink(RecordSink):
     sinks: tuple[RecordSink, ...] = field(default_factory=tuple)
     emitted: int = 0
 
-    def emit(self, record: ScanRecord) -> None:
+    def _write_chunk(self, chunk: list[ScanRecord]) -> None:
+        # Address text is most of a text sink's work and the same for
+        # every format: render it once per chunk for all of them.
+        text = None
         for sink in self.sinks:
-            sink.emit(record)
-        self.emitted += 1
+            if isinstance(sink, _TextSink):
+                if text is None:
+                    text = address_text(chunk)
+                sink._write_chunk(chunk, text)
+            else:
+                sink.drain(chunk)
+        self.emitted += len(chunk)
 
     def close(self) -> None:
         for sink in self.sinks:

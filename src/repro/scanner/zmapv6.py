@@ -63,8 +63,9 @@ from .stream import (
     stream_buffered,
 )
 
-# flags bytes -> truthy for rows that carry a reply (one record each).
+# flags bytes -> FLAG_REPLY for rows that carry a reply (one record each).
 _REPLY_ROWS = bytes(flag & FLAG_REPLY for flag in range(256))
+_LOOPED_REPLY = FLAG_LOOPED | FLAG_REPLY
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,9 +246,9 @@ class ZMapV6Scanner:
             backend.telemetry = collector
         try:
             # Chosen from what the backend can do, never by an option:
-            # the columnar kernel where there is one, outcome lists for
-            # backends (raw, wire-sim, the resilience wrapper) that return
-            # several replies per probe.
+            # the columnar kernel where there is one (wrappers pass it
+            # through), outcome lists for backends (raw, wire-sim) that
+            # return several replies per probe.
             if backend.supports_columns:
                 sent, last_position = self._scan_columns(target_list, result)
             else:
@@ -457,24 +458,26 @@ class ZMapV6Scanner:
         last_position = -1
         loops_observed = 0
         probes_lost = 0
-        looped_reply = FLAG_LOOPED | FLAG_REPLY
         cols = ProbeColumns()
         for last_position, targets, times, ids in self._chunks(target_list):
-            probe_columns(
+            # The backend may answer in columns of its own (a resilience
+            # wrapper's watchdog attempt): read what it returns.
+            cols = probe_columns(
                 targets, times, hop_limit=hop_limit, probe_ids=ids, out=cols
             )
             n = len(targets)
             sent += n
             # Most rows are silent: count and pick the others at C speed.
             flags = memoryview(cols.flags)[:n].tobytes()
+            replied = flags.translate(_REPLY_ROWS)
             probes_lost += flags.count(FLAG_LOST)
-            loops_observed += flags.count(FLAG_LOOPED) + flags.count(looped_reply)
+            loops_observed += flags.count(FLAG_LOOPED) + flags.count(_LOOPED_REPLY)
             source_hi = cols.source_hi
             source_lo = cols.source_lo
             icmp_col = cols.icmp_type
             code_col = cols.code
             count_col = cols.count
-            for offset in compress(range(n), flags.translate(_REPLY_ROWS)):
+            for offset in compress(range(n), replied):
                 append_record(
                     ScanRecord(
                         target=targets[offset],
@@ -487,7 +490,7 @@ class ZMapV6Scanner:
                 )
             if every:
                 progress = self._capture_batch_progress(
-                    capture, result, cols, times, every, progress
+                    capture, result, flags, replied, times, every, progress
                 )
         result.loops_observed += loops_observed
         result.lost += probes_lost
@@ -497,39 +500,39 @@ class ZMapV6Scanner:
         self,
         capture: ShardTelemetry,
         result: ScanResult,
-        cols: ProbeColumns,
+        flags: bytes,
+        replied: bytes,
         batch_times: Sequence[float],
         every: int,
         progress: tuple[int, int, int, int],
     ) -> tuple[int, int, int, int]:
         """Emit the ``progress`` events a batch crosses.
 
-        A second pass over the batch's flag column, run only when
-        telemetry is on, so the record-building hot loop above stays
-        untouched.  It reconstructs the cumulative counters probe by
-        probe (every reply row becomes exactly one record), which makes
-        the progress stream byte-identical to the outcome-list loop's for
-        any ``batch_size``.
+        Run only when telemetry is on.  The batch's flag bytes (and their
+        reply-row translation — every reply row becomes exactly one
+        record) are counted at C speed up to each ``every`` boundary,
+        which gives the cumulative counters a probe-by-probe walk would:
+        the progress stream is byte-identical to the outcome-list loop's
+        for any ``batch_size``.
         """
         shard = self.config.shard
         sent, n_records, lost, loops = progress
-        flags = cols.flags
-        for offset in range(cols.n):
-            f = flags[offset]
-            sent += 1
-            if f & FLAG_LOOPED:
-                loops += 1
-            if f & FLAG_LOST:
-                lost += 1
-            elif f & FLAG_REPLY:
-                n_records += 1
+        start, n = 0, len(flags)
+        while start < n:
+            end = min(n, start + every - sent % every)
+            sent += end - start
+            n_records += replied.count(FLAG_REPLY, start, end)
+            lost += flags.count(FLAG_LOST, start, end)
+            loops += flags.count(FLAG_LOOPED, start, end) + flags.count(
+                _LOOPED_REPLY, start, end
+            )
             if sent % every == 0:
                 capture.events.append(
                     make_event(
                         "progress",
                         scan=result.name,
                         epoch=result.epoch,
-                        vtime=batch_times[offset],
+                        vtime=batch_times[end - 1],
                         shard=shard,
                         sent=sent,
                         records=n_records,
@@ -537,6 +540,7 @@ class ZMapV6Scanner:
                         loops=loops,
                     )
                 )
+            start = end
         return sent, n_records, lost, loops
 
     def _probe_window(self, size: int) -> tuple[range, Iterator[int]]:

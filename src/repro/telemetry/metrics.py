@@ -8,7 +8,8 @@ plain, reproducible aggregates rather than wall-clock samplers:
 * every metric lives on the scan's **virtual clock** — two runs of the
   same seed produce byte-identical exports,
 * histograms use **fixed bucket edges** chosen at creation, so per-shard
-  histograms merge by summing counts without re-bucketing,
+  histograms merge by summing counts without re-bucketing, and keep
+  their sum exactly, so it does not depend on observation or merge order,
 * :meth:`MetricsRegistry.merge` is the deterministic shard-combination
   rule used by :mod:`repro.scanner.sharded` alongside ``EngineStats``:
   counters and histogram buckets add, gauges keep the maximum.
@@ -21,7 +22,6 @@ the output suitable for golden-file regression tests.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from typing import Iterable
 
 __all__ = [
@@ -30,6 +30,11 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
 ]
+
+
+# Histogram sums are ints in units of 2**-1074: the spacing of the
+# subnormal doubles, so every finite double is a whole number of them.
+_SUM_SCALE = 1 << 1074
 
 
 def format_number(value: float) -> str:
@@ -102,26 +107,28 @@ class Histogram:
             raise ValueError("bucket edges must be strictly increasing")
         self.counts = [0] * (len(self.edges) + 1)
         self.total = 0
-        # Exact rational accumulator: float addition is order-dependent,
-        # and shard merges add observations in a different order than a
-        # serial scan.  Fractions make the sum a function of the observed
-        # multiset only, so exports stay byte-identical across shard
-        # counts.  Histograms observe per *record* (rare next to probes),
-        # so the exact arithmetic stays off the hot path.
-        self._sum = Fraction(0)
+        # Exact accumulator (an int, see _SUM_SCALE): float addition is
+        # order-dependent, and shard merges add observations in a
+        # different order than a serial scan.  Exact, the sum is a
+        # function of the observed multiset only, so exports stay
+        # byte-identical across shard counts — at one shift and add per
+        # observation.
+        self._sum = 0
 
     @property
     def sum(self) -> float:
         """The observation sum, correctly rounded to a float."""
-        return float(self._sum)
+        return self._sum / _SUM_SCALE  # int true division rounds correctly
 
     def observe(self, value: float, count: int = 1) -> None:
         """Record ``count`` observations of ``value`` (count may be
         negative: the sharded merge retracts observations belonging to
-        replay-suppressed error records)."""
+        replay-suppressed error records).  NaN and infinities raise."""
+        numerator, denominator = float(value).as_integer_ratio()
         self.counts[bisect_left(self.edges, value)] += count
         self.total += count
-        self._sum += Fraction(value) * count
+        # denominator is 2**k, k <= 1074: scaled, the value is an int.
+        self._sum += (numerator * count) << (1075 - denominator.bit_length())
 
     def cumulative(self) -> list[int]:
         """Cumulative ``le`` counts, one per finite edge plus ``+Inf``."""

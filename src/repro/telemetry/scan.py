@@ -271,7 +271,7 @@ def record_metrics(registry: MetricsRegistry):
     scan path observes these incrementally per emitted record; the
     buffered path folds them in at scan end via
     :func:`populate_registry`.  Counter sums and fixed-edge histograms
-    are order-independent (histogram sums use exact Fractions), so both
+    are order-independent (histogram sums are exact scaled ints), so both
     paths produce byte-identical exports.
     """
     records = registry.counter(RECORDS_TOTAL, "matched reply records")

@@ -58,7 +58,7 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -843,9 +843,28 @@ class LazyRouterMap(Mapping):
         )
 
 
+class _RowValues(ValuesView):
+    """``values()`` of a :class:`LazySubnetMap` without duplicates, walked
+    by row: what ``__getitem__`` returns (same cached objects, same order)
+    without a sorted-index search per row."""
+
+    def __iter__(self) -> Iterator[Subnet]:
+        reader = self._mapping._reader
+        return map(reader.subnet, range(reader.subnet_rows))
+
+
+class _RowItems(ItemsView):
+    """``items()`` twin of :class:`_RowValues`."""
+
+    def __iter__(self) -> Iterator[tuple[int, Subnet]]:
+        for subnet in _RowValues(self._mapping):
+            yield subnet.prefix.network, subnet
+
+
 class LazySubnetMap(Mapping):
     """Read-only ``{network: Subnet}`` over the artifact (row order ==
-    registration order, duplicate registrations collapse keep-last)."""
+    registration order, duplicate registrations collapse keep-last — and
+    then the generic ``Mapping`` views apply, not the row-walked ones)."""
 
     __slots__ = ("_reader",)
 
@@ -867,15 +886,20 @@ class LazySubnetMap(Mapping):
     def __len__(self) -> int:
         return len(self._reader._subnet_key_row)
 
+    def _one_row_per_key(self) -> bool:
+        return len(self._reader._subnet_key_row) == self._reader.subnet_rows
+
     def __iter__(self) -> Iterator[int]:
-        reader = self._reader
-        if len(reader._subnet_key_row) == reader.subnet_rows:
-            # No duplicate registrations (the usual case): plain row walk.
-            return (
-                reader.subnet_network_at(row)
-                for row in range(reader.subnet_rows)
-            )
+        if self._one_row_per_key():
+            reader = self._reader
+            return map(reader.subnet_network_at, range(reader.subnet_rows))
         return self._iter_deduped()
+
+    def values(self) -> ValuesView:
+        return _RowValues(self) if self._one_row_per_key() else super().values()
+
+    def items(self) -> ItemsView:
+        return _RowItems(self) if self._one_row_per_key() else super().items()
 
     def _iter_deduped(self) -> Iterator[int]:
         # Dict semantics under overwrite: first insertion position, so

@@ -52,9 +52,9 @@ from repro.scanner.backends import (
     build_backend,
     make_backend_spec,
 )
-from repro.scanner.records import record_jsonl_line
+from repro.scanner.records import records_jsonl
 from repro.scanner.sharded import ShardedScanRunner
-from repro.scanner.zmapv6 import ScanConfig
+from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
 from repro.telemetry.scan import ScanTelemetry
 
 # Epoch band for contract scans, clear of the campaigns', the race's,
@@ -136,7 +136,7 @@ def _scan_output(
         name="backend-contract",
         epoch=CASE_EPOCH + 100,
     )
-    records = "".join(record_jsonl_line(r) for r in result.records)
+    records = records_jsonl(result.records)
     assert records, "vacuous comparison: the contract scan got no replies"
     return records, telemetry.to_jsonl(), telemetry.to_prometheus(), result, telemetry
 
@@ -229,6 +229,26 @@ class BackendContract:
         assert got[2] == baseline[2], "Prometheus output diverged from sim"
 
     # -- resilience layer: every backend enrols under chaos -- #
+    #
+    # The wrappers have both calls of the seam and take the inner
+    # backend's: the scans below drive the columnar side of their one
+    # recover body on ``sim`` and the ``send_batch`` side on ``wire-sim``.
+
+    def test_wrappers_pass_the_columnar_capability_through(
+        self, backend_case, tiny_world
+    ):
+        inner = _build(backend_case, tiny_world)
+        faulty = FaultyBackend(inner, FaultPlan(backend_blackhole=True))
+        scanner = ZMapV6Scanner(
+            faulty, ScanConfig(backend=backend_case.name, retry_policy=RetryPolicy())
+        )
+        assert isinstance(scanner.backend, ResilientBackend)
+        assert (
+            scanner.backend.supports_columns
+            is faulty.supports_columns
+            is backend_class(backend_case.name).supports_columns
+        )
+        inner.close()
 
     def _chaos_skip(self, backend_case):
         if not backend_case.probes:
@@ -351,23 +371,32 @@ class BackendContract:
             targets = _world_targets(tiny_world, 16)
             batches = [targets[i : i + 4] for i in range(0, 16, 4)]
             times = [0.0, 0.001, 0.002, 0.003]
-            outcomes = [backend.send_batch(batches[0], times)]
+            # The call a scan would make on this backend.
+            send = (
+                backend.probe_columns
+                if backend.supports_columns
+                else backend.send_batch
+            )
+            outcomes = [send(batches[0], times)]
             assert backend.breaker.state == "closed"
-            outcomes.append(backend.send_batch(batches[1], times))
+            outcomes.append(send(batches[1], times))
             assert backend.breaker.state == "open"
             # Open breaker: quarantined without touching the transport.
-            outcomes.append(backend.send_batch(batches[2], times))
+            outcomes.append(send(batches[2], times))
             assert backend.resilience.breaker_fastfails == 1
             # Cooldown expiry -> half-open trial -> success closes it.
             clock[0] = 100.0
-            outcomes.append(backend.send_batch(batches[3], times))
+            outcomes.append(send(batches[3], times))
             assert backend.breaker.state == "closed"
             assert backend.resilience.transitions == [
                 ("closed", "open"),
                 ("open", "half-open"),
                 ("half-open", "closed"),
             ]
-            assert [len(batch) for batch in outcomes] == [4, 4, 4, 4]
+            assert [
+                batch.n if backend.supports_columns else len(batch)
+                for batch in outcomes
+            ] == [4, 4, 4, 4]
             assert backend.resilience.faulted_probes == 12
             assert backend.resilience.quarantined_batches == 3
         finally:

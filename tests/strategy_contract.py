@@ -42,7 +42,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.addr.ipv6 import IPv6Prefix
-from repro.scanner.records import record_jsonl_line
+from repro.scanner.records import records_jsonl
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.stream import (
     IndexWindow,
@@ -269,7 +269,5 @@ class StreamContract:
                 name=f"contract-{case.id}",
                 epoch=CASE_EPOCH + 100,
             )
-            outputs.append(
-                "".join(record_jsonl_line(r) for r in result.records)
-            )
+            outputs.append(records_jsonl(result.records))
         assert outputs[0] == outputs[1] == outputs[2]

@@ -151,6 +151,64 @@ class TestRoundTrip:
             subnets[0xDEAD]
         assert subnets.get(0xDEAD) is None
 
+    @staticmethod
+    def _assert_views_match(lazy, reference):
+        """``values()`` / ``items()`` of a lazy subnet map: the reference
+        dict's, in its order, and the very objects ``lazy[network]``
+        returns (the engine keys on subnet identity)."""
+        values = list(lazy.values())
+        items = list(lazy.items())
+        assert [key for key, _ in items] == list(lazy) == list(reference)
+        assert [value for _, value in items] == values
+        assert len(values) == len(lazy.values()) == len(lazy.items()) == len(reference)
+        for (network, subnet), expected in zip(items, reference.values()):
+            assert subnet is lazy[network]
+            for field in SUBNET_FIELDS:
+                assert getattr(subnet, field) == getattr(expected, field), field
+        # A second walk hands out the same objects, and the views keep
+        # their set-like / container protocol.
+        assert all(a is b for a, b in zip(values, lazy.values()))
+        assert values[0] in lazy.values()
+        assert items[-1] in lazy.items()
+        assert (0xDEAD, values[0]) not in lazy.items()
+
+    def test_subnet_views_walk_rows(self, tiny_world, artifact_world):
+        from collections.abc import ItemsView, ValuesView
+
+        assert isinstance(artifact_world.subnets.values(), ValuesView)
+        assert isinstance(artifact_world.subnets.items(), ItemsView)
+        self._assert_views_match(artifact_world.subnets, tiny_world.subnets)
+
+    def test_subnet_views_with_a_duplicate_registration(self, tiny_world, tmp_path):
+        """A subnet registered twice keeps its first position and its last
+        value, like the dict it stands in for — on the generic views."""
+        from dataclasses import replace
+
+        from repro.topology.artifact import WorldArtifactWriter
+        from repro.topology.entities import EntryKind
+
+        subnets = list(tiny_world.subnets.values())
+        stale = replace(subnets[2], hosts=(), flaky=not subnets[2].flaky)
+        registrations = subnets[:2] + [stale] + subnets[3:6] + [subnets[2]] + subnets[6:]
+        reference = {}
+        writer = WorldArtifactWriter(
+            tmp_path / "dup.sraw", seed=tiny_world.seed, fingerprint=bytes(32)
+        )
+        rows = {}
+        for subnet in registrations:
+            reference[subnet.prefix.network] = subnet
+            rows[subnet.prefix.network] = writer.add_subnet(subnet)
+        assert list(reference) == list(tiny_world.subnets)
+        for router in tiny_world.routers.values():
+            writer.add_router(router)
+        for prefix, entry in tiny_world.resolution.items():
+            if entry.kind is EntryKind.SUBNET:
+                writer.add_resolution(prefix, entry.kind, rows[prefix.network])
+        loaded = load_world_artifact(writer.finalize(tiny_world))
+        assert len(loaded.subnets) == len(reference) == len(registrations) - 1
+        self._assert_views_match(loaded.subnets, reference)
+        assert loaded.subnets[stale.prefix.network].hosts == subnets[2].hosts
+
     def test_loaded_world_is_static(self, artifact_world):
         from repro.addr.ipv6 import IPv6Prefix
         from repro.topology.entities import Subnet

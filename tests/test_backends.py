@@ -26,7 +26,7 @@ from repro.scanner.backends import (
 )
 from repro.scanner.checkpoint import config_key
 from repro.scanner.cli import main as scan_main
-from repro.scanner.records import record_jsonl_line
+from repro.scanner.records import records_jsonl
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
 from repro.telemetry.scan import UNMATCHED_REPLIES_TOTAL, ScanTelemetry
@@ -64,8 +64,8 @@ class TestMiniSurveyEquivalence:
         for name in sim.input_sets:
             left = sim.input_sets[name].result
             right = wire.input_sets[name].result
-            assert "".join(map(record_jsonl_line, left.records)) == "".join(
-                map(record_jsonl_line, right.records)
+            assert records_jsonl(left.records) == records_jsonl(
+                right.records
             ), name
             assert left.engine_stats == right.engine_stats, name
             assert right.unmatched_replies == 0, name

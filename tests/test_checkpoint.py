@@ -201,12 +201,16 @@ class TestCorruptionDetection:
         with pytest.raises(CheckpointCorruptError, match="CRC-32"):
             load_checkpoint(path)
 
-    def test_schema_skew(self, tmp_path):
+    # v1 journals pickled histogram sums as Fractions; today's scaled-int
+    # accumulator must never be added to one, so they are refused too.
+    @pytest.mark.parametrize("schema", [1, CHECKPOINT_SCHEMA_VERSION + 1])
+    def test_schema_skew(self, tmp_path, schema):
+        assert schema != CHECKPOINT_SCHEMA_VERSION
         path = self._saved(tmp_path)
         raw = bytearray(path.read_bytes())
-        struct.pack_into(">I", raw, 8, CHECKPOINT_SCHEMA_VERSION + 1)
+        struct.pack_into(">I", raw, 8, schema)
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointSchemaError, match="schema"):
+        with pytest.raises(CheckpointSchemaError, match=f"schema v{schema}"):
             load_checkpoint(path)
 
     def test_wrong_payload_type(self, tmp_path):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.probing import run_sra_vs_random
 from repro.core.survey import INPUT_SET_NAMES, SRASurvey, SurveyConfig
-from repro.netsim.engine import SimulationEngine
+from repro.netsim.engine import FLAG_REPLY, SimulationEngine
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.backends.sim import SimBackend
 from repro.scanner.records import ScanRecord
@@ -212,20 +212,32 @@ class TestBatchPathEquivalence:
             self._scan(tiny_world, stress_targets, batch_size=1024)
         )
 
-    def test_engine_probe_batch_matches_probe(self, tiny_world, stress_targets):
-        """Engine-level contract, independent of the scanner plumbing."""
+    @pytest.mark.parametrize("with_ids", [True, False])
+    def test_sim_send_batch_is_the_probe_reference(
+        self, tiny_world, stress_targets, with_ids
+    ):
+        """The sim backend's two calls: ``send_batch`` is one
+        ``engine.probe`` per row, and ``probe_columns`` holds the same
+        verdicts row for row (probe ids given or defaulted to 0)."""
         targets = stress_targets[:600]
         times = [i / 150_000.0 for i in range(len(targets))]
-        ids = [i for i in range(len(targets))]
+        ids = list(range(len(targets))) if with_ids else None
         serial_engine = SimulationEngine(tiny_world, epoch=2)
         serial = [
             serial_engine.probe(target, time, probe_id=probe_id)
-            for target, time, probe_id in zip(targets, times, ids)
+            for target, time, probe_id in zip(
+                targets, times, ids or [0] * len(targets)
+            )
         ]
-        batch_engine = SimulationEngine(tiny_world, epoch=2)
-        batched = batch_engine.probe_batch(targets, times, probe_ids=ids)
-        assert batched == serial
-        assert batch_engine.stats == serial_engine.stats
+        reference = SimBackend(SimulationEngine(tiny_world, epoch=2))
+        assert reference.send_batch(targets, times, probe_ids=ids) == serial
+        assert reference.stats == serial_engine.stats
+        columnar = SimBackend(SimulationEngine(tiny_world, epoch=2))
+        cols = columnar.probe_columns(targets, times, probe_ids=ids)
+        assert cols.n == len(serial)
+        assert columnar.stats == serial_engine.stats
+        for i, expected in enumerate(serial):
+            self._assert_row_matches(cols, i, expected)
 
     @staticmethod
     def _assert_row_matches(cols, i, expected):
@@ -437,9 +449,15 @@ class TestEpochIsolation:
 
         def run(epoch):
             engine = SimulationEngine(tiny_world, epoch=epoch)
-            return engine.probe_batch(
+            cols = engine.probe_columns(
                 targets, times, probe_ids=list(range(len(targets)))
             )
+            flags = cols.flags.tobytes()[: cols.n]
+            return flags, [
+                (cols.source(i), cols.icmp_type[i], cols.code[i], cols.count[i])
+                for i in range(cols.n)
+                if flags[i] & FLAG_REPLY
+            ]
 
         assert run(0) == run(0)
         assert run(0) != run(4)

@@ -18,6 +18,13 @@ mechanisms underneath:
 * the sharded runner's injectable retry-backoff sleep,
 * ``merge_results`` summing ``faulted_probes``,
 * ``FaultyBackend``'s short-outcome and blackhole modes.
+
+``ResilientBackend`` and ``FaultyBackend`` run one body for both calls of
+the seam — ``send_batch`` (outcome lists: ``wire-sim``, ``raw``) and
+``probe_columns`` (``sim``) — so the mechanism tests are parametrised
+over the two shapes, and the scenario tests at the end drive real scans
+through the columnar side and hold them to the ``send_batch`` side's
+bytes.
 """
 
 from __future__ import annotations
@@ -28,8 +35,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.engine import EngineStats, ProbeResult
+from repro.netsim.engine import (
+    FLAG_REPLY,
+    EngineStats,
+    ProbeColumns,
+    ProbeResult,
+    Reply,
+    SimulationEngine,
+)
 from repro.netsim.faults import ChaosEngine, FaultPlan, FaultyBackend
+from repro.packet.icmpv6 import ICMPv6Type
 from repro.scanner.backends import (
     BackendSpec,
     BackendTimeoutError,
@@ -44,9 +59,12 @@ from repro.scanner.checkpoint import (
     ScanCheckpoint,
     config_key,
 )
-from repro.scanner.records import ScanResult, merge_results
+from repro.scanner.backends.sim import SimBackend
+from repro.scanner.backends.wiresim import WireSimBackend
+from repro.scanner.records import ScanResult, merge_results, records_jsonl
 from repro.scanner.sharded import ShardedScanRunner
-from repro.scanner.zmapv6 import ScanConfig
+from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
+from repro.telemetry.scan import ScanTelemetry
 
 TARGETS = [0x2001_0DB8_0000_0000_0000_0000_0000_0000 + i for i in range(8)]
 TIMES = [i / 1000.0 for i in range(8)]
@@ -57,16 +75,19 @@ class ScriptedBackend(ProbeBackend):
 
     Every call mutates observable state *before* acting out its step —
     like a real backend that got half-way before failing — so the
-    transactional-rollback tests can prove the wrapper undoes it.
+    transactional-rollback tests can prove the wrapper undoes it.  Every
+    probe it does send is answered (an echo from ``target ^ 1``), in
+    either shape of the seam, so a quarantined row is distinguishable
+    from a sent one.
     """
 
     name = "scripted"
-    supports_columns = False
     deterministic = True
     requires_privilege = False
 
-    def __init__(self, script=(), release=None):
+    def __init__(self, script=(), release=None, *, columns=False):
         self.script = list(script)  # "ok" | "fail" | "short" | "hang"
+        self.supports_columns = columns
         self.calls = 0
         self.unmatched_replies = 0
         self._epoch = 0
@@ -97,7 +118,7 @@ class ScriptedBackend(ProbeBackend):
     def pending_checks(self) -> list[tuple[float, int]]:
         return self._checks
 
-    def send_batch(self, targets, times, *, hop_limit=64, probe_ids=None):
+    def _step(self, targets, times) -> str:
         step = self.script[self.calls] if self.calls < len(self.script) else "ok"
         self.calls += 1
         # Mutations first: a failure leaves them behind for the wrapper
@@ -109,29 +130,76 @@ class ScriptedBackend(ProbeBackend):
             raise RuntimeError("scripted transport failure")
         if step == "hang":
             self._release.wait()
+        return step
+
+    def send_batch(self, targets, times, *, hop_limit=64, probe_ids=None):
+        assert not self.supports_columns, "column-less call on a columnar backend"
+        step = self._step(targets, times)
         outcomes = [
-            ProbeResult(target=target, time=time, epoch=self._epoch)
+            ProbeResult(
+                target=target,
+                time=time,
+                epoch=self._epoch,
+                replies=(Reply(target ^ 1, ICMPv6Type.ECHO_REPLY, 0),),
+            )
             for target, time in zip(targets, times)
         ]
         if step == "short" and len(outcomes) > 1:
             return outcomes[:-1]
         return outcomes
 
+    def probe_columns(
+        self, targets, times, *, hop_limit=64, probe_ids=None, out=None
+    ):
+        assert self.supports_columns, "columnar call on a column-less backend"
+        step = self._step(targets, times)
+        cols = out if out is not None else ProbeColumns()
+        cols.blank(targets, times)
+        for row, target in enumerate(targets):
+            cols.flags[row] = FLAG_REPLY
+            cols.source_hi[row] = (target ^ 1) >> 64
+            cols.source_lo[row] = (target ^ 1) & (2**64 - 1)
+        if step == "short" and cols.n > 1:
+            cols.n -= 1
+        return cols
+
+
+SHAPES = pytest.mark.parametrize("columns", [False, True], ids=["outcomes", "columns"])
+
+
+def send(backend, targets=None, times=None):
+    """One batch through whichever call the backend's shape has, as
+    ``[reply source or None, ...]`` — one entry per row answered."""
+    targets = TARGETS if targets is None else targets
+    times = TIMES if times is None else times
+    if not backend.supports_columns:
+        return [
+            outcome.replies[0].source if outcome.replies else None
+            for outcome in backend.send_batch(targets, times)
+        ]
+    cols = backend.probe_columns(targets, times, out=ProbeColumns())
+    assert cols.targets == targets and cols.times == times
+    return [
+        cols.source(row) if cols.flags[row] & FLAG_REPLY else None
+        for row in range(cols.n)
+    ]
+
+
+ANSWERED = [target ^ 1 for target in TARGETS]
+
 
 class PoisonBackend(ScriptedBackend):
     """Fails any batch containing the poison target; clean otherwise."""
 
-    def __init__(self, poison: int):
-        super().__init__()
+    def __init__(self, poison: int, *, columns=False):
+        super().__init__(columns=columns)
         self.poison = poison
 
-    def send_batch(self, targets, times, *, hop_limit=64, probe_ids=None):
+    def _step(self, targets, times) -> str:
         if self.poison in targets:
             self.calls += 1
             raise RuntimeError("poison probe in batch")
-        return super().send_batch(
-            targets, times, hop_limit=hop_limit, probe_ids=probe_ids
-        )
+        return super()._step(targets, times)
 
 
 # ---------------- RetryPolicy validation + backoff math ---------------- #
@@ -216,12 +284,13 @@ def test_jitterless_schedule_matches_historical_shard_backoff():
 # ---------------- transactional attempts ---------------- #
 
 
-def test_failed_attempt_rolls_back_observable_state():
-    inner = ScriptedBackend(script=["fail", "ok"])
+@SHAPES
+def test_failed_attempt_rolls_back_observable_state(columns):
+    inner = ScriptedBackend(script=["fail", "ok"], columns=columns)
     policy = RetryPolicy(max_retries=1, backoff=0.0)
     backend = ResilientBackend(inner, policy, sleep=lambda _d: None)
-    outcomes = backend.send_batch(TARGETS, TIMES)
-    assert len(outcomes) == len(TARGETS)
+    assert backend.supports_columns is columns
+    assert send(backend) == ANSWERED
     # One logical batch: the failed attempt's mutations were undone.
     assert inner.stats.probes == len(TARGETS)
     assert len(inner.pending_checks) == 1
@@ -230,22 +299,22 @@ def test_failed_attempt_rolls_back_observable_state():
     assert backend.resilience.faulted_probes == 0
 
 
-def test_short_outcome_list_is_rolled_back_and_retried():
-    inner = ScriptedBackend(script=["short", "ok"])
+@SHAPES
+def test_short_outcome_list_is_rolled_back_and_retried(columns):
+    inner = ScriptedBackend(script=["short", "ok"], columns=columns)
     policy = RetryPolicy(max_retries=1, backoff=0.0)
     backend = ResilientBackend(inner, policy, sleep=lambda _d: None)
-    outcomes = backend.send_batch(TARGETS, TIMES)
-    assert len(outcomes) == len(TARGETS)
+    assert send(backend) == ANSWERED
     assert inner.stats.probes == len(TARGETS)
     assert backend.resilience.retries == 1
 
 
-def test_exhausted_batch_records_last_error():
-    inner = ScriptedBackend(script=["fail", "fail"])
+@SHAPES
+def test_exhausted_batch_records_last_error(columns):
+    inner = ScriptedBackend(script=["fail", "fail"], columns=columns)
     policy = RetryPolicy(max_retries=1, backoff=0.0, max_split_depth=0)
     backend = ResilientBackend(inner, policy, sleep=lambda _d: None)
-    outcomes = backend.send_batch(TARGETS, TIMES)
-    assert all(not outcome.replies for outcome in outcomes)
+    assert send(backend) == [None] * len(TARGETS)
     assert inner.stats.probes == 0, "every attempt rolled back"
     (fault,) = backend.resilience.faults
     assert fault.reason == "exhausted"
@@ -254,14 +323,36 @@ def test_exhausted_batch_records_last_error():
     assert backend.resilience.faulted_probes == len(TARGETS)
 
 
+@SHAPES
+def test_open_breaker_fast_fails_without_touching_the_backend(columns):
+    inner = ScriptedBackend(script=["fail", "fail"], columns=columns)
+    policy = RetryPolicy(
+        max_retries=0, backoff=0.0, max_split_depth=0,
+        breaker_threshold=0.5, breaker_window=4, breaker_min_batches=2,
+        breaker_cooldown=10.0,
+    )
+    backend = ResilientBackend(
+        inner, policy, sleep=lambda _d: None, clock=lambda: 0.0
+    )
+    for _ in range(3):
+        assert send(backend) == [None] * len(TARGETS)
+    assert backend.breaker.state == "open"
+    assert inner.calls == 2, "the third batch never reached the backend"
+    assert backend.resilience.breaker_fastfails == 1
+    assert [fault.reason for fault in backend.resilience.faults] == [
+        "exhausted", "exhausted", "breaker-open",
+    ]
+
+
 # ---------------- watchdog deadline ---------------- #
 
 
-def test_watchdog_recovers_hung_backend():
+@SHAPES
+def test_watchdog_recovers_hung_backend(columns):
     import threading
 
     release = threading.Event()
-    inner = ScriptedBackend(script=["hang", "ok"], release=release)
+    inner = ScriptedBackend(script=["hang", "ok"], release=release, columns=columns)
     policy = RetryPolicy(max_retries=1, backoff=0.0, timeout=30.0)
     # Injected join returns without waiting: the "deadline" expires
     # instantly, so the test spends zero wall-time on the hang.
@@ -272,13 +363,61 @@ def test_watchdog_recovers_hung_backend():
         join=lambda _thread, _timeout: None,
     )
     try:
-        outcomes = backend.send_batch(TARGETS, TIMES)
-        assert len(outcomes) == len(TARGETS)
+        assert send(backend) == ANSWERED
         assert backend.resilience.timeouts == 1
         assert backend.resilience.retries == 1
         assert backend.resilience.faulted_probes == 0
     finally:
         release.set()  # let the abandoned watchdog thread finish
+
+
+def test_abandoned_attempt_cannot_write_into_returned_columns():
+    """The hung attempt of a columnar send wakes up *after* the retry has
+    answered and writes its whole batch: neither the caller's buffer nor
+    the columns the retry returned may change under it."""
+    import threading
+
+    release = threading.Event()
+    inner = ScriptedBackend(script=["hang", "ok"], release=release, columns=True)
+    # The late writer answers from a different source than the retry.
+    late_sources = []
+    real = inner.probe_columns
+
+    def probe_columns(targets, times, **kwargs):
+        hung = inner.calls == 0
+        cols = real(targets, times, **kwargs)
+        if hung:
+            for row in range(cols.n):
+                cols.source_lo[row] = 0xDEAD
+                cols.flags[row] = 0
+            late_sources.append(cols)
+        return cols
+
+    inner.probe_columns = probe_columns
+    threads = []
+
+    def join(thread, _timeout):
+        threads.append(thread)  # deadline expires at once
+
+    backend = ResilientBackend(
+        inner,
+        RetryPolicy(max_retries=1, backoff=0.0, timeout=30.0),
+        sleep=lambda _d: None,
+        join=join,
+    )
+    mine = ProbeColumns()
+    returned = backend.probe_columns(TARGETS, TIMES, out=mine)
+    before = (returned.flags.tobytes(), returned.source_lo.tobytes())
+    mine_before = (mine.flags.tobytes(), mine.source_lo.tobytes())
+    release.set()
+    for thread in threads:
+        thread.join(10.0)
+        assert not thread.is_alive()
+    assert len(late_sources) == 1, "the abandoned attempt did run to its end"
+    assert late_sources[0] is not returned and late_sources[0] is not mine
+    assert (returned.flags.tobytes(), returned.source_lo.tobytes()) == before
+    assert (mine.flags.tobytes(), mine.source_lo.tobytes()) == mine_before
+    assert [returned.source(row) for row in range(returned.n)] == ANSWERED
 
 
 def test_timeout_error_names_the_deadline():
@@ -291,13 +430,16 @@ def test_timeout_error_names_the_deadline():
 # ---------------- splitting isolates poison probes ---------------- #
 
 
-def test_split_quarantines_only_the_poison_probe():
+@SHAPES
+def test_split_quarantines_only_the_poison_probe(columns):
     poison = TARGETS[5]
-    inner = PoisonBackend(poison)
+    inner = PoisonBackend(poison, columns=columns)
     policy = RetryPolicy(max_retries=0, backoff=0.0, max_split_depth=3)
     backend = ResilientBackend(inner, policy, sleep=lambda _d: None)
-    outcomes = backend.send_batch(TARGETS, TIMES)
-    assert [outcome.target for outcome in outcomes] == TARGETS
+    # Rows stay aligned with their probes; only the poison one is quiet.
+    assert send(backend) == [
+        None if target == poison else target ^ 1 for target in TARGETS
+    ]
     assert backend.resilience.faulted_probes == 1
     (fault,) = backend.resilience.faults
     assert fault.probes == 1
@@ -491,15 +633,15 @@ def test_merge_results_sums_faulted_probes():
     assert merged.sent == 30
 
 
-def test_faulty_backend_short_mode_truncates_once():
-    inner = ScriptedBackend()
+@SHAPES
+def test_faulty_backend_short_mode_truncates_once(columns):
+    inner = ScriptedBackend(columns=columns)
     faulty = FaultyBackend(
         inner, FaultPlan(backend_short_batch=0), shard=0
     )
-    first = faulty.send_batch(TARGETS, TIMES)
-    assert len(first) == len(TARGETS) - 1, "first attempt is short"
-    second = faulty.send_batch(TARGETS, TIMES)
-    assert len(second) == len(TARGETS), "retries see the full batch"
+    assert faulty.supports_columns is columns
+    assert send(faulty) == ANSWERED[:-1], "first attempt is short"
+    assert send(faulty) == ANSWERED, "retries see the full batch"
 
 
 def test_faulty_backend_blackhole_eats_echo_replies(tiny_world):
@@ -551,3 +693,400 @@ def test_resilience_is_invisible_without_math_weirdness():
     assert len(outcomes) == len(TARGETS)
     assert backend.resilience.empty()
     assert math.isfinite(RetryPolicy().backoff_delay(1000))
+
+
+# ---------------- real scans through the columnar wrapper -------------- #
+#
+# With ``sim`` underneath, FaultyBackend and ResilientBackend are columnar:
+# the scan below runs probe_columns -> wrapper -> chaos -> kernel.  Each
+# scenario is held to the fault-free bytes where the fault is transient,
+# and to the ``wire-sim`` run of the same plan — the ``send_batch`` side of
+# the same recover body — where it is not.
+
+SCENARIO_EPOCH = 7400
+CLEAN = "the fault-free bytes"
+
+
+@pytest.fixture(scope="module")
+def scenario_targets(tiny_world):
+    import random
+
+    from repro.scanner.targets import bgp_slash48_targets
+
+    # Unassigned space (errors, rate limiting), live subnets' SRA addresses
+    # (echo replies) and loop regions (amplified Time Exceeded).
+    targets = list(
+        bgp_slash48_targets(
+            tiny_world.bgp, max_per_prefix=8, max_targets=400, rng=random.Random(11)
+        )
+    )
+    targets += [subnet.sra_address for subnet in tiny_world.subnets.values()][:200]
+    for region in tiny_world.loop_regions[:2]:
+        targets.extend(region.prefix.network | offset for offset in range(1, 12))
+    return targets
+
+
+@pytest.fixture()
+def sim_refuses_per_probe_calls(monkeypatch):
+    """Any sim scan that leaves the columnar path fails loudly (a refused
+    call is a backend fault: retried, then quarantined, then visible in
+    every comparison below).  ``wire-sim`` probes through ``inner.probe``
+    of its own wrapped backend, which stays as it is."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("sim scan left the columnar path")
+
+    monkeypatch.setattr(SimBackend, "send_batch", refuse)
+
+
+def _scenario_scan(world, targets, *, backend, shards, batch_size, plan, policy):
+    """One runner scan under ``plan`` (None: an empty plan — the same
+    deferred-shard execution, nothing injected)."""
+    telemetry = ScanTelemetry()
+    runner = ShardedScanRunner(
+        world,
+        shards=shards,
+        executor="thread",
+        telemetry=telemetry,
+        chaos=ChaosEngine(plan if plan is not None else FaultPlan()),
+    )
+    result = runner.scan(
+        targets,
+        ScanConfig(
+            pps=20_000.0,
+            seed=5,
+            backend=backend,
+            batch_size=batch_size,
+            progress_every=100,
+            retry_policy=policy,
+        ),
+        name="scenario",
+        epoch=SCENARIO_EPOCH,
+    )
+    surfaces = (
+        records_jsonl(result.records),
+        telemetry.to_jsonl(),
+        telemetry.to_prometheus(),
+    )
+    return surfaces, result, telemetry
+
+
+def _ops(telemetry, kind):
+    return [event for event in telemetry.ops_events if event["event"] == kind]
+
+
+TRANSIENT = {
+    "error-batch": (
+        FaultPlan(backend_error_batch=0, backend_error_attempts=2),
+        RetryPolicy(max_retries=2, backoff=0.0),
+    ),
+    # Seed 2 fates the first batch of every shard (and ~60 % of the rest).
+    "error-draws": (
+        FaultPlan(seed=2, backend_error_probability=0.6, backend_error_attempts=1),
+        RetryPolicy(max_retries=1, backoff=0.0),
+    ),
+    "short-batch": (
+        FaultPlan(backend_short_batch=0),
+        RetryPolicy(max_retries=1, backoff=0.0),
+    ),
+}
+# A first batch that never goes through whole, no retries: it is bisected,
+# both halves (fresh batch identities to the plan) succeed, and the spliced
+# result stands in for the batch.  Needs batches that can be halved.
+BISECTED = (
+    FaultPlan(backend_error_batch=0, backend_error_attempts=None),
+    RetryPolicy(max_retries=0, backoff=0.0, max_split_depth=1),
+)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("batch_size", [1, 1024])
+@pytest.mark.parametrize("scenario", sorted(TRANSIENT))
+def test_transient_scenarios_reproduce_fault_free_bytes(
+    tiny_world, scenario_targets, sim_refuses_per_probe_calls,
+    scenario, batch_size, shards,
+):
+    _assert_transient(
+        tiny_world, scenario_targets, scenario, batch_size, shards,
+        *TRANSIENT[scenario],
+    )
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("batch_size", [16, 128])
+def test_bisected_batch_is_spliced_back_to_fault_free_bytes(
+    tiny_world, scenario_targets, sim_refuses_per_probe_calls, batch_size, shards
+):
+    plan, policy = BISECTED
+    _assert_transient(
+        tiny_world, scenario_targets, "bisected", batch_size, shards, plan, policy,
+        leaves_ops_trace=False,  # no retry, no quarantine: nothing to report
+    )
+    # Non-vacuity: without the bisection the same plan costs a batch a shard.
+    from dataclasses import replace
+
+    _, unsplit, _ = _scenario_scan(
+        tiny_world, scenario_targets, backend="sim", shards=shards,
+        batch_size=batch_size, plan=plan, policy=replace(policy, max_split_depth=0),
+    )
+    assert unsplit.faulted_probes == shards * batch_size
+
+
+def _assert_transient(
+    tiny_world, scenario_targets, scenario, batch_size, shards, plan, policy,
+    leaves_ops_trace=True,
+):
+    clean, _, _ = _scenario_scan(
+        tiny_world, scenario_targets, backend="sim", shards=shards,
+        batch_size=batch_size, plan=None, policy=None,
+    )
+    for backend in ("sim", "wire-sim"):
+        got, result, telemetry = _scenario_scan(
+            tiny_world, scenario_targets, backend=backend, shards=shards,
+            batch_size=batch_size, plan=plan, policy=policy,
+        )
+        assert got == clean and clean[0], (scenario, backend)
+        assert result.faulted_probes == 0
+        # Non-vacuity: the plan fired and the wrapper recovered, which
+        # only the ops channel may show.  (A batch of one cannot be short.)
+        if leaves_ops_trace and not (scenario == "short-batch" and batch_size == 1):
+            assert _ops(telemetry, "backend_resilience"), (scenario, backend)
+
+
+LOSSY = {
+    # Echo replies never arrive; errors do.
+    "blackhole": (FaultPlan(backend_blackhole=True), RetryPolicy(max_retries=1)),
+    # Two dead batches open the breaker, which never cools down: the rest
+    # of every shard fast-fails without touching the transport.
+    "breaker-open": (
+        FaultPlan(backend_error_batches=2, backend_error_attempts=None),
+        RetryPolicy(
+            max_retries=0, backoff=0.0, max_split_depth=0,
+            breaker_threshold=0.5, breaker_window=4, breaker_min_batches=2,
+            breaker_cooldown=1e9,
+        ),
+    ),
+    # One dead shard transport, retried, bisected, quarantined.
+    "dead-shard": (
+        FaultPlan(backend_error_shard=0, backend_error_attempts=None),
+        RetryPolicy(max_retries=1, backoff=0.0, max_split_depth=2),
+    ),
+}
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("batch_size", [1, 64])
+@pytest.mark.parametrize("scenario", sorted(LOSSY))
+def test_lossy_scenarios_match_the_send_batch_side(
+    tiny_world, scenario_targets, sim_refuses_per_probe_calls,
+    scenario, batch_size, shards,
+):
+    plan, policy = LOSSY[scenario]
+    clean, clean_result, _ = _scenario_scan(
+        tiny_world, scenario_targets, backend="sim", shards=shards,
+        batch_size=batch_size, plan=None, policy=None,
+    )
+    columnar, result, telemetry = _scenario_scan(
+        tiny_world, scenario_targets, backend="sim", shards=shards,
+        batch_size=batch_size, plan=plan, policy=policy,
+    )
+    outcome_lists, wire_result, _ = _scenario_scan(
+        tiny_world, scenario_targets, backend="wire-sim", shards=shards,
+        batch_size=batch_size, plan=plan, policy=policy,
+    )
+    assert columnar == outcome_lists, scenario
+    assert result.engine_stats == wire_result.engine_stats
+    assert result.faulted_probes == wire_result.faulted_probes
+    assert result.sent == clean_result.sent, "quiet rows stay counted"
+    assert clean[0], "vacuous: the scenario scan gets no replies"
+    assert columnar != clean, "vacuous: the plan changed nothing"
+    if scenario == "blackhole":
+        assert result.faulted_probes == 0
+        assert result.engine_stats.echo_replies == 0
+        assert not any(record.is_echo for record in result.records)
+        assert [r for r in result.records if r.is_error] == [
+            r for r in clean_result.records if r.is_error
+        ]
+    elif scenario == "breaker-open":
+        assert result.faulted_probes == result.sent
+        reasons = {event["reason"] for event in _ops(telemetry, "batch_quarantined")}
+        assert reasons == {"exhausted", "breaker-open"}
+    else:
+        per_shard = len(range(0, len(scenario_targets), shards))
+        assert result.faulted_probes == per_shard
+
+
+class _PoisonMixin:
+    """Fails any batch that contains the poison target, in whichever call
+    the backend has."""
+
+    poison = -1
+
+    def _check(self, targets):
+        if self.poison in targets:
+            raise RuntimeError("poison probe in batch")
+
+    def send_batch(self, targets, *args, **kwargs):
+        self._check(targets)
+        return super().send_batch(targets, *args, **kwargs)
+
+    def probe_columns(self, targets, *args, **kwargs):
+        self._check(targets)
+        return super().probe_columns(targets, *args, **kwargs)
+
+
+class PoisonSim(_PoisonMixin, SimBackend):
+    pass
+
+
+class PoisonWire(_PoisonMixin, WireSimBackend):
+    pass
+
+
+def _scanner_scan(backend, targets, policy, batch_size):
+    telemetry = ScanTelemetry()
+    scanner = ZMapV6Scanner(
+        backend,
+        ScanConfig(
+            pps=20_000.0, seed=5, batch_size=batch_size, progress_every=100,
+            retry_policy=policy,
+        ),
+        telemetry=telemetry,
+    )
+    result = scanner.scan(targets, name="scenario", epoch=SCENARIO_EPOCH)
+    surfaces = (
+        records_jsonl(result.records),
+        telemetry.to_jsonl(),
+        telemetry.to_prometheus(),
+    )
+    return surfaces, result, scanner
+
+
+@pytest.mark.parametrize("batch_size", [16, 1024])
+def test_bisection_isolates_a_poison_probe_in_a_real_scan(
+    tiny_world, scenario_targets, sim_refuses_per_probe_calls, batch_size
+):
+    clean, clean_result, _ = _scanner_scan(
+        SimBackend(SimulationEngine(tiny_world, defer_rate_limit=True)),
+        scenario_targets, None, batch_size,
+    )
+    poison = clean_result.records[len(clean_result.records) // 2].target
+    policy = RetryPolicy(max_retries=0, backoff=0.0, max_split_depth=10)
+    surfaces = []
+    for cls in (PoisonSim, PoisonWire):
+        inner = SimBackend(SimulationEngine(tiny_world, defer_rate_limit=True))
+        backend = cls(inner.engine) if cls is PoisonSim else cls(inner)
+        backend.poison = poison
+        got, result, scanner = _scanner_scan(
+            backend, scenario_targets, policy, batch_size
+        )
+        assert scanner.backend.supports_columns is (cls is PoisonSim)
+        assert result.faulted_probes == 1
+        assert result.sent == clean_result.sent
+        assert result.records == [
+            record for record in clean_result.records if record.target != poison
+        ]
+        (fault,) = scanner.last_resilience.faults
+        assert (fault.probes, fault.reason) == (1, "exhausted")
+        surfaces.append(got)
+    assert surfaces[0] == surfaces[1]
+    assert surfaces[0] != clean
+
+
+def test_hung_columnar_send_is_recovered_by_the_watchdog(
+    tiny_world, scenario_targets, sim_refuses_per_probe_calls
+):
+    """FaultyBackend's hang over ``sim``, a real (short) deadline and a
+    real join: the abandoned attempt is released at ``close()`` and ends;
+    the scan's bytes are the fault-free ones."""
+    import threading
+
+    clean, _, _ = _scanner_scan(
+        SimBackend(SimulationEngine(tiny_world, defer_rate_limit=True)),
+        scenario_targets, None, 256,
+    )
+    faulty = FaultyBackend(
+        SimBackend(SimulationEngine(tiny_world, defer_rate_limit=True)),
+        FaultPlan(backend_hang_batch=1),
+    )
+    before = set(threading.enumerate())
+    got, result, scanner = _scanner_scan(
+        faulty, scenario_targets,
+        RetryPolicy(max_retries=1, backoff=0.0, timeout=0.2), 256,
+    )
+    assert scanner.backend.supports_columns
+    assert got == clean
+    assert scanner.last_resilience.timeouts == 1
+    assert scanner.last_resilience.retries == 1
+    assert result.faulted_probes == 0
+    (hung,) = [
+        thread
+        for thread in set(threading.enumerate()) - before
+        if thread.name == "resilient-send"
+    ]
+    scanner.backend.close()
+    hung.join(10.0)
+    assert not hung.is_alive()
+
+
+# ---------------- retries and live rate limiters ----------------------- #
+
+
+def _drained_routers_targets(world):
+    """40 live subnets x 60 unassigned in-subnet addresses: each router
+    answers a burst of Address Unreachable errors until its bucket is dry."""
+    subnets = [s for s in world.subnets.values() if not s.aliased][:40]
+    targets = []
+    for subnet in subnets:
+        taken = set(subnet.hosts) | {subnet.sra_address, subnet.router_interface}
+        candidates = (subnet.prefix.first + 0x1000 + k for k in range(1 << 12))
+        targets.extend([a for a in candidates if a not in taken][:60])
+    return targets
+
+
+@pytest.mark.parametrize("deferred", [True, False], ids=["deferred", "live"])
+def test_failed_send_on_a_live_limiter_is_quarantined_not_repeated(deferred):
+    """Rollback restores counters, not token buckets.  Over a deferred
+    engine (every journalled / sharded / chaos run) a re-sent batch is
+    byte-identical to a fault-free one; over a live one it would meet
+    routers the failed attempt had already drained and silently lose
+    their errors — so it is not re-sent, and says so."""
+    from repro.topology.config import tiny_config
+    from repro.topology.generator import build_world
+
+    world = build_world(tiny_config(2024))
+    targets = _drained_routers_targets(world)
+    config = ScanConfig(
+        pps=200_000, seed=3, retry_policy=RetryPolicy(max_retries=2, backoff=0.0)
+    )
+
+    def scan(plan):
+        backend = SimBackend(SimulationEngine(world, defer_rate_limit=deferred))
+        if plan is not None:
+            backend = FaultyBackend(backend, plan)
+        scanner = ZMapV6Scanner(backend, config)
+        return scanner.scan(targets, name="limiter", epoch=0), scanner
+
+    clean, _ = scan(None)
+    # The first batch comes back one row short *after* the engine ran it.
+    faulted, scanner = scan(FaultPlan(backend_short_batch=0))
+    assert scanner.backend.supports_columns
+    errors = sum(record.is_error for record in clean.records)
+    assert errors > 100, "vacuous: nothing to rate-limit"
+    if deferred:
+        assert faulted.records == clean.records
+        assert faulted.engine_stats == clean.engine_stats
+        assert faulted.faulted_probes == 0
+        assert scanner.last_resilience.retries == 1
+    else:
+        assert len(clean.records) < len(targets) // 4, "the limiter must bite"
+        (fault,) = scanner.last_resilience.faults
+        assert fault.reason == "unrepeatable"
+        assert (fault.batch, fault.attempts, fault.probes) == (0, 1, 1024)
+        assert "short outcome list" in fault.error
+        assert scanner.last_resilience.retries == 0, "nothing was sent twice"
+        assert faulted.faulted_probes == 1024
+        assert faulted.sent == clean.sent
+        # The quarantined batch is silent and uncounted by the engine.
+        assert all(record.time >= 1024 / config.pps for record in faulted.records)
+        assert faulted.engine_stats.probes == clean.engine_stats.probes - 1024

@@ -24,12 +24,14 @@ from repro.core.survey import SRASurvey, SurveyConfig
 from repro.scanner.records import ScanRecord, ScanResult
 from repro.scanner.stream import (
     CountingSink,
+    CsvSink,
     IndexWindow,
     JsonlSink,
     LazyStream,
     ListStream,
     MemorySink,
     PermutedStream,
+    RecordSink,
     StreamSpec,
     SubnetPartitionStream,
     TeeSink,
@@ -446,3 +448,173 @@ class TestSinks:
         with JsonlSink(path) as sink:
             sink.emit(_records()[0])
         assert path.read_text().startswith("{")
+
+
+# One address per zero-run shape RFC 5952 distinguishes, as 16-bit groups.
+_SHAPES = [
+    (0, 0, 0, 0, 0, 0, 0, 0),  # ::
+    (0, 0, 0, 0, 0, 0, 0, 1),  # ::1
+    (0, 0, 1, 2, 3, 4, 5, 6),  # leading run
+    (1, 2, 3, 4, 5, 6, 0, 0),  # trailing run
+    (0x2001, 0xDB8, 0, 0, 0, 0, 0, 1),  # middle run
+    (1, 0, 0, 2, 0, 0, 3, 4),  # tied runs: the first is compressed
+    (1, 0, 0, 2, 0, 0, 0, 3),  # the longer run wins, wherever it is
+    (1, 0, 2, 3, 4, 5, 6, 7),  # a lone zero group is not a run
+    (1, 2, 3, 4, 5, 6, 7, 8),  # no run
+    (0xFFFF,) * 8,
+]
+_ADDRESSES = [
+    sum(group << (112 - 16 * index) for index, group in enumerate(groups))
+    for groups in _SHAPES
+]
+
+
+def _shape_records(n: int) -> list[ScanRecord]:
+    """``n`` records cycling every address shape (as target and, out of
+    step, as source), count extremes and awkward times."""
+    counts = [1, 2, 2**22, 4_194_303]
+    times = [0.0, 1e-07, 5.999999, 0.1 + 0.2, 12345.678901234]
+    return [
+        ScanRecord(
+            target=_ADDRESSES[i % len(_ADDRESSES)],
+            source=_ADDRESSES[(i * 7 + 3) % len(_ADDRESSES)],
+            icmp_type=(129, 1, 3)[i % 3],
+            code=(0, 3, 0)[i % 3],
+            count=counts[i % len(counts)],
+            time=times[i % len(times)] + (i // len(times)),
+        )
+        for i in range(n)
+    ]
+
+
+def _reference_text(records) -> tuple[str, str]:
+    """JSONL and CSV of ``records`` from the standard library alone:
+    ``ipaddress`` for RFC 5952, ``json.dumps`` and ``csv.writer`` (the
+    pre-batch sinks' own writers) for the formats."""
+    import csv
+    import io
+    import json
+    from ipaddress import IPv6Address
+
+    jsonl = io.StringIO()
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["target", "source", "icmp_type", "code", "count", "time"])
+    for record in records:
+        target = str(IPv6Address(record.target))
+        source = str(IPv6Address(record.source))
+        jsonl.write(
+            json.dumps(
+                {
+                    "target": target,
+                    "source": source,
+                    "icmp_type": record.icmp_type,
+                    "code": record.code,
+                    "count": record.count,
+                    "time": record.time,
+                }
+            )
+            + "\n"
+        )
+        writer.writerow(
+            [
+                target,
+                source,
+                record.icmp_type,
+                record.code,
+                record.count,
+                f"{record.time:.6f}",
+            ]
+        )
+    return jsonl.getvalue(), table.getvalue()
+
+
+def _feed_at_once(sink, records):
+    sink.drain(records)
+
+
+def _feed_in_pieces(sink, records):
+    # Uneven pieces, a generator among them, one longer than a chunk.
+    cuts = [0, 1, 1, 8, 1500, len(records)]
+    for start, stop in zip(cuts, cuts[1:]):
+        sink.drain(record for record in records[start:stop])
+
+
+def _feed_one_by_one(sink, records):
+    for record in records:
+        sink.emit(record)
+
+
+class TestTextSinksAgainstReference:
+    """The batch-rendered sinks write the bytes ``json.dumps`` and
+    ``csv.writer`` would, however the records are fed."""
+
+    RECORDS = _shape_records(2600)  # > 2 drain chunks
+
+    @pytest.mark.parametrize(
+        "feed", [_feed_at_once, _feed_in_pieces, _feed_one_by_one]
+    )
+    @pytest.mark.parametrize("tee", [False, True])
+    def test_bytes_and_offsets(self, tmp_path, feed, tee):
+        records = self.RECORDS
+        expected_jsonl, expected_csv = _reference_text(records)
+        jsonl = JsonlSink(tmp_path / "r.jsonl")
+        table = CsvSink(tmp_path / "r.csv")
+        memory = MemorySink()
+        if tee:
+            sinks = [TeeSink((jsonl, memory, table))]
+        else:
+            sinks = [jsonl, table]
+        for sink in sinks:
+            feed(sink, records)
+        # Staged, not yet promoted.
+        assert (tmp_path / "r.jsonl.partial").exists()
+        assert not (tmp_path / "r.jsonl").exists()
+        for sink in sinks:
+            sink.close()
+        assert not (tmp_path / "r.csv.partial").exists()
+        assert (tmp_path / "r.jsonl").read_bytes() == expected_jsonl.encode()
+        assert (tmp_path / "r.csv").read_bytes() == expected_csv.encode()
+        assert jsonl.byte_offset() == (tmp_path / "r.jsonl").stat().st_size
+        assert table.byte_offset() == (tmp_path / "r.csv").stat().st_size
+        assert jsonl.emitted == table.emitted == len(records)
+        if tee:
+            assert memory.records == records
+            assert sinks[0].emitted == len(records)
+            assert sinks[0].byte_offset() == len(expected_jsonl) + len(expected_csv)
+
+    def test_scan_result_writers_share_the_bytes(self, tmp_path):
+        records = self.RECORDS[:300]
+        expected_jsonl, expected_csv = _reference_text(records)
+        result = ScanResult(name="s", records=records)
+        result.write_jsonl(tmp_path / "w.jsonl")
+        result.write_csv(tmp_path / "w.csv")
+        assert (tmp_path / "w.jsonl").read_bytes() == expected_jsonl.encode()
+        assert (tmp_path / "w.csv").read_bytes() == expected_csv.encode()
+
+    def test_empty_stream_is_a_header_only_csv(self, tmp_path):
+        with TeeSink((JsonlSink(tmp_path / "e.jsonl"), CsvSink(tmp_path / "e.csv"))) as tee:
+            tee.drain([])
+        assert (tmp_path / "e.jsonl").read_bytes() == b""
+        assert (tmp_path / "e.csv").read_bytes() == _reference_text([])[1].encode()
+        assert tee.byte_offset() == (tmp_path / "e.csv").stat().st_size
+
+    @pytest.mark.parametrize("kind", [JsonlSink, CsvSink])
+    def test_abort_keeps_the_partial_and_never_promotes(self, tmp_path, kind):
+        dest = tmp_path / "out.txt"
+        with pytest.raises(RuntimeError, match="scan died"):
+            with kind(dest) as sink:
+                sink.drain(self.RECORDS[:10])
+                raise RuntimeError("scan died")
+        assert not dest.exists()
+        partial = tmp_path / "out.txt.partial"
+        assert partial.stat().st_size == sink.byte_offset()
+        sink.abort()  # idempotent
+        sink.close()  # a closed handle is never promoted afterwards
+        assert not dest.exists()
+
+    def test_drain_is_the_base_class_write_path(self):
+        # The benchmark's tracer spans RecordSink.drain itself: a subclass
+        # overriding it would drop out of the sink_emit_s span unnoticed.
+        for cls in (MemorySink, CountingSink, JsonlSink, CsvSink, TeeSink):
+            assert cls.drain is RecordSink.drain, cls

@@ -6,8 +6,12 @@ this file covers the unit semantics and the CLI surface.
 """
 
 import json
+import pickle
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.survey import SRASurvey, SurveyConfig
 from repro.netsim.engine import SimulationEngine
@@ -95,6 +99,89 @@ class TestHistogram:
         for value in reversed(values):
             backward.observe(value)
         assert forward.sum == backward.sum
+
+    # The accumulator against an independent exact reference: rationals.
+    # Magnitudes are capped at 1e290 so 2**12 observations of them cannot
+    # overflow the (float) sum; the subnormal end is unrestricted.
+    OBSERVATIONS = st.lists(
+        st.tuples(
+            st.one_of(
+                st.floats(min_value=-1e290, max_value=1e290),
+                st.sampled_from(
+                    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-07]
+                ),
+            ),
+            st.integers(min_value=-64, max_value=64),
+        ),
+        max_size=64,
+    )
+
+    @staticmethod
+    def _observed(observations):
+        hist = Histogram("h", edges=(0.0, 1.0))
+        for value, count in observations:
+            hist.observe(value, count)
+        return hist
+
+    @settings(max_examples=300, deadline=None)
+    @given(observations=OBSERVATIONS, data=st.data())
+    def test_sum_equals_the_rational_sum(self, observations, data):
+        expected = float(
+            sum((Fraction(value) * count for value, count in observations), Fraction(0))
+        )
+        hist = self._observed(observations)
+        assert hist.sum == expected
+        assert hist.total == sum(count for _, count in observations)
+        # ... whatever the order,
+        shuffled = data.draw(st.permutations(observations))
+        assert self._observed(shuffled).sum == expected
+        # ... however the observations are split over merged registries,
+        shards = data.draw(st.integers(min_value=1, max_value=4))
+        merged = MetricsRegistry()
+        for shard in range(shards):
+            part = MetricsRegistry()
+            part_hist = part.histogram("h", (0.0, 1.0))
+            for value, count in observations[shard::shards]:
+                part_hist.observe(value, count)
+            merged.merge(part)
+        if observations:
+            assert merged.get("h").sum == expected
+            assert merged.get("h").counts == hist.counts
+        # ... and across the pickle round trip a checkpoint journal makes.
+        restored = pickle.loads(pickle.dumps(hist))
+        assert (restored.sum, restored.counts, restored.total) == (
+            expected,
+            hist.counts,
+            hist.total,
+        )
+        restored.observe(0.5, 3)
+        hist.observe(0.5, 3)
+        assert restored.sum == hist.sum
+
+    def test_extreme_magnitudes_stay_exact(self):
+        hist = Histogram("h", edges=(1.0,))
+        hist.observe(1e308)
+        hist.observe(5e-324, 3)
+        hist.observe(1e308, -1)  # retracted: the subnormals must survive
+        assert hist.sum == 1.5e-323
+        hist.observe(1.7976931348623157e308)
+        hist.observe(-1.7976931348623157e308)
+        assert hist.sum == 1.5e-323
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (float("nan"), ValueError),
+            (float("inf"), OverflowError),
+            (float("-inf"), OverflowError),
+        ],
+    )
+    def test_non_finite_observations_raise_and_count_nothing(self, value, error):
+        hist = Histogram("h", edges=(1.0,))
+        hist.observe(0.25)
+        with pytest.raises(error):
+            hist.observe(value)
+        assert (hist.counts, hist.total, hist.sum) == ([1, 0], 1, 0.25)
 
 
 class TestMetricsRegistry:
