@@ -35,9 +35,13 @@ targets cycled up to ``--probes`` (1,745 /64 blocks on the routed
 workload), so after the first pass each LPM lookup is a block-cache *hit*
 — the 8,192-block caches never fill and eviction never runs.  That is how
 ~255 k probes/s here coexisted with 52 k probes/s on a whole survey, whose
-631 k distinct blocks miss on almost every probe.  The miss path is
-measured by ``benchmarks/e2e`` (``survey_serial``) and pinned by
-``tests/test_blockcache.py``.
+631 k distinct blocks miss on almost every probe.  The miss path — on
+both FIBs the longest row, else one bisect in the flattened ranges of the
+shorter rows; built at construction by ``FrozenLPM``, lazily after a
+mutation by ``LengthIndexedLPM`` — is measured by ``benchmarks/e2e``
+(``survey_serial`` on the dict FIB, ``survey_sharded`` and ``scan_export``
+on the frozen one) and pinned by ``tests/test_blockcache.py`` and
+``tests/test_frozenfib.py``.
 
     PYTHONPATH=src python benchmarks/engine_hotpath.py
     PYTHONPATH=src python benchmarks/engine_hotpath.py --probes 5000 --check
@@ -172,8 +176,9 @@ def verify_byte_identity(world: World, workloads: dict) -> list[str]:
     ``JsonlSink`` + ``CsvSink`` behind a ``TeeSink`` (the files must be
     ``ScanResult.write_jsonl`` / ``write_csv``'s), and on the world's
     artifact-backed twin — every routing lookup a ``FrozenLPM`` one,
-    almost every one of them a block-cache miss — all held to the first
-    run's bytes.  Returns human-readable failure strings, empty when
+    where the in-memory world's are ``LengthIndexedLPM`` ones; the first
+    pass over the pool takes either through its miss path — all held to
+    the first run's bytes.  Returns human-readable failure strings, empty when
     identical.
     """
     import tempfile

@@ -18,34 +18,40 @@ Plus the two non-BGP constructions:
 Real-world stage 2/3 yields billions of targets; all generators stream and
 accept an optional per-prefix sample budget so scaled-down experiments stay
 cheap while preserving the selection semantics.
+
+Targets are plain integers end to end — ``network | (index << shift)`` —
+never an :class:`IPv6Prefix` per target: arguments are checked once per
+prefix, and every generator emits each target once, through the one
+``seen`` set of :func:`_distinct` (the builders in
+:mod:`repro.scanner.targets` only cut the stream).  Random draws happen
+per prefix, when the consumer reaches it, so a consumer that stops early
+leaves the ``rng`` where the last prefix it touched left it.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .ipv6 import IPv6Prefix, network_of
-from .sra import sra_of
+from .ipv6 import ADDRESS_BITS, AddressError, IPv6Prefix, prefix_mask
 
 STAGE2_LENGTH = 48
 STAGE3_LENGTH = 64
 
 
-def stage1_targets(announcements: Iterable[IPv6Prefix]) -> Iterator[int]:
-    """SRA address of every announced prefix, as announced (Stage 1)."""
+def _distinct(targets: Iterable[int]) -> Iterator[int]:
+    """``targets`` in order, first occurrences only."""
     seen: set[int] = set()
-    for prefix in announcements:
-        target = prefix.network
+    for target in targets:
         if target not in seen:
             seen.add(target)
             yield target
 
 
-def _covered_by_other(
-    prefix: IPv6Prefix, announcements: Sequence[IPv6Prefix]
-) -> bool:
-    return any(other != prefix and other.covers(prefix) for other in announcements)
+def stage1_targets(announcements: Iterable[IPv6Prefix]) -> Iterator[int]:
+    """SRA address of every announced prefix, as announced (Stage 1)."""
+    return _distinct(prefix.network for prefix in announcements)
 
 
 def stage2_targets(
@@ -62,19 +68,25 @@ def stage2_targets(
     /48 subnets are drawn per announcement — uniformly at random when an
     ``rng`` is given, else the first ones in address order.
     """
-    seen: set[int] = set()
+    # "Another" announcement covering a /48 is a strictly shorter one:
+    # their networks, by length mask.
+    shorter: dict[int, set[int]] = {}
     for prefix in announcements:
-        if prefix.length > STAGE2_LENGTH:
-            supernet = prefix.supernet(STAGE2_LENGTH)
-            if _covered_by_other(supernet, announcements):
-                continue
-            candidates: Iterable[IPv6Prefix] = (supernet,)
-        else:
-            candidates = _partition(prefix, STAGE2_LENGTH, max_per_prefix, rng)
-        for subnet in candidates:
-            if subnet.network not in seen:
-                seen.add(subnet.network)
-                yield subnet.network
+        if prefix.length < STAGE2_LENGTH:
+            shorter.setdefault(prefix_mask(prefix.length), set()).add(
+                prefix.network
+            )
+    slash48 = prefix_mask(STAGE2_LENGTH)
+
+    def candidates(prefix: IPv6Prefix) -> Iterable[int]:
+        if prefix.length <= STAGE2_LENGTH:
+            return _partition(prefix, STAGE2_LENGTH, max_per_prefix, rng)
+        supernet = prefix.network & slash48
+        if any(supernet & mask in shorter[mask] for mask in shorter):
+            return ()
+        return (supernet,)
+
+    return _distinct(chain.from_iterable(map(candidates, announcements)))
 
 
 def stage3_targets(
@@ -89,14 +101,20 @@ def stage3_targets(
     (expanding everything would explode the target count), and nothing more
     specific than a /64 is generated.
     """
-    seen: set[int] = set()
-    for prefix in announcements:
-        if prefix.length != STAGE2_LENGTH:
-            continue
-        for subnet in _partition(prefix, STAGE3_LENGTH, max_per_prefix, rng):
-            if subnet.network not in seen:
-                seen.add(subnet.network)
-                yield subnet.network
+    return _distinct(
+        chain.from_iterable(
+            _partition(prefix, STAGE3_LENGTH, max_per_prefix, rng)
+            for prefix in announcements
+            if prefix.length == STAGE2_LENGTH
+        )
+    )
+
+
+def _first_subnets(prefix: IPv6Prefix, new_length: int, count: int) -> range:
+    """Networks of the first ``count`` /``new_length`` subnets of
+    ``prefix``, in address order."""
+    step = 1 << (ADDRESS_BITS - new_length)
+    return range(prefix.network, prefix.network + count * step, step)
 
 
 def _partition(
@@ -104,17 +122,27 @@ def _partition(
     new_length: int,
     max_per_prefix: int | None,
     rng: random.Random | None,
-) -> Iterator[IPv6Prefix]:
-    count = 1 << (new_length - prefix.length) if new_length > prefix.length else 1
+) -> Iterable[int]:
+    """Networks of ``prefix``'s /``new_length`` subnets: all of them in
+    address order, or ``max_per_prefix`` of them (drawn with ``rng``, else
+    the first ones) when there are more."""
+    if not prefix.length <= new_length <= ADDRESS_BITS:
+        raise AddressError(
+            f"cannot subnet /{prefix.length} into /{new_length}"
+        )
+    if max_per_prefix is not None and max_per_prefix < 0:
+        raise ValueError(f"max_per_prefix must be >= 0, got {max_per_prefix}")
+    count = 1 << (new_length - prefix.length)
     if max_per_prefix is None or max_per_prefix >= count:
-        yield from prefix.subnets(new_length)
-        return
+        return _first_subnets(prefix, new_length, count)
     if rng is None:
-        indices: Iterable[int] = range(max_per_prefix)
-    else:
-        indices = rng.sample(range(count), max_per_prefix)
-    for index in indices:
-        yield prefix.nth_subnet(new_length, index)
+        return _first_subnets(prefix, new_length, max_per_prefix)
+    base = prefix.network
+    shift = ADDRESS_BITS - new_length
+    return [
+        base | (index << shift)
+        for index in rng.sample(range(count), max_per_prefix)
+    ]
 
 
 def route6_targets(
@@ -130,26 +158,24 @@ def route6_targets(
     the sampling (not enumeration) is deliberate and load-bearing for the
     error-dominated response mix the paper reports for this input.
     """
-    seen: set[int] = set()
-    for prefix in route6_prefixes:
+    if per_prefix < 0:
+        raise ValueError(f"per_prefix must be >= 0, got {per_prefix}")
+    slash64 = prefix_mask(STAGE3_LENGTH)
+    shift = ADDRESS_BITS - STAGE3_LENGTH
+
+    def candidates(prefix: IPv6Prefix) -> Iterable[int]:
+        base = prefix.network
         if prefix.length > STAGE3_LENGTH:
-            target = network_of(prefix.network, STAGE3_LENGTH)
-            if target not in seen:
-                seen.add(target)
-                yield target
-            continue
+            return (base & slash64,)
         count = 1 << (STAGE3_LENGTH - prefix.length)
         if count <= per_prefix:
-            for subnet in prefix.subnets(STAGE3_LENGTH):
-                if subnet.network not in seen:
-                    seen.add(subnet.network)
-                    yield subnet.network
-            continue
-        for index in _sample_indices(count, per_prefix, rng):
-            target = prefix.nth_subnet(STAGE3_LENGTH, index).network
-            if target not in seen:
-                seen.add(target)
-                yield target
+            return _first_subnets(prefix, STAGE3_LENGTH, count)
+        return (
+            base | (index << shift)
+            for index in _sample_indices(count, per_prefix, rng)
+        )
+
+    return _distinct(chain.from_iterable(map(candidates, route6_prefixes)))
 
 
 def _sample_indices(count: int, k: int, rng: random.Random) -> Iterator[int]:
@@ -175,9 +201,5 @@ def hitlist_targets(
     targets this way; it is the highest-yield input because each /64 was
     observed to contain an active host at some point.
     """
-    seen: set[int] = set()
-    for address in host_addresses:
-        target = sra_of(address, subnet_length)
-        if target not in seen:
-            seen.add(target)
-            yield target
+    mask = prefix_mask(subnet_length)
+    return _distinct(address & mask for address in host_addresses)

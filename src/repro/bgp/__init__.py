@@ -1,16 +1,14 @@
-"""BGP substrate: radix trie, announcement table, and dump I/O."""
+"""BGP substrate: longest-prefix-match maps, announcement table, and dump I/O."""
 
 from .lpm import LengthIndexedLPM
 from .dump import DumpFormatError, iter_dump, parse_dump_line, read_dump, write_dump
 from .table import Announcement, BGPTable
-from .trie import PrefixTrie
 
 __all__ = [
     "Announcement",
     "BGPTable",
     "DumpFormatError",
     "LengthIndexedLPM",
-    "PrefixTrie",
     "iter_dump",
     "parse_dump_line",
     "read_dump",

@@ -1,14 +1,13 @@
 """Frozen, array-backed longest-prefix match.
 
-:class:`~repro.bgp.lpm.LengthIndexedLPM` and
-:class:`~repro.bgp.trie.PrefixTrie` are built around Python dicts and
-nodes: perfect while a table is being assembled, but expensive to ship —
+:class:`~repro.bgp.lpm.LengthIndexedLPM` is built around Python dicts:
+perfect while a table is being assembled, but expensive to ship —
 pickling a world's resolution index into every shard worker rivals the
 scan itself, and a million /64 entries cost hundreds of megabytes of
 dict overhead.
 
-:class:`FrozenLPM` is the read-only counterpart: the contents of either
-mutable structure flattened into per-length *sorted key columns* — two
+:class:`FrozenLPM` is the read-only counterpart: the contents of the
+mutable map laid out as per-length *sorted key columns* — two
 ``array('Q')``-compatible sequences holding the high and low 64-bit words
 of each network, plus a parallel value sequence.  The columns are plain
 machine words, so they can live in an mmap'd world artifact and be shared
@@ -16,15 +15,18 @@ zero-copy by every shard worker — see :mod:`repro.topology.artifact`.
 
 A cache miss costs at most two binary searches, however many lengths are
 stored: one in the longest row's key column, then one ``bisect`` in a
-table of disjoint address ranges that construction flattens all shorter
-rows into.  ``get`` / ``has_cover`` / ``all_matches`` / ``items`` read the
-per-length columns.  Only the longest row stays zero-copy and lazy: the
-range table is Python objects built per process, linear in the shorter
-rows.  That assumes those are few, as in generated worlds (the benchmark
-world's resolution table keeps 346 of 76,320 entries below its longest
-row, /64; its BGP table flattens 1,251 of 1,417 prefixes).  A table whose
-longest row is the sparse one — a few /128s over many /64s — would pay
-load time and memory proportional to its size in every worker.
+table of disjoint address ranges that :func:`flatten` makes of all shorter
+rows at construction.  (The mutable map's miss is the same two steps from
+the same function, with a ``dict.get`` for the first search and the table
+rebuilt lazily after mutations.)  ``get`` / ``has_cover`` / ``all_matches``
+/ ``items`` read the per-length columns.  Only the longest row stays
+zero-copy and lazy: the range table is Python objects built per process,
+linear in the shorter rows.  That assumes those are few, as in generated
+worlds (the benchmark world's resolution table keeps 346 of 76,320
+entries below its longest row, /64; its BGP table flattens 1,251 of 1,417
+prefixes).  A table whose longest row is the sparse one — a few /128s
+over many /64s — would pay load time and memory proportional to its size
+in every worker.
 
 Bit-identity contract: ``longest_match`` / ``longest_match_batch`` /
 ``items`` / ``has_cover`` / ``all_matches`` return exactly what the
@@ -33,7 +35,7 @@ values matching, behind the same bounded block cache keyed by the covering
 ``/max(48, longest)`` block (:mod:`repro.bgp.blockcache`; pinned by
 tests/test_frozenfib.py and tests/test_blockcache.py).
 Mutation (``insert`` / ``remove``) raises :class:`TypeError` — freezing
-is one-way; build with the mutable structures, freeze, then share.
+is one-way; build with the mutable map, freeze, then share.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 from ..addr.ipv6 import ADDRESS_BITS, IPv6Prefix, prefix_mask
 from .blockcache import DEFAULT_CACHE_SIZE, BlockCachedLPM, V
 
-__all__ = ["FrozenLPM", "FrozenRow"]
+__all__ = ["FrozenLPM", "FrozenRow", "flatten"]
 
 _LO_MASK = (1 << 64) - 1
 
@@ -63,7 +65,7 @@ class FrozenRow:
     tuple per index on first use: in a :class:`FrozenLPM`'s longest row
     the memo grows with the entries a scan actually hits, not with the
     table; every shorter row is matched in full when the map is built
-    (:func:`_flatten`).
+    (:func:`flatten`).
     """
 
     __slots__ = ("length", "mask", "keys_hi", "keys_lo", "values", "_matches")
@@ -117,10 +119,12 @@ class FrozenRow:
         return -1
 
 
-def _flatten(rows: Sequence[FrozenRow]) -> tuple[list[int], list]:
-    """``rows`` as disjoint address ranges: ``owners[j]`` is the interned
-    match of the longest prefix covering ``[starts[j], starts[j + 1])``,
-    or None.
+def flatten(
+    matches: Iterable[tuple[IPv6Prefix, object]],
+) -> tuple[list[int], list]:
+    """Interned ``(prefix, value)`` matches as disjoint address ranges:
+    ``owners[j]`` is the match of the longest prefix covering
+    ``[starts[j], starts[j + 1])``, or None.
 
     Prefixes nest or are disjoint, so one sweep in (network, length) order
     over a stack of the prefixes still open resolves every overlap: a
@@ -129,8 +133,8 @@ def _flatten(rows: Sequence[FrozenRow]) -> tuple[list[int], list]:
     but the last are empty; ``bisect_right`` lands on the last, the
     innermost prefix's.  Boundaries are whole 128-bit integers.
 
-    Every entry of ``rows`` is matched here (values materialised, memo
-    filled): linear in them, so they are assumed few — see the module
+    Linear (plus a sort) in ``matches``, which both FIBs pass every row
+    but their longest, so those are assumed few — see the module
     docstring.  ``benchmarks/world_scale.py --check`` bounds artifact
     load time only for worlds of that shape.
     """
@@ -143,7 +147,6 @@ def _flatten(rows: Sequence[FrozenRow]) -> tuple[list[int], list]:
             starts.append(enclosing.pop()[0])
             owners.append(enclosing[-1][1] if enclosing else None)
 
-    matches = (row.match(i) for row in rows for i in range(len(row)))
     for owner in sorted(matches, key=lambda match: match[0]):
         prefix = owner[0]  # prefixes order by (network, length)
         close(prefix.network)
@@ -181,7 +184,11 @@ class FrozenLPM(BlockCachedLPM[V]):
             raise ValueError("duplicate per-length rows")
         self._size = sum(len(row) for row in self._rows_desc)
         self._longest = next(iter(self._rows_desc), FrozenRow(0, (), (), ()))
-        self._starts, self._owners = _flatten(self._rows_desc[1:])
+        # Every shorter entry is matched here: values materialised, row
+        # memos filled.
+        self._starts, self._owners = flatten(
+            row.match(i) for row in self._rows_desc[1:] for i in range(len(row))
+        )
         super().__init__(cache_size, lengths[0] if lengths else 0)
 
     # ------------------------------------------------------------------ #
@@ -215,7 +222,7 @@ class FrozenLPM(BlockCachedLPM[V]):
     @classmethod
     def freeze(cls, lpm, *, cache_size: int = DEFAULT_CACHE_SIZE) -> "FrozenLPM[V]":
         """Freeze any map with ``items()`` yielding ``(IPv6Prefix, value)``
-        — both :class:`LengthIndexedLPM` and :class:`PrefixTrie` qualify."""
+        — a :class:`LengthIndexedLPM`, or another :class:`FrozenLPM`."""
         return cls.from_items(lpm.items(), cache_size=cache_size)
 
     # ------------------------------------------------------------------ #
@@ -279,12 +286,12 @@ class FrozenLPM(BlockCachedLPM[V]):
 
     def insert(self, prefix: IPv6Prefix, value: V) -> None:
         raise TypeError(
-            "FrozenLPM is immutable: build a LengthIndexedLPM/PrefixTrie "
-            "and re-freeze instead"
+            "FrozenLPM is immutable: build a LengthIndexedLPM and "
+            "re-freeze instead"
         )
 
     def remove(self, prefix: IPv6Prefix) -> bool:
         raise TypeError(
-            "FrozenLPM is immutable: build a LengthIndexedLPM/PrefixTrie "
-            "and re-freeze instead"
+            "FrozenLPM is immutable: build a LengthIndexedLPM and "
+            "re-freeze instead"
         )

@@ -2,28 +2,41 @@
 
 The world's resolution index holds tens of thousands of /64 subnets plus a
 handful of other prefix lengths.  A per-bit trie would allocate millions of
-nodes; instead we keep one hash table per distinct prefix length and probe
-them longest-first — the classic "DIR" LPM scheme.  Lookups cost one dict
-probe per distinct length present (≈8 in practice).
-
-Hot-path structure: the probe loop walks ``_tables_desc``, a flat list of
-``(length, mask, table)`` rows sorted longest-first that contains only
-non-empty tables (``remove`` prunes; nothing ever iterates an empty
-per-length dict).  Each table maps a network to the interned
+nodes; instead we keep one hash table per distinct prefix length — the
+classic "DIR" LPM scheme — each mapping a network to the interned
 ``(prefix, value)`` tuple built once at ``insert``, so a lookup returns a
-stored object instead of constructing and validating a prefix.  On top
-sits the bounded block cache of :mod:`repro.bgp.blockcache`; any mutation
-invalidates it, keeping lookups bit-identical to the uncached path.
+stored object instead of constructing and validating a prefix.
+
+A lookup that misses the bounded block cache of
+:mod:`repro.bgp.blockcache` costs two operations, however many lengths are
+stored: one ``dict.get`` in the longest row, else one ``bisect_right`` in
+the table of disjoint address ranges that :func:`repro.bgp.frozenfib.flatten`
+makes of every shorter row — the same miss path, from the same function, as
+:class:`~repro.bgp.frozenfib.FrozenLPM`.  The range table is derived state:
+every ``insert`` / ``remove`` drops it (and the cache), and the first lookup
+afterwards rebuilds it, linear (plus a sort) in the entries *below the
+longest row*.  That assumes those are few and that mutations come in runs
+— build, then scan — as in generated worlds: the benchmark world's
+resolution table keeps 346 of 76,320 entries below its longest row (/64),
+its BGP table 1,251 of 1,417 prefixes.  A table mutated between every two
+lookups, or one whose longest row is the sparse one (a few /128s over many
+/64s), pays the whole flatten per lookup.  ``get`` / ``has_cover`` /
+``all_matches`` / ``items`` read the per-length tables (``_tables_desc``:
+``(length, mask, table)`` rows, longest first, non-empty only) and never
+touch the range table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator
 
 from ..addr.ipv6 import IPv6Prefix, prefix_mask
 from .blockcache import DEFAULT_CACHE_SIZE, BlockCachedLPM, V
+from .frozenfib import FrozenLPM, flatten
 
 _Match = tuple[IPv6Prefix, V]
+_MissPath = tuple[int, dict[int, _Match], list[int], list]
 
 
 class LengthIndexedLPM(BlockCachedLPM[V]):
@@ -34,6 +47,9 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
         self._by_length: dict[int, dict[int, _Match]] = {}
         # (length, mask, table) longest-first; non-empty tables only.
         self._tables_desc: list[tuple[int, int, dict[int, _Match]]] = []
+        # (longest mask, longest table, range starts, range owners): what
+        # a miss reads.  Built by the first lookup after a mutation.
+        self._miss_path: _MissPath | None = None
         self._size = 0
 
     def __len__(self) -> int:
@@ -52,7 +68,7 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
             # Lookup rows reference the table dict, so only a new length
             # needs a rebuild (after populating — empty tables are pruned).
             self._rebuild_tables()
-        self._invalidate(self._tables_desc[0][0])
+        self._mutated()
 
     def remove(self, prefix: IPv6Prefix) -> bool:
         table = self._by_length.get(prefix.length)
@@ -63,12 +79,18 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
         if not table:
             del self._by_length[prefix.length]
             self._rebuild_tables()
-        self._invalidate(self._tables_desc[0][0] if self._tables_desc else 0)
+        self._mutated()
         return True
 
+    def _mutated(self) -> None:
+        """Forget everything derived from the tables: the miss path's
+        range table (its owners are the interned matches a re-insert
+        replaces) and every cached block."""
+        self._miss_path = None
+        self._invalidate(self._tables_desc[0][0] if self._tables_desc else 0)
+
     def _rebuild_tables(self) -> None:
-        """Recompute the lookup rows.  Empty per-length tables are pruned
-        here, so ``_probe`` never probes a dict that cannot match."""
+        """Recompute the per-length rows, pruning empty tables."""
         self._tables_desc = [
             (length, prefix_mask(length), self._by_length[length])
             for length in sorted(self._by_length, reverse=True)
@@ -81,13 +103,27 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
         return default if match is None else match[1]
 
     def _probe(self, address: int) -> _Match | None:
-        for _, mask, table in self._tables_desc:
-            # A stored value of None still matches (the tuple is not
-            # None), mirroring PrefixTrie semantics.
-            match = table.get(address & mask)
-            if match is not None:
-                return match
-        return None
+        """Uncached lookup: one ``dict.get`` in the longest row, else one
+        ``bisect`` in the flattened ranges of every shorter row."""
+        path = self._miss_path
+        if path is None:
+            path = self._build_miss_path()
+        mask, table, starts, owners = path
+        # A stored value of None still matches (the tuple is not None).
+        match = table.get(address & mask)
+        if match is not None:
+            return match
+        return owners[bisect_right(starts, address) - 1]
+
+    def _build_miss_path(self) -> _MissPath:
+        """Flatten the current tables.  Threaded shards may race to build
+        it: each computes the same table from the same rows and the
+        attribute store is atomic, so whichever lands last is as good."""
+        rows = self._tables_desc
+        _, mask, table = rows[0] if rows else (0, 0, {})
+        shorter = (match for row in rows[1:] for match in row[2].values())
+        self._miss_path = path = (mask, table, *flatten(shorter))
+        return path
 
     # benchmarks/e2e/trace.py rebinds vars(cls)["longest_match_batch"], so
     # the class body owns the name.
@@ -122,8 +158,6 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
         """A read-only :class:`~repro.bgp.frozenfib.FrozenLPM` snapshot of
         the current contents: sorted array columns instead of dicts,
         shareable across shard workers, lookups pinned bit-identical."""
-        from .frozenfib import FrozenLPM
-
         if cache_size is None:
             cache_size = self._cache_size
         return FrozenLPM.freeze(self, cache_size=cache_size)

@@ -12,14 +12,14 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from ..addr.ipv6 import IPv6Prefix
-from ..bgp.trie import PrefixTrie
+from ..bgp.lpm import LengthIndexedLPM
 
 
 class AliasedPrefixList:
     """A prefix set with containment queries, mirroring the TUM alias list."""
 
     def __init__(self, prefixes: Iterable[IPv6Prefix] = ()) -> None:
-        self._trie: PrefixTrie[bool] = PrefixTrie()
+        self._lpm: LengthIndexedLPM[bool] = LengthIndexedLPM()
         self._prefixes: set[IPv6Prefix] = set()
         for prefix in prefixes:
             self.add(prefix)
@@ -27,7 +27,7 @@ class AliasedPrefixList:
     def add(self, prefix: IPv6Prefix) -> None:
         if prefix not in self._prefixes:
             self._prefixes.add(prefix)
-            self._trie.insert(prefix, True)
+            self._lpm.insert(prefix, True)
 
     def __len__(self) -> int:
         return len(self._prefixes)
@@ -37,11 +37,11 @@ class AliasedPrefixList:
 
     def contains_address(self, address: int) -> bool:
         """True if ``address`` falls inside any known aliased prefix."""
-        return self._trie.longest_match(address) is not None
+        return self._lpm.longest_match(address) is not None
 
     def contains_prefix(self, prefix: IPv6Prefix) -> bool:
         """True if ``prefix`` is covered by any known aliased prefix."""
-        return self._trie.has_cover(prefix)
+        return self._lpm.has_cover(prefix)
 
     @classmethod
     def load(cls, path: str | Path) -> "AliasedPrefixList":

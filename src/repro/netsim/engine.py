@@ -44,6 +44,9 @@ from ..topology.entities import (
 from ..topology.profiles import SRABehavior
 from .ratelimit import TokenBucket
 from .stochastic import (
+    _MASK63,
+    _MASK64,
+    _WORD_LIMIT,
     base_hasher,
     bernoulli_threshold,
     prepared_unit,
@@ -62,9 +65,6 @@ _PURPOSE_LOSS = b"loss"
 _PACK_2 = struct.Struct(">2q")
 _PACK_3 = struct.Struct(">3q")
 _PACK_LOSS_4 = struct.Struct(">4q")
-_WORD_LIMIT = 1 << 62
-_MASK63 = 0x7FFFFFFFFFFFFFFF
-_MASK64 = (1 << 64) - 1
 
 
 class _Draw(NamedTuple):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -131,12 +132,11 @@ class TargetList:
 def _bounded(targets: Iterable[int], max_targets: int | None) -> list[int]:
     """Order-preserving dedup with an optional size bound.
 
-    The one place the "first occurrence wins, stop at the budget" rule
-    lives — shared by the five input-set builders and
-    :meth:`TargetList.load`, which previously each carried their own
-    copy.  Enforces the class contract that a :class:`TargetList` is
-    deduplicated (the partition generators already emit unique targets,
-    so for them this is belt and braces).
+    The "first occurrence wins, stop at the budget" rule for targets of
+    unknown provenance — :meth:`TargetList.load` and the strategies'
+    windows — enforcing the class contract that a :class:`TargetList` is
+    deduplicated.  The input-set builders use :func:`_cut` instead: the
+    partition generators already emit each target once.
     """
     bounded: list[int] = []
     seen: set[int] = set()
@@ -150,11 +150,19 @@ def _bounded(targets: Iterable[int], max_targets: int | None) -> list[int]:
     return bounded
 
 
+def _cut(targets: Iterable[int], max_targets: int | None) -> list[int]:
+    """The first ``max_targets`` of a partition generator's distinct
+    targets, pulling no target (and so no random draw) past the cut."""
+    if max_targets is not None and max_targets < 0:
+        raise ValueError(f"max_targets must be >= 0, got {max_targets}")
+    return list(islice(targets, max_targets))
+
+
 def bgp_plain_targets(bgp: BGPTable, *, max_targets: int | None = None) -> TargetList:
     """Stage 1: the SRA address of every announced prefix."""
     return TargetList(
         name="bgp-plain",
-        targets=_bounded(stage1_targets(bgp.prefixes()), max_targets),
+        targets=_cut(stage1_targets(bgp.prefixes()), max_targets),
     )
 
 
@@ -168,7 +176,7 @@ def bgp_slash48_targets(
     """Stage 2: SRA addresses of the /48 partition of all announcements."""
     return TargetList(
         name="bgp-48",
-        targets=_bounded(
+        targets=_cut(
             stage2_targets(bgp.prefixes(), max_per_prefix=max_per_prefix, rng=rng),
             max_targets,
         ),
@@ -186,7 +194,7 @@ def bgp_slash64_targets(
     """Stage 3: SRA addresses of the /64 partition of /48 announcements."""
     return TargetList(
         name="bgp-64",
-        targets=_bounded(
+        targets=_cut(
             stage3_targets(bgp.prefixes(), max_per_prefix=max_per_prefix, rng=rng),
             max_targets,
         ),
@@ -204,7 +212,7 @@ def route6_slash64_targets(
     """Random /64 SRA addresses under each registered route6 prefix."""
     return TargetList(
         name="route6-64",
-        targets=_bounded(
+        targets=_cut(
             route6_targets(irr.prefixes(), per_prefix=per_prefix, rng=rng),
             max_targets,
         ),
@@ -223,7 +231,7 @@ def hitlist_slash64_targets(
     )
     return TargetList(
         name="hitlist-64",
-        targets=_bounded(hitlist_targets(addresses), max_targets),
+        targets=_cut(hitlist_targets(addresses), max_targets),
         subnet_length=64,
     )
 

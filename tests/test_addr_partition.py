@@ -1,10 +1,16 @@
 """Tests for the stage-1/2/3 target constructions and other input sets."""
 
+import hashlib
 import random
+from itertools import islice
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.addr.ipv6 import IPv6Prefix, parse_address
+from repro.addr.ipv6 import AddressError, IPv6Prefix, parse_address
 from repro.addr.partition import (
+    _partition,
     hitlist_targets,
     route6_targets,
     stage1_targets,
@@ -12,6 +18,16 @@ from repro.addr.partition import (
     stage3_targets,
 )
 from repro.addr.sra import is_sra_candidate, sra_address, sra_of
+from repro.bgp.table import Announcement, BGPTable
+from repro.irr.database import IRRDatabase
+from repro.irr.rpsl import Route6Object
+from repro.scanner.targets import (
+    bgp_plain_targets,
+    bgp_slash48_targets,
+    bgp_slash64_targets,
+    hitlist_slash64_targets,
+    route6_slash64_targets,
+)
 
 
 def prefixes(*texts):
@@ -175,3 +191,202 @@ class TestHitlistTargets:
         assert list(hitlist_targets(hosts, subnet_length=48)) == [
             parse_address("2001:db8:1::")
         ]
+
+
+class TestPartitionAgainstPrefixMethods:
+    """The generators compute ``network | (index << shift)`` themselves;
+    ``IPv6Prefix.subnets`` / ``nth_subnet`` — which they no longer call —
+    are the reference."""
+
+    @given(
+        address=st.integers(min_value=0, max_value=(1 << 128) - 1),
+        length=st.integers(min_value=0, max_value=128),
+        extra=st.integers(min_value=0, max_value=9),
+        budget=st.one_of(st.none(), st.integers(min_value=0, max_value=600)),
+        seed=st.one_of(st.none(), st.integers(min_value=0, max_value=99)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_partition_equals_subnet_methods(
+        self, address, length, extra, budget, seed
+    ):
+        new_length = min(128, length + extra)
+        prefix = IPv6Prefix.of(address, length)
+        count = 1 << (new_length - length)
+        rng = None if seed is None else random.Random(seed)
+        got = list(_partition(prefix, new_length, budget, rng))
+        if budget is None or budget >= count:
+            expected = [subnet.network for subnet in prefix.subnets(new_length)]
+        elif seed is None:
+            expected = [
+                subnet.network
+                for subnet in islice(prefix.subnets(new_length), budget)
+            ]
+        else:
+            indices = random.Random(seed).sample(range(count), budget)
+            expected = [
+                prefix.nth_subnet(new_length, index).network for index in indices
+            ]
+        assert got == expected
+        if rng is not None:  # the draw happened exactly when the reference's did
+            reference = random.Random(seed)
+            if budget is not None and budget < count:
+                reference.sample(range(count), budget)
+            assert rng.getstate() == reference.getstate()
+
+    @given(
+        pool=st.lists(
+            st.integers(min_value=0, max_value=(1 << 128) - 1),
+            min_size=1,
+            max_size=2,
+        ),
+        picks=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=1),
+                st.integers(min_value=0, max_value=7),
+                st.sampled_from([30, 44, 47, 48, 49, 52, 64, 128]),
+            ),
+            max_size=12,
+        ),
+    )
+    # An announced /48 is not "another" cover of itself: the /52 before it
+    # is lifted, and lifted in its own place in the order.
+    @example(pool=[0x20010DB8 << 96], picks=[(0, 0, 52), (0, 4, 48), (0, 0, 48)])
+    @settings(max_examples=150, deadline=None)
+    def test_stage2_lift_equals_covers_scan(self, pool, picks):
+        """More-specifics are lifted to their /48 unless *another*
+        announcement covers it: the per-length set lookups against
+        ``any(other.covers(...))`` over the announcement list."""
+        announcements = [
+            IPv6Prefix.of(pool[which % len(pool)] ^ (jitter << 78), length)
+            for which, jitter, length in picks
+        ]
+        expected = []
+        for prefix in announcements:
+            if prefix.length > 48:
+                lifted = prefix.supernet(48)
+                if any(o != lifted and o.covers(lifted) for o in announcements):
+                    continue
+                subnets = [lifted]
+            else:
+                subnets = islice(prefix.subnets(48), 3)
+            expected += [
+                s.network for s in subnets if s.network not in expected
+            ]
+        assert list(stage2_targets(announcements, max_per_prefix=3)) == expected
+
+    def test_shorter_new_length_is_an_address_error(self):
+        prefix = IPv6Prefix.parse("2001:db8:1::/48")
+        for budget in (None, 0, 4):  # 0 used to yield nothing, silently
+            with pytest.raises(AddressError):
+                _partition(prefix, 40, budget, random.Random(1))
+        with pytest.raises(AddressError):
+            _partition(prefix, 129, None, None)
+
+    @pytest.mark.parametrize("rng", [None, random.Random(1)], ids=["first", "drawn"])
+    def test_negative_budgets_are_value_errors(self, rng):
+        announcements = prefixes("2001:db8::/32", "2001:db8:1::/48")
+        with pytest.raises(ValueError, match="max_per_prefix"):
+            list(stage2_targets(announcements, max_per_prefix=-1, rng=rng))
+        with pytest.raises(ValueError, match="max_per_prefix"):
+            list(stage3_targets(announcements, max_per_prefix=-1, rng=rng))
+        for registered in ("2001:db8::/32", "2001:db8:1::/48"):  # both samplers
+            with pytest.raises(ValueError, match="per_prefix"):
+                route6_targets(
+                    prefixes(registered), per_prefix=-1, rng=random.Random(1)
+                )
+
+    def test_invalid_hitlist_subnet_length(self):
+        with pytest.raises(AddressError):
+            list(hitlist_targets([1], subnet_length=129))
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+class TestBuildersLeaveTheRngWhereTheyDid:
+    """(count, targets digest, ``rng.getstate()`` digest) after each
+    RNG-consuming builder, captured at commit 5deb505 — before targets
+    became integers.  A ``max_targets`` cut must stop the draws where it
+    always did: per prefix for ``random.sample``, per index for the
+    rejection sampler of sparse (> 2**24 subnets) route6 registrations."""
+
+    ANNOUNCED = [
+        "2001:db8::/32", "2001:db8:4000::/36", "2001:dba:1::/48",
+        "2001:dba:2::/48", "2001:dba:2:8000::/52", "2001:dbb:7:8000::/52",
+        "2001:dbc::/40", "2001:dba:3::/48",
+    ]  # fmt: skip
+    REGISTERED = [
+        "2001:db8::/32", "2001:dba:1::/48", "2001:dba:2:8000::/52",
+        "2001:dbd::/36", "2001:dbe:1:2::/64", "2001:dbe:1:2:3::/80",
+        "2001:dbf::/44",
+    ]  # fmt: skip
+    PINNED = {
+        ("bgp-48", None): (76, "918fdbcf22f1ce95", "54320faef54a70a5"),
+        ("bgp-48", 30): (30, "d06ad63009620f48", "6250a70daa93a7bb"),
+        ("bgp-48", 5): (5, "11f5a064ad88a336", "d46102fb4ebf12ab"),
+        ("bgp-64", None): (120, "854bdf64a9284bb8", "12b6066f35a0d33e"),
+        ("bgp-64", 30): (30, "3026c59681dc5158", "357685585a65835e"),
+        ("bgp-64", 5): (5, "f6a4eb9436a3de17", "357685585a65835e"),
+        ("route6-64", None): (61, "4b0594c384a61589", "26b7739e4e47c49d"),
+        ("route6-64", 30): (30, "12c43cde92d9ed59", "de5dae93693b9005"),
+        ("route6-64", 5): (5, "6ed2fbcbbcba5268", "52772c879e9a5f42"),
+        ("route6-64-sparse", None): (20001, "9d5ae8dc0b710a5a", "4d30b8544e350dac"),
+        ("route6-64-sparse", 30): (30, "857ccb37f0e50632", "6958fe1d9500f77d"),
+        ("route6-64-sparse", 5): (5, "6ed2fbcbbcba5268", "52772c879e9a5f42"),
+    }
+
+    @pytest.fixture(scope="class")
+    def builders(self):
+        bgp = BGPTable()
+        for index, text in enumerate(self.ANNOUNCED):
+            bgp.add(
+                Announcement(
+                    prefix=IPv6Prefix.parse(text), origin_asn=64500 + index
+                )
+            )
+        irr = IRRDatabase(
+            Route6Object(prefix=IPv6Prefix.parse(text), origin_asn=64500 + index)
+            for index, text in enumerate(self.REGISTERED)
+        )
+        return {
+            "bgp-48": lambda rng, cut: bgp_slash48_targets(
+                bgp, max_per_prefix=24, max_targets=cut, rng=rng
+            ),
+            "bgp-64": lambda rng, cut: bgp_slash64_targets(
+                bgp, max_per_prefix=40, max_targets=cut, rng=rng
+            ),
+            "route6-64": lambda rng, cut: route6_slash64_targets(
+                irr, per_prefix=12, max_targets=cut, rng=rng
+            ),
+            "route6-64-sparse": lambda rng, cut: route6_slash64_targets(
+                irr, per_prefix=4_000, max_targets=cut, rng=rng
+            ),
+            "bgp-plain": lambda rng, cut: bgp_plain_targets(bgp, max_targets=cut),
+            "hitlist-64": lambda rng, cut: hitlist_slash64_targets(
+                [prefix.network | 7 for prefix in bgp.prefixes()], max_targets=cut
+            ),
+        }
+
+    @pytest.mark.parametrize("case", PINNED, ids=lambda case: f"{case[0]}-{case[1]}")
+    def test_targets_and_rng_state_are_pinned(self, builders, case):
+        name, cut = case
+        rng = random.Random(2024)
+        targets = builders[name](rng, cut)
+        assert len(set(targets)) == len(targets)
+        assert (
+            len(targets),
+            _digest(targets.targets),
+            _digest(rng.getstate()),
+        ) == self.PINNED[case]
+
+    @pytest.mark.parametrize(
+        "name", ["bgp-plain", "bgp-48", "bgp-64", "route6-64", "hitlist-64"]
+    )
+    def test_cut_is_a_bound_and_negative_is_refused(self, builders, name):
+        untouched = random.Random(3)
+        assert len(builders[name](untouched, 0)) == 0  # was 1: cut after append
+        assert untouched.getstate() == random.Random(3).getstate()
+        assert len(builders[name](random.Random(3), 1)) == 1
+        with pytest.raises(ValueError, match="max_targets"):
+            builders[name](random.Random(3), -1)

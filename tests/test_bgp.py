@@ -1,4 +1,4 @@
-"""Tests for the BGP substrate: trie, LPM, table, and dump I/O."""
+"""Tests for the BGP substrate: LPM, table, and dump I/O."""
 
 import io
 
@@ -14,107 +14,82 @@ from repro.bgp.dump import (
 )
 from repro.bgp.lpm import LengthIndexedLPM
 from repro.bgp.table import Announcement, BGPTable
-from repro.bgp.trie import PrefixTrie
 
 
 def p(text):
     return IPv6Prefix.parse(text)
 
 
-class TestPrefixTrie:
+class TestLengthIndexedLPM:
     def test_insert_get(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), "a")
-        assert trie.get(p("2001:db8::/32")) == "a"
-        assert len(trie) == 1
+        lpm = LengthIndexedLPM()
+        lpm.insert(p("2001:db8::/32"), "a")
+        assert lpm.get(p("2001:db8::/32")) == "a"
+        assert len(lpm) == 1
 
     def test_get_missing_returns_default(self):
-        trie = PrefixTrie()
-        assert trie.get(p("2001:db8::/32"), "dflt") == "dflt"
+        lpm = LengthIndexedLPM()
+        assert lpm.get(p("2001:db8::/32"), "dflt") == "dflt"
 
     def test_replace_does_not_grow(self):
-        trie = PrefixTrie()
-        trie.insert(p("::/0"), 1)
-        trie.insert(p("::/0"), 2)
-        assert len(trie) == 1
-        assert trie.get(p("::/0")) == 2
+        lpm = LengthIndexedLPM()
+        lpm.insert(p("::/0"), 1)
+        lpm.insert(p("::/0"), 2)
+        assert len(lpm) == 1
+        assert lpm.get(p("::/0")) == 2
 
     def test_longest_match_prefers_specific(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), "broad")
-        trie.insert(p("2001:db8:1::/48"), "narrow")
-        prefix, value = trie.longest_match(parse_address("2001:db8:1::5"))
+        lpm = LengthIndexedLPM()
+        lpm.insert(p("2001:db8::/32"), "broad")
+        lpm.insert(p("2001:db8:1::/48"), "narrow")
+        prefix, value = lpm.longest_match(parse_address("2001:db8:1::5"))
         assert value == "narrow"
         assert prefix == p("2001:db8:1::/48")
 
     def test_longest_match_falls_back(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), "broad")
-        trie.insert(p("2001:db8:1::/48"), "narrow")
-        _, value = trie.longest_match(parse_address("2001:db8:2::5"))
+        lpm = LengthIndexedLPM()
+        lpm.insert(p("2001:db8::/32"), "broad")
+        lpm.insert(p("2001:db8:1::/48"), "narrow")
+        _, value = lpm.longest_match(parse_address("2001:db8:2::5"))
         assert value == "broad"
 
     def test_longest_match_none(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), "x")
-        assert trie.longest_match(parse_address("2001:db9::")) is None
+        lpm = LengthIndexedLPM()
+        lpm.insert(p("2001:db8::/32"), "x")
+        assert lpm.longest_match(parse_address("2001:db9::")) is None
 
     def test_all_matches_order(self):
-        trie = PrefixTrie()
-        trie.insert(p("::/0"), 0)
-        trie.insert(p("2001:db8::/32"), 32)
-        trie.insert(p("2001:db8::/48"), 48)
-        matches = list(trie.all_matches(parse_address("2001:db8::1")))
-        assert [value for _, value in matches] == [0, 32, 48]
+        lpm = LengthIndexedLPM()
+        lpm.insert(p("::/0"), 0)
+        lpm.insert(p("2001:db8::/32"), 32)
+        lpm.insert(p("2001:db8::/48"), 48)
+        matches = list(lpm.all_matches(parse_address("2001:db8::1")))
+        assert [value for _, value in matches] == [48, 32, 0]
 
     def test_remove(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), "x")
-        assert trie.remove(p("2001:db8::/32"))
-        assert len(trie) == 0
-        assert not trie.remove(p("2001:db8::/32"))
-        assert trie.longest_match(parse_address("2001:db8::1")) is None
+        lpm = LengthIndexedLPM()
+        lpm.insert(p("2001:db8::/32"), "x")
+        assert lpm.remove(p("2001:db8::/32"))
+        assert len(lpm) == 0
+        assert not lpm.remove(p("2001:db8::/32"))
+        assert lpm.longest_match(parse_address("2001:db8::1")) is None
 
     def test_remove_keeps_other_branches(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), "keep")
-        trie.insert(p("2001:db8:1::/48"), "drop")
-        trie.remove(p("2001:db8:1::/48"))
-        assert trie.longest_match(parse_address("2001:db8:1::5"))[1] == "keep"
-
-    def test_has_cover(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), "x")
-        assert trie.has_cover(p("2001:db8:1::/48"))
-        assert trie.has_cover(p("2001:db8::/32"))
-        assert not trie.has_cover(p("2001:db8::/32"), strict=True)
-        assert not trie.has_cover(p("2001:db9::/48"))
-
-    def test_covered_by(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), "a")
-        trie.insert(p("2001:db8:1::/48"), "b")
-        trie.insert(p("2001:db9::/32"), "c")
-        covered = dict(trie.covered_by(p("2001:db8::/32")))
-        assert covered == {p("2001:db8::/32"): "a", p("2001:db8:1::/48"): "b"}
+        lpm = LengthIndexedLPM()
+        lpm.insert(p("2001:db8::/32"), "keep")
+        lpm.insert(p("2001:db8:1::/48"), "drop")
+        lpm.remove(p("2001:db8:1::/48"))
+        assert lpm.longest_match(parse_address("2001:db8:1::5"))[1] == "keep"
 
     def test_items(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), 1)
-        trie.insert(p("2001:db8:1::/48"), 2)
-        assert dict(trie.items()) == {
+        lpm = LengthIndexedLPM()
+        lpm.insert(p("2001:db8::/32"), 1)
+        lpm.insert(p("2001:db8:1::/48"), 2)
+        assert dict(lpm.items()) == {
             p("2001:db8::/32"): 1,
             p("2001:db8:1::/48"): 2,
         }
 
-    def test_contains(self):
-        trie = PrefixTrie()
-        trie.insert(p("2001:db8::/32"), None)
-        # Stored value None still counts as present.
-        assert p("2001:db8::/32") in trie
-
-
-class TestLengthIndexedLPM:
     def test_longest_match(self):
         lpm = LengthIndexedLPM()
         lpm.insert(p("2001:db8::/32"), "broad")
@@ -143,6 +118,7 @@ class TestLengthIndexedLPM:
         assert lpm.has_cover(p("2001:db8::/32"))
         assert not lpm.has_cover(p("2001:db8::/32"), strict=True)
         assert not lpm.has_cover(p("2001::/16"))
+        assert not lpm.has_cover(p("2001:db9::/48"))
 
     def test_all_matches_longest_first(self):
         lpm = LengthIndexedLPM()
@@ -171,7 +147,7 @@ class TestLengthIndexedLPM:
         assert len(lpm) == 1
 
     def test_none_value_matches(self):
-        # Consistent with PrefixTrie: a stored None still counts.
+        # A stored None still counts.
         lpm = LengthIndexedLPM()
         lpm.insert(p("2001:db8::/32"), None)
         match = lpm.longest_match(parse_address("2001:db8::1"))

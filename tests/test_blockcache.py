@@ -1,10 +1,14 @@
-"""The block cache contract, once for all three LPM structures.
+"""The block cache contract, once for both LPM structures.
 
-``LengthIndexedLPM``, ``PrefixTrie`` and ``FrozenLPM`` share one cache
-implementation (``repro.bgp.blockcache``) and supply only ``_probe``.
-The cache is advisory: whatever its size and however hard it is evicting,
-results must equal the ``cache_size=0`` map's, it must stay bounded, and
-matches must be the stored prefix's interned tuple.
+``LengthIndexedLPM`` and ``FrozenLPM`` share one cache implementation
+(``repro.bgp.blockcache``) and supply only ``_probe``.  The cache is
+advisory: whatever its size and however hard it is evicting, results must
+equal the ``cache_size=0`` map's, it must stay bounded, and matches must
+be the stored prefix's interned tuple.  ``LengthIndexedLPM`` runs the
+contract twice: built in one go (which is also the uncached reference for
+all three), and built with a lookup after every insert plus decoys
+inserted and removed again, so its lazily flattened range table is
+rebuilt at every step of the way.
 """
 
 import random
@@ -15,9 +19,9 @@ from time import perf_counter
 import pytest
 
 from repro.addr.ipv6 import IPv6Prefix, parse_address
+from repro.bgp.blockcache import DEFAULT_CACHE_SIZE
 from repro.bgp.frozenfib import FrozenLPM
 from repro.bgp.lpm import LengthIndexedLPM
-from repro.bgp.trie import PrefixTrie
 
 BASE = 0x20010DB8 << 96
 
@@ -32,16 +36,30 @@ def _mutable(cls):
     return build
 
 
+def _churned(entries, cache_size):
+    table = LengthIndexedLPM(cache_size=cache_size)
+    stored = dict(entries)
+    for prefix, value in entries:
+        table.insert(prefix, "stale")
+        table.longest_match(prefix.network)
+        table.insert(prefix, value)
+        decoy = IPv6Prefix.of(prefix.network, max(prefix.length - 1, 0))
+        if decoy not in stored:
+            table.insert(decoy, "decoy")
+            table.longest_match(prefix.network)
+            table.remove(decoy)
+    return table
+
+
 def _frozen(entries, cache_size):
     return FrozenLPM.from_items(entries, cache_size=cache_size)
 
 
 BUILDERS = {
     "lpm": _mutable(LengthIndexedLPM),
-    "trie": _mutable(PrefixTrie),
+    "lpm-churned": _churned,
     "frozen": _frozen,
 }
-MUTABLE = {"lpm": LengthIndexedLPM, "trie": PrefixTrie}
 
 
 @pytest.fixture(params=sorted(BUILDERS))
@@ -77,7 +95,7 @@ class TestExactUnderEviction:
     def test_scalar_equals_uncached(self, build, cache_size):
         entries, addresses = _table()
         cached = build(entries, cache_size)
-        reference = build(entries, 0)
+        reference = BUILDERS["lpm"](entries, 0)
         for _ in range(2):  # revisits hit, evict, refill
             for address in addresses:
                 assert cached.longest_match(address) == reference.longest_match(
@@ -91,7 +109,7 @@ class TestExactUnderEviction:
     def test_batch_equals_uncached(self, build, cache_size, order):
         entries, addresses = _table(seed=6)
         cached = build(entries, cache_size)
-        reference = build(entries, 0)
+        reference = BUILDERS["lpm"](entries, 0)
         expected = [reference.longest_match(a) for a in addresses]
         indices = list(range(len(addresses)))
         if order == "sorted":
@@ -108,7 +126,7 @@ class TestExactUnderEviction:
         entries, addresses = _table(seed=9, lengths=(0, 1, 47, 65, 127, 128))
         addresses += [prefix.network for prefix, _ in entries]
         cached = build(entries, 3)
-        reference = build(entries, 0)
+        reference = BUILDERS["lpm"](entries, 0)
         assert cached.block_shift == 0
         expected = [reference.longest_match(a) for a in addresses]
         assert [cached.longest_match(a) for a in addresses] == expected
@@ -209,16 +227,25 @@ class TestInternedMatches:
 
     def test_insert_reuses_the_callers_prefix(self):
         prefix = p("2001:db8::/32")
-        for cls in MUTABLE.values():
-            table = cls()
-            table.insert(prefix, "a")
-            assert table.longest_match(parse_address("2001:db8::1"))[0] is prefix
+        table = LengthIndexedLPM()
+        table.insert(prefix, "a")
+        assert table.longest_match(parse_address("2001:db8::1"))[0] is prefix
 
 
-@pytest.mark.parametrize("cls", MUTABLE.values(), ids=MUTABLE.keys())
+def _lookups(table, address):
+    """``address`` looked up both ways: scalar, then batch."""
+    out = [object()]
+    table.longest_match_batch([address], [0], out)
+    return table.longest_match(address), out[0]
+
+
+@pytest.mark.parametrize("cache_size", [0, 3, DEFAULT_CACHE_SIZE])
 class TestMutationInvalidates:
-    def test_insert_then_remove(self, cls):
-        table = cls()
+    """Every mutation is visible to the very next lookup: neither a cached
+    block nor the lazily flattened range table may outlive it."""
+
+    def test_insert_then_remove(self, cache_size):
+        table = LengthIndexedLPM(cache_size=cache_size)
         table.insert(p("2001:db8::/32"), "broad")
         address = parse_address("2001:db8:1::9")
         assert table.longest_match(address)[1] == "broad"
@@ -229,16 +256,16 @@ class TestMutationInvalidates:
         assert table.remove(p("2001:db8::/32"))
         assert table.longest_match(address) is None
 
-    def test_replacing_a_value_drops_the_old_match(self, cls):
-        table = cls()
+    def test_replacing_a_value_drops_the_old_match(self, cache_size):
+        table = LengthIndexedLPM(cache_size=cache_size)
         table.insert(p("2001:db8::/32"), "old")
         address = parse_address("2001:db8::1")
         assert table.longest_match(address)[1] == "old"
         table.insert(p("2001:db8::/32"), "new")
         assert table.longest_match(address)[1] == "new"
 
-    def test_block_shift_tracks_mutation(self, cls):
-        table = cls()
+    def test_block_shift_tracks_mutation(self, cache_size):
+        table = LengthIndexedLPM(cache_size=cache_size)
         table.insert(p("2001:db8::/32"), "a")
         assert table.block_shift == 128 - 48
         table.insert(p("2001:db8:1:1::/64"), "b")
@@ -246,16 +273,47 @@ class TestMutationInvalidates:
         assert table.remove(p("2001:db8:1:1::/64"))
         assert table.block_shift == 128 - 48
 
+    def test_short_row_changes_reach_the_range_table(self, cache_size):
+        """The range table holds every row but the longest.  Re-valuing or
+        removing a short-row prefix, adding a new longest length and
+        emptying the map each change what a longest-row miss returns."""
+        short, longest = p("2001:db8::/32"), p("2001:db8:1:1::/64")
+        table = LengthIndexedLPM(cache_size=cache_size)
+        table.insert(short, "old")
+        table.insert(p("2001:db8:2::/48"), None)
+        table.insert(longest, "leaf")
+        miss = parse_address("2001:db8:9::1")  # no /64, no /48: the /32
+        assert _lookups(table, miss) == ((short, "old"),) * 2
+        table.insert(short, "new")
+        assert _lookups(table, miss) == ((short, "new"),) * 2
+        assert _lookups(table, parse_address("2001:db8:2::1")) == (
+            (p("2001:db8:2::/48"), None),
+        ) * 2
+        assert table.remove(short)
+        assert _lookups(table, miss) == (None, None)
+        table.insert(short, "back")
+        host = p("2001:db8:1:1::7/128")  # the /64 moves into the range table
+        table.insert(host, "host")
+        assert _lookups(table, host.network) == ((host, "host"),) * 2
+        assert _lookups(table, host.network + 1) == ((longest, "leaf"),) * 2
+        assert _lookups(table, miss) == ((short, "back"),) * 2
+        for prefix, _ in list(table.items()):
+            assert table.remove(prefix)
+        assert len(table) == 0
+        assert _lookups(table, miss) == (None, None)
+        assert _lookups(table, host.network) == (None, None)
+
 
 def test_threads_sharing_one_map_stay_exact(build):
     """Thread shards share a world's maps.  More threads than cores hammer
-    one evicting cache, scalar and batch; none may raise or see a wrong
-    result, and the cache stays within one racing insert per thread of its
-    bound."""
+    one evicting cache, scalar and batch — racing, on a mutable map, to
+    flatten the range table its builder left unbuilt; none may raise or see
+    a wrong result, and the cache stays within one racing insert per thread
+    of its bound."""
     entries, addresses = _table(seed=8)
     cache_size = 16
     shared = build(entries, cache_size)
-    reference = build(entries, 0)
+    reference = BUILDERS["lpm"](entries, 0)
     expected = [reference.longest_match(a) for a in addresses]
     indices = sorted(range(len(addresses)), key=addresses.__getitem__)
     threads = 4

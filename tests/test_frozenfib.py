@@ -1,9 +1,10 @@
 """Property tests: FrozenLPM is lookup-equivalent to the mutable maps.
 
 The frozen FIB is what every shard worker of an artifact-backed world
-scans through, so its equivalence to ``LengthIndexedLPM`` / ``PrefixTrie``
-is a correctness pin, not an optimisation detail: any divergence would
-show up as scan output differing by world representation.
+scans through, so its equivalence to ``LengthIndexedLPM`` — and of both to
+a linear scan over the entries — is a correctness pin, not an optimisation
+detail: any divergence would show up as scan output differing by world
+representation.
 """
 
 import pickle
@@ -18,7 +19,6 @@ from repro.addr.ipv6 import IPv6Prefix, network_of
 from repro.bgp.frozenfib import FrozenLPM, FrozenRow
 from repro.bgp.lpm import LengthIndexedLPM
 from repro.bgp.table import Announcement, BGPTable
-from repro.bgp.trie import PrefixTrie
 
 addresses = st.integers(min_value=0, max_value=(1 << 128) - 1)
 # Deliberately includes both extremes (/0 catch-all, /128 host routes)
@@ -83,19 +83,28 @@ def nested_prefix_sets(draw):
     return entries, removals
 
 
-def _oracle(entries, removals, address):
-    """Longest covering prefix by linear scan over the entry list: the
-    reference that shares no code or idea with any LPM structure."""
+def _live(entries, removals):
     live = dict(entries)  # later duplicates overwrite, as inserts do
     for prefix in removals:
         live.pop(prefix, None)
-    best = None
-    for prefix, value in live.items():
-        span = 1 << (128 - prefix.length)
-        if prefix.network <= address < prefix.network + span:
-            if best is None or prefix.length > best[0].length:
-                best = (prefix, value)
-    return best
+    return live
+
+
+def _oracle_all(entries, removals, address):
+    """Every covering prefix, longest first, by linear scan over the entry
+    list: the reference that shares no code or idea with any LPM
+    structure."""
+    covering = [
+        (prefix, value)
+        for prefix, value in _live(entries, removals).items()
+        if prefix.network <= address < prefix.network + (1 << (128 - prefix.length))
+    ]
+    return sorted(covering, key=lambda match: -match[0].length)
+
+
+def _oracle(entries, removals, address):
+    """Longest covering prefix by linear scan."""
+    return next(iter(_oracle_all(entries, removals, address)), None)
 
 
 def _memoryview_row(length, networks, values):
@@ -114,13 +123,13 @@ def _memoryview_row(length, networks, values):
 
 def _build(entries, removals):
     lpm: LengthIndexedLPM = LengthIndexedLPM()
-    trie: PrefixTrie = PrefixTrie()
     for prefix, value in entries:
         lpm.insert(prefix, value)
-        trie.insert(prefix, value)
+    live = set(dict(entries))
     for prefix in removals:
-        assert lpm.remove(prefix) == trie.remove(prefix)
-    return lpm, trie
+        assert lpm.remove(prefix) == (prefix in live)
+        live.discard(prefix)
+    return lpm
 
 
 def _probes(entries, seed=0):
@@ -142,17 +151,18 @@ def _probes(entries, seed=0):
 class TestFrozenEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(prefix_sets())
-    def test_longest_match_matches_both_maps(self, data):
+    def test_longest_match_matches_the_mutable_map(self, data):
         entries, removals = data
-        lpm, trie = _build(entries, removals)
+        lpm = _build(entries, removals)
         frozen = lpm.frozen()
-        frozen_trie = trie.frozen()
-        assert len(frozen) == len(lpm) == len(trie) == len(frozen_trie)
+        refrozen = FrozenLPM.freeze(frozen)
+        assert len(frozen) == len(lpm) == len(refrozen)
+        assert len(lpm) == len(_live(entries, removals))
         for address in _probes(entries):
-            expected = lpm.longest_match(address)
-            assert trie.longest_match(address) == expected
+            expected = _oracle(entries, removals, address)
+            assert lpm.longest_match(address) == expected
             assert frozen.longest_match(address) == expected
-            assert frozen_trie.longest_match(address) == expected
+            assert refrozen.longest_match(address) == expected
 
     @settings(max_examples=120, deadline=None)
     @given(nested_prefix_sets())
@@ -160,7 +170,7 @@ class TestFrozenEquivalence:
         """Against an independent oracle, not a sibling structure: scalar
         and batch lookups, at every boundary address of every entry."""
         entries, removals = data
-        lpm, _ = _build(entries, removals)
+        lpm = _build(entries, removals)
         frozen = lpm.frozen()
         probes = _probes(entries, seed=3)
         expected = [_oracle(entries, removals, address) for address in probes]
@@ -177,7 +187,7 @@ class TestFrozenEquivalence:
         bytes; a frozen table that is pickled (a world shipped to a pool)
         carries array columns.  Both answer like the oracle."""
         entries, removals = data
-        lpm, _ = _build(entries, removals)
+        lpm = _build(entries, removals)
         by_length: dict = {}
         for prefix, value in sorted(lpm.items(), key=lambda item: item[0]):
             by_length.setdefault(prefix.length, []).append((prefix.network, value))
@@ -196,7 +206,7 @@ class TestFrozenEquivalence:
     @given(prefix_sets())
     def test_batch_equals_per_address(self, data):
         entries, removals = data
-        lpm, _ = _build(entries, removals)
+        lpm = _build(entries, removals)
         frozen = lpm.frozen()
         probes = _probes(entries, seed=1)
         indices = sorted(range(len(probes)), key=lambda i: probes[i])
@@ -213,25 +223,80 @@ class TestFrozenEquivalence:
     @given(prefix_sets())
     def test_items_cover_get_all_matches(self, data):
         entries, removals = data
-        lpm, trie = _build(entries, removals)
+        lpm = _build(entries, removals)
         frozen = lpm.frozen()
         assert list(frozen.items()) == list(lpm.items())
-        assert dict(frozen.items()) == dict(trie.items())
+        assert dict(frozen.items()) == _live(entries, removals)
         for prefix, value in lpm.items():
             assert frozen.get(prefix) == value
         for address in _probes(entries, seed=2):
             assert list(frozen.all_matches(address)) == list(
                 lpm.all_matches(address)
             )
-            # The trie yields shortest-first; same content either way.
-            assert list(frozen.all_matches(address)) == list(
-                reversed(list(trie.all_matches(address)))
+            assert list(frozen.all_matches(address)) == _oracle_all(
+                entries, removals, address
             )
         for prefix, _ in entries:
             for strict in (False, True):
                 assert frozen.has_cover(prefix, strict=strict) == lpm.has_cover(
                     prefix, strict=strict
                 )
+
+
+edge_lengths = st.sampled_from([0, 1, 47, 48, 64, 65, 127, 128])
+
+
+@st.composite
+def mutation_scripts(draw):
+    """Interleaved inserts (``None`` values included), removals and
+    lookups over a few nested networks, so that most steps change — or
+    read — what the rows below the longest contribute."""
+    pool = draw(st.lists(addresses, min_size=1, max_size=3))
+    script = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        base = draw(st.sampled_from(pool)) ^ draw(
+            st.integers(min_value=0, max_value=3)
+        )
+        op = draw(st.sampled_from(["insert", "insert", "remove", "lookup"]))
+        if op == "lookup":
+            script.append((op, base, None))
+            continue
+        prefix = IPv6Prefix.of(base, draw(edge_lengths))
+        value = draw(st.one_of(st.none(), st.integers())) if op == "insert" else None
+        script.append((op, prefix, value))
+    script.append(("lookup", pool[0], None))
+    return script
+
+
+class TestMutableInterleavings:
+    @settings(max_examples=150, deadline=None)
+    @given(mutation_scripts())
+    def test_every_step_equals_linear_scan(self, script):
+        """``LengthIndexedLPM`` flattens its shorter rows lazily, on the
+        first lookup after a mutation.  Whatever the interleaving and the
+        cache size, scalar and batch lookups answer like the oracle over
+        the entries live at that moment."""
+        tables = [LengthIndexedLPM(cache_size=size) for size in (0, 3, 8192)]
+        live: dict = {}
+        for op, subject, value in script:
+            if op == "insert":
+                live[subject] = value
+                for table in tables:
+                    table.insert(subject, value)
+                continue
+            if op == "remove":
+                present = live.pop(subject, _oracle) is not _oracle
+                assert [table.remove(subject) for table in tables] == [present] * 3
+                continue
+            entries = list(live.items())
+            probes = [subject] + _probes(entries, seed=5)[32:]
+            expected = [_oracle(entries, [], address) for address in probes]
+            for table in tables:
+                assert len(table) == len(live)
+                assert [table.longest_match(a) for a in probes] == expected
+                out: list = [object()] * len(probes)
+                table.longest_match_batch(probes, range(len(probes)), out)
+                assert out == expected
 
 
 class TestFrozenBehaviour:
@@ -243,7 +308,7 @@ class TestFrozenBehaviour:
             frozen.remove(IPv6Prefix(0, 0))
 
     def test_empty(self):
-        frozen = PrefixTrie().frozen()
+        frozen = LengthIndexedLPM().frozen()
         assert len(frozen) == 0
         assert frozen.longest_match(123) is None
         assert list(frozen.items()) == []

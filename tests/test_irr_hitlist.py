@@ -1,5 +1,7 @@
 """Tests for the IRR (RPSL route6) substrate and hitlist containers."""
 
+import random
+
 import pytest
 
 from repro.addr.ipv6 import AddressError, IPv6Prefix, parse_address
@@ -223,3 +225,37 @@ class TestAliasedPrefixList:
         loaded = AliasedPrefixList.load(path)
         assert len(loaded) == 1
         assert loaded.contains_address(parse_address("2001:db8::1"))
+
+    def test_containment_equals_brute_force(self):
+        """Against ``any(p.covers(...))`` over the plain prefix list, at
+        every length, nested and adjacent prefixes included."""
+        rng = random.Random(12)
+        bases = [rng.getrandbits(128) for _ in range(4)]
+        listed = {
+            IPv6Prefix.of(
+                rng.choice(bases) ^ rng.getrandbits(12) << rng.choice((0, 64, 80)),
+                rng.choice((0, 1, 29, 32, 47, 48, 56, 64, 65, 127, 128)),
+            )
+            for _ in range(60)
+        }
+        listed.discard(IPv6Prefix(0, 0))  # added halfway, below
+        alias_list = AliasedPrefixList(listed)
+        queries = [rng.getrandbits(128) for _ in range(50)]
+        for prefix in listed:
+            queries += [prefix.network, prefix.last, prefix.network ^ 1]
+            queries += [(prefix.network - 1) % (1 << 128), (prefix.last + 1) % (1 << 128)]
+        for catch_all in (False, True):
+            if catch_all:
+                alias_list.add(IPv6Prefix(0, 0))
+                listed.add(IPv6Prefix(0, 0))
+            assert len(alias_list) == len(listed)
+            for address in queries:
+                host = IPv6Prefix(address, 128)
+                assert alias_list.contains_address(address) == any(
+                    prefix.covers(host) for prefix in listed
+                )
+                for length in (0, 31, 48, 64, 100, 128):
+                    query = IPv6Prefix.of(address, length)
+                    assert alias_list.contains_prefix(query) == any(
+                        prefix.covers(query) for prefix in listed
+                    )

@@ -16,7 +16,6 @@ from repro.addr.partition import hitlist_targets, stage2_targets
 from repro.addr.permutation import CyclicPermutation, next_prime
 from repro.addr.sra import is_sra_candidate, sra_address, sra_of
 from repro.bgp.lpm import LengthIndexedLPM
-from repro.bgp.trie import PrefixTrie
 from repro.netsim.ratelimit import TokenBucket
 from repro.netsim.stochastic import stable_unit
 from repro.packet.icmpv6 import ICMPv6Message, echo_request
@@ -94,13 +93,12 @@ class TestLPMProperties:
     @settings(max_examples=50, deadline=None)
     def test_lpm_matches_naive_reference(self, pairs, queries):
         lpm = LengthIndexedLPM()
-        trie = PrefixTrie()
         stored = {}
         for address, length in pairs:
             prefix = make_prefix(address, length)
             stored[prefix] = str(prefix)
             lpm.insert(prefix, str(prefix))
-            trie.insert(prefix, str(prefix))
+        frozen = lpm.frozen()
         for query in queries:
             naive = max(
                 (p for p in stored if query in p),
@@ -108,12 +106,12 @@ class TestLPMProperties:
                 default=None,
             )
             got_lpm = lpm.longest_match(query)
-            got_trie = trie.longest_match(query)
+            got_frozen = frozen.longest_match(query)
             if naive is None:
-                assert got_lpm is None and got_trie is None
+                assert got_lpm is None and got_frozen is None
             else:
                 assert got_lpm is not None and got_lpm[0] == naive
-                assert got_trie is not None and got_trie[0] == naive
+                assert got_frozen is not None and got_frozen[0] == naive
 
     @given(st.lists(prefix_pairs, min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
