@@ -27,13 +27,12 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from pathlib import Path
 
 from ..packet.icmpv6 import ICMPv6Type
-from ..scanner.backends.base import BackendError, BackendSpec, ProbeBackend
+from ..scanner.backends.base import BackendError, ProbeBackend, WrappingBackend
 from .engine import FLAG_REPLY
 from .stochastic import stable_unit
 
 if TYPE_CHECKING:
-    from ..topology.entities import World
-    from .engine import EngineStats, ProbeColumns, ProbeResult
+    from .engine import ProbeColumns, ProbeResult
 
 __all__ = [
     "ChaosEngine",
@@ -194,7 +193,7 @@ class FailingSink:
         self.close()
 
 
-class FaultyBackend(ProbeBackend):
+class FaultyBackend(WrappingBackend):
     """A :class:`ProbeBackend` wrapper that injects transport faults.
 
     Sits *under* the resilience layer (``ResilientBackend`` wraps it),
@@ -217,89 +216,19 @@ class FaultyBackend(ProbeBackend):
     def __init__(
         self, inner: ProbeBackend, plan: FaultPlan, shard: int = 0
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
         self.shard = shard
         self._batches: dict[tuple[int, int, int], list[int]] = {}
         self._next_ordinal = 0
         self._hang_fired = False
         self._release = threading.Event()
-        self.name = inner.name
-        self.supports_columns = inner.supports_columns
-        self.deterministic = inner.deterministic
-        self.requires_privilege = inner.requires_privilege
-
-    # ---------------- construction ---------------- #
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: BackendSpec,
-        *,
-        world: "World | None" = None,
-        engine=None,
-        epoch: int = 0,
-        defer_rate_limit: bool = False,
-    ) -> "ProbeBackend":
-        raise TypeError(
-            "FaultyBackend wraps a built backend (ChaosEngine.wrap_backend)"
-        )
-
-    def spec(self) -> BackendSpec:
-        return self.inner.spec()
-
-    # ---------------- lifecycle + delegation ---------------- #
-
-    def open(self) -> None:
-        self.inner.open()
 
     def close(self) -> None:
         # Release any hung send first so its (abandoned) watchdog thread
         # raises and exits instead of blocking forever.
         self._release.set()
-        self.inner.close()
-
-    @property
-    def epoch(self) -> int:
-        return self.inner.epoch
-
-    def new_epoch(self, epoch: int) -> None:
-        self.inner.new_epoch(epoch)
-
-    @property
-    def stats(self) -> "EngineStats":
-        return self.inner.stats
-
-    @property
-    def pending_checks(self) -> list[tuple[float, int]]:
-        return self.inner.pending_checks
-
-    @property
-    def needs_probe_ids(self) -> bool:
-        return self.inner.needs_probe_ids
-
-    @property
-    def engine(self):
-        return getattr(self.inner, "engine", None)
-
-    @property
-    def telemetry(self):
-        return self.inner.telemetry
-
-    @telemetry.setter
-    def telemetry(self, collector) -> None:
-        self.inner.telemetry = collector
-
-    @property
-    def unmatched_replies(self) -> int:
-        return self.inner.unmatched_replies
-
-    @unmatched_replies.setter
-    def unmatched_replies(self, value: int) -> None:
-        self.inner.unmatched_replies = value
-
-    def pop_warnings(self) -> list[str]:
-        return self.inner.pop_warnings()
+        super().close()
 
     # ---------------- fault logic ---------------- #
 

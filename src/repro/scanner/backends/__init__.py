@@ -12,6 +12,7 @@ from .base import (
     BackendPrivilegeError,
     BackendSpec,
     ProbeBackend,
+    WrappingBackend,
     backend_class,
     backend_names,
     build_backend,
@@ -46,6 +47,7 @@ __all__ = [
     "RetryPolicy",
     "SimBackend",
     "WireSimBackend",
+    "WrappingBackend",
     "backend_class",
     "backend_names",
     "build_backend",

@@ -240,6 +240,81 @@ class ProbeBackend(ABC):
         )
 
 
+class WrappingBackend(ProbeBackend):
+    """A backend built around a live one (never from a spec, never
+    registered), changing what happens to a batch on its way through.
+
+    Capability flags, ``spec()`` and every lifecycle/observability surface
+    are the wrapped backend's, so the layers above see that backend; a
+    subclass writes only its ``send_batch`` and ``probe_columns``.
+    """
+
+    def __init__(self, inner: ProbeBackend) -> None:
+        self.inner = inner
+        # Instance-level capability flags mirror the wrapped backend.
+        self.name = inner.name
+        self.supports_columns = inner.supports_columns
+        self.deterministic = inner.deterministic
+        self.requires_privilege = inner.requires_privilege
+
+    @classmethod
+    def from_spec(cls, spec: BackendSpec, **_) -> "ProbeBackend":
+        raise TypeError(
+            f"{cls.__name__} wraps a built backend; it is not spec-built"
+        )
+
+    def spec(self) -> BackendSpec:
+        return self.inner.spec()
+
+    def open(self) -> None:
+        self.inner.open()
+
+    def close(self) -> None:
+        self.inner.close()
+
+    @property
+    def epoch(self) -> int:
+        return self.inner.epoch
+
+    def new_epoch(self, epoch: int) -> None:
+        self.inner.new_epoch(epoch)
+
+    @property
+    def stats(self) -> "EngineStats":
+        return self.inner.stats
+
+    @property
+    def pending_checks(self) -> list[tuple[float, int]]:
+        return self.inner.pending_checks
+
+    @property
+    def needs_probe_ids(self) -> bool:
+        return self.inner.needs_probe_ids
+
+    @property
+    def engine(self):
+        return getattr(self.inner, "engine", None)
+
+    @property
+    def telemetry(self):
+        return self.inner.telemetry
+
+    @telemetry.setter
+    def telemetry(self, collector) -> None:
+        self.inner.telemetry = collector
+
+    @property
+    def unmatched_replies(self) -> int:
+        return self.inner.unmatched_replies
+
+    @unmatched_replies.setter
+    def unmatched_replies(self, value: int) -> None:
+        self.inner.unmatched_replies = value
+
+    def pop_warnings(self) -> list[str]:
+        return self.inner.pop_warnings()
+
+
 # --------------------------------------------------------------------- #
 # registry
 # --------------------------------------------------------------------- #

@@ -54,15 +54,11 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from ...netsim.engine import ProbeColumns, ProbeResult
 from ...netsim.stochastic import stable_unit
-from .base import BackendError, BackendSpec, ProbeBackend
-
-if TYPE_CHECKING:
-    from ...netsim.engine import EngineStats
-    from ...topology.entities import World
+from .base import BackendError, ProbeBackend, WrappingBackend
 
 
 class BackendTimeoutError(BackendError):
@@ -278,7 +274,7 @@ class CircuitBreaker:
             self._window.clear()
 
 
-class ResilientBackend(ProbeBackend):
+class ResilientBackend(WrappingBackend):
     """Wraps any :class:`ProbeBackend` with a :class:`RetryPolicy`.
 
     Built around a live backend by the scanner (never from a spec):
@@ -297,7 +293,7 @@ class ResilientBackend(ProbeBackend):
         clock: Callable[[], float] = time.monotonic,
         join: Callable[[threading.Thread, float], None] | None = None,
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.policy = policy
         self.shard = shard
         self.resilience = ResilienceStats()
@@ -314,77 +310,6 @@ class ResilientBackend(ProbeBackend):
                 cooldown=policy.breaker_cooldown,
                 clock=clock,
             )
-        # Instance-level capability flags mirror the wrapped backend.
-        self.name = inner.name
-        self.supports_columns = inner.supports_columns
-        self.deterministic = inner.deterministic
-        self.requires_privilege = inner.requires_privilege
-
-    # ---------------- construction ---------------- #
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: BackendSpec,
-        *,
-        world: "World | None" = None,
-        engine=None,
-        epoch: int = 0,
-        defer_rate_limit: bool = False,
-    ) -> "ProbeBackend":
-        raise TypeError(
-            "ResilientBackend wraps a built backend; it is not spec-built "
-            "(the policy rides ScanConfig, not BackendSpec options)"
-        )
-
-    def spec(self) -> BackendSpec:
-        return self.inner.spec()
-
-    # ---------------- lifecycle + delegation ---------------- #
-
-    def open(self) -> None:
-        self.inner.open()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    @property
-    def epoch(self) -> int:
-        return self.inner.epoch
-
-    def new_epoch(self, epoch: int) -> None:
-        self.inner.new_epoch(epoch)
-
-    @property
-    def stats(self) -> "EngineStats":
-        return self.inner.stats
-
-    @property
-    def pending_checks(self) -> list[tuple[float, int]]:
-        return self.inner.pending_checks
-
-    @property
-    def needs_probe_ids(self) -> bool:
-        return self.inner.needs_probe_ids
-
-    @property
-    def engine(self):
-        return getattr(self.inner, "engine", None)
-
-    @property
-    def telemetry(self):
-        return self.inner.telemetry
-
-    @telemetry.setter
-    def telemetry(self, collector) -> None:
-        self.inner.telemetry = collector
-
-    @property
-    def unmatched_replies(self) -> int:
-        return self.inner.unmatched_replies
-
-    def pop_warnings(self) -> list[str]:
-        return self.inner.pop_warnings()
 
     # ---------------- probing ---------------- #
 

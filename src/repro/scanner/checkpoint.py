@@ -68,7 +68,9 @@ __all__ = [
 
 # v2: snapshot histograms carry their sum as an int scaled by 2**1074 (v1
 # pickled a Fraction; resumed, the two would add up to a wrong ``_sum``).
-CHECKPOINT_SCHEMA_VERSION = 2
+# v3: a journaled ShardOutcome.telemetry holds events and first sightings
+# only (v2 pickled a per-shard metrics registry into it).
+CHECKPOINT_SCHEMA_VERSION = 3
 
 # 8-byte magic, then schema (u32), payload length (u64), CRC-32 (u32),
 # big-endian, then the pickled payload.

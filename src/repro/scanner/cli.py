@@ -14,8 +14,11 @@ the raw traffic as pcap).
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import random
 import sys
+from contextlib import nullcontext
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -166,6 +169,23 @@ def _resilience_policy(args) -> "RetryPolicy | None":
         breaker_threshold=args.breaker_threshold,
         seed=args.seed,
     )
+
+
+def _scan_config(args, targets: int, seed: int) -> ScanConfig:
+    """The :class:`ScanConfig` of one scan, whatever the mode: paced at
+    ``--pps``, or to cover ``targets`` in ``--duration`` virtual seconds."""
+    config = ScanConfig(
+        pps=args.pps or max(100.0, targets / args.duration),
+        hop_limit=args.hop_limit,
+        seed=seed,
+        progress_every=args.progress_every,
+        backend=args.backend,
+        authorized=args.i_am_authorized,
+        retry_policy=_resilience_policy(args),
+    )
+    if args.batch_size is not None:
+        config = dc_replace(config, batch_size=args.batch_size)
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -358,6 +378,15 @@ def main(argv: list[str] | None = None) -> int:
         "--pps must be positive"
         if args.pps is not None and args.pps <= 0
         else None,
+        "--pps must be finite"
+        if args.pps is not None and not math.isfinite(args.pps)
+        else None,
+        "--duration must be finite and positive"
+        if not 0 < args.duration < math.inf  # NaN fails this comparison too
+        else None,
+        "--hop-limit must be in [1, 255]"
+        if not 1 <= args.hop_limit <= 255
+        else None,
         "--batch-size must be >= 1"
         if args.batch_size is not None and args.batch_size < 1
         else None,
@@ -473,133 +502,77 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sra-scan: {problem}", file=sys.stderr)
         return 2
 
-    if args.backend == "raw":
-        # No simulated world at all: raw scans probe the operator's own
-        # targets file, directly through an unsharded scanner.
-        return _raw_scan(args)
-    config = tiny_config(args.seed) if args.world == "tiny" else WorldConfig(seed=args.seed)
-    if args.world_artifact:
-        world = _artifact_world(config, args.world_artifact)
-    else:
-        world = build_world(config)
-    if args.strategy:
-        return _strategy_scan(world, args)
-    targets = build_targets(
-        world, args.input_set, max_targets=args.max_targets, seed=args.seed
-    )
-    if not len(targets):
-        print("no targets generated", file=sys.stderr)
-        return 1
-
-    pps = args.pps or max(100.0, len(targets) / args.duration)
-    scan_config = ScanConfig(
-        pps=pps,
-        hop_limit=args.hop_limit,
-        seed=args.seed,
-        progress_every=args.progress_every,
-        backend=args.backend,
-        retry_policy=_resilience_policy(args),
-    )
-    if args.batch_size is not None:
-        scan_config = dc_replace(scan_config, batch_size=args.batch_size)
-    shards = auto_shard_count() if args.shards == 0 else args.shards
     telemetry = (
         ScanTelemetry() if (args.telemetry_out or args.metrics_out) else None
     )
-    runner = ShardedScanRunner(
-        world,
-        shards=shards,
-        executor=args.parallel,
-        telemetry=telemetry,
-        max_shard_retries=args.max_shard_retries,
-    )
-    sink: RecordSink | None = None
-    if args.stream_records:
-        outputs: list[RecordSink] = []
-        if args.output:
-            outputs.append(CsvSink(args.output))
-        if args.jsonl:
-            outputs.append(JsonlSink(args.jsonl))
-        sink = outputs[0] if len(outputs) == 1 else TeeSink(tuple(outputs))
+    runner: ShardedScanRunner | None = None
+    # A mode returns an exit code, or its result and a callable that
+    # renders the summary lines.
     try:
-        result: ScanResult = runner.scan(
-            targets,
-            scan_config,
-            name=args.input_set,
-            epoch=args.epoch,
-            sink=sink,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-        )
+        if args.backend == "raw":
+            # No simulated world at all: raw scans probe the operator's
+            # own targets file, directly through an unsharded scanner.
+            outcome = _raw_scan(args, telemetry)
+        else:
+            config = (
+                tiny_config(args.seed)
+                if args.world == "tiny"
+                else WorldConfig(seed=args.seed)
+            )
+            if args.world_artifact:
+                world = _artifact_world(config, args.world_artifact)
+            else:
+                world = build_world(config)
+            runner = ShardedScanRunner(
+                world,
+                shards=auto_shard_count() if args.shards == 0 else args.shards,
+                executor=args.parallel,
+                telemetry=telemetry,
+                max_shard_retries=args.max_shard_retries,
+                # A strategy journals one file per epoch; --input-set
+                # names its single journal per scan.
+                checkpoint_dir=args.checkpoint if args.strategy else None,
+            )
+            mode = _strategy_scan if args.strategy else _input_set_scan
+            outcome = mode(world, args, runner)
     except CheckpointError as error:
         # Corrupt / truncated / mismatched journal: a clear one-liner, no
         # traceback — the operator decides whether to delete and restart.
-        if sink is not None:
-            sink.abort()
         print(f"sra-scan: {error}", file=sys.stderr)
         return 4
     except ScanInterrupted as interrupted:
-        if sink is not None:
-            sink.abort()
         print(f"sra-scan: {interrupted}", file=sys.stderr)
         if args.checkpoint:
-            print(
-                f"sra-scan: resume with --checkpoint {args.checkpoint} "
-                "--resume",
-                file=sys.stderr,
+            hint = (
+                f"re-run the same command to resume from {args.checkpoint}"
+                if args.strategy
+                else f"resume with --checkpoint {args.checkpoint} --resume"
             )
+            print(f"sra-scan: {hint}", file=sys.stderr)
         return 5
     except ShardFailedError as failure:
-        if sink is not None:
-            sink.abort()
         print(f"sra-scan: {failure}", file=sys.stderr)
         return 1
-    if sink is not None:
-        sink.close()
-    if not args.no_alias_filter:
-        result, _ = filter_aliased(result, published_alias_list(world))
+    if isinstance(outcome, int):
+        return outcome
+    result, summary = outcome
 
     if telemetry is not None:
         if args.telemetry_out:
             telemetry.write_jsonl(args.telemetry_out)
         if args.metrics_out:
             telemetry.write_prometheus(args.metrics_out)
-    if args.ring_stats_out:
-        import json
-
+    if args.ring_stats_out and runner is not None:
         Path(args.ring_stats_out).write_text(
             json.dumps(runner.ring_stats.as_dict(), indent=2) + "\n"
         )
-    if sink is None:
+    if not args.stream_records:
         if args.output:
             result.write_csv(args.output)
         if args.jsonl:
             result.write_jsonl(args.jsonl)
-    if args.pcap:
-        from ..netsim.pcap import capture_scan
-
-        capture_scan(
-            world,
-            list(targets),
-            args.pcap,
-            epoch=args.epoch + 1_000_000,  # fresh buckets for the capture run
-            pps=pps,
-            hop_limit=args.hop_limit,
-        )
-
     if args.summary or not (args.output or args.jsonl):
-        classes = result.classify_sources()
-        print(f"input set  : {args.input_set} ({len(targets)} targets)")
-        print(f"probe rate : {pps:.0f} pps (virtual)")
-        print(f"shards     : {shards} ({args.parallel})")
-        print(f"replies    : {result.received} ({result.reply_rate:.1%} of targets)")
-        print(f"router IPs : {len(result.sources())}")
-        print(
-            "classes    : "
-            f"echo={len(classes['echo'])} error={len(classes['error'])} "
-            f"both={len(classes['both'])}"
-        )
-        print(f"loops hit  : {result.loops_observed}")
+        print("\n".join(summary()))
     if args.max_rss_check is not None:
         peak = peak_rss_mib()
         if peak > args.max_rss_check:
@@ -612,7 +585,68 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _raw_scan(args) -> int:
+def _input_set_scan(world, args, runner):
+    """The default mode: one scan of one generated ``--input-set``."""
+    targets = build_targets(
+        world, args.input_set, max_targets=args.max_targets, seed=args.seed
+    )
+    if not len(targets):
+        print("no targets generated", file=sys.stderr)
+        return 1
+    scan_config = _scan_config(args, len(targets), args.seed)
+    sink: RecordSink | None = None
+    if args.stream_records:
+        outputs: list[RecordSink] = []
+        if args.output:
+            outputs.append(CsvSink(args.output))
+        if args.jsonl:
+            outputs.append(JsonlSink(args.jsonl))
+        sink = outputs[0] if len(outputs) == 1 else TeeSink(tuple(outputs))
+    # As a context manager a sink closes on success and aborts — staged
+    # output left unpromoted — when the scan raises.
+    with sink if sink is not None else nullcontext():
+        result: ScanResult = runner.scan(
+            targets,
+            scan_config,
+            name=args.input_set,
+            epoch=args.epoch,
+            sink=sink,
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+        )
+    if not args.no_alias_filter:
+        result, _ = filter_aliased(result, published_alias_list(world))
+    if args.pcap:
+        from ..netsim.pcap import capture_scan
+
+        capture_scan(
+            world,
+            list(targets),
+            args.pcap,
+            epoch=args.epoch + 1_000_000,  # fresh buckets for the capture run
+            pps=scan_config.pps,
+            hop_limit=args.hop_limit,
+        )
+    count = len(targets)
+
+    def summary() -> list[str]:
+        classes = result.classify_sources()
+        return [
+            f"input set  : {args.input_set} ({count} targets)",
+            f"probe rate : {scan_config.pps:.0f} pps (virtual)",
+            f"shards     : {runner.shards} ({args.parallel})",
+            f"replies    : {result.received} ({result.reply_rate:.1%} of targets)",
+            f"router IPs : {len(result.sources())}",
+            "classes    : "
+            f"echo={len(classes['echo'])} error={len(classes['error'])} "
+            f"both={len(classes['both'])}",
+            f"loops hit  : {result.loops_observed}",
+        ]
+
+    return result, summary
+
+
+def _raw_scan(args, telemetry):
     """``--backend raw``: probe a targets file over a real raw socket.
 
     Deliberately the narrowest path in this CLI: no world, no sharding,
@@ -641,22 +675,8 @@ def _raw_scan(args) -> int:
         print("sra-scan: --targets-file has no targets", file=sys.stderr)
         return 1
 
-    pps = args.pps or max(100.0, len(targets) / args.duration)
-    scan_config = ScanConfig(
-        pps=pps,
-        hop_limit=args.hop_limit,
-        seed=args.seed,
-        progress_every=args.progress_every,
-        backend="raw",
-        authorized=True,
-        retry_policy=_resilience_policy(args),
-    )
-    if args.batch_size is not None:
-        scan_config = dc_replace(scan_config, batch_size=args.batch_size)
-    telemetry = (
-        ScanTelemetry() if (args.telemetry_out or args.metrics_out) else None
-    )
-    backend = RawSocketBackend(authorized=True, pps=pps)
+    scan_config = _scan_config(args, len(targets), args.seed)
+    backend = RawSocketBackend(authorized=True, pps=scan_config.pps)
     scanner = ZMapV6Scanner(backend, scan_config, telemetry=telemetry)
     try:
         result = scanner.scan(targets, name="raw", epoch=args.epoch)
@@ -669,25 +689,16 @@ def _raw_scan(args) -> int:
         # surface it rather than leak silently.
         for warning in backend.pop_warnings():
             print(f"sra-scan: warning: {warning}", file=sys.stderr)
-    if telemetry is not None:
-        if args.telemetry_out:
-            telemetry.write_jsonl(args.telemetry_out)
-        if args.metrics_out:
-            telemetry.write_prometheus(args.metrics_out)
-    if args.output:
-        result.write_csv(args.output)
-    if args.jsonl:
-        result.write_jsonl(args.jsonl)
-    if args.summary or not (args.output or args.jsonl):
-        print(f"targets    : {len(targets)} (raw backend)")
-        print(f"probe rate : {pps:.0f} pps (ceiling)")
-        print(f"replies    : {result.received}")
-        print(f"router IPs : {len(result.sources())}")
-        print(f"unmatched  : {result.unmatched_replies}")
-    return 0
+    return result, lambda: [
+        f"targets    : {len(targets)} (raw backend)",
+        f"probe rate : {scan_config.pps:.0f} pps (ceiling)",
+        f"replies    : {result.received}",
+        f"router IPs : {len(result.sources())}",
+        f"unmatched  : {result.unmatched_replies}",
+    ]
 
 
-def _strategy_scan(world, args) -> int:
+def _strategy_scan(world, args, runner):
     """``sra-scan --strategy``: the multi-epoch adaptive scan loop.
 
     Each epoch scans the strategy's current window through a (possibly
@@ -702,18 +713,6 @@ def _strategy_scan(world, args) -> int:
     budget = (
         args.strategy_budget if args.strategy_budget is not None else 5_000
     )
-    shards = auto_shard_count() if args.shards == 0 else args.shards
-    telemetry = (
-        ScanTelemetry() if (args.telemetry_out or args.metrics_out) else None
-    )
-    runner = ShardedScanRunner(
-        world,
-        shards=shards,
-        executor=args.parallel,
-        telemetry=telemetry,
-        max_shard_retries=args.max_shard_retries,
-        checkpoint_dir=args.checkpoint,
-    )
     strategy = build_strategy(
         args.strategy, world, seed=args.seed, budget=budget
     )
@@ -721,93 +720,48 @@ def _strategy_scan(world, args) -> int:
     cumulative: set[int] = set()
     results: list[ScanResult] = []
     epoch_lines: list[str] = []
-    try:
-        for index in range(epochs):
-            window = strategy.window(index)
-            pps = args.pps or max(100.0, len(window) / args.duration)
-            scan_config = ScanConfig(
-                pps=pps,
-                hop_limit=args.hop_limit,
-                seed=args.seed + index,
-                progress_every=args.progress_every,
-                backend=args.backend,
-                retry_policy=_resilience_policy(args),
+    for index in range(epochs):
+        window = strategy.window(index)
+        result = runner.scan(
+            window,
+            _scan_config(args, len(window), args.seed + index),
+            name=args.strategy,
+            epoch=args.epoch + index,
+        )
+        watched = telescope.observe_window(
+            window, strategy=args.strategy, epoch=index
+        )
+        new_ips = len(result.sources() - cumulative)
+        cumulative |= result.sources()
+        stats = result.engine_stats
+        suppressed = stats.suppressed_errors if stats is not None else 0
+        if runner.telemetry is not None:
+            runner.telemetry.strategy_window_finished(
+                strategy=args.strategy,
+                epoch=index,
+                targets=len(window),
+                new_router_ips=new_ips,
+                cumulative_router_ips=len(cumulative),
+                dark_probes=watched.dark,
+                suppressed_errors=suppressed,
             )
-            if args.batch_size is not None:
-                scan_config = dc_replace(
-                    scan_config, batch_size=args.batch_size
-                )
-            result = runner.scan(
-                window,
-                scan_config,
-                name=args.strategy,
-                epoch=args.epoch + index,
-            )
-            watched = telescope.observe_window(
-                window, strategy=args.strategy, epoch=index
-            )
-            new_ips = len(result.sources() - cumulative)
-            cumulative |= result.sources()
-            stats = result.engine_stats
-            suppressed = stats.suppressed_errors if stats is not None else 0
-            if telemetry is not None:
-                telemetry.strategy_window_finished(
-                    strategy=args.strategy,
-                    epoch=index,
-                    targets=len(window),
-                    new_router_ips=new_ips,
-                    cumulative_router_ips=len(cumulative),
-                    dark_probes=watched.dark,
-                    suppressed_errors=suppressed,
-                )
-            strategy.observe(result.records)
-            results.append(result)
-            epoch_lines.append(
-                f"epoch {index}  : {len(window)} targets, "
-                f"+{new_ips} router IPs ({len(cumulative)} total), "
-                f"{watched.dark} dark, {suppressed} suppressed"
-            )
-    except CheckpointError as error:
-        print(f"sra-scan: {error}", file=sys.stderr)
-        return 4
-    except ScanInterrupted as interrupted:
-        print(f"sra-scan: {interrupted}", file=sys.stderr)
-        if args.checkpoint:
-            print(
-                "sra-scan: re-run the same command to resume from "
-                f"{args.checkpoint}",
-                file=sys.stderr,
-            )
-        return 5
-    except ShardFailedError as failure:
-        print(f"sra-scan: {failure}", file=sys.stderr)
-        return 1
+        strategy.observe(result.records)
+        results.append(result)
+        epoch_lines.append(
+            f"epoch {index}  : {len(window)} targets, "
+            f"+{new_ips} router IPs ({len(cumulative)} total), "
+            f"{watched.dark} dark, {suppressed} suppressed"
+        )
     merged = merge_results(args.strategy, results)
     if not args.no_alias_filter:
         merged, _ = filter_aliased(merged, published_alias_list(world))
-    if telemetry is not None:
-        if args.telemetry_out:
-            telemetry.write_jsonl(args.telemetry_out)
-        if args.metrics_out:
-            telemetry.write_prometheus(args.metrics_out)
-    if args.ring_stats_out:
-        import json
-
-        Path(args.ring_stats_out).write_text(
-            json.dumps(runner.ring_stats.as_dict(), indent=2) + "\n"
-        )
-    if args.output:
-        merged.write_csv(args.output)
-    if args.jsonl:
-        merged.write_jsonl(args.jsonl)
-    if args.summary or not (args.output or args.jsonl):
-        print(f"strategy   : {args.strategy} ({epochs} epochs x {budget} budget)")
-        print(f"shards     : {shards} ({args.parallel})")
-        for line in epoch_lines:
-            print(line)
-        print(f"replies    : {merged.received}")
-        print(f"router IPs : {len(merged.sources())}")
-    return 0
+    return merged, lambda: [
+        f"strategy   : {args.strategy} ({epochs} epochs x {budget} budget)",
+        f"shards     : {runner.shards} ({args.parallel})",
+        *epoch_lines,
+        f"replies    : {merged.received}",
+        f"router IPs : {len(merged.sources())}",
+    ]
 
 
 def _artifact_world(config, path: str):

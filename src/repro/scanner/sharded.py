@@ -53,10 +53,8 @@ from ..telemetry.scan import (
     HotPathCollector,
     ScanTelemetry,
     ShardTelemetry,
-    apply_suppression_correction,
-    collector_events,
     merge_first_times,
-    retract_record,
+    populate_registry,
 )
 from ..topology.artifact import WorldRef, resolve_world_ref, world_payload
 from ..topology.entities import World
@@ -177,8 +175,8 @@ class ShardOutcome:
     # Deferred rate-limit checks in shard probe order: (virtual time,
     # emitting router id).  Replayed globally at merge time.
     checks: list[tuple[float, int]]
-    # Raw telemetry capture (progress events, per-shard metrics, first
-    # loop sightings) when the scan ran with telemetry on; None otherwise.
+    # Raw telemetry capture (progress events, first loop sightings) when
+    # the scan ran with telemetry on; None otherwise.
     telemetry: ShardTelemetry | None = None
     # Denominator of this shard's index window (IndexWindow(shard, shards)):
     # the merge validates that outcomes tile the permutation exactly once.
@@ -289,9 +287,12 @@ def merge_shard_outcomes(
     Records are then interleaved by probe time, which *is* the global
     permutation order.
 
-    With ``telemetry`` the same corrections are applied to the merged
-    metrics registry (retracting the dropped records), so the registry —
-    like ``EngineStats`` — comes out identical to a serial run's.  The
+    With ``telemetry`` the scan's metrics are folded once, here, from the
+    corrected stats and the merged records — the serial run's, so its
+    registry — before a ``sink`` takes the records away, and the facade
+    runs the closing sequence a scan in place runs, over the shards'
+    progress streams and first sightings (the earliest loop sighting
+    across shards wins) and with one ``shard_finished`` per shard.  The
     replay engine doubles as the authority for ``rate_limit_engaged``
     events: deferred shards never exercise the limiter, but the replay
     walks the exact serial check sequence.
@@ -319,9 +320,8 @@ def merge_shard_outcomes(
     checks.sort(key=lambda check: check[0])
 
     replay = SimulationEngine(world, epoch=epoch)
-    collector: HotPathCollector | None = None
+    collector = HotPathCollector()
     if telemetry is not None:
-        collector = HotPathCollector()
         replay.telemetry = collector
     dropped: dict[int, set[int]] = {outcome.shard: set() for outcome in ordered}
     disallowed = 0
@@ -331,16 +331,9 @@ def merge_shard_outcomes(
             dropped[shard].update(rows)
 
     results: list[ScanResult] = []
-    dropped_records: list = []
     for outcome in ordered:
         doomed = dropped[outcome.shard]
         if doomed:
-            if telemetry is not None:
-                dropped_records.extend(
-                    record
-                    for row, record in enumerate(outcome.result.records)
-                    if row in doomed
-                )
             outcome.result.records = [
                 record
                 for row, record in enumerate(outcome.result.records)
@@ -357,6 +350,12 @@ def merge_shard_outcomes(
     if merged.engine_stats is not None:
         merged.engine_stats.error_replies -= disallowed
         merged.engine_stats.suppressed_errors += disallowed
+    if telemetry is not None:
+        # Into a registry of the scan's own: a sink that fails below
+        # leaves the facade's untouched.
+        registry = populate_registry(
+            MetricsRegistry(), merged.engine_stats, merged.records
+        )
     if sink is not None:
         # Shards must buffer their records for the replay correction, so
         # streaming drains here, post-merge — in exact serial order, and
@@ -365,18 +364,28 @@ def merge_shard_outcomes(
         merged.records_streamed += len(merged.records)
         merged.records.clear()
 
-    if telemetry is not None and collector is not None:
-        _merge_telemetry(
-            telemetry,
-            ordered,
-            merged,
-            name=name,
+    if telemetry is not None:
+        captures = [
+            outcome.telemetry
+            for outcome in ordered
+            if outcome.telemetry is not None
+        ]
+        telemetry.scan_closed(
+            scan=name,
             epoch=epoch,
-            disallowed=disallowed,
-            dropped_records=dropped_records,
-            first_suppressed=dict(collector.first_suppressed),
-            targets_buffered=targets_buffered,
+            result=merged,
+            capture=ShardTelemetry(
+                events=[event for capture in captures for event in capture.events],
+                first_loop=merge_first_times(
+                    capture.first_loop for capture in captures
+                ),
+                first_suppressed=collector.first_suppressed,
+            ),
+            registry=registry,
             backend=backend,
+            targets_buffered=targets_buffered,
+            shard_results=[(outcome.shard, outcome.result) for outcome in ordered],
+            resilience=[(outcome.shard, outcome.resilience) for outcome in ordered],
         )
     return merged
 
@@ -419,83 +428,6 @@ def _validate_shard_windows(ordered: Sequence[ShardOutcome]) -> None:
         raise ValueError(
             f"shard windows leave gaps: missing shard(s) {missing} of "
             f"{shards}; refusing to merge a partial scan"
-        )
-
-
-def _merge_telemetry(
-    telemetry: ScanTelemetry,
-    ordered: Sequence[ShardOutcome],
-    merged: ScanResult,
-    *,
-    name: str,
-    epoch: int,
-    disallowed: int,
-    dropped_records: list,
-    first_suppressed: dict[int, float],
-    targets_buffered: int = 0,
-    backend: str = "sim",
-) -> None:
-    """Fold per-shard captures into the facade, shard-count invariantly.
-
-    Registry: sum of shard registries, minus the replay's corrections —
-    provably the serial registry.  Events: shard progress streams plus
-    loop/rate-limit first sightings (earliest time across shards wins),
-    sorted globally by virtual time; then one ``shard_finished`` per
-    shard and the closing ``scan_finished``.
-    """
-    captures = [outcome.telemetry for outcome in ordered]
-    registry = MetricsRegistry()
-    body: list[dict] = []
-    for capture in captures:
-        if capture is None:
-            continue
-        registry.merge(capture.registry)
-        body.extend(capture.events)
-    apply_suppression_correction(registry, disallowed)
-    for record in dropped_records:
-        retract_record(registry, record)
-    first_loop = merge_first_times(
-        capture.first_loop for capture in captures if capture is not None
-    )
-    body.extend(
-        collector_events(
-            scan=name,
-            epoch=epoch,
-            first_loop=first_loop,
-            first_suppressed=first_suppressed,
-        )
-    )
-    telemetry.emit_sorted(body)
-    for outcome in ordered:
-        result = outcome.result
-        telemetry.shard_finished(
-            scan=name,
-            epoch=epoch,
-            shard=outcome.shard,
-            sent=result.sent,
-            records=len(result.records),
-            lost=result.lost,
-            loops=result.loops_observed,
-            duration=result.duration,
-        )
-    telemetry.merge_registry(registry)
-    telemetry.scan_finished(
-        scan=name, epoch=epoch, result=merged, targets_buffered=targets_buffered
-    )
-    telemetry.unmatched_replies_recorded(
-        scan=name,
-        epoch=epoch,
-        backend=backend,
-        count=merged.unmatched_replies,
-    )
-    for outcome in ordered:
-        # Per-shard resilience deltas, in shard order (ops channel only;
-        # None/empty deltas are skipped inside the facade).
-        telemetry.backend_resilience_recorded(
-            scan=name,
-            epoch=epoch,
-            shard=outcome.shard,
-            stats=outcome.resilience,
         )
 
 
@@ -688,17 +620,17 @@ class ShardedScanRunner:
         """Scan all targets across ``self.shards`` shards and merge.
 
         ``telemetry`` (per call, falling back to the runner default)
-        receives the event stream and the merged metrics; both come out
-        shard-count invariant except for the per-shard ``progress`` /
-        ``shard_finished`` events.
+        receives the event stream and the scan's metrics, folded once
+        from the merged result; both come out shard-count invariant
+        except for the per-shard ``progress`` / ``shard_finished`` events.
 
         ``sink`` streams records out instead of buffering them on the
-        returned result.  With one shard the scanner emits each record as
-        it is matched; with several, shards must still buffer their
-        records for the deferred rate-limit replay, so the sink is
-        drained once after the merge.  Either way the sink sees
-        the records in exact serial order and the returned result carries
-        them in ``records_streamed`` instead of ``records``.
+        returned result.  A scan run in place drains each batch's records
+        as they are matched; deferred shards must buffer theirs for the
+        rate-limit replay, so the sink is drained once after the merge.
+        Either way the sink sees the records in exact serial order and the
+        returned result carries them in ``records_streamed`` instead of
+        ``records``.
 
         ``checkpoint`` names the journal file for this scan (overriding
         the runner's ``checkpoint_dir`` naming); ``resume`` loads it if
@@ -726,7 +658,7 @@ class ShardedScanRunner:
             and chaos is None
         ):
             # Nothing to merge, journal, retry or inject: scan in place,
-            # which is also what streams a sink record by record.
+            # which is also what streams a sink batch by batch.
             engine = SimulationEngine(self.world, epoch=epoch)
             scanner = ZMapV6Scanner(
                 engine,

@@ -18,7 +18,9 @@ shape:
   a realised :class:`LazyStream` would run the generators again in every
   worker, each left holding the whole list.
 * :class:`RecordSink` — where matched reply records go.  ``drain`` is
-  the write path (``emit`` is a drain of one record).  The in-memory
+  the write path (``emit`` is a drain of one record): a scan streaming
+  in place drains each batch's records, a sharded one drains the merged
+  list once.  The in-memory
   sink preserves today's :class:`~repro.scanner.records.ScanResult`
   semantics; the JSONL/CSV sinks render and write a bounded chunk of rows
   at a time (byte identical to ``ScanResult.write_jsonl``/``write_csv``

@@ -35,13 +35,12 @@ from ..netsim.engine import (
     SimulationEngine,
 )
 from ..telemetry.events import make_event
+from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.scan import (
     HotPathCollector,
     ScanTelemetry,
     ShardTelemetry,
-    collector_events,
     populate_registry,
-    record_metrics,
 )
 from .backends import (
     DEFAULT_PROBE_KEY,
@@ -151,11 +150,12 @@ class ZMapV6Scanner:
 
     * ``telemetry=`` — a :class:`ScanTelemetry` facade; the scanner emits
       the full event stream (``scan_started`` ... ``scan_finished``) and
-      merges its metrics into the facade's registry after each scan,
+      folds the scan's metrics into the facade's registry once, when the
+      scan has finished,
     * ``capture_telemetry=True`` — raw capture only: after each scan,
       :attr:`last_capture` holds a picklable :class:`ShardTelemetry`
-      (progress events, per-shard registry, first loop / suppression
-      sightings) for a coordinator to merge — the sharded runner's mode.
+      (progress events and first loop / suppression sightings, no
+      metrics) for a coordinator to merge — the sharded runner's mode.
     """
 
     def __init__(
@@ -190,7 +190,7 @@ class ZMapV6Scanner:
         self.last_resilience: ResilienceStats | None = None
         self.last_capture: ShardTelemetry | None = None
         self._capture: ShardTelemetry | None = None
-        self._emit: Callable[[ScanRecord], None] | None = None
+        self._deliver: Callable[[list[ScanRecord]], None] | None = None
 
     def scan(
         self,
@@ -206,10 +206,11 @@ class ZMapV6Scanner:
         :class:`~repro.scanner.targets.TargetList`, or a lazy
         :class:`~repro.scanner.stream.TargetStream`; non-sequence
         iterables are materialised.  With a ``sink``, matched records
-        stream to it in probe order instead of buffering in
-        ``result.records`` (``result.records_streamed`` counts them);
-        everything else — counters, telemetry events, metrics — is
-        byte-identical to the buffered path.
+        stream to it in probe order, one ``sink.drain`` per batch that
+        has any, instead of buffering in ``result.records``
+        (``result.records_streamed`` counts them); everything else —
+        counters, telemetry events, metrics — is byte-identical to the
+        buffered path.
         """
         config = self.config
         backend = self.backend
@@ -226,6 +227,9 @@ class ZMapV6Scanner:
         )
         capture: ShardTelemetry | None = None
         collector: HotPathCollector | None = None
+        # The scan's own registry, merged into the facade's by the closing
+        # sequence: a scan that fails leaves the facade as it found it.
+        registry = MetricsRegistry() if self.telemetry is not None else None
         if self.capture_telemetry:
             capture = ShardTelemetry()
             collector = HotPathCollector()
@@ -241,7 +245,17 @@ class ZMapV6Scanner:
                     scan=name, epoch=result.epoch, backend=backend.name
                 )
         self._capture = capture
-        self._emit = self._record_emitter(result, sink, capture)
+        if sink is None:
+            self._deliver = result.records.extend
+        else:
+
+            def deliver(batch: list[ScanRecord]) -> None:
+                sink.drain(batch)
+                result.records_streamed += len(batch)
+                if registry is not None:
+                    populate_registry(registry, None, batch)
+
+            self._deliver = deliver
         if collector is not None:
             backend.telemetry = collector
         try:
@@ -257,7 +271,7 @@ class ZMapV6Scanner:
             if collector is not None:
                 backend.telemetry = None
             self._capture = None
-            self._emit = None
+            self._deliver = None
         result.sent = sent
         result.duration = (last_position + 1) / config.pps if sent else 0.0
         result.engine_stats = replace(backend.stats)
@@ -271,83 +285,23 @@ class ZMapV6Scanner:
         if capture is not None and collector is not None:
             capture.first_loop = dict(collector.first_loop)
             capture.first_suppressed = dict(collector.first_suppressed)
-            # A streaming sink already observed its records incrementally;
-            # fold in the engine-stat counters only (records=()).
-            populate_registry(
-                capture.registry,
-                result,
-                records=() if sink is not None else None,
-            )
             self.last_capture = capture
             if self.telemetry is not None:
-                body = list(capture.events)
-                body.extend(
-                    collector_events(
-                        scan=name,
-                        epoch=result.epoch,
-                        first_loop=capture.first_loop,
-                        first_suppressed=capture.first_suppressed,
-                    )
-                )
-                self.telemetry.emit_sorted(body)
-                self.telemetry.merge_registry(capture.registry)
-                self.telemetry.scan_finished(
+                # Records a sink took are already folded in, batch by
+                # batch, and result.records is empty: this adds the stats.
+                populate_registry(registry, result.engine_stats, result.records)
+                self.telemetry.scan_closed(
                     scan=name,
                     epoch=result.epoch,
                     result=result,
-                    targets_buffered=stream_buffered(target_list),
-                )
-                self.telemetry.unmatched_replies_recorded(
-                    scan=name,
-                    epoch=result.epoch,
+                    capture=capture,
+                    registry=registry,
                     backend=backend.name,
-                    count=result.unmatched_replies,
+                    targets_buffered=stream_buffered(target_list),
+                    resilience=[(config.shard, self.last_resilience)],
+                    warnings=backend.pop_warnings(),
                 )
-                self.telemetry.backend_resilience_recorded(
-                    scan=name,
-                    epoch=result.epoch,
-                    shard=config.shard,
-                    stats=self.last_resilience,
-                )
-                for message in backend.pop_warnings():
-                    self.telemetry.backend_warning_recorded(
-                        scan=name,
-                        epoch=result.epoch,
-                        backend=backend.name,
-                        message=message,
-                    )
         return result
-
-    def _record_emitter(
-        self,
-        result: ScanResult,
-        sink: RecordSink | None,
-        capture: ShardTelemetry | None,
-    ) -> Callable[[ScanRecord], None]:
-        """The per-record hot-path call: buffer, or stream-and-observe.
-
-        Without a sink this is literally ``result.records.append`` — the
-        buffered path pays nothing for the streaming machinery.  With a
-        sink, each record is forwarded and (when telemetry is on) the
-        record-derived metrics are observed incrementally, producing the
-        exact registry :func:`populate_registry` would build at scan end.
-        """
-        if sink is None:
-            return result.records.append
-        sink_emit = sink.emit
-        metrics = record_metrics(capture.registry) if capture is not None else None
-
-        def emit(record: ScanRecord) -> None:
-            sink_emit(record)
-            result.records_streamed += 1
-            if metrics is not None:
-                record_counter, flood, vtimes, amplification = metrics
-                record_counter.inc()
-                flood.inc(record.count - 1)
-                vtimes.observe(record.time)
-                amplification.observe(record.count)
-
-        return emit
 
     def _chunks(
         self, target_list: Sequence[int]
@@ -385,14 +339,15 @@ class ZMapV6Scanner:
 
         Outcomes are processed probe by probe in chunk order, so the
         probe sequence, record order, and telemetry events do not depend
-        on ``batch_size`` — but sends reach the backend in ``batch_size``
-        groups, which is what lets the raw backend pace a whole batch and
-        pay its receive linger once per batch instead of once per probe.
+        on ``batch_size`` — but sends reach the backend, and records
+        leave, in ``batch_size`` groups, which is what lets the raw
+        backend pace a whole batch and pay its receive linger once per
+        batch instead of once per probe.
         """
         config = self.config
         send_batch = self.backend.send_batch
         capture = self._capture
-        emit = self._emit
+        deliver = self._deliver
         every = config.progress_every if capture is not None else 0
         hop_limit = config.hop_limit
         sent = 0
@@ -401,6 +356,10 @@ class ZMapV6Scanner:
             outcomes = send_batch(
                 targets, times, hop_limit=hop_limit, probe_ids=ids
             )
+            # Delivered once the chunk is walked; progress events inside
+            # it count the records received before it plus its own so far.
+            batch: list[ScanRecord] = []
+            received = result.received
             for offset, outcome in enumerate(outcomes):
                 sent += 1
                 if outcome.looped:
@@ -409,7 +368,7 @@ class ZMapV6Scanner:
                     result.lost += 1
                 else:
                     for reply in outcome.replies:
-                        emit(
+                        batch.append(
                             ScanRecord(
                                 target=targets[offset],
                                 source=reply.source,
@@ -428,11 +387,13 @@ class ZMapV6Scanner:
                             vtime=times[offset],
                             shard=config.shard,
                             sent=sent,
-                            records=result.received,
+                            records=received + len(batch),
                             lost=result.lost,
                             loops=result.loops_observed,
                         )
                     )
+            if batch:
+                deliver(batch)
         return sent, last_position
 
     def _scan_columns(
@@ -450,7 +411,7 @@ class ZMapV6Scanner:
         backend = self.backend
         hop_limit = config.hop_limit
         probe_columns = backend.probe_columns
-        append_record = self._emit
+        deliver = self._deliver
         capture = self._capture
         every = config.progress_every if capture is not None else 0
         progress = (0, 0, 0, 0)
@@ -477,17 +438,19 @@ class ZMapV6Scanner:
             icmp_col = cols.icmp_type
             code_col = cols.code
             count_col = cols.count
-            for offset in compress(range(n), replied):
-                append_record(
-                    ScanRecord(
-                        target=targets[offset],
-                        source=(source_hi[offset] << 64) | source_lo[offset],
-                        icmp_type=icmp_col[offset],
-                        code=code_col[offset],
-                        count=count_col[offset],
-                        time=times[offset],
-                    )
+            batch = [
+                ScanRecord(
+                    target=targets[offset],
+                    source=(source_hi[offset] << 64) | source_lo[offset],
+                    icmp_type=icmp_col[offset],
+                    code=code_col[offset],
+                    count=count_col[offset],
+                    time=times[offset],
                 )
+                for offset in compress(range(n), replied)
+            ]
+            if batch:
+                deliver(batch)
             if every:
                 progress = self._capture_batch_progress(
                     capture, result, flags, replied, times, every, progress

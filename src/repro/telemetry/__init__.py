@@ -4,7 +4,7 @@ The subsystem has three parts — see each module's docstring:
 
 * :mod:`repro.telemetry.metrics` — deterministic counters, gauges, and
   fixed-edge histograms in a :class:`MetricsRegistry` with a Prometheus
-  text exporter and a shard-merge rule,
+  text exporter and a merge rule,
 * :mod:`repro.telemetry.events` — the schema-versioned JSONL event
   stream (``scan_started`` ... ``scan_finished``),
 * :mod:`repro.telemetry.scan` — the :class:`ScanTelemetry` facade plus

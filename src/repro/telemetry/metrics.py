@@ -7,12 +7,14 @@ plain, reproducible aggregates rather than wall-clock samplers:
 
 * every metric lives on the scan's **virtual clock** — two runs of the
   same seed produce byte-identical exports,
-* histograms use **fixed bucket edges** chosen at creation, so per-shard
+* histograms use **fixed bucket edges** chosen at creation, so two
   histograms merge by summing counts without re-bucketing, and keep
   their sum exactly, so it does not depend on observation or merge order,
-* :meth:`MetricsRegistry.merge` is the deterministic shard-combination
-  rule used by :mod:`repro.scanner.sharded` alongside ``EngineStats``:
-  counters and histogram buckets add, gauges keep the maximum.
+* :meth:`MetricsRegistry.merge` is the deterministic combination rule:
+  counters and histogram buckets add, gauges keep the maximum.  A scan
+  folds its metrics into a registry of its own and merges that into the
+  campaign's once it has finished (a failed scan's is discarded); shards
+  carry no registries.
 
 The Prometheus text exporter (:meth:`MetricsRegistry.to_prometheus`)
 emits metric families sorted by name with a stable number format, making
@@ -108,10 +110,10 @@ class Histogram:
         self.counts = [0] * (len(self.edges) + 1)
         self.total = 0
         # Exact accumulator (an int, see _SUM_SCALE): float addition is
-        # order-dependent, and shard merges add observations in a
-        # different order than a serial scan.  Exact, the sum is a
+        # order-dependent, and a streamed scan adds its observations in
+        # a different grouping than a buffered one.  Exact, the sum is a
         # function of the observed multiset only, so exports stay
-        # byte-identical across shard counts — at one shift and add per
+        # byte-identical either way — at one shift and add per
         # observation.
         self._sum = 0
 
@@ -120,15 +122,13 @@ class Histogram:
         """The observation sum, correctly rounded to a float."""
         return self._sum / _SUM_SCALE  # int true division rounds correctly
 
-    def observe(self, value: float, count: int = 1) -> None:
-        """Record ``count`` observations of ``value`` (count may be
-        negative: the sharded merge retracts observations belonging to
-        replay-suppressed error records).  NaN and infinities raise."""
+    def observe(self, value: float) -> None:
+        """Record one observation.  NaN and infinities raise."""
         numerator, denominator = float(value).as_integer_ratio()
-        self.counts[bisect_left(self.edges, value)] += count
-        self.total += count
+        self.counts[bisect_left(self.edges, value)] += 1
+        self.total += 1
         # denominator is 2**k, k <= 1074: scaled, the value is an int.
-        self._sum += (numerator * count) << (1075 - denominator.bit_length())
+        self._sum += numerator << (1075 - denominator.bit_length())
 
     def cumulative(self) -> list[int]:
         """Cumulative ``le`` counts, one per finite edge plus ``+Inf``."""
@@ -232,15 +232,14 @@ class MetricsRegistry:
         return out
 
     # ------------------------------------------------------------------ #
-    # merge (the sharded-scan combination rule)
+    # merge
     # ------------------------------------------------------------------ #
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other`` into this registry in place and return self.
 
-        Counters and histogram buckets add; gauges keep the maximum (a
-        merged scan's "last duration" is the slowest shard's).  Metrics
-        present only in ``other`` are adopted with their values.
+        Counters and histogram buckets add; gauges keep the maximum.
+        Metrics present only in ``other`` are adopted with their values.
         """
         for name, metric in other._metrics.items():
             if isinstance(metric, Counter):

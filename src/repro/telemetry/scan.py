@@ -7,21 +7,25 @@ Three layers, from the packet engine up:
   router, first error each router's RFC 4443 limiter suppressed) into
   plain dicts, so the engine's hot path pays one ``is not None`` check on
   rare branches and nothing anywhere else.
-* :class:`ShardTelemetry` — the per-shard capture: progress events, the
-  collector dicts, and a :class:`~repro.telemetry.metrics.MetricsRegistry`
-  populated from the shard's scan result.  Plain data by construction so
-  it rides home through the process pool, and merged deterministically by
-  :func:`repro.scanner.sharded.merge_shard_outcomes` alongside
-  ``EngineStats``.
+* :class:`ShardTelemetry` — the per-shard capture: progress events and
+  the collector dicts.  Plain data by construction so it rides home
+  through the process pool (and into a checkpoint journal) with the
+  shard's outcome.
 * :class:`ScanTelemetry` — the user-facing facade: owns the global event
-  stream (``seq`` assignment) and the merged registry, and writes the
-  JSONL / Prometheus sinks.
+  stream (``seq`` assignment) and the registry, and writes the JSONL /
+  Prometheus sinks.
+
+A scan's metrics are folded once, at its end, from its final engine stats
+and records (:func:`populate_registry`): by the scanner for a scan run in
+place, by :func:`repro.scanner.sharded.merge_shard_outcomes` — after the
+rate-limit replay — for one run in shards.  Both then hand everything to
+:meth:`ScanTelemetry.scan_closed`, the one closing sequence.
 
 Determinism contract: for a fixed configuration (seed, shard count,
 progress cadence) two runs produce byte-identical JSONL and Prometheus
 text.  The *registry* (and therefore the Prometheus export) is moreover
-invariant to batch size and shard count — per-shard registries merge to
-exactly the serial registry, the same guarantee ``EngineStats`` has.
+invariant to batch size and shard count — it is a function of the merged
+stats and record multiset, which are the serial scan's.
 ``loop_detected`` and ``rate_limit_engaged`` events are shard-invariant
 too (first occurrences in virtual time are global properties); only
 ``progress`` and ``shard_finished`` events are per-shard by nature.
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..atomicio import atomic_write_text
 from .events import body_sort_key, events_to_jsonl, make_event, write_events
@@ -62,12 +66,9 @@ __all__ = [
     "HotPathCollector",
     "ScanTelemetry",
     "ShardTelemetry",
-    "apply_suppression_correction",
     "collector_events",
     "merge_first_times",
     "populate_registry",
-    "record_metrics",
-    "retract_record",
 ]
 
 # Virtual seconds into the scan at which a reply arrived.  Fixed edges:
@@ -79,9 +80,7 @@ REPLY_VTIME_EDGES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 # engine's amplification cap (~4.2M replies, see netsim.engine).
 AMPLIFICATION_EDGES = (1.0, 2.0, 8.0, 64.0, 1024.0, 65536.0, float(1 << 22))
 
-# EngineStats field -> (metric name, help).  Mirrored one-to-one so the
-# sharded merge can apply the same suppressed-error correction to the
-# registry that it applies to the merged EngineStats.
+# EngineStats field -> (metric name, help), mirrored one-to-one.
 ENGINE_STAT_COUNTERS = {
     "probes": ("sra_scan_probes_total", "Echo Requests sent"),
     "lost": ("sra_scan_probes_lost_total", "probes lost in flight"),
@@ -254,30 +253,32 @@ def collector_events(
 class ShardTelemetry:
     """One shard's (or one serial scan's) captured telemetry.
 
-    Plain data: lists, dicts, and a registry of plain metric objects —
-    picklable, so process-pool shards ship it back with their outcome.
+    Plain data: a list and two dicts — picklable, so process-pool shards
+    ship it back with their outcome.  No metrics: a deferred shard's
+    records are provisional until the merge has replayed the limiter.
     """
 
     events: list[dict] = field(default_factory=list)  # progress snapshots
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     first_loop: dict[int, float] = field(default_factory=dict)
     first_suppressed: dict[int, float] = field(default_factory=dict)
 
 
-def record_metrics(registry: MetricsRegistry):
-    """Create-or-get the four record-derived metrics of a registry.
+def populate_registry(
+    registry: MetricsRegistry, stats: "EngineStats | None", records: Iterable
+) -> MetricsRegistry:
+    """Fold a scan's final engine stats and records into a registry.
 
-    Returns ``(records, flood, vtimes, amplification)``.  The streaming
-    scan path observes these incrementally per emitted record; the
-    buffered path folds them in at scan end via
-    :func:`populate_registry`.  Counter sums and fixed-edge histograms
-    are order-independent (histogram sums are exact scaled ints), so both
-    paths produce byte-identical exports.
+    Counters *add*, so one registry can accumulate a whole campaign.
+    Counter sums and fixed-edge histograms are order-independent
+    (histogram sums are exact scaled ints), so a scan that streams its
+    records folds them batch by batch (``stats=None``) and its stats at
+    the end, to a byte-identical export.
     """
-    records = registry.counter(RECORDS_TOTAL, "matched reply records")
-    flood = registry.counter(
-        FLOOD_PACKETS_TOTAL, "unsolicited duplicates from loop amplification"
-    )
+    if stats is not None:
+        for field_name, (metric_name, help_text) in ENGINE_STAT_COUNTERS.items():
+            registry.counter(metric_name, help_text).inc(
+                getattr(stats, field_name)
+            )
     vtimes = registry.histogram(
         REPLY_VTIME_HISTOGRAM,
         REPLY_VTIME_EDGES,
@@ -288,38 +289,6 @@ def record_metrics(registry: MetricsRegistry):
         AMPLIFICATION_EDGES,
         "reply replication count per matched record",
     )
-    return records, flood, vtimes, amplification
-
-
-def populate_registry(
-    registry: MetricsRegistry,
-    result: "ScanResult",
-    stats: "EngineStats | None" = None,
-    *,
-    records: "Iterable | None" = None,
-) -> MetricsRegistry:
-    """Fold one scan's counters and record-derived metrics into a registry.
-
-    ``stats`` defaults to ``result.engine_stats``.  Counters *add*, so one
-    registry can accumulate a whole campaign; the same function populates
-    per-shard registries (pre-merge) and serial-scan registries, which is
-    what makes the sharded merge provably equivalent to the serial path.
-
-    ``records`` overrides the record iterable (default
-    ``result.records``); a scan that already observed its records
-    incrementally through a streaming sink passes ``records=()`` so only
-    the engine-stat counters are folded in here.
-    """
-    if stats is None:
-        stats = result.engine_stats
-    if stats is not None:
-        for field_name, (metric_name, help_text) in ENGINE_STAT_COUNTERS.items():
-            registry.counter(metric_name, help_text).inc(
-                getattr(stats, field_name)
-            )
-    record_counter, flood, vtimes, amplification = record_metrics(registry)
-    if records is None:
-        records = result.records
     count = 0
     flood_total = 0
     for record in records:
@@ -327,43 +296,11 @@ def populate_registry(
         vtimes.observe(record.time)
         amplification.observe(record.count)
         flood_total += record.count - 1
-    record_counter.inc(count)
-    flood.inc(flood_total)
+    registry.counter(RECORDS_TOTAL, "matched reply records").inc(count)
+    registry.counter(
+        FLOOD_PACKETS_TOTAL, "unsolicited duplicates from loop amplification"
+    ).inc(flood_total)
     return registry
-
-
-def retract_record(registry: MetricsRegistry, record) -> None:
-    """Undo one record's record-derived metrics (sharded merge: the rate-
-    limit replay decided this provisional error was suppressed)."""
-    counter = registry.get(RECORDS_TOTAL)
-    if counter is not None:
-        counter.value -= 1
-    flood = registry.get(FLOOD_PACKETS_TOTAL)
-    if flood is not None:
-        flood.value -= record.count - 1
-    vtimes = registry.get(REPLY_VTIME_HISTOGRAM)
-    if vtimes is not None:
-        vtimes.observe(record.time, count=-1)
-    amplification = registry.get(AMPLIFICATION_HISTOGRAM)
-    if amplification is not None:
-        amplification.observe(record.count, count=-1)
-
-
-def apply_suppression_correction(
-    registry: MetricsRegistry, disallowed: int
-) -> None:
-    """Move replay-suppressed errors between the two error counters —
-    the registry twin of the ``EngineStats`` correction in
-    :func:`repro.scanner.sharded.merge_shard_outcomes`."""
-    if not disallowed:
-        return
-    errors = registry.get(ENGINE_STAT_COUNTERS["error_replies"][0])
-    if errors is not None:
-        errors.value -= disallowed
-    suppressed = registry.counter(
-        *ENGINE_STAT_COUNTERS["suppressed_errors"]
-    )
-    suppressed.inc(disallowed)
 
 
 class ScanTelemetry:
@@ -428,50 +365,62 @@ class ScanTelemetry:
             )
         )
 
-    def shard_finished(
-        self,
-        *,
-        scan: str,
-        epoch: int,
-        shard: int,
-        sent: int,
-        records: int,
-        lost: int,
-        loops: int,
-        duration: float,
-    ) -> None:
-        self.emit(
-            make_event(
-                "shard_finished",
-                scan=scan,
-                epoch=epoch,
-                vtime=duration,
-                shard=shard,
-                sent=sent,
-                records=records,
-                lost=lost,
-                loops=loops,
-                duration=duration,
-            )
-        )
-
-    def scan_finished(
+    def scan_closed(
         self,
         *,
         scan: str,
         epoch: int,
         result: "ScanResult",
+        capture: ShardTelemetry,
+        registry: MetricsRegistry,
+        backend: str,
         targets_buffered: int = 0,
+        shard_results: "Sequence[tuple[int, ScanResult]]" = (),
+        resilience: Iterable[tuple[int, object]] = (),
+        warnings: Iterable[str] = (),
     ) -> None:
-        """Emit the closing event and roll the scan into the summary
-        gauges/counters (``sra_scans_total``, last-duration gauge, and
-        the streaming-pipeline memory gauges).
+        """The closing sequence of every scan, in place or sharded.
+
+        ``capture``'s progress and first-sighting events in deterministic
+        order, one ``shard_finished`` per ``(shard, result)`` of
+        ``shard_results`` (none for a scan run in place), the scan's
+        ``registry`` (:func:`populate_registry` of its final stats and
+        records) into the facade's, ``scan_finished`` with the summary
+        gauges/counters (``sra_scans_total``, last duration, and the
+        streaming-pipeline memory gauges), then the ops channel: unmatched
+        replies, per-``(shard, delta)`` ``resilience``, backend
+        ``warnings``.
 
         ``targets_buffered`` is how many target values the scan's input
         stream held in memory (``TargetStream.buffered``; a plain list
         counts in full).  Records buffered is read off the result — a
         streaming-sink scan leaves ``result.records`` empty.
         """
+        self.emit_sorted(
+            capture.events
+            + collector_events(
+                scan=scan,
+                epoch=epoch,
+                first_loop=capture.first_loop,
+                first_suppressed=capture.first_suppressed,
+            )
+        )
+        for shard, shard_result in shard_results:
+            self.emit(
+                make_event(
+                    "shard_finished",
+                    scan=scan,
+                    epoch=epoch,
+                    vtime=shard_result.duration,
+                    shard=shard,
+                    sent=shard_result.sent,
+                    records=len(shard_result.records),
+                    lost=shard_result.lost,
+                    loops=shard_result.loops_observed,
+                    duration=shard_result.duration,
+                )
+            )
+        self.registry.merge(registry)
         stats = result.engine_stats
         stats_fields = {}
         if stats is not None:
@@ -504,6 +453,20 @@ class ScanTelemetry:
             RECORDS_BUFFERED_GAUGE,
             "reply records the last scan held in memory",
         ).set(len(result.records))
+        self.unmatched_replies_recorded(
+            scan=scan,
+            epoch=epoch,
+            backend=backend,
+            count=result.unmatched_replies,
+        )
+        for shard, delta in resilience:
+            self.backend_resilience_recorded(
+                scan=scan, epoch=epoch, shard=shard, stats=delta
+            )
+        for message in warnings:
+            self.backend_warning_recorded(
+                scan=scan, epoch=epoch, backend=backend, message=message
+            )
 
     def strategy_window_finished(
         self,
@@ -818,13 +781,6 @@ class ScanTelemetry:
             self.ops_registry.counter(name, help_text).inc(
                 stats.get(field, 0)
             )
-
-    # ------------------------------------------------------------------ #
-    # registry plumbing
-    # ------------------------------------------------------------------ #
-
-    def merge_registry(self, registry: MetricsRegistry) -> None:
-        self.registry.merge(registry)
 
     # ------------------------------------------------------------------ #
     # sinks

@@ -202,8 +202,9 @@ class TestCorruptionDetection:
             load_checkpoint(path)
 
     # v1 journals pickled histogram sums as Fractions; today's scaled-int
-    # accumulator must never be added to one, so they are refused too.
-    @pytest.mark.parametrize("schema", [1, CHECKPOINT_SCHEMA_VERSION + 1])
+    # accumulator must never be added to one, so they are refused too.  v2
+    # journals pickled a metrics registry into every shard's telemetry.
+    @pytest.mark.parametrize("schema", [1, 2, CHECKPOINT_SCHEMA_VERSION + 1])
     def test_schema_skew(self, tmp_path, schema):
         assert schema != CHECKPOINT_SCHEMA_VERSION
         path = self._saved(tmp_path)
@@ -332,6 +333,20 @@ class TestCLIExitCodes:
         assert code == 4
         assert "truncated" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_v2_checkpoint_exits_4(self, tmp_path, capsys):
+        from repro.scanner.cli import main
+
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(make_checkpoint(), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(">I", raw, 8, 2)
+        path.write_bytes(bytes(raw))
+        code = main(self._scan_args(path))
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "uses checkpoint schema v2; this build speaks v3" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_mismatched_checkpoint_exits_4(self, tmp_path, capsys):
         from repro.scanner.cli import main

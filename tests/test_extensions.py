@@ -316,6 +316,14 @@ class TestCLIs:
             (["--batch-size", "0"], "--batch-size must be >= 1"),
             (["--batch-size", "-2"], "--batch-size must be >= 1"),
             (["--max-targets", "-5"], "--max-targets must be >= 0"),
+            # These three used to die in tracebacks: ScanConfig's
+            # ValueError, a ZeroDivisionError, int(NaN) inside the engine.
+            (["--hop-limit", "0"], "--hop-limit must be in [1, 255]"),
+            (["--hop-limit", "256"], "--hop-limit must be in [1, 255]"),
+            (["--duration", "0"], "--duration must be finite and positive"),
+            (["--duration", "nan"], "--duration must be finite and positive"),
+            (["--pps", "nan"], "--pps must be finite"),
+            (["--pps", "inf"], "--pps must be finite"),
         ],
     )
     def test_sra_scan_rejects_bad_knobs(self, capsys, flags, message):

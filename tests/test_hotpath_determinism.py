@@ -17,10 +17,12 @@ import pytest
 from repro.core.probing import run_sra_vs_random
 from repro.core.survey import INPUT_SET_NAMES, SRASurvey, SurveyConfig
 from repro.netsim.engine import FLAG_REPLY, SimulationEngine
+from repro.netsim.faults import FailingSink, InjectedSinkError
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.backends.sim import SimBackend
 from repro.scanner.records import ScanRecord
 from repro.scanner.stream import (
+    CountingSink,
     CsvSink,
     IndexWindow,
     JsonlSink,
@@ -657,6 +659,119 @@ class TestStreamVsListEquivalence:
             tmp_path / "buffered.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("batch_size", [1, 7, 1024])
+    def test_in_place_streaming_hands_over_one_drain_per_batch(
+        self, tiny_world, stress_targets, tmp_path, batch_size
+    ):
+        """The sink gets the buffered scan's records, in its order and to
+        its bytes, in one ``drain`` per batch that matched anything."""
+        buffered = self._scan(tiny_world, stress_targets)
+        buffered.write_jsonl(tmp_path / "buffered.jsonl")
+
+        class DrainSpy:
+            def __init__(self, sink):
+                self.sink, self.batches = sink, []
+
+            def drain(self, records):
+                self.batches.append(list(records))
+                self.sink.drain(self.batches[-1])
+
+        memory = MemorySink()
+        spy = DrainSpy(TeeSink((memory, JsonlSink(tmp_path / "stream.jsonl"))))
+        streamed = self._scan(
+            tiny_world, stress_targets, batch_size=batch_size, sink=spy
+        )
+        spy.sink.close()
+        assert memory.records == buffered.records
+        assert (tmp_path / "stream.jsonl").read_bytes() == (
+            tmp_path / "buffered.jsonl"
+        ).read_bytes()
+        assert streamed.records_streamed == len(buffered.records)
+        # An unsharded scan probes position p at p / pps, batch p // size.
+        expected: dict[int, list[ScanRecord]] = {}
+        for record in buffered.records:
+            position = round(record.time * self.CFG["pps"])
+            expected.setdefault(position // batch_size, []).append(record)
+        assert spy.batches == list(expected.values())
+
+    def test_failed_streaming_scan_leaves_the_facade_untouched(
+        self, tiny_world, stress_targets
+    ):
+        """A sink that raises mid-scan: nothing of that scan reaches the
+        facade but the ``scan_started`` emitted before its first probe."""
+        telemetry = ScanTelemetry()
+        self._scan(tiny_world, stress_targets, telemetry=telemetry)
+        registry_before = telemetry.registry.as_dict()
+        prometheus_before = telemetry.to_prometheus()
+        events_before = list(telemetry.events)
+        sink = FailingSink(MemorySink(), fail_after=40)
+        with pytest.raises(InjectedSinkError):
+            self._scan(
+                tiny_world, stress_targets, telemetry=telemetry, sink=sink
+            )
+        assert sink.emitted == 40
+        assert telemetry.registry.as_dict() == registry_before
+        assert telemetry.to_prometheus() == prometheus_before
+        assert telemetry.events[: len(events_before)] == events_before
+        assert [
+            event["event"] for event in telemetry.events[len(events_before):]
+        ] == ["scan_started"]
+
+    def test_in_place_vs_journaled_one_shard_differences_pinned(
+        self, tiny_world, stress_targets, tmp_path
+    ):
+        """What a checkpoint journal changes at one shard, exactly: the
+        scan runs as a deferred shard, so the stream gains a
+        ``shard_finished`` and ``progress`` counts provisional error
+        records the replay later drops.  Records, every other event field
+        and the Prometheus text are identical."""
+
+        def run(checkpoint):
+            telemetry = ScanTelemetry()
+            runner = ShardedScanRunner(
+                tiny_world, shards=1, executor="serial", telemetry=telemetry
+            )
+            result = runner.scan(
+                stress_targets,
+                ScanConfig(**self.CFG),
+                name="scan",
+                epoch=self.EPOCH,
+                checkpoint=checkpoint,
+            )
+            return result, telemetry
+
+        in_place, plain = run(None)
+        journaled, deferred = run(tmp_path / "scan.ckpt")
+        assert scan_snapshot(journaled) == scan_snapshot(in_place)
+        assert deferred.to_prometheus() == plain.to_prometheus()
+        assert deferred.to_jsonl() != plain.to_jsonl()
+
+        def comparable(events):
+            out = []
+            for event in events:
+                if event["event"] == "shard_finished":
+                    continue
+                event = {k: v for k, v in event.items() if k != "seq"}
+                if event["event"] == "progress":
+                    del event["records"]
+                out.append(event)
+            return out
+
+        assert comparable(deferred.events) == comparable(plain.events)
+        assert [e["event"] for e in plain.events].count("shard_finished") == 0
+        finished = [e for e in deferred.events if e["event"] == "shard_finished"]
+        assert len(finished) == 1
+        assert finished[0]["records"] == len(in_place.records)
+        pairs = [
+            (ours["records"], theirs["records"])
+            for ours, theirs in zip(
+                (e for e in deferred.events if e["event"] == "progress"),
+                (e for e in plain.events if e["event"] == "progress"),
+            )
+        ]
+        assert pairs and all(ours >= theirs for ours, theirs in pairs)
+        assert pairs[-1][0] > pairs[-1][1]  # the limiter did suppress
+
     @pytest.mark.parametrize("shards", [1, 4, 8])
     def test_sharded_sink_drains_serial_order(
         self, tiny_world, stress_targets, shards
@@ -733,26 +848,44 @@ class TestStreamVsListEquivalence:
         assert streaming.to_prometheus() != buffered.to_prometheus()
         assert streaming.to_jsonl() == buffered.to_jsonl()
 
-    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize(
+        "shards, journaled",
+        [
+            pytest.param(1, False, id="1"),
+            pytest.param(4, False, id="4"),
+            # sra-scan's operator shape (the scan_export benchmark): one
+            # deferred shard through the journal and the merge, which
+            # must fold the metrics before the sink takes the records.
+            pytest.param(1, True, id="1-journaled-tee"),
+        ],
+    )
     def test_sink_mode_exports_shard_invariant(
-        self, tiny_world, stress_targets, shards
+        self, tiny_world, stress_targets, shards, journaled, tmp_path
     ):
         """With a sink, even the gauges agree across shard counts (the
         sharded merge drains before closing telemetry)."""
         serial = ScanTelemetry()
-        self._scan(tiny_world, stress_targets, telemetry=serial, sink=MemorySink())
+        reference = MemorySink()
+        self._scan(tiny_world, stress_targets, telemetry=serial, sink=reference)
         sharded = ScanTelemetry()
         runner = ShardedScanRunner(
             tiny_world, shards=shards, executor="thread", telemetry=sharded
         )
-        runner.scan(
+        memory = MemorySink()
+        result = runner.scan(
             stress_targets,
             ScanConfig(**self.CFG),
             name="scan",
             epoch=self.EPOCH,
-            sink=MemorySink(),
+            sink=TeeSink((memory, CountingSink())) if journaled else memory,
+            checkpoint=tmp_path / "scan.ckpt" if journaled else None,
         )
         assert sharded.to_prometheus() == serial.to_prometheus()
+        assert memory.records == reference.records
+        assert (len(result.records), result.records_streamed) == (
+            0,
+            len(reference.records),
+        )
 
 
 class TestCrashResumeDeterminism:

@@ -80,17 +80,9 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("h", edges=())
 
-    def test_negative_count_retracts(self):
-        hist = Histogram("h", edges=(1.0,))
-        hist.observe(0.5)
-        hist.observe(0.5, count=-1)
-        assert hist.counts == [0, 0]
-        assert hist.total == 0
-        assert hist.sum == 0.0
-
     def test_sum_is_order_invariant(self):
-        # The whole point of the exact accumulator: shard merges add
-        # observations in a different order than a serial scan.
+        # The whole point of the exact accumulator: a streamed scan adds
+        # its observations in a different grouping than a buffered one.
         values = [0.1, 0.2, 0.3, 1e-9, 7.7] * 20
         forward = Histogram("h", edges=(1.0,))
         backward = Histogram("h", edges=(1.0,))
@@ -111,17 +103,21 @@ class TestHistogram:
                     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-07]
                 ),
             ),
-            st.integers(min_value=-64, max_value=64),
+            st.integers(min_value=0, max_value=8),  # times observed
         ),
         max_size=64,
     )
 
     @staticmethod
-    def _observed(observations):
-        hist = Histogram("h", edges=(0.0, 1.0))
+    def _observe(hist, observations):
         for value, count in observations:
-            hist.observe(value, count)
+            for _ in range(count):
+                hist.observe(value)
         return hist
+
+    @classmethod
+    def _observed(cls, observations):
+        return cls._observe(Histogram("h", edges=(0.0, 1.0)), observations)
 
     @settings(max_examples=300, deadline=None)
     @given(observations=OBSERVATIONS, data=st.data())
@@ -140,9 +136,9 @@ class TestHistogram:
         merged = MetricsRegistry()
         for shard in range(shards):
             part = MetricsRegistry()
-            part_hist = part.histogram("h", (0.0, 1.0))
-            for value, count in observations[shard::shards]:
-                part_hist.observe(value, count)
+            self._observe(
+                part.histogram("h", (0.0, 1.0)), observations[shard::shards]
+            )
             merged.merge(part)
         if observations:
             assert merged.get("h").sum == expected
@@ -154,15 +150,14 @@ class TestHistogram:
             hist.counts,
             hist.total,
         )
-        restored.observe(0.5, 3)
-        hist.observe(0.5, 3)
+        self._observe(restored, [(0.5, 3)])
+        self._observe(hist, [(0.5, 3)])
         assert restored.sum == hist.sum
 
     def test_extreme_magnitudes_stay_exact(self):
         hist = Histogram("h", edges=(1.0,))
-        hist.observe(1e308)
-        hist.observe(5e-324, 3)
-        hist.observe(1e308, -1)  # retracted: the subnormals must survive
+        for _ in range(3):
+            hist.observe(5e-324)
         assert hist.sum == 1.5e-323
         hist.observe(1.7976931348623157e308)
         hist.observe(-1.7976931348623157e308)
