@@ -211,7 +211,7 @@ def verify_byte_identity(world: World, workloads: dict) -> list[str]:
     def sharded(world, shards, retry_policy=None):
         telemetry = ScanTelemetry()
         runner = ShardedScanRunner(
-            world, shards=shards, executor="thread", telemetry=telemetry
+            world, shards=shards, executor="serial", telemetry=telemetry
         )
         result = runner.scan(
             targets,

@@ -129,9 +129,10 @@ class BlockCachedLPM(Generic[V]):
                 for old in list(islice(cache, (size >> 3) or 1)):
                     cache.pop(old, None)
             except RuntimeError:
-                # Threaded shards share this map and may resize the dict
-                # under the scan; skipping one eviction is harmless (the
-                # cache is advisory, results are exact).
+                # A send the resilient watchdog abandoned as slow (not
+                # hung) keeps probing this map beside the retry and may
+                # resize the dict under it; skipping one eviction is
+                # harmless (the cache is advisory, results are exact).
                 pass
         cache[key] = result
         return result

@@ -116,9 +116,10 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
         return owners[bisect_right(starts, address) - 1]
 
     def _build_miss_path(self) -> _MissPath:
-        """Flatten the current tables.  Threaded shards may race to build
-        it: each computes the same table from the same rows and the
-        attribute store is atomic, so whichever lands last is as good."""
+        """Flatten the current tables.  A send the resilient watchdog
+        abandoned as slow may race its retry to build it: each computes
+        the same table from the same rows and the attribute store is
+        atomic, so whichever lands last is as good."""
         rows = self._tables_desc
         _, mask, table = rows[0] if rows else (0, 0, {})
         shorter = (match for row in rows[1:] for match in row[2].values())

@@ -10,21 +10,25 @@ Three campaigns over the same subnet population:
   (Fig. 6a).
 * :func:`run_stability` — re-probe the same SRA addresses across epochs
   and check whether the *same* router IP answers (Fig. 6b).
+
+Every scan enters through ``runner.scan`` — the ``runner`` passed in, or
+one ``ShardedScanRunner(world, shards=1)`` per campaign, which scans in
+place.  Sharded execution is merge-deterministic, so a runner changes
+wall-clock time only, never the results; crash tolerance (retries,
+journals) is configured on the runner.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ..addr.randomgen import random_targets_for_sras
-from ..netsim.engine import SimulationEngine
 from ..scanner.pacing import paced_pps
 from ..scanner.records import ScanResult
 from ..scanner.sharded import ShardedScanRunner
-from ..scanner.stream import LazyStream, TargetStream
-from ..scanner.zmapv6 import ScanConfig, ZMapV6Scanner
+from ..scanner.stream import LazyStream
+from ..scanner.zmapv6 import ScanConfig
 from ..telemetry.scan import ScanTelemetry
 from ..topology.entities import World
 
@@ -85,41 +89,6 @@ class ComparisonSeries:
         return overlaps
 
 
-def _scan(
-    world: World,
-    config: ScanConfig,
-    targets: "Sequence[int] | TargetStream",
-    *,
-    name: str,
-    epoch: int,
-    runner: ShardedScanRunner | None = None,
-    telemetry: ScanTelemetry | None = None,
-    max_shard_retries: int = 0,
-    checkpoint_dir: str | None = None,
-) -> ScanResult:
-    """Run one campaign scan, serially or through a sharded runner.
-
-    Sharded execution is merge-deterministic, so passing a runner changes
-    wall-clock time only, never the results; ``telemetry`` observes the
-    scan either way.  ``max_shard_retries``/``checkpoint_dir`` make the
-    campaign crash-tolerant when no runner was supplied (a supplied
-    runner carries its own recovery configuration); each scan of the
-    campaign then journals per (name, epoch) and auto-resumes.
-    """
-    if runner is None and (max_shard_retries > 0 or checkpoint_dir is not None):
-        runner = ShardedScanRunner(
-            world,
-            shards=1,
-            max_shard_retries=max_shard_retries,
-            checkpoint_dir=checkpoint_dir,
-        )
-    if runner is None:
-        engine = SimulationEngine(world, epoch=epoch)
-        scanner = ZMapV6Scanner(engine, config, telemetry=telemetry)
-        return scanner.scan(targets, name=name, epoch=epoch)
-    return runner.scan(targets, config, name=name, epoch=epoch, telemetry=telemetry)
-
-
 def run_sra_vs_random(
     world: World,
     sra_targets: list[int],
@@ -132,11 +101,10 @@ def run_sra_vs_random(
     batch_size: int = 1024,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
-    max_shard_retries: int = 0,
-    checkpoint_dir: str | None = None,
 ) -> ComparisonSeries:
     """Fig. 5: paired SRA and random scans of the same /64 subnets."""
     series = ComparisonSeries()
+    runner = runner or ShardedScanRunner(world, shards=1)
     paced = paced_pps(len(sra_targets), scan_duration, pps)
     for epoch in range(epochs):
         rng = random.Random((seed << 8) | epoch)
@@ -153,16 +121,12 @@ def run_sra_vs_random(
             ("sra", sra_targets, series.sra),
             ("random", random_targets, series.random),
         ):
-            result = _scan(
-                world,
-                ScanConfig(pps=paced, seed=seed + epoch, batch_size=batch_size),
+            result = runner.scan(
                 targets,
+                ScanConfig(pps=paced, seed=seed + epoch, batch_size=batch_size),
                 name=f"{method}-epoch{epoch}",
                 epoch=epoch,
-                runner=runner,
                 telemetry=telemetry,
-                max_shard_retries=max_shard_retries,
-                checkpoint_dir=checkpoint_dir,
             )
             bucket.append(MethodScan(epoch=epoch, result=result))
         random_targets.release()
@@ -219,25 +183,20 @@ def run_visibility(
     batch_size: int = 1024,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
-    max_shard_retries: int = 0,
-    checkpoint_dir: str | None = None,
 ) -> VisibilityReport:
     """Probe each discovered router IP directly, once per day (Fig. 6a)."""
     report = VisibilityReport(probed=set(router_ips))
     ordered = sorted(router_ips)
+    runner = runner or ShardedScanRunner(world, shards=1)
     paced = paced_pps(len(ordered), scan_duration, pps)
     for day in range(days):
         epoch = epoch_base + day
-        result = _scan(
-            world,
-            ScanConfig(pps=paced, seed=seed + day, batch_size=batch_size),
+        result = runner.scan(
             ordered,
+            ScanConfig(pps=paced, seed=seed + day, batch_size=batch_size),
             name=f"direct-day{day}",
             epoch=epoch,
-            runner=runner,
             telemetry=telemetry,
-            max_shard_retries=max_shard_retries,
-            checkpoint_dir=checkpoint_dir,
         )
         # Count a router visible only if it answered from the probed address.
         responsive = {
@@ -290,23 +249,18 @@ def run_stability(
     batch_size: int = 1024,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
-    max_shard_retries: int = 0,
-    checkpoint_dir: str | None = None,
 ) -> StabilityReport:
     """Fig. 6b: does re-probing an SRA reveal the same router IP?"""
     report = StabilityReport()
+    runner = runner or ShardedScanRunner(world, shards=1)
     paced = paced_pps(len(sra_targets), scan_duration, pps)
     for epoch in range(epochs):
-        result = _scan(
-            world,
-            ScanConfig(pps=paced, seed=seed + epoch, batch_size=batch_size),
+        result = runner.scan(
             sra_targets,
+            ScanConfig(pps=paced, seed=seed + epoch, batch_size=batch_size),
             name=f"stability-{epoch}",
             epoch=epoch,
-            runner=runner,
             telemetry=telemetry,
-            max_shard_retries=max_shard_retries,
-            checkpoint_dir=checkpoint_dir,
         )
         mapping = result.target_to_source()
         if epoch == 0:
@@ -326,22 +280,16 @@ def run_direct_discovery(
     batch_size: int = 1024,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
-    max_shard_retries: int = 0,
-    checkpoint_dir: str | None = None,
 ) -> set[int]:
     """One direct scan of known router addresses — the baseline for the
     "SRA discovers 80 % more than direct targeting" comparison."""
     paced = paced_pps(len(router_ips), scan_duration, pps)
-    result = _scan(
-        world,
-        ScanConfig(pps=paced, seed=seed, batch_size=batch_size),
+    result = (runner or ShardedScanRunner(world, shards=1)).scan(
         sorted(router_ips),
+        ScanConfig(pps=paced, seed=seed, batch_size=batch_size),
         name="direct",
         epoch=epoch,
-        runner=runner,
         telemetry=telemetry,
-        max_shard_retries=max_shard_retries,
-        checkpoint_dir=checkpoint_dir,
     )
     return {
         record.source

@@ -82,8 +82,8 @@ class SurveyConfig:
     apply_alias_filter: bool = True
     # Parallel scan execution: number of zmap-style shards each input-set
     # scan is split into, and the executor kind ("auto", "process",
-    # "thread", "serial").  Sharded merges are deterministic, so these
-    # knobs change wall-clock time only, never results.
+    # "serial").  Sharded merges are deterministic, so these knobs change
+    # wall-clock time only, never results.
     shards: int = 1
     parallel: str = "auto"
     # Probes handed to the backend per call — a chunk size.  Like the
@@ -115,22 +115,23 @@ class SurveyConfig:
     backend_timeout: float | None = None
     breaker_threshold: float | None = None
 
+    def __post_init__(self) -> None:
+        if not self.pps > 0:
+            raise ValueError(f"pps must be positive, got {self.pps}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        self.resilience_policy()  # RetryPolicy rejects bad knobs here
+
     def resilience_policy(self) -> RetryPolicy | None:
         """The survey-wide :class:`RetryPolicy`, or None when unconfigured.
 
         Jitter is seeded from the survey seed so backoff delays are part
         of the same reproducible universe as everything else.
         """
-        if (
-            self.backend_retries == 0
-            and self.backend_timeout is None
-            and self.breaker_threshold is None
-        ):
-            return None
-        return RetryPolicy(
-            max_retries=self.backend_retries,
-            timeout=self.backend_timeout,
-            breaker_threshold=self.breaker_threshold,
+        return RetryPolicy.from_knobs(
+            self.backend_retries,
+            self.backend_timeout,
+            self.breaker_threshold,
             seed=self.seed,
         )
 

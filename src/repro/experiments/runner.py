@@ -144,39 +144,41 @@ def main(argv: list[str] | None = None) -> int:
         "--batch-size",
         type=int,
         default=None,
-        help="probes per engine batch (throughput dial; results are "
-        "bit-identical for any value)",
+        help="probes per engine batch of the survey's scans (throughput "
+        "dial; results are bit-identical for any value)",
     )
     parser.add_argument(
         "--backend-retries",
         type=int,
         default=None,
         metavar="N",
-        help="retry each failed backend batch up to N times before "
-        "quarantining it (default: no resilience wrapper)",
+        help="retry each failed backend batch of the survey's scans up "
+        "to N times before quarantining it (default: no resilience "
+        "wrapper)",
     )
     parser.add_argument(
         "--backend-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-batch watchdog deadline; a hung backend batch is "
-        "recovered and retried (default: no deadline)",
+        help="per-batch watchdog deadline of the survey's scans; a hung "
+        "backend batch is recovered and retried (default: no deadline)",
     )
     parser.add_argument(
         "--breaker-threshold",
         type=float,
         default=None,
         metavar="RATE",
-        help="circuit-breaker open threshold as a batch failure rate in "
-        "(0, 1]; an open breaker quarantines batches without probing "
-        "until its cooldown expires (default: no breaker)",
+        help="circuit-breaker open threshold of the survey's scans, as a "
+        "batch failure rate in (0, 1]; an open breaker quarantines "
+        "batches without probing until its cooldown expires (default: "
+        "no breaker)",
     )
     parser.add_argument(
         "--backend",
         default=None,
         metavar="NAME",
-        help="probe backend for every campaign scan: 'sim' (default) or "
+        help="probe backend of the survey's scans: 'sim' (default) or "
         "'wire-sim' (byte-accurate wire round trip; identical outputs, "
         "slower). 'raw' is refused — experiments run on the simulator",
     )

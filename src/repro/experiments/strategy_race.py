@@ -28,14 +28,18 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
-from ..core.probing import _scan
 from ..scanner.pacing import paced_pps
-from ..scanner.strategies import Telescope, build_strategy, strategy_names
+from ..scanner.sharded import ShardedScanRunner
+from ..scanner.strategies import (
+    StrategyEpochRow,
+    build_strategy,
+    run_strategy_epochs,
+    strategy_names,
+)
 from ..scanner.zmapv6 import ScanConfig
 from .base import ExperimentReport
 
 if TYPE_CHECKING:
-    from ..scanner.sharded import ShardedScanRunner
     from ..telemetry.scan import ScanTelemetry
     from ..topology.entities import World
     from .world import ExperimentContext
@@ -43,22 +47,6 @@ if TYPE_CHECKING:
 # Race scans live in their own epoch band so world dynamics (staleness,
 # per-epoch behaviour) never collide with the table/figure campaigns.
 EPOCH_BASE = 3000
-
-
-@dataclass(slots=True)
-class StrategyEpochRow:
-    """One (strategy, epoch) line of the comparison table."""
-
-    strategy: str
-    epoch: int
-    targets: int
-    records: int
-    new_router_ips: int
-    cumulative_router_ips: int
-    overlap: float | None  # Jaccard vs previous epoch; None for epoch 0
-    suppressed_errors: int
-    dark_probes: int
-    dark_share: float
 
 
 @dataclass(slots=True)
@@ -108,11 +96,6 @@ class RaceResult:
         raise KeyError(strategy)
 
 
-def _jaccard(current: set[int], previous: set[int]) -> float | None:
-    union = current | previous
-    return len(current & previous) / len(union) if union else 0.0
-
-
 def run_strategy_race(
     world: "World",
     *,
@@ -138,89 +121,41 @@ def run_strategy_race(
         raise ValueError(f"race needs at least one epoch, got {epochs}")
     names = tuple(strategies) if strategies is not None else strategy_names()
     race = RaceResult(epochs=epochs, budget=budget, seed=seed)
+    runner = runner or ShardedScanRunner(world, shards=1)
     for name in names:
-        strategy = build_strategy(name, world, seed=seed, budget=budget)
-        telescope = Telescope(world)
-        cumulative: set[int] = set()
-        echo_cumulative: set[int] = set()
-        previous_ips: set[int] | None = None
-        probes = suppressed_total = dark_total = records_total = 0
-        overlaps: list[float] = []
-        for index in range(epochs):
-            window = strategy.window(index)
-            paced = paced_pps(len(window), scan_duration, pps)
-            result = _scan(
-                world,
-                ScanConfig(
-                    pps=paced, seed=seed + index, batch_size=batch_size
-                ),
-                window,
-                name=f"race-{name}-e{index}",
-                epoch=epoch_base + index,
-                runner=runner,
-                telemetry=telemetry,
-            )
-            watched = telescope.observe_window(
-                window, strategy=name, epoch=index
-            )
-            epoch_ips = result.sources()
-            new_ips = len(epoch_ips - cumulative)
-            cumulative |= epoch_ips
-            echo_cumulative |= result.echo_sources()
-            overlap = (
-                _jaccard(epoch_ips, previous_ips)
-                if previous_ips is not None
-                else None
-            )
-            if overlap is not None:
-                overlaps.append(overlap)
-            previous_ips = epoch_ips
-            stats = result.engine_stats
-            suppressed = stats.suppressed_errors if stats is not None else 0
-            race.rows.append(
-                StrategyEpochRow(
-                    strategy=name,
-                    epoch=index,
-                    targets=len(window),
-                    records=result.received,
-                    new_router_ips=new_ips,
-                    cumulative_router_ips=len(cumulative),
-                    overlap=overlap,
-                    suppressed_errors=suppressed,
-                    dark_probes=watched.dark,
-                    dark_share=watched.dark_share,
-                )
-            )
-            probes += len(window)
-            records_total += result.received
-            suppressed_total += suppressed
-            dark_total += watched.dark
-            if telemetry is not None:
-                telemetry.strategy_window_finished(
-                    strategy=name,
-                    epoch=index,
-                    targets=len(window),
-                    new_router_ips=new_ips,
-                    cumulative_router_ips=len(cumulative),
-                    dark_probes=watched.dark,
-                    suppressed_errors=suppressed,
-                )
-            # Feed the epoch's merged records back *after* bookkeeping:
-            # adaptive strategies shape the next window from exactly the
-            # records a resumed run reconstructs from its journal.
-            strategy.observe(result.records)
+        rows: list[StrategyEpochRow] = []
+        echo_ips: set[int] = set()
+        for row, result in run_strategy_epochs(
+            build_strategy(name, world, seed=seed, budget=budget),
+            runner,
+            epochs,
+            scan_name=lambda index, name=name: f"race-{name}-e{index}",
+            scan_config=lambda index, size: ScanConfig(
+                pps=paced_pps(size, scan_duration, pps),
+                seed=seed + index,
+                batch_size=batch_size,
+            ),
+            epoch_base=epoch_base,
+            telemetry=telemetry,
+        ):
+            echo_ips |= result.echo_sources()
+            rows.append(row)
+        race.rows += rows
+        overlaps = [row.overlap for row in rows if row.overlap is not None]
+        probes = sum(row.targets for row in rows)
+        dark = sum(row.dark_probes for row in rows)
         race.summaries.append(
             StrategySummary(
                 strategy=name,
                 probes=probes,
-                router_ips=len(cumulative),
-                echo_router_ips=len(echo_cumulative),
+                router_ips=rows[-1].cumulative_router_ips,
+                echo_router_ips=len(echo_ips),
                 mean_overlap=(
                     sum(overlaps) / len(overlaps) if overlaps else 0.0
                 ),
-                suppressed_errors=suppressed_total,
-                dark_probes=dark_total,
-                dark_share=dark_total / probes if probes else 0.0,
+                suppressed_errors=sum(row.suppressed_errors for row in rows),
+                dark_probes=dark,
+                dark_share=dark / probes if probes else 0.0,
             )
         )
     return race

@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from ..analysis.comparison import SourceComparison
 from ..analysis.loops import LoopAnalysis
@@ -47,9 +46,7 @@ from ..telemetry.scan import ScanTelemetry
 from ..topology.config import WorldConfig
 from ..topology.entities import World
 from ..topology.generator import build_world
-
-if TYPE_CHECKING:
-    from .strategy_race import RaceResult
+from .strategy_race import RaceResult, run_strategy_race
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,9 +116,9 @@ def quick_scale(seed: int = 2024) -> ExperimentScale:
             max_route6=50_000,
             max_hitlist=30_000,
             shards=_auto_shards(),
-            # Threads keep the quick scale light-weight (no per-run world
-            # pickling) and safe under pytest workers.
-            parallel="thread",
+            # In-process shards keep the quick scale light-weight (no
+            # per-run world pickling) and safe under pytest workers.
+            parallel="serial",
         ),
         fig5_targets=8_000,
         fig5_epochs=4,
@@ -325,12 +322,8 @@ class ExperimentContext:
         return comparison
 
     @cached_property
-    def strategy_race(self) -> "RaceResult":
+    def strategy_race(self) -> RaceResult:
         """The discovery-strategy race (``sra-repro strategy-race``)."""
-        # Imported lazily: strategy_race imports core.probing helpers that
-        # in turn reference this module under TYPE_CHECKING.
-        from .strategy_race import run_strategy_race
-
         config = self.scale.survey_config
         return run_strategy_race(
             self.world,
@@ -355,65 +348,30 @@ _CONTEXTS: dict[tuple, ExperimentContext] = {}
 
 
 def get_context(
-    scale: str = "quick",
-    *,
-    seed: int = 2024,
-    shards: int | None = None,
-    checkpoint_dir: str | None = None,
-    pps: float | None = None,
-    batch_size: int | None = None,
-    backend: str | None = None,
-    backend_retries: int | None = None,
-    backend_timeout: float | None = None,
-    breaker_threshold: float | None = None,
+    scale: str = "quick", *, seed: int = 2024, **overrides
 ) -> ExperimentContext:
     """Process-level memoised context (scales: 'quick', 'full').
 
-    ``shards`` overrides the scale's automatic shard count (results are
-    identical either way; this tunes parallel scan execution only).
-    ``checkpoint_dir`` makes every campaign scan journal per (scan,
-    epoch) there — an interrupted ``sra-repro`` run resumes from those
-    journals and regenerates identical tables/figures.  ``pps`` and
-    ``batch_size`` override the scale's survey scanner knobs; a
-    non-positive value raises :class:`ValueError` (the CLI rejects these
-    before ever getting here).  ``backend`` selects the probe backend for
-    every campaign scan — deterministic simulated backends only (the
-    sharded runner refuses the rest), and ``sim``/``wire-sim`` produce
-    identical outputs.  ``backend_retries``/``backend_timeout``/
-    ``breaker_threshold`` configure the resilience layer around every
-    campaign scan's backend (see
-    :class:`repro.scanner.backends.RetryPolicy`); with the deterministic
-    simulated backends and no fault injection the wrapper is an identity,
-    so outputs stay byte-identical.
+    ``overrides`` are :class:`~repro.core.survey.SurveyConfig` fields
+    replacing the scale's own (``None`` keeps the scale's value; an
+    unknown name is a :class:`TypeError`, a value the config rejects a
+    :class:`ValueError`).  The ones ``sra-repro`` passes: ``shards``
+    overrides the automatic shard count (results are identical either
+    way; this tunes parallel scan execution only).  ``checkpoint_dir``
+    makes every campaign scan journal per (scan, epoch) there — an
+    interrupted ``sra-repro`` run resumes from those journals and
+    regenerates identical tables/figures.  ``pps``, ``batch_size``,
+    ``backend`` (deterministic simulated backends only; ``sim`` and
+    ``wire-sim`` produce identical outputs) and ``backend_retries`` /
+    ``backend_timeout`` / ``breaker_threshold`` (see
+    :class:`repro.scanner.backends.RetryPolicy`; an identity without
+    fault injection) configure the survey's scans — the re-scan and
+    strategy-race campaigns build their own ``ScanConfig``.
     """
-    if pps is not None and pps <= 0:
-        raise ValueError(f"pps must be positive, got {pps}")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if backend_retries is not None and backend_retries < 0:
-        raise ValueError(
-            f"backend_retries must be >= 0, got {backend_retries}"
-        )
-    if backend_timeout is not None and not backend_timeout > 0:
-        raise ValueError(
-            f"backend_timeout must be positive, got {backend_timeout}"
-        )
-    if breaker_threshold is not None and not 0.0 < breaker_threshold <= 1.0:
-        raise ValueError(
-            f"breaker_threshold must be in (0, 1], got {breaker_threshold}"
-        )
-    key = (
-        scale,
-        seed,
-        shards,
-        checkpoint_dir,
-        pps,
-        batch_size,
-        backend,
-        backend_retries,
-        backend_timeout,
-        breaker_threshold,
-    )
+    overrides = {
+        name: value for name, value in overrides.items() if value is not None
+    }
+    key = (scale, seed, *sorted(overrides.items()))
     if key not in _CONTEXTS:
         try:
             factory = SCALES[scale]
@@ -422,23 +380,6 @@ def get_context(
                 f"unknown scale {scale!r}; expected one of {sorted(SCALES)}"
             ) from None
         built = factory(seed)
-        overrides = {}
-        if shards is not None:
-            overrides["shards"] = shards
-        if checkpoint_dir is not None:
-            overrides["checkpoint_dir"] = checkpoint_dir
-        if pps is not None:
-            overrides["pps"] = pps
-        if batch_size is not None:
-            overrides["batch_size"] = batch_size
-        if backend is not None:
-            overrides["backend"] = backend
-        if backend_retries is not None:
-            overrides["backend_retries"] = backend_retries
-        if backend_timeout is not None:
-            overrides["backend_timeout"] = backend_timeout
-        if breaker_threshold is not None:
-            overrides["breaker_threshold"] = breaker_threshold
         if overrides:
             built = replace(
                 built,

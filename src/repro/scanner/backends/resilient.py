@@ -143,6 +143,27 @@ class RetryPolicy:
         if not isinstance(self.max_split_depth, int) or self.max_split_depth < 0:
             raise ValueError("max_split_depth must be a non-negative integer")
 
+    @classmethod
+    def from_knobs(
+        cls,
+        retries: int,
+        timeout: float | None,
+        breaker_threshold: float | None,
+        *,
+        seed: int,
+    ) -> "RetryPolicy | None":
+        """The policy the three operator knobs ask for, or None when all
+        are unset (no retries, no deadline, no breaker): the scan then
+        runs without the resilient wrapper at all."""
+        if retries == 0 and timeout is None and breaker_threshold is None:
+            return None
+        return cls(
+            max_retries=retries,
+            timeout=timeout,
+            breaker_threshold=breaker_threshold,
+            seed=seed,
+        )
+
     def backoff_delay(self, attempt: int, *keys: int) -> float:
         """Delay before retry ``attempt`` (0-based), in seconds.
 

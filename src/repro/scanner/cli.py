@@ -35,6 +35,7 @@ from .backends import (
     backend_names,
 )
 from .checkpoint import CheckpointError
+from .pacing import paced_pps
 from .records import ScanResult, merge_results
 from .sharded import (
     ScanInterrupted,
@@ -52,7 +53,7 @@ from .stream import (
     make_spec,
     register_stream_builder,
 )
-from .strategies import Telescope, build_strategy, strategy_names
+from .strategies import build_strategy, run_strategy_epochs, strategy_names
 from .targets import (
     TargetList,
     bgp_plain_targets,
@@ -151,37 +152,24 @@ def check_output_paths(paths: "list[tuple[str, str | None]]") -> str | None:
     return None
 
 
-def _resilience_policy(args) -> "RetryPolicy | None":
-    """The scan's :class:`RetryPolicy`, or None when no flag asked for one.
-
-    Jitter draws are seeded from the scan seed, so retried runs stay in
-    the same reproducible universe as the probes themselves.
-    """
-    if (
-        args.backend_retries == 0
-        and args.backend_timeout is None
-        and args.breaker_threshold is None
-    ):
-        return None
-    return RetryPolicy(
-        max_retries=args.backend_retries,
-        timeout=args.backend_timeout,
-        breaker_threshold=args.breaker_threshold,
-        seed=args.seed,
-    )
-
-
 def _scan_config(args, targets: int, seed: int) -> ScanConfig:
     """The :class:`ScanConfig` of one scan, whatever the mode: paced at
     ``--pps``, or to cover ``targets`` in ``--duration`` virtual seconds."""
     config = ScanConfig(
-        pps=args.pps or max(100.0, targets / args.duration),
+        pps=args.pps or paced_pps(targets, args.duration, math.inf),
         hop_limit=args.hop_limit,
         seed=seed,
         progress_every=args.progress_every,
         backend=args.backend,
         authorized=args.i_am_authorized,
-        retry_policy=_resilience_policy(args),
+        # Jitter draws are seeded from the world seed, so retried runs
+        # stay in the same reproducible universe as the probes.
+        retry_policy=RetryPolicy.from_knobs(
+            args.backend_retries,
+            args.backend_timeout,
+            args.breaker_threshold,
+            seed=args.seed,
+        ),
     )
     if args.batch_size is not None:
         config = dc_replace(config, batch_size=args.batch_size)
@@ -269,9 +257,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--parallel",
-        choices=("auto", "process", "thread", "serial"),
+        choices=("auto", "process", "serial"),
         default="auto",
-        help="executor for sharded scans",
+        help="executor for sharded scans: worker processes, or the shards "
+        "one after another in this process (auto: process for large scans "
+        "on a multi-core host)",
     )
     parser.add_argument("--no-alias-filter", action="store_true")
     parser.add_argument("--output", help="write records as CSV")
@@ -701,9 +691,7 @@ def _raw_scan(args, telemetry):
 def _strategy_scan(world, args, runner):
     """``sra-scan --strategy``: the multi-epoch adaptive scan loop.
 
-    Each epoch scans the strategy's current window through a (possibly
-    sharded) runner, classifies it against the telescope, feeds the
-    records back to the strategy, and rolls the router-IP tally.  With
+    The epochs run through :func:`run_strategy_epochs`.  With
     ``--checkpoint DIR`` the runner journals every epoch's shards there
     and auto-resumes: re-running the same command after an interrupt
     reconstructs earlier epochs' records byte-identically, so adaptive
@@ -713,44 +701,25 @@ def _strategy_scan(world, args, runner):
     budget = (
         args.strategy_budget if args.strategy_budget is not None else 5_000
     )
-    strategy = build_strategy(
-        args.strategy, world, seed=args.seed, budget=budget
-    )
-    telescope = Telescope(world)
-    cumulative: set[int] = set()
     results: list[ScanResult] = []
     epoch_lines: list[str] = []
-    for index in range(epochs):
-        window = strategy.window(index)
-        result = runner.scan(
-            window,
-            _scan_config(args, len(window), args.seed + index),
-            name=args.strategy,
-            epoch=args.epoch + index,
-        )
-        watched = telescope.observe_window(
-            window, strategy=args.strategy, epoch=index
-        )
-        new_ips = len(result.sources() - cumulative)
-        cumulative |= result.sources()
-        stats = result.engine_stats
-        suppressed = stats.suppressed_errors if stats is not None else 0
-        if runner.telemetry is not None:
-            runner.telemetry.strategy_window_finished(
-                strategy=args.strategy,
-                epoch=index,
-                targets=len(window),
-                new_router_ips=new_ips,
-                cumulative_router_ips=len(cumulative),
-                dark_probes=watched.dark,
-                suppressed_errors=suppressed,
-            )
-        strategy.observe(result.records)
+    for row, result in run_strategy_epochs(
+        build_strategy(args.strategy, world, seed=args.seed, budget=budget),
+        runner,
+        epochs,
+        scan_name=lambda index: args.strategy,
+        scan_config=lambda index, size: _scan_config(
+            args, size, args.seed + index
+        ),
+        epoch_base=args.epoch,
+        telemetry=runner.telemetry,
+    ):
         results.append(result)
         epoch_lines.append(
-            f"epoch {index}  : {len(window)} targets, "
-            f"+{new_ips} router IPs ({len(cumulative)} total), "
-            f"{watched.dark} dark, {suppressed} suppressed"
+            f"epoch {row.epoch}  : {row.targets} targets, "
+            f"+{row.new_router_ips} router IPs "
+            f"({row.cumulative_router_ips} total), "
+            f"{row.dark_probes} dark, {row.suppressed_errors} suppressed"
         )
     merged = merge_results(args.strategy, results)
     if not args.no_alias_filter:

@@ -3,10 +3,10 @@
 The paper's real campaign splits its 28.2 B-target scan across machines
 using zmap's sharding: shard *i* of *N* visits every *N*-th slot of the
 cyclic-group permutation.  :class:`ShardedScanRunner` reproduces that for
-the simulator and executes the shards concurrently — on a process pool
-for large scans, a thread pool for small ones — while guaranteeing that
-the merged result is **bit-for-bit identical** to a serial run of the
-same seed and epoch.
+the simulator and executes the shards — concurrently on a process pool
+for large scans, one after another in this process for small ones —
+while guaranteeing that the merged result is **bit-for-bit identical** to
+a serial run of the same seed and epoch.
 
 Why determinism is non-trivial: the simulation engine is almost entirely
 stateless per probe (loss, subnet liveness, reply sources are all stable
@@ -29,13 +29,7 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -153,7 +147,7 @@ class ShardFailedError(RuntimeError):
         )
 
 # Below this many targets a process pool costs more (world pickling, fork)
-# than the scan itself; fall back to threads.
+# than the scan itself; the shards run in this process instead.
 PROCESS_POOL_THRESHOLD = 16_384
 
 # Ceiling of the exponential backoff between shard retry rounds, seconds.
@@ -302,7 +296,7 @@ def merge_shard_outcomes(
     for outcome in ordered:
         # Outcomes that crossed a process boundary carry their records and
         # checks in a shared-memory frame; drain them here, in serial
-        # shard order (no-op for thread/serial shards and for outcomes the
+        # shard order (no-op for in-process shards and for outcomes the
         # dispatch loop already drained).
         drain_outcome(outcome, ring_stats)
     # (time, shard, router_id, record indices at that time) — at most one
@@ -492,10 +486,9 @@ class ShardedScanRunner:
     per shard; the runner's ``shards`` is authoritative.
 
     Executors: ``"process"`` (true parallelism; pays world pickling),
-    ``"thread"`` (cheap start-up, good for small scans), ``"serial"``
-    (in-process, for debugging), ``"auto"`` (process above
-    :data:`PROCESS_POOL_THRESHOLD` targets on multi-core hosts, threads
-    otherwise).
+    ``"serial"`` (the shards one after another in this process),
+    ``"auto"`` (process from :data:`PROCESS_POOL_THRESHOLD` targets up on
+    multi-core hosts, serial otherwise).
 
     Every multi-shard scan runs one dispatch loop: each shard scans with
     the rate limiter deferred, completed shards are collected (and, with
@@ -524,10 +517,8 @@ class ShardedScanRunner:
         chaos: ChaosEngine | None = None,
         sleep: "Callable[[float], None]" = time.sleep,
     ) -> None:
-        if executor not in ("auto", "process", "thread", "serial"):
-            raise ValueError(
-                "executor must be one of auto/process/thread/serial"
-            )
+        if executor not in ("auto", "process", "serial"):
+            raise ValueError("executor must be one of auto/process/serial")
         if max_shard_retries < 0:
             raise ValueError("max_shard_retries must be >= 0")
         self.world = world
@@ -564,47 +555,6 @@ class ShardedScanRunner:
         self._interrupted = True
 
     def scan(
-        self,
-        targets: Sequence[int] | Iterable[int],
-        config: ScanConfig | None = None,
-        *,
-        name: str = "scan",
-        epoch: int = 0,
-        telemetry: ScanTelemetry | None = None,
-        sink: RecordSink | None = None,
-        checkpoint: "str | Path | None" = None,
-        resume: bool = False,
-        chaos: ChaosEngine | None = None,
-    ) -> ScanResult:
-        """See :meth:`_scan`; this wrapper also folds the scan's
-        shared-memory transport deltas into the telemetry ops channel
-        (``sra_scan_ring_*`` counters), win or lose."""
-        effective = telemetry if telemetry is not None else self.telemetry
-        before = self.ring_stats.as_dict()
-        try:
-            return self._scan(
-                targets,
-                config,
-                name=name,
-                epoch=epoch,
-                telemetry=telemetry,
-                sink=sink,
-                checkpoint=checkpoint,
-                resume=resume,
-                chaos=chaos,
-            )
-        finally:
-            if effective is not None:
-                after = self.ring_stats.as_dict()
-                effective.ring_stats_updated(
-                    scan=name,
-                    epoch=epoch,
-                    stats={
-                        key: after[key] - before[key] for key in after
-                    },
-                )
-
-    def _scan(
         self,
         targets: Sequence[int] | Iterable[int],
         config: ScanConfig | None = None,
@@ -666,26 +616,39 @@ class ShardedScanRunner:
                 telemetry=effective,
             )
             return scanner.scan(target_list, name=name, epoch=epoch, sink=sink)
-        return self._scan_shards(
-            target_list,
-            config,
-            name=name,
-            epoch=epoch,
-            telemetry=effective,
-            sink=sink,
-            checkpoint_path=checkpoint_path,
-            # checkpoint_dir journals auto-resume: a file left behind means
-            # an interrupted scan, and resuming is always byte-safe.
-            resume=resume or self.checkpoint_dir is not None,
-            chaos=chaos,
-        )
+        before = self.ring_stats.as_dict()
+        try:
+            return self._scan_shards(
+                target_list,
+                config,
+                name=name,
+                epoch=epoch,
+                telemetry=effective,
+                sink=sink,
+                checkpoint_path=checkpoint_path,
+                # checkpoint_dir journals auto-resume: a file left behind
+                # means an interrupted scan, and resuming is always
+                # byte-safe.
+                resume=resume or self.checkpoint_dir is not None,
+                chaos=chaos,
+            )
+        finally:
+            if effective is not None:
+                # The scan's shared-memory transport deltas go to the ops
+                # channel (``sra_scan_ring_*`` counters), win or lose.
+                after = self.ring_stats.as_dict()
+                effective.ring_stats_updated(
+                    scan=name,
+                    epoch=epoch,
+                    stats={key: after[key] - before[key] for key in after},
+                )
 
     def _resolve_executor(self, size: int) -> str:
         if self.executor != "auto":
             return self.executor
         if size >= PROCESS_POOL_THRESHOLD and (os.cpu_count() or 1) > 1:
             return "process"
-        return "thread"
+        return "serial"
 
     def _checkpoint_path(
         self, checkpoint: "str | Path | None", name: str, epoch: int
@@ -913,9 +876,8 @@ class ShardedScanRunner:
         telemetry); an interrupt request stops the round early, leaving
         in-flight shards for a future resume.
         """
-        mode = self._resolve_executor(len(target_list))
         failures: list[tuple[int, BaseException]] = []
-        if mode == "serial":
+        if self._resolve_executor(len(target_list)) == "serial":
             for shard in pending:
                 if self._interrupted:
                     break
@@ -933,23 +895,22 @@ class ShardedScanRunner:
                 else:
                     complete(outcome)
             return failures
-        pool: Executor
-        if mode == "process":
-            pool = ProcessPoolExecutor(
-                min(self.shards, os.cpu_count() or 1),
-                initializer=_init_worker,
-                # The stream itself: inherited under fork, pickled
-                # otherwise — a computable one as a few hundred bytes, a
-                # realised one as its list, never as a recipe to re-run.
-                initargs=(world_payload(self.world), target_list),
-            )
-            function, arguments = _worker_scan_shard, (config, scan)
-        else:
-            pool = ThreadPoolExecutor(self.shards)
-            function, arguments = scan_shard, (self.world, config, target_list)
+        pool = ProcessPoolExecutor(
+            min(self.shards, os.cpu_count() or 1),
+            initializer=_init_worker,
+            # The stream itself: inherited under fork, pickled otherwise —
+            # a computable one as a few hundred bytes, a realised one as
+            # its list, never as a recipe to re-run.
+            initargs=(world_payload(self.world), target_list),
+        )
         futures: dict[Future, int] = {
             pool.submit(
-                function, *arguments, shard=shard, attempt=attempts[shard], **work
+                _worker_scan_shard,
+                config,
+                scan,
+                shard=shard,
+                attempt=attempts[shard],
+                **work,
             ): shard
             for shard in pending
         }
@@ -987,9 +948,8 @@ class ShardedScanRunner:
             if cancel:
                 for future in futures.keys() - consumed:
                     future.add_done_callback(_release_ring_frame)
-            if mode == "process":
-                # The frame a failed shard may have packed before the pool
-                # broke under it: its worker is gone, nobody else unlinks it.
-                for shard, _ in failures:
-                    release_frame(_frame_name(scan, shard, attempts[shard]))
+            # The frame a failed shard may have packed before the pool
+            # broke under it: its worker is gone, nobody else unlinks it.
+            for shard, _ in failures:
+                release_frame(_frame_name(scan, shard, attempts[shard]))
         return failures

@@ -203,8 +203,8 @@ def drain_outcome(
     """Rebuild an outcome's records and checks from its ring frame.
 
     Runs in the parent, before the merge or the checkpoint journal ever
-    look at the outcome.  Idempotent: outcomes without a frame (thread
-    and serial shards, pickle fallbacks, already-drained or journal-
+    look at the outcome.  Idempotent: outcomes without a frame
+    (in-process shards, pickle fallbacks, already-drained or journal-
     restored outcomes) pass through untouched.  The segment is unlinked
     here — the parent owns the frame's lifetime.
     """

@@ -8,9 +8,11 @@ strategy's probes land in unallocated space.
 """
 
 from .base import (
+    StrategyEpochRow,
     TargetStrategy,
     build_strategy,
     register_strategy,
+    run_strategy_epochs,
     strategy_names,
 )
 from .baselines import RandomBaselineStrategy, SRAAnycastStrategy
@@ -23,10 +25,12 @@ __all__ = [
     "HitlistFeedbackStrategy",
     "RandomBaselineStrategy",
     "SRAAnycastStrategy",
+    "StrategyEpochRow",
     "TargetStrategy",
     "Telescope",
     "TelescopeReport",
     "build_strategy",
     "register_strategy",
+    "run_strategy_epochs",
     "strategy_names",
 ]

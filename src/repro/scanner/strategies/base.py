@@ -32,9 +32,10 @@ byte-identically — reconstructs the exact same next-epoch window
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from ..records import ScanRecord
+from ..records import ScanRecord, ScanResult
 from ..stream import (
     ListStream,
     StreamSpec,
@@ -43,14 +44,20 @@ from ..stream import (
     register_stream_builder,
 )
 from ..targets import _bounded
+from .telescope import Telescope
 
 if TYPE_CHECKING:  # strategies rebuild from a world; ducks otherwise
+    from ...telemetry.scan import ScanTelemetry
     from ...topology.entities import World
+    from ..sharded import ShardedScanRunner
+    from ..zmapv6 import ScanConfig
 
 __all__ = [
+    "StrategyEpochRow",
     "TargetStrategy",
     "build_strategy",
     "register_strategy",
+    "run_strategy_epochs",
     "strategy_names",
 ]
 
@@ -143,6 +150,93 @@ class TargetStrategy(ABC):
         return (
             f"{type(self).__name__}(seed={self.seed}, budget={self.budget})"
         )
+
+
+@dataclass(slots=True)
+class StrategyEpochRow:
+    """One (strategy, epoch) line of a strategy run's table."""
+
+    strategy: str
+    epoch: int
+    targets: int
+    records: int
+    new_router_ips: int
+    cumulative_router_ips: int
+    overlap: float | None  # Jaccard vs previous epoch; None for epoch 0
+    suppressed_errors: int
+    dark_probes: int
+    dark_share: float
+
+
+def run_strategy_epochs(
+    strategy: TargetStrategy,
+    runner: "ShardedScanRunner",
+    epochs: int,
+    *,
+    scan_name: Callable[[int], str],
+    scan_config: "Callable[[int, int], ScanConfig]",
+    epoch_base: int = 0,
+    telemetry: "ScanTelemetry | None" = None,
+) -> Iterator[tuple[StrategyEpochRow, ScanResult]]:
+    """Run ``strategy`` for ``epochs`` epochs, yielding each one's table
+    row and scan result.
+
+    Each epoch scans the strategy's current window through ``runner`` (as
+    ``scan_name(index)``, under ``scan_config(index, window size)``, in
+    world epoch ``epoch_base + index``), classifies the window against a
+    telescope, rolls the router-IP tally and reports the window to
+    ``telemetry``.  The merged records are fed back last: adaptive
+    strategies shape the next window from exactly the records a resumed
+    run reconstructs from its journal.
+    """
+    telescope = Telescope(strategy.world)
+    cumulative: set[int] = set()
+    previous: set[int] | None = None
+    for index in range(epochs):
+        window = strategy.window(index)
+        result = runner.scan(
+            window,
+            scan_config(index, len(window)),
+            name=scan_name(index),
+            epoch=epoch_base + index,
+            telemetry=telemetry,
+        )
+        watched = telescope.observe_window(
+            window, strategy=strategy.name, epoch=index
+        )
+        router_ips = result.sources()
+        overlap = None
+        if previous is not None:
+            union = router_ips | previous
+            overlap = len(router_ips & previous) / len(union) if union else 0.0
+        new_ips = len(router_ips - cumulative)
+        cumulative |= router_ips
+        previous = router_ips
+        stats = result.engine_stats
+        row = StrategyEpochRow(
+            strategy=strategy.name,
+            epoch=index,
+            targets=len(window),
+            records=result.received,
+            new_router_ips=new_ips,
+            cumulative_router_ips=len(cumulative),
+            overlap=overlap,
+            suppressed_errors=stats.suppressed_errors if stats is not None else 0,
+            dark_probes=watched.dark,
+            dark_share=watched.dark_share,
+        )
+        if telemetry is not None:
+            telemetry.strategy_window_finished(
+                strategy=row.strategy,
+                epoch=index,
+                targets=row.targets,
+                new_router_ips=new_ips,
+                cumulative_router_ips=row.cumulative_router_ips,
+                dark_probes=row.dark_probes,
+                suppressed_errors=row.suppressed_errors,
+            )
+        strategy.observe(result.records)
+        yield row, result
 
 
 # --------------------------------------------------------------------- #

@@ -763,7 +763,7 @@ class ScanTelemetry:
         channel (one ``ring_stats`` event plus ``sra_scan_ring_*``
         counters).  The sharded runner calls this with per-scan deltas of
         its cumulative :class:`~repro.scanner.shmring.RingStats`; all-zero
-        deltas (thread/serial executors, pickle fallback) are skipped so
+        deltas (the serial executor, pickle fallback) are skipped so
         ops exports stay unchanged for scans that never touched a ring.
         """
         if not any(stats.get(field, 0) for field in RING_COUNTERS):

@@ -122,7 +122,7 @@ def _scan_output(
     targets = _world_targets(world, 96)
     telemetry = ScanTelemetry()
     runner = ShardedScanRunner(
-        world, shards=shards, executor="thread", telemetry=telemetry, chaos=chaos
+        world, shards=shards, executor="serial", telemetry=telemetry, chaos=chaos
     )
     result = runner.scan(
         targets,

@@ -261,7 +261,7 @@ class StreamContract:
         for shards in (1, 4, 8):
             stream = case.build(tiny_world)
             runner = ShardedScanRunner(
-                tiny_world, shards=shards, executor="thread"
+                tiny_world, shards=shards, executor="serial"
             )
             result = runner.scan(
                 stream,

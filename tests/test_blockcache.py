@@ -305,7 +305,8 @@ class TestMutationInvalidates:
 
 
 def test_threads_sharing_one_map_stay_exact(build):
-    """Thread shards share a world's maps.  More threads than cores hammer
+    """A send the resilient watchdog abandoned as slow shares a world's
+    maps with its retry.  More threads than cores hammer
     one evicting cache, scalar and batch — racing, on a mutable map, to
     flatten the range table its builder left unbuilt; none may raise or see
     a wrong result, and the cache stays within one racing insert per thread

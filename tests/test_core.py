@@ -17,7 +17,10 @@ from repro.core.survey import INPUT_SET_NAMES, SRASurvey, SurveyConfig
 from repro.hitlist.aliases import AliasedPrefixList
 from repro.addr.ipv6 import IPv6Prefix
 from repro.packet.icmpv6 import ICMPv6Type
+from repro.experiments.strategy_race import RaceResult, run_strategy_race
 from repro.scanner.records import ScanRecord, ScanResult
+from repro.scanner.sharded import ShardedScanRunner
+from repro.telemetry.scan import ScanTelemetry
 
 ECHO = int(ICMPv6Type.ECHO_REPLY)
 UNREACH = int(ICMPv6Type.DESTINATION_UNREACHABLE)
@@ -229,6 +232,101 @@ class TestMethodCampaigns:
         sra_found = series.sra[0].router_ips
         direct_found = run_direct_discovery(tiny_world, sra_found)
         assert len(direct_found) < len(sra_found) * 0.7
+
+
+def _campaign_value(value):
+    """A campaign's return value as plain comparable data."""
+    if isinstance(value, ComparisonSeries):
+        return [
+            (scan.epoch, scan.result.records, scan.result.engine_stats)
+            for scan in value.sra + value.random
+        ]
+    if isinstance(value, VisibilityReport):
+        return value.daily_responsive, value.probed
+    if isinstance(value, StabilityReport):
+        return value.baseline, value.epochs
+    if isinstance(value, RaceResult):
+        return value.to_table_jsonl()
+    return value
+
+
+def _split_invariant(events):
+    """An event stream minus what describes how each scan was split."""
+    out = []
+    for event in events:
+        if event["event"] == "shard_finished":
+            continue
+        event = {k: v for k, v in event.items() if k != "seq"}
+        if event["event"] == "scan_started":
+            del event["shards"]
+        out.append(event)
+    return out
+
+
+class TestCampaignsEnterThroughTheRunner:
+    """Every campaign scan goes through ``ShardedScanRunner.scan``: with
+    no runner a campaign builds a one-shard one, so the three ways to run
+    a scan — in place, and as serial deferred shards here — agree."""
+
+    CAMPAIGNS = {
+        "sra-vs-random": lambda world, targets, ips, **kw: run_sra_vs_random(
+            world, targets, epochs=2, **kw
+        ),
+        "stability": lambda world, targets, ips, **kw: run_stability(
+            world, targets, epochs=2, **kw
+        ),
+        "visibility": lambda world, targets, ips, **kw: run_visibility(
+            world, ips, days=2, **kw
+        ),
+        "direct": lambda world, targets, ips, **kw: run_direct_discovery(
+            world, ips, **kw
+        ),
+        "strategy-race": lambda world, targets, ips, **kw: run_strategy_race(
+            world, epochs=2, budget=200, seed=5, **kw
+        ),
+    }
+
+    @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+    def test_no_runner_one_shard_and_four_serial_shards_agree(
+        self, tiny_world, tiny_hitlist, campaign
+    ):
+        targets = tiny_hitlist.unique_slash64s()[:600]
+        ips = {
+            subnet.router_interface
+            for subnet in list(tiny_world.subnets.values())[:300]
+        }
+
+        def run(runner):
+            telemetry = ScanTelemetry()
+            value = self.CAMPAIGNS[campaign](
+                tiny_world, targets, ips, runner=runner, telemetry=telemetry
+            )
+            return _campaign_value(value), telemetry
+
+        bare, bare_telemetry = run(None)
+        one, one_telemetry = run(ShardedScanRunner(tiny_world, shards=1))
+        four, four_telemetry = run(
+            ShardedScanRunner(tiny_world, shards=4, executor="serial")
+        )
+        assert bare_telemetry.events
+        assert one == bare and four == bare
+        assert one_telemetry.to_jsonl() == bare_telemetry.to_jsonl()
+        assert one_telemetry.to_prometheus() == bare_telemetry.to_prometheus()
+        assert four_telemetry.to_prometheus() == bare_telemetry.to_prometheus()
+        assert _split_invariant(four_telemetry.events) == _split_invariant(
+            bare_telemetry.events
+        )
+
+    @pytest.mark.parametrize(
+        "campaign",
+        [run_sra_vs_random, run_stability, run_visibility, run_direct_discovery],
+    )
+    @pytest.mark.parametrize("knob", ["max_shard_retries", "checkpoint_dir"])
+    def test_recovery_is_configured_on_the_runner(
+        self, tiny_world, campaign, knob
+    ):
+        with pytest.raises(TypeError, match=knob):
+            campaign(tiny_world, [], **{knob: 1})
 
 
 class TestRepeatedSurveys:

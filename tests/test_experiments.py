@@ -6,6 +6,7 @@ reproduce, not absolute numbers.
 
 import pytest
 
+from repro.core.survey import SurveyConfig
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.experiments.world import get_context, quick_scale, scaled_with
 
@@ -36,6 +37,34 @@ class TestRunnerPlumbing:
 
     def test_context_memoised(self):
         assert get_context("quick") is get_context("quick")
+        assert get_context("quick", shards=None, pps=None) is get_context("quick")
+
+    def test_context_overrides_are_survey_config_fields(self):
+        context = get_context("quick", batch_size=64, backend_retries=1)
+        assert context is get_context("quick", backend_retries=1, batch_size=64)
+        assert context is not get_context("quick")
+        config = context.scale.survey_config
+        assert (config.batch_size, config.backend_retries) == (64, 1)
+        assert config.max_hitlist == quick_scale().survey_config.max_hitlist
+        with pytest.raises(TypeError, match="warp_factor"):
+            get_context("quick", warp_factor=9)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"pps": 0.0},
+            {"pps": float("nan")},
+            {"batch_size": 0},
+            {"backend_retries": -1},
+            {"backend_timeout": 0.0},
+            {"breaker_threshold": 1.5},
+        ],
+    )
+    def test_bad_override_fails_at_construction(self, override):
+        with pytest.raises(ValueError):
+            get_context("quick", **override)
+        with pytest.raises(ValueError):
+            SurveyConfig(**override)
 
     def test_reports_have_text_and_data(self, reports):
         for experiment_id, report in reports.items():

@@ -53,7 +53,7 @@ def run_scan(world, targets, *, shards, chaos=None, retries=0, **kwargs):
     runner = ShardedScanRunner(
         world,
         shards=shards,
-        executor=kwargs.pop("executor", "thread"),
+        executor=kwargs.pop("executor", "serial"),
         max_shard_retries=retries,
         retry_backoff=0.0,
     )
@@ -134,7 +134,7 @@ class TestFaultPlanUnits:
 
 
 class TestCrashRetry:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_crashed_shard_retries_transparently(
         self, tiny_world, fault_targets, executor
     ):
@@ -206,8 +206,14 @@ class TestCrashRetry:
         chaos = ChaosEngine(
             plan=FaultPlan(slow_shards={0: 0.05, 3: 0.1})
         )
+        # Worker processes: the delayed shards really finish out of order.
         slowed, _ = run_scan(
-            tiny_world, fault_targets, shards=4, retries=1, chaos=chaos
+            tiny_world,
+            fault_targets,
+            shards=4,
+            retries=1,
+            chaos=chaos,
+            executor="process",
         )
         assert slowed.records == clean.records
         assert slowed.engine_stats == clean.engine_stats
@@ -255,8 +261,9 @@ class TestInterruptSalvage:
 
         checkpoint = tmp_path / "salvage.ckpt"
         telemetry = ScanTelemetry()
+        # A pool: the interrupt lands while sibling shards are in flight.
         runner = ShardedScanRunner(
-            tiny_world, shards=4, executor="thread", retry_backoff=0.0
+            tiny_world, shards=4, executor="process", retry_backoff=0.0
         )
         chaos = ChaosEngine(plan=FaultPlan(interrupt_after_shards=2))
         with pytest.raises(ScanInterrupted) as excinfo:
@@ -283,7 +290,7 @@ class TestInterruptSalvage:
 
     def test_request_interrupt_before_scan(self, tiny_world, fault_targets):
         """A pre-set interrupt flag is cleared at scan start, not obeyed."""
-        runner = ShardedScanRunner(tiny_world, shards=2, executor="thread")
+        runner = ShardedScanRunner(tiny_world, shards=2, executor="serial")
         runner.request_interrupt()
         result = runner.scan(
             fault_targets,
@@ -297,7 +304,7 @@ class TestInterruptSalvage:
     def test_salvage_counter_on_resume(self, tiny_world, fault_targets, tmp_path):
         checkpoint = tmp_path / "count.ckpt"
         runner = ShardedScanRunner(
-            tiny_world, shards=4, executor="thread", retry_backoff=0.0
+            tiny_world, shards=4, executor="serial", retry_backoff=0.0
         )
         with pytest.raises(ScanInterrupted):
             runner.scan(
@@ -310,7 +317,7 @@ class TestInterruptSalvage:
                 chaos=ChaosEngine(plan=FaultPlan(interrupt_after_shards=2)),
             )
         telemetry = ScanTelemetry()
-        ShardedScanRunner(tiny_world, shards=4, executor="thread").scan(
+        ShardedScanRunner(tiny_world, shards=4, executor="serial").scan(
             fault_targets,
             CONFIG,
             name="count",
@@ -431,7 +438,7 @@ class TestAdaptiveStrategyFaults:
     ):
         from repro.scanner.strategies import build_strategy
 
-        def fresh(executor="thread", **kwargs):
+        def fresh(executor="serial", **kwargs):
             return ShardedScanRunner(
                 tiny_world,
                 shards=4,
@@ -517,7 +524,7 @@ class TestAdaptiveStrategyFaults:
         faulted_runner = InterruptingRunner(
             tiny_world,
             shards=4,
-            executor="thread",
+            executor="serial",
             retry_backoff=0.0,
             checkpoint_dir=checkpoint_dir,
             interrupt_call=3,
@@ -530,7 +537,7 @@ class TestAdaptiveStrategyFaults:
         resumed_runner = ShardedScanRunner(
             tiny_world,
             shards=4,
-            executor="thread",
+            executor="serial",
             checkpoint_dir=checkpoint_dir,
         )
         resumed = run_strategy_race(
@@ -548,7 +555,7 @@ class TestSinkFaults:
         path = tmp_path / "out.jsonl"
         sink = JsonlSink(path)
         chaos = ChaosEngine(plan=FaultPlan(sink_fail_after=5))
-        runner = ShardedScanRunner(tiny_world, shards=2, executor="thread")
+        runner = ShardedScanRunner(tiny_world, shards=2, executor="serial")
         with pytest.raises(InjectedSinkError):
             try:
                 runner.scan(

@@ -341,7 +341,7 @@ class TestBatchPathEquivalence:
             SimulationEngine(tiny_world, epoch=epoch), config
         ).scan(class_targets, name="scan", epoch=epoch)
         sharded = ShardedScanRunner(
-            tiny_world, shards=4, executor="thread"
+            tiny_world, shards=4, executor="serial"
         ).scan(class_targets, config, name="scan", epoch=epoch)
         assert serial.engine_stats.suppressed_errors
         assert scan_snapshot(sharded) == scan_snapshot(serial)
@@ -371,7 +371,7 @@ class TestFig5Determinism:
     def test_sharded_matches_serial(self, tiny_world, sra_targets, shards):
         serial = self._series_snapshots(tiny_world, sra_targets)
         runner = ShardedScanRunner(
-            tiny_world, shards=shards, executor="thread"
+            tiny_world, shards=shards, executor="serial"
         )
         sharded = self._series_snapshots(tiny_world, sra_targets, runner=runner)
         assert sharded == serial
@@ -430,7 +430,7 @@ class TestTable2Determinism:
             tiny_hitlist,
             tiny_alias_list,
             shards=shards,
-            parallel="thread",
+            parallel="serial",
         )
         assert set(sharded.input_sets) == set(INPUT_SET_NAMES)
         for name, expected in baseline.input_sets.items():
@@ -490,7 +490,7 @@ class TestTelemetryDeterminism:
         scanner.scan(targets, name="scan", epoch=self.EPOCH)
         return telemetry
 
-    def _sharded(self, world, targets, *, shards, executor="thread"):
+    def _sharded(self, world, targets, *, shards, executor="serial"):
         telemetry = ScanTelemetry()
         runner = ShardedScanRunner(
             world, shards=shards, executor=executor, telemetry=telemetry
@@ -779,7 +779,7 @@ class TestStreamVsListEquivalence:
         serial = self._scan(tiny_world, list(stress_targets))
         sink = MemorySink()
         runner = ShardedScanRunner(
-            tiny_world, shards=shards, executor="thread"
+            tiny_world, shards=shards, executor="serial"
         )
         result = runner.scan(
             self._stream(stress_targets),
@@ -811,7 +811,7 @@ class TestStreamVsListEquivalence:
         def run(targets):
             telemetry = ScanTelemetry()
             runner = ShardedScanRunner(
-                tiny_world, shards=shards, executor="thread",
+                tiny_world, shards=shards, executor="serial",
                 telemetry=telemetry,
             )
             runner.scan(
@@ -869,7 +869,7 @@ class TestStreamVsListEquivalence:
         self._scan(tiny_world, stress_targets, telemetry=serial, sink=reference)
         sharded = ScanTelemetry()
         runner = ShardedScanRunner(
-            tiny_world, shards=shards, executor="thread", telemetry=sharded
+            tiny_world, shards=shards, executor="serial", telemetry=sharded
         )
         memory = MemorySink()
         result = runner.scan(
@@ -907,7 +907,7 @@ class TestCrashResumeDeterminism:
 
     def _runner(self, world, shards):
         return ShardedScanRunner(
-            world, shards=shards, executor="thread", retry_backoff=0.0
+            world, shards=shards, executor="serial", retry_backoff=0.0
         )
 
     def _scan(self, world, targets, *, shards, checkpoint, sink_path=None,
@@ -998,7 +998,7 @@ class TestCrashResumeDeterminism:
         not perturb a byte, and a finished scan leaves no journal."""
         plain = ScanTelemetry()
         plain_result = ShardedScanRunner(
-            tiny_world, shards=4, executor="thread"
+            tiny_world, shards=4, executor="serial"
         ).scan(
             stress_targets,
             ScanConfig(**self.CFG),
@@ -1058,14 +1058,14 @@ class TestCrashResumeDeterminism:
             return ShardedScanRunner(
                 world,
                 shards=4,
-                executor="thread",
+                executor="serial",
                 retry_backoff=0.0,
                 checkpoint_dir=checkpoint_dir,
                 chaos=chaos,
             )
 
         baseline = survey(
-            ShardedScanRunner(world, shards=4, executor="thread")
+            ShardedScanRunner(world, shards=4, executor="serial")
         )
         chaos = ChaosEngine(plan=FaultPlan(interrupt_after_shards=2))
         with pytest.raises(ScanInterrupted):
@@ -1109,14 +1109,14 @@ class TestCrashResumeDeterminism:
             return ShardedScanRunner(
                 tiny_world,
                 shards=shards,
-                executor="thread",
+                executor="serial",
                 retry_backoff=0.0,
                 checkpoint_dir=checkpoint_dir,
                 chaos=chaos,
             )
 
         baseline = campaign(
-            ShardedScanRunner(tiny_world, shards=shards, executor="thread")
+            ShardedScanRunner(tiny_world, shards=shards, executor="serial")
         )
         chaos = ChaosEngine(
             plan=FaultPlan(interrupt_after_shards=max(1, shards // 2))

@@ -231,6 +231,28 @@ def test_policy_rejects_bad_knobs(kwargs):
         RetryPolicy(**kwargs)
 
 
+def test_from_knobs_is_none_when_all_unset_else_the_policy():
+    """What ``sra-scan``'s flags and ``SurveyConfig``'s fields both build."""
+    from repro.core.survey import SurveyConfig
+
+    assert RetryPolicy.from_knobs(0, None, None, seed=9) is None
+    assert SurveyConfig(seed=9).resilience_policy() is None
+    for retries, timeout, threshold in [(2, None, None), (0, 1.5, None), (0, None, 0.5)]:
+        expected = RetryPolicy(
+            max_retries=retries, timeout=timeout, breaker_threshold=threshold, seed=9
+        )
+        assert RetryPolicy.from_knobs(retries, timeout, threshold, seed=9) == expected
+        config = SurveyConfig(
+            seed=9,
+            backend_retries=retries,
+            backend_timeout=timeout,
+            breaker_threshold=threshold,
+        )
+        assert config.resilience_policy() == expected
+    with pytest.raises(ValueError, match="max_retries"):
+        RetryPolicy.from_knobs(-1, None, None, seed=9)
+
+
 def test_policy_is_picklable_and_hashable():
     import pickle
 
@@ -600,7 +622,7 @@ def test_shard_retry_backoff_uses_injected_sleep(tiny_world):
     runner = ShardedScanRunner(
         tiny_world,
         shards=2,
-        executor="thread",
+        executor="serial",
         max_shard_retries=2,
         sleep=delays.append,
         chaos=chaos,
@@ -746,7 +768,7 @@ def _scenario_scan(world, targets, *, backend, shards, batch_size, plan, policy)
     runner = ShardedScanRunner(
         world,
         shards=shards,
-        executor="thread",
+        executor="serial",
         telemetry=telemetry,
         chaos=ChaosEngine(plan if plan is not None else FaultPlan()),
     )

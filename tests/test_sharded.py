@@ -154,6 +154,16 @@ class TestPacedPps:
     def test_paces_to_duration(self):
         assert paced_pps(6000, 6.0, 50_000.0) == pytest.approx(1000.0)
 
+    @pytest.mark.parametrize("targets", [1, 599, 600, 54_321])
+    @pytest.mark.parametrize("duration", [0.5, 6.0, 3600.0])
+    def test_unbounded_ceiling_is_sra_scan_duration_pacing(self, targets, duration):
+        """``sra-scan --duration`` without ``--pps``: no line rate to cap at."""
+        import math
+
+        assert paced_pps(targets, duration, math.inf) == max(
+            100.0, targets / duration
+        )
+
     @pytest.mark.parametrize("ceiling", [0.0, -1.0, -50_000.0])
     def test_nonpositive_ceiling_raises(self, ceiling):
         """A zero/negative ceiling used to leak through as a nonsense
@@ -280,7 +290,7 @@ class TestMergeEngineStats:
 class TestDeterminism:
     """A sharded run is bit-for-bit identical to the serial run."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("shards", [2, 3, 5])
     def test_identical_to_serial(self, tiny_world, stress_targets, shards, executor):
         serial = serial_scan(tiny_world, stress_targets, epoch=2)
@@ -304,7 +314,7 @@ class TestDeterminism:
     def test_identical_across_epochs(self, tiny_world, stress_targets):
         for epoch in (0, 1, 4):
             serial = serial_scan(tiny_world, stress_targets, epoch=epoch)
-            runner = ShardedScanRunner(tiny_world, shards=3, executor="thread")
+            runner = ShardedScanRunner(tiny_world, shards=3, executor="serial")
             merged = runner.scan(
                 stress_targets,
                 ScanConfig(pps=200_000.0, seed=5),
@@ -482,9 +492,28 @@ class TestShardPrimitives:
     def test_auto_shard_count_bounds(self):
         assert 1 <= auto_shard_count() <= 8
 
-    def test_invalid_executor_rejected(self, tiny_world):
-        with pytest.raises(ValueError, match="executor"):
-            ShardedScanRunner(tiny_world, shards=2, executor="rocket")
+    @pytest.mark.parametrize("executor", ["rocket", "thread"])
+    def test_invalid_executor_rejected(self, tiny_world, executor):
+        with pytest.raises(ValueError, match="auto/process/serial"):
+            ShardedScanRunner(tiny_world, shards=2, executor=executor)
+
+    @pytest.mark.parametrize(
+        "cores, size, expected",
+        [
+            (4, sharded_module.PROCESS_POOL_THRESHOLD, "process"),
+            (4, sharded_module.PROCESS_POOL_THRESHOLD - 1, "serial"),
+            (1, sharded_module.PROCESS_POOL_THRESHOLD, "serial"),
+            (None, sharded_module.PROCESS_POOL_THRESHOLD, "serial"),
+        ],
+    )
+    def test_auto_executor_is_chosen_from_size_and_cores(
+        self, tiny_world, monkeypatch, cores, size, expected
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        runner = ShardedScanRunner(tiny_world, shards=2)
+        assert runner._resolve_executor(size) == expected
+        forced = ShardedScanRunner(tiny_world, shards=2, executor="serial")
+        assert forced._resolve_executor(size) == "serial"
 
     def test_invalid_shards_rejected(self, tiny_world):
         with pytest.raises(ValueError, match="shards"):
@@ -697,10 +726,10 @@ class TestShmRingTransport:
         )
         assert stats.bytes > 0
 
-    def test_thread_executor_never_packs(self, tiny_world, stress_targets):
+    def test_serial_executor_never_packs(self, tiny_world, stress_targets):
         """Same-process shards have nothing to transport: the ring stays
         untouched and results are unchanged."""
-        runner = ShardedScanRunner(tiny_world, shards=3, executor="thread")
+        runner = ShardedScanRunner(tiny_world, shards=3, executor="serial")
         runner.scan(
             stress_targets,
             ScanConfig(pps=200_000.0, seed=5),
@@ -761,7 +790,7 @@ class TestJournallessFailures:
 
     CONFIG = ScanConfig(pps=200_000.0, seed=5)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_crashing_shard_raises_shard_failed_error(
         self, tiny_world, stress_targets, executor
     ):
@@ -861,7 +890,7 @@ class TestJournallessFailures:
 
         monkeypatch.setattr(sharded, "scan_shard", spy)
         targets = TargetList(name="stress", targets=stress_targets)
-        runner = ShardedScanRunner(tiny_world, shards=2, executor="thread")
+        runner = ShardedScanRunner(tiny_world, shards=2, executor="serial")
         merged = runner.scan(targets, self.CONFIG, name="scan", epoch=1)
         assert len(seen) == 2 and all(item is targets for item in seen)
         assert merged.records == serial_scan(
@@ -882,7 +911,7 @@ class TestSurveyParallel:
                 max_route6=2_000,
                 max_hitlist=2_000,
                 shards=shards,
-                parallel="thread",
+                parallel="serial",
             )
             return SRASurvey(
                 tiny_world, hitlist, alias_list=alias_list, config=config
@@ -933,10 +962,18 @@ class TestRunnerCLI:
                 "--shards",
                 "2",
                 "--parallel",
-                "thread",
+                "serial",
                 "--summary",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "shards     : 2 (thread)" in out
+        assert "shards     : 2 (serial)" in out
+
+    def test_sra_scan_cli_offers_no_thread_executor(self, capsys):
+        from repro.scanner import cli
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--shards", "2", "--parallel", "thread"])
+        assert excinfo.value.code == 2
+        assert "auto, process, serial" in capsys.readouterr().err.replace("'", "")

@@ -201,7 +201,7 @@ class TestRace:
         tables = {None: serial_race.to_table_jsonl()}
         for shards in (1, 4, 8):
             runner = ShardedScanRunner(
-                tiny_world, shards=shards, executor="thread"
+                tiny_world, shards=shards, executor="serial"
             )
             race = run_strategy_race(tiny_world, runner=runner, **RACE_KW)
             tables[shards] = race.to_table_jsonl()
@@ -325,7 +325,7 @@ class TestStrategyCLI:
                 "--strategy-budget", "150",
                 "--seed", "7",
                 "--shards", "2",
-                "--parallel", "thread",
+                "--parallel", "serial",
                 "--jsonl", str(jsonl),
                 "--summary",
             ]
