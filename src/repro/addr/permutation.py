@@ -72,11 +72,6 @@ class CyclicPermutation:
         # p-1 and is overwhelmingly large for random g).
         self.generator = self._pick_generator(rng)
         self.start = rng.randrange(1, self.prime)
-        # Sequential-seek cursor for __getitem__ when cycle-walking makes
-        # output positions non-computable: (next output position, the walk
-        # value reached just after it was emitted).
-        self._cursor_position = 0
-        self._cursor_value = self.start
 
     def _pick_generator(self, rng: random.Random) -> int:
         if self.prime <= 3:
@@ -98,54 +93,6 @@ class CyclicPermutation:
 
     def __len__(self) -> int:
         return self.size
-
-    # ------------------------------------------------------------- #
-    # indexable-sequence view: seekable with O(1) state
-    # ------------------------------------------------------------- #
-
-    def value_at(self, step: int) -> int:
-        """The raw group element after ``step`` walk steps, in O(log step).
-
-        ``value_at(0)`` is the start element; cycle-walking skips are
-        *not* applied — this is the primitive sharded scanners seek with
-        (zmap shard *i* of *N* starts at ``value_at(i)`` and multiplies
-        by ``g**N`` per probe).
-        """
-        if step < 0:
-            raise IndexError("walk step must be >= 0")
-        return (self.start * pow(self.generator, step, self.prime)) % self.prime
-
-    def __getitem__(self, position: int) -> int:
-        """The ``position``-th element of the output permutation.
-
-        When ``prime == size + 1`` the walk never skips, so walk steps
-        equal output positions and the lookup is one modular
-        exponentiation.  Otherwise cycle-walking makes output positions
-        data-dependent; a resumable cursor serves monotonically
-        increasing positions in amortised O(prime / size) and restarts
-        from the front on a backwards seek — still O(1) *memory*, which
-        is the property streaming scans need.
-        """
-        if position < 0:
-            position += self.size
-        if not 0 <= position < self.size:
-            raise IndexError(position)
-        if self.prime == self.size + 1:
-            return self.value_at(position) - 1
-        if position < self._cursor_position:
-            self._cursor_position = 0
-            self._cursor_value = self.start
-        value = self._cursor_value
-        emitted = self._cursor_position
-        while True:
-            if value <= self.size:
-                if emitted == position:
-                    # Resume *after* this output next time.
-                    self._cursor_position = emitted + 1
-                    self._cursor_value = (value * self.generator) % self.prime
-                    return value - 1
-                emitted += 1
-            value = (value * self.generator) % self.prime
 
 
 def _factorize(n: int) -> set[int]:

@@ -17,15 +17,8 @@ from ..scanner.backends import RetryPolicy
 from ..scanner.pacing import paced_pps
 from ..scanner.records import ScanResult
 from ..scanner.sharded import ShardedScanRunner
-from ..scanner.stream import (
-    LazyStream,
-    TargetStream,
-    as_stream,
-    make_spec,
-    register_stream_builder,
-)
+from ..scanner.stream import LazyStream, TargetStream
 from ..scanner.targets import (
-    TargetList,
     bgp_plain_targets,
     bgp_slash48_targets,
     bgp_slash64_targets,
@@ -136,28 +129,13 @@ class SurveyConfig:
         )
 
 
-# Config fields a worker needs to rebuild an input set from a spec.
-_BUDGET_FIELDS = (
-    "seed",
-    "max_bgp_plain",
-    "slash48_per_prefix",
-    "max_bgp_48",
-    "slash64_per_prefix",
-    "max_bgp_64",
-    "route6_per_prefix",
-    "max_route6",
-)
-
-
 def _input_set_factories(
     world: World, config: SurveyConfig, rng: random.Random
 ) -> dict[str, object]:
     """Zero-arg builders for the world-derived input sets.
 
-    The single source of truth for *how* each set is built, shared by the
-    survey's lazy stream chain and the spec builder that rebuilds a set
-    from its recipe.  The RNG-consuming factories must run in
-    :data:`_RNG_SET_ORDER` to reproduce the eager build's draws.
+    The RNG-consuming factories must run in :data:`_RNG_SET_ORDER` to
+    reproduce the eager build's draws.
     """
     return {
         "bgp-plain": lambda: bgp_plain_targets(
@@ -182,32 +160,6 @@ def _input_set_factories(
             rng=rng,
         ),
     }
-
-
-def _build_survey_input_set(world: World, *, set_name: str, **budgets) -> TargetStream:
-    """Spec builder: rebuild one world-derived input set from its recipe.
-
-    RNG-consuming sets share one seeded ``random.Random``; to reproduce
-    the survey's draws the builder realises every RNG predecessor (and
-    discards it) before building the requested set — which is why a
-    process pool is sent the targets the survey already realised, never
-    this recipe.  The hitlist set is not rebuildable from a world, so it
-    never gets a spec.
-    """
-    config = SurveyConfig(**budgets)
-    rng = random.Random(config.seed)
-    factories = _input_set_factories(world, config, rng)
-    if set_name not in factories:
-        raise ValueError(f"unknown survey input set {set_name!r}")
-    if set_name in _RNG_SET_ORDER:
-        for name in _RNG_SET_ORDER:
-            built = factories[name]()
-            if name == set_name:
-                return as_stream(built)
-    return as_stream(factories[set_name]())
-
-
-register_stream_builder("survey-input-set", _build_survey_input_set)
 
 
 @dataclass(slots=True)
@@ -346,7 +298,6 @@ class SRASurvey:
         config = self.config
         rng = random.Random(config.seed)
         factories = _input_set_factories(self.world, config, rng)
-        budgets = {name: getattr(config, name) for name in _BUDGET_FIELDS}
         streams: dict[str, LazyStream] = {}
         previous: LazyStream | None = None
         for name, factory in factories.items():
@@ -355,15 +306,10 @@ class SRASurvey:
                 name=name,
                 subnet_length=_SUBNET_LENGTHS[name],
                 after=previous if name in _RNG_SET_ORDER else None,
-                spec=make_spec(
-                    "survey-input-set", __name__, set_name=name, **budgets
-                ),
             )
             if name in _RNG_SET_ORDER:
                 previous = stream
             streams[name] = stream
-        # The hitlist is not part of the world, so this set has no
-        # rebuildable spec.
         streams["hitlist-64"] = LazyStream(
             lambda: hitlist_slash64_targets(
                 self.hitlist, max_targets=self.config.max_hitlist
@@ -376,7 +322,7 @@ class SRASurvey:
     # ---------------- running ---------------- #
 
     def run_input_set(
-        self, name: str, targets: TargetList | TargetStream, *, epoch: int = 0
+        self, name: str, targets: TargetStream, *, epoch: int = 0
     ) -> InputSetResult:
         pps = paced_pps(len(targets), self.config.scan_duration, self.config.pps)
         scan_config = ScanConfig(

@@ -23,17 +23,11 @@ from .stream import (
     IndexWindow,
     JsonlSink,
     LazyStream,
-    ListStream,
     MemorySink,
-    PermutedStream,
     RecordSink,
-    StreamSpec,
     SubnetPartitionStream,
     TargetStream,
     TeeSink,
-    as_stream,
-    build_stream,
-    register_stream_builder,
     shard_positions,
     stream_buffered,
 )
@@ -58,9 +52,7 @@ __all__ = [
     "IndexWindow",
     "JsonlSink",
     "LazyStream",
-    "ListStream",
     "MemorySink",
-    "PermutedStream",
     "RecordSink",
     "ScanCheckpoint",
     "ScanConfig",
@@ -69,18 +61,15 @@ __all__ = [
     "ScanResult",
     "ShardFailedError",
     "ShardedScanRunner",
-    "StreamSpec",
     "SubnetPartitionStream",
     "TargetList",
     "TargetStream",
     "TeeSink",
     "ZMapV6Scanner",
-    "as_stream",
     "auto_shard_count",
     "bgp_plain_targets",
     "bgp_slash48_targets",
     "bgp_slash64_targets",
-    "build_stream",
     "hitlist_slash64_targets",
     "iter_router_ips",
     "load_checkpoint",
@@ -88,7 +77,6 @@ __all__ = [
     "paced_pps",
     "save_checkpoint",
     "prefixes_of_targets",
-    "register_stream_builder",
     "route6_slash64_targets",
     "shard_positions",
     "stream_buffered",

@@ -65,11 +65,11 @@ class BackendPrivilegeError(BackendError):
 class BackendSpec:
     """A picklable recipe: which registered backend, built how.
 
-    The backend twin of :class:`repro.scanner.stream.StreamSpec`:
-    ``module`` is imported before lookup so pool workers resolve the
-    builder without having imported the registering module, and
-    ``options`` is a tuple of ``(key, value)`` pairs, keeping the spec
-    hashable and pickle-stable.
+    A live backend (sockets, an engine) cannot cross a process boundary,
+    so pool workers rebuild it from this: ``module`` is imported before
+    lookup so they resolve the builder without having imported the
+    registering module, and ``options`` is a tuple of ``(key, value)``
+    pairs, keeping the spec hashable and pickle-stable.
     """
 
     name: str

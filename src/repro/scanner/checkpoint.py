@@ -7,10 +7,9 @@ wastes probe budget).  This module gives
 :class:`~repro.scanner.sharded.ShardedScanRunner` a durable journal:
 
 * after every completed shard the runner saves a :class:`ScanCheckpoint`
-  — the scan's identity (name, epoch, shard count, config key, a target
-  fingerprint, and the rebuildable
-  :class:`~repro.scanner.stream.StreamSpec` when the target stream has
-  one), every finished :class:`~repro.scanner.sharded.ShardOutcome`
+  — the scan's identity (name, epoch, shard count, config key and a
+  target fingerprint; the targets themselves are the resuming caller's
+  to supply again), every finished :class:`~repro.scanner.sharded.ShardOutcome`
   (records *and* the deferred rate-limit checks the merge replay needs),
   the streaming sink's byte offset, and a snapshot of the shared
   :class:`~repro.telemetry.scan.ScanTelemetry` facade;
@@ -47,7 +46,6 @@ from ..atomicio import atomic_write_bytes
 if TYPE_CHECKING:  # runtime import cycle: sharded imports this module
     from ..telemetry.scan import ScanTelemetry
     from .sharded import ShardOutcome
-    from .stream import StreamSpec
     from .zmapv6 import ScanConfig
 
 __all__ = [
@@ -70,7 +68,9 @@ __all__ = [
 # pickled a Fraction; resumed, the two would add up to a wrong ``_sum``).
 # v3: a journaled ShardOutcome.telemetry holds events and first sightings
 # only (v2 pickled a per-shard metrics registry into it).
-CHECKPOINT_SCHEMA_VERSION = 3
+# v4: a ScanCheckpoint has no ``spec`` (v3 pickled the target stream's
+# rebuild recipe, which no code read back).
+CHECKPOINT_SCHEMA_VERSION = 4
 
 # 8-byte magic, then schema (u32), payload length (u64), CRC-32 (u32),
 # big-endian, then the pickled payload.
@@ -199,7 +199,6 @@ class ScanCheckpoint:
     scan_key: tuple
     target_count: int
     fingerprint: int
-    spec: "StreamSpec | None" = None
     # Completed shards, by shard index.  Records are pristine (pre-merge:
     # the rate-limit replay prunes at merge time, never here).
     outcomes: "dict[int, ShardOutcome]" = field(default_factory=dict)

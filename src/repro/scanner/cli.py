@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
-from ..addr.ipv6 import parse_address
+from ..addr.ipv6 import AddressError
 from ..core.aliasfilter import filter_aliased
 from ..datasets.tum import harvest_hitlist, published_alias_list
 from ..telemetry.scan import ScanTelemetry
@@ -43,16 +43,7 @@ from .sharded import (
     ShardFailedError,
     auto_shard_count,
 )
-from .stream import (
-    CsvSink,
-    JsonlSink,
-    LazyStream,
-    RecordSink,
-    TeeSink,
-    as_stream,
-    make_spec,
-    register_stream_builder,
-)
+from .stream import CsvSink, JsonlSink, LazyStream, RecordSink, TeeSink
 from .strategies import build_strategy, run_strategy_epochs, strategy_names
 from .targets import (
     TargetList,
@@ -100,38 +91,17 @@ def _materialise_targets(
     raise ValueError(f"unknown input set {input_set!r}")
 
 
-def _build_cli_input_set(world, *, input_set: str, max_targets, seed: int):
-    return as_stream(
-        _materialise_targets(
-            world, input_set, max_targets=max_targets, seed=seed
-        )
-    )
-
-
-register_stream_builder("cli-input-set", _build_cli_input_set)
-
-
 def build_targets(
     world, input_set: str, *, max_targets: int | None, seed: int
 ) -> LazyStream:
-    """One of the survey's input sets, as a lazily-realised target stream.
-
-    The stream carries a picklable spec — the provenance a checkpoint
-    journal stores; a sharded process pool receives the realised targets.
-    """
+    """One of the survey's input sets, as a lazily-realised target stream
+    (a sharded process pool receives the realised targets)."""
     return LazyStream(
         lambda: _materialise_targets(
             world, input_set, max_targets=max_targets, seed=seed
         ),
         name=input_set,
         subnet_length=_SUBNET_LENGTHS[input_set],
-        spec=make_spec(
-            "cli-input-set",
-            __name__,
-            input_set=input_set,
-            max_targets=max_targets,
-            seed=seed,
-        ),
     )
 
 
@@ -644,23 +614,14 @@ def _raw_scan(args, telemetry):
     list.  Privilege failures surface as the same one-line exit-2 errors
     the validation layer uses (the socket is the validator here).
     """
-    from ..addr.ipv6 import AddressError
-
     try:
-        lines = Path(args.targets_file).read_text().splitlines()
+        targets = TargetList.load(args.targets_file, name="raw")
     except OSError as error:
         print(f"sra-scan: cannot read --targets-file: {error}", file=sys.stderr)
         return 2
-    targets: list[int] = []
-    for line in lines:
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        try:
-            targets.append(parse_address(text))
-        except AddressError as error:
-            print(f"sra-scan: {error}", file=sys.stderr)
-            return 2
+    except AddressError as error:
+        print(f"sra-scan: {error}", file=sys.stderr)
+        return 2
     if not targets:
         print("sra-scan: --targets-file has no targets", file=sys.stderr)
         return 1

@@ -78,9 +78,7 @@ from .shmring import (
 )
 from .stream import (
     RecordSink,
-    StreamSpec,
     TargetStream,
-    build_stream,
     scannable,
     stream_buffered,
 )
@@ -191,7 +189,7 @@ class ShardOutcome:
 def scan_shard(
     world: World,
     config: ScanConfig,
-    targets: "Sequence[int] | TargetStream | StreamSpec",
+    targets: "Sequence[int] | TargetStream",
     *,
     name: str,
     epoch: int,
@@ -204,11 +202,8 @@ def scan_shard(
     """Run one shard of a scan with the rate limiter deferred.
 
     Picklable by construction (module-level, plain-data arguments) so it
-    can serve as the process-pool work function.  ``targets`` may be a
-    :class:`~repro.scanner.stream.StreamSpec`, in which case the stream
-    is rebuilt against ``world`` — how a shard is replayed from the
-    recipe a checkpoint journal stores.  The runner's own pools are sent
-    the stream itself.
+    can serve as the process-pool work function.  ``targets`` is the
+    data itself — a list or a stream, never a recipe to rebuild one.
 
     ``config.batch_size`` is passed through unchanged, so shard scans run
     on the engine's batched hot path.  Batching composes with deferred
@@ -216,8 +211,6 @@ def scan_shard(
     recorded ``(time, router_id)`` checks come out in exactly the order a
     per-probe scan would record them, which the merge replay relies on.
     """
-    if isinstance(targets, StreamSpec):
-        targets = build_stream(targets, world)
     if chaos is not None:
         # Fault injection arms here, inside the (possibly pooled) worker:
         # a planned crash for this (shard, attempt) fires at the exact
@@ -715,9 +708,6 @@ class ShardedScanRunner:
         scan_key = config_key(config)
         target_count = len(target_list)
         fingerprint = target_fingerprint(target_list)
-        spec = (
-            target_list.spec() if isinstance(target_list, TargetStream) else None
-        )
 
         outcomes: dict[int, ShardOutcome] = {}
         resumed = False
@@ -773,7 +763,6 @@ class ShardedScanRunner:
                     scan_key=scan_key,
                     target_count=target_count,
                     fingerprint=fingerprint,
-                    spec=spec,
                     outcomes=outcomes,
                     sink_offset=sink_offset,
                     telemetry=snapshot,

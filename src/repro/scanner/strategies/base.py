@@ -10,9 +10,8 @@ only target generation.
 A :class:`TargetStrategy` produces one :class:`~repro.scanner.stream.TargetStream`
 per epoch (its *window*).  Windows ride the existing stream machinery
 unchanged: they are index-seekable (so :func:`shard_positions` tiles
-them), carry provenance (name, subnet length), and expose a picklable
-:class:`~repro.scanner.stream.StreamSpec`, from which a journaled scan's
-window can be rebuilt.
+them), carry provenance (name, subnet length), and cross a process pool
+as the targets they hold.
 
 Feedback-driven strategies implement :meth:`TargetStrategy.observe`:
 the race feeds each epoch's merged records back before asking for the
@@ -21,7 +20,7 @@ next window.  Two invariants make adaptive scans crash-tolerant:
 * ``observe`` must be a pure function of the record *set* (order
   independent) folded into the prior feedback state, and
 * :meth:`feedback_state` / :meth:`restore` round-trip that state as a
-  small picklable tuple, which also rides inside the window spec.
+  small picklable tuple.
 
 Together they guarantee that a scan interrupted mid-epoch and resumed
 from its checkpoint journal — which reproduces the epoch's records
@@ -36,17 +35,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..records import ScanRecord, ScanResult
-from ..stream import (
-    ListStream,
-    StreamSpec,
-    TargetStream,
-    make_spec,
-    register_stream_builder,
-)
-from ..targets import _bounded
+from ..stream import TargetStream
+from ..targets import TargetList, _bounded
 from .telescope import Telescope
 
-if TYPE_CHECKING:  # strategies rebuild from a world; ducks otherwise
+if TYPE_CHECKING:
     from ...telemetry.scan import ScanTelemetry
     from ...topology.entities import World
     from ..sharded import ShardedScanRunner
@@ -94,28 +87,9 @@ class TargetStrategy(ABC):
         """The epoch's probe targets: deduplicated, at most ``budget``."""
 
     def window(self, epoch: int) -> TargetStream:
-        """The epoch's targets as a provenance-carrying stream.
-
-        The stream's spec embeds the current feedback state, so a pool
-        worker rebuilding the window from the spec reproduces it without
-        ever having observed the records itself.
-        """
-        return ListStream(
-            self.targets_for(epoch),
-            name=f"{self.name}@e{epoch}",
-            subnet_length=self.subnet_length,
-            spec=self.window_spec(epoch),
-        )
-
-    def window_spec(self, epoch: int) -> StreamSpec:
-        return make_spec(
-            "strategy-window",
-            __name__,
-            strategy=self.name,
-            epoch=epoch,
-            seed=self.seed,
-            budget=self.budget,
-            feedback=self.feedback_state(),
+        """The epoch's targets as a provenance-carrying stream."""
+        return TargetList(
+            f"{self.name}@e{epoch}", self.targets_for(epoch), self.subnet_length
         )
 
     # -- the adaptive feedback loop -- #
@@ -284,15 +258,3 @@ def build_strategy(
             f"choose from {', '.join(sorted(_STRATEGIES))}"
         ) from None
     return cls(world, seed=seed, budget=budget, **kwargs)
-
-
-def _build_strategy_window(
-    world, *, strategy: str, epoch: int, seed: int, budget: int, feedback=()
-) -> TargetStream:
-    """Stream builder: rebuild one strategy window from its spec."""
-    instance = build_strategy(strategy, world, seed=seed, budget=budget)
-    instance.restore(tuple(feedback))
-    return instance.window(epoch)
-
-
-register_stream_builder("strategy-window", _build_strategy_window)

@@ -29,7 +29,7 @@ __all__ = ["RandomBaselineStrategy", "SRAAnycastStrategy"]
 class _HitlistSeededStrategy(TargetStrategy):
     """Shared seeding: the budgeted /64 SRA population of the world's
     hitlist service.  Harvesting is deterministic per world, so two
-    instances (or a pool worker rebuilding from a spec) agree exactly."""
+    instances agree exactly."""
 
     def __init__(self, world: "World", *, seed: int = 0, budget: int = 10_000):
         super().__init__(world, seed=seed, budget=budget)
@@ -80,7 +80,6 @@ class RandomBaselineStrategy(_HitlistSeededStrategy):
             ),
             name=f"{self.name}@e{epoch}",
             subnet_length=self.subnet_length,
-            spec=self.window_spec(epoch),
         )
 
     def _rng(self, epoch: int) -> random.Random:

@@ -7,16 +7,14 @@ shape:
 
 * :class:`TargetStream` — a named, length-known, index-seekable,
   provenance-carrying sequence of probe targets.  Implementations range
-  from a thin list wrapper (:class:`ListStream`) through lazily-realised
-  generator output (:class:`LazyStream`) to fully *computable* streams
-  (:class:`SubnetPartitionStream`) whose ``stream[i]`` is pure
-  arithmetic and whose memory footprint is O(1) in target count.
-* :class:`StreamSpec` — a picklable recipe for rebuilding a stream from
-  a :class:`~repro.topology.entities.World`: the provenance a checkpoint
-  journal stores.  A process pool is sent the stream itself, not the
-  recipe — a computable stream is O(1) as an object too, and rebuilding
-  a realised :class:`LazyStream` would run the generators again in every
-  worker, each left holding the whole list.
+  from a materialised list (:class:`~repro.scanner.targets.TargetList`)
+  through lazily-realised generator output (:class:`LazyStream`) to
+  fully *computable* streams (:class:`SubnetPartitionStream`) whose
+  ``stream[i]`` is pure arithmetic and whose memory footprint is O(1) in
+  target count.  Streams are data: a process pool is sent the stream
+  itself — a computable stream is O(1) as an object too, and a realised
+  :class:`LazyStream` pickles as the targets it holds — so no worker
+  ever re-runs a generator.
 * :class:`RecordSink` — where matched reply records go.  ``drain`` is
   the write path (``emit`` is a drain of one record): a scan streaming
   in place drains each batch's records, a sharded one drains the merged
@@ -37,22 +35,17 @@ order, so streamed scans are byte-identical to the list path.
 
 from __future__ import annotations
 
-import importlib
 from abc import abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ..addr.ipv6 import ADDRESS_BITS, IPv6Prefix
 from ..addr.permutation import CyclicPermutation
 from ..atomicio import partial_path, replace_partial
 from .records import CSV_HEADER, ScanRecord, address_text, records_csv, records_jsonl
-
-if TYPE_CHECKING:  # specs rebuild streams from a world; ducks otherwise
-    from ..topology.entities import World
 
 __all__ = [
     "CountingSink",
@@ -60,16 +53,10 @@ __all__ = [
     "IndexWindow",
     "JsonlSink",
     "LazyStream",
-    "ListStream",
     "MemorySink",
-    "PermutedStream",
     "RecordSink",
-    "StreamSpec",
     "SubnetPartitionStream",
     "TargetStream",
-    "as_stream",
-    "build_stream",
-    "register_stream_builder",
     "gather_targets",
     "scannable",
     "shard_positions",
@@ -137,58 +124,6 @@ def shard_positions(
 
 
 # --------------------------------------------------------------------- #
-# stream specs: picklable provenance, rebuildable against a world
-# --------------------------------------------------------------------- #
-
-_STREAM_BUILDERS: dict[str, Callable[..., "TargetStream"]] = {}
-
-
-@dataclass(frozen=True)
-class StreamSpec:
-    """A picklable recipe: which registered builder recreates the stream.
-
-    ``module`` is imported before lookup so pool workers that never
-    imported the registering module (e.g. ``repro.core.survey``) still
-    resolve the builder.  ``kwargs`` is a tuple of ``(key, value)``
-    pairs, keeping the spec hashable and pickle-stable.
-    """
-
-    builder: str
-    module: str
-    kwargs: tuple[tuple[str, object], ...] = ()
-
-    def arguments(self) -> dict[str, object]:
-        return dict(self.kwargs)
-
-
-def register_stream_builder(
-    name: str, fn: Callable[..., "TargetStream"]
-) -> Callable[..., "TargetStream"]:
-    """Register ``fn(world, **kwargs) -> TargetStream`` under ``name``."""
-    _STREAM_BUILDERS[name] = fn
-    return fn
-
-
-def make_spec(builder: str, module: str, **kwargs) -> StreamSpec:
-    return StreamSpec(
-        builder=builder, module=module, kwargs=tuple(sorted(kwargs.items()))
-    )
-
-
-def build_stream(spec: StreamSpec, world: "World") -> "TargetStream":
-    """Rebuild the stream a spec describes against a world."""
-    if spec.builder not in _STREAM_BUILDERS:
-        importlib.import_module(spec.module)
-    try:
-        builder = _STREAM_BUILDERS[spec.builder]
-    except KeyError:
-        raise ValueError(
-            f"no stream builder registered as {spec.builder!r}"
-        ) from None
-    return builder(world, **spec.arguments())
-
-
-# --------------------------------------------------------------------- #
 # target streams
 # --------------------------------------------------------------------- #
 
@@ -203,8 +138,7 @@ class TargetStream(Sequence):
 
     ``buffered`` reports how many target values the stream currently
     holds in memory (the telemetry ``targets_buffered`` gauge); fully
-    computable streams report 0.  ``spec()`` returns a picklable rebuild
-    recipe when the stream has one; checkpoint journals store it.
+    computable streams report 0.
 
     Slice contract (uniform across every implementation, pinned by the
     strategy contract suite): ``stream[i:j:k]`` returns a plain
@@ -238,51 +172,14 @@ class TargetStream(Sequence):
         """Target values currently resident in memory."""
         return len(self)
 
-    def spec(self) -> StreamSpec | None:
-        """Picklable provenance, or None when the stream is data-only."""
+    def spec(self) -> None:
+        """Always None: a stream is its data, never a recipe.  Kept
+        because the end-to-end benchmark's tracer (``trace.py``) calls it
+        and replays a shard from ``list(targets)`` when it returns None."""
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, n={len(self)})"
-
-
-class ListStream(TargetStream):
-    """A stream over an already-materialised target list."""
-
-    __slots__ = ("name", "subnet_length", "targets", "_spec")
-
-    def __init__(
-        self,
-        targets: Sequence[int],
-        *,
-        name: str = "targets",
-        subnet_length: int | None = None,
-        spec: StreamSpec | None = None,
-    ) -> None:
-        self.targets = targets
-        self.name = name
-        self.subnet_length = subnet_length
-        self._spec = spec
-
-    def __len__(self) -> int:
-        return len(self.targets)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            # Arbitrary Sequence backings (TargetList included) may hand
-            # back their own container type; the slice contract says list.
-            selected = self.targets[index]
-            return selected if isinstance(selected, list) else list(selected)
-        return self.targets[index]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.targets)
-
-    def gather(self, indexes: Iterable[int]) -> list[int]:
-        return list(map(self.targets.__getitem__, indexes))
-
-    def spec(self) -> StreamSpec | None:
-        return self._spec
 
 
 class LazyStream(TargetStream):
@@ -313,7 +210,6 @@ class LazyStream(TargetStream):
         "_consumed",
         "_released",
         "_after",
-        "_spec",
     )
 
     def __init__(
@@ -323,7 +219,6 @@ class LazyStream(TargetStream):
         name: str = "targets",
         subnet_length: int | None = None,
         after: "LazyStream | None" = None,
-        spec: StreamSpec | None = None,
     ) -> None:
         self.name = name
         self.subnet_length = subnet_length
@@ -332,7 +227,6 @@ class LazyStream(TargetStream):
         self._consumed = False
         self._released = False
         self._after = after
-        self._spec = spec
 
     # -- realisation machinery -- #
 
@@ -383,18 +277,12 @@ class LazyStream(TargetStream):
     def buffered(self) -> int:
         return len(self._targets) if self._targets is not None else 0
 
-    def spec(self) -> StreamSpec | None:
-        return self._spec
-
     def __reduce__(self):
         # The factory (a closure, often over a shared RNG) cannot cross a
         # process boundary; the targets it produced can.
-        return partial(
-            ListStream,
-            name=self.name,
-            subnet_length=self.subnet_length,
-            spec=self._spec,
-        ), (self._realise(),)
+        from .targets import TargetList  # targets imports this module
+
+        return TargetList, (self.name, self._realise(), self.subnet_length)
 
 
 class SubnetPartitionStream(TargetStream):
@@ -448,86 +336,6 @@ class SubnetPartitionStream(TargetStream):
     @property
     def buffered(self) -> int:
         return 0
-
-    def spec(self) -> StreamSpec | None:
-        return make_spec(
-            "subnet-partition",
-            __name__,
-            network=self.prefix.network,
-            prefix_length=self.prefix.length,
-            subnet_length=self.subnet_length,
-            name=self.name,
-        )
-
-
-def _build_subnet_partition(world, **kwargs) -> SubnetPartitionStream:
-    return SubnetPartitionStream(
-        IPv6Prefix(kwargs["network"], kwargs["prefix_length"]),
-        kwargs["subnet_length"],
-        name=kwargs.get("name"),
-    )
-
-
-register_stream_builder("subnet-partition", _build_subnet_partition)
-
-
-class PermutedStream(TargetStream):
-    """A lazy view of another stream in zmap's cyclic-permutation order.
-
-    Iteration walks the multiplicative group with O(1) state.  Indexing
-    seeks the permutation (O(1) when the group prime is ``size + 1``,
-    amortised-sequential otherwise — see
-    :meth:`repro.addr.permutation.CyclicPermutation.__getitem__`).
-    """
-
-    __slots__ = ("name", "subnet_length", "source", "permutation")
-
-    def __init__(self, source: TargetStream | Sequence[int], seed: int) -> None:
-        self.source = source
-        size = len(source)
-        if size == 0:
-            raise ValueError("cannot permute an empty stream")
-        self.permutation = CyclicPermutation(size, seed=seed)
-        self.name = f"{getattr(source, 'name', 'targets')}~perm"
-        self.subnet_length = getattr(source, "subnet_length", None)
-
-    def __len__(self) -> int:
-        return len(self.source)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._slice(index)
-        return self.source[self.permutation[index]]
-
-    def __iter__(self) -> Iterator[int]:
-        source = self.source
-        return (source[index] for index in self.permutation)
-
-    @property
-    def buffered(self) -> int:
-        return stream_buffered(self.source)
-
-
-def as_stream(
-    targets,
-    *,
-    name: str | None = None,
-    subnet_length: int | None = None,
-) -> TargetStream:
-    """Coerce lists, TargetLists, iterables, or streams to a stream."""
-    if isinstance(targets, TargetStream):
-        return targets
-    inferred_name = name or getattr(targets, "name", None) or "targets"
-    inferred_length = (
-        subnet_length
-        if subnet_length is not None
-        else getattr(targets, "subnet_length", None)
-    )
-    if not isinstance(targets, Sequence):
-        targets = list(targets)
-    return ListStream(
-        targets, name=inferred_name, subnet_length=inferred_length
-    )
 
 
 def scannable(targets):

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..addr.ipv6 import AddressError, IPv6Prefix, format_address, parse_address
 from ..addr.partition import (
@@ -26,11 +26,13 @@ from ..addr.partition import (
 from ..bgp.table import BGPTable
 from ..hitlist.hitlist import Hitlist
 from ..irr.database import IRRDatabase
+from .stream import TargetStream
 
 
 @dataclass(slots=True)
-class TargetList:
-    """A named, ordered, deduplicated list of probe targets."""
+class TargetList(TargetStream):
+    """A named, ordered, deduplicated list of probe targets — the stream
+    over an already-materialised list."""
 
     name: str
     targets: list[int] = field(default_factory=list)
@@ -39,13 +41,19 @@ class TargetList:
     def __len__(self) -> int:
         return len(self.targets)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[int]:
         return iter(self.targets)
 
     def __getitem__(self, index: "int | slice") -> "int | list[int]":
-        # Slices return a plain list, matching the TargetStream contract
-        # (ListStream wraps TargetLists directly, so both must agree).
+        if isinstance(index, slice):
+            # A non-list backing (a tuple, a range) slices to its own
+            # type; the TargetStream slice contract says list.
+            selected = self.targets[index]
+            return selected if isinstance(selected, list) else list(selected)
         return self.targets[index]
+
+    def gather(self, indexes: Iterable[int]) -> list[int]:
+        return list(map(self.targets.__getitem__, indexes))
 
     def head(self, k: int) -> "TargetList":
         """The first ``k`` targets in list order.
@@ -102,7 +110,8 @@ class TargetList:
         name: str | None = None,
         subnet_length: int | None = None,
     ) -> "TargetList":
-        """Read one address per line; blanks and ``#`` comments ignored.
+        """Read one address per line; blanks and ``#`` comments (whole
+        line or trailing) ignored, duplicates dropped (first wins).
 
         A malformed line raises :class:`AddressError` carrying the file
         path, line number, *and* the offending line text.
@@ -110,8 +119,8 @@ class TargetList:
 
         def parsed(handle) -> Iterable[int]:
             for line_number, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
+                text = line.split("#", 1)[0].strip()
+                if not text:
                     continue
                 try:
                     yield parse_address(text)

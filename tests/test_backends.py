@@ -26,7 +26,7 @@ from repro.scanner.backends import (
 )
 from repro.scanner.checkpoint import config_key
 from repro.scanner.cli import main as scan_main
-from repro.scanner.records import records_jsonl
+from repro.scanner.records import ScanResult, records_jsonl
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
 from repro.telemetry.scan import UNMATCHED_REPLIES_TOTAL, ScanTelemetry
@@ -240,6 +240,56 @@ class TestCliValidation:
             capsys,
             "unsharded",
         )
+
+    # The three --targets-file failures of a raw scan all exit before any
+    # socket opens, so they run wherever raw sockets do not.
+    RAW = ["--backend", "raw", "--i-am-authorized", "--targets-file"]
+
+    def test_unreadable_targets_file(self, capsys, tmp_path):
+        self._check(
+            [*self.RAW, str(tmp_path / "missing.txt")],
+            capsys,
+            "cannot read --targets-file",
+        )
+
+    def test_bad_targets_file_line_names_path_and_line(self, capsys, tmp_path):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("::1  # loopback\n\nnot-an-address\n")
+        self._check(
+            [*self.RAW, str(targets)], capsys, f"{targets}:3: 'not-an-address'"
+        )
+
+    def test_empty_targets_file_exits_1(self, capsys, tmp_path):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("# nothing to probe\n\n")
+        assert scan_main([*self.RAW, str(targets)]) == 1
+        err = capsys.readouterr().err
+        assert err == "sra-scan: --targets-file has no targets\n"
+
+    def test_duplicate_targets_are_probed_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The file reads through ``TargetList.load``: a duplicate drops
+        (first wins) before the scanner sees it, and the summary counts
+        distinct targets.  The scanner is stubbed: no socket opens."""
+        scanned = []
+
+        class RecordingScanner:
+            def __init__(self, backend, config, telemetry=None):
+                pass
+
+            def scan(self, targets, *, name, epoch):
+                scanned.extend(targets)
+                return ScanResult(name=name, epoch=epoch, sent=len(targets))
+
+        monkeypatch.setattr(
+            "repro.scanner.cli.ZMapV6Scanner", RecordingScanner
+        )
+        targets = tmp_path / "targets.txt"
+        targets.write_text("::2\n::1  # loopback\n::0:2\n")
+        assert scan_main([*self.RAW, str(targets)]) == 0
+        assert scanned == [2, 1]
+        assert "targets    : 2 (raw backend)" in capsys.readouterr().out
 
     def test_targets_file_requires_raw(self, capsys, tmp_path):
         targets = tmp_path / "targets.txt"

@@ -203,8 +203,9 @@ class TestCorruptionDetection:
 
     # v1 journals pickled histogram sums as Fractions; today's scaled-int
     # accumulator must never be added to one, so they are refused too.  v2
-    # journals pickled a metrics registry into every shard's telemetry.
-    @pytest.mark.parametrize("schema", [1, 2, CHECKPOINT_SCHEMA_VERSION + 1])
+    # journals pickled a metrics registry into every shard's telemetry, v3
+    # ones the target stream's rebuild recipe.
+    @pytest.mark.parametrize("schema", [1, 2, 3, CHECKPOINT_SCHEMA_VERSION + 1])
     def test_schema_skew(self, tmp_path, schema):
         assert schema != CHECKPOINT_SCHEMA_VERSION
         path = self._saved(tmp_path)
@@ -334,18 +335,22 @@ class TestCLIExitCodes:
         assert "truncated" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_v2_checkpoint_exits_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("schema", [2, 3])
+    def test_stale_schema_checkpoint_exits_4(self, tmp_path, capsys, schema):
         from repro.scanner.cli import main
 
-        path = tmp_path / "v2.ckpt"
+        path = tmp_path / f"v{schema}.ckpt"
         save_checkpoint(make_checkpoint(), path)
         raw = bytearray(path.read_bytes())
-        struct.pack_into(">I", raw, 8, 2)
+        struct.pack_into(">I", raw, 8, schema)
         path.write_bytes(bytes(raw))
         code = main(self._scan_args(path))
         captured = capsys.readouterr()
         assert code == 4
-        assert "uses checkpoint schema v2; this build speaks v3" in captured.err
+        assert (
+            f"uses checkpoint schema v{schema}; this build speaks v4"
+            in captured.err
+        )
         assert captured.err.count("\n") == 1
 
     def test_mismatched_checkpoint_exits_4(self, tmp_path, capsys):

@@ -489,7 +489,6 @@ class TestAdaptiveStrategyFaults:
         assert resumed.feedback_state() == clean.feedback_state()
         assert resumed.feedback_state()  # the scan actually taught it
         assert list(resumed.window(1)) == list(clean.window(1))
-        assert resumed.window_spec(1) == clean.window_spec(1)
 
     def test_interrupted_race_resumes_to_identical_table(
         self, tiny_world, tmp_path

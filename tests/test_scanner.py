@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.addr.ipv6 import format_address
 from repro.packet.icmpv6 import ICMPv6Type
 from repro.scanner.records import (
     ScanRecord,
@@ -282,17 +283,27 @@ class TestTargetListIO:
         from repro.scanner.targets import TargetList
 
         path = tmp_path / "t.txt"
-        path.write_text("# header\n2001:db8::\n\n2001:db8::\n2001:db9::\n")
-        loaded = TargetList.load(path)
-        assert len(loaded) == 2
+        path.write_text(
+            "# header\n2001:db9::\n2001:db8::  # trailing comment\n\n"
+            "  # indented\n2001:db9:0::0 # again\n::1\n"
+        )
+        # Duplicates are dropped, the first occurrence keeping its place.
+        assert [format_address(t) for t in TargetList.load(path)] == [
+            "2001:db9::",
+            "2001:db8::",
+            "::1",
+        ]
 
     def test_load_reports_bad_line(self, tmp_path):
         from repro.addr.ipv6 import AddressError
         from repro.scanner.targets import TargetList
 
         path = tmp_path / "bad.txt"
-        path.write_text("2001:db8::\nnot-an-address\n")
         # The error must carry the file, the line number, and the
-        # offending line text itself.
-        with pytest.raises(AddressError, match=r"bad\.txt:2: 'not-an-address'"):
-            TargetList.load(path)
+        # offending line text itself (less any trailing comment).
+        for bad in ("not-an-address", "not-an-address  # with a comment"):
+            path.write_text(f"2001:db8::\n{bad}\n")
+            with pytest.raises(
+                AddressError, match=r"bad\.txt:2: 'not-an-address'"
+            ):
+                TargetList.load(path)

@@ -35,13 +35,10 @@ from repro.scanner.sharded import (
     scan_shard,
 )
 from repro.scanner import sharded as sharded_module
-from repro.scanner import stream as stream_module
 from repro.scanner.stream import (
     IndexWindow,
     LazyStream,
     SubnetPartitionStream,
-    make_spec,
-    register_stream_builder,
     shard_positions,
 )
 from repro.scanner.targets import (
@@ -332,10 +329,10 @@ class TestDeterminism:
         )
         assert merged.records == serial.records
 
-    def test_process_pool_scan_of_spec_carrying_stream_equals_serial(
+    def test_process_pool_scan_of_lazy_input_set_equals_serial(
         self, tiny_world
     ):
-        """A spec-carrying stream scans through a process pool to the
+        """A lazy CLI input set scans through a process pool to the
         results of a serial scan of the materialised list (how it crosses
         the pool is ``TestTargetTransport``'s business)."""
         from repro.scanner.cli import build_targets
@@ -343,7 +340,6 @@ class TestDeterminism:
         stream = build_targets(
             tiny_world, "bgp-48", max_targets=400, seed=21
         )
-        assert stream.spec() is not None
         serial = serial_scan(
             tiny_world, list(stream), epoch=1, pps=50_000.0
         )
@@ -381,8 +377,8 @@ class TestDeterminism:
 
 class TestTargetTransport:
     """A process pool receives the stream itself — inherited by fork,
-    pickled otherwise — never its recipe: no worker re-runs a generator
-    whose output the parent already holds."""
+    pickled otherwise: no worker re-runs a generator whose output the
+    parent already holds."""
 
     CONFIG = ScanConfig(pps=50_000.0, seed=5)
 
@@ -390,22 +386,6 @@ class TestTargetTransport:
     def partition(self, tiny_world):
         prefix = tiny_world.bgp.prefixes()[0]
         return SubnetPartitionStream(prefix, min(64, prefix.length + 9))
-
-    @pytest.fixture
-    def builder_calls(self, partition, tmp_path):
-        """Registers a stream builder that rebuilds ``partition`` and logs
-        each call — to a file, since it runs in pool workers.  Yields a
-        function returning the calls so far."""
-        log = tmp_path / "builder-calls"
-
-        def build(world):
-            with open(log, "a") as handle:
-                handle.write(f"{os.getpid()}\n")
-            return SubnetPartitionStream(partition.prefix, partition.subnet_length)
-
-        register_stream_builder("counted-test-set", build)
-        yield lambda: log.read_text().split() if log.exists() else []
-        del stream_module._STREAM_BUILDERS["counted-test-set"]
 
     def _process_scan(self, world, targets):
         runner = ShardedScanRunner(world, shards=2, executor="process")
@@ -416,34 +396,35 @@ class TestTargetTransport:
         assert merged.sent == serial.sent
         assert merged.engine_stats == serial.engine_stats
 
+    # spawn and forkserver (the Linux default from Python 3.14) pickle a
+    # pool's initargs; fork lets the workers inherit them.
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_realised_stream_ships_its_data(
-        self, tiny_world, partition, builder_calls
+        self, tiny_world, partition, tmp_path, monkeypatch, start_method
     ):
-        stream = LazyStream(
-            lambda: list(partition),
-            name="counted",
-            subnet_length=partition.subnet_length,
-            spec=make_spec("counted-test-set", __name__),
-        )
-        self._process_scan(tiny_world, stream)
-        assert builder_calls() == []
-
-    def test_closure_backed_stream_crosses_a_spawned_pool(
-        self, tiny_world, partition, monkeypatch
-    ):
-        """spawn and forkserver (the Linux default from Python 3.14) pickle
-        a pool's initargs; a realised ``LazyStream`` pickles as its data,
-        whatever closure produced it."""
+        """The factory — a closure, logging its pid to a file since it
+        would run in a worker if a worker ever called it — runs exactly
+        once, in this process, however the workers start."""
         monkeypatch.setattr(
             sharded_module,
             "ProcessPoolExecutor",
             partial(
                 ProcessPoolExecutor,
-                mp_context=multiprocessing.get_context("spawn"),
+                mp_context=multiprocessing.get_context(start_method),
             ),
         )
-        stream = LazyStream(lambda: list(partition), name="closure")
+        log = tmp_path / "factory-calls"
+
+        def factory():
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return list(partition)
+
+        stream = LazyStream(
+            factory, name="counted", subnet_length=partition.subnet_length
+        )
         self._process_scan(tiny_world, stream)
+        assert log.read_text().split() == [str(os.getpid())]
 
     def test_computable_stream_scans_in_place(self, tiny_world, partition):
         assert partition.buffered == 0
@@ -468,6 +449,32 @@ class TestShardPrimitives:
         assert outcome.stats.suppressed_errors == 0
         times = [time for time, _ in outcome.checks]
         assert times == sorted(times)
+
+    def test_scan_shard_reads_a_stream_like_its_list(
+        self, tiny_world, stress_targets
+    ):
+        """``targets`` is data in either form: a ``TargetList`` shard scans
+        to the outcome of the plain list it holds."""
+        outcomes = [
+            scan_shard(
+                tiny_world,
+                ScanConfig(pps=200_000.0, seed=5),
+                targets,
+                name="scan",
+                epoch=2,
+                shard=1,
+                shards=2,
+            )
+            for targets in (
+                stress_targets,
+                TargetList("scan", list(stress_targets)),
+            )
+        ]
+        plain, stream = outcomes
+        assert plain.result.records  # the shard got replies to compare
+        assert stream.result.records == plain.result.records
+        assert stream.checks == plain.checks
+        assert stream.stats == plain.stats
 
     def test_merge_applies_rate_limit(self, tiny_world, stress_targets):
         outcomes = [

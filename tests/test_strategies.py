@@ -134,9 +134,13 @@ class TestAdaptiveFeedback:
         assert cold.feedback_state() == taught.feedback_state()
         assert list(cold.window(1)) == list(taught.window(1))
 
-    def test_window_spec_carries_feedback(self, tiny_world):
-        """The spec a pool worker receives embeds the evolved state."""
-        from repro.scanner.stream import build_stream
+    def test_evolved_window_ships_as_data(self, tiny_world):
+        """What a pool worker receives for an evolved window is the window
+        itself — a ``TargetList`` that pickles to the same targets — and a
+        fresh strategy restored from the feedback state rebuilds it."""
+        import pickle
+
+        from repro.scanner.targets import TargetList
 
         runner = ShardedScanRunner(tiny_world, shards=1, executor="serial")
         strategy = build_strategy(
@@ -145,14 +149,19 @@ class TestAdaptiveFeedback:
         result = runner.scan(
             strategy.window(0),
             ScanConfig(pps=10_000.0, seed=5),
-            name="spec-feedback",
+            name="window-feedback",
             epoch=4200,
         )
         strategy.observe(result.records)
         window = strategy.window(1)
-        spec = window.spec()
-        assert spec.arguments()["feedback"] == strategy.feedback_state()
-        assert list(build_stream(spec, tiny_world)) == list(window)
+        assert type(window) is TargetList
+        clone = pickle.loads(pickle.dumps(window))
+        assert clone == window
+        fresh = build_strategy(
+            "hitlist-feedback", tiny_world, seed=5, budget=200
+        )
+        fresh.restore(strategy.feedback_state())
+        assert fresh.window(1) == window
 
 
 class TestEntropyUnits:

@@ -1,13 +1,12 @@
-"""Streaming pipeline tests: target streams, specs, windows, and sinks.
+"""Streaming pipeline tests: target streams, windows, and sinks.
 
 The load-bearing invariants:
 
 * concatenating any shard-window split of the permuted visit order
   reproduces the serial order exactly (hypothesis property — this is
   what makes sharded streaming bit-identical to serial scans),
-* ``CyclicPermutation`` indexing agrees with its iteration order,
 * lazy streams realise shared-RNG predecessors in build order, and
-  specs rebuild byte-identical streams in a fresh context,
+  cross a process boundary as the targets they realised,
 * save → load → stream round-trips through RFC 5952 formatting,
 * sinks see exactly the records a buffered scan would keep.
 """
@@ -28,17 +27,15 @@ from repro.scanner.stream import (
     IndexWindow,
     JsonlSink,
     LazyStream,
-    ListStream,
     MemorySink,
-    PermutedStream,
     RecordSink,
-    StreamSpec,
     SubnetPartitionStream,
+    TargetStream,
     TeeSink,
-    as_stream,
-    build_stream,
-    make_spec,
+    gather_targets,
+    scannable,
     shard_positions,
+    shard_window,
     stream_buffered,
 )
 from repro.scanner.targets import TargetList, hitlist_slash64_targets
@@ -81,38 +78,28 @@ class TestShardWindows:
         second = [i for _, i in shard_positions(size, seed=seed, epoch=7)]
         assert sorted(first) == sorted(second) == list(range(size))
 
+    @given(sizes, seeds, shard_counts, st.integers(min_value=0, max_value=50))
+    @settings(max_examples=40, deadline=None)
+    def test_permuted_windows_step_through_the_cyclic_walk(
+        self, size, seed, shards, epoch
+    ):
+        """Serial slot ``p`` visits step ``p`` of the epoch's cyclic walk,
+        so shard ``s`` of ``n`` takes every ``n``-th step from ``s`` — read
+        in walk order, never by seeking into the permutation."""
+        walk = list(CyclicPermutation(size, seed=seed ^ epoch))
+        for shard in range(shards):
+            positions, indexes = shard_window(
+                size, seed=seed, epoch=epoch, window=IndexWindow(shard, shards)
+            )
+            assert positions == range(shard, size, shards)
+            assert list(indexes) == walk[shard::shards]
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             list(shard_positions(10, seed=1, window=IndexWindow(3, 3)))
 
     def test_empty_stream_yields_nothing(self):
         assert list(shard_positions(0, seed=1)) == []
-
-
-class TestCyclicPermutationIndexing:
-    @given(sizes, seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_getitem_matches_iteration(self, size, seed):
-        permutation = CyclicPermutation(size, seed=seed)
-        expected = list(permutation)
-        # Forward, repeated, and backwards seeks all agree.
-        assert [permutation[k] for k in range(size)] == expected
-        assert permutation[size - 1] == expected[-1]
-        assert permutation[0] == expected[0]
-        assert permutation[-1] == expected[-1]
-
-    def test_value_at_is_the_raw_walk(self):
-        permutation = CyclicPermutation(100, seed=3)
-        assert permutation.value_at(0) == permutation.start
-        step = (permutation.start * permutation.generator) % permutation.prime
-        assert permutation.value_at(1) == step
-        with pytest.raises(IndexError):
-            permutation.value_at(-1)
-
-    def test_out_of_range(self):
-        permutation = CyclicPermutation(10, seed=3)
-        with pytest.raises(IndexError):
-            permutation[10]
 
 
 class TestRoundTrip:
@@ -129,8 +116,7 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("targets") / "t.txt"
         original = TargetList(name="rt", targets=list(dict.fromkeys(addresses)))
         original.save(path)
-        loaded = TargetList.load(path)
-        stream = as_stream(loaded)
+        stream = TargetList.load(path)
         assert list(stream) == original.targets
         assert [parse_address(format_address(t)) for t in stream] == list(stream)
 
@@ -138,7 +124,7 @@ class TestRoundTrip:
         targets = hitlist_slash64_targets(tiny_hitlist, max_targets=64)
         path = tmp_path / "h.txt"
         targets.save(path)
-        stream = as_stream(TargetList.load(path, subnet_length=64))
+        stream = TargetList.load(path, subnet_length=64)
         assert stream.name == "h"
         assert stream.subnet_length == 64
         assert list(stream) == targets.targets
@@ -199,26 +185,18 @@ class TestLazyStream:
     @pytest.mark.parametrize("touch_first", [True, False])
     def test_pickles_as_its_data(self, touch_first):
         """The factory is a closure and cannot cross a process boundary
-        (spawn/forkserver pickle a pool's initargs); the targets can, with
-        everything a worker or a journal reads off the stream."""
-        spec = make_spec("some-builder", "some.module", budget=3)
-        stream = LazyStream(
-            lambda: [3, 1, 2], name="lazy", subnet_length=48, spec=spec
-        )
+        (spawn/forkserver pickle a pool's initargs); the targets can, as a
+        ``TargetList`` with everything a worker reads off the stream."""
+        stream = LazyStream(lambda: [3, 1, 2], name="lazy", subnet_length=48)
         if touch_first:
             assert len(stream) == 3
         clone = pickle.loads(pickle.dumps(stream))
-        assert isinstance(clone, ListStream)
+        assert isinstance(clone, TargetList)
         assert list(clone) == [3, 1, 2]
         assert len(clone) == clone.buffered == 3
         assert clone.name == "lazy"
         assert clone.subnet_length == 48
-        assert clone.spec() == spec
         assert stream.realised  # pickling realises; it never re-runs
-
-    def test_spec_less_stream_pickles_too(self):
-        clone = pickle.loads(pickle.dumps(LazyStream(lambda: [7], name="h")))
-        assert list(clone) == [7] and clone.spec() is None
 
     def test_released_stream_refuses_to_pickle(self):
         stream = LazyStream(lambda: [1, 2], name="once")
@@ -226,6 +204,38 @@ class TestLazyStream:
         stream.release()
         with pytest.raises(RuntimeError, match="released"):
             pickle.dumps(stream)
+
+    def test_survey_input_sets_pickle_as_the_targets_they_realise(
+        self, tiny_world, tiny_hitlist
+    ):
+        """A pool worker receives exactly the targets the parent's lazy
+        chain realises — pickled last set first, the RNG-sharing sets still
+        draw in build order."""
+        config = SurveyConfig(
+            seed=13,
+            slash48_per_prefix=4,
+            max_bgp_48=400,
+            slash64_per_prefix=4,
+            max_bgp_64=300,
+            route6_per_prefix=2,
+            max_route6=300,
+        )
+        expected = {
+            name: list(stream)
+            for name, stream in SRASurvey(tiny_world, tiny_hitlist, config=config)
+            .build_input_sets()
+            .items()
+        }
+        streams = SRASurvey(
+            tiny_world, tiny_hitlist, config=config
+        ).build_input_sets()
+        assert list(streams) == list(expected)
+        for name in reversed(list(streams)):
+            clone = pickle.loads(pickle.dumps(streams[name]))
+            assert type(clone) is TargetList, name
+            assert clone.name == name
+            assert clone.subnet_length == streams[name].subnet_length, name
+            assert list(clone) == expected[name], name
 
 
 class TestComputableStreams:
@@ -247,12 +257,6 @@ class TestComputableStreams:
         with pytest.raises(ValueError):
             SubnetPartitionStream(IPv6Prefix.parse("2001:db8::/64"), 48)
 
-    def test_spec_round_trip(self):
-        stream = SubnetPartitionStream(IPv6Prefix.parse("2001:db8::/40"), 48)
-        rebuilt = build_stream(stream.spec(), world=None)
-        assert list(rebuilt) == list(stream)
-        assert rebuilt.name == stream.name
-
     def test_pickles_as_itself_in_constant_size(self):
         """What a process pool is sent for a computable stream: the object,
         a few hundred bytes at any target count."""
@@ -261,38 +265,58 @@ class TestComputableStreams:
         assert len(stream) == 1 << 32 and len(payload) < 512
         clone = pickle.loads(payload)
         assert type(clone) is SubnetPartitionStream and clone.buffered == 0
-        assert clone.name == stream.name and clone.spec() == stream.spec()
+        assert clone.name == stream.name
         assert len(clone) == len(stream) and clone[-1] == stream[-1]
 
-    def test_permuted_stream_matches_permutation(self):
-        source = ListStream(list(range(100, 150)), name="src")
-        permuted = PermutedStream(source, seed=9)
-        order = list(CyclicPermutation(50, seed=9))
-        assert list(permuted) == [source[i] for i in order]
-        assert [permuted[k] for k in range(8)] == [
-            source[order[k]] for k in range(8)
-        ]
-        assert sorted(permuted) == list(source)
+
+class TestTargetList:
+    """The one list-backed stream: no wrapper or coercion in between."""
+
+    def test_is_a_stream_that_scans_in_place(self):
+        targets = TargetList("t", [5, 6, 7, 8], subnet_length=64)
+        assert isinstance(targets, TargetStream)
+        assert scannable(targets) is targets
+        assert targets.gather([3, 0, 0, 2]) == [8, 5, 5, 7]
+        assert gather_targets(targets, range(2)) == [5, 6]
+        assert targets.buffered == stream_buffered(targets) == 4
+
+    def test_no_stream_carries_a_recipe(self):
+        """``spec()`` lives on the base class alone and answers None for
+        every stream, so the end-to-end tracer replays a shard from the
+        stream's data."""
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        for cls in subclasses(TargetStream):
+            assert "spec" not in vars(cls), cls
+        for stream in (
+            TargetList("t", [1]),
+            LazyStream(lambda: [1], name="l"),
+            SubnetPartitionStream(IPv6Prefix.parse("2001:db8::/44"), 48),
+        ):
+            assert stream.spec() is None, stream
 
 
 class TestUniformSliceSemantics:
     """Regression: every TargetStream slices like a plain list.
 
     ``stream[i:j:k]`` must return a ``list`` equal to
-    ``list(stream)[i:j:k]`` for every implementation — ListStream used
-    to leak its backing container type (a tuple-backed list sliced to a
-    tuple) and PermutedStream raised ``TypeError`` on slices.
+    ``list(stream)[i:j:k]`` for every implementation — the list-backed
+    stream used to leak its backing container type (a tuple-backed list
+    sliced to a tuple).
     """
 
     def _streams(self):
         source = list(range(100, 140))
         lazy = LazyStream(lambda: list(source), name="lazy")
         return [
-            ListStream(list(source), name="list"),
-            ListStream(tuple(source), name="tuple-backed"),
+            TargetList("list", list(source)),
+            TargetList("tuple-backed", tuple(source)),
             lazy,
             SubnetPartitionStream(IPv6Prefix.parse("2001:db8::/42"), 48),
-            PermutedStream(ListStream(list(source), name="src"), seed=3),
         ]
 
     @pytest.mark.parametrize(
@@ -322,62 +346,7 @@ class TestUniformSliceSemantics:
             assert stream[-1] == realised[-1]
 
 
-class TestSpecs:
-    def test_unknown_builder_raises(self):
-        spec = StreamSpec(builder="nope", module="repro.scanner.stream")
-        with pytest.raises(ValueError, match="nope"):
-            build_stream(spec, world=None)
-
-    def test_make_spec_is_order_stable(self):
-        a = make_spec("b", "m", x=1, y=2)
-        b = make_spec("b", "m", y=2, x=1)
-        assert a == b
-        assert a.arguments() == {"x": 1, "y": 2}
-
-    def test_survey_spec_rebuilds_identical_sets(self, tiny_world, tiny_hitlist):
-        """A pool worker rebuilding an input set from its spec gets the
-        exact targets the parent's lazy chain realises — including the
-        RNG-consuming sets that depend on their predecessors' draws."""
-        config = SurveyConfig(
-            seed=13,
-            slash48_per_prefix=4,
-            max_bgp_48=400,
-            slash64_per_prefix=4,
-            max_bgp_64=300,
-            route6_per_prefix=2,
-            max_route6=300,
-        )
-        survey = SRASurvey(tiny_world, tiny_hitlist, config=config)
-        streams = survey.build_input_sets()
-        for name in ("bgp-plain", "bgp-48", "bgp-64", "route6-64"):
-            spec = streams[name].spec()
-            assert spec is not None, name
-            rebuilt = build_stream(spec, tiny_world)
-            assert list(rebuilt) == list(streams[name]), name
-        # The hitlist set is not world-derivable: no spec, data ships.
-        assert streams["hitlist-64"].spec() is None
-
-    def test_cli_spec_rebuilds_identical_sets(self, tiny_world):
-        from repro.scanner.cli import build_targets
-
-        stream = build_targets(
-            tiny_world, "bgp-48", max_targets=500, seed=21
-        )
-        rebuilt = build_stream(stream.spec(), tiny_world)
-        assert list(rebuilt) == list(stream)
-        assert stream.subnet_length == 48
-
-
-class TestCoercionsAndGauges:
-    def test_as_stream_passthrough_and_wrap(self):
-        stream = ListStream([1, 2], name="s")
-        assert as_stream(stream) is stream
-        wrapped = as_stream([5, 6], name="w")
-        assert list(wrapped) == [5, 6]
-        assert wrapped.name == "w"
-        from_iter = as_stream(iter([7, 8]))
-        assert list(from_iter) == [7, 8]
-
+class TestGauges:
     def test_stream_buffered(self):
         assert stream_buffered([1, 2, 3]) == 3
         assert stream_buffered(SubnetPartitionStream(
