@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 ADDRESS_BITS = 128
 MAX_ADDRESS = (1 << ADDRESS_BITS) - 1
@@ -91,23 +92,21 @@ def split_address(value: int) -> tuple[int, int]:
 
     The columnar probe batches and the shared-memory shard transport
     store addresses as parallel ``array('Q')`` hi/lo columns — machine
-    words instead of arbitrary-precision ints — and this is the one
-    definition of that packing.
+    words instead of arbitrary-precision ints — and this section is the
+    one definition of that packing.
     """
     return value >> 64, value & _WORD_MASK
 
 
-def join_address(hi: int, lo: int) -> int:
-    """Inverse of :func:`split_address`."""
-    return (hi << 64) | lo
+def split_into(values: Sequence[int], hi_out, lo_out) -> None:
+    """Append the hi/lo words of ``values`` to two columns, in bulk."""
+    hi_out.extend(map(int.__rshift__, values, repeat(64)))
+    lo_out.extend(map(int.__and__, values, repeat(_WORD_MASK)))
 
 
-def split_into(values, index_range, hi_out, lo_out) -> None:
-    """Fill hi/lo columns from ``values`` over ``index_range``, in bulk."""
-    for i in index_range:
-        value = values[i]
-        hi_out[i] = value >> 64
-        lo_out[i] = value & _WORD_MASK
+def join_columns(hi: Iterable[int], lo: Iterable[int]) -> Iterator[int]:
+    """The 128-bit ints of hi/lo columns (the inverse of :func:`split_into`)."""
+    return map(int.__or__, map(int.__lshift__, hi, repeat(64)), lo)
 
 
 def network_of(address: int, length: int) -> int:

@@ -47,9 +47,6 @@ class RateLimitEstimate:
     burst: float  # bucket depth estimate
     points: tuple[RatePoint, ...]
 
-    def saturated_points(self) -> list[RatePoint]:
-        return [p for p in self.points if p.pass_fraction < 0.95]
-
 
 def probe_train(
     engine: SimulationEngine,

@@ -12,10 +12,14 @@ Three campaigns over the same subnet population:
   and check whether the *same* router IP answers (Fig. 6b).
 
 Every scan enters through ``runner.scan`` — the ``runner`` passed in, or
-one ``ShardedScanRunner(world, shards=1)`` per campaign, which scans in
-place.  Sharded execution is merge-deterministic, so a runner changes
-wall-clock time only, never the results; crash tolerance (retries,
-journals) is configured on the runner.
+one ``ShardedScanRunner(world, shards=1)`` per campaign.  The three
+campaigns above are sequences of independent scans and hand them to
+``runner.scan_all``: on a one-shard runner whose executor resolves to
+``process`` over the campaign's targets, whole scans run on a worker
+pool and come back through ``runner.scan`` in campaign order; otherwise
+each scans in place, one after another.  Either way, and at any
+shard count, the results are the same bytes — a runner changes wall-clock
+time only; crash tolerance (retries, journals) is configured on it.
 """
 
 from __future__ import annotations
@@ -106,10 +110,11 @@ def run_sra_vs_random(
     series = ComparisonSeries()
     runner = runner or ShardedScanRunner(world, shards=1)
     paced = paced_pps(len(sra_targets), scan_duration, pps)
+    jobs = []
     for epoch in range(epochs):
         rng = random.Random((seed << 8) | epoch)
-        # Lazy and released per epoch: only one epoch's random draw is
-        # ever resident next to the shared SRA list.
+        # Lazy, and released once scanned: only the random draws of the
+        # scans in flight are ever resident next to the shared SRA list.
         random_targets = LazyStream(
             lambda rng=rng: random_targets_for_sras(
                 sra_targets, subnet_length, rng
@@ -117,19 +122,20 @@ def run_sra_vs_random(
             name=f"random-epoch{epoch}",
             subnet_length=subnet_length,
         )
-        for method, targets, bucket in (
-            ("sra", sra_targets, series.sra),
-            ("random", random_targets, series.random),
-        ):
-            result = runner.scan(
-                targets,
-                ScanConfig(pps=paced, seed=seed + epoch, batch_size=batch_size),
-                name=f"{method}-epoch{epoch}",
-                epoch=epoch,
-                telemetry=telemetry,
-            )
-            bucket.append(MethodScan(epoch=epoch, result=result))
-        random_targets.release()
+        config = ScanConfig(pps=paced, seed=seed + epoch, batch_size=batch_size)
+        jobs += [
+            (sra_targets, config, f"sra-epoch{epoch}", epoch),
+            (random_targets, config, f"random-epoch{epoch}", epoch),
+        ]
+    # strict: once the jobs run out, zip still draws scan_all to its end.
+    for (targets, _, _, epoch), result in zip(
+        jobs, runner.scan_all(jobs, telemetry=telemetry), strict=True
+    ):
+        if targets is sra_targets:
+            series.sra.append(MethodScan(epoch=epoch, result=result))
+        else:
+            series.random.append(MethodScan(epoch=epoch, result=result))
+            targets.release()
     return series
 
 
@@ -189,15 +195,16 @@ def run_visibility(
     ordered = sorted(router_ips)
     runner = runner or ShardedScanRunner(world, shards=1)
     paced = paced_pps(len(ordered), scan_duration, pps)
-    for day in range(days):
-        epoch = epoch_base + day
-        result = runner.scan(
+    jobs = [
+        (
             ordered,
             ScanConfig(pps=paced, seed=seed + day, batch_size=batch_size),
-            name=f"direct-day{day}",
-            epoch=epoch,
-            telemetry=telemetry,
+            f"direct-day{day}",
+            epoch_base + day,
         )
+        for day in range(days)
+    ]
+    for result in runner.scan_all(jobs, telemetry=telemetry):
         # Count a router visible only if it answered from the probed address.
         responsive = {
             record.source
@@ -254,14 +261,16 @@ def run_stability(
     report = StabilityReport()
     runner = runner or ShardedScanRunner(world, shards=1)
     paced = paced_pps(len(sra_targets), scan_duration, pps)
-    for epoch in range(epochs):
-        result = runner.scan(
+    jobs = [
+        (
             sra_targets,
             ScanConfig(pps=paced, seed=seed + epoch, batch_size=batch_size),
-            name=f"stability-{epoch}",
-            epoch=epoch,
-            telemetry=telemetry,
+            f"stability-{epoch}",
+            epoch,
         )
+        for epoch in range(epochs)
+    ]
+    for epoch, result in enumerate(runner.scan_all(jobs, telemetry=telemetry)):
         mapping = result.target_to_source()
         if epoch == 0:
             report.baseline = mapping

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from ..addr.ipv6 import split_into
 from ..packet.icmpv6 import ICMPv6Type, TimeExceededCode, UnreachableCode
 from ..topology.entities import (
     AliasRegion,
@@ -264,14 +263,6 @@ class ProbeColumns:
     def source(self, i: int) -> int:
         """The reply source address of row ``i`` as a 128-bit int."""
         return (self.source_hi[i] << 64) | self.source_lo[i]
-
-    def target_pairs(self) -> tuple[array, array]:
-        """The batch targets as hi/lo ``array('Q')`` int-pair columns —
-        the packing the shared-memory shard transport ships."""
-        hi = array("Q", bytes(8 * self.n))
-        lo = array("Q", bytes(8 * self.n))
-        split_into(self.targets, range(self.n), hi, lo)
-        return hi, lo
 
 
 class SimulationEngine:

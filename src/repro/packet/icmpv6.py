@@ -76,10 +76,6 @@ class ICMPv6Message:
     def is_error(self) -> bool:
         return self.type.is_error
 
-    @property
-    def is_echo_reply(self) -> bool:
-        return self.type is ICMPv6Type.ECHO_REPLY
-
     def encode(self, src: int, dst: int) -> bytes:
         """Serialise with a valid checksum over the IPv6 pseudo-header."""
         if self.type in (ICMPv6Type.ECHO_REQUEST, ICMPv6Type.ECHO_REPLY):

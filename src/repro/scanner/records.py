@@ -11,9 +11,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..addr.ipv6 import format_address
+from ..addr.ipv6 import format_address, join_columns, split_into
 from ..atomicio import atomic_write_text
 from ..packet.icmpv6 import ICMPv6Type
 
@@ -102,10 +102,10 @@ class RecordColumns:
     """A list of :class:`ScanRecord` rows as packed parallel columns.
 
     Addresses are int-pair (hi, lo) ``array('Q')`` columns; the small
-    fields are machine-width arrays.  This is the wire layout of the
-    shared-memory shard transport (:mod:`repro.scanner.shmring`): every
-    column exposes a flat buffer, so a shard can hand its records to the
-    merge process without pickling a single Python object per row.
+    fields are machine-width arrays.  This is the wire layout of shard
+    frames (:mod:`repro.scanner.shmring`) and of whole scans a campaign
+    pool ships home: flat buffers, so a worker hands its records over
+    without pickling a single Python object per row.
 
     ``from_records`` / ``to_records`` round-trip exactly — field for
     field, including ``count`` and the full float ``time``.
@@ -160,26 +160,28 @@ class RecordColumns:
             time[i] = record.time
         return cols
 
-    def to_records(self) -> list[ScanRecord]:
-        target_hi = self.target_hi
-        target_lo = self.target_lo
-        source_hi = self.source_hi
-        source_lo = self.source_lo
-        icmp_type = self.icmp_type
-        code = self.code
-        count = self.count
-        time = self.time
-        return [
-            ScanRecord(
-                target=(target_hi[i] << 64) | target_lo[i],
-                source=(source_hi[i] << 64) | source_lo[i],
-                icmp_type=icmp_type[i],
-                code=code[i],
-                count=count[i],
-                time=time[i],
-            )
-            for i in range(len(icmp_type))
-        ]
+    def pack_rows(self, rows: Iterable[int], targets, times, probe) -> None:
+        """Append rows ``rows`` of a probe batch without building a
+        :class:`ScanRecord`: target and time from the batch, the reply
+        from the kernel's result columns (a ``ProbeColumns``)."""
+        rows = list(rows)
+        hits = list(map(targets.__getitem__, rows))
+        split_into(hits, self.target_hi, self.target_lo)
+        for name in ("source_hi", "source_lo", "icmp_type", "code", "count"):
+            getattr(self, name).extend(map(getattr(probe, name).__getitem__, rows))
+        self.time.extend(map(times.__getitem__, rows))
+
+    def to_records(self, intern: "dict[int, int] | None" = None) -> list[ScanRecord]:
+        """The rows as records; with ``intern``, every address is the int
+        object it holds for that value (added on first sight)."""
+        targets = join_columns(self.target_hi, self.target_lo)
+        sources = join_columns(self.source_hi, self.source_lo)
+        if intern is not None:
+            share = intern.setdefault
+            targets = [share(value, value) for value in targets]
+            sources = [share(value, value) for value in sources]
+        columns = (self.icmp_type, self.code, self.count, self.time)
+        return list(map(ScanRecord, targets, sources, *columns))
 
 
 @dataclass(slots=True)

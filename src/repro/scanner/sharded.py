@@ -24,16 +24,18 @@ suppressed and the same counters come out.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import signal
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from ..netsim.engine import EngineStats, SimulationEngine
 
@@ -67,7 +69,7 @@ from .checkpoint import (
     snapshot_telemetry,
     target_fingerprint,
 )
-from .records import ScanResult, merge_results
+from .records import RecordColumns, ScanResult, merge_results
 from .shmring import (
     RingHandle,
     RingStats,
@@ -437,7 +439,9 @@ def _release_ring_frame(future: Future) -> None:
 # ---------------------------------------------------------------------- #
 
 _WORKER_WORLD: World | None = None
-_WORKER_TARGETS: Sequence[int] | None = None
+# Target lists the pool's tasks name by index: the one list a shard pool
+# splits, or the lists several scans of a campaign share.
+_WORKER_TARGETS: tuple[Sequence[int], ...] = ()
 
 # The parent names the ring frames (pid, scan number, shard, attempt): one
 # worker dying takes every sibling's RingHandle down with the pool, and
@@ -449,18 +453,45 @@ def _frame_name(scan: str, shard: int, attempt: int) -> str:
     return f"{scan}-{shard}-{attempt}"
 
 
-def _init_worker(world: "World | WorldRef", targets: Sequence[int]) -> None:
+def _init_worker(world: "World | WorldRef", targets: tuple[Sequence[int], ...]) -> None:
     global _WORKER_WORLD, _WORKER_TARGETS
     if isinstance(world, WorldRef):
         world = resolve_world_ref(world)
     _WORKER_WORLD = world
     _WORKER_TARGETS = targets
+    # The world and the lists live as long as the worker: keep the
+    # collector from walking them on every full collection (and from
+    # dirtying their copy-on-write pages under fork).
+    gc.freeze()
+
+
+def _scanner_in_place(world: World, config: ScanConfig, epoch: int, **telemetry):
+    """The scanner of a one-shard scan run in place, in any process."""
+    return ZMapV6Scanner(
+        SimulationEngine(world, epoch=epoch),
+        replace(config, shard=0, shards=1),
+        **telemetry,
+    )
+
+
+def _worker_scan(targets, config: ScanConfig, name: str, epoch: int, capture: bool):
+    """One whole scan in place in a pool worker (``targets``: the targets,
+    or the index of shared ones): its result, reply rows packed instead of
+    records, and the capture and resilience the parent adopts it with."""
+    if isinstance(targets, int):
+        targets = _WORKER_TARGETS[targets]
+    scanner = _scanner_in_place(
+        _WORKER_WORLD, config, epoch, capture_telemetry=capture
+    )
+    columns = RecordColumns.empty()
+    result = scanner.scan(targets, name=name, epoch=epoch, columns=columns)
+    return result, columns, scanner.last_capture, scanner.last_resilience
 
 
 def _worker_scan_shard(config: ScanConfig, scan: str, **kwargs) -> ShardOutcome:
     """:func:`scan_shard` against this worker's world and targets."""
-    assert _WORKER_WORLD is not None and _WORKER_TARGETS is not None
-    outcome = scan_shard(_WORKER_WORLD, config, _WORKER_TARGETS, **kwargs)
+    assert _WORKER_WORLD is not None
+    outcome = scan_shard(_WORKER_WORLD, config, _WORKER_TARGETS[0], **kwargs)
     # Ship the records and checks through a shared-memory frame instead of
     # the pool's pickled-result channel; on platforms without shared
     # memory this no-ops and the ordinary pickle return does the job.
@@ -539,6 +570,8 @@ class ShardedScanRunner:
         # this runner executes (exported as a CI artifact by smoke-perf).
         self.ring_stats = RingStats()
         self._interrupted = False
+        # ((name, epoch), future, intern) of the scan scan_all hands out next.
+        self._prefetched: tuple | None = None
 
     def request_interrupt(self) -> None:
         """Ask a multi-shard scan to stop after the in-flight round,
@@ -594,21 +627,20 @@ class ShardedScanRunner:
         chaos = chaos if chaos is not None else self.chaos
         target_list = scannable(targets)
         checkpoint_path = self._checkpoint_path(checkpoint, name, epoch)
-        if (
-            self.shards == 1
-            and checkpoint_path is None
-            and self.max_shard_retries == 0
-            and chaos is None
-        ):
-            # Nothing to merge, journal, retry or inject: scan in place,
-            # which is also what streams a sink batch by batch.
-            engine = SimulationEngine(self.world, epoch=epoch)
-            scanner = ZMapV6Scanner(
-                engine,
-                replace(config, shard=0, shards=1),
-                telemetry=effective,
+        if self._in_place(checkpoint_path, chaos):
+            # Scan in place, which is also what streams a sink batch by
+            # batch — or adopt the very scan scan_all ran in a worker.
+            scanner = _scanner_in_place(
+                self.world, config, epoch, telemetry=effective
             )
-            return scanner.scan(target_list, name=name, epoch=epoch, sink=sink)
+            if self._prefetched is None:
+                return scanner.scan(target_list, name=name, epoch=epoch, sink=sink)
+            job, future, intern = self._prefetched
+            self._prefetched = None
+            assert job == (name, epoch) and sink is None, "scan_all's job order"
+            result, columns, capture, resilience = future.result()
+            result.records += columns.to_records(intern)
+            return scanner.adopt(target_list, result, capture, resilience)
         before = self.ring_stats.as_dict()
         try:
             return self._scan_shards(
@@ -635,6 +667,75 @@ class ShardedScanRunner:
                     epoch=epoch,
                     stats={key: after[key] - before[key] for key in after},
                 )
+
+    def scan_all(
+        self,
+        jobs: "Sequence[tuple[Sequence[int], ScanConfig, str, int]]",
+        telemetry: ScanTelemetry | None = None,
+    ) -> Iterator[ScanResult]:
+        """Scan independent jobs ``(targets, config, name, epoch)``, each
+        result handed out by :meth:`scan` and yielded in job order (a
+        job's targets may be released once its result is yielded).
+
+        When each scan would run in place and the executor resolves to
+        ``process`` over the campaign's targets, whole scans run ahead on
+        a pool of ``min(auto_shard_count(), len(jobs))`` workers, at most
+        two per worker in flight, and ``scan`` adopts each result — the
+        very scan it would have run, so the same bytes by construction.
+        The pool is joined before this returns; ``serial`` never forks.
+        """
+        jobs = list(jobs)
+        # A lazy stream counts once realised: len() would realise it.
+        size = sum(stream_buffered(targets) for targets, *_ in jobs)
+        pool = None
+        if (
+            jobs
+            and self._in_place(self.checkpoint_dir, self.chaos)
+            and self._resolve_executor(size) == "process"
+        ):
+            # Lists cross once per worker, in the initializer (free under
+            # fork), and tasks name them by index; streams go with a task.
+            shared = {id(t): t for t, *_ in jobs if isinstance(t, list)}
+            slots = {key: index for index, key in enumerate(shared)}
+            workers = min(auto_shard_count(), len(jobs))
+            capture = telemetry is not None or self.telemetry is not None
+            # The address ints every record the campaign rebuilds shares.
+            intern: dict[int, int] = {}
+            pool = ProcessPoolExecutor(
+                workers,
+                initializer=_init_worker,
+                initargs=(world_payload(self.world), tuple(shared.values())),
+            )
+            pending: deque[Future] = deque()
+            upcoming = iter(jobs)
+        try:
+            for targets, config, name, epoch in jobs:
+                if pool is not None:
+                    for payload, *task in itertools.islice(
+                        upcoming, 2 * workers - len(pending)
+                    ):
+                        len(payload)  # realised here, not in the feeder thread
+                        payload = slots.get(id(payload), payload)
+                        pending.append(
+                            pool.submit(_worker_scan, payload, *task, capture)
+                        )
+                    self._prefetched = (name, epoch), pending.popleft(), intern
+                yield self.scan(
+                    targets, config, name=name, epoch=epoch, telemetry=telemetry
+                )
+        finally:
+            self._prefetched = None
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+
+    def _in_place(self, journal: "Path | None", chaos: ChaosEngine | None) -> bool:
+        """Whether a scan has nothing to merge, journal, retry or inject."""
+        return (
+            self.shards == 1
+            and journal is None
+            and self.max_shard_retries == 0
+            and chaos is None
+        )
 
     def _resolve_executor(self, size: int) -> str:
         if self.executor != "auto":
@@ -890,7 +991,7 @@ class ShardedScanRunner:
             # The stream itself: inherited under fork, pickled otherwise —
             # a computable one as a few hundred bytes, a realised one as
             # its list, never as a recipe to re-run.
-            initargs=(world_payload(self.world), target_list),
+            initargs=(world_payload(self.world), (target_list,)),
         )
         futures: dict[Future, int] = {
             pool.submit(

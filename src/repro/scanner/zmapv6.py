@@ -52,7 +52,7 @@ from .backends import (
     build_backend,
     make_backend_spec,
 )
-from .records import ScanRecord, ScanResult
+from .records import RecordColumns, ScanRecord, ScanResult
 from .stream import (
     IndexWindow,
     RecordSink,
@@ -191,6 +191,7 @@ class ZMapV6Scanner:
         self.last_capture: ShardTelemetry | None = None
         self._capture: ShardTelemetry | None = None
         self._deliver: Callable[[list[ScanRecord]], None] | None = None
+        self._pack: RecordColumns | None = None
 
     def scan(
         self,
@@ -199,6 +200,7 @@ class ZMapV6Scanner:
         name: str = "scan",
         epoch: int | None = None,
         sink: RecordSink | None = None,
+        columns: RecordColumns | None = None,
     ) -> ScanResult:
         """Probe every target once; returns the matched reply records.
 
@@ -210,7 +212,9 @@ class ZMapV6Scanner:
         has any, instead of buffering in ``result.records``
         (``result.records_streamed`` counts them); everything else —
         counters, telemetry events, metrics — is byte-identical to the
-        buffered path.
+        buffered path.  With ``columns`` (and no sink) a columnar scan
+        packs its matched rows there instead of building records, as a
+        pool worker ships a scan home; other backends fill the records.
         """
         config = self.config
         backend = self.backend
@@ -234,17 +238,9 @@ class ZMapV6Scanner:
             capture = ShardTelemetry()
             collector = HotPathCollector()
             if self.telemetry is not None:
-                self.telemetry.scan_started(
-                    scan=name,
-                    epoch=result.epoch,
-                    targets=len(target_list),
-                    shards=config.shards,
-                    pps=config.pps,
-                )
-                self.telemetry.backend_selected(
-                    scan=name, epoch=result.epoch, backend=backend.name
-                )
+                self._scan_started(result, len(target_list))
         self._capture = capture
+        self._pack = columns
         if sink is None:
             self._deliver = result.records.extend
         else:
@@ -272,6 +268,7 @@ class ZMapV6Scanner:
                 backend.telemetry = None
             self._capture = None
             self._deliver = None
+            self._pack = None
         result.sent = sent
         result.duration = (last_position + 1) / config.pps if sent else 0.0
         result.engine_stats = replace(backend.stats)
@@ -289,19 +286,48 @@ class ZMapV6Scanner:
             if self.telemetry is not None:
                 # Records a sink took are already folded in, batch by
                 # batch, and result.records is empty: this adds the stats.
-                populate_registry(registry, result.engine_stats, result.records)
-                self.telemetry.scan_closed(
-                    scan=name,
-                    epoch=result.epoch,
-                    result=result,
-                    capture=capture,
-                    registry=registry,
-                    backend=backend.name,
-                    targets_buffered=stream_buffered(target_list),
-                    resilience=[(config.shard, self.last_resilience)],
-                    warnings=backend.pop_warnings(),
-                )
+                self._scan_closed(result, registry, target_list)
         return result
+
+    def adopt(self, targets, result: ScanResult, capture, resilience) -> ScanResult:
+        """Finish ``result``, the scan of ``targets`` a twin of this
+        scanner ran with capture on in a pool worker, as :meth:`scan`
+        would have: the same telemetry, from the twin's ``capture`` and
+        ``resilience`` delta."""
+        self.last_capture = capture
+        self.last_resilience = resilience
+        if self.telemetry is not None:
+            self._scan_started(result, len(targets))
+            self._scan_closed(result, MetricsRegistry(), targets)
+        return result
+
+    def _scan_started(self, result: ScanResult, targets: int) -> None:
+        self.telemetry.scan_started(
+            scan=result.name,
+            epoch=result.epoch,
+            targets=targets,
+            shards=self.config.shards,
+            pps=self.config.pps,
+        )
+        self.telemetry.backend_selected(
+            scan=result.name, epoch=result.epoch, backend=self.backend.name
+        )
+
+    def _scan_closed(
+        self, result: ScanResult, registry: MetricsRegistry, targets: Sequence[int]
+    ) -> None:
+        populate_registry(registry, result.engine_stats, result.records)
+        self.telemetry.scan_closed(
+            scan=result.name,
+            epoch=result.epoch,
+            result=result,
+            capture=self.last_capture,
+            registry=registry,
+            backend=self.backend.name,
+            targets_buffered=stream_buffered(targets),
+            resilience=[(self.config.shard, self.last_resilience)],
+            warnings=self.backend.pop_warnings(),
+        )
 
     def _chunks(
         self, target_list: Sequence[int]
@@ -405,13 +431,15 @@ class ZMapV6Scanner:
         chunking is invisible in the results (the determinism regression
         tests pin this).  Each batch reuses one :class:`ProbeColumns`
         buffer; :class:`ScanRecord` rows are built straight from the
-        packed columns, so the per-probe dataclasses never exist here.
+        packed columns (or the reply rows copied column to column, when
+        the scan packs), so the per-probe dataclasses never exist here.
         """
         config = self.config
         backend = self.backend
         hop_limit = config.hop_limit
         probe_columns = backend.probe_columns
         deliver = self._deliver
+        pack = self._pack
         capture = self._capture
         every = config.progress_every if capture is not None else 0
         progress = (0, 0, 0, 0)
@@ -438,7 +466,9 @@ class ZMapV6Scanner:
             icmp_col = cols.icmp_type
             code_col = cols.code
             count_col = cols.count
-            batch = [
+            if pack is not None:
+                pack.pack_rows(compress(range(n), replied), targets, times, cols)
+            elif batch := [
                 ScanRecord(
                     target=targets[offset],
                     source=(source_hi[offset] << 64) | source_lo[offset],
@@ -448,8 +478,7 @@ class ZMapV6Scanner:
                     time=times[offset],
                 )
                 for offset in compress(range(n), replied)
-            ]
-            if batch:
+            ]:
                 deliver(batch)
             if every:
                 progress = self._capture_batch_progress(

@@ -1,5 +1,7 @@
 """Tests for the core contribution: alias filter, survey, method comparisons."""
 
+from functools import partial
+
 import pytest
 
 from repro.core.aliasfilter import filter_aliased, is_self_reply
@@ -265,8 +267,9 @@ def _split_invariant(events):
 
 class TestCampaignsEnterThroughTheRunner:
     """Every campaign scan goes through ``ShardedScanRunner.scan``: with
-    no runner a campaign builds a one-shard one, so the three ways to run
-    a scan — in place, and as serial deferred shards here — agree."""
+    no runner a campaign builds a one-shard one, so the ways to run a
+    scan — in place, as serial deferred shards, and prefetched whole on a
+    pool — agree."""
 
     CAMPAIGNS = {
         "sra-vs-random": lambda world, targets, ips, **kw: run_sra_vs_random(
@@ -286,23 +289,29 @@ class TestCampaignsEnterThroughTheRunner:
         ),
     }
 
-    @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
-    def test_no_runner_one_shard_and_four_serial_shards_agree(
-        self, tiny_world, tiny_hitlist, campaign
-    ):
+    @pytest.fixture
+    def run(self, tiny_world, tiny_hitlist):
+        """``run(campaign, runner)``: the campaign's value and telemetry."""
         targets = tiny_hitlist.unique_slash64s()[:600]
         ips = {
             subnet.router_interface
             for subnet in list(tiny_world.subnets.values())[:300]
         }
 
-        def run(runner):
+        def run(campaign, runner):
             telemetry = ScanTelemetry()
             value = self.CAMPAIGNS[campaign](
                 tiny_world, targets, ips, runner=runner, telemetry=telemetry
             )
             return _campaign_value(value), telemetry
 
+        return run
+
+    @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+    def test_no_runner_one_shard_and_four_serial_shards_agree(
+        self, tiny_world, run, campaign
+    ):
+        run = partial(run, campaign)
         bare, bare_telemetry = run(None)
         one, one_telemetry = run(ShardedScanRunner(tiny_world, shards=1))
         four, four_telemetry = run(
@@ -316,6 +325,34 @@ class TestCampaignsEnterThroughTheRunner:
         assert _split_invariant(four_telemetry.events) == _split_invariant(
             bare_telemetry.events
         )
+
+    @pytest.mark.parametrize("campaign", ["sra-vs-random", "stability", "visibility"])
+    def test_scans_fanned_out_to_a_pool_agree(
+        self, tiny_world, run, campaign, monkeypatch
+    ):
+        """A one-shard process runner prefetches these campaigns' whole
+        scans on a pool and hands them out through ``runner.scan``: the
+        values and both telemetry exports are the in-place run's bytes."""
+        from repro.scanner import sharded
+
+        run = partial(run, campaign)
+        bare, bare_telemetry = run(None)
+        pools = []
+
+        class CountingPool(sharded.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sharded, "ProcessPoolExecutor", CountingPool)
+        fanned, fanned_telemetry = run(
+            ShardedScanRunner(tiny_world, shards=1, executor="process")
+        )
+        assert len(pools) == 1
+        assert fanned == bare
+        assert fanned_telemetry.to_jsonl() == bare_telemetry.to_jsonl()
+        assert fanned_telemetry.to_prometheus() == bare_telemetry.to_prometheus()
+        assert fanned_telemetry.to_ops_jsonl() == bare_telemetry.to_ops_jsonl()
 
     @pytest.mark.parametrize(
         "campaign",

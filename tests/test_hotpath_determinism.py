@@ -376,6 +376,16 @@ class TestFig5Determinism:
         sharded = self._series_snapshots(tiny_world, sra_targets, runner=runner)
         assert sharded == serial
 
+    def test_fanned_out_matches_serial(self, tiny_world, sra_targets):
+        """Whole scans prefetched on a process pool: every scan's records
+        and EngineStats are the in-place scan's."""
+        serial = self._series_snapshots(tiny_world, sra_targets)
+        runner = ShardedScanRunner(tiny_world, shards=1, executor="process")
+        fanned = self._series_snapshots(tiny_world, sra_targets, runner=runner)
+        assert len(fanned) == 4
+        for got, want in zip(fanned, serial, strict=True):
+            assert got == want
+
 
 class TestTable2Determinism:
     """Table 2 survey: discovered router-IP sets and EngineStats are

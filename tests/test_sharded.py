@@ -905,6 +905,130 @@ class TestJournallessFailures:
         ).records
 
 
+class TestCampaignFanOut:
+    """``scan_all`` prefetches a campaign's whole scans on a pool and
+    hands each out through ``ShardedScanRunner.scan``: the contract the
+    end-to-end benchmark's tracer (which wraps that method at class
+    level) and the campaigns' memory bounds rely on, and its failure
+    paths."""
+
+    EPOCHS = 6
+
+    @pytest.fixture(scope="class")
+    def sra_targets(self, tiny_hitlist):
+        return tiny_hitlist.unique_slash64s()[:500]
+
+    def test_one_scan_call_per_scan_in_campaign_order(
+        self, tiny_world, sra_targets, monkeypatch
+    ):
+        from repro.core import probing
+
+        def snapshot(result):
+            return result.name, result.epoch, result.records, result.engine_stats
+
+        serial = probing.run_sra_vs_random(
+            tiny_world, sra_targets, epochs=self.EPOCHS
+        )
+        expected = [
+            snapshot(scan.result)
+            for pair in zip(serial.sra, serial.random)
+            for scan in pair
+        ]
+
+        streams = []
+
+        class TrackedStream(LazyStream):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                streams.append(self)
+
+            def _realise(self):
+                targets = super()._realise()
+                peak.append(sum(stream.realised for stream in streams))
+                return targets
+
+        peak = []
+        calls = []
+        real_scan = ShardedScanRunner.scan
+
+        def traced_scan(self, targets, config=None, **kwargs):
+            result = real_scan(self, targets, config, **kwargs)
+            # What the tracer does once the call has returned: list the
+            # targets (a released stream would raise here).
+            calls.append((snapshot(result), len(list(targets))))
+            return result
+
+        monkeypatch.setattr(probing, "LazyStream", TrackedStream)
+        monkeypatch.setattr(ShardedScanRunner, "scan", traced_scan)
+        runner = ShardedScanRunner(tiny_world, shards=1, executor="process")
+        probing.run_sra_vs_random(
+            tiny_world, sra_targets, epochs=self.EPOCHS, runner=runner
+        )
+        assert [call[0] for call in calls] == expected
+        assert [listed for _, listed in calls] == [len(sra_targets)] * len(expected)
+        workers = min(auto_shard_count(), 2 * self.EPOCHS)
+        assert len(streams) == self.EPOCHS
+        assert 0 < max(peak) <= 2 * workers
+        assert not any(stream.realised for stream in streams)
+
+    def test_worker_exception_surfaces_with_its_type(self, tiny_world, sra_targets):
+        from repro.core.probing import run_stability
+
+        before = shm_segments()
+        runner = ShardedScanRunner(tiny_world, shards=1, executor="process")
+        with pytest.raises(InjectedCrash, match="poisoned target index"):
+            run_stability(
+                tiny_world, PoisonedTargets(sra_targets), epochs=3, runner=runner
+            )
+        assert multiprocessing.active_children() == []
+        assert shm_segments() == before
+
+    def test_pool_is_joined_when_the_campaign_returns(self, tiny_world, sra_targets):
+        from repro.core.probing import run_visibility
+
+        before = shm_segments()
+        runner = ShardedScanRunner(tiny_world, shards=1, executor="process")
+        run_visibility(tiny_world, set(sra_targets), days=3, runner=runner)
+        assert multiprocessing.active_children() == []
+        assert shm_segments() == before
+
+    def test_jobs_over_several_lists_scan_their_own_targets(
+        self, tiny_world, sra_targets
+    ):
+        """Several lists reach the workers through the initializer; each
+        job scans its own, so the results are the serial loop's."""
+        lists = [sra_targets[:200], sra_targets[200:], sra_targets[100:300]]
+        jobs = [
+            (targets, ScanConfig(pps=50_000.0, seed=epoch), f"job{epoch}", epoch)
+            for epoch, targets in enumerate(lists * 2)
+        ]
+
+        def scanned(executor):
+            runner = ShardedScanRunner(tiny_world, shards=1, executor=executor)
+            return [
+                (result.name, result.records, result.engine_stats)
+                for result in runner.scan_all(jobs)
+            ]
+
+        assert scanned("process") == scanned("serial")
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_serial_executor_never_forks(
+        self, tiny_world, sra_targets, monkeypatch, shards
+    ):
+        from repro.core.probing import run_sra_vs_random, run_stability
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("executor='serial' built a process pool")
+
+        monkeypatch.setattr(sharded_module, "ProcessPoolExecutor", refuse)
+        runner = ShardedScanRunner(tiny_world, shards=shards, executor="serial")
+        run_sra_vs_random(tiny_world, sra_targets, epochs=2, runner=runner)
+        run_stability(tiny_world, sra_targets, epochs=2, runner=runner)
+
+
 class TestSurveyParallel:
     def test_sharded_survey_matches_serial(self, tiny_world):
         hitlist = harvest_hitlist(tiny_world, seed=97)
