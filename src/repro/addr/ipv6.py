@@ -81,21 +81,12 @@ def prefix_mask(length: int) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# int-pair (hi, lo) columns
+# int-pair (hi, lo) columns — the one definition of how the columnar probe
+# batches and the shared-memory shard transport pack addresses: parallel
+# array('Q') hi/lo words instead of arbitrary-precision ints.
 # ---------------------------------------------------------------------- #
 
 _WORD_MASK = (1 << 64) - 1
-
-
-def split_address(value: int) -> tuple[int, int]:
-    """A 128-bit address as a ``(hi, lo)`` pair of 64-bit words.
-
-    The columnar probe batches and the shared-memory shard transport
-    store addresses as parallel ``array('Q')`` hi/lo columns — machine
-    words instead of arbitrary-precision ints — and this section is the
-    one definition of that packing.
-    """
-    return value >> 64, value & _WORD_MASK
 
 
 def split_into(values: Sequence[int], hi_out, lo_out) -> None:

@@ -16,7 +16,7 @@ from ..hitlist.hitlist import Hitlist
 from ..scanner.backends import RetryPolicy
 from ..scanner.pacing import paced_pps
 from ..scanner.records import ScanResult
-from ..scanner.sharded import ShardedScanRunner
+from ..scanner.sharded import EXECUTORS, ShardedScanRunner
 from ..scanner.stream import LazyStream, TargetStream
 from ..scanner.targets import (
     bgp_plain_targets,
@@ -113,6 +113,10 @@ class SurveyConfig:
             raise ValueError(f"pps must be positive, got {self.pps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.shards < 1 or self.max_shard_retries < 0:
+            raise ValueError("shards must be >= 1 and max_shard_retries >= 0")
+        if self.parallel not in EXECUTORS:
+            raise ValueError(f"parallel must be one of {'/'.join(EXECUTORS)}")
         self.resilience_policy()  # RetryPolicy rejects bad knobs here
 
     def resilience_policy(self) -> RetryPolicy | None:

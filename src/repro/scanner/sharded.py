@@ -153,6 +153,8 @@ PROCESS_POOL_THRESHOLD = 16_384
 # Ceiling of the exponential backoff between shard retry rounds, seconds.
 SHARD_BACKOFF_CAP = 5.0
 
+EXECUTORS = ("auto", "process", "serial")
+
 
 def auto_shard_count(limit: int = 8) -> int:
     """A sensible default shard count for this machine."""
@@ -434,8 +436,8 @@ def _release_ring_frame(future: Future) -> None:
 # ---------------------------------------------------------------------- #
 # process-pool plumbing: ship world + targets once per worker, not once
 # per shard task.  Artifact-backed worlds don't ship at all — the
-# initializer receives a WorldRef (path + fingerprint, O(KB) pickled) and
-# each worker mmaps the artifact, sharing its pages with every sibling.
+# initializer receives a WorldRef (path + fingerprint, O(KB) pickled): a
+# forked worker adopts the parent's loaded world, a spawned one maps the file.
 # ---------------------------------------------------------------------- #
 
 _WORKER_WORLD: World | None = None
@@ -541,8 +543,8 @@ class ShardedScanRunner:
         chaos: ChaosEngine | None = None,
         sleep: "Callable[[float], None]" = time.sleep,
     ) -> None:
-        if executor not in ("auto", "process", "serial"):
-            raise ValueError("executor must be one of auto/process/serial")
+        if executor not in EXECUTORS:
+            raise ValueError(f"executor must be one of {'/'.join(EXECUTORS)}")
         if max_shard_retries < 0:
             raise ValueError("max_shard_retries must be >= 0")
         self.world = world

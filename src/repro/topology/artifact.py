@@ -20,8 +20,8 @@ walls:
   mmap — every shard worker shares the same physical pages.
 * :class:`WorldRef` is the O(KB) worker bootstrap: the sharded runner
   ships ``(path, fingerprint)`` instead of the pickled world and each
-  worker resolves it through a per-process cache
-  (:func:`resolve_world_ref`).
+  worker resolves it to the world already loaded from that path — the
+  parent's own under fork — or maps the file (:func:`resolve_world_ref`).
 
 File layout (all little-endian, sections 8-byte aligned)::
 
@@ -919,8 +919,12 @@ class LazySubnetMap(Mapping):
 
 
 def load_world_artifact(path: str | Path) -> World:
-    """Memory-map an artifact and return its (lazy, read-only) world."""
+    """Memory-map an artifact and return its (lazy, read-only) world — from
+    now on :func:`resolve_world_ref`'s for ``path``, here and in forked
+    children, which inherit what it decoded.  The world the path held is
+    dropped first, so that the collections this load triggers free it."""
     path = Path(path)
+    _RESOLVED.pop(str(path), None)
     reader = _ArtifactReader(path)
     small = reader.small
     bgp = small["bgp"]
@@ -942,6 +946,7 @@ def load_world_artifact(path: str | Path) -> World:
         artifact_fingerprint=reader.fingerprint,
     )
     world.resolution = FrozenLPM(reader.resolution_rows(world))  # type: ignore[assignment]
+    _RESOLVED[str(path)] = world
     return world
 
 
@@ -950,9 +955,9 @@ class WorldRef:
     """O(KB) world bootstrap for shard workers: path + fingerprint.
 
     The sharded runner ships this instead of the pickled world; workers
-    resolve it through :func:`resolve_world_ref`, which mmaps the
-    artifact once per process — the OS page cache shares the physical
-    pages across every worker on the host.
+    resolve it through :func:`resolve_world_ref` — forked ones to the world
+    their parent loaded, spawned ones by mapping the artifact, whose pages
+    the OS page cache shares across every worker on the host.
     """
 
     path: str
@@ -963,11 +968,8 @@ _RESOLVED: dict[str, World] = {}
 
 
 def resolve_world_ref(ref: WorldRef) -> World:
-    """Per-process memoised artifact load, with fingerprint verification."""
-    world = _RESOLVED.get(ref.path)
-    if world is None:
-        world = load_world_artifact(ref.path)
-        _RESOLVED[ref.path] = world
+    """The world loaded from ``ref.path`` (or loaded now), fingerprint-checked."""
+    world = _RESOLVED.get(str(Path(ref.path))) or load_world_artifact(ref.path)
     if (
         ref.fingerprint is not None
         and world.artifact_fingerprint != ref.fingerprint

@@ -9,10 +9,15 @@ records, telemetry, and Prometheus text regardless of representation or
 shard count.
 """
 
+import multiprocessing
 import pickle
+import random
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
+from repro.scanner import sharded as sharded_module
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.targets import bgp_slash48_targets
 from repro.scanner.zmapv6 import ScanConfig
@@ -20,6 +25,7 @@ from repro.telemetry.scan import ScanTelemetry
 from repro.topology.artifact import (
     ArtifactError,
     WorldRef,
+    build_fingerprint,
     load_world_artifact,
     resolve_world_ref,
     save_world,
@@ -57,6 +63,13 @@ SUBNET_FIELDS = (
     "flaky",
     "death_epoch",
 )
+
+
+def _worker_world_state():
+    """Pool task: identity and materialised-subnet count of the world the
+    worker's initializer resolved."""
+    world = sharded_module._WORKER_WORLD
+    return id(world), len(world.subnets._reader._subnet_cache)
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +115,6 @@ class TestRoundTrip:
         assert artifact_world.artifact_fingerprint is not None
 
     def test_resolution_matches(self, tiny_world, artifact_world):
-        import random
-
         rng = random.Random(3)
         probes = [rng.getrandbits(128) for _ in range(500)]
         probes += [s.sra_address for s in tiny_world.subnets.values()]
@@ -236,14 +247,72 @@ class TestWorkerBootstrap:
         assert world_payload(tiny_world) is tiny_world
 
     def test_resolve_world_ref_memoises(self, artifact_world):
+        """The memo is the loaded world itself, not a second load."""
         ref = world_payload(artifact_world)
-        first = resolve_world_ref(ref)
-        assert resolve_world_ref(ref) is first
+        assert resolve_world_ref(ref) is artifact_world
+        assert resolve_world_ref(ref) is artifact_world
 
     def test_fingerprint_mismatch_is_refused(self, artifact_world):
         ref = WorldRef(artifact_world.artifact_path, b"\0" * 32)
         with pytest.raises(ArtifactError):
             resolve_world_ref(ref)
+
+    def test_forked_worker_adopts_the_loaded_world(self, artifact_world):
+        """A fork-context worker resolves the WorldRef to the parent's very
+        world object, with the entities the parent already decoded."""
+        next(iter(artifact_world.subnets.values()))  # decode one subnet
+        decoded = len(artifact_world.subnets._reader._subnet_cache)
+        assert decoded > 0
+        with ProcessPoolExecutor(
+            1,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=sharded_module._init_worker,
+            initargs=(world_payload(artifact_world), ()),
+        ) as pool:
+            state = pool.submit(_worker_world_state).result()
+        assert state == (id(artifact_world), decoded)
+
+    def test_rebuilt_artifact_refuses_the_old_fingerprint(self, tiny_world, tmp_path):
+        """Loading an artifact rebuilt at the same path from another config
+        replaces the loaded world, so a ref to the old one is refused."""
+        path = tmp_path / "rebuilt.sraw"
+        fingerprint = build_fingerprint(tiny_config(seed=7))
+        old = load_world_artifact(save_world(tiny_world, path, fingerprint=fingerprint))
+        stale = world_payload(old)
+        assert resolve_world_ref(stale) is old
+        new = build_world_artifact(tiny_config(seed=8), path)
+        assert new.artifact_fingerprint != old.artifact_fingerprint
+        with pytest.raises(ArtifactError):
+            resolve_world_ref(stale)
+        assert resolve_world_ref(world_payload(new)) is new
+
+    def test_spawned_worker_maps_the_artifact(self, artifact_world, monkeypatch):
+        """A spawn-context worker inherits nothing: it resolves the WorldRef
+        by mapping the file, and its shards merge to the serial records."""
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            sharded_module,
+            "ProcessPoolExecutor",
+            partial(ProcessPoolExecutor, mp_context=spawn),
+        )
+        targets = list(
+            bgp_slash48_targets(
+                artifact_world.bgp,
+                max_per_prefix=4,
+                max_targets=400,
+                rng=random.Random(3),
+            )
+        )
+        config = ScanConfig(pps=150_000.0, seed=5)
+        serial, spawned = (
+            ShardedScanRunner(artifact_world, shards=shards, executor=executor).scan(
+                targets, config, name="spawned", epoch=1
+            )
+            for shards, executor in ((1, "serial"), (2, "process"))
+        )
+        assert serial.records  # the targets are routed: there are replies
+        assert spawned.records == serial.records
+        assert spawned.engine_stats == serial.engine_stats
 
     def test_missing_artifact_is_a_clear_error(self, tmp_path):
         with pytest.raises(ArtifactError):
@@ -262,8 +331,6 @@ class TestScanByteIdentity:
 
     @pytest.fixture(scope="class")
     def targets(self, tiny_world):
-        import random
-
         return list(
             bgp_slash48_targets(
                 tiny_world.bgp,

@@ -58,6 +58,9 @@ class TestRunnerPlumbing:
             {"backend_retries": -1},
             {"backend_timeout": 0.0},
             {"breaker_threshold": 1.5},
+            {"shards": 0},
+            {"parallel": "thread"},
+            {"max_shard_retries": -1},
         ],
     )
     def test_bad_override_fails_at_construction(self, override):
