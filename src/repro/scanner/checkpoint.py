@@ -10,7 +10,7 @@ wastes probe budget).  This module gives
   — the scan's identity (name, epoch, shard count, config key and a
   target fingerprint; the targets themselves are the resuming caller's
   to supply again), every finished :class:`~repro.scanner.sharded.ShardOutcome`
-  (records *and* the deferred rate-limit checks the merge replay needs),
+  (records *and* deferred rate-limit checks, as the ring frame's columns),
   the streaming sink's byte offset, and a snapshot of the shared
   :class:`~repro.telemetry.scan.ScanTelemetry` facade;
 * a resume loads the journal, restores the telemetry snapshot, and
@@ -70,7 +70,9 @@ __all__ = [
 # only (v2 pickled a per-shard metrics registry into it).
 # v4: a ScanCheckpoint has no ``spec`` (v3 pickled the target stream's
 # rebuild recipe, which no code read back).
-CHECKPOINT_SCHEMA_VERSION = 4
+# v5: a journaled ShardOutcome holds its records and checks as the ring
+# frame's columns (v4 pickled one ScanRecord and one tuple per row).
+CHECKPOINT_SCHEMA_VERSION = 5
 
 # 8-byte magic, then schema (u32), payload length (u64), CRC-32 (u32),
 # big-endian, then the pickled payload.
@@ -210,10 +212,6 @@ class ScanCheckpoint:
     @property
     def completed_shards(self) -> list[int]:
         return sorted(self.outcomes)
-
-    @property
-    def remaining_shards(self) -> list[int]:
-        return [s for s in range(self.shards) if s not in self.outcomes]
 
     def validate_resume(
         self,

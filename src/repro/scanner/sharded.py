@@ -33,7 +33,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -76,6 +76,8 @@ from .shmring import (
     RingHandle,
     RingStats,
     drain_outcome,
+    outcome_columns,
+    outcome_rows,
     pack_outcome,
     release_frame,
     release_outcome,
@@ -196,6 +198,20 @@ class ShardOutcome:
     # when the scan ran under a RetryPolicy; None otherwise.  Picklable —
     # the parent folds it into ops telemetry after the merge.
     resilience: "ResilienceStats | None" = None
+
+    def __reduce__(self):
+        # Pickled (pool future, ring fallback, checkpoint journal) as the
+        # ring frame's columns: no ScanRecord or check tuple is pickled.
+        state = {field.name: getattr(self, field.name) for field in fields(self)}
+        state["result"] = replace(self.result, records=[])
+        columns = outcome_columns(self.result.records, state.pop("checks"))
+        return _restore_outcome, (state, *columns)
+
+
+def _restore_outcome(state: dict, *columns) -> ShardOutcome:
+    records, checks = outcome_rows(*columns)
+    state["result"].records = records
+    return ShardOutcome(checks=checks, **state)
 
 
 def scan_shard(
@@ -539,8 +555,8 @@ def _worker_scan_shard(targets, config: ScanConfig, scan: str, **kwargs) -> Shar
     assert _WORKER_WORLD is not None
     outcome = scan_shard(_WORKER_WORLD, config, _worker_targets(targets), **kwargs)
     # Ship the records and checks through a shared-memory frame instead of
-    # the pool's pickled-result channel; on platforms without shared
-    # memory this no-ops and the ordinary pickle return does the job.
+    # the pool's pickled-result channel; without shared memory this no-ops
+    # and the pickled return carries the same columns (ShardOutcome.__reduce__).
     pack_outcome(outcome, _frame_name(scan, kwargs["shard"], kwargs["attempt"]))
     return outcome
 

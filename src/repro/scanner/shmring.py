@@ -1,18 +1,15 @@
 """Zero-copy shared-memory transport for the shard → merge hand-off.
 
-A process-pool shard used to return its :class:`ShardOutcome` through the
-pool's pickled-result channel: every :class:`ScanRecord` and every deferred
-rate-limit check was serialised object-by-object in the worker and rebuilt
-object-by-object in the parent.  At survey scale that pickle traffic rivals
-the scan itself.
-
-This module replaces it with a **shared-memory ring frame**: the worker
-packs its records and checks into flat parallel columns
-(:class:`~repro.scanner.records.RecordColumns` plus two check arrays) and
-memcpys them — one buffer-protocol copy per column, no per-row objects —
-into a single ``multiprocessing.shared_memory`` segment.  What crosses the
-pickle channel is a tiny :class:`RingHandle` claim ticket.  The parent
-attaches, rebuilds the columns straight out of the mapping, and unlinks.
+A pool worker packs its outcome's records and checks into flat parallel
+columns (:class:`~repro.scanner.records.RecordColumns` plus two check
+arrays) and memcpys them — one buffer-protocol copy per column, no per-row
+objects — into a single ``multiprocessing.shared_memory`` segment.  What
+crosses the pickle channel is a tiny :class:`RingHandle` claim ticket.
+The parent attaches, rebuilds the rows straight out of the mapping, and
+unlinks.  The frame's columns are also the pickled and journaled form of
+an outcome (:func:`outcome_columns` / :func:`outcome_rows`): the pool
+future, the pickle fallback below and the checkpoint journal never pickle
+a :class:`ScanRecord` or a check tuple either.
 
 Frame layout (one segment per shard outcome)::
 
@@ -28,10 +25,9 @@ undrained frame when a failure or interrupt means its payload will never
 be merged.
 
 Everything degrades gracefully: when shared memory is unavailable (or a
-segment cannot be created) the outcome simply travels the old pickled
-path, flagged via ``ring_fallback`` so :class:`RingStats` can report it.
-The payload bytes are identical either way — the columns round-trip every
-field exactly — so transport choice never changes a scan's output.
+segment cannot be created) the outcome simply travels the pickled path,
+flagged via ``ring_fallback`` so :class:`RingStats` can report it.  The
+payload is identical either way, so transport never changes the output.
 """
 
 from __future__ import annotations
@@ -39,6 +35,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .records import RecordColumns
@@ -56,6 +53,8 @@ __all__ = [
     "RingHandle",
     "RingStats",
     "drain_outcome",
+    "outcome_columns",
+    "outcome_rows",
     "pack_outcome",
     "release_frame",
     "release_outcome",
@@ -107,20 +106,22 @@ class RingStats:
         }
 
 
+def outcome_columns(records: list, checks: list) -> tuple:
+    """Records and checks as the frame's columns: :class:`RecordColumns`,
+    check times as ``array('d')``, check router ids as ``array('q')``."""
+    times = array("d", map(itemgetter(0), checks))
+    routers = array("q", map(itemgetter(1), checks))
+    return RecordColumns.from_records(records), times, routers
+
+
+def outcome_rows(cols: RecordColumns, times: array, routers: array) -> tuple:
+    """The inverse of :func:`outcome_columns`: records and checks."""
+    return cols.to_records(), list(zip(times, routers))
+
+
 def _columns(cols: RecordColumns, times: array, routers: array) -> tuple:
     """The frame's column order — shared by pack and drain."""
-    return (
-        cols.target_hi,
-        cols.target_lo,
-        cols.source_hi,
-        cols.source_lo,
-        cols.icmp_type,
-        cols.code,
-        cols.count,
-        cols.time,
-        times,
-        routers,
-    )
+    return (*map(cols.__getattribute__, RecordColumns.__slots__), times, routers)
 
 
 def _disinherit(segment) -> None:
@@ -157,10 +158,7 @@ def pack_outcome(outcome: "ShardOutcome", name: str | None = None) -> bool:
         return False
     records = outcome.result.records
     checks = outcome.checks
-    cols = RecordColumns.from_records(records)
-    times = array("d", [check[0] for check in checks])
-    routers = array("q", [check[1] for check in checks])
-    columns = _columns(cols, times, routers)
+    columns = _columns(*outcome_columns(records, checks))
     total = _HEADER.size + sum(
         len(column) * column.itemsize for column in columns
     )
@@ -254,7 +252,7 @@ def _read_frame(handle: RingHandle) -> tuple[list, list[tuple[float, int]]]:
             end = offset + len(view)
             view[:] = buf[offset:end]
             offset = end
-        return cols.to_records(), list(zip(times, routers))
+        return outcome_rows(cols, times, routers)
     finally:
         segment.close()
         try:

@@ -11,9 +11,12 @@ The journal's contract has three parts, each pinned here:
   message and no traceback.
 """
 
+import pickle
 import random
 import struct
 import zlib
+from dataclasses import astuple, fields, replace
+from functools import wraps
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,7 @@ from repro.scanner.checkpoint import (
     snapshot_telemetry,
     target_fingerprint,
 )
+from repro.scanner.records import records_csv
 from repro.scanner.sharded import scan_shard
 from repro.scanner.targets import bgp_plain_targets
 from repro.scanner.zmapv6 import ScanConfig
@@ -53,6 +57,24 @@ def make_checkpoint(**overrides) -> ScanCheckpoint:
     return ScanCheckpoint(**fields)
 
 
+def real_outcome(world):
+    """Shard 1 of 2 of a real scan, with telemetry, records and checks."""
+    targets = bgp_plain_targets(world.bgp, max_targets=2_000)
+    config = ScanConfig(pps=200_000.0, seed=4)
+    outcome = scan_shard(
+        world,
+        config,
+        targets,
+        name="rt",
+        epoch=1,
+        shard=1,
+        shards=2,
+        collect_telemetry=True,
+    )
+    assert outcome.result.records and outcome.checks
+    return targets, config, outcome
+
+
 class TestRoundTrip:
     def test_simple_round_trip(self, tmp_path):
         path = tmp_path / "scan.ckpt"
@@ -62,16 +84,13 @@ class TestRoundTrip:
         assert loaded == checkpoint
 
     def test_round_trip_with_real_outcomes(self, tiny_world, tmp_path):
-        targets = bgp_plain_targets(tiny_world.bgp, max_targets=300)
-        config = ScanConfig(pps=100_000.0, seed=4)
-        outcome = scan_shard(
-            tiny_world,
-            config,
-            targets,
-            name="rt",
-            epoch=1,
-            shard=0,
-            shards=2,
+        targets, config, outcome = real_outcome(tiny_world)
+        telemetry = ScanTelemetry()
+        telemetry.scan_started(
+            scan="rt", epoch=1, targets=len(targets), shards=2, pps=config.pps
+        )
+        telemetry.scan_checkpointed(
+            scan="rt", epoch=1, vtime=1.0, shard=1, completed=1, remaining=1
         )
         checkpoint = make_checkpoint(
             name="rt",
@@ -80,19 +99,31 @@ class TestRoundTrip:
             scan_key=config_key(config),
             target_count=len(targets),
             fingerprint=target_fingerprint(targets),
-            outcomes={0: outcome},
+            outcomes={1: outcome},
             sink_offset=1234,
+            telemetry=snapshot_telemetry(telemetry),
         )
         path = tmp_path / "rt.ckpt"
         save_checkpoint(checkpoint, path)
         loaded = load_checkpoint(path)
-        assert loaded.completed_shards == [0]
-        assert loaded.remaining_shards == [1]
+        assert loaded.completed_shards == [1]
         assert loaded.sink_offset == 1234
-        got = loaded.outcomes[0]
-        assert got.result.records == outcome.result.records
+        got = loaded.outcomes[1]
+        # Field for field: the columns hand back plain ints and floats.
+        assert [astuple(r) for r in got.result.records] == [
+            astuple(r) for r in outcome.result.records
+        ]
         assert got.checks == outcome.checks
-        assert got.stats == outcome.stats
+        assert replace(got.result, records=[]) == replace(
+            outcome.result, records=[]
+        )
+        assert (got.shard, got.shards, got.stats) == (1, 2, outcome.stats)
+        assert got.telemetry == outcome.telemetry
+        restored = ScanTelemetry()
+        restore_telemetry(restored, loaded.telemetry)
+        assert restored.to_jsonl() == telemetry.to_jsonl()
+        assert restored.to_prometheus() == telemetry.to_prometheus()
+        assert restored.to_ops_jsonl() == telemetry.to_ops_jsonl()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -138,6 +169,69 @@ class TestRoundTrip:
         save_checkpoint(make_checkpoint(epoch=4), path)
         assert [p.name for p in tmp_path.iterdir()] == ["scan.ckpt"]
         assert load_checkpoint(path).epoch == 4
+
+
+class TestColumnarOutcomes:
+    """Schema v5: an outcome that leaves the process (journal, pool
+    future, ring fallback) is pickled as the ring frame's columns."""
+
+    def test_payload_is_columns_and_smaller_than_v4(self, tiny_world, tmp_path):
+        _, _, outcome = real_outcome(tiny_world)
+        checkpoint = make_checkpoint(shards=2, outcomes={1: outcome})
+        path = tmp_path / "v5.ckpt"
+        save_checkpoint(checkpoint, path)
+        payload = path.read_bytes()[len(b"SRACKPT\n") + struct.calcsize(">IQI") :]
+        assert b"ScanRecord" not in payload
+        # v4 pickled the outcome's fields as they are: one ScanRecord and
+        # one check tuple per row.
+        v4_style = pickle.dumps(
+            replace(
+                checkpoint,
+                outcomes={
+                    1: {f.name: getattr(outcome, f.name) for f in fields(outcome)}
+                },
+            ),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        assert b"ScanRecord" in v4_style
+        assert len(payload) < len(v4_style)
+
+    def test_ring_fallback_crosses_the_pool_as_columns(
+        self, tiny_world, monkeypatch
+    ):
+        """With no shared memory every shard outcome takes the pickled
+        future; it arrives as columns and merges to the ring's bytes."""
+        from repro.scanner import sharded, shmring
+
+        targets = list(bgp_plain_targets(tiny_world.bgp))[:300]
+        config = ScanConfig(pps=50_000.0, seed=5)
+
+        def run():
+            runner = sharded.ShardedScanRunner(
+                tiny_world, shards=2, executor="process"
+            )
+            result = runner.scan(targets, config, name="scan", epoch=1)
+            return records_csv(result.records), runner.ring_stats
+
+        ring_bytes, ring_stats = run()
+        assert (ring_stats.segments, ring_stats.fallbacks) == (2, 0)
+
+        restored = []
+        restore = sharded._restore_outcome
+
+        @wraps(restore)  # pickled by reference, as the patched name
+        def counting_restore(state, *columns):
+            restored.append(type(columns[0]).__name__)
+            return restore(state, *columns)
+
+        # Forked workers inherit the missing shared memory; the parent
+        # unpickles each future's outcome through the patched restorer.
+        monkeypatch.setattr(shmring, "shared_memory", None)
+        monkeypatch.setattr(sharded, "_restore_outcome", counting_restore)
+        fallback_bytes, fallback_stats = run()
+        assert (fallback_stats.segments, fallback_stats.fallbacks) == (0, 2)
+        assert restored == ["RecordColumns", "RecordColumns"]
+        assert fallback_bytes == ring_bytes
 
 
 class TestTelemetrySnapshot:
@@ -204,8 +298,9 @@ class TestCorruptionDetection:
     # v1 journals pickled histogram sums as Fractions; today's scaled-int
     # accumulator must never be added to one, so they are refused too.  v2
     # journals pickled a metrics registry into every shard's telemetry, v3
-    # ones the target stream's rebuild recipe.
-    @pytest.mark.parametrize("schema", [1, 2, 3, CHECKPOINT_SCHEMA_VERSION + 1])
+    # ones the target stream's rebuild recipe, v4 ones one ScanRecord per
+    # row.
+    @pytest.mark.parametrize("schema", [1, 2, 3, 4, CHECKPOINT_SCHEMA_VERSION + 1])
     def test_schema_skew(self, tmp_path, schema):
         assert schema != CHECKPOINT_SCHEMA_VERSION
         path = self._saved(tmp_path)
@@ -216,8 +311,6 @@ class TestCorruptionDetection:
             load_checkpoint(path)
 
     def test_wrong_payload_type(self, tmp_path):
-        import pickle
-
         payload = pickle.dumps({"not": "a checkpoint"})
         header = b"SRACKPT\n" + struct.pack(
             ">IQI",
@@ -335,7 +428,7 @@ class TestCLIExitCodes:
         assert "truncated" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("schema", [2, 3])
+    @pytest.mark.parametrize("schema", [2, 3, 4])
     def test_stale_schema_checkpoint_exits_4(self, tmp_path, capsys, schema):
         from repro.scanner.cli import main
 
@@ -348,7 +441,7 @@ class TestCLIExitCodes:
         captured = capsys.readouterr()
         assert code == 4
         assert (
-            f"uses checkpoint schema v{schema}; this build speaks v4"
+            f"uses checkpoint schema v{schema}; this build speaks v5"
             in captured.err
         )
         assert captured.err.count("\n") == 1

@@ -286,7 +286,7 @@ class TestInterruptSalvage:
             for event in telemetry.ops_events
             if event["event"] == "scan_checkpointed"
         )
-        assert len(journal.remaining_shards) == interrupted.remaining
+        assert journal.shards - len(journal.completed_shards) == interrupted.remaining
 
     def test_request_interrupt_before_scan(self, tiny_world, fault_targets):
         """A pre-set interrupt flag is cleared at scan start, not obeyed."""
