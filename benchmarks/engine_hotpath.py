@@ -35,10 +35,10 @@ targets cycled up to ``--probes`` (1,745 /64 blocks on the routed
 workload), so after the first pass each LPM lookup is a block-cache *hit*
 — the 8,192-block caches never fill and eviction never runs.  That is how
 ~255 k probes/s here coexisted with 52 k probes/s on a whole survey, whose
-631 k distinct blocks miss on almost every probe.  The miss path — on
-both FIBs the longest row, else one bisect in the flattened ranges of the
-shorter rows; built at construction by ``FrozenLPM``, lazily after a
-mutation by ``LengthIndexedLPM`` — is measured by ``benchmarks/e2e``
+631 k distinct blocks miss on almost every probe.  The miss path — one
+for both FIBs: a hash probe of the longest row (``FrozenLPM``'s through a
+per-process index), else one bisect in the flattened ranges of the
+shorter rows — is measured by ``benchmarks/e2e``
 (``survey_serial`` on the dict FIB, ``survey_sharded`` and ``scan_export``
 on the frozen one) and pinned by ``tests/test_blockcache.py`` and
 ``tests/test_frozenfib.py``.

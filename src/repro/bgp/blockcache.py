@@ -1,4 +1,4 @@
-"""The block-keyed result cache shared by every LPM structure.
+"""The block-keyed result cache and miss path every LPM structure shares.
 
 Two addresses that agree on their top ``k`` bits, where ``k`` is the
 longest stored prefix length (never finer than /48 — the paper's scans
@@ -6,33 +6,33 @@ are /48- and /64-grained, many targets per covering /48), match
 identically at every stored length.  So one cached result, keyed by
 ``address >> block_shift``, answers for the whole covering block.
 
-:class:`BlockCachedLPM` owns that cache once for
+:class:`BlockCachedLPM` owns the cache and the uncached lookup once for
 :class:`~repro.bgp.lpm.LengthIndexedLPM` and
-:class:`~repro.bgp.frozenfib.FrozenLPM`; a structure supplies only
-``_probe(address)``, its own uncached lookup, and calls ``_invalidate`` on
-every mutation, which keeps cached and uncached lookups
-indistinguishable.  On both, ``_probe`` is two operations — a search of
-the longest row (``dict.get`` / key-column bisect), else one
-``bisect_right`` in the flattened ranges of every shorter row — so a miss
-costs about three cached hits (~270 ns of bisect against ~80 ns), which
-is why the cache stays in front even where nearly every lookup misses it.
+:class:`~repro.bgp.frozenfib.FrozenLPM`; a structure supplies only data,
+the ``_miss_path()`` tuple, and calls ``_invalidate`` on every mutation,
+which keeps cached and uncached lookups indistinguishable.  A miss is one
+hash probe of the longest row, else one ``bisect_right`` in the disjoint
+ranges :func:`~repro.bgp.frozenfib.flatten` makes of the shorter rows,
+run inline by ``longest_match_batch`` (no Python call but ``resolve``).
 
-Policy: FIFO in insertion order, evicted an eighth at a time.  A hit is a
-single ``dict.get`` and never reorders anything.  A miss into a full
-cache first drops the oldest ``cache_size // 8`` blocks in one pass, so
-eviction is amortised O(1) per miss; deleting one head key per miss
-instead would make every miss re-scan the dict's growing run of dead head
-slots.  ``cache_size=0`` stores nothing.
+Policy: FIFO by insertion.  A hit is one ``dict.get`` and reorders
+nothing; a miss into a full cache first drops the oldest eighth in one
+pass (amortised O(1); emptying it all keeps fewer hits, see DESIGN.md
+§7).  ``cache_size=0`` stores nothing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import islice
-from typing import Generic, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from ..addr.ipv6 import ADDRESS_BITS, IPv6Prefix
 
 V = TypeVar("V")
+
+# (longest-row mask, longest-row get, resolver, range starts, range owners)
+MissPath = tuple[int, Callable, Callable, list[int], list]
 
 _MISS = object()
 
@@ -42,9 +42,18 @@ _MIN_BLOCK_BITS = 48
 DEFAULT_CACHE_SIZE = 8192
 
 
+def _evict_oldest(cache: dict, size: int) -> None:
+    """Drop the oldest eighth of a full cache."""
+    try:
+        for old in list(islice(cache, (size >> 3) or 1)):
+            cache.pop(old, None)
+    except RuntimeError:  # resized by a thread sharing the map; skip
+        pass
+
+
 class BlockCachedLPM(Generic[V]):
     """``longest_match`` / ``longest_match_batch`` over a subclass's
-    ``_probe``, behind one bounded block cache."""
+    ``_miss_path()``, behind one bounded block cache."""
 
     __slots__ = ("_cache", "_cache_size", "_cache_shift")
 
@@ -53,10 +62,10 @@ class BlockCachedLPM(Generic[V]):
         self._cache: dict[int, tuple[IPv6Prefix, V] | None] = {}
         self._invalidate(longest)
 
-    def _probe(self, address: int) -> tuple[IPv6Prefix, V] | None:
-        """The structure's uncached longest-prefix lookup.  Returns the
-        interned ``(prefix, value)`` tuple of the stored prefix: the same
-        object for every address that prefix matches."""
+    def _miss_path(self) -> MissPath:
+        """``(mask, get, resolve, starts, owners)``: a miss on ``address``
+        is ``resolve(get(address & mask))`` unless that ``get`` is None,
+        else ``owners[bisect_right(starts, address) - 1]``."""
         raise NotImplementedError
 
     def _invalidate(self, longest: int) -> None:
@@ -101,9 +110,11 @@ class BlockCachedLPM(Generic[V]):
         sort cost.  Results are bit-identical to per-address
         :meth:`longest_match` calls in any order.
         """
+        mask, find, resolve, starts, owners = self._miss_path()
+        cache = self._cache
+        get = cache.get
+        size = self._cache_size
         shift = self._cache_shift
-        get = self._cache.get
-        fill = self._fill
         miss = _MISS
         last_key = -1
         last = None
@@ -113,26 +124,36 @@ class BlockCachedLPM(Generic[V]):
             if key != last_key:
                 last = get(key, miss)
                 if last is miss:
-                    last = fill(key, address)
+                    found = find(address & mask)
+                    if found is None:
+                        last = owners[bisect_right(starts, address) - 1]
+                    else:
+                        last = resolve(found)
+                    if len(cache) < size:
+                        cache[key] = last
+                    elif size > 0:
+                        _evict_oldest(cache, size)
+                        cache[key] = last
                 last_key = key
             out[i] = last
+
+    def _probe(self, address: int) -> tuple[IPv6Prefix, V] | None:
+        """Uncached lookup: the stored prefix's interned ``(prefix,
+        value)`` tuple, one object for every address it matches."""
+        mask, find, resolve, starts, owners = self._miss_path()
+        found = find(address & mask)
+        if found is None:
+            return owners[bisect_right(starts, address) - 1]
+        return resolve(found)
 
     def _fill(self, key: int, address: int) -> tuple[IPv6Prefix, V] | None:
         """Miss path: probe the structure and remember the block's result."""
         result = self._probe(address)
         cache = self._cache
         size = self._cache_size
-        if len(cache) >= size:
-            if size <= 0:
-                return result
-            try:
-                for old in list(islice(cache, (size >> 3) or 1)):
-                    cache.pop(old, None)
-            except RuntimeError:
-                # A send the resilient watchdog abandoned as slow (not
-                # hung) keeps probing this map beside the retry and may
-                # resize the dict under it; skipping one eviction is
-                # harmless (the cache is advisory, results are exact).
-                pass
-        cache[key] = result
+        if len(cache) < size:
+            cache[key] = result
+        elif size > 0:
+            _evict_oldest(cache, size)
+            cache[key] = result
         return result

@@ -13,20 +13,15 @@ of each network, plus a parallel value sequence.  The columns are plain
 machine words, so they can live in an mmap'd world artifact and be shared
 zero-copy by every shard worker — see :mod:`repro.topology.artifact`.
 
-A cache miss costs at most two binary searches, however many lengths are
-stored: one in the longest row's key column, then one ``bisect`` in a
-table of disjoint address ranges that :func:`flatten` makes of all shorter
-rows at construction.  (The mutable map's miss is the same two steps from
-the same function, with a ``dict.get`` for the first search and the table
-rebuilt lazily after mutations.)  ``get`` / ``has_cover`` / ``all_matches``
-/ ``items`` read the per-length columns.  Only the longest row stays
-zero-copy and lazy: the range table is Python objects built per process,
-linear in the shorter rows.  That assumes those are few, as in generated
+A cache miss runs :mod:`repro.bgp.blockcache`'s one miss path: a
+``dict.get`` in a ``{network: row index}`` index of the longest row,
+else a ``bisect`` in the disjoint address ranges :func:`flatten` makes of
+the shorter rows.  Both are per-process derived state (the index is built
+by the first lookup, O(longest row)), never pickled or written to the
+artifact; ``get`` / ``has_cover`` / ``all_matches`` / ``items`` search
+the shared columns.  The ranges assume few shorter rows, as in generated
 worlds (the benchmark world's resolution table keeps 346 of 76,320
-entries below its longest row, /64; its BGP table flattens 1,251 of 1,417
-prefixes).  A table whose longest row is the sparse one — a few /128s
-over many /64s — would pay load time and memory proportional to its size
-in every worker.
+entries below its /64 row; its BGP table flattens 1,251 of 1,417).
 
 Bit-identity contract: ``longest_match`` / ``longest_match_batch`` /
 ``items`` / ``has_cover`` / ``all_matches`` return exactly what the
@@ -45,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Sequence
 
 from ..addr.ipv6 import ADDRESS_BITS, IPv6Prefix, prefix_mask
-from .blockcache import DEFAULT_CACHE_SIZE, BlockCachedLPM, V
+from .blockcache import DEFAULT_CACHE_SIZE, BlockCachedLPM, MissPath, V
 
 __all__ = ["FrozenLPM", "FrozenRow", "flatten"]
 
@@ -60,12 +55,12 @@ class FrozenRow:
     protocol works (``array('Q')``, a ``memoryview(...).cast('Q')`` over
     an mmap).  ``values`` is a parallel sequence; a lazy implementation
     may materialise entries on first access, but must return the *same*
-    object for the same index every time (callers key caches by payload
-    identity).  :meth:`match` memoises the interned ``(prefix, value)``
-    tuple per index on first use: in a :class:`FrozenLPM`'s longest row
-    the memo grows with the entries a scan actually hits, not with the
-    table; every shorter row is matched in full when the map is built
-    (:func:`flatten`).
+    object for the same index every time, to every thread (callers key
+    caches by payload identity; publish with ``dict.setdefault``).
+    :meth:`match` memoises the interned ``(prefix, value)`` tuple per
+    index on first use: in a :class:`FrozenLPM`'s longest row the memo
+    grows with the entries a scan actually hits, not with the table; every
+    shorter row is matched in full when the map is built (:func:`flatten`).
     """
 
     __slots__ = ("length", "mask", "keys_hi", "keys_lo", "values", "_matches")
@@ -163,10 +158,11 @@ class FrozenLPM(BlockCachedLPM[V]):
     Drop-in for the lookup side of :class:`~repro.bgp.lpm.LengthIndexedLPM`
     (``longest_match``, ``longest_match_batch``, ``block_shift``, ``get``,
     ``has_cover``, ``all_matches``, ``items``, ``len``); the mutation side
-    raises.  Construction is linear in every row but the longest.
+    raises.  Construction is linear in every row but the longest; the
+    first lookup in each process indexes the longest row.
     """
 
-    __slots__ = ("_rows_desc", "_size", "_longest", "_starts", "_owners")
+    __slots__ = ("_rows_desc", "_size", "_longest", "_starts", "_owners", "_path")
 
     def __init__(
         self,
@@ -189,6 +185,7 @@ class FrozenLPM(BlockCachedLPM[V]):
         self._starts, self._owners = flatten(
             row.match(i) for row in self._rows_desc[1:] for i in range(len(row))
         )
+        self._path: MissPath | None = None
         super().__init__(cache_size, lengths[0] if lengths else 0)
 
     # ------------------------------------------------------------------ #
@@ -232,14 +229,25 @@ class FrozenLPM(BlockCachedLPM[V]):
     def __len__(self) -> int:
         return self._size
 
-    def _probe(self, address: int) -> tuple[IPv6Prefix, V] | None:
-        """Uncached lookup: the longest row's key column, then the
-        flattened ranges of every shorter row."""
-        row = self._longest
-        i = row.find(address & row.mask)
-        if i >= 0:
-            return row.match(i)  # type: ignore[return-value]
-        return self._owners[bisect_right(self._starts, address) - 1]
+    def _miss_path(self) -> MissPath:
+        """The longest row's ``{network: row index}`` index, resolved by
+        its match memo, and the shorter rows' ranges; built by the first
+        lookup in each process (racing threads store equal tuples)."""
+        path = self._path
+        if path is None:
+            row = self._longest
+            keys = zip(row.keys_hi, row.keys_lo)
+            index = {(hi << 64) | lo: i for i, (hi, lo) in enumerate(keys)}
+            path = (row.mask, index.get, row.match, self._starts, self._owners)
+            self._path = path
+        return path
+
+    def __getstate__(self):
+        """Everything but the index: a copy rebuilds it on first lookup."""
+        slots = BlockCachedLPM.__slots__ + FrozenLPM.__slots__
+        state = {name: getattr(self, name) for name in slots}
+        state["_path"] = None
+        return None, state
 
     # benchmarks/e2e/trace.py rebinds vars(cls)["longest_match_batch"], so
     # the class body owns the name.

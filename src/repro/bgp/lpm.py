@@ -7,36 +7,32 @@ classic "DIR" LPM scheme — each mapping a network to the interned
 ``(prefix, value)`` tuple built once at ``insert``, so a lookup returns a
 stored object instead of constructing and validating a prefix.
 
-A lookup that misses the bounded block cache of
-:mod:`repro.bgp.blockcache` costs two operations, however many lengths are
-stored: one ``dict.get`` in the longest row, else one ``bisect_right`` in
-the table of disjoint address ranges that :func:`repro.bgp.frozenfib.flatten`
-makes of every shorter row — the same miss path, from the same function, as
-:class:`~repro.bgp.frozenfib.FrozenLPM`.  The range table is derived state:
-every ``insert`` / ``remove`` drops it (and the cache), and the first lookup
-afterwards rebuilds it, linear (plus a sort) in the entries *below the
-longest row*.  That assumes those are few and that mutations come in runs
-— build, then scan — as in generated worlds: the benchmark world's
-resolution table keeps 346 of 76,320 entries below its longest row (/64),
-its BGP table 1,251 of 1,417 prefixes.  A table mutated between every two
-lookups, or one whose longest row is the sparse one (a few /128s over many
-/64s), pays the whole flatten per lookup.  ``get`` / ``has_cover`` /
-``all_matches`` / ``items`` read the per-length tables (``_tables_desc``:
-``(length, mask, table)`` rows, longest first, non-empty only) and never
-touch the range table.
+A block-cache miss runs :mod:`repro.bgp.blockcache`'s one miss path,
+shared with :class:`~repro.bgp.frozenfib.FrozenLPM`: a ``dict.get`` in
+the longest row, else a ``bisect_right`` in the disjoint address ranges
+:func:`repro.bgp.frozenfib.flatten` makes of the shorter rows; this class
+supplies only that data (``_miss_path``).  Every ``insert`` / ``remove``
+drops the range table (and the cache); the next lookup rebuilds it,
+linear (plus a sort) in the entries *below the longest row*.  That
+assumes those are few and that mutations come in runs — build, then scan
+— as in generated worlds (see :mod:`repro.bgp.frozenfib`).  A table
+mutated between every two lookups, or one whose longest row is the
+sparse one (a few /128s over many /64s), pays the whole flatten per
+lookup, and so would a frozen one in every worker.  ``get`` /
+``has_cover`` / ``all_matches`` / ``items`` read the per-length tables
+(``_tables_desc``: ``(length, mask, table)`` rows, longest first,
+non-empty only) and never touch the range table.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterator
 
 from ..addr.ipv6 import IPv6Prefix, prefix_mask
-from .blockcache import DEFAULT_CACHE_SIZE, BlockCachedLPM, V
+from .blockcache import DEFAULT_CACHE_SIZE, BlockCachedLPM, MissPath, V
 from .frozenfib import FrozenLPM, flatten
 
 _Match = tuple[IPv6Prefix, V]
-_MissPath = tuple[int, dict[int, _Match], list[int], list]
 
 
 class LengthIndexedLPM(BlockCachedLPM[V]):
@@ -47,9 +43,8 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
         self._by_length: dict[int, dict[int, _Match]] = {}
         # (length, mask, table) longest-first; non-empty tables only.
         self._tables_desc: list[tuple[int, int, dict[int, _Match]]] = []
-        # (longest mask, longest table, range starts, range owners): what
-        # a miss reads.  Built by the first lookup after a mutation.
-        self._miss_path: _MissPath | None = None
+        # What a miss reads (see _miss_path); None after a mutation.
+        self._path: MissPath | None = None
         self._size = 0
 
     def __len__(self) -> int:
@@ -86,7 +81,7 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
         """Forget everything derived from the tables: the miss path's
         range table (its owners are the interned matches a re-insert
         replaces) and every cached block."""
-        self._miss_path = None
+        self._path = None
         self._invalidate(self._tables_desc[0][0] if self._tables_desc else 0)
 
     def _rebuild_tables(self) -> None:
@@ -102,28 +97,17 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
         match = None if table is None else table.get(prefix.network)
         return default if match is None else match[1]
 
-    def _probe(self, address: int) -> _Match | None:
-        """Uncached lookup: one ``dict.get`` in the longest row, else one
-        ``bisect`` in the flattened ranges of every shorter row."""
-        path = self._miss_path
+    def _miss_path(self) -> MissPath:
+        """The longest table's ``get`` (it holds the interned matches, and
+        ``tuple`` returns a tuple unchanged) and the flattened shorter
+        rows, built by the first lookup after a mutation.  Threads racing
+        to build it each store an equal tuple, atomically."""
+        path = self._path
         if path is None:
-            path = self._build_miss_path()
-        mask, table, starts, owners = path
-        # A stored value of None still matches (the tuple is not None).
-        match = table.get(address & mask)
-        if match is not None:
-            return match
-        return owners[bisect_right(starts, address) - 1]
-
-    def _build_miss_path(self) -> _MissPath:
-        """Flatten the current tables.  A send the resilient watchdog
-        abandoned as slow may race its retry to build it: each computes
-        the same table from the same rows and the attribute store is
-        atomic, so whichever lands last is as good."""
-        rows = self._tables_desc
-        _, mask, table = rows[0] if rows else (0, 0, {})
-        shorter = (match for row in rows[1:] for match in row[2].values())
-        self._miss_path = path = (mask, table, *flatten(shorter))
+            rows = self._tables_desc
+            _, mask, table = rows[0] if rows else (0, 0, {})
+            shorter = (match for row in rows[1:] for match in row[2].values())
+            self._path = path = (mask, table.get, tuple, *flatten(shorter))
         return path
 
     # benchmarks/e2e/trace.py rebinds vars(cls)["longest_match_batch"], so
@@ -131,10 +115,8 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
     longest_match_batch = BlockCachedLPM.longest_match_batch
 
     def has_cover(self, prefix: IPv6Prefix, *, strict: bool = False) -> bool:
-        """True if a stored prefix covers ``prefix``.
-
-        With ``strict`` the cover must be a proper supernet (shorter).
-        """
+        """True if a stored prefix covers ``prefix`` (``strict``: a proper
+        supernet only)."""
         for length, mask, table in self._tables_desc:
             if length > prefix.length or (strict and length == prefix.length):
                 continue

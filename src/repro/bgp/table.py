@@ -101,8 +101,9 @@ class BGPTable:
         bit-identical; :meth:`add`/:meth:`withdraw` raise afterwards.
         Artifact-loaded worlds call this — their tables are static and the
         frozen columns are cheaper to keep per worker than dicts; a cache
-        miss costs two binary searches (:mod:`repro.bgp.frozenfib`),
-        whatever the number of announced lengths.
+        miss costs one hash probe of the longest row's per-process index,
+        else one bisect (:mod:`repro.bgp.blockcache`), whatever the number
+        of announced lengths.
         """
         self._trie = self._trie.frozen()  # type: ignore[assignment]
 

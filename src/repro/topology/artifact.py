@@ -57,7 +57,6 @@ import shutil
 import struct
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from pathlib import Path
@@ -598,9 +597,12 @@ class _ArtifactReader:
         hi_off = word
         lo_off = hi_off + index_count * word
         row_off = lo_off + index_count * word
-        self._subnet_key_hi = index[hi_off:lo_off].cast("Q")
-        self._subnet_key_lo = index[lo_off:row_off].cast("Q")
-        self._subnet_key_row = index[row_off : row_off + index_count * word].cast("q")
+        self._subnet_keys = FrozenRow(  # values: the network's subnet row
+            64,
+            index[hi_off:lo_off].cast("Q"),
+            index[lo_off:row_off].cast("Q"),
+            index[row_off : row_off + index_count * word].cast("q"),
+        )
         self._router_cache: dict[int, Router] = {}
         self._subnet_cache: dict[int, Subnet] = {}
 
@@ -678,28 +680,15 @@ class _ArtifactReader:
             replication_factor=replication,
             background_error_load=background,
         )
-        self._router_cache[router.router_id] = router
-        return router
+        return self._router_cache.setdefault(router.router_id, router)
 
     # ---------------- subnets ---------------- #
 
     def subnet_row_of(self, network: int) -> int:
         """Row for a /64 network via the sorted index, or -1."""
-        hi = network >> 64
-        lo = network & _LO
-        keys_hi = self._subnet_key_hi
-        i = bisect_left(keys_hi, hi)
-        n = len(keys_hi)
-        if i >= n or keys_hi[i] != hi:
-            return -1
-        keys_lo = self._subnet_key_lo
-        if keys_lo[i] == lo:
-            return self._subnet_key_row[i]
-        j = bisect_right(keys_hi, hi, i)
-        k = bisect_left(keys_lo, lo, i, j)
-        if k < j and keys_lo[k] == lo:
-            return self._subnet_key_row[k]
-        return -1
+        keys = self._subnet_keys
+        i = keys.find(network)
+        return keys.values[i] if i >= 0 else -1
 
     def subnet(self, row: int) -> Subnet:
         cached = self._subnet_cache.get(row)
@@ -732,8 +721,7 @@ class _ArtifactReader:
             flaky=bool(flags & _SF_FLAKY),
             death_epoch=death if flags & _SF_HAS_DEATH else None,
         )
-        self._subnet_cache[row] = subnet
-        return subnet
+        return self._subnet_cache.setdefault(row, subnet)
 
     def subnet_network_at(self, row: int) -> int:
         net_hi, net_lo = struct.unpack_from(
@@ -799,8 +787,7 @@ class _LazyEntries:
             else:  # INFRA: keyed by its own network
                 network = (self._hi[i] << 64) | self._lo[i]
                 payload = self._world.infra_subnets[network]
-            entry = ResolutionEntry(kind, payload)
-            self._cache[i] = entry
+            entry = self._cache.setdefault(i, ResolutionEntry(kind, payload))
         return entry
 
 
@@ -884,10 +871,10 @@ class LazySubnetMap(Mapping):
         raise TypeError("artifact-backed worlds are read-only")
 
     def __len__(self) -> int:
-        return len(self._reader._subnet_key_row)
+        return len(self._reader._subnet_keys)
 
     def _one_row_per_key(self) -> bool:
-        return len(self._reader._subnet_key_row) == self._reader.subnet_rows
+        return len(self._reader._subnet_keys) == self._reader.subnet_rows
 
     def __iter__(self) -> Iterator[int]:
         if self._one_row_per_key():

@@ -12,6 +12,7 @@ shard count.
 import multiprocessing
 import pickle
 import random
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -21,6 +22,7 @@ from repro.scanner import sharded as sharded_module
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.targets import bgp_slash48_targets
 from repro.scanner.zmapv6 import ScanConfig
+from repro.topology import artifact as artifact_module
 from repro.telemetry.scan import ScanTelemetry
 from repro.topology.artifact import (
     ArtifactError,
@@ -136,6 +138,44 @@ class TestRoundTrip:
         second = artifact_world.resolution.longest_match(network)
         assert first is not None and first[1].payload is second[1].payload
         assert first[1].payload is artifact_world.subnets[network]
+
+    @pytest.mark.parametrize("decoded", ["ResolutionEntry", "Subnet", "Router"])
+    def test_racing_threads_share_one_decoded_object(
+        self, artifact_path, artifact_world, monkeypatch, decoded
+    ):
+        """A send the resilient watchdog abandoned as slow keeps probing
+        the world beside its retry.  Two threads held together inside one
+        row's decode step — both past its cache check — must still come
+        out with one object for that row."""
+        reader = artifact_module._ArtifactReader(artifact_path)
+        rows = reader.resolution_rows(artifact_world)
+        router_id = next(iter(artifact_world.routers))
+        lookup = {
+            "ResolutionEntry": lambda: rows[0].values[0],
+            "Subnet": lambda: reader.subnet(0),
+            "Router": lambda: reader.router(router_id),
+        }[decoded]
+        barrier = threading.Barrier(2)
+        build = getattr(artifact_module, decoded)
+
+        def decode(*args, **kwargs):
+            barrier.wait(timeout=30)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(artifact_module, decoded, decode)
+        results: list = [None, None]
+
+        def run(slot):
+            results[slot] = lookup()
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert results[0] is not None
+        assert results[0] is results[1]
+        assert lookup() is results[0]
 
     def test_save_world_round_trips_eager_world(self, tiny_world, tmp_path):
         path = save_world(tiny_world, tmp_path / "eager.sraw")

@@ -1,7 +1,7 @@
 """The block cache contract, once for both LPM structures.
 
 ``LengthIndexedLPM`` and ``FrozenLPM`` share one cache implementation
-(``repro.bgp.blockcache``) and supply only ``_probe``.  The cache is
+(``repro.bgp.blockcache``) and supply only ``_miss_path``.  The cache is
 advisory: whatever its size and however hard it is evicting, results must
 equal the ``cache_size=0`` map's, it must stay bounded, and matches must
 be the stored prefix's interned tuple.  ``LengthIndexedLPM`` runs the
@@ -187,6 +187,21 @@ class TestCachePolicy:
         assert not kept & {address >> shift for address in blocks[:8]}
         assert kept >= {address >> shift for address in blocks[8:]}
 
+    def test_batch_evicts_like_scalar_misses(self, build):
+        """The batch loop's inline miss path evicts by the same rule, and
+        a hit into the full cache evicts nothing."""
+        table = build([(p("2001:db8::/32"), "a")], 64)
+        blocks = [BASE | (block << 80) for block in range(65)]
+        out = [None] * len(blocks)
+        table.longest_match_batch(blocks, range(64), out)
+        table.longest_match_batch(blocks, [0], out)
+        assert len(table._cache) == 64
+        table.longest_match_batch(blocks, [64], out)
+        kept = set(table._cache)
+        shift = table.block_shift
+        assert kept == {address >> shift for address in blocks[8:]}
+        assert out == [(p("2001:db8::/32"), "a")] * 65
+
     def test_key_granularity_follows_longest_stored(self, build):
         # With a /64 stored the cache must distinguish sibling /64s of
         # one /48; without one, a /48 block shares one entry.
@@ -307,13 +322,14 @@ class TestMutationInvalidates:
 def test_threads_sharing_one_map_stay_exact(build):
     """A send the resilient watchdog abandoned as slow shares a world's
     maps with its retry.  More threads than cores hammer
-    one evicting cache, scalar and batch — racing, on a mutable map, to
-    flatten the range table its builder left unbuilt; none may raise or see
-    a wrong result, and the cache stays within one racing insert per thread
-    of its bound."""
+    one evicting cache, scalar and batch — racing to build the miss path
+    its builder left unbuilt (a mutable map's range table, a frozen map's
+    longest-row index); none may raise or see a wrong result, and the
+    cache stays within one racing insert per thread of its bound."""
     entries, addresses = _table(seed=8)
     cache_size = 16
     shared = build(entries, cache_size)
+    assert shared._path is None
     reference = BUILDERS["lpm"](entries, 0)
     expected = [reference.longest_match(a) for a in addresses]
     indices = sorted(range(len(addresses)), key=addresses.__getitem__)

@@ -299,6 +299,85 @@ class TestMutableInterleavings:
                 assert out == expected
 
 
+_values = st.one_of(st.none(), st.integers(0, 9))
+
+
+@st.composite
+def longest_row_sets(draw):
+    """A longest row at /64 (``lo == 0``), /96 or /128 whose keys crowd a
+    few hi words — at /96 and /128 several keys share one — over a few
+    shorter covering prefixes; values include ``None``."""
+    longest = draw(st.sampled_from([64, 96, 128]))
+    his = draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=3))
+    entries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=20))):
+        hi = draw(st.sampled_from(his))
+        lo = 0 if longest == 64 else draw(st.integers(0, 7)) << (128 - longest)
+        entries.append((IPv6Prefix((hi << 64) | lo, longest), draw(_values)))
+        if draw(st.booleans()):
+            length = draw(st.sampled_from([16, 32, 48, 56, 63, longest - 1]))
+            prefix = IPv6Prefix(network_of(hi << 64, length), length)
+            entries.append((prefix, draw(_values)))
+    return entries
+
+
+def _artifact_shaped(entries):
+    """A FrozenLPM over memoryview rows, as the world artifact lays them
+    out: one row per length, sorted by network."""
+    by_length: dict = {}
+    for prefix, value in sorted(dict(entries).items(), key=lambda item: item[0]):
+        by_length.setdefault(prefix.length, []).append((prefix.network, value))
+    return lambda cache_size: FrozenLPM(
+        (
+            _memoryview_row(length, *map(list, zip(*pairs)))
+            for length, pairs in by_length.items()
+        ),
+        cache_size=cache_size,
+    )
+
+
+class TestLongestRowIndex:
+    """The frozen longest row is searched through a per-process hash index
+    of its networks; the columns behind it stay the artifact's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(longest_row_sets())
+    def test_index_agrees_with_the_linear_scan(self, entries):
+        build = _artifact_shaped(entries)
+        probes = _probes(entries, seed=6)
+        probes += [prefix.network | 1 for prefix, _ in entries]
+        probes += [prefix.network ^ (1 << 64) for prefix, _ in entries]
+        expected = [_oracle(entries, [], address) for address in probes]
+        for cache_size in (0, 1, 3, 8192):
+            frozen = build(cache_size)
+            assert [frozen.longest_match(a) for a in probes] == expected
+            out: list = [object()] * len(probes)
+            frozen.longest_match_batch(probes, range(len(probes)), out)
+            assert out == expected  # over what the scalar pass cached
+            assert len(frozen._cache) <= cache_size
+            out = [object()] * len(probes)
+            build(cache_size).longest_match_batch(probes, range(len(probes)), out)
+            assert out == expected  # cold
+
+    @settings(max_examples=30, deadline=None)
+    @given(longest_row_sets())
+    def test_pickle_carries_no_index(self, entries):
+        """A pickled map is the columns alone; the copy builds its own
+        index on its first lookup."""
+        frozen = FrozenLPM.from_items(entries, cache_size=0)
+        probes = _probes(entries, seed=7)
+        expected = [_oracle(entries, [], address) for address in probes]
+        assert [frozen.longest_match(a) for a in probes] == expected
+        assert frozen._path is not None
+        copy = pickle.loads(pickle.dumps(frozen))
+        assert copy._path is None
+        assert list(copy.items()) == list(frozen.items())
+        out: list = [None] * len(probes)
+        copy.longest_match_batch(probes, range(len(probes)), out)
+        assert out == expected
+        assert copy._path is not None
+
+
 class TestFrozenBehaviour:
     def test_mutation_raises(self):
         frozen = LengthIndexedLPM().frozen()
