@@ -5,9 +5,7 @@ from .ipv6 import (
     MAX_ADDRESS,
     AddressError,
     IPv6Prefix,
-    common_prefix_length,
     format_address,
-    host_bits,
     network_of,
     parse_address,
     prefix_mask,
@@ -33,10 +31,8 @@ __all__ = [
     "CyclicPermutation",
     "STAGE2_LENGTH",
     "STAGE3_LENGTH",
-    "common_prefix_length",
     "format_address",
     "hitlist_targets",
-    "host_bits",
     "is_sra_candidate",
     "network_of",
     "next_prime",

@@ -24,9 +24,6 @@ _NETWORK_MASKS: tuple[int, ...] = tuple(
     MAX_ADDRESS ^ ((1 << (ADDRESS_BITS - length)) - 1) if length else 0
     for length in range(ADDRESS_BITS + 1)
 )
-_HOST_MASKS: tuple[int, ...] = tuple(
-    mask ^ MAX_ADDRESS for mask in _NETWORK_MASKS
-)
 
 
 class AddressError(ValueError):
@@ -93,13 +90,6 @@ def network_of(address: int, length: int) -> int:
     return address & _NETWORK_MASKS[length]
 
 
-def host_bits(address: int, length: int) -> int:
-    """The host part of ``address`` under a ``/length`` prefix."""
-    if not 0 <= length <= ADDRESS_BITS:
-        raise AddressError(f"invalid prefix length: {length}")
-    return address & _HOST_MASKS[length]
-
-
 @dataclass(frozen=True, slots=True, order=True)
 class IPv6Prefix:
     """An IPv6 prefix (network, length) with the network bits normalised.
@@ -152,7 +142,7 @@ class IPv6Prefix:
     @property
     def last(self) -> int:
         """The highest address in the prefix."""
-        return self.network | _HOST_MASKS[self.length]
+        return self.network | (_NETWORK_MASKS[self.length] ^ MAX_ADDRESS)
 
     @property
     def num_addresses(self) -> int:
@@ -188,23 +178,3 @@ class IPv6Prefix:
         step = 1 << (ADDRESS_BITS - new_length)
         for network in range(self.network, self.last + 1, step):
             yield IPv6Prefix(network, new_length)
-
-    def nth_subnet(self, new_length: int, index: int) -> "IPv6Prefix":
-        """The ``index``-th /``new_length`` subnet without iteration."""
-        if new_length < self.length:
-            raise AddressError(
-                f"cannot subnet /{self.length} into shorter /{new_length}"
-            )
-        count = 1 << (new_length - self.length)
-        if not 0 <= index < count:
-            raise AddressError(f"subnet index {index} out of range (0..{count - 1})")
-        step = 1 << (ADDRESS_BITS - new_length)
-        return IPv6Prefix(self.network + index * step, new_length)
-
-
-def common_prefix_length(a: int, b: int) -> int:
-    """Length of the longest common prefix of two addresses."""
-    diff = a ^ b
-    if diff == 0:
-        return ADDRESS_BITS
-    return ADDRESS_BITS - diff.bit_length()

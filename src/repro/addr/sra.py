@@ -28,8 +28,9 @@ def sra_of(address: int, subnet_length: int) -> int:
 def is_sra_candidate(address: int, subnet_length: int) -> bool:
     """True if ``address`` has all host bits zero under ``subnet_length``.
 
-    Used by the alias filter: a reply *sourced* from an SRA-shaped address
-    (the ``::0`` address we probed) indicates an aliased network, because
-    SRA addresses are typically not assigned to hosts.
+    The SRA shape as a predicate; the property tests hold :func:`sra_of`
+    and :func:`sra_address` to it.  The alias filter does not use it: its
+    self-reply rule is :func:`repro.core.aliasfilter.is_self_reply`
+    (reply source == probed target).
     """
     return network_of(address, subnet_length) == address

@@ -3,7 +3,6 @@
 from .asn_stability import ASNStabilityReport, SetStability, asn_stability
 from .comparison import SourceComparison
 from .geodist import (
-    continent_distribution,
     continent_type_crosstab,
     country_distribution,
     country_shares,
@@ -35,7 +34,6 @@ __all__ = [
     "SetStability",
     "SourceComparison",
     "asn_stability",
-    "continent_distribution",
     "continent_type_crosstab",
     "country_distribution",
     "contribute_to_hitlist",

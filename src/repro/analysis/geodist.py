@@ -33,15 +33,6 @@ def country_shares(
     ]
 
 
-def continent_distribution(
-    addresses: Iterable[int], geo: GeoIPDatabase
-) -> Counter[str]:
-    counts: Counter[str] = Counter()
-    for address in addresses:
-        counts[continent_of(geo.country_of(address))] += 1
-    return counts
-
-
 def type_distribution(
     addresses: Iterable[int],
     mapper: ASNMapper,

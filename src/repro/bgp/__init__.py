@@ -1,7 +1,7 @@
 """BGP substrate: longest-prefix-match maps, announcement table, and dump I/O."""
 
 from .lpm import LengthIndexedLPM
-from .dump import DumpFormatError, iter_dump, parse_dump_line, read_dump, write_dump
+from .dump import DumpFormatError, parse_dump_line, read_dump, write_dump
 from .table import Announcement, BGPTable
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "BGPTable",
     "DumpFormatError",
     "LengthIndexedLPM",
-    "iter_dump",
     "parse_dump_line",
     "read_dump",
     "write_dump",

@@ -14,7 +14,7 @@ parse/serialise round trip.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from ..addr.ipv6 import AddressError, IPv6Prefix
 from .table import Announcement, BGPTable
@@ -56,14 +56,6 @@ def read_dump(source: TextIO | str | Path) -> BGPTable:
         if announcement is not None:
             table.add(announcement)
     return table
-
-
-def iter_dump(source: TextIO) -> Iterator[Announcement]:
-    """Stream announcements from an open dump without building a table."""
-    for line in source:
-        announcement = parse_dump_line(line)
-        if announcement is not None:
-            yield announcement
 
 
 def write_dump(

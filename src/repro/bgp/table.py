@@ -61,10 +61,6 @@ class BGPTable:
         """All announced prefixes, sorted (covering before more-specific)."""
         return sorted(self._announcements)
 
-    def prefixes_of_length(self, length: int) -> list[IPv6Prefix]:
-        """Announced prefixes of exactly the given length, sorted."""
-        return sorted(p for p in self._announcements if p.length == length)
-
     @property
     def lpm(self) -> LengthIndexedLPM[int]:
         """The underlying LPM index (prefix, origin ASN).
@@ -106,14 +102,3 @@ class BGPTable:
         of announced lengths.
         """
         self._trie = self._trie.frozen()  # type: ignore[assignment]
-
-    def more_specifics(self, prefix: IPv6Prefix) -> list[Announcement]:
-        """Announcements strictly more specific than ``prefix``."""
-        return sorted(
-            (
-                announcement
-                for p, announcement in self._announcements.items()
-                if p.length > prefix.length and prefix.covers(p)
-            ),
-            key=lambda announcement: announcement.prefix,
-        )

@@ -7,7 +7,6 @@ from .ripeatlas import run_atlas_campaign
 from .traceroute import TracerouteHop, TracerouteResult, traceroute
 from .tum import (
     harvest_hitlist,
-    hitlist_ground_truth_slash64s,
     published_alias_list,
 )
 
@@ -17,7 +16,6 @@ __all__ = [
     "TracerouteHop",
     "TracerouteResult",
     "harvest_hitlist",
-    "hitlist_ground_truth_slash64s",
     "published_alias_list",
     "run_ark_campaign",
     "run_atlas_campaign",

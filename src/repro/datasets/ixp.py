@@ -34,10 +34,6 @@ class IXPFlowDataset:
     def all_addresses(self) -> set[int]:
         return self.source_addresses | self.destination_addresses
 
-    def bidirectional_addresses(self) -> set[int]:
-        """Addresses seen both as source and destination (§5.3: 35 M)."""
-        return self.source_addresses & self.destination_addresses
-
     def as_dataset(self) -> AddressDataset:
         return AddressDataset(name=self.name, addresses=self.all_addresses())
 

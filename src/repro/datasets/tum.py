@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 
-from ..addr.ipv6 import IPv6Prefix
 from ..hitlist.aliases import AliasedPrefixList
 from ..hitlist.hitlist import Hitlist
 from ..topology.entities import World
@@ -93,12 +92,3 @@ def published_alias_list(
         if subnet.aliased and rng.random() < recall:
             alias_list.add(subnet.prefix)
     return alias_list
-
-
-def hitlist_ground_truth_slash64s(world: World) -> set[IPv6Prefix]:
-    """All /64s that actually contain hosts (for recall metrics in tests)."""
-    return {
-        subnet.prefix
-        for subnet in world.subnets.values()
-        if subnet.hosts
-    }

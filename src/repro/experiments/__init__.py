@@ -4,20 +4,16 @@ from .base import ExperimentReport
 from .world import (
     ExperimentContext,
     ExperimentScale,
-    custom_context,
     full_scale,
     get_context,
     quick_scale,
-    scaled_with,
 )
 
 __all__ = [
     "ExperimentContext",
     "ExperimentReport",
     "ExperimentScale",
-    "custom_context",
     "full_scale",
     "get_context",
     "quick_scale",
-    "scaled_with",
 ]

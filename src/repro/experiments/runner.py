@@ -17,6 +17,7 @@ from typing import Callable
 
 from ..scanner.backends import backend_names
 from ..scanner.checkpoint import CheckpointError
+from ..scanner.cli import add_resilience_flags, check_output_paths, knob_problem
 from ..scanner.sharded import ScanInterrupted, ShardFailedError
 from ..telemetry.scan import ScanTelemetry
 from .base import ExperimentReport
@@ -147,32 +148,8 @@ def main(argv: list[str] | None = None) -> int:
         help="probes per engine batch of the survey's scans (throughput "
         "dial; results are bit-identical for any value)",
     )
-    parser.add_argument(
-        "--backend-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry each failed backend batch of the survey's scans up "
-        "to N times before quarantining it (default: no resilience "
-        "wrapper)",
-    )
-    parser.add_argument(
-        "--backend-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-batch watchdog deadline of the survey's scans; a hung "
-        "backend batch is recovered and retried (default: no deadline)",
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="circuit-breaker open threshold of the survey's scans, as a "
-        "batch failure rate in (0, 1]; an open breaker quarantines "
-        "batches without probing until its cooldown expires (default: "
-        "no breaker)",
+    add_resilience_flags(
+        parser.add_argument_group("backend resilience of the survey's scans")
     )
     parser.add_argument(
         "--backend",
@@ -205,31 +182,19 @@ def main(argv: list[str] | None = None) -> int:
         "--list", action="store_true", help="list experiment ids and exit"
     )
     args = parser.parse_args(argv)
-    # One-line stderr + exit 2 for bad numeric knobs, matching sra-scan:
-    # a non-positive rate would otherwise surface as a ValueError
-    # traceback deep inside the first campaign scan.
-    for problem in (
-        "--pps must be positive"
-        if args.pps is not None and args.pps <= 0
-        else None,
-        "--batch-size must be >= 1"
-        if args.batch_size is not None and args.batch_size < 1
-        else None,
-        "--backend-retries must be >= 0"
-        if args.backend_retries is not None and args.backend_retries < 0
-        else None,
-        "--backend-timeout must be positive"
-        if args.backend_timeout is not None
-        and not args.backend_timeout > 0  # NaN fails this comparison too
-        else None,
-        "--breaker-threshold must be in (0, 1]"
-        if args.breaker_threshold is not None
-        and not 0.0 < args.breaker_threshold <= 1.0  # rejects NaN as well
-        else None,
-    ):
-        if problem is not None:
-            print(f"sra-repro: {problem}", file=sys.stderr)
-            return 2
+    # One-line stderr + exit 2 for bad numeric knobs and output paths,
+    # matching sra-scan: they would otherwise surface as a ValueError
+    # traceback deep inside the first campaign scan, or after it.
+    problem = knob_problem(args) or check_output_paths(
+        [
+            ("--checkpoint-dir", args.checkpoint_dir),
+            ("--telemetry-out", args.telemetry_out),
+            ("--metrics-out", args.metrics_out),
+        ]
+    )
+    if problem is not None:
+        print(f"sra-repro: {problem}", file=sys.stderr)
+        return 2
     if args.backend is not None:
         if args.backend == "raw":
             print(
@@ -248,18 +213,6 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     if args.shards is not None and args.shards < 1:
         parser.error("--shards must be >= 1")
-    for flag, value in (
-        ("--checkpoint-dir", args.checkpoint_dir),
-        ("--telemetry-out", args.telemetry_out),
-        ("--metrics-out", args.metrics_out),
-    ):
-        if value and not Path(value).parent.is_dir():
-            print(
-                f"sra-repro: {flag}: directory "
-                f"{str(Path(value).parent)!r} does not exist",
-                file=sys.stderr,
-            )
-            return 2
 
     if args.list:
         for experiment_id in sorted(EXPERIMENTS):

@@ -89,12 +89,6 @@ class RaceResult:
         ]
         return "\n".join(lines) + "\n" if lines else ""
 
-    def summary_for(self, strategy: str) -> StrategySummary:
-        for summary in self.summaries:
-            if summary.strategy == strategy:
-                return summary
-        raise KeyError(strategy)
-
 
 def run_strategy_race(
     world: "World",

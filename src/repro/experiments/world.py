@@ -387,13 +387,3 @@ def get_context(
             )
         _CONTEXTS[key] = ExperimentContext(scale=built)
     return _CONTEXTS[key]
-
-
-def custom_context(scale: ExperimentScale) -> ExperimentContext:
-    """An uncached context for ablations with modified configs."""
-    return ExperimentContext(scale=scale)
-
-
-def scaled_with(scale: ExperimentScale, **overrides) -> ExperimentScale:
-    """A copy of ``scale`` with field overrides (for ablations)."""
-    return replace(scale, **overrides)

@@ -39,10 +39,6 @@ class AliasedPrefixList:
         """True if ``address`` falls inside any known aliased prefix."""
         return self._lpm.longest_match(address) is not None
 
-    def contains_prefix(self, prefix: IPv6Prefix) -> bool:
-        """True if ``prefix`` is covered by any known aliased prefix."""
-        return self._lpm.has_cover(prefix)
-
     @classmethod
     def load(cls, path: str | Path) -> "AliasedPrefixList":
         """Load one prefix per line; blanks and ``#`` comments ignored."""

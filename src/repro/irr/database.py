@@ -37,23 +37,6 @@ class IRRDatabase:
         """Distinct registered prefixes, sorted."""
         return sorted({prefix for prefix, _ in self._objects})
 
-    def objects_for_origin(self, origin_asn: int) -> list[Route6Object]:
-        return sorted(
-            (obj for obj in self._objects.values() if obj.origin_asn == origin_asn),
-            key=lambda obj: obj.prefix,
-        )
-
-    def length_histogram(self) -> dict[int, int]:
-        """Count of registered prefixes per prefix length.
-
-        The paper notes nearly 50 % of route6 objects register a /48 —
-        this histogram is how that statistic is checked.
-        """
-        histogram: dict[int, int] = {}
-        for prefix in self.prefixes():
-            histogram[prefix.length] = histogram.get(prefix.length, 0) + 1
-        return histogram
-
     @classmethod
     def load(cls, path: str | Path) -> "IRRDatabase":
         text = Path(path).read_text(encoding="utf-8")

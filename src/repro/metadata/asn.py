@@ -24,15 +24,6 @@ class ASNMapper:
     def asn_of(self, address: int) -> int | None:
         return self._bgp.origin_of(address)
 
-    def map_many(self, addresses: Iterable[int]) -> dict[int, int]:
-        """Map addresses to ASNs, dropping unrouted ones."""
-        mapping: dict[int, int] = {}
-        for address in addresses:
-            asn = self._bgp.origin_of(address)
-            if asn is not None:
-                mapping[address] = asn
-        return mapping
-
     def asn_histogram(self, addresses: Iterable[int]) -> Counter[int]:
         """How many addresses map to each ASN."""
         histogram: Counter[int] = Counter()

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from pathlib import Path
-from typing import Iterable
 
 from ..topology.entities import ASType, World
 
@@ -23,16 +21,6 @@ class ASTypeDatabase:
 
     def type_of(self, asn: int) -> ASType | None:
         return self._mapping.get(asn)
-
-    def type_histogram(
-        self, asns: Iterable[int]
-    ) -> Counter[str]:
-        """Count occurrences per type label ("unknown" when unmapped)."""
-        histogram: Counter[str] = Counter()
-        for asn in asns:
-            as_type = self._mapping.get(asn)
-            histogram[as_type.value if as_type else "unknown"] += 1
-        return histogram
 
     @classmethod
     def from_world(cls, world: World) -> "ASTypeDatabase":

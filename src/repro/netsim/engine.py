@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -327,17 +327,6 @@ class SimulationEngine:
         self.stats = EngineStats()
         self.pending_checks.clear()
         self._limiters.clear()
-
-    def as_backend(self):
-        """This engine behind the scanner's probe-backend seam.
-
-        Returns a :class:`~repro.scanner.backends.sim.SimBackend`
-        wrapping ``self`` (imported locally: the engine must stay
-        importable without the scanner package).
-        """
-        from ..scanner.backends.sim import SimBackend
-
-        return SimBackend(self)
 
     # ------------------------------------------------------------------ #
     # the probe path

@@ -10,7 +10,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .pacing import paced_pps
-from .records import ScanRecord, ScanResult, iter_router_ips, merge_results
+from .records import ScanRecord, ScanResult, merge_results
 from .sharded import (
     ScanInterrupted,
     ShardedScanRunner,
@@ -37,7 +37,6 @@ from .targets import (
     bgp_slash48_targets,
     bgp_slash64_targets,
     hitlist_slash64_targets,
-    prefixes_of_targets,
     route6_slash64_targets,
 )
 from .zmapv6 import ScanConfig, ZMapV6Scanner
@@ -71,12 +70,10 @@ __all__ = [
     "bgp_slash48_targets",
     "bgp_slash64_targets",
     "hitlist_slash64_targets",
-    "iter_router_ips",
     "load_checkpoint",
     "merge_results",
     "paced_pps",
     "save_checkpoint",
-    "prefixes_of_targets",
     "route6_slash64_targets",
     "shard_positions",
     "stream_buffered",

@@ -122,6 +122,69 @@ def check_output_paths(paths: "list[tuple[str, str | None]]") -> str | None:
     return None
 
 
+def add_resilience_flags(parser) -> None:
+    """The backend-resilience flags of both CLIs (see
+    :class:`~repro.scanner.backends.RetryPolicy`); ``parser`` may be an
+    argument group."""
+    parser.add_argument(
+        "--backend-retries",
+        type=int,
+        default=None,
+        metavar="N",
+        help="retry each failed backend batch up to N times (seeded "
+        "deterministic backoff) before splitting/quarantining it; any "
+        "resilience flag wraps the backend in the resilient transport "
+        "layer (default: no wrapper)",
+    )
+    parser.add_argument(
+        "--backend-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-batch watchdog deadline; a hung backend batch is "
+        "recovered and retried (default: no deadline)",
+    )
+    parser.add_argument(
+        "--breaker-threshold",
+        type=float,
+        default=None,
+        metavar="RATE",
+        help="circuit-breaker open threshold as a batch failure rate in "
+        "(0, 1]; an open breaker quarantines batches without probing "
+        "until its cooldown expires (default: no breaker)",
+    )
+
+
+def knob_problem(args, *checks: "tuple[str, bool]") -> str | None:
+    """The first bad numeric knob as a one-line message, or None.
+
+    Checks the rate, batch and resilience flags both CLIs share, so what
+    ``ScanConfig``, ``SurveyConfig`` or ``RetryPolicy`` would raise on
+    (NaN and infinities included) never reaches them as a traceback,
+    then the caller's own ``(message, bad)`` ``checks``.
+    """
+    pps, batch, retries = args.pps, args.batch_size, args.backend_retries
+    timeout, threshold = args.backend_timeout, args.breaker_threshold
+    for message, bad in (
+        ("--pps must be positive", pps is not None and pps <= 0),
+        ("--pps must be finite", pps is not None and not math.isfinite(pps)),
+        ("--batch-size must be >= 1", batch is not None and batch < 1),
+        ("--backend-retries must be >= 0", retries is not None and retries < 0),
+        (
+            "--backend-timeout must be finite and positive",
+            timeout is not None and not 0 < timeout < math.inf,  # and not NaN
+        ),
+        (
+            "--breaker-threshold must be in (0, 1]",
+            threshold is not None and not 0 < threshold <= 1,  # and not NaN
+        ),
+        *checks,
+    ):
+        if bad:
+            return message
+    return None
+
+
 def _scan_config(args, targets: int, seed: int) -> ScanConfig:
     """The :class:`ScanConfig` of one scan, whatever the mode: paced at
     ``--pps``, or to cover ``targets`` in ``--duration`` virtual seconds."""
@@ -135,7 +198,7 @@ def _scan_config(args, targets: int, seed: int) -> ScanConfig:
         # Jitter draws are seeded from the world seed, so retried runs
         # stay in the same reproducible universe as the probes.
         retry_policy=RetryPolicy.from_knobs(
-            args.backend_retries,
+            args.backend_retries or 0,
             args.backend_timeout,
             args.breaker_threshold,
             seed=args.seed,
@@ -273,33 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         help="retry a crashed shard up to N times on a fresh pool "
         "(bounded exponential backoff) before giving up",
     )
-    parser.add_argument(
-        "--backend-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry each failed backend batch up to N times (seeded "
-        "deterministic backoff) before splitting/quarantining it; any "
-        "resilience flag wraps the backend in the resilient transport "
-        "layer",
-    )
-    parser.add_argument(
-        "--backend-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-batch watchdog deadline; a hung backend batch is "
-        "recovered and retried (default: no deadline)",
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="circuit-breaker open threshold as a batch failure rate in "
-        "(0, 1]; an open breaker quarantines batches without probing "
-        "until its cooldown expires (default: no breaker)",
-    )
+    add_resilience_flags(parser)
     parser.add_argument(
         "--world-artifact",
         metavar="PATH",
@@ -334,43 +371,22 @@ def main(argv: list[str] | None = None) -> int:
     # One-line stderr + exit 2 for bad numeric knobs: these used to leak
     # through as tracebacks (ScanConfig ValueError) or silent weird
     # slicing (a negative --max-targets slices from the *end* of the set).
-    for problem in (
-        "--pps must be positive"
-        if args.pps is not None and args.pps <= 0
-        else None,
-        "--pps must be finite"
-        if args.pps is not None and not math.isfinite(args.pps)
-        else None,
-        "--duration must be finite and positive"
-        if not 0 < args.duration < math.inf  # NaN fails this comparison too
-        else None,
-        "--hop-limit must be in [1, 255]"
-        if not 1 <= args.hop_limit <= 255
-        else None,
-        "--batch-size must be >= 1"
-        if args.batch_size is not None and args.batch_size < 1
-        else None,
-        "--max-targets must be >= 0"
-        if args.max_targets is not None and args.max_targets < 0
-        else None,
-        "--max-shard-retries must be >= 0"
-        if args.max_shard_retries < 0
-        else None,
-        "--backend-retries must be >= 0"
-        if args.backend_retries < 0
-        else None,
-        "--backend-timeout must be positive"
-        if args.backend_timeout is not None
-        and not args.backend_timeout > 0  # NaN fails this comparison too
-        else None,
-        "--breaker-threshold must be in (0, 1]"
-        if args.breaker_threshold is not None
-        and not 0.0 < args.breaker_threshold <= 1.0  # rejects NaN as well
-        else None,
-    ):
-        if problem is not None:
-            print(f"sra-scan: {problem}", file=sys.stderr)
-            return 2
+    problem = knob_problem(
+        args,
+        (
+            "--duration must be finite and positive",
+            not 0 < args.duration < math.inf,  # NaN fails this comparison too
+        ),
+        ("--hop-limit must be in [1, 255]", not 1 <= args.hop_limit <= 255),
+        (
+            "--max-targets must be >= 0",
+            args.max_targets is not None and args.max_targets < 0,
+        ),
+        ("--max-shard-retries must be >= 0", args.max_shard_retries < 0),
+    )
+    if problem is not None:
+        print(f"sra-scan: {problem}", file=sys.stderr)
+        return 2
     if args.backend not in backend_names():
         print(
             f"sra-scan: unknown backend {args.backend!r} "

@@ -268,10 +268,6 @@ class ScanResult:
             "both": echo & error,
         }
 
-    def echo_targets(self) -> set[int]:
-        """Probed targets answered with an Echo reply (responsive SRAs)."""
-        return {record.target for record in self.records if record.is_echo}
-
     def target_to_source(self) -> dict[int, int]:
         """Map each target to its (first) echo-reply source — the SRA→router
         binding used by the stability analysis (Fig. 6b)."""
@@ -280,10 +276,6 @@ class ScanResult:
             if record.is_echo and record.target not in mapping:
                 mapping[record.target] = record.source
         return mapping
-
-    def amplified_records(self, threshold: int = 2) -> list[ScanRecord]:
-        """Records whose reply count meets the amplification threshold."""
-        return [record for record in self.records if record.count >= threshold]
 
     # ---------------- persistence ---------------- #
 
@@ -343,13 +335,3 @@ def merge_engine_stats(stats_list: "Iterable[EngineStats]") -> "EngineStats":
         for spec in fields(stats):
             setattr(total, spec.name, getattr(total, spec.name) + getattr(stats, spec.name))
     return total
-
-
-def iter_router_ips(results: Iterable[ScanResult]) -> Iterator[int]:
-    """Distinct reply sources across many scans, in first-seen order."""
-    seen: set[int] = set()
-    for result in results:
-        for record in result.records:
-            if record.source not in seen:
-                seen.add(record.source)
-                yield record.source

@@ -561,6 +561,25 @@ def _worker_scan_shard(targets, config: ScanConfig, scan: str, **kwargs) -> Shar
     return outcome
 
 
+@dataclass(slots=True)
+class _Job:
+    """One :meth:`ShardedScanRunner.scan_all` job, from its start (config
+    resolved, so a lazy set realised) until its result is yielded.  Once
+    submitted, ``futures`` is what the campaign's pool runs ahead for it:
+    ``{future: 0}`` for the whole scan on one shard (its records rebuilt
+    over ``intern``), ``{future: shard}`` on several (frames named by
+    ``scan``); ``collected`` tells the campaign that work is in."""
+
+    targets: Sequence[int]
+    config: ScanConfig
+    name: str
+    epoch: int
+    futures: "dict[Future, int] | None" = None
+    scan: str = ""
+    intern: "dict[int, int] | None" = None
+    collected: "Callable[[], None] | None" = None
+
+
 class ShardedScanRunner:
     """Drop-in scan executor: splits a scan across shards, runs them
     concurrently, and merges deterministically.
@@ -632,11 +651,9 @@ class ShardedScanRunner:
         # this runner executes (exported as a CI artifact by smoke-perf).
         self.ring_stats = RingStats()
         self._interrupted = False
-        # What scan_all submitted for the scan it hands out next: ((name,
-        # epoch), future, intern, collected) on one shard, ((name, epoch),
-        # {future: shard}, frame prefix, collected) on several; collected()
-        # tells the campaign the scan's pool work is in.
-        self._prefetched: tuple | None = None
+        # The job scan_all hands out next, whose submitted work only that
+        # job's scan may adopt.
+        self._prefetched: _Job | None = None
 
     def request_interrupt(self) -> None:
         """Ask a multi-shard scan to stop after the in-flight round,
@@ -691,11 +708,13 @@ class ShardedScanRunner:
         effective = telemetry if telemetry is not None else self.telemetry
         chaos = chaos if chaos is not None else self.chaos
         target_list = scannable(targets)
-        prefetched = None
-        if self._prefetched is not None:
+        prefetched = self._prefetched
+        if prefetched is None or not prefetched.futures:
+            prefetched = None
+        else:
             # What scan_all submitted for this scan: adopting it for any
             # other would hand out another scan's records.
-            job, *prefetched = self._prefetched
+            job = (prefetched.name, prefetched.epoch)
             if job != (name, epoch) or sink is not None:
                 raise ScanOrderError(
                     f"scan_all runs {job} next, not {(name, epoch)}"
@@ -711,10 +730,10 @@ class ShardedScanRunner:
             )
             if prefetched is None:
                 return scanner.scan(target_list, name=name, epoch=epoch, sink=sink)
-            future, intern, collected = prefetched
+            (future,) = prefetched.futures
             result, columns, capture, resilience = future.result()
-            collected()
-            result.records += columns.to_records(intern)
+            prefetched.collected()
+            result.records += columns.to_records(prefetched.intern)
             return scanner.adopt(target_list, result, capture, resilience)
         before = self.ring_stats.as_dict()
         try:
@@ -790,30 +809,33 @@ class ShardedScanRunner:
         # The address ints every record the campaign rebuilds shares.
         intern: dict[int, int] = {}
         pool = None
-        started: deque[list] = deque()  # [targets, config, name, epoch, prefetched]
-        unsent: deque[list] = deque()  # started jobs not yet offered to the pool
+        started: deque[_Job] = deque()
+        unsent: deque[_Job] = deque()  # started jobs not yet offered to the pool
         flying = 0
 
         def send() -> None:
             nonlocal pool, flying
             while unsent and flying < flight:
                 job = unsent.popleft()
-                targets, config, name, epoch, _ = job
-                size = len(targets)  # realised here, not in the feeder thread
+                size = len(job.targets)  # realised here, not in the feeder thread
                 if sharded and self._resolve_executor(size) != "process":
                     continue  # its shards run in this process, in its turn
                 if pool is None:
                     pool = _open_pool(self.world, workers, tuple(shared.values()))
-                payload = slots.get(id(targets), targets)
+                payload = slots.get(id(job.targets), job.targets)
                 if sharded:
-                    scan = _scan_id()
-                    work = self._shard_work(name, epoch, capture, None)
+                    job.scan = _scan_id()
+                    work = self._shard_work(job.name, job.epoch, capture, None)
                     attempts = dict.fromkeys(range(self.shards), 0)
-                    sent = _submit(pool, payload, config, scan, attempts, work), scan
+                    job.futures = _submit(
+                        pool, payload, job.config, job.scan, attempts, work
+                    )
                 else:
-                    task = (_worker_scan, payload, config, name, epoch, capture)
-                    sent = pool.submit(*task), intern
-                job[4] = ((name, epoch), *sent, collected)
+                    future = pool.submit(
+                        _worker_scan, payload, job.config, job.name, job.epoch, capture
+                    )
+                    job.futures = {future: 0}
+                job.intern, job.collected = intern, collected
                 flying += 1
 
         def collected() -> None:
@@ -829,19 +851,20 @@ class ShardedScanRunner:
                 ):
                     if callable(config):
                         config = config(targets)
-                    started.append([targets, config, name, epoch, None])
+                    started.append(_Job(targets, config, name, epoch))
                     if forks:
                         # Submitted as soon as it is realised: the workers
                         # need not wait for the sets started after it.
                         unsent.append(started[-1])
                         send()
-                targets, config, name, epoch, self._prefetched = started[0]
+                job = self._prefetched = started[0]
                 result = self.scan(
-                    targets, config, name=name, epoch=epoch, telemetry=telemetry
+                    job.targets, job.config, name=job.name, epoch=job.epoch,
+                    telemetry=telemetry,
                 )
                 started.popleft()
                 # Claimed only by the next job's scan.
-                self._prefetched = started[0][4] if started else None
+                self._prefetched = started[0] if started else None
                 yield result
         finally:
             self._prefetched = None
@@ -850,9 +873,9 @@ class ShardedScanRunner:
                 # frames on arrival (below) instead of waiting them out.
                 pool.shutdown(wait=not self._interrupted, cancel_futures=True)
                 # What a failed scan's shards and the jobs behind it leave.
-                for *_, prefetched in started if sharded else ():
-                    if prefetched is not None:
-                        _release_unclaimed(prefetched[1], prefetched[2], {})
+                for job in started if sharded else ():
+                    if job.futures:
+                        _release_unclaimed(job.futures, job.scan, {})
 
     def _unattended(self, journal: "Path | None", chaos: ChaosEngine | None) -> bool:
         """Whether a scan has nothing to journal, retry or inject (on one
@@ -927,7 +950,7 @@ class ShardedScanRunner:
         checkpoint_path: Path | None,
         resume: bool,
         chaos: ChaosEngine | None,
-        prefetched: list | None = None,
+        prefetched: _Job | None = None,
     ) -> ScanResult:
         """The one dispatch loop: run, collect, journal, retry, merge.
 
@@ -1022,11 +1045,9 @@ class ShardedScanRunner:
                 self._interrupted = True
 
         work = self._shard_work(name, epoch, telemetry is not None, chaos)
-        scan = _scan_id()
-        if prefetched is not None:
-            # The first round already runs on scan_all's pool, which
-            # unlinks whatever frames it leaves behind.
-            futures, scan, collected = prefetched
+        # The first round of a prefetched scan already runs on scan_all's
+        # pool, which unlinks whatever frames it leaves behind.
+        scan = _scan_id() if prefetched is None else prefetched.scan
         pending = [s for s in range(shards) if s not in outcomes]
         attempts = {s: 0 for s in pending}
         self._interrupted = False
@@ -1034,9 +1055,11 @@ class ShardedScanRunner:
         with self._signal_guard():
             while pending:
                 if prefetched is not None:
-                    failures, prefetched = self._collect(futures, complete), None
+                    failures = self._collect(prefetched.futures, complete)
                     if not (failures or self._interrupted):
-                        collected()  # only a scan that goes on frees its slot
+                        # Only a scan that goes on frees its slot.
+                        prefetched.collected()
+                    prefetched = None
                 else:
                     failures = self._run_round(
                         pending, target_list, config, scan, work, attempts, complete

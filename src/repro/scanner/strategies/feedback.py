@@ -21,9 +21,9 @@ import random
 from typing import TYPE_CHECKING
 
 from ...analysis.hitlist_feedback import contributing_prefixes
-from ...datasets.tum import harvest_hitlist, published_alias_list
-from ..targets import hitlist_slash64_targets
-from .base import TargetStrategy, register_strategy
+from ...datasets.tum import published_alias_list
+from .base import register_strategy
+from .baselines import _HitlistSeededStrategy
 
 if TYPE_CHECKING:
     from ...hitlist.aliases import AliasedPrefixList
@@ -35,7 +35,7 @@ SUBNET_ID_SPACE = 1 << 16  # /64s under one /48
 
 
 @register_strategy
-class HitlistFeedbackStrategy(TargetStrategy):
+class HitlistFeedbackStrategy(_HitlistSeededStrategy):
     """Hitlist seeds, then expansion around contributing /48 prefixes."""
 
     name = "hitlist-feedback"
@@ -52,7 +52,6 @@ class HitlistFeedbackStrategy(TargetStrategy):
         if per_prefix < 1:
             raise ValueError(f"per_prefix must be >= 1, got {per_prefix}")
         self.per_prefix = per_prefix
-        self._seed_targets: list[int] | None = None
         self._aliases: "AliasedPrefixList | None" = None
         self._contributing: set[int] = set()  # /48 networks
 
@@ -74,14 +73,6 @@ class HitlistFeedbackStrategy(TargetStrategy):
         self._contributing = set(state)
 
     # -- window generation -- #
-
-    def _seeds(self) -> list[int]:
-        if self._seed_targets is None:
-            hitlist = harvest_hitlist(self.world)
-            self._seed_targets = hitlist_slash64_targets(
-                hitlist, max_targets=self.budget
-            ).targets
-        return self._seed_targets
 
     def targets_for(self, epoch: int) -> list[int]:
         if epoch == 0 or not self._contributing:

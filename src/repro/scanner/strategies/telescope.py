@@ -20,18 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from ...addr.ipv6 import network_of
-
 if TYPE_CHECKING:
     from ...topology.entities import World
 
 __all__ = ["Telescope", "TelescopeReport"]
-
-# Granularity for the distinct-dark-regions view: /32 is a typical RIR
-# allocation unit, so distinct dark /32s ≈ "how many allocations' worth
-# of unallocated space did the scanner spray".
-DARK_REGION_LENGTH = 32
-
 
 @dataclass(slots=True)
 class TelescopeReport:
@@ -53,12 +45,11 @@ class Telescope:
 
     def __init__(self, world: "World") -> None:
         self._bgp = world.bgp
-        self._dark_regions: set[int] = set()
 
     def observe_window(
         self, targets: Iterable[int], *, strategy: str, epoch: int
     ) -> TelescopeReport:
-        """One window's routed/dark split (cumulative regions update)."""
+        """One window's routed/dark split."""
         report = TelescopeReport(strategy=strategy, epoch=epoch)
         is_routed = self._bgp.is_routed
         for target in targets:
@@ -67,12 +58,4 @@ class Telescope:
                 report.routed += 1
             else:
                 report.dark += 1
-                self._dark_regions.add(
-                    network_of(target, DARK_REGION_LENGTH)
-                )
         return report
-
-    @property
-    def dark_regions(self) -> list[int]:
-        """Distinct dark /32 networks seen so far, sorted."""
-        return sorted(self._dark_regions)

@@ -15,7 +15,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from ..addr.ipv6 import AddressError, IPv6Prefix, format_address, parse_address
+from ..addr.ipv6 import AddressError, format_address, parse_address
 from ..addr.partition import (
     hitlist_targets,
     route6_targets,
@@ -243,12 +243,3 @@ def hitlist_slash64_targets(
         targets=_cut(hitlist_targets(addresses), max_targets),
         subnet_length=64,
     )
-
-
-def prefixes_of_targets(target_list: TargetList) -> list[IPv6Prefix]:
-    """Interpret a /N-style target list as subnet prefixes again."""
-    if target_list.subnet_length is None:
-        raise ValueError(f"target list {target_list.name!r} has no subnet length")
-    return [
-        IPv6Prefix(target, target_list.subnet_length) for target in target_list
-    ]

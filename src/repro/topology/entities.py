@@ -255,35 +255,3 @@ class World:
         """Every responsive host address in the world."""
         for subnet in self.subnets.values():
             yield from subnet.hosts
-
-    def all_router_addresses(self) -> set[int]:
-        """Ground truth: every router-owned address (for recall metrics)."""
-        addresses: set[int] = set()
-        for router in self.routers.values():
-            addresses.update(router.all_addresses())
-        return addresses
-
-    def router_for_address(self, address: int) -> Router | None:
-        """The router owning ``address`` as one of its interfaces, if any."""
-        match = self.resolution.longest_match(address)
-        if match is None:
-            return None
-        entry = match[1]
-        if entry.kind is EntryKind.SUBNET:
-            subnet: Subnet = entry.payload  # type: ignore[assignment]
-            if address == subnet.router_interface:
-                return self.routers[subnet.router_id]
-            return None
-        if entry.kind is EntryKind.INFRA:
-            infra: InfraSubnet = entry.payload  # type: ignore[assignment]
-            router_id = infra.interfaces.get(address)
-            return None if router_id is None else self.routers[router_id]
-        return None
-
-    def country_of_asn(self, asn: int) -> str | None:
-        info = self.ases.get(asn)
-        return None if info is None else info.country
-
-    def type_of_asn(self, asn: int) -> ASType | None:
-        info = self.ases.get(asn)
-        return None if info is None else info.as_type

@@ -7,13 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.addr.ipv6 import (
-    ADDRESS_BITS,
     MAX_ADDRESS,
     AddressError,
     IPv6Prefix,
-    common_prefix_length,
     format_address,
-    host_bits,
     network_of,
     parse_address,
     prefix_mask,
@@ -130,24 +127,15 @@ class TestMasks:
         address = parse_address("2001:db8:abcd:1234::42")
         assert network_of(address, 48) == parse_address("2001:db8:abcd::")
 
-    def test_host_bits(self):
-        address = parse_address("2001:db8::42")
-        assert host_bits(address, 64) == 0x42
-
     def test_all_129_table_entries(self):
-        # prefix_mask/host_bits read precomputed 129-entry tables; verify
-        # every entry against the arithmetic definition.
+        # prefix_mask and IPv6Prefix.last read a precomputed 129-entry
+        # table; verify every entry against the arithmetic definition.
         for length in range(129):
             expected = (MAX_ADDRESS << (128 - length)) & MAX_ADDRESS
             assert prefix_mask(length) == expected
             address = 0x20010DB8FEDCBA9876543210FFFF0001
-            assert host_bits(address, length) == address & (MAX_ADDRESS ^ expected)
-
-    def test_host_bits_invalid_length(self):
-        with pytest.raises(AddressError):
-            host_bits(1, 129)
-        with pytest.raises(AddressError):
-            host_bits(1, -1)
+            last = (address & expected) | (MAX_ADDRESS ^ expected)
+            assert IPv6Prefix.of(address, length).last == last
 
 
 class TestIPv6Prefix:
@@ -226,18 +214,6 @@ class TestIPv6Prefix:
         with pytest.raises(AddressError):
             list(IPv6Prefix.parse("2001:db8::/64").subnets(48))
 
-    def test_nth_subnet(self):
-        prefix = IPv6Prefix.parse("2001:db8::/32")
-        assert prefix.nth_subnet(48, 0).network == prefix.network
-        assert prefix.nth_subnet(48, 5) == IPv6Prefix.parse("2001:db8:5::/48")
-
-    def test_nth_subnet_bounds(self):
-        prefix = IPv6Prefix.parse("2001:db8::/32")
-        with pytest.raises(AddressError):
-            prefix.nth_subnet(48, 1 << 16)
-        with pytest.raises(AddressError):
-            prefix.nth_subnet(48, -1)
-
     def test_ordering_groups_covering_first(self):
         prefixes = [
             IPv6Prefix.parse("2001:db8:1::/48"),
@@ -250,16 +226,3 @@ class TestIPv6Prefix:
 
     def test_hashable(self):
         assert len({IPv6Prefix.parse("::/0"), IPv6Prefix.parse("::/0")}) == 1
-
-
-class TestCommonPrefixLength:
-    def test_identical(self):
-        assert common_prefix_length(5, 5) == ADDRESS_BITS
-
-    def test_disjoint_top_bit(self):
-        assert common_prefix_length(0, 1 << 127) == 0
-
-    def test_partial(self):
-        a = parse_address("2001:db8::")
-        b = parse_address("2001:db9::")
-        assert common_prefix_length(a, b) == 31

@@ -136,12 +136,17 @@ class TestBackendSpecPlumbing:
         other_key = config_key(ScanConfig(backend="wire-sim", key=b"k" * 32))
         assert other_key != wire  # a different probe key is a mismatch
 
-    def test_engine_as_backend(self, tiny_world):
+    def test_sim_backend_follows_engine_epoch(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=4)
-        backend = engine.as_backend()
-        assert isinstance(backend, SimBackend)
+        backend = SimBackend(engine)
         assert backend.engine is engine
         assert backend.epoch == 4
+        backend.new_epoch(7)
+        assert engine.epoch == 7 and backend.epoch == 7
+        built = SimBackend.from_spec(
+            make_backend_spec("sim"), world=tiny_world, epoch=4
+        )
+        assert built.epoch == 4
 
     def test_scanner_accepts_backend_directly(self, tiny_world):
         backend = SimBackend(SimulationEngine(tiny_world, epoch=0))

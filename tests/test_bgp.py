@@ -7,7 +7,6 @@ import pytest
 from repro.addr.ipv6 import IPv6Prefix, parse_address
 from repro.bgp.dump import (
     DumpFormatError,
-    iter_dump,
     parse_dump_line,
     read_dump,
     write_dump,
@@ -211,12 +210,6 @@ class TestBGPTable:
             p("2001:db9::/48"),
         ]
 
-    def test_prefixes_of_length(self):
-        assert self._table().prefixes_of_length(48) == [
-            p("2001:db8:1::/48"),
-            p("2001:db9::/48"),
-        ]
-
     def test_withdraw(self):
         table = self._table()
         assert table.withdraw(p("2001:db8:1::/48"))
@@ -230,16 +223,18 @@ class TestBGPTable:
         assert not table.has_cover(p("2001:db8::/32"), strict=True)
         assert not table.has_cover(p("2002::/32"))
 
-    def test_more_specifics(self):
-        table = self._table()
-        specifics = table.more_specifics(p("2001:db8::/32"))
-        assert [a.prefix for a in specifics] == [p("2001:db8:1::/48")]
-
     def test_len_contains_iter(self):
         table = self._table()
         assert len(table) == 3
         assert p("2001:db8::/32") in table
         assert {a.origin_asn for a in table} == {64500, 64501, 64502}
+
+    def test_add_replaces_origin(self):
+        table = self._table()
+        table.add(Announcement(p("2001:db8:1::/48"), 64999))
+        assert len(table) == 3
+        assert table.origin_of(parse_address("2001:db8:1::9")) == 64999
+        assert table.origin_of(parse_address("2001:db8:2::9")) == 64500
 
 
 class TestDump:
@@ -273,15 +268,21 @@ class TestDump:
         assert len(table) == 2
         assert table.origin_of(parse_address("2001:db9::1")) == 64501
 
+    def test_read_dump_skips_comments_and_blanks(self):
+        buffer = io.StringIO("# hi\n2001:db8::/32 7\n\n2001:db9::/48 8\n")
+        table = read_dump(buffer)
+        assert [a.origin_asn for a in table] == [7, 8]
+
+    def test_read_dump_rejects_bad_line(self):
+        buffer = io.StringIO("2001:db8::/32 7\n2001:db9::/48\n")
+        with pytest.raises(DumpFormatError):
+            read_dump(buffer)
+
     def test_roundtrip_via_file(self, tmp_path):
         path = tmp_path / "dump.txt"
         write_dump([Announcement(p("2001:db8::/32"), 1)], path)
         table = read_dump(path)
         assert p("2001:db8::/32") in table
-
-    def test_iter_dump(self):
-        buffer = io.StringIO("# hi\n2001:db8::/32 7\n\n2001:db9::/48 8\n")
-        assert [a.origin_asn for a in iter_dump(buffer)] == [7, 8]
 
     def test_write_sorted(self):
         buffer = io.StringIO()

@@ -9,7 +9,6 @@ from repro.datasets.ripeatlas import run_atlas_campaign
 from repro.datasets.traceroute import traceroute
 from repro.datasets.tum import (
     harvest_hitlist,
-    hitlist_ground_truth_slash64s,
     published_alias_list,
 )
 from repro.metadata.asn import ASNMapper
@@ -107,6 +106,16 @@ class TestTumHarvest:
             if address not in hosts:
                 assert tiny_world.bgp.is_routed(address)
 
+    def test_live_entries_are_hosts_or_router_interfaces(self, tiny_world):
+        hitlist = harvest_hitlist(
+            tiny_world, coverage=0.5, stale_fraction=0.0, router_fraction=0.5
+        )
+        hosts = set(tiny_world.all_hosts())
+        interfaces = {s.router_interface for s in tiny_world.subnets.values()}
+        assert hitlist
+        for address in hitlist:
+            assert address in hosts or address in interfaces
+
     def test_validation(self, tiny_world):
         with pytest.raises(ValueError):
             harvest_hitlist(tiny_world, coverage=0.0)
@@ -115,17 +124,12 @@ class TestTumHarvest:
 
     def test_alias_list_recall(self, tiny_world):
         full = published_alias_list(tiny_world, recall=1.0)
+        listed = list(full)
         aliased_subnets = [s for s in tiny_world.subnets.values() if s.aliased]
         for subnet in aliased_subnets:
-            assert full.contains_prefix(subnet.prefix)
+            assert any(prefix.covers(subnet.prefix) for prefix in listed)
         partial = published_alias_list(tiny_world, recall=0.5)
         assert len(partial) <= len(full)
-
-    def test_ground_truth_slash64s(self, tiny_world):
-        truth = hitlist_ground_truth_slash64s(tiny_world)
-        assert truth
-        for prefix in truth:
-            assert tiny_world.subnets[prefix.network].hosts
 
 
 class TestArkCampaign:
@@ -181,6 +185,19 @@ class TestIXPCapture:
         for address in capture.all_addresses():
             assert address in hosts or address in loopbacks
 
+    def test_as_dataset_holds_both_directions(self, tiny_world):
+        capture = run_ixp_capture(tiny_world, packets=100_000, sample_rate=50)
+        dataset = capture.as_dataset()
+        assert dataset.name == capture.name
+        assert dataset.addresses == (
+            capture.source_addresses | capture.destination_addresses
+        )
+
+    def test_capture_deterministic_per_seed(self, tiny_world):
+        first = run_ixp_capture(tiny_world, seed=5, packets=50_000, sample_rate=50)
+        again = run_ixp_capture(tiny_world, seed=5, packets=50_000, sample_rate=50)
+        assert first == again
+
     def test_traffic_skewed_to_top_ases(self, tiny_world):
         capture = run_ixp_capture(tiny_world, packets=400_000, sample_rate=50)
         mapper = ASNMapper(tiny_world.bgp)
@@ -188,11 +205,6 @@ class TestIXPCapture:
         assert top
         # The top AS carries a disproportionate share (paper: >40 %).
         assert top[0][1] > 0.15
-
-    def test_bidirectional_subset(self, tiny_world):
-        capture = run_ixp_capture(tiny_world, packets=100_000, sample_rate=50)
-        bidirectional = capture.bidirectional_addresses()
-        assert bidirectional <= capture.all_addresses()
 
 
 class TestAddressDataset:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.survey import SurveyConfig
 from repro.experiments.runner import EXPERIMENTS, run_experiment
-from repro.experiments.world import get_context, quick_scale, scaled_with
+from repro.experiments.world import get_context, quick_scale
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +75,6 @@ class TestRunnerPlumbing:
             assert report.text
             assert report.data
             assert experiment_id in str(report)
-
-    def test_scaled_with_override(self):
-        scale = scaled_with(quick_scale(), fig5_epochs=2)
-        assert scale.fig5_epochs == 2
 
 
 class TestTable2Shape:

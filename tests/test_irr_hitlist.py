@@ -119,33 +119,33 @@ class TestIRRDatabase:
         assert len(db) == 2
         assert db.prefixes() == [prefix]
 
+    def test_prefixes_distinct_and_sorted(self):
+        db = IRRDatabase(
+            [
+                Route6Object(IPv6Prefix.parse("2001:dba::/32"), 2),
+                Route6Object(IPv6Prefix.parse("2001:db9::/48"), 1),
+                Route6Object(IPv6Prefix.parse("2001:db8::/48"), 1),
+                Route6Object(IPv6Prefix.parse("2001:db9::/48"), 3),
+            ]
+        )
+        assert [str(prefix) for prefix in db.prefixes()] == [
+            "2001:db8::/48",
+            "2001:db9::/48",
+            "2001:dba::/32",
+        ]
+
+    def test_add_same_registration_twice_keeps_one(self):
+        obj = Route6Object(IPv6Prefix.parse("2001:db8::/48"), 1)
+        db = IRRDatabase([obj, obj])
+        db.add(obj)
+        assert len(db) == 1
+
     def test_remove(self):
         prefix = IPv6Prefix.parse("2001:db8::/48")
         db = IRRDatabase([Route6Object(prefix, 1)])
         assert db.remove(prefix, 1)
         assert not db.remove(prefix, 1)
         assert len(db) == 0
-
-    def test_objects_for_origin(self):
-        db = IRRDatabase(
-            [
-                Route6Object(IPv6Prefix.parse("2001:db9::/48"), 1),
-                Route6Object(IPv6Prefix.parse("2001:db8::/48"), 1),
-                Route6Object(IPv6Prefix.parse("2001:dba::/48"), 2),
-            ]
-        )
-        mine = db.objects_for_origin(1)
-        assert [str(o.prefix) for o in mine] == ["2001:db8::/48", "2001:db9::/48"]
-
-    def test_length_histogram(self):
-        db = IRRDatabase(
-            [
-                Route6Object(IPv6Prefix.parse("2001:db8::/48"), 1),
-                Route6Object(IPv6Prefix.parse("2001:db9::/48"), 1),
-                Route6Object(IPv6Prefix.parse("2001:dba::/32"), 1),
-            ]
-        )
-        assert db.length_histogram() == {48: 2, 32: 1}
 
     def test_save_load(self, tmp_path):
         db = IRRDatabase([Route6Object(IPv6Prefix.parse("2001:db8::/48"), 64500)])
@@ -205,11 +205,6 @@ class TestAliasedPrefixList:
         assert alias_list.contains_address(parse_address("2001:db8::42"))
         assert not alias_list.contains_address(parse_address("2001:db9::42"))
 
-    def test_contains_prefix(self):
-        alias_list = AliasedPrefixList([IPv6Prefix.parse("2001:db8::/48")])
-        assert alias_list.contains_prefix(IPv6Prefix.parse("2001:db8:0:1::/64"))
-        assert not alias_list.contains_prefix(IPv6Prefix.parse("2001:db8::/32"))
-
     def test_dedup_and_iter_sorted(self):
         alias_list = AliasedPrefixList()
         alias_list.add(IPv6Prefix.parse("2001:db9::/48"))
@@ -227,8 +222,8 @@ class TestAliasedPrefixList:
         assert loaded.contains_address(parse_address("2001:db8::1"))
 
     def test_containment_equals_brute_force(self):
-        """Against ``any(p.covers(...))`` over the plain prefix list, at
-        every length, nested and adjacent prefixes included."""
+        """Against ``any(p.covers(...))`` over the plain prefix list,
+        nested and adjacent prefixes included."""
         rng = random.Random(12)
         bases = [rng.getrandbits(128) for _ in range(4)]
         listed = {
@@ -254,8 +249,3 @@ class TestAliasedPrefixList:
                 assert alias_list.contains_address(address) == any(
                     prefix.covers(host) for prefix in listed
                 )
-                for length in (0, 31, 48, 64, 100, 128):
-                    query = IPv6Prefix.of(address, length)
-                    assert alias_list.contains_prefix(query) == any(
-                        prefix.covers(query) for prefix in listed
-                    )

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.comparison import SourceComparison
 from repro.analysis.geodist import (
-    continent_distribution,
     continent_type_crosstab,
     country_distribution,
     country_shares,
@@ -50,6 +49,13 @@ class TestGeoIP:
             subnet.router_interface
         )
 
+    def test_country_is_the_owning_as_country(self, tiny_world):
+        geo = GeoIPDatabase.from_world(tiny_world)
+        for subnet in tiny_world.subnets.values():
+            assert geo.country_of(subnet.router_interface) == (
+                tiny_world.ases[subnet.asn].country
+            )
+
     def test_continent_of(self):
         assert continent_of("IND") == "AS"
         assert continent_of("BRA") == "SA"
@@ -59,11 +65,28 @@ class TestGeoIP:
 
 
 class TestASNMapper:
-    def test_map_many_drops_unrouted(self, tiny_world):
+    def test_asn_of(self, tiny_world):
         mapper = ASNMapper(tiny_world.bgp)
         subnet = next(iter(tiny_world.subnets.values()))
-        mapping = mapper.map_many([subnet.router_interface, 0x3BAD << 112])
-        assert mapping == {subnet.router_interface: subnet.asn}
+        assert mapper.asn_of(subnet.router_interface) == subnet.asn
+        assert mapper.asn_of(0x3BAD << 112) is None
+
+    def test_histogram_drops_unrouted(self, tiny_world):
+        mapper = ASNMapper(tiny_world.bgp)
+        subnet = next(iter(tiny_world.subnets.values()))
+        histogram = mapper.asn_histogram([subnet.router_interface, 0x3BAD << 112])
+        assert histogram == {subnet.asn: 1}
+
+    def test_top_asns_shares(self, tiny_world):
+        mapper = ASNMapper(tiny_world.bgp)
+        addresses = [s.router_interface for s in tiny_world.subnets.values()]
+        top = mapper.top_asns(addresses, n=3)
+        assert len(top) == 3
+        shares = [share for _, share in top]
+        assert shares == sorted(shares, reverse=True)
+        histogram = mapper.asn_histogram(addresses)
+        for asn, share in top:
+            assert share == pytest.approx(histogram[asn] / len(addresses))
 
     def test_histogram(self, tiny_world):
         mapper = ASNMapper(tiny_world.bgp)
@@ -84,12 +107,6 @@ class TestASTypeDatabase:
         asn = next(iter(tiny_world.ases))
         assert db.type_of(asn) is tiny_world.ases[asn].as_type
 
-    def test_histogram_with_unknown(self, tiny_world):
-        db = ASTypeDatabase.from_world(tiny_world)
-        asn = next(iter(tiny_world.ases))
-        histogram = db.type_histogram([asn, 999999999])
-        assert histogram["unknown"] == 1
-
     def test_save_load(self, tiny_world, tmp_path):
         db = ASTypeDatabase.from_world(tiny_world)
         path = tmp_path / "types.txt"
@@ -103,6 +120,10 @@ class TestASTypeDatabase:
         db = ASTypeDatabase()
         db.add(42, ASType.HOSTING)
         assert db.type_of(42) is ASType.HOSTING
+
+    def test_unknown_asn(self, tiny_world):
+        db = ASTypeDatabase.from_world(tiny_world)
+        assert db.type_of(999999999) is None
 
 
 class TestSourceComparison:
@@ -248,12 +269,6 @@ class TestGeoDist:
         assert values == sorted(values, reverse=True)
         assert sum(values) == pytest.approx(1.0)
 
-    def test_continent_distribution(self, tiny_world):
-        geo = GeoIPDatabase.from_world(tiny_world)
-        addresses = [next(iter(tiny_world.subnets.values())).router_interface]
-        counts = continent_distribution(addresses, geo)
-        assert sum(counts.values()) == 1
-
     def test_type_distribution_and_isp_share(self, tiny_world):
         mapper = ASNMapper(tiny_world.bgp)
         types = ASTypeDatabase.from_world(tiny_world)
@@ -262,6 +277,18 @@ class TestGeoDist:
         assert sum(distribution.values()) == len(addresses)
         share = isp_share(addresses, mapper, types)
         assert 0.0 <= share <= 1.0
+
+    def test_unmapped_addresses_counted_as_unknown(self, tiny_world):
+        geo = GeoIPDatabase.from_world(tiny_world)
+        mapper = ASNMapper(tiny_world.bgp)
+        types = ASTypeDatabase.from_world(tiny_world)
+        subnet = next(iter(tiny_world.subnets.values()))
+        addresses = [subnet.router_interface, 0x3BAD << 112]
+        countries = country_distribution(addresses, geo)
+        assert countries == {tiny_world.ases[subnet.asn].country: 1, "??": 1}
+        distribution = type_distribution(addresses, mapper, types)
+        assert distribution["unknown"] == 1
+        assert sum(distribution.values()) == 2
 
     def test_crosstab(self, tiny_world):
         geo = GeoIPDatabase.from_world(tiny_world)

@@ -548,47 +548,112 @@ def test_scan_config_rejects_non_policy():
 # ---------------- CLI validation: exit 2, one-line stderr ------------- #
 
 
-@pytest.mark.parametrize(
-    "argv, fragment",
-    [
-        (["--backend-retries", "-1"], "--backend-retries"),
-        (["--backend-timeout", "0"], "--backend-timeout"),
-        (["--backend-timeout", "-3"], "--backend-timeout"),
-        (["--backend-timeout", "nan"], "--backend-timeout"),
-        (["--breaker-threshold", "0"], "--breaker-threshold"),
-        (["--breaker-threshold", "1.5"], "--breaker-threshold"),
-        (["--breaker-threshold", "nan"], "--breaker-threshold"),
-        (["--max-shard-retries", "-1"], "--max-shard-retries"),
-    ],
-)
-def test_scan_cli_rejects_bad_resilience_flags(argv, fragment, capsys):
-    from repro.scanner.cli import main
+def _cli_main(prog):
+    if prog == "sra-scan":
+        from repro.scanner.cli import main
+    else:
+        from repro.experiments.runner import main
+    return main
 
-    assert main(argv) == 2
+
+# Both CLIs take these flags from one definition and refuse what
+# RetryPolicy / SurveyConfig would raise on.
+_SHARED_BAD_FLAGS = [
+    (["--backend-retries", "-1"], "--backend-retries"),
+    (["--backend-timeout", "0"], "--backend-timeout"),
+    (["--backend-timeout", "-3"], "--backend-timeout"),
+    (["--backend-timeout", "nan"], "--backend-timeout"),
+    (["--backend-timeout", "inf"], "--backend-timeout"),
+    (["--breaker-threshold", "0"], "--breaker-threshold"),
+    (["--breaker-threshold", "1.5"], "--breaker-threshold"),
+    (["--breaker-threshold", "nan"], "--breaker-threshold"),
+    (["--pps", "nan"], "--pps"),
+    (["--pps", "inf"], "--pps"),
+]
+
+
+@pytest.mark.parametrize(
+    "prog, argv, fragment",
+    [
+        (prog, argv, fragment)
+        for prog in ("sra-scan", "sra-repro")
+        for argv, fragment in _SHARED_BAD_FLAGS
+    ]
+    + [("sra-scan", ["--max-shard-retries", "-1"], "--max-shard-retries")],
+)
+def test_cli_rejects_bad_resilience_flags(prog, argv, fragment, capsys):
+    assert _cli_main(prog)(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("sra-scan: ")
+    assert err.startswith(f"{prog}: ")
     assert fragment in err
     assert err.count("\n") == 1, "one-line diagnostics only"
 
 
+class _Built(Exception):
+    """Stops a CLI once it has built its scan or survey config."""
+
+
 @pytest.mark.parametrize(
-    "argv, fragment",
+    "argv, knobs",
     [
-        (["--backend-retries", "-1"], "--backend-retries"),
-        (["--backend-timeout", "0"], "--backend-timeout"),
-        (["--backend-timeout", "nan"], "--backend-timeout"),
-        (["--breaker-threshold", "0"], "--breaker-threshold"),
-        (["--breaker-threshold", "nan"], "--breaker-threshold"),
+        ([], None),
+        (["--backend-retries", "0"], None),
+        (["--backend-retries", "2"], (2, None, None)),
+        (["--backend-timeout", "1.5"], (0, 1.5, None)),
+        (["--breaker-threshold", "0.5"], (0, None, 0.5)),
+        (
+            ["--backend-retries", "1", "--backend-timeout", "2",
+             "--breaker-threshold", "1", "--pps", "900", "--batch-size", "7"],
+            (1, 2.0, 1.0),
+        ),
     ],
 )
-def test_repro_cli_rejects_bad_resilience_flags(argv, fragment, capsys):
-    from repro.experiments.runner import main
+def test_cli_flags_build_the_same_configs(argv, knobs, tiny_world, monkeypatch):
+    """Each CLI turns the flags into the RetryPolicy / SurveyConfig it
+    always has: no wrapper when every knob is unset, else exactly the
+    knobs given, seeded by ``--seed``."""
+    import repro.experiments.runner as runner
+    import repro.scanner.cli as cli
+    from dataclasses import replace
 
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("sra-repro: ")
-    assert fragment in err
-    assert err.count("\n") == 1, "one-line diagnostics only"
+    from repro.experiments.world import quick_scale
+
+    expected = (
+        None if knobs is None else RetryPolicy.from_knobs(*knobs, seed=2024)
+    )
+    built = []
+    real_scan_config = cli._scan_config
+
+    def scan_config(*args):
+        built.append(real_scan_config(*args))
+        raise _Built
+
+    monkeypatch.setattr(cli, "build_world", lambda config: tiny_world)
+    monkeypatch.setattr(cli, "_scan_config", scan_config)
+    with pytest.raises(_Built):
+        cli.main(["--max-targets", "8", *argv])
+    assert built[0].retry_policy == expected
+    if "--pps" in argv:
+        assert (built[0].pps, built[0].batch_size) == (900.0, 7)
+
+    real_get_context = runner.get_context
+
+    def get_context(*args, **kwargs):
+        built.append(real_get_context(*args, **kwargs).scale.survey_config)
+        raise _Built
+
+    monkeypatch.setattr(runner, "get_context", get_context)
+    with pytest.raises(_Built):
+        runner.main(["table2", *argv])
+    retries, timeout, threshold = knobs or (0, None, None)
+    overrides = dict(
+        backend_retries=retries, backend_timeout=timeout, breaker_threshold=threshold
+    )
+    if "--pps" in argv:
+        overrides.update(pps=900.0, batch_size=7)
+    survey_config = replace(quick_scale(2024).survey_config, **overrides)
+    assert built[1] == survey_config
+    assert (built[1].resilience_policy() is None) == (expected is None)
 
 
 def test_scan_cli_accepts_resilience_flags(tmp_path, capsys):

@@ -11,7 +11,6 @@ from repro.packet.icmpv6 import ICMPv6Type
 from repro.scanner.records import (
     ScanRecord,
     ScanResult,
-    iter_router_ips,
     merge_results,
 )
 from repro.scanner.targets import (
@@ -19,7 +18,6 @@ from repro.scanner.targets import (
     bgp_slash48_targets,
     bgp_slash64_targets,
     hitlist_slash64_targets,
-    prefixes_of_targets,
     route6_slash64_targets,
 )
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
@@ -77,16 +75,10 @@ class TestScanResult:
         assert classes["echo"] == {101}
         assert classes["error"] == {102, 103}
 
-    def test_echo_targets(self):
-        assert self._result().echo_targets() == {1, 3}
-
     def test_target_to_source_first_wins(self):
         result = ScanResult(name="x", sent=1)
         result.records = [record(1, 100, ECHO), record(1, 999, ECHO)]
         assert result.target_to_source() == {1: 100}
-
-    def test_amplified_records(self):
-        assert len(self._result().amplified_records(threshold=2)) == 1
 
     def test_write_csv_roundtrip(self, tmp_path):
         result = self._result()
@@ -111,16 +103,17 @@ class TestScanResult:
         assert merged.sent == 20
         assert len(merged.records) == 10
 
-    def test_iter_router_ips_dedup_order(self):
-        ips = list(iter_router_ips([self._result(), self._result()]))
-        assert ips == [100, 101, 102, 103]
-
 
 class TestTargetLists:
     def test_bgp_plain(self, tiny_world):
         targets = bgp_plain_targets(tiny_world.bgp)
         assert len(targets) == len(set(targets.targets))
         assert targets.name == "bgp-plain"
+
+    def test_only_subnet_lists_carry_a_length(self, tiny_world, tiny_hitlist):
+        assert bgp_plain_targets(tiny_world.bgp).subnet_length is None
+        hitlist = hitlist_slash64_targets(tiny_hitlist, max_targets=10)
+        assert hitlist.subnet_length == 64
 
     def test_max_targets_cap(self, tiny_world):
         targets = bgp_plain_targets(tiny_world.bgp, max_targets=5)
@@ -134,20 +127,24 @@ class TestTargetLists:
         assert targets.subnet_length == 48
         from repro.addr.ipv6 import IPv6Prefix
 
+        announced = tiny_world.bgp.prefixes()
         for target in list(targets)[:100]:
             # Either the target is routed, or it is the SRA of the /48
             # supernet of a more-specific (e.g. /52) announcement — the
             # paper's lifting rule produces those deliberately.
             slash48 = IPv6Prefix.of(target, 48)
             assert tiny_world.bgp.is_routed(target) or any(
-                True for _ in tiny_world.bgp.more_specifics(slash48)
+                prefix.length > 48 and slash48.covers(prefix)
+                for prefix in announced
             )
 
     def test_bgp_slash64(self, tiny_world):
         rng = random.Random(0)
         targets = bgp_slash64_targets(tiny_world.bgp, max_per_prefix=4, rng=rng)
         assert targets.subnet_length == 64
-        slash48s = tiny_world.bgp.prefixes_of_length(48)
+        slash48s = [
+            prefix for prefix in tiny_world.bgp.prefixes() if prefix.length == 48
+        ]
         for target in targets:
             assert any(target in prefix for prefix in slash48s)
 
@@ -163,15 +160,6 @@ class TestTargetLists:
         assert len(targets) == len(set(targets.targets))
         for target in list(targets)[:50]:
             assert target & ((1 << 64) - 1) == 0
-
-    def test_prefixes_of_targets(self, tiny_hitlist):
-        targets = hitlist_slash64_targets(tiny_hitlist, max_targets=10)
-        prefixes = prefixes_of_targets(targets)
-        assert all(prefix.length == 64 for prefix in prefixes)
-
-    def test_prefixes_of_targets_requires_length(self, tiny_world):
-        with pytest.raises(ValueError):
-            prefixes_of_targets(bgp_plain_targets(tiny_world.bgp))
 
     def test_sample(self, tiny_hitlist):
         targets = hitlist_slash64_targets(tiny_hitlist)

@@ -191,8 +191,6 @@ class TestTelescope:
         assert report.routed == len(routed)
         assert report.dark == len(dark)
         assert report.dark_share == pytest.approx(7 / 12)
-        # All synthetic dark probes share one /32.
-        assert len(telescope.dark_regions) == 1
 
     def test_empty_window(self, tiny_world):
         report = Telescope(tiny_world).observe_window(
@@ -231,10 +229,11 @@ class TestRace:
         """The paper's claim, at test scale: SRA probing discovers at
         least as many router IPs as every alternative on the same
         budget, and far more than the random control."""
-        sra = serial_race.summary_for("sra-anycast")
+        summaries = {s.strategy: s for s in serial_race.summaries}
+        sra = summaries["sra-anycast"]
         for summary in serial_race.summaries:
             assert sra.router_ips >= summary.router_ips, summary.strategy
-        random_ = serial_race.summary_for("random-baseline")
+        random_ = summaries["random-baseline"]
         assert sra.router_ips > random_.router_ips
         assert sra.mean_overlap > random_.mean_overlap
 
@@ -253,10 +252,6 @@ class TestRace:
             strategy_names()
         )
         assert format_race_table(serial_race).count("\n") >= len(lines)
-
-    def test_summary_for_unknown_raises(self, serial_race):
-        with pytest.raises(KeyError):
-            serial_race.summary_for("nope")
 
     def test_bad_epochs_raises(self, tiny_world):
         with pytest.raises(ValueError, match="at least one epoch"):

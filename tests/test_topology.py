@@ -148,12 +148,28 @@ class TestWorldStructure:
         assert match is not None
         assert match[1].kind is EntryKind.SUBNET
 
-    def test_router_for_address(self, tiny_world):
-        subnet = next(iter(tiny_world.subnets.values()))
-        router = tiny_world.router_for_address(subnet.router_interface)
-        assert router is not None
-        assert router.router_id == subnet.router_id
-        assert tiny_world.router_for_address(subnet.prefix.network + 999) is None
+    def test_resolution_attributes_router_interfaces(self, tiny_world):
+        """Every subnet-facing and infrastructure interface resolves to
+        the entry naming the router that owns it."""
+        for subnet in tiny_world.subnets.values():
+            match = tiny_world.resolution.longest_match(subnet.router_interface)
+            assert match is not None
+            entry = match[1]
+            assert entry.kind is EntryKind.SUBNET
+            assert entry.payload.router_id == subnet.router_id
+        for infra in tiny_world.infra_subnets.values():
+            for address, router_id in infra.interfaces.items():
+                match = tiny_world.resolution.longest_match(address)
+                assert match is not None
+                assert match[1].kind is EntryKind.INFRA
+                assert match[1].payload.interfaces[address] == router_id
+                assert address in tiny_world.routers[router_id].all_addresses()
+
+    def test_routers_listed_by_their_as(self, tiny_world):
+        for router_id, router in tiny_world.routers.items():
+            info = tiny_world.ases[router.asn]
+            assert router_id in info.router_ids
+            assert router.country == info.country
 
     def test_border_routers_marked(self, tiny_world):
         for info in tiny_world.ases.values():
@@ -165,12 +181,6 @@ class TestWorldStructure:
     def test_as_types_match_enum(self, tiny_world):
         for info in tiny_world.ases.values():
             assert isinstance(info.as_type, ASType)
-
-    def test_country_helpers(self, tiny_world):
-        asn = next(iter(tiny_world.ases))
-        assert tiny_world.country_of_asn(asn) == tiny_world.ases[asn].country
-        assert tiny_world.type_of_asn(asn) is tiny_world.ases[asn].as_type
-        assert tiny_world.country_of_asn(99999999) is None
 
     def test_irr_contains_stale_registrations(self, tiny_world):
         unrouted = [
