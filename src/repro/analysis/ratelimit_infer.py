@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..netsim.engine import SimulationEngine
+from ..netsim.engine import FLAG_REPLY, SimulationEngine
+from ..packet.icmpv6 import ICMPv6Type
 from ..topology.entities import Subnet, World
 
 
@@ -57,18 +58,22 @@ def probe_train(
     start_time: float,
     probe_id_base: int,
 ) -> RatePoint:
-    """Send probes to one unassigned in-subnet address at a fixed rate."""
+    """Send probes to one unassigned in-subnet address at a fixed rate,
+    as one kernel batch."""
     target = subnet.prefix.network + 0xDEAD0000
     while target in subnet.hosts or target == subnet.router_interface:
         target += 1
     count = max(1, int(probe_rate * duration))
-    received = 0
-    for index in range(count):
-        time = start_time + index / probe_rate
-        outcome = engine.probe(
-            target, time, probe_id=probe_id_base + index
-        )
-        received += sum(1 for reply in outcome.replies if reply.is_error)
+    cols = engine.probe_columns(
+        [target] * count,
+        [start_time + index / probe_rate for index in range(count)],
+        probe_ids=range(probe_id_base, probe_id_base + count),
+    )
+    received = sum(
+        1
+        for i in range(count)
+        if cols.flags[i] & FLAG_REPLY and ICMPv6Type(cols.icmp_type[i]).is_error
+    )
     return RatePoint(probe_rate=probe_rate, sent=count, received=received)
 
 

@@ -13,13 +13,19 @@ ICMPv6 packets come back?*  It walks the probe hop by hop:
    an active subnet (SRA semantics, hosts, router interfaces, unassigned
    addresses), an aliased region, an infrastructure subnet, a routing-loop
    region (with the amplification firmware bug), or — default — unassigned
-   announced space answered by the origin's border router.
+   announced space answered by the internal router that aggregates the
+   destination's /56.
 
 ICMPv6 *error* messages pass through the emitting router's RFC 4443 token
 bucket plus an "on-off" background-load gate (Ravaioli et al. observed
 routers alternating between answering and silence under cross traffic);
 Echo replies are never rate limited, which is exactly the asymmetry SRA
 probing exploits.
+
+All of this is one kernel, :meth:`SimulationEngine.probe_columns`;
+:meth:`SimulationEngine.probe` is that kernel on a one-row batch.  Its
+oracle is ``tests/reference_engine.py``, a slow per-probe model written
+from the RFCs and the paper rather than from this file.
 """
 
 from __future__ import annotations
@@ -30,16 +36,8 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from ..packet.icmpv6 import ICMPv6Type, TimeExceededCode, UnreachableCode
-from ..topology.entities import (
-    AliasRegion,
-    EntryKind,
-    InfraSubnet,
-    LoopRegion,
-    Router,
-    Subnet,
-    World,
-)
+from ..packet.icmpv6 import ICMPv6Type, UnreachableCode
+from ..topology.entities import EntryKind, Router, World
 from ..topology.profiles import SRABehavior
 from .ratelimit import TokenBucket
 from .stochastic import (
@@ -193,6 +191,7 @@ class ProbeColumns:
 
     __slots__ = (
         "n",
+        "epoch",
         "targets",
         "times",
         *_RESULT_COLUMNS,
@@ -203,6 +202,7 @@ class ProbeColumns:
 
     def __init__(self) -> None:
         self.n = 0
+        self.epoch = 0
         self.targets: Sequence[int] = ()
         self.times: Sequence[float] = ()
         self.flags = array("B")
@@ -264,6 +264,40 @@ class ProbeColumns:
         """The reply source address of row ``i`` as a 128-bit int."""
         return (self.source_hi[i] << 64) | self.source_lo[i]
 
+    def result(self, i: int) -> ProbeResult:
+        """Row ``i`` as the per-probe dataclasses.  ``amplification`` is
+        the reply count of a looped row that got a reply (1 when the flood
+        was not amplified), else 0."""
+        flags = self.flags[i]
+        if flags & FLAG_LOST:
+            return ProbeResult(self.targets[i], self.times[i], self.epoch, lost=True)
+        looped = bool(flags & FLAG_LOOPED)
+        replies: tuple[Reply, ...] = ()
+        amplification = 0
+        if flags & FLAG_REPLY:
+            count = self.count[i]
+            router_id = self.router_id[i]
+            replies = (
+                Reply(
+                    self.source(i),
+                    ICMPv6Type(self.icmp_type[i]),
+                    self.code[i],
+                    count,
+                    None if router_id < 0 else router_id,
+                ),
+            )
+            if looped:
+                amplification = count
+        return ProbeResult(
+            self.targets[i],
+            self.times[i],
+            self.epoch,
+            replies,
+            looped=looped,
+            amplification=amplification,
+            transit_hops=self.transit[i],
+        )
+
 
 class SimulationEngine:
     """Stateful per-epoch simulation: owns rate-limiter buckets.
@@ -316,6 +350,7 @@ class SimulationEngine:
         # pays a single `is not None` check there and nothing on the
         # per-probe fast path.
         self.telemetry = None
+        self._row = ProbeColumns()  # probe()'s one-row batch
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -340,58 +375,17 @@ class SimulationEngine:
         hop_limit: int = 64,
         probe_id: int = 0,
     ) -> ProbeResult:
-        """Send one ICMPv6 Echo Request from the vantage to ``target``."""
-        world = self.world
-        self.stats.probes += 1
-        if stable_bool(
-            world.seed, _PURPOSE_LOSS, world.packet_loss, target, probe_id, self.epoch
-        ):
-            self.stats.lost += 1
-            return ProbeResult(target, time, self.epoch, lost=True)
-
-        origin = world.bgp.origin_of(target)
-        if origin is None:
-            upstream = world.routers[world.vantage.upstream_router_id]
-            reply = self._emit_error(
-                upstream,
-                self._router_error_source(upstream),
-                ICMPv6Type.DESTINATION_UNREACHABLE,
-                UnreachableCode.NO_ROUTE,
-                time,
-            )
-            return ProbeResult(target, time, self.epoch, replies=_as_tuple(reply))
-
-        hops = world.paths.get(origin, ())
-        transit = len(hops)
-        if hop_limit <= transit:
-            if hop_limit < 1:
-                return ProbeResult(target, time, self.epoch)
-            hop = hops[hop_limit - 1]
-            router = world.routers[hop.router_id]
-            reply = self._emit_error(
-                router,
-                hop.interface,
-                ICMPv6Type.TIME_EXCEEDED,
-                TimeExceededCode.HOP_LIMIT_EXCEEDED,
-                time,
-            )
-            return ProbeResult(
-                target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit
-            )
-
-        remaining = hop_limit - transit
-        match = world.resolution.longest_match(target)
-        if match is None:
-            return self._unassigned_space(target, time, origin, transit)
-
-        entry = match[1]
-        if entry.kind is EntryKind.SUBNET:
-            return self._probe_subnet(target, time, entry.payload, transit)
-        if entry.kind is EntryKind.ALIAS:
-            return self._probe_alias(target, time, entry.payload, transit)
-        if entry.kind is EntryKind.INFRA:
-            return self._probe_infra(target, time, entry.payload, transit)
-        return self._probe_loop(target, time, entry.payload, remaining, transit)
+        """Send one ICMPv6 Echo Request from the vantage to ``target``: the
+        kernel on a one-row batch, decoded.  For callers that are truly
+        sequential (traceroute, pcap capture); anything that can batch
+        should call :meth:`probe_columns`."""
+        return self.probe_columns(
+            (target,),
+            (time,),
+            hop_limit=hop_limit,
+            probe_ids=(probe_id,),
+            out=self._row,
+        ).result(0)
 
     def probe_columns(
         self,
@@ -404,11 +398,13 @@ class SimulationEngine:
     ) -> ProbeColumns:
         """Send one Echo Request per target, filling packed result columns.
 
-        This is the scanner's hot path and the only batched kernel.
-        Instead of one ``ProbeResult``/``Reply`` allocation per probe it
-        writes parallel ``array`` columns, in three phases, all in probe
-        order, that together stay bit-identical to calling :meth:`probe`
-        once per ``(target, time, probe_id)``:
+        This is the engine's only kernel: the scanner's hot path, and
+        (one row at a time) :meth:`probe`.  Instead of one
+        ``ProbeResult``/``Reply`` allocation per probe it writes parallel
+        ``array`` columns, in three phases, all in probe order, so a batch
+        answers exactly what the same probes sent one per call would —
+        and what ``tests/reference_engine.py``, the independent per-probe
+        model it is checked against, answers:
 
         A. *Loss draws* — pure keyed-hash draws with the hasher primed
            once per batch and copied per probe; digest bytes are compared
@@ -420,8 +416,8 @@ class SimulationEngine:
            share (on the benchmark campaigns a sorted batch had a
            same-block neighbour on 0 of 2.56 M resolution and 2.4–3.3 % of
            BGP lookups), so the sort cost more than the probes it saved.
-        C. *Effects dispatch* — one straight-line pass per row in
-           :meth:`probe`'s own branch order, everything stateful (token
+        C. *Effects dispatch* — one straight-line pass per row, in
+           probe order, everything stateful (token
            buckets, the background-load gate, stats, telemetry) included;
            each draw and error source is computed on the branch that uses
            it.  Nothing is memoised per subnet: in those campaigns no
@@ -434,6 +430,7 @@ class SimulationEngine:
         n = len(targets)
         cols = out if out is not None else ProbeColumns()
         cols.blank(targets, times)
+        cols.epoch = epoch
         flags = cols.flags
 
         # -------- phase A: loss draws --------------------------------- #
@@ -497,8 +494,8 @@ class SimulationEngine:
                     if hop_limit > transit:
                         rappend(i)
         else:
-            # probe() reports transit_hops=0 when the hop limit is spent
-            # before the first hop; unrouted rows are overwritten in C.
+            # A hop limit spent before the first hop reports no transit;
+            # unrouted rows are overwritten in C.
             for i in live:
                 transit_col[i] = 0
         entries: list = [None] * n
@@ -556,12 +553,13 @@ class SimulationEngine:
         for i, match, entry_match in zip(range(n), matches, entries):
             if entry_match is None:
                 # No resolution entry, the common row: announced but
-                # unassigned space (see _unassigned_space), or a row that
-                # never reached resolution — lost, unrouted, hop limit
-                # spent in transit.
+                # unassigned space, or a row that never reached
+                # resolution — lost, unrouted, hop limit spent in transit.
                 if match is None:
                     if flags[i]:  # only FLAG_LOST is set at this point
                         continue
+                    # The vantage's upstream has no route: No Route from
+                    # it, before any hop is spent (even at hop limit 0).
                     transit_col[i] = 0
                     if error_allowed(upstream, times[i], True):
                         flags[i] = FLAG_REPLY
@@ -586,6 +584,9 @@ class SimulationEngine:
                         # code stays 0 (HOP_LIMIT_EXCEEDED), count stays 1
                         rid_col[i] = router.router_id
                     continue
+                # Announced but unassigned: the internal router holding
+                # the covering aggregate answers No Route, unless the AS
+                # filters unreachables for unrouted internal space.
                 info = ases_get(asn)
                 if info is not None and info.filters_unroutable:
                     continue
@@ -597,6 +598,12 @@ class SimulationEngine:
                     if responsible.errors_from_primary and responsible.loopback:
                         source = responsible.loopback
                     else:
+                        # The aggregation router's customer-facing
+                        # sub-interface: a distinct address per /56
+                        # (point-to-point/VLAN links carry addresses from
+                        # the delegated space).  This is why the /48 and
+                        # /64 partition scans see so many error sources,
+                        # most of which never answer a direct probe.
                         source = ((target >> 72) << 72) | 0xFFFE
                     flags[i] = FLAG_REPLY
                     source_hi[i] = source >> 64
@@ -610,17 +617,23 @@ class SimulationEngine:
             entry = entry_match[1]
             kind = entry.kind
             if kind is subnet_kind:
-                # _probe_subnet, branch for branch.
                 subnet = entry.payload
                 router = routers[subnet.router_id]
                 death = subnet.death_epoch
                 if (death is not None and epoch >= death) or (
                     subnet.flaky and not draw(flaky, subnet.prefix.network)
                 ):
-                    # Dead (or flaky-off): the last-hop router answers
-                    # Address Unreachable from the subnet-facing interface.
+                    # Dead (or flaky-off): the interface is down but the
+                    # route lingers in the IGP, so the last-hop router
+                    # answers Address Unreachable from the subnet-facing
+                    # interface, whatever its error-source policy — a
+                    # distinct source per dead subnet, which is what makes
+                    # the hitlist scan's error-IP population so large
+                    # (Fig. 4).
                     source = subnet.router_interface
-                elif subnet.aliased:  # every address echoes back
+                elif subnet.aliased:
+                    # Every address echoes back, the SRA included — the
+                    # alias filter's tell-tale.
                     echo_replies += 1
                     flags[i] = FLAG_REPLY
                     source_hi[i] = target >> 64
@@ -632,7 +645,10 @@ class SimulationEngine:
                     if behavior is sra_drop:
                         continue
                     if behavior is not sra_error:
-                        # Source selection per _sra_reply_source.
+                        # RFC 4291 says "its own" address; which one
+                        # differs between implementations (and leaked
+                        # peering-LAN addresses make AS attribution of
+                        # SRA replies error-prone).
                         if (
                             router.replies_from_peering
                             and router.peering_lan_address is not None
@@ -713,20 +729,24 @@ class SimulationEngine:
                     code_col[i] = code_addr_unreach
                     rid_col[i] = border.router_id
                 continue
-            # Routing-loop region (see _probe_loop).
+            # Routing-loop region: the packet ping-pongs customer <->
+            # provider until its hop limit expires, and the Time Exceeded
+            # comes from the misconfigured customer edge — the paper sees
+            # floods "from the same router".
             region = entry.payload
             stats.loops_hit += 1
             time = times[i]
             if telemetry is not None:
                 telemetry.on_loop(region.customer_router_id, time)
             customer = routers[region.customer_router_id]
-            remaining = hop_limit - transit_col[i]
-            if remaining < 1:
-                flags[i] = FLAG_LOOPED
-                continue
             source = error_source(customer)
-            amplification = self._loop_amplification(customer, remaining)
+            amplification = self._loop_amplification(
+                customer, hop_limit - transit_col[i]
+            )
             if amplification > 1:
+                # Buggy firmware replicates the packet in the fast path:
+                # the flood bypasses the control-plane rate limiter, which
+                # is what makes it dangerous.
                 count = min(amplification, AMPLIFICATION_CAP)
                 stats.error_replies += count
                 stats.amplified_replies += count - 1
@@ -751,187 +771,8 @@ class SimulationEngine:
         return cols
 
     # ------------------------------------------------------------------ #
-    # destination behaviours
+    # building blocks
     # ------------------------------------------------------------------ #
-
-    def _probe_subnet(
-        self, target: int, time: float, subnet: Subnet, transit: int
-    ) -> ProbeResult:
-        world = self.world
-        if not self._subnet_alive(subnet):
-            # Dead (or flaky-off) subnet: the interface is down but the
-            # route usually lingers in the IGP, so the *last-hop* router
-            # answers Address Unreachable from the subnet-facing interface
-            # — a distinct source per dead subnet.  This is what makes the
-            # error-IP population of the hitlist scan so large (Fig. 4).
-            router = world.routers[subnet.router_id]
-            reply = self._emit_error(
-                router,
-                subnet.router_interface,
-                ICMPv6Type.DESTINATION_UNREACHABLE,
-                UnreachableCode.ADDRESS_UNREACHABLE,
-                time,
-            )
-            return ProbeResult(
-                target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit
-            )
-        if subnet.aliased:
-            # Aliased networks answer on *every* address — including the SRA
-            # address itself, which is the alias filter's tell-tale.
-            reply = Reply(target, ICMPv6Type.ECHO_REPLY, 0)
-            self.stats.echo_replies += 1
-            return ProbeResult(target, time, self.epoch, replies=(reply,), transit_hops=transit)
-
-        router = world.routers[subnet.router_id]
-        if target == subnet.sra_address:
-            return self._probe_sra(target, time, subnet, router, transit)
-        if target == subnet.router_interface:
-            reply = self._direct_ping(router, subnet.router_interface)
-            return ProbeResult(target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit)
-        if target in subnet.hosts:
-            if self._draw(_DRAW_HOST, target):
-                self.stats.echo_replies += 1
-                reply = Reply(target, ICMPv6Type.ECHO_REPLY, 0)
-                return ProbeResult(target, time, self.epoch, replies=(reply,), transit_hops=transit)
-            return ProbeResult(target, time, self.epoch, transit_hops=transit)
-        # Unassigned address inside an active subnet.
-        reply = self._emit_error(
-            router,
-            self._router_error_source(router, subnet.router_interface),
-            ICMPv6Type.DESTINATION_UNREACHABLE,
-            UnreachableCode.ADDRESS_UNREACHABLE,
-            time,
-        )
-        return ProbeResult(target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit)
-
-    def _probe_sra(
-        self, target: int, time: float, subnet: Subnet, router: Router, transit: int
-    ) -> ProbeResult:
-        behavior = router.vendor.sra_behavior
-        if behavior is SRABehavior.DROP:
-            return ProbeResult(target, time, self.epoch, transit_hops=transit)
-        if behavior is SRABehavior.ERROR:
-            reply = self._emit_error(
-                router,
-                self._router_error_source(router, subnet.router_interface),
-                ICMPv6Type.DESTINATION_UNREACHABLE,
-                UnreachableCode.ADDRESS_UNREACHABLE,
-                time,
-            )
-            return ProbeResult(
-                target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit
-            )
-        source = self._sra_reply_source(router, subnet)
-        self.stats.echo_replies += 1
-        reply = Reply(source, ICMPv6Type.ECHO_REPLY, 0, router_id=router.router_id)
-        return ProbeResult(target, time, self.epoch, replies=(reply,), transit_hops=transit)
-
-    def _sra_reply_source(self, router: Router, subnet: Subnet) -> int:
-        """The RFC says "its own full source address" — which interface that
-        is differs between implementations (and is what makes AS attribution
-        of SRA replies error-prone when peering-LAN addresses leak)."""
-        if router.replies_from_peering and router.peering_lan_address is not None:
-            return router.peering_lan_address
-        if router.sra_from_primary:
-            return router.loopback
-        if router.unstable_reply_source and self._draw(
-            _DRAW_FLIP, router.router_id
-        ):
-            return router.loopback
-        return subnet.router_interface
-
-    def _probe_alias(
-        self, target: int, time: float, region: AliasRegion, transit: int
-    ) -> ProbeResult:
-        self.stats.echo_replies += 1
-        reply = Reply(target, ICMPv6Type.ECHO_REPLY, 0)
-        return ProbeResult(target, time, self.epoch, replies=(reply,), transit_hops=transit)
-
-    def _probe_infra(
-        self, target: int, time: float, infra: InfraSubnet, transit: int
-    ) -> ProbeResult:
-        router_id = infra.interfaces.get(target)
-        if router_id is not None:
-            router = self.world.routers[router_id]
-            reply = self._direct_ping(router, target)
-            return ProbeResult(
-                target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit
-            )
-        border = self._border_router(infra.asn)
-        if border is None:
-            return ProbeResult(target, time, self.epoch, transit_hops=transit)
-        reply = self._emit_error(
-            border,
-            self._router_error_source(border),
-            ICMPv6Type.DESTINATION_UNREACHABLE,
-            UnreachableCode.ADDRESS_UNREACHABLE,
-            time,
-        )
-        return ProbeResult(target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit)
-
-    def _probe_loop(
-        self,
-        target: int,
-        time: float,
-        region: LoopRegion,
-        remaining: int,
-        transit: int,
-    ) -> ProbeResult:
-        """Customer<->provider ping-pong until the hop limit expires."""
-        world = self.world
-        self.stats.loops_hit += 1
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_loop(region.customer_router_id, time)
-        customer = world.routers[region.customer_router_id]
-        if remaining < 1:
-            return ProbeResult(target, time, self.epoch, looped=True, transit_hops=transit)
-        # The packet ping-pongs customer<->provider; the Time Exceeded is
-        # generated (and, with buggy firmware, massively replicated) at the
-        # misconfigured customer edge router — the paper observes floods
-        # "from the same router".
-        victim = customer
-        source = self._router_error_source(victim)
-        amplification = self._loop_amplification(customer, remaining)
-        if amplification > 1:
-            # The firmware bug replicates packets in the fast path; the
-            # resulting Time Exceeded flood bypasses the control-plane
-            # rate limiter (this is what makes it dangerous).
-            count = min(amplification, AMPLIFICATION_CAP)
-            self.stats.error_replies += count
-            self.stats.amplified_replies += count - 1
-            reply = Reply(
-                source,
-                ICMPv6Type.TIME_EXCEEDED,
-                TimeExceededCode.HOP_LIMIT_EXCEEDED,
-                count=count,
-                router_id=victim.router_id,
-            )
-            return ProbeResult(
-                target,
-                time,
-                self.epoch,
-                replies=(reply,),
-                looped=True,
-                amplification=count,
-                transit_hops=transit,
-            )
-        reply = self._emit_error(
-            victim,
-            source,
-            ICMPv6Type.TIME_EXCEEDED,
-            TimeExceededCode.HOP_LIMIT_EXCEEDED,
-            time,
-        )
-        return ProbeResult(
-            target,
-            time,
-            self.epoch,
-            replies=_as_tuple(reply),
-            looped=True,
-            amplification=1 if reply else 0,
-            transit_hops=transit,
-        )
 
     def _loop_amplification(self, customer: Router, remaining: int) -> int:
         factor = customer.replication_factor
@@ -945,40 +786,6 @@ class SimulationEngine:
         if amplification >= AMPLIFICATION_CAP:
             return AMPLIFICATION_CAP
         return max(1, round(amplification))
-
-    def _unassigned_space(
-        self, target: int, time: float, asn: int, transit: int
-    ) -> ProbeResult:
-        """Announced but unassigned space.
-
-        The error originates at whatever *internal* router holds the
-        closest covering route for the destination's /48 — deterministic
-        per /48 (ISP internals aggregate hierarchically), so unassigned
-        space spreads error sources across many router IPs, as observed.
-        """
-        info = self.world.ases.get(asn)
-        if info is not None and info.filters_unroutable:
-            return ProbeResult(target, time, self.epoch, transit_hops=transit)
-        responsible = self._responsible_router(asn, target)
-        if responsible is None:
-            return ProbeResult(target, time, self.epoch, transit_hops=transit)
-        if responsible.errors_from_primary and responsible.loopback:
-            source = responsible.loopback
-        else:
-            # Customer-facing sub-interface of the aggregation router: a
-            # distinct address per /56 region (point-to-point/VLAN links
-            # carry addresses from the delegated space).  This is why
-            # error sources in the /48 and /64 partition scans are so
-            # numerous — and why most of them never answer a direct probe.
-            source = ((target >> 72) << 72) | 0xFFFE
-        reply = self._emit_error(
-            responsible,
-            source,
-            ICMPv6Type.DESTINATION_UNREACHABLE,
-            UnreachableCode.NO_ROUTE,
-            time,
-        )
-        return ProbeResult(target, time, self.epoch, replies=_as_tuple(reply), transit_hops=transit)
 
     def _responsible_router(self, asn: int, target: int) -> Router | None:
         """The internal router whose aggregate covers the target's /56.
@@ -997,10 +804,6 @@ class SimulationEngine:
         index = int(self._aggroute_unit(asn, slash56) * len(info.router_ids))
         return self.world.routers[info.router_ids[index]]
 
-    # ------------------------------------------------------------------ #
-    # building blocks
-    # ------------------------------------------------------------------ #
-
     def _border_router(self, asn: int) -> Router | None:
         info = self.world.ases.get(asn)
         if info is None or info.border_router_id is None:
@@ -1018,54 +821,19 @@ class SimulationEngine:
             return router.interface_addresses[0]
         return router.loopback
 
-    def _direct_ping(self, router: Router, interface: int) -> Reply | None:
-        """Behaviour for an Echo Request aimed at a router's own address."""
-        if not router.answers_direct_ping:
-            return None
-        if not self._draw(_DRAW_DIRECT, router.router_id):
-            return None
-        self.stats.echo_replies += 1
-        return Reply(
-            interface, ICMPv6Type.ECHO_REPLY, 0, router_id=router.router_id
-        )
-
     def _draw(self, kind: _Draw, key: int) -> bool:
         """This epoch's draw of ``kind`` for ``key``."""
         return stable_bool(
             self.world.seed, kind.purpose, kind.probability, key, self.epoch
         )
 
-    def _subnet_alive(self, subnet: Subnet) -> bool:
-        if subnet.death_epoch is not None and self.epoch >= subnet.death_epoch:
-            return False
-        return not subnet.flaky or self._draw(
-            _DRAW_FLAKY, subnet.prefix.network
-        )
-
-    def _emit_error(
-        self,
-        router: Router,
-        source: int,
-        icmp_type: ICMPv6Type,
-        code: int,
-        time: float,
-    ) -> Reply | None:
-        """Originate an ICMPv6 error, subject to RFC 4443 rate limiting,
-        the background-load on-off gate, and the router's unreachable-
-        filtering policy ("no ip unreachables")."""
-        if not self._error_reply_allowed(
-            router, time, icmp_type is ICMPv6Type.DESTINATION_UNREACHABLE
-        ):
-            return None
-        return Reply(source, icmp_type, int(code), router_id=router.router_id)
-
     def _error_reply_allowed(
         self, router: Router, time: float, unreachable: bool
     ) -> bool:
-        """The shared error-emission gate behind both probe paths: the
-        unreachable-filtering policy, the rate-limit/background gate, and
-        the stats accounting.  True means the error goes out — the caller
-        then builds the :class:`Reply` or writes the result columns."""
+        """The kernel's error-emission gate: the unreachable-filtering
+        policy ("no ip unreachables"), the RFC 4443 rate-limit/background
+        gate, and the stats accounting.  True means the error goes out and
+        the kernel writes its row."""
         if unreachable and not router.emits_unreachables:
             return False
         if not self._error_allowed(router, time):
@@ -1121,6 +889,3 @@ class SimulationEngine:
                 telemetry.on_suppressed(router_id, time)
         return allowed
 
-
-def _as_tuple(reply: Reply | None) -> tuple[Reply, ...]:
-    return () if reply is None else (reply,)

@@ -5,12 +5,12 @@ A zero-cost adapter — every method is a direct delegation to the wrapped
 only call a scan makes, is the engine's columnar kernel, so the scanner's
 output through this backend is byte-identical to driving the engine
 directly (the determinism suite pins this); ``send_batch``, the seam's
-column-less call, is here the per-probe ``engine.probe`` reference loop.
+column-less call, is the same kernel once per batch, each row decoded
+into a ``ProbeResult``.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from ...netsim.engine import SimulationEngine
@@ -89,13 +89,6 @@ class SimBackend(ProbeBackend):
 
     # ---------------- probing ---------------- #
 
-    def probe(
-        self, target: int, time: float, *, hop_limit: int = 64, probe_id: int = 0
-    ) -> "ProbeResult":
-        return self.engine.probe(
-            target, time, hop_limit=hop_limit, probe_id=probe_id
-        )
-
     def send_batch(
         self,
         targets: Sequence[int],
@@ -104,16 +97,13 @@ class SimBackend(ProbeBackend):
         hop_limit: int = 64,
         probe_ids: Sequence[int] | None = None,
     ) -> "list[ProbeResult]":
-        """One ``engine.probe`` per row — the per-probe reference the
-        columnar kernel is held bit-identical to.  Scans never come this
-        way; callers that want outcome dataclasses do."""
-        probe = self.engine.probe
-        return [
-            probe(target, time, hop_limit=hop_limit, probe_id=probe_id)
-            for target, time, probe_id in zip(
-                targets, times, probe_ids if probe_ids is not None else repeat(0)
-            )
-        ]
+        """One kernel call for the batch, each row decoded into a
+        ``ProbeResult``.  Scans never come this way; callers that want
+        outcome dataclasses do."""
+        cols = self.engine.probe_columns(
+            targets, times, hop_limit=hop_limit, probe_ids=probe_ids
+        )
+        return [cols.result(i) for i in range(cols.n)]
 
     def probe_columns(
         self,

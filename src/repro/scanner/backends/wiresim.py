@@ -20,6 +20,7 @@ inherits visible loss accounting.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from ...packet.icmpv6 import (
@@ -109,64 +110,6 @@ class WireSimBackend(ProbeBackend):
 
     # ---------------- probing ---------------- #
 
-    def probe(
-        self, target: int, time: float, *, hop_limit: int = 64, probe_id: int = 0
-    ) -> "ProbeResult":
-        """Full wire-format round trip: encode the probe, decode it, probe
-        the simulator, synthesise reply bytes, and re-match via the payload."""
-        vantage = self.engine.world.vantage
-        assert vantage is not None
-        wire = build_probe_packet(
-            src=vantage.address,
-            target=target,
-            probe_id=probe_id,
-            key=self.key,
-            hop_limit=hop_limit,
-            identifier=probe_id & 0xFFFF,
-            sequence=(probe_id >> 16) & 0xFFFF,
-        )
-        header = IPv6Header.decode(wire)
-        request = ICMPv6Message.decode(
-            wire[HEADER_LENGTH:], src=header.src, dst=header.dst
-        )
-        outcome = self.inner.probe(
-            header.dst, time, hop_limit=header.hop_limit, probe_id=probe_id
-        )
-        matched = []
-        for reply in outcome.replies:
-            if reply.icmp_type is ICMPv6Type.ECHO_REPLY:
-                message = echo_reply_for(request)
-            else:
-                message = error_message(reply.icmp_type, reply.code, wire)
-            # Receive path: decode bytes, then recover the probed target.
-            raw = message.encode(reply.source, vantage.address)
-            decoded = ICMPv6Message.decode(
-                raw, src=reply.source, dst=vantage.address
-            )
-            extraction = extract_probe(decoded, self.key)
-            if extraction is None:
-                self.unmatched_replies += 1
-                continue  # unmatched traffic; zmap drops it
-            payload, original_target = extraction
-            if payload.probe_id != probe_id or original_target != target:
-                self.unmatched_replies += 1
-                continue
-            matched.append(reply)
-        if len(matched) == len(outcome.replies):
-            return outcome
-        from ...netsim.engine import ProbeResult as _ProbeResult
-
-        return _ProbeResult(
-            target=outcome.target,
-            time=outcome.time,
-            epoch=outcome.epoch,
-            replies=tuple(matched),
-            lost=outcome.lost,
-            looped=outcome.looped,
-            amplification=outcome.amplification,
-            transit_hops=outcome.transit_hops,
-        )
-
     def send_batch(
         self,
         targets: Sequence[int],
@@ -175,12 +118,66 @@ class WireSimBackend(ProbeBackend):
         hop_limit: int = 64,
         probe_ids: Sequence[int] | None = None,
     ) -> "list[ProbeResult]":
+        """Full wire-format round trip: encode each probe and decode it,
+        probe the simulator with one kernel call for the batch's decoded
+        destinations, then synthesise each reply's bytes and re-match it
+        via the payload."""
+        vantage = self.engine.world.vantage
+        assert vantage is not None
         if probe_ids is None:
             probe_ids = [0] * len(targets)
-        return [
-            self.probe(target, time, hop_limit=hop_limit, probe_id=probe_id)
-            for target, time, probe_id in zip(targets, times, probe_ids)
-        ]
+        sent = []  # (decoded destination, wire bytes, decoded request)
+        for target, probe_id in zip(targets, probe_ids):
+            wire = build_probe_packet(
+                src=vantage.address,
+                target=target,
+                probe_id=probe_id,
+                key=self.key,
+                hop_limit=hop_limit,
+                identifier=probe_id & 0xFFFF,
+                sequence=(probe_id >> 16) & 0xFFFF,
+            )
+            header = IPv6Header.decode(wire)
+            request = ICMPv6Message.decode(
+                wire[HEADER_LENGTH:], src=header.src, dst=header.dst
+            )
+            sent.append((header.dst, wire, request))
+        cols = self.inner.probe_columns(
+            [destination for destination, _, _ in sent],
+            times,
+            hop_limit=hop_limit,
+            probe_ids=probe_ids,
+        )
+        outcomes = []
+        for i, (target, probe_id, (_, wire, request)) in enumerate(
+            zip(targets, probe_ids, sent)
+        ):
+            # Receive path: each reply as bytes, decoded, and matched back
+            # to the probed target via the authenticated payload.
+            outcome = cols.result(i)
+            matched = []
+            for reply in outcome.replies:
+                if reply.icmp_type is ICMPv6Type.ECHO_REPLY:
+                    message = echo_reply_for(request)
+                else:
+                    message = error_message(reply.icmp_type, reply.code, wire)
+                raw = message.encode(reply.source, vantage.address)
+                decoded = ICMPv6Message.decode(
+                    raw, src=reply.source, dst=vantage.address
+                )
+                extraction = extract_probe(decoded, self.key)
+                if extraction is None:
+                    self.unmatched_replies += 1
+                    continue  # unmatched traffic; zmap drops it
+                payload, original_target = extraction
+                if payload.probe_id != probe_id or original_target != target:
+                    self.unmatched_replies += 1
+                    continue
+                matched.append(reply)
+            if len(matched) != len(outcome.replies):
+                outcome = replace(outcome, replies=tuple(matched))
+            outcomes.append(outcome)
+        return outcomes
 
 
 register_backend(WireSimBackend.name, WireSimBackend)

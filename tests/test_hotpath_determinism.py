@@ -2,17 +2,19 @@
 
 The batched probe engine, the LPM/trie result caches, and the memoised
 stable-randomness hashers are all pure throughput work: results must be
-bit-identical to ``SimulationEngine.probe`` called once per probe.  These
-tests pin that contract on the paper's two headline workloads — the
-Table 2 survey and the Fig. 5 SRA-vs-random campaign — across chunk
-sizes (1 vs N) and 1/4/8-way sharded execution, plus a scan-level
-comparison against an independent per-probe reference loop.
+bit-identical to the independent per-probe model in
+``reference_engine.py``, called once per probe.  These tests pin that
+contract on the paper's two headline workloads — the Table 2 survey and
+the Fig. 5 SRA-vs-random campaign — across chunk sizes (1 vs N) and
+1/4/8-way sharded execution, plus a scan-level comparison against the
+reference model.
 """
 
 import random
 from dataclasses import asdict
 
 import pytest
+from reference_harness import reference_rows, reference_scan, result_of, row_of
 
 from repro.core.probing import run_sra_vs_random
 from repro.core.survey import INPUT_SET_NAMES, SRASurvey, SurveyConfig
@@ -24,12 +26,10 @@ from repro.scanner.records import ScanRecord
 from repro.scanner.stream import (
     CountingSink,
     CsvSink,
-    IndexWindow,
     JsonlSink,
     LazyStream,
     MemorySink,
     TeeSink,
-    shard_positions,
 )
 from repro.scanner.targets import bgp_slash48_targets
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
@@ -150,34 +150,18 @@ class TestBatchPathEquivalence:
         self, tiny_world, stress_targets, shard, shards
     ):
         """The scanner (columnar kernel, chunking, pacing, probe ids)
-        against an independent loop: one ``SimulationEngine.probe`` call
-        per probe, in ``shard_positions`` order."""
+        against the reference model, one probe at a time in
+        ``shard_positions`` order."""
         pps, seed, epoch = 150_000.0, 5, 2
-        reference = SimulationEngine(tiny_world, epoch=epoch)
-        records, lost, loops = [], 0, 0
-        for position, index in shard_positions(
-            len(stress_targets),
+        records, lost, loops, stats = reference_scan(
+            tiny_world,
+            stress_targets,
+            pps=pps,
             seed=seed,
             epoch=epoch,
-            window=IndexWindow(shard, shards),
-        ):
-            target, time = stress_targets[index], position / pps
-            outcome = reference.probe(
-                target, time, hop_limit=64, probe_id=(epoch << 32) | index
-            )
-            loops += outcome.looped
-            lost += outcome.lost
-            for reply in () if outcome.lost else outcome.replies:
-                records.append(
-                    ScanRecord(
-                        target=target,
-                        source=reply.source,
-                        icmp_type=int(reply.icmp_type),
-                        code=reply.code,
-                        count=reply.count,
-                        time=time,
-                    )
-                )
+            shard=shard,
+            shards=shards,
+        )
         scanned = ZMapV6Scanner(
             SimulationEngine(tiny_world, epoch=epoch),
             ScanConfig(pps=pps, seed=seed, shard=shard, shards=shards),
@@ -185,7 +169,7 @@ class TestBatchPathEquivalence:
         assert records and lost and loops  # every path is exercised
         assert scanned.records == records
         assert (scanned.lost, scanned.loops_observed) == (lost, loops)
-        assert asdict(scanned.engine_stats) == asdict(reference.stats)
+        assert asdict(scanned.engine_stats) == stats
 
     def test_batch_size_one_is_a_chunk_of_one(self, tiny_world, stress_targets):
         """``batch_size=1`` selects nothing: a columns-capable backend is
@@ -218,116 +202,94 @@ class TestBatchPathEquivalence:
     def test_sim_send_batch_is_the_probe_reference(
         self, tiny_world, stress_targets, with_ids
     ):
-        """The sim backend's two calls: ``send_batch`` is one
-        ``engine.probe`` per row, and ``probe_columns`` holds the same
-        verdicts row for row (probe ids given or defaulted to 0)."""
+        """The sim backend's two calls against the reference model:
+        ``send_batch``'s decoded outcomes and ``probe_columns``' rows
+        (probe ids given or defaulted to 0)."""
         targets = stress_targets[:600]
         times = [i / 150_000.0 for i in range(len(targets))]
         ids = list(range(len(targets))) if with_ids else None
-        serial_engine = SimulationEngine(tiny_world, epoch=2)
-        serial = [
-            serial_engine.probe(target, time, probe_id=probe_id)
-            for target, time, probe_id in zip(
-                targets, times, ids or [0] * len(targets)
-            )
-        ]
-        reference = SimBackend(SimulationEngine(tiny_world, epoch=2))
-        assert reference.send_batch(targets, times, probe_ids=ids) == serial
-        assert reference.stats == serial_engine.stats
+        expected, stats = reference_rows(
+            tiny_world, targets, times, epoch=2, probe_ids=ids
+        )
+        batch = SimBackend(SimulationEngine(tiny_world, epoch=2))
+        assert [
+            result_of(result)
+            for result in batch.send_batch(targets, times, probe_ids=ids)
+        ] == expected
+        assert asdict(batch.stats) == stats
         columnar = SimBackend(SimulationEngine(tiny_world, epoch=2))
         cols = columnar.probe_columns(targets, times, probe_ids=ids)
-        assert cols.n == len(serial)
-        assert columnar.stats == serial_engine.stats
-        for i, expected in enumerate(serial):
-            self._assert_row_matches(cols, i, expected)
-
-    @staticmethod
-    def _assert_row_matches(cols, i, expected):
-        """Row ``i`` of ``cols`` holds what ``probe()`` returned."""
-        from repro.netsim.engine import FLAG_LOOPED, FLAG_LOST, FLAG_REPLY
-
-        flags = cols.flags[i]
-        assert bool(flags & FLAG_LOST) == expected.lost, i
-        if expected.lost:
-            return
-        assert bool(flags & FLAG_LOOPED) == expected.looped, i
-        assert bool(flags & FLAG_REPLY) == expected.replied, i
-        assert cols.transit[i] == expected.transit_hops, i
-        if expected.replied:
-            (reply,) = expected.replies
-            assert cols.source(i) == reply.source, i
-            assert cols.icmp_type[i] == int(reply.icmp_type), i
-            assert cols.code[i] == reply.code, i
-            assert cols.count[i] == reply.count, i
-            rid = cols.router_id[i]
-            assert (None if rid < 0 else rid) == reply.router_id, i
+        assert [row_of(cols, i) for i in range(cols.n)] == expected
+        assert asdict(columnar.stats) == stats
 
     def test_probe_columns_match_serial_probe(self, tiny_world, stress_targets):
         """Column-level contract: the packed verdict/source/TTL columns
-        hold, row for row, exactly what the per-probe dataclass path
-        produces — the columnar kernel vs dataclass bit-identity pin."""
+        hold, row for row, what the reference model answers one probe at
+        a time, and ``probe()`` (the kernel on one row, decoded) does too."""
         targets = stress_targets[:600]
         times = [i / 150_000.0 for i in range(len(targets))]
         ids = list(range(len(targets)))
-        serial_engine = SimulationEngine(tiny_world, epoch=2)
-        serial = [
-            serial_engine.probe(target, time, probe_id=probe_id)
-            for target, time, probe_id in zip(targets, times, ids)
-        ]
+        expected, stats = reference_rows(
+            tiny_world, targets, times, epoch=2, probe_ids=ids
+        )
         col_engine = SimulationEngine(tiny_world, epoch=2)
         cols = col_engine.probe_columns(targets, times, probe_ids=ids)
-        assert cols.n == len(serial)
-        assert col_engine.stats == serial_engine.stats
-        for i, expected in enumerate(serial):
-            self._assert_row_matches(cols, i, expected)
+        assert [row_of(cols, i) for i in range(cols.n)] == expected
+        assert asdict(col_engine.stats) == stats
+        serial_engine = SimulationEngine(tiny_world, epoch=2)
+        assert [
+            result_of(serial_engine.probe(target, time, probe_id=probe_id))
+            for target, time, probe_id in zip(targets, times, ids)
+        ] == expected
+        assert asdict(serial_engine.stats) == stats
 
     # 2**62 and -1 do not pack as one key word: the kernel's draws take
     # their generic fallback there.
     @pytest.mark.parametrize("epoch", [0, 3, 2**62, -1])
-    def test_kernel_matches_probe_on_every_destination_class(
+    def test_kernel_matches_reference_on_every_destination_class(
         self, tiny_world, class_targets, epoch
     ):
         """Several rows of one subnet and one router in a batch, at hop
         limits on both sides of every transit length: ``probe_columns``
-        at batch sizes n and 1 equals one ``probe()`` per row."""
+        at batch sizes n and 1 equals the reference model, one probe per
+        row."""
         targets = class_targets
         times = [i / 150_000.0 for i in range(len(targets))]
         ids = [(epoch << 32) | i for i in range(len(targets))]
         transits = {len(path) for path in tiny_world.paths.values()}
         hop_limits = {0, 1, 64} | transits | {hops + 1 for hops in transits}
-        suppressed = errors = echoes = lost = loops = 0
+        totals = dict.fromkeys(
+            ("suppressed_errors", "error_replies", "echo_replies", "lost", "loops_hit"), 0
+        )
         for hop_limit in sorted(hop_limits):
-            serial_engine = SimulationEngine(tiny_world, epoch=epoch)
-            serial = [
-                serial_engine.probe(
-                    target, time, hop_limit=hop_limit, probe_id=probe_id
-                )
-                for target, time, probe_id in zip(targets, times, ids)
-            ]
+            expected, stats = reference_rows(
+                tiny_world, targets, times, epoch=epoch, hop_limit=hop_limit, probe_ids=ids
+            )
             batch_engine = SimulationEngine(tiny_world, epoch=epoch)
             cols = batch_engine.probe_columns(
                 targets, times, hop_limit=hop_limit, probe_ids=ids
             )
-            assert batch_engine.stats == serial_engine.stats, hop_limit
+            assert [row_of(cols, i) for i in range(cols.n)] == expected, hop_limit
+            assert asdict(batch_engine.stats) == stats, hop_limit
             single_engine = SimulationEngine(tiny_world, epoch=epoch)
-            for i, expected in enumerate(serial):
-                self._assert_row_matches(cols, i, expected)
-                single = single_engine.probe_columns(
-                    targets[i : i + 1],
-                    times[i : i + 1],
-                    hop_limit=hop_limit,
-                    probe_ids=ids[i : i + 1],
+            single = [
+                row_of(
+                    single_engine.probe_columns(
+                        targets[i : i + 1],
+                        times[i : i + 1],
+                        hop_limit=hop_limit,
+                        probe_ids=ids[i : i + 1],
+                    ),
+                    0,
                 )
-                self._assert_row_matches(single, 0, expected)
-            assert single_engine.stats == serial_engine.stats, hop_limit
-            stats = serial_engine.stats
-            suppressed += stats.suppressed_errors
-            errors += stats.error_replies
-            echoes += stats.echo_replies
-            lost += stats.lost
-            loops += stats.loops_hit
+                for i in range(len(targets))
+            ]
+            assert single == expected, hop_limit
+            assert asdict(single_engine.stats) == stats, hop_limit
+            for name in totals:
+                totals[name] += stats[name]
         # every effect is exercised, the rate limiter on both sides
-        assert suppressed and errors and echoes and lost and loops
+        assert all(totals.values()), totals
 
     @pytest.mark.parametrize("epoch", [0, 3, 2**62, -1])
     @pytest.mark.parametrize("hop_limit", [1, 3, 64])

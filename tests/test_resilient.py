@@ -817,8 +817,8 @@ def scenario_targets(tiny_world):
 def sim_refuses_per_probe_calls(monkeypatch):
     """Any sim scan that leaves the columnar path fails loudly (a refused
     call is a backend fault: retried, then quarantined, then visible in
-    every comparison below).  ``wire-sim`` probes through ``inner.probe``
-    of its own wrapped backend, which stays as it is."""
+    every comparison below).  ``wire-sim`` probes through the
+    ``probe_columns`` of its own wrapped backend, so it is not refused."""
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("sim scan left the columnar path")
