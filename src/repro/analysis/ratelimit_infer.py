@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..netsim.engine import FLAG_REPLY, SimulationEngine
-from ..packet.icmpv6 import ICMPv6Type
+from ..netsim.engine import SimulationEngine
 from ..topology.entities import Subnet, World
 
 
@@ -70,9 +69,7 @@ def probe_train(
         probe_ids=range(probe_id_base, probe_id_base + count),
     )
     received = sum(
-        1
-        for i in range(count)
-        if cols.flags[i] & FLAG_REPLY and ICMPv6Type(cols.icmp_type[i]).is_error
+        1 for i in range(count) for reply in cols.result(i).replies if reply.is_error
     )
     return RatePoint(probe_rate=probe_rate, sent=count, received=received)
 

@@ -376,8 +376,8 @@ class SimulationEngine:
         probe_id: int = 0,
     ) -> ProbeResult:
         """Send one ICMPv6 Echo Request from the vantage to ``target``: the
-        kernel on a one-row batch, decoded.  For callers that are truly
-        sequential (traceroute, pcap capture); anything that can batch
+        kernel on a one-row batch, decoded.  For callers whose next probe
+        depends on the last reply (traceroute); anything that can batch
         should call :meth:`probe_columns`."""
         return self.probe_columns(
             (target,),

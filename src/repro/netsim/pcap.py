@@ -21,7 +21,7 @@ from ..packet.ipv6hdr import HEADER_LENGTH, IPv6Header
 from ..packet.probe import build_probe_packet
 from ..packet.icmpv6 import ICMPv6Message
 from ..topology.entities import World
-from .engine import SimulationEngine
+from .engine import ProbeColumns, SimulationEngine
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_VERSION = (2, 4)
@@ -30,6 +30,7 @@ DEFAULT_SNAPLEN = 65_535
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
+_CHUNK = 1024  # probes per kernel call in capture_scan
 
 
 class PcapWriter:
@@ -127,9 +128,20 @@ def capture_scan(
     assert world.vantage is not None
     vantage = world.vantage.address
     counters = {"probes": 0, "replies": 0, "flood_packets": 0, "flood_truncated": 0}
+    cols = ProbeColumns()
     with PcapWriter.open(path) as pcap:
         for index, target in enumerate(targets):
             time = index / pps
+            row = index % _CHUNK
+            if row == 0:  # no probe depends on an earlier reply: batch them
+                ids = range(index, min(index + _CHUNK, len(targets)))
+                engine.probe_columns(
+                    targets[index : ids.stop],
+                    [i / pps for i in ids],
+                    hop_limit=hop_limit,
+                    probe_ids=ids,
+                    out=cols,
+                )
             wire = build_probe_packet(
                 src=vantage,
                 target=target,
@@ -144,10 +156,7 @@ def capture_scan(
             request = ICMPv6Message.decode(
                 wire[HEADER_LENGTH:], src=vantage, dst=target
             )
-            outcome = engine.probe(
-                target, time, hop_limit=hop_limit, probe_id=index
-            )
-            for reply in outcome.replies:
+            for reply in cols.result(row).replies:
                 if reply.icmp_type is ICMPv6Type.ECHO_REPLY:
                     message = echo_reply_for(request)
                 else:

@@ -126,7 +126,7 @@ class WireSimBackend(ProbeBackend):
         assert vantage is not None
         if probe_ids is None:
             probe_ids = [0] * len(targets)
-        sent = []  # (decoded destination, wire bytes, decoded request)
+        sent = []  # (decoded header, wire bytes, decoded request)
         for target, probe_id in zip(targets, probe_ids):
             wire = build_probe_packet(
                 src=vantage.address,
@@ -141,11 +141,14 @@ class WireSimBackend(ProbeBackend):
             request = ICMPv6Message.decode(
                 wire[HEADER_LENGTH:], src=header.src, dst=header.dst
             )
-            sent.append((header.dst, wire, request))
+            sent.append((header, wire, request))
+        # The simulator sees the destinations and the hop limit (one per
+        # batch; a decoder that disagrees with itself raises) off the wire.
+        (wire_hop_limit,) = {h.hop_limit for h, _, _ in sent} or {hop_limit}
         cols = self.inner.probe_columns(
-            [destination for destination, _, _ in sent],
+            [header.dst for header, _, _ in sent],
             times,
-            hop_limit=hop_limit,
+            hop_limit=wire_hop_limit,
             probe_ids=probe_ids,
         )
         outcomes = []

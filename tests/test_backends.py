@@ -10,10 +10,15 @@ live ``raw`` loopback scan.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.survey import SRASurvey, SurveyConfig
 from repro.netsim.engine import SimulationEngine
+from repro.packet.icmpv6 import ICMPv6Type
+from repro.packet.ipv6hdr import IPv6Header
 from repro.scanner.backends import (
     BackendAuthorizationError,
     BackendPrivilegeError,
@@ -69,6 +74,50 @@ class TestMiniSurveyEquivalence:
             ), name
             assert left.engine_stats == right.engine_stats, name
             assert right.unmatched_replies == 0, name
+
+
+class TestWireSimHopLimit:
+    """wire-sim probes the simulator with the hop limit decoded off the
+    wire, so the contract covers that header byte."""
+
+    @staticmethod
+    def _send(backend, targets):
+        times = [i * 1e-3 for i in range(len(targets))]
+        return backend.send_batch(
+            targets, times, hop_limit=2, probe_ids=range(len(targets))
+        )
+
+    def test_wire_sim_probes_with_the_decoded_hop_limit(
+        self, tiny_world, monkeypatch
+    ):
+        targets = list(range_targets(tiny_world, 64))
+
+        def wire_sim():
+            return WireSimBackend(SimBackend(SimulationEngine(tiny_world, epoch=3)))
+
+        sim = self._send(SimBackend(SimulationEngine(tiny_world, epoch=3)), targets)
+        assert any(
+            reply.icmp_type is ICMPv6Type.TIME_EXCEEDED
+            for outcome in sim
+            for reply in outcome.replies
+        )
+        assert self._send(wire_sim(), targets) == sim
+
+        # A decoder that misreads the hop-limit byte shows in the outcome,
+        # and one that misreads it inconsistently within a batch raises.
+        def decoder(misread):
+            return SimpleNamespace(
+                decode=lambda wire: replace(
+                    IPv6Header.decode(wire), hop_limit=misread(wire)
+                )
+            )
+
+        wiresim = "repro.scanner.backends.wiresim.IPv6Header"
+        monkeypatch.setattr(wiresim, decoder(lambda wire: 64))
+        assert self._send(wire_sim(), targets) != sim
+        monkeypatch.setattr(wiresim, decoder(lambda wire: 2 + wire[-1] % 2))
+        with pytest.raises(ValueError):
+            self._send(wire_sim(), targets)
 
 
 class TestUnmatchedReplyAccounting:
