@@ -185,8 +185,14 @@ class ProbeColumns:
       ``icmp_type``, ``code``, ``count`` and ``router_id`` (``-1`` encodes
       "unknown router") are valid only when ``FLAG_REPLY`` is set.
 
+    A row carries one reply.  The second and later distinct replies to
+    one probe (only a real network sends those: the ``raw`` backend) go
+    to ``extra``, as ``(row, source, icmp_type, code, count)`` tuples in
+    row order, then arrival order.  It is empty for every other backend.
+
     Reused buffers never leak stale rows because every kernel path writes
-    the flags byte for every probe of the batch.
+    the flags byte for every probe of the batch (via :meth:`blank`, which
+    also empties ``extra``).
     """
 
     __slots__ = (
@@ -195,6 +201,7 @@ class ProbeColumns:
         "targets",
         "times",
         *_RESULT_COLUMNS,
+        "extra",
         "_zero_fill",
         "_echo_fill",
         "_ones_fill",
@@ -213,6 +220,7 @@ class ProbeColumns:
         self.count = array("Q")
         self.router_id = array("q")
         self.transit = array("H")
+        self.extra: list[tuple[int, int, int, int, int]] = []
         self._zero_fill = b""
         self._echo_fill = b""
         self._ones_fill = b""
@@ -253,21 +261,24 @@ class ProbeColumns:
         self.targets = targets
         self.times = times
         memoryview(self.flags)[:n] = self._zero_fill[:n]
+        self.extra.clear()
 
     def splice(self, offset: int, rows: "ProbeColumns") -> None:
-        """Copy the result columns of ``rows`` in at row ``offset``."""
+        """Copy the result columns and extra replies of ``rows`` in at
+        row ``offset``."""
         end = offset + rows.n
         for name in _RESULT_COLUMNS:
             getattr(self, name)[offset:end] = getattr(rows, name)[: rows.n]
+        self.extra += [(row + offset, *reply) for row, *reply in rows.extra]
 
     def source(self, i: int) -> int:
         """The reply source address of row ``i`` as a 128-bit int."""
         return (self.source_hi[i] << 64) | self.source_lo[i]
 
     def result(self, i: int) -> ProbeResult:
-        """Row ``i`` as the per-probe dataclasses.  ``amplification`` is
-        the reply count of a looped row that got a reply (1 when the flood
-        was not amplified), else 0."""
+        """Row ``i`` as the per-probe dataclasses, its extra replies after
+        the column one.  ``amplification`` is the reply count of a looped
+        row that got a reply (1 when the flood was not amplified), else 0."""
         flags = self.flags[i]
         if flags & FLAG_LOST:
             return ProbeResult(self.targets[i], self.times[i], self.epoch, lost=True)
@@ -288,6 +299,12 @@ class ProbeColumns:
             )
             if looped:
                 amplification = count
+        if self.extra:
+            replies += tuple(
+                Reply(source, ICMPv6Type(icmp_type), code, count)
+                for row, source, icmp_type, code, count in self.extra
+                if row == i
+            )
         return ProbeResult(
             self.targets[i],
             self.times[i],

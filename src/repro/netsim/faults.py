@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from pathlib import Path
@@ -32,7 +32,7 @@ from .engine import FLAG_REPLY
 from .stochastic import stable_unit
 
 if TYPE_CHECKING:
-    from .engine import ProbeColumns, ProbeResult
+    from .engine import ProbeColumns
 
 __all__ = [
     "ChaosEngine",
@@ -120,7 +120,7 @@ class FaultPlan:
     # (before touching the wrapped backend) until the chaos backend is
     # closed, then raises — the shape of a wedged raw socket.
     backend_hang_batch: int | None = None
-    # Return a truncated result (one outcome, or one column row, short)
+    # Return a truncated result (one column row short)
     # from the first attempt of this batch ordinal — a seam-contract
     # violation the resilience layer must catch and retry.
     backend_short_batch: int | None = None
@@ -199,14 +199,10 @@ class FaultyBackend(WrappingBackend):
     Sits *under* the resilience layer (``ResilientBackend`` wraps it),
     exactly where a flaky NIC or a wedged raw socket would be.  Every
     injected fault fires *before* the wrapped backend is touched (or,
-    for blackholes/truncation, adjusts only the returned outcomes), so a
+    for blackholes/truncation, adjusts only the returned columns), so a
     transactional retry above observes a clean rollback and reproduces
     the fault-free byte stream — the property the chaos contract tests
     pin for every registered backend.
-
-    Both calls of the seam pass through under the same faults
-    (:meth:`_before_send`), and ``supports_columns`` mirrors the wrapped
-    backend: a scan over ``sim`` stays on the columnar kernel under chaos.
 
     Batch identity: the ordinal of first sighting, keyed on
     ``(len, first target, last target)`` — retries of a batch keep their
@@ -257,24 +253,6 @@ class FaultyBackend(WrappingBackend):
                 return True
         return False
 
-    def send_batch(
-        self,
-        targets: Sequence[int],
-        times: Sequence[float],
-        *,
-        hop_limit: int = 64,
-        probe_ids: Sequence[int] | None = None,
-    ) -> "list[ProbeResult]":
-        short = self._before_send(targets)
-        outcomes = self.inner.send_batch(
-            targets, times, hop_limit=hop_limit, probe_ids=probe_ids
-        )
-        if short:
-            return outcomes[:-1]
-        if self.plan.backend_blackhole:
-            outcomes = [self._eat_replies(outcome) for outcome in outcomes]
-        return outcomes
-
     def probe_columns(
         self,
         targets: Sequence[int],
@@ -285,7 +263,7 @@ class FaultyBackend(WrappingBackend):
         out: "ProbeColumns | None" = None,
     ) -> "ProbeColumns":
         """A short batch is ``cols.n`` one short; an eaten echo row is
-        "probed, no reply"."""
+        "probed, no reply", and an eaten extra echo reply is gone."""
         short = self._before_send(targets)
         cols = self.inner.probe_columns(
             targets, times, hop_limit=hop_limit, probe_ids=probe_ids, out=out
@@ -298,6 +276,9 @@ class FaultyBackend(WrappingBackend):
                 if flags[row] & FLAG_REPLY and icmp_type[row] == _ECHO_REPLY:
                     flags[row] ^= FLAG_REPLY
                     self.inner.stats.echo_replies -= 1
+            kept = [reply for reply in cols.extra if reply[2] != _ECHO_REPLY]
+            self.inner.stats.echo_replies -= len(cols.extra) - len(kept)
+            cols.extra[:] = kept
         return cols
 
     def _before_send(self, targets: Sequence[int]) -> bool:
@@ -339,15 +320,6 @@ class FaultyBackend(WrappingBackend):
             and attempt == 0
             and len(targets) > 1
         )
-
-    def _eat_replies(self, outcome: "ProbeResult") -> "ProbeResult":
-        kept = tuple(r for r in outcome.replies if not r.is_echo)
-        eaten = len(outcome.replies) - len(kept)
-        if eaten:
-            # Keep the counters coherent with the surviving outcome set.
-            self.inner.stats.echo_replies -= eaten
-            outcome = replace(outcome, replies=kept)
-        return outcome
 
 
 def truncate_tail(path: str | Path, drop_bytes: int) -> None:

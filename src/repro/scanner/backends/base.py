@@ -4,10 +4,11 @@ The paper's measurement tool is a real ZMapv6 sending ICMPv6 over a NIC;
 this reproduction mostly drives a :class:`~repro.netsim.engine.\
 SimulationEngine`.  Everything the scanner layers built — sharding,
 streaming, checkpointing, telemetry, strategies — only cares about *one*
-operation: "send these probes at these times, give me the outcomes".
-``ProbeBackend`` is that operation as an interface, so the simulator, the
-wire-format loopback, and a raw-socket ICMPv6 sender are interchangeable
-underneath the whole stack.
+operation: "send these probes at these times, give me the answers as
+packed columns" (:meth:`ProbeBackend.probe_columns`).  ``ProbeBackend`` is
+that operation as an interface, so the simulator, the wire-format
+loopback, and a raw-socket ICMPv6 sender are interchangeable underneath
+the whole stack, and the scanner has one scan loop.
 
 Two pieces mirror the target-stream machinery in
 :mod:`repro.scanner.stream`:
@@ -26,10 +27,6 @@ Capability flags are class-level, readable without instantiating (the
 sharded runner refuses non-deterministic backends *before* building
 anything):
 
-* ``supports_columns`` — the backend offers the columnar
-  ``probe_columns`` call, and a scan then makes no other (today: the
-  simulator, and wrappers around it, which mirror the wrapped backend's
-  flag); ``send_batch`` is all that ``wire-sim`` and ``raw`` have,
 * ``deterministic`` — byte-identical outcomes for identical inputs;
   required for sharded merges, checkpoint resume, and golden tests,
 * ``requires_privilege`` — needs raw-socket privileges (and explicit
@@ -94,10 +91,12 @@ class ProbeBackend(ABC):
     The contract every backend honours (pinned by the backend contract
     suite in ``tests/backend_contract.py``):
 
-    * :meth:`send_batch` returns one
-      :class:`~repro.netsim.engine.ProbeResult` per input row, in input
-      order — outcome ``i`` answers probe ``i``, matched by probe id,
-      never by arrival order,
+    * :meth:`probe_columns` returns one
+      :class:`~repro.netsim.engine.ProbeColumns` with ``n`` equal to the
+      number of input rows, the caller's ``targets``/``times`` borrowed,
+      and the backend's epoch — row ``i`` answers probe ``i``, matched by
+      probe id, never by arrival order; a probe's second and later
+      distinct replies go to the columns' ``extra`` list,
     * :meth:`spec` round-trips through :func:`build_backend` to an
       equivalent backend (same name, same capability flags),
     * lifecycle is idempotent: :meth:`open` before the first send (the
@@ -109,7 +108,6 @@ class ProbeBackend(ABC):
     """
 
     name: ClassVar[str] = "abstract"
-    supports_columns: ClassVar[bool] = False
     deterministic: ClassVar[bool] = True
     requires_privilege: ClassVar[bool] = False
 
@@ -182,7 +180,7 @@ class ProbeBackend(ABC):
 
     @property
     def needs_probe_ids(self) -> bool:
-        """Whether the batched path must materialise the probe-id column.
+        """Whether the scanner must materialise the probe-id column.
 
         The simulator only reads probe ids when loss draws exist; wire
         backends always encode them into payloads.
@@ -204,26 +202,6 @@ class ProbeBackend(ABC):
     # ---------------- probing ---------------- #
 
     @abstractmethod
-    def send_batch(
-        self,
-        targets: Sequence[int],
-        times: Sequence[float],
-        *,
-        hop_limit: int = 64,
-        probe_ids: Sequence[int] | None = None,
-    ) -> "list[ProbeResult]":
-        """Send one probe per ``(target, time)`` row; one outcome per row,
-        in row order, replies matched back by probe id.  The column-less
-        call: what a scan makes on a backend without ``probe_columns``."""
-
-    def probe(
-        self, target: int, time: float, *, hop_limit: int = 64, probe_id: int = 0
-    ) -> "ProbeResult":
-        """Single-probe convenience over :meth:`send_batch`."""
-        return self.send_batch(
-            [target], [time], hop_limit=hop_limit, probe_ids=[probe_id]
-        )[0]
-
     def probe_columns(
         self,
         targets: Sequence[int],
@@ -233,11 +211,15 @@ class ProbeBackend(ABC):
         probe_ids: Sequence[int] | None = None,
         out: "ProbeColumns | None" = None,
     ) -> "ProbeColumns":
-        """The columnar call; only when :attr:`supports_columns`.  Read
-        the columns *returned*: usually ``out``, but not necessarily."""
-        raise NotImplementedError(
-            f"backend {self.name!r} has no columnar probe path"
-        )
+        """Send one probe per ``(target, time)`` row; one answer per row,
+        in row order, replies matched back by probe id.  Read the columns
+        *returned*: usually ``out``, but not necessarily."""
+
+    def send_batch(self, targets, times, **options) -> "list[ProbeResult]":
+        """:meth:`probe_columns` with each row decoded by
+        ``ProbeColumns.result``, for callers that want dataclasses."""
+        cols = self.probe_columns(targets, times, **options)
+        return [cols.result(i) for i in range(cols.n)]
 
 
 class WrappingBackend(ProbeBackend):
@@ -246,14 +228,13 @@ class WrappingBackend(ProbeBackend):
 
     Capability flags, ``spec()`` and every lifecycle/observability surface
     are the wrapped backend's, so the layers above see that backend; a
-    subclass writes only its ``send_batch`` and ``probe_columns``.
+    subclass writes only its ``probe_columns``.
     """
 
     def __init__(self, inner: ProbeBackend) -> None:
         self.inner = inner
         # Instance-level capability flags mirror the wrapped backend.
         self.name = inner.name
-        self.supports_columns = inner.supports_columns
         self.deterministic = inner.deterministic
         self.requires_privilege = inner.requires_privilege
 

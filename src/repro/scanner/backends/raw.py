@@ -18,11 +18,17 @@ policy of the whole reproduction — realised on the wall clock.
 Receive path: an asynchronous thread decodes every inbound ICMPv6
 message and recovers the probed target via
 :func:`repro.packet.probe.extract_probe`; only replies that authenticate
-against this scan's key and match an outstanding probe id are kept
-(zmap's validation discipline).  Everything else — other hosts' traffic,
-scans by third parties, our own looped-back Echo Requests excepted —
-counts into ``unmatched_replies``, the same visible-loss accounting the
-wire-sim backend introduced.
+against this scan's key and match an outstanding probe id *and* that
+probe's target are kept (zmap's validation discipline: a second scan on
+the same host with the same key reuses our probe ids, never our
+targets).  Everything else — other hosts' traffic, scans by third
+parties, replies to a batch already collected, undecodable bytes; our
+own looped-back Echo Requests excepted — counts into
+``unmatched_replies``, the same visible-loss accounting the wire-sim
+backend introduced.  Once a batch's linger is over, its replies become
+:class:`~repro.netsim.engine.ProbeColumns` rows: duplicates of one
+(source, type, code) fold into ``count``, and a probe's second and later
+distinct replies go to the columns' ``extra`` list in arrival order.
 
 Operational discipline follows the scanning-etiquette literature the
 issue cites: a hard rate ceiling, probe-order target permutation
@@ -34,11 +40,12 @@ from __future__ import annotations
 
 import socket
 import struct
+from collections import Counter
 import threading
 import time as wallclock
 from typing import TYPE_CHECKING, Sequence
 
-from ...netsim.engine import EngineStats, ProbeResult, Reply
+from ...netsim.engine import FLAG_LOST, FLAG_REPLY, EngineStats, ProbeColumns
 from ...packet.icmpv6 import ICMPv6Message, ICMPv6Type, echo_request
 from ...packet.ipv6hdr import PacketError
 from ...packet.probe import encode_payload, extract_probe
@@ -71,7 +78,6 @@ class RawSocketBackend(ProbeBackend):
     """ICMPv6 Echo probing through a raw socket; explicit opt-in only."""
 
     name = "raw"
-    supports_columns = False
     deterministic = False
     requires_privilege = True
 
@@ -111,8 +117,9 @@ class RawSocketBackend(ProbeBackend):
         self._receiver: threading.Thread | None = None
         self._running = False
         self._lock = threading.Lock()
-        # probe_id -> [(source:int, icmp_type, code), ...] in arrival order
-        self._matched: dict[int, list[tuple[int, ICMPv6Type, int]]] = {}
+        # probe_id -> (probed target, [(source, icmp_type, code), ...] in
+        # arrival order), for the probes of the batch in flight
+        self._matched: dict[int, tuple[int, list[tuple[int, int, int]]]] = {}
 
     @classmethod
     def from_spec(
@@ -217,7 +224,8 @@ class RawSocketBackend(ProbeBackend):
     # ---------------- receive path ---------------- #
 
     def _receive_loop(self) -> None:
-        """Match inbound ICMPv6 against outstanding probes, by probe id.
+        """Match inbound ICMPv6 against outstanding probes, by probe id
+        and probed target.
 
         The kernel strips the IPv6 header on raw ICMPv6 receive, so the
         checksum cannot be re-verified here (it needs the pseudo-header);
@@ -251,26 +259,23 @@ class RawSocketBackend(ProbeBackend):
             source = _address_int(address[0].split("%", 1)[0])
             extraction = extract_probe(message, self.key)
             with self._lock:
-                if extraction is None:
+                pending = extraction and self._matched.get(extraction[0].probe_id)
+                if not pending or pending[0] != extraction[1]:
                     self.unmatched_replies += 1
                     continue
-                payload, _original_target = extraction
-                pending = self._matched.get(payload.probe_id)
-                if pending is None:
-                    self.unmatched_replies += 1
-                    continue
-                pending.append((source, message.type, message.code))
+                pending[1].append((source, int(message.type), message.code))
 
     # ---------------- send path ---------------- #
 
-    def send_batch(
+    def probe_columns(
         self,
         targets: Sequence[int],
         times: Sequence[float],
         *,
         hop_limit: int = 64,
         probe_ids: Sequence[int] | None = None,
-    ) -> "list[ProbeResult]":
+        out: ProbeColumns | None = None,
+    ) -> ProbeColumns:
         self.open()
         sock = self._sock
         assert sock is not None
@@ -288,8 +293,8 @@ class RawSocketBackend(ProbeBackend):
         rate = paced_pps(len(targets), duration, self.pps)
         interval = 1.0 / rate
         with self._lock:
-            for probe_id in probe_ids:
-                self._matched[probe_id] = []
+            for target, probe_id in zip(targets, probe_ids):
+                self._matched[probe_id] = (target, [])
         started = wallclock.monotonic()
         for index, (target, probe_id) in enumerate(zip(targets, probe_ids)):
             due = started + index * interval
@@ -307,44 +312,48 @@ class RawSocketBackend(ProbeBackend):
             self._stats.probes += 1
         if self.linger:
             wallclock.sleep(self.linger)
-        return self._collect(targets, times, probe_ids)
+        return self._collect(
+            targets, times, probe_ids, ProbeColumns() if out is None else out
+        )
 
     def _collect(
         self,
         targets: Sequence[int],
         times: Sequence[float],
         probe_ids: Sequence[int],
-    ) -> "list[ProbeResult]":
-        outcomes: list[ProbeResult] = []
+        cols: ProbeColumns,
+    ) -> ProbeColumns:
+        """The batch's matched replies as ``cols``: a probe's first
+        distinct reply in its row, the rest in ``extra``."""
+        cols.blank(targets, times)
+        cols.epoch = self._epoch
+        stats = self._stats
         with self._lock:
-            for target, time, probe_id in zip(targets, times, probe_ids):
-                arrived = self._matched.pop(probe_id, [])
+            for row, probe_id in enumerate(probe_ids):
+                cols.router_id[row] = -1
+                cols.transit[row] = 0
+                _, arrived = self._matched.pop(probe_id, (0, []))
+                if not arrived:
+                    cols.flags[row] = FLAG_LOST
+                    stats.lost += 1
                 # Aggregate duplicates (loop floods, dup delivery) into
                 # per-(source, type, code) reply counts, like the engine.
-                counted: dict[tuple[int, ICMPv6Type, int], int] = {}
-                for entry in arrived:
-                    counted[entry] = counted.get(entry, 0) + 1
-                replies = tuple(
-                    Reply(source=source, icmp_type=icmp_type, code=code, count=count)
-                    for (source, icmp_type, code), count in counted.items()
-                )
-                for reply in replies:
-                    if reply.is_echo:
-                        self._stats.echo_replies += reply.count
+                replies = Counter(arrived).items()
+                for k, ((source, icmp_type, code), count) in enumerate(replies):
+                    if icmp_type == ICMPv6Type.ECHO_REPLY:
+                        stats.echo_replies += count
                     else:
-                        self._stats.error_replies += reply.count
-                if not replies:
-                    self._stats.lost += 1
-                outcomes.append(
-                    ProbeResult(
-                        target=target,
-                        time=time,
-                        epoch=self._epoch,
-                        replies=replies,
-                        lost=not replies,
-                    )
-                )
-        return outcomes
+                        stats.error_replies += count
+                    if k:
+                        cols.extra.append((row, source, icmp_type, code, count))
+                        continue
+                    cols.flags[row] = FLAG_REPLY
+                    cols.source_hi[row] = source >> 64
+                    cols.source_lo[row] = source & 0xFFFF_FFFF_FFFF_FFFF
+                    cols.icmp_type[row] = icmp_type
+                    cols.code[row] = code
+                    cols.count[row] = count
+        return cols
 
 
 register_backend(RawSocketBackend.name, RawSocketBackend)

@@ -39,11 +39,10 @@ neither retried nor bisected — but quarantined, ``"unrepeatable"``.
 
 The wrapper is built *around* an existing backend (never from a spec,
 never registered): nesting a policy inside ``BackendSpec`` options would
-break the plain-data spec contract.  ``supports_columns`` mirrors the
-inner backend, and ``probe_columns`` and ``send_batch`` (the column-less
-call: ``wire-sim``, ``raw``) run the *same* breaker / attempt / bisect /
-quarantine body, differing only in the inner call made and in the shape
-of a quiet or spliced result (zeroed flag rows, reply-less outcomes).
+break the plain-data spec contract.  Every backend answers in
+``ProbeColumns``, so breaker, attempts, bisection and quarantine have one
+body: a quiet row is a zeroed flag byte, and a bisected batch is its
+halves spliced back together.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, Sequence
 
-from ...netsim.engine import ProbeColumns, ProbeResult
+from ...netsim.engine import ProbeColumns
 from ...netsim.stochastic import stable_unit
 from .base import BackendError, ProbeBackend, WrappingBackend
 
@@ -334,15 +333,11 @@ class ResilientBackend(WrappingBackend):
 
     # ---------------- probing ---------------- #
 
-    def send_batch(
-        self,
-        targets: Sequence[int],
-        times: Sequence[float],
-        *,
-        hop_limit: int = 64,
-        probe_ids: Sequence[int] | None = None,
-    ) -> "list[ProbeResult]":
-        return self._batch(targets, times, hop_limit, probe_ids, None)
+    # benchmarks/e2e/trace.py looks this name up in the class body
+    # (``vars(ResilientBackend)["send_batch"]``); the phase timers of
+    # ROADMAP.md item 3's second slice replace that lookup and delete
+    # this line.
+    send_batch = ProbeBackend.send_batch
 
     def probe_columns(
         self,
@@ -353,15 +348,10 @@ class ResilientBackend(WrappingBackend):
         probe_ids: Sequence[int] | None = None,
         out: ProbeColumns | None = None,
     ) -> ProbeColumns:
-        """Read the columns this *returns*: a watchdog attempt never runs
+        """One batch through breaker, attempts, bisection and quarantine.
+        Read the columns this *returns*: a watchdog attempt never runs
         into ``out``."""
         cols = ProbeColumns() if out is None else out
-        return self._batch(targets, times, hop_limit, probe_ids, cols)
-
-    def _batch(self, targets, times, hop_limit, probe_ids, cols):
-        """One batch through breaker, attempts, bisection and quarantine.
-        ``cols`` picks the inner call and its result's shape: None for
-        ``send_batch`` outcome lists, else the ``probe_columns`` buffer."""
         self._batch_ordinal += 1
         ordinal = self._batch_ordinal
         if self.breaker is not None and not self.breaker.allow():
@@ -369,7 +359,7 @@ class ResilientBackend(WrappingBackend):
             self.resilience.breaker_fastfails += 1
             self._quarantine(ordinal, len(targets), 0, "breaker-open")
             return self._quiet(targets, times, cols)
-        outcomes, quarantined = self._recover(
+        answered, quarantined = self._recover(
             ordinal,
             targets,
             times,
@@ -386,7 +376,7 @@ class ResilientBackend(WrappingBackend):
                     len(self.resilience.transitions):
                 ]
             )
-        return outcomes
+        return answered
 
     def _recover(
         self,
@@ -395,21 +385,21 @@ class ResilientBackend(WrappingBackend):
         times: Sequence[float],
         hop_limit: int,
         probe_ids: Sequence[int] | None,
-        cols: ProbeColumns | None,
+        cols: ProbeColumns,
         *,
         retries: int,
         depth: int,
-    ):
+    ) -> tuple[ProbeColumns, bool]:
         """Attempt a (sub-)batch; on exhaustion split or quarantine.
 
-        Returns ``(outcomes, any_quarantined)`` — always one row per
+        Returns ``(columns, any_quarantined)`` — always one row per
         probe, quiet rows standing in for quarantined ones.
         """
-        outcomes, failure, attempts = self._attempts(
+        answered, failure, attempts = self._attempts(
             ordinal, targets, times, hop_limit, probe_ids, cols, retries
         )
         if failure is None:
-            return outcomes, False
+            return answered, False
         if (
             failure == "exhausted"
             and len(targets) > 1
@@ -424,15 +414,13 @@ class ResilientBackend(WrappingBackend):
                     times[part],
                     hop_limit,
                     probe_ids[part] if probe_ids is not None else None,
-                    None if cols is None else ProbeColumns(),
+                    ProbeColumns(),
                     retries=0,
                     depth=depth + 1,
                 )
                 for part in (slice(mid), slice(mid, None))
             )
-            if cols is None:
-                return left + right, left_bad or right_bad
-            cols.blank(targets, times)
+            self._quiet(targets, times, cols)
             cols.splice(0, left)
             cols.splice(mid, right)
             return cols, left_bad or right_bad
@@ -446,10 +434,10 @@ class ResilientBackend(WrappingBackend):
         times: Sequence[float],
         hop_limit: int,
         probe_ids: Sequence[int] | None,
-        cols: ProbeColumns | None,
+        cols: ProbeColumns,
         retries: int,
     ):
-        """Up to ``retries + 1`` transactional sends: ``(outcomes, why it
+        """Up to ``retries + 1`` transactional sends: ``(columns, why it
         failed or None, attempts made)``."""
         stats = self.inner.stats
         live_limiter = not getattr(self.engine, "defer_rate_limit", True)
@@ -464,19 +452,18 @@ class ResilientBackend(WrappingBackend):
             marker = self._begin_attempt()
             sent_before = stats.probes
             try:
-                outcomes = self._call(targets, times, hop_limit, probe_ids, cols)
+                answered = self._call(targets, times, hop_limit, probe_ids, cols)
             except Exception as error:  # noqa: BLE001 — any backend fault
                 self._last_error = f"{type(error).__name__}: {error}"
                 if isinstance(error, BackendTimeoutError):
                     self.resilience.timeouts += 1
             else:
-                rows = len(outcomes) if cols is None else outcomes.n
-                if rows == len(targets):
-                    return outcomes, None, attempt
+                if answered.n == len(targets):
+                    return answered, None, attempt
                 # Short/partial result: a seam-contract violation (lost
                 # alignment would corrupt the merge) — the whole batch
                 # failed.
-                self._last_error = f"short outcome list ({rows}/{len(targets)})"
+                self._last_error = f"short outcome list ({answered.n}/{len(targets)})"
             probed = stats.probes != sent_before
             self._rollback(marker)
             if probed and live_limiter:
@@ -487,17 +474,18 @@ class ResilientBackend(WrappingBackend):
 
     def _call(self, targets, times, hop_limit, probe_ids, cols):
         watchdog = self.policy.timeout is not None
-        if cols is None:
-            send = self.inner.send_batch
-        else:
-            # An abandoned watchdog thread may still write: it gets columns
-            # of its own, never the caller's buffer.
-            send = partial(
-                self.inner.probe_columns,
-                out=ProbeColumns() if watchdog else cols,
-            )
+        # An abandoned watchdog thread may still write: it gets columns of
+        # its own, never the caller's buffer.
+        send = partial(
+            self.inner.probe_columns,
+            targets,
+            times,
+            hop_limit=hop_limit,
+            probe_ids=probe_ids,
+            out=ProbeColumns() if watchdog else cols,
+        )
         if not watchdog:
-            return send(targets, times, hop_limit=hop_limit, probe_ids=probe_ids)
+            return send()
         # Watchdog: run the send on a daemon thread and abandon it at
         # the deadline.  A well-behaved hung call (e.g. FaultyBackend's
         # injected hang) blocks *before* mutating shared state and
@@ -506,10 +494,7 @@ class ResilientBackend(WrappingBackend):
 
         def run() -> None:
             try:
-                box.append((
-                    "ok",
-                    send(targets, times, hop_limit=hop_limit, probe_ids=probe_ids),
-                ))
+                box.append(("ok", send()))
             except BaseException as error:  # noqa: BLE001 — reraised below
                 box.append(("err", error))
 
@@ -563,15 +548,10 @@ class ResilientBackend(WrappingBackend):
             )
         )
 
-    def _quiet(self, targets, times, cols: ProbeColumns | None):
+    def _quiet(self, targets, times, cols: ProbeColumns) -> ProbeColumns:
         # Quarantined probes become quiet rows — "probed, no reply" —
-        # keeping outcome alignment and `sent` honest while
-        # faulted_probes says how many of those silences were ours.
-        if cols is not None:
-            cols.blank(targets, times)
-            return cols
-        epoch = self.inner.epoch
-        return [
-            ProbeResult(target=target, time=when, epoch=epoch)
-            for target, when in zip(targets, times)
-        ]
+        # keeping row alignment and `sent` honest while faulted_probes
+        # says how many of those silences were ours.
+        cols.blank(targets, times)
+        cols.epoch = self.inner.epoch
+        return cols

@@ -2,11 +2,9 @@
 
 A zero-cost adapter — every method is a direct delegation to the wrapped
 :class:`~repro.netsim.engine.SimulationEngine`: ``probe_columns``, the
-only call a scan makes, is the engine's columnar kernel, so the scanner's
-output through this backend is byte-identical to driving the engine
-directly (the determinism suite pins this); ``send_batch``, the seam's
-column-less call, is the same kernel once per batch, each row decoded
-into a ``ProbeResult``.
+seam's one call, is the engine's columnar kernel, so the scanner's output
+through this backend is byte-identical to driving the engine directly
+(the determinism suite pins this).
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from ...netsim.engine import SimulationEngine
 from .base import BackendSpec, ProbeBackend, make_backend_spec, register_backend
 
 if TYPE_CHECKING:
-    from ...netsim.engine import EngineStats, ProbeColumns, ProbeResult
+    from ...netsim.engine import EngineStats, ProbeColumns
     from ...topology.entities import World
 
 
@@ -25,7 +23,6 @@ class SimBackend(ProbeBackend):
     """Probes a :class:`SimulationEngine`; the default backend."""
 
     name = "sim"
-    supports_columns = True
     deterministic = True
     requires_privilege = False
 
@@ -89,21 +86,10 @@ class SimBackend(ProbeBackend):
 
     # ---------------- probing ---------------- #
 
-    def send_batch(
-        self,
-        targets: Sequence[int],
-        times: Sequence[float],
-        *,
-        hop_limit: int = 64,
-        probe_ids: Sequence[int] | None = None,
-    ) -> "list[ProbeResult]":
-        """One kernel call for the batch, each row decoded into a
-        ``ProbeResult``.  Scans never come this way; callers that want
-        outcome dataclasses do."""
-        cols = self.engine.probe_columns(
-            targets, times, hop_limit=hop_limit, probe_ids=probe_ids
-        )
-        return [cols.result(i) for i in range(cols.n)]
+    # benchmarks/e2e/trace.py looks this name up in the class body
+    # (``vars(SimBackend)["send_batch"]``); the phase timers of ROADMAP.md
+    # item 3's second slice replace that lookup and delete this line.
+    send_batch = ProbeBackend.send_batch
 
     def probe_columns(
         self,

@@ -2,12 +2,13 @@
 
 Every probe is encoded into its full on-the-wire IPv6+ICMPv6 bytes,
 decoded back, sent through the wrapped :class:`~repro.scanner.backends.\
-sim.SimBackend`, and every simulated reply is synthesised as wire bytes,
-re-decoded, and matched via the authenticated payload — exactly the
-receive path a real scanner runs.  Slower than ``sim``, byte-identical in
-output (the round trip proves the codecs; it never changes an outcome),
-which is what lets the raw backend reuse this matching logic with
-confidence.
+sim.SimBackend` in one kernel call per batch, and every reply row of the
+kernel's columns is synthesised as wire bytes, re-decoded, and matched
+via the authenticated payload — exactly the receive path a real scanner
+runs; a reply that fails the match leaves its row with no reply.  Slower
+than ``sim``, byte-identical in output (the round trip proves the codecs;
+it never changes an outcome), which is what lets the raw backend reuse
+this matching logic with confidence.
 
 This used to be an inline branch in ``zmapv6.py``; it is now a backend
 like any other, and the branch is gone.  One behavioural fix rode along:
@@ -20,9 +21,9 @@ inherits visible loss accounting.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
+from ...netsim.engine import FLAG_REPLY
 from ...packet.icmpv6 import (
     ICMPv6Message,
     ICMPv6Type,
@@ -35,7 +36,7 @@ from .base import BackendSpec, ProbeBackend, make_backend_spec, register_backend
 from .sim import SimBackend
 
 if TYPE_CHECKING:
-    from ...netsim.engine import EngineStats, ProbeResult, SimulationEngine
+    from ...netsim.engine import EngineStats, ProbeColumns, SimulationEngine
     from ...topology.entities import World
 
 # The scanner's default probe-authentication key (mirrors ScanConfig.key;
@@ -47,7 +48,6 @@ class WireSimBackend(ProbeBackend):
     """Wire-format encode/decode round trip wrapping the ``sim`` backend."""
 
     name = "wire-sim"
-    supports_columns = False
     deterministic = True
     requires_privilege = False
 
@@ -110,18 +110,19 @@ class WireSimBackend(ProbeBackend):
 
     # ---------------- probing ---------------- #
 
-    def send_batch(
+    def probe_columns(
         self,
         targets: Sequence[int],
         times: Sequence[float],
         *,
         hop_limit: int = 64,
         probe_ids: Sequence[int] | None = None,
-    ) -> "list[ProbeResult]":
+        out: "ProbeColumns | None" = None,
+    ) -> "ProbeColumns":
         """Full wire-format round trip: encode each probe and decode it,
         probe the simulator with one kernel call for the batch's decoded
-        destinations, then synthesise each reply's bytes and re-match it
-        via the payload."""
+        destinations, then synthesise each reply row's bytes and re-match
+        it via the payload."""
         vantage = self.engine.world.vantage
         assert vantage is not None
         if probe_ids is None:
@@ -150,37 +151,32 @@ class WireSimBackend(ProbeBackend):
             times,
             hop_limit=wire_hop_limit,
             probe_ids=probe_ids,
+            out=out,
         )
-        outcomes = []
+        cols.targets = targets
+        flags = cols.flags
         for i, (target, probe_id, (_, wire, request)) in enumerate(
             zip(targets, probe_ids, sent)
         ):
-            # Receive path: each reply as bytes, decoded, and matched back
+            if not flags[i] & FLAG_REPLY:
+                continue
+            # Receive path: the reply as bytes, decoded, and matched back
             # to the probed target via the authenticated payload.
-            outcome = cols.result(i)
-            matched = []
-            for reply in outcome.replies:
-                if reply.icmp_type is ICMPv6Type.ECHO_REPLY:
-                    message = echo_reply_for(request)
-                else:
-                    message = error_message(reply.icmp_type, reply.code, wire)
-                raw = message.encode(reply.source, vantage.address)
-                decoded = ICMPv6Message.decode(
-                    raw, src=reply.source, dst=vantage.address
-                )
-                extraction = extract_probe(decoded, self.key)
-                if extraction is None:
-                    self.unmatched_replies += 1
-                    continue  # unmatched traffic; zmap drops it
-                payload, original_target = extraction
-                if payload.probe_id != probe_id or original_target != target:
-                    self.unmatched_replies += 1
-                    continue
-                matched.append(reply)
-            if len(matched) != len(outcome.replies):
-                outcome = replace(outcome, replies=tuple(matched))
-            outcomes.append(outcome)
-        return outcomes
+            source = cols.source(i)
+            icmp_type = ICMPv6Type(cols.icmp_type[i])
+            if icmp_type is ICMPv6Type.ECHO_REPLY:
+                message = echo_reply_for(request)
+            else:
+                message = error_message(icmp_type, cols.code[i], wire)
+            raw = message.encode(source, vantage.address)
+            decoded = ICMPv6Message.decode(raw, src=source, dst=vantage.address)
+            extraction = extract_probe(decoded, self.key)
+            if extraction is None or (
+                extraction[0].probe_id != probe_id or extraction[1] != target
+            ):
+                flags[i] ^= FLAG_REPLY  # unmatched traffic; zmap drops it
+                self.unmatched_replies += 1
+        return cols
 
 
 register_backend(WireSimBackend.name, WireSimBackend)

@@ -163,7 +163,11 @@ class RecordColumns:
     def pack_rows(self, rows: Iterable[int], targets, times, probe) -> None:
         """Append rows ``rows`` of a probe batch without building a
         :class:`ScanRecord`: target and time from the batch, the reply
-        from the kernel's result columns (a ``ProbeColumns``)."""
+        from the kernel's result columns (a ``ProbeColumns``), which must
+        carry no extra replies (only ``raw`` writes those, and a packed
+        scan is a simulated one)."""
+        if probe.extra:
+            raise ValueError("pack_rows takes one reply per row; got extras")
         rows = list(rows)
         hits = list(map(targets.__getitem__, rows))
         split_into(hits, self.target_hi, self.target_lo)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import compress, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..netsim.engine import (
@@ -65,6 +66,21 @@ from .stream import (
 # flags bytes -> FLAG_REPLY for rows that carry a reply (one record each).
 _REPLY_ROWS = bytes(flag & FLAG_REPLY for flag in range(256))
 _LOOPED_REPLY = FLAG_LOOPED | FLAG_REPLY
+
+
+def _records_with_extra(cols, replied, targets, times) -> list[ScanRecord]:
+    """A batch's records when rows carry extra replies (``raw``): each
+    row's column reply first, then its extras in arrival order."""
+    rows = [
+        (row, cols.source(row), cols.icmp_type[row], cols.code[row], cols.count[row])
+        for row in compress(range(cols.n), replied)
+    ]
+    # A stable sort on the row keeps a row's column reply before its extras.
+    rows = sorted(rows + cols.extra, key=itemgetter(0))
+    return [
+        ScanRecord(targets[row], source, icmp_type, code, count, times[row])
+        for row, source, icmp_type, code, count in rows
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,9 +228,9 @@ class ZMapV6Scanner:
         has any, instead of buffering in ``result.records``
         (``result.records_streamed`` counts them); everything else —
         counters, telemetry events, metrics — is byte-identical to the
-        buffered path.  With ``columns`` (and no sink) a columnar scan
-        packs its matched rows there instead of building records, as a
-        pool worker ships a scan home; other backends fill the records.
+        buffered path.  With ``columns`` (and no sink) the scan packs its
+        matched rows there instead of building records, as a pool worker
+        ships a scan home.
         """
         config = self.config
         backend = self.backend
@@ -255,14 +271,7 @@ class ZMapV6Scanner:
         if collector is not None:
             backend.telemetry = collector
         try:
-            # Chosen from what the backend can do, never by an option:
-            # the columnar kernel where there is one (wrappers pass it
-            # through), outcome lists for backends (raw, wire-sim) that
-            # return several replies per probe.
-            if backend.supports_columns:
-                sent, last_position = self._scan_columns(target_list, result)
-            else:
-                sent, last_position = self._scan_outcomes(target_list, result)
+            sent, last_position = self._scan_columns(target_list, result)
         finally:
             if collector is not None:
                 backend.telemetry = None
@@ -340,13 +349,13 @@ class ZMapV6Scanner:
         shares one virtual clock, exactly as zmap's multi-machine shards
         share wall-clock time — and a sharded run becomes time-identical
         to the serial run of the same seed/epoch.  The id column is
-        skipped only for a columnar backend that never reads it.
+        skipped for a backend that never reads it.
         """
         backend = self.backend
         pps = self.config.pps
         batch_size = self.config.batch_size
         epoch_bits = backend.epoch << 32
-        need_ids = not backend.supports_columns or backend.needs_probe_ids
+        need_ids = backend.needs_probe_ids
         positions, indexes = self._probe_window(len(target_list))
         for start in range(0, len(positions), batch_size):
             chunk = positions[start : start + batch_size]
@@ -358,81 +367,19 @@ class ZMapV6Scanner:
                 [epoch_bits | index for index in picked] if need_ids else None,
             )
 
-    def _scan_outcomes(
-        self, target_list: Sequence[int], result: ScanResult
-    ) -> tuple[int, int]:
-        """Scan loop over ``send_batch`` for column-less backends.
-
-        Outcomes are processed probe by probe in chunk order, so the
-        probe sequence, record order, and telemetry events do not depend
-        on ``batch_size`` — but sends reach the backend, and records
-        leave, in ``batch_size`` groups, which is what lets the raw
-        backend pace a whole batch and pay its receive linger once per
-        batch instead of once per probe.
-        """
-        config = self.config
-        send_batch = self.backend.send_batch
-        capture = self._capture
-        deliver = self._deliver
-        every = config.progress_every if capture is not None else 0
-        hop_limit = config.hop_limit
-        sent = 0
-        last_position = -1
-        for last_position, targets, times, ids in self._chunks(target_list):
-            outcomes = send_batch(
-                targets, times, hop_limit=hop_limit, probe_ids=ids
-            )
-            # Delivered once the chunk is walked; progress events inside
-            # it count the records received before it plus its own so far.
-            batch: list[ScanRecord] = []
-            received = result.received
-            for offset, outcome in enumerate(outcomes):
-                sent += 1
-                if outcome.looped:
-                    result.loops_observed += 1
-                if outcome.lost:
-                    result.lost += 1
-                else:
-                    for reply in outcome.replies:
-                        batch.append(
-                            ScanRecord(
-                                target=targets[offset],
-                                source=reply.source,
-                                icmp_type=int(reply.icmp_type),
-                                code=reply.code,
-                                count=reply.count,
-                                time=times[offset],
-                            )
-                        )
-                if every and sent % every == 0:
-                    capture.events.append(
-                        make_event(
-                            "progress",
-                            scan=result.name,
-                            epoch=result.epoch,
-                            vtime=times[offset],
-                            shard=config.shard,
-                            sent=sent,
-                            records=received + len(batch),
-                            lost=result.lost,
-                            loops=result.loops_observed,
-                        )
-                    )
-            if batch:
-                deliver(batch)
-        return sent, last_position
-
     def _scan_columns(
         self, target_list: Sequence[int], result: ScanResult
     ) -> tuple[int, int]:
-        """Scan loop over the backend's columnar kernel.
+        """The scan loop: one ``probe_columns`` call per chunk.
 
-        Same probe order, times, and ids as :meth:`_scan_outcomes` — the
-        chunking is invisible in the results (the determinism regression
-        tests pin this).  Each batch reuses one :class:`ProbeColumns`
-        buffer; :class:`ScanRecord` rows are built straight from the
-        packed columns (or the reply rows copied column to column, when
-        the scan packs), so the per-probe dataclasses never exist here.
+        The chunking is invisible in the results (the determinism
+        regression tests pin this).  Each batch reuses one
+        :class:`ProbeColumns` buffer; :class:`ScanRecord` rows are built
+        straight from the packed columns (or the reply rows copied column
+        to column, when the scan packs), so the per-probe dataclasses never
+        exist here.  Batches reach the backend, and records leave, in
+        ``batch_size`` groups, which is what lets the raw backend pace a
+        whole batch and pay its receive linger once per batch.
         """
         config = self.config
         backend = self.backend
@@ -468,6 +415,8 @@ class ZMapV6Scanner:
             count_col = cols.count
             if pack is not None:
                 pack.pack_rows(compress(range(n), replied), targets, times, cols)
+            elif cols.extra:
+                deliver(_records_with_extra(cols, replied, targets, times))
             elif batch := [
                 ScanRecord(
                     target=targets[offset],
@@ -482,7 +431,8 @@ class ZMapV6Scanner:
                 deliver(batch)
             if every:
                 progress = self._capture_batch_progress(
-                    capture, result, flags, replied, times, every, progress
+                    capture, result, flags, replied, cols.extra, times, every,
+                    progress,
                 )
         result.loops_observed += loops_observed
         result.lost += probes_lost
@@ -494,6 +444,7 @@ class ZMapV6Scanner:
         result: ScanResult,
         flags: bytes,
         replied: bytes,
+        extra: list,
         batch_times: Sequence[float],
         every: int,
         progress: tuple[int, int, int, int],
@@ -501,11 +452,11 @@ class ZMapV6Scanner:
         """Emit the ``progress`` events a batch crosses.
 
         Run only when telemetry is on.  The batch's flag bytes (and their
-        reply-row translation — every reply row becomes exactly one
-        record) are counted at C speed up to each ``every`` boundary,
-        which gives the cumulative counters a probe-by-probe walk would:
-        the progress stream is byte-identical to the outcome-list loop's
-        for any ``batch_size``.
+        reply-row translation — every reply row becomes one record, every
+        ``extra`` reply one more) are counted at C speed up to each
+        ``every`` boundary, which gives the cumulative counters a
+        probe-by-probe walk would: the progress stream is the same for
+        any ``batch_size``.
         """
         shard = self.config.shard
         sent, n_records, lost, loops = progress
@@ -514,6 +465,8 @@ class ZMapV6Scanner:
             end = min(n, start + every - sent % every)
             sent += end - start
             n_records += replied.count(FLAG_REPLY, start, end)
+            if extra:
+                n_records += sum(start <= reply[0] < end for reply in extra)
             lost += flags.count(FLAG_LOST, start, end)
             loops += flags.count(FLAG_LOOPED, start, end) + flags.count(
                 _LOOPED_REPLY, start, end

@@ -5,12 +5,13 @@ extension — must honour one contract so the scanner, the sharded runner,
 and the checkpoint journals can treat them interchangeably:
 
 * it is registered (``backend_names()``) and declares its capability
-  flags (``supports_columns``, ``deterministic``, ``requires_privilege``),
+  flags (``deterministic``, ``requires_privilege``),
 * its :class:`BackendSpec` round-trips: picklable, rebuildable via
   ``build_backend`` into an equivalent backend (what sharded pool
   workers do — no live backend ever crosses the pickle boundary),
-* ``send_batch`` returns one outcome per probe, aligned with the
-  requested targets/times/ids, and counts probes into ``stats``,
+* ``probe_columns`` answers one row per probe: ``n`` equal to the batch
+  size, the caller's targets/times borrowed, the backend's epoch, and
+  probes counted into ``stats``,
 * every *deterministic* backend produces records, main-channel
   telemetry, and Prometheus output **byte-identical** to the ``sim``
   baseline, at 1, 4 and 8 shards (the property that makes the backend a
@@ -54,7 +55,7 @@ from repro.scanner.backends import (
 )
 from repro.scanner.records import records_jsonl
 from repro.scanner.sharded import ShardedScanRunner
-from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
+from repro.scanner.zmapv6 import ScanConfig
 from repro.telemetry.scan import ScanTelemetry
 
 # Epoch band for contract scans, clear of the campaigns', the race's,
@@ -150,7 +151,7 @@ class BackendContract:
         cls = backend_class(backend_case.name)
         assert issubclass(cls, ProbeBackend)
         assert cls.name == backend_case.name
-        for flag in ("supports_columns", "deterministic", "requires_privilege"):
+        for flag in ("deterministic", "requires_privilege"):
             assert isinstance(getattr(cls, flag), bool), flag
         # A backend that probes real networks can never be deterministic.
         if cls.requires_privilege:
@@ -177,9 +178,9 @@ class BackendContract:
             assert isinstance(value, (str, bytes, int, float, bool, type(None)))
         backend.close()
 
-    # -- probing: outcome alignment -- #
+    # -- probing: row alignment -- #
 
-    def test_send_batch_aligns_outcomes(self, backend_case, tiny_world):
+    def test_probe_columns_aligns_rows(self, backend_case, tiny_world):
         if not backend_case.probes:
             pytest.skip("privileged backend: spec/validation only")
         backend = _build(backend_case, tiny_world)
@@ -189,12 +190,10 @@ class BackendContract:
             targets = _world_targets(tiny_world, 16)
             times = [index / 1000.0 for index in range(len(targets))]
             ids = [(CASE_EPOCH << 32) | index for index in range(len(targets))]
-            outcomes = backend.send_batch(targets, times, probe_ids=ids)
-            assert len(outcomes) == len(targets)
-            for target, time, outcome in zip(targets, times, outcomes):
-                assert outcome.target == target
-                assert outcome.time == time
-                assert outcome.epoch == CASE_EPOCH
+            cols = backend.probe_columns(targets, times, probe_ids=ids)
+            assert cols.n == len(targets)
+            assert cols.targets is targets and cols.times is times
+            assert cols.epoch == CASE_EPOCH
             assert backend.stats.probes == len(targets)
         finally:
             backend.close()
@@ -229,26 +228,6 @@ class BackendContract:
         assert got[2] == baseline[2], "Prometheus output diverged from sim"
 
     # -- resilience layer: every backend enrols under chaos -- #
-    #
-    # The wrappers have both calls of the seam and take the inner
-    # backend's: the scans below drive the columnar side of their one
-    # recover body on ``sim`` and the ``send_batch`` side on ``wire-sim``.
-
-    def test_wrappers_pass_the_columnar_capability_through(
-        self, backend_case, tiny_world
-    ):
-        inner = _build(backend_case, tiny_world)
-        faulty = FaultyBackend(inner, FaultPlan(backend_blackhole=True))
-        scanner = ZMapV6Scanner(
-            faulty, ScanConfig(backend=backend_case.name, retry_policy=RetryPolicy())
-        )
-        assert isinstance(scanner.backend, ResilientBackend)
-        assert (
-            scanner.backend.supports_columns
-            is faulty.supports_columns
-            is backend_class(backend_case.name).supports_columns
-        )
-        inner.close()
 
     def _chaos_skip(self, backend_case):
         if not backend_case.probes:
@@ -371,12 +350,7 @@ class BackendContract:
             targets = _world_targets(tiny_world, 16)
             batches = [targets[i : i + 4] for i in range(0, 16, 4)]
             times = [0.0, 0.001, 0.002, 0.003]
-            # The call a scan would make on this backend.
-            send = (
-                backend.probe_columns
-                if backend.supports_columns
-                else backend.send_batch
-            )
+            send = backend.probe_columns
             outcomes = [send(batches[0], times)]
             assert backend.breaker.state == "closed"
             outcomes.append(send(batches[1], times))
@@ -393,10 +367,7 @@ class BackendContract:
                 ("open", "half-open"),
                 ("half-open", "closed"),
             ]
-            assert [
-                batch.n if backend.supports_columns else len(batch)
-                for batch in outcomes
-            ] == [4, 4, 4, 4]
+            assert [batch.n for batch in outcomes] == [4, 4, 4, 4]
             assert backend.resilience.faulted_probes == 12
             assert backend.resilience.quarantined_batches == 3
         finally:

@@ -140,6 +140,31 @@ class TestUnmatchedReplyAccounting:
             scanner.backend.unmatched_replies == result.unmatched_replies
         )
 
+    def test_an_unmatched_loop_reply_keeps_the_loop(self, tiny_world, monkeypatch):
+        """A dropped reply clears only its row's reply: the probe still
+        looped, as the ``sim`` scan of the same targets counts it."""
+        targets = [
+            region.prefix.network | offset
+            for region in tiny_world.loop_regions[:2]
+            for offset in range(1, 12)
+        ]
+
+        def scan(backend):
+            config = ScanConfig(pps=5_000.0, seed=3, backend=backend)
+            scanner = ZMapV6Scanner(SimulationEngine(tiny_world, epoch=0), config)
+            return scanner.scan(targets, name="loops", epoch=9003)
+
+        sim = scan("sim")
+        assert sim.loops_observed > 0 and sim.received > 0
+        monkeypatch.setattr(
+            "repro.scanner.backends.wiresim.extract_probe",
+            lambda message, key: None,
+        )
+        wire = scan("wire-sim")
+        assert (wire.loops_observed, wire.lost) == (sim.loops_observed, sim.lost)
+        assert wire.received == 0
+        assert wire.unmatched_replies == sim.received
+
     def test_unmatched_total_reaches_ops_channel(self, tiny_world, monkeypatch):
         monkeypatch.setattr(
             "repro.scanner.backends.wiresim.extract_probe",
@@ -246,7 +271,6 @@ class TestRawBackendValidation:
         cls = backend_class("raw")
         assert cls.requires_privilege
         assert not cls.deterministic
-        assert not cls.supports_columns
 
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="pps"):

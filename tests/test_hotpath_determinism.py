@@ -21,6 +21,7 @@ from repro.core.survey import INPUT_SET_NAMES, SRASurvey, SurveyConfig
 from repro.netsim.engine import FLAG_REPLY, SimulationEngine
 from repro.netsim.faults import FailingSink, InjectedSinkError
 from repro.scanner.sharded import ShardedScanRunner
+from repro.scanner.backends.base import ProbeBackend
 from repro.scanner.backends.sim import SimBackend
 from repro.scanner.records import ScanRecord
 from repro.scanner.stream import (
@@ -172,17 +173,14 @@ class TestBatchPathEquivalence:
         assert asdict(scanned.engine_stats) == stats
 
     def test_batch_size_one_is_a_chunk_of_one(self, tiny_world, stress_targets):
-        """``batch_size=1`` selects nothing: a columns-capable backend is
-        driven through ``probe_columns`` only, one probe per call."""
+        """``batch_size=1`` selects nothing: the backend is driven through
+        ``probe_columns`` only, one probe per call."""
 
         class ColumnsOnly(SimBackend):
             calls = 0
 
-            def probe(self, *args, **kwargs):
-                raise AssertionError("per-probe path taken")
-
             def send_batch(self, *args, **kwargs):
-                raise AssertionError("outcome-list path taken")
+                raise AssertionError("send_batch decoder taken")
 
             def probe_columns(self, targets, *args, **kwargs):
                 assert len(targets) == 1
@@ -199,12 +197,12 @@ class TestBatchPathEquivalence:
         )
 
     @pytest.mark.parametrize("with_ids", [True, False])
-    def test_sim_send_batch_is_the_probe_reference(
+    def test_send_batch_decoder_is_the_probe_reference(
         self, tiny_world, stress_targets, with_ids
     ):
-        """The sim backend's two calls against the reference model:
-        ``send_batch``'s decoded outcomes and ``probe_columns``' rows
-        (probe ids given or defaulted to 0)."""
+        """The sim backend's rows against the reference model, as
+        ``probe_columns`` returns them and as the base class's
+        ``send_batch`` decodes them (probe ids given or defaulted to 0)."""
         targets = stress_targets[:600]
         times = [i / 150_000.0 for i in range(len(targets))]
         ids = list(range(len(targets))) if with_ids else None
@@ -214,7 +212,9 @@ class TestBatchPathEquivalence:
         batch = SimBackend(SimulationEngine(tiny_world, epoch=2))
         assert [
             result_of(result)
-            for result in batch.send_batch(targets, times, probe_ids=ids)
+            for result in ProbeBackend.send_batch(
+                batch, targets, times, probe_ids=ids
+            )
         ] == expected
         assert asdict(batch.stats) == stats
         columnar = SimBackend(SimulationEngine(tiny_world, epoch=2))

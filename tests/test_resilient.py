@@ -7,7 +7,7 @@ mechanisms underneath:
 
 * ``RetryPolicy`` validation and the backoff/jitter math (hypothesis
   properties: bounds, determinism, jitter-0 exactness),
-* transactional attempts: a failed ``send_batch`` rolls back stats,
+* transactional attempts: a failed ``probe_columns`` rolls back stats,
   deferred rate-limit checks, and ``unmatched_replies``,
 * the watchdog deadline recovering a hung backend (injected join, zero
   wall-time),
@@ -19,11 +19,10 @@ mechanisms underneath:
 * ``merge_results`` summing ``faulted_probes``,
 * ``FaultyBackend``'s short-outcome and blackhole modes.
 
-``ResilientBackend`` and ``FaultyBackend`` run one body for both calls of
-the seam — ``send_batch`` (outcome lists: ``wire-sim``, ``raw``) and
-``probe_columns`` (``sim``) — so the mechanism tests are parametrised
-over the two shapes, and the scenario tests at the end drive real scans
-through the columnar side and hold them to the ``send_batch`` side's
+Every backend answers in ``ProbeColumns``, so ``ResilientBackend`` and
+``FaultyBackend`` have one body; the scenario tests at the end drive real
+scans through it over ``sim`` and over ``wire-sim`` (whose own wire round
+trip then runs under the same wrappers) and hold each to the other's
 bytes.
 """
 
@@ -39,12 +38,9 @@ from repro.netsim.engine import (
     FLAG_REPLY,
     EngineStats,
     ProbeColumns,
-    ProbeResult,
-    Reply,
     SimulationEngine,
 )
 from repro.netsim.faults import ChaosEngine, FaultPlan, FaultyBackend
-from repro.packet.icmpv6 import ICMPv6Type
 from repro.scanner.backends import (
     BackendSpec,
     BackendTimeoutError,
@@ -76,18 +72,16 @@ class ScriptedBackend(ProbeBackend):
     Every call mutates observable state *before* acting out its step —
     like a real backend that got half-way before failing — so the
     transactional-rollback tests can prove the wrapper undoes it.  Every
-    probe it does send is answered (an echo from ``target ^ 1``), in
-    either shape of the seam, so a quarantined row is distinguishable
-    from a sent one.
+    probe it does send is answered (an echo from ``target ^ 1``), so a
+    quarantined row is distinguishable from a sent one.
     """
 
     name = "scripted"
     deterministic = True
     requires_privilege = False
 
-    def __init__(self, script=(), release=None, *, columns=False):
+    def __init__(self, script=(), release=None):
         self.script = list(script)  # "ok" | "fail" | "short" | "hang"
-        self.supports_columns = columns
         self.calls = 0
         self.unmatched_replies = 0
         self._epoch = 0
@@ -132,29 +126,13 @@ class ScriptedBackend(ProbeBackend):
             self._release.wait()
         return step
 
-    def send_batch(self, targets, times, *, hop_limit=64, probe_ids=None):
-        assert not self.supports_columns, "column-less call on a columnar backend"
-        step = self._step(targets, times)
-        outcomes = [
-            ProbeResult(
-                target=target,
-                time=time,
-                epoch=self._epoch,
-                replies=(Reply(target ^ 1, ICMPv6Type.ECHO_REPLY, 0),),
-            )
-            for target, time in zip(targets, times)
-        ]
-        if step == "short" and len(outcomes) > 1:
-            return outcomes[:-1]
-        return outcomes
-
     def probe_columns(
         self, targets, times, *, hop_limit=64, probe_ids=None, out=None
     ):
-        assert self.supports_columns, "columnar call on a column-less backend"
         step = self._step(targets, times)
         cols = out if out is not None else ProbeColumns()
         cols.blank(targets, times)
+        cols.epoch = self._epoch
         for row, target in enumerate(targets):
             cols.flags[row] = FLAG_REPLY
             cols.source_hi[row] = (target ^ 1) >> 64
@@ -164,19 +142,11 @@ class ScriptedBackend(ProbeBackend):
         return cols
 
 
-SHAPES = pytest.mark.parametrize("columns", [False, True], ids=["outcomes", "columns"])
-
-
 def send(backend, targets=None, times=None):
-    """One batch through whichever call the backend's shape has, as
-    ``[reply source or None, ...]`` — one entry per row answered."""
+    """One batch through the backend, as ``[reply source or None, ...]``
+    — one entry per row answered."""
     targets = TARGETS if targets is None else targets
     times = TIMES if times is None else times
-    if not backend.supports_columns:
-        return [
-            outcome.replies[0].source if outcome.replies else None
-            for outcome in backend.send_batch(targets, times)
-        ]
     cols = backend.probe_columns(targets, times, out=ProbeColumns())
     assert cols.targets == targets and cols.times == times
     return [
@@ -191,8 +161,8 @@ ANSWERED = [target ^ 1 for target in TARGETS]
 class PoisonBackend(ScriptedBackend):
     """Fails any batch containing the poison target; clean otherwise."""
 
-    def __init__(self, poison: int, *, columns=False):
-        super().__init__(columns=columns)
+    def __init__(self, poison: int):
+        super().__init__()
         self.poison = poison
 
     def _step(self, targets, times) -> str:
@@ -306,12 +276,10 @@ def test_jitterless_schedule_matches_historical_shard_backoff():
 # ---------------- transactional attempts ---------------- #
 
 
-@SHAPES
-def test_failed_attempt_rolls_back_observable_state(columns):
-    inner = ScriptedBackend(script=["fail", "ok"], columns=columns)
+def test_failed_attempt_rolls_back_observable_state():
+    inner = ScriptedBackend(script=["fail", "ok"])
     policy = RetryPolicy(max_retries=1, backoff=0.0)
     backend = ResilientBackend(inner, policy, sleep=lambda _d: None)
-    assert backend.supports_columns is columns
     assert send(backend) == ANSWERED
     # One logical batch: the failed attempt's mutations were undone.
     assert inner.stats.probes == len(TARGETS)
@@ -321,9 +289,8 @@ def test_failed_attempt_rolls_back_observable_state(columns):
     assert backend.resilience.faulted_probes == 0
 
 
-@SHAPES
-def test_short_outcome_list_is_rolled_back_and_retried(columns):
-    inner = ScriptedBackend(script=["short", "ok"], columns=columns)
+def test_short_outcome_list_is_rolled_back_and_retried():
+    inner = ScriptedBackend(script=["short", "ok"])
     policy = RetryPolicy(max_retries=1, backoff=0.0)
     backend = ResilientBackend(inner, policy, sleep=lambda _d: None)
     assert send(backend) == ANSWERED
@@ -331,9 +298,8 @@ def test_short_outcome_list_is_rolled_back_and_retried(columns):
     assert backend.resilience.retries == 1
 
 
-@SHAPES
-def test_exhausted_batch_records_last_error(columns):
-    inner = ScriptedBackend(script=["fail", "fail"], columns=columns)
+def test_exhausted_batch_records_last_error():
+    inner = ScriptedBackend(script=["fail", "fail"])
     policy = RetryPolicy(max_retries=1, backoff=0.0, max_split_depth=0)
     backend = ResilientBackend(inner, policy, sleep=lambda _d: None)
     assert send(backend) == [None] * len(TARGETS)
@@ -345,9 +311,8 @@ def test_exhausted_batch_records_last_error(columns):
     assert backend.resilience.faulted_probes == len(TARGETS)
 
 
-@SHAPES
-def test_open_breaker_fast_fails_without_touching_the_backend(columns):
-    inner = ScriptedBackend(script=["fail", "fail"], columns=columns)
+def test_open_breaker_fast_fails_without_touching_the_backend():
+    inner = ScriptedBackend(script=["fail", "fail"])
     policy = RetryPolicy(
         max_retries=0, backoff=0.0, max_split_depth=0,
         breaker_threshold=0.5, breaker_window=4, breaker_min_batches=2,
@@ -369,12 +334,11 @@ def test_open_breaker_fast_fails_without_touching_the_backend(columns):
 # ---------------- watchdog deadline ---------------- #
 
 
-@SHAPES
-def test_watchdog_recovers_hung_backend(columns):
+def test_watchdog_recovers_hung_backend():
     import threading
 
     release = threading.Event()
-    inner = ScriptedBackend(script=["hang", "ok"], release=release, columns=columns)
+    inner = ScriptedBackend(script=["hang", "ok"], release=release)
     policy = RetryPolicy(max_retries=1, backoff=0.0, timeout=30.0)
     # Injected join returns without waiting: the "deadline" expires
     # instantly, so the test spends zero wall-time on the hang.
@@ -400,7 +364,7 @@ def test_abandoned_attempt_cannot_write_into_returned_columns():
     import threading
 
     release = threading.Event()
-    inner = ScriptedBackend(script=["hang", "ok"], release=release, columns=True)
+    inner = ScriptedBackend(script=["hang", "ok"], release=release)
     # The late writer answers from a different source than the retry.
     late_sources = []
     real = inner.probe_columns
@@ -452,10 +416,9 @@ def test_timeout_error_names_the_deadline():
 # ---------------- splitting isolates poison probes ---------------- #
 
 
-@SHAPES
-def test_split_quarantines_only_the_poison_probe(columns):
+def test_split_quarantines_only_the_poison_probe():
     poison = TARGETS[5]
-    inner = PoisonBackend(poison, columns=columns)
+    inner = PoisonBackend(poison)
     policy = RetryPolicy(max_retries=0, backoff=0.0, max_split_depth=3)
     backend = ResilientBackend(inner, policy, sleep=lambda _d: None)
     # Rows stay aligned with their probes; only the poison one is quiet.
@@ -720,13 +683,11 @@ def test_merge_results_sums_faulted_probes():
     assert merged.sent == 30
 
 
-@SHAPES
-def test_faulty_backend_short_mode_truncates_once(columns):
-    inner = ScriptedBackend(columns=columns)
+def test_faulty_backend_short_mode_truncates_once():
+    inner = ScriptedBackend()
     faulty = FaultyBackend(
         inner, FaultPlan(backend_short_batch=0), shard=0
     )
-    assert faulty.supports_columns is columns
     assert send(faulty) == ANSWERED[:-1], "first attempt is short"
     assert send(faulty) == ANSWERED, "retries see the full batch"
 
@@ -782,13 +743,12 @@ def test_resilience_is_invisible_without_math_weirdness():
     assert math.isfinite(RetryPolicy().backoff_delay(1000))
 
 
-# ---------------- real scans through the columnar wrapper -------------- #
+# ---------------- real scans through the wrappers ---------------------- #
 #
-# With ``sim`` underneath, FaultyBackend and ResilientBackend are columnar:
-# the scan below runs probe_columns -> wrapper -> chaos -> kernel.  Each
-# scenario is held to the fault-free bytes where the fault is transient,
-# and to the ``wire-sim`` run of the same plan — the ``send_batch`` side of
-# the same recover body — where it is not.
+# The scans below run probe_columns -> wrapper -> chaos -> backend, over
+# ``sim`` and over ``wire-sim``.  Each scenario is held to the fault-free
+# bytes where the fault is transient, and to the other backend's run of
+# the same plan where it is not.
 
 SCENARIO_EPOCH = 7400
 CLEAN = "the fault-free bytes"
@@ -815,13 +775,12 @@ def scenario_targets(tiny_world):
 
 @pytest.fixture()
 def sim_refuses_per_probe_calls(monkeypatch):
-    """Any sim scan that leaves the columnar path fails loudly (a refused
-    call is a backend fault: retried, then quarantined, then visible in
-    every comparison below).  ``wire-sim`` probes through the
-    ``probe_columns`` of its own wrapped backend, so it is not refused."""
+    """Any scan that calls the ``send_batch`` decoder instead of
+    ``probe_columns`` fails loudly (a refused call is a backend fault:
+    retried, then quarantined, then visible in every comparison below)."""
 
     def refuse(self, *args, **kwargs):
-        raise AssertionError("sim scan left the columnar path")
+        raise AssertionError("a scan called the send_batch decoder")
 
     monkeypatch.setattr(SimBackend, "send_batch", refuse)
 
@@ -964,7 +923,7 @@ LOSSY = {
 @pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("batch_size", [1, 64])
 @pytest.mark.parametrize("scenario", sorted(LOSSY))
-def test_lossy_scenarios_match_the_send_batch_side(
+def test_lossy_scenarios_match_across_backends(
     tiny_world, scenario_targets, sim_refuses_per_probe_calls,
     scenario, batch_size, shards,
 ):
@@ -977,11 +936,11 @@ def test_lossy_scenarios_match_the_send_batch_side(
         tiny_world, scenario_targets, backend="sim", shards=shards,
         batch_size=batch_size, plan=plan, policy=policy,
     )
-    outcome_lists, wire_result, _ = _scenario_scan(
+    wire, wire_result, _ = _scenario_scan(
         tiny_world, scenario_targets, backend="wire-sim", shards=shards,
         batch_size=batch_size, plan=plan, policy=policy,
     )
-    assert columnar == outcome_lists, scenario
+    assert columnar == wire, scenario
     assert result.engine_stats == wire_result.engine_stats
     assert result.faulted_probes == wire_result.faulted_probes
     assert result.sent == clean_result.sent, "quiet rows stay counted"
@@ -1004,18 +963,13 @@ def test_lossy_scenarios_match_the_send_batch_side(
 
 
 class _PoisonMixin:
-    """Fails any batch that contains the poison target, in whichever call
-    the backend has."""
+    """Fails any batch that contains the poison target."""
 
     poison = -1
 
     def _check(self, targets):
         if self.poison in targets:
             raise RuntimeError("poison probe in batch")
-
-    def send_batch(self, targets, *args, **kwargs):
-        self._check(targets)
-        return super().send_batch(targets, *args, **kwargs)
 
     def probe_columns(self, targets, *args, **kwargs):
         self._check(targets)
@@ -1067,7 +1021,6 @@ def test_bisection_isolates_a_poison_probe_in_a_real_scan(
         got, result, scanner = _scanner_scan(
             backend, scenario_targets, policy, batch_size
         )
-        assert scanner.backend.supports_columns is (cls is PoisonSim)
         assert result.faulted_probes == 1
         assert result.sent == clean_result.sent
         assert result.records == [
@@ -1101,7 +1054,6 @@ def test_hung_columnar_send_is_recovered_by_the_watchdog(
         faulty, scenario_targets,
         RetryPolicy(max_retries=1, backoff=0.0, timeout=0.2), 256,
     )
-    assert scanner.backend.supports_columns
     assert got == clean
     assert scanner.last_resilience.timeouts == 1
     assert scanner.last_resilience.retries == 1
@@ -1157,7 +1109,6 @@ def test_failed_send_on_a_live_limiter_is_quarantined_not_repeated(deferred):
     clean, _ = scan(None)
     # The first batch comes back one row short *after* the engine ran it.
     faulted, scanner = scan(FaultPlan(backend_short_batch=0))
-    assert scanner.backend.supports_columns
     errors = sum(record.is_error for record in clean.records)
     assert errors > 100, "vacuous: nothing to rate-limit"
     if deferred:
