@@ -499,8 +499,23 @@ def _init_worker(world: "World | WorldRef", targets: tuple[Sequence[int], ...]) 
     _WORKER_TARGETS = targets
     # The world and the lists live as long as the worker: keep the
     # collector from walking them on every full collection (and from
-    # dirtying their copy-on-write pages under fork).
+    # dirtying their copy-on-write pages under fork); collect all the same
+    # in a worker forked inside a paused scan.
     gc.freeze()
+    gc.enable()
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector, then restore the state found: what a
+    scan keeps (decoded entities, records, replay checks) has no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _scanner_in_place(world: World, config: ScanConfig, epoch: int, **telemetry):
@@ -662,6 +677,7 @@ class ShardedScanRunner:
         safe from any thread."""
         self._interrupted = True
 
+    @_collector_paused()
     def scan(
         self,
         targets: Sequence[int] | Iterable[int],

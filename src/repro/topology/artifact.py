@@ -759,11 +759,13 @@ class _LazyEntries:
     """Value column of one frozen-resolution row: entries materialise on
     first access and stay cached (stable identity)."""
 
-    __slots__ = ("_reader", "_world", "_hi", "_lo", "_kinds", "_refs", "_cache")
+    __slots__ = ("_reader", "_regions", "_hi", "_lo", "_kinds", "_refs", "_cache")
 
     def __init__(self, reader, world, hi, lo, kinds, refs) -> None:
         self._reader = reader
-        self._world = world
+        # The world's containers, not the world, whose resolution holds
+        # this column: a dropped world is then freed by refcount.
+        self._regions = world.loop_regions, world.alias_regions, world.infra_subnets
         self._hi = hi
         self._lo = lo
         self._kinds = kinds
@@ -778,15 +780,15 @@ class _LazyEntries:
         if entry is None:
             kind = _CODE_KINDS[self._kinds[i]]
             ref = self._refs[i]
+            loops, aliases, infra = self._regions
             if kind is EntryKind.SUBNET:
                 payload = self._reader.subnet(ref)
             elif kind is EntryKind.LOOP:
-                payload = self._world.loop_regions[ref]
+                payload = loops[ref]
             elif kind is EntryKind.ALIAS:
-                payload = self._world.alias_regions[ref]
+                payload = aliases[ref]
             else:  # INFRA: keyed by its own network
-                network = (self._hi[i] << 64) | self._lo[i]
-                payload = self._world.infra_subnets[network]
+                payload = infra[(self._hi[i] << 64) | self._lo[i]]
             entry = self._cache.setdefault(i, ResolutionEntry(kind, payload))
         return entry
 
@@ -806,12 +808,6 @@ class LazyRouterMap(Mapping):
 
     def __getitem__(self, router_id: int) -> Router:
         return self._reader.router(router_id)
-
-    def __setitem__(self, router_id: int, router: Router) -> None:
-        raise TypeError("artifact-backed worlds are read-only")
-
-    def __delitem__(self, router_id: int) -> None:
-        raise TypeError("artifact-backed worlds are read-only")
 
     def __len__(self) -> int:
         return self._reader.router_rows
@@ -864,12 +860,6 @@ class LazySubnetMap(Mapping):
             raise KeyError(network)
         return self._reader.subnet(row)
 
-    def __setitem__(self, network: int, subnet: Subnet) -> None:
-        raise TypeError("artifact-backed worlds are read-only")
-
-    def __delitem__(self, network: int) -> None:
-        raise TypeError("artifact-backed worlds are read-only")
-
     def __len__(self) -> int:
         return len(self._reader._subnet_keys)
 
@@ -909,28 +899,19 @@ def load_world_artifact(path: str | Path) -> World:
     """Memory-map an artifact and return its (lazy, read-only) world — from
     now on :func:`resolve_world_ref`'s for ``path``, here and in forked
     children, which inherit what it decoded.  The world the path held is
-    dropped first, so that the collections this load triggers free it."""
+    dropped first: with no other reference, refcounting frees it at once."""
     path = Path(path)
     _RESOLVED.pop(str(path), None)
     reader = _ArtifactReader(path)
-    small = reader.small
-    bgp = small["bgp"]
-    bgp.freeze_lookups()
+    reader.small["bgp"].freeze_lookups()
     world = World(
         seed=reader.seed,
-        bgp=bgp,
-        irr=small["irr"],
-        ases=small["ases"],
         routers=LazyRouterMap(reader),  # type: ignore[arg-type]
         subnets=LazySubnetMap(reader),  # type: ignore[arg-type]
-        loop_regions=small["loop_regions"],
-        alias_regions=small["alias_regions"],
-        infra_subnets=small["infra_subnets"],
-        paths=small["paths"],
-        vantage=small["vantage"],
         packet_loss=reader.meta["packet_loss"],
         artifact_path=str(path),
         artifact_fingerprint=reader.fingerprint,
+        **reader.small,  # the O(#ASes) parts, saved under their World names
     )
     world.resolution = FrozenLPM(reader.resolution_rows(world))  # type: ignore[assignment]
     _RESOLVED[str(path)] = world

@@ -218,38 +218,38 @@ class World:
     # mmap the artifact instead of unpickling the whole world.  Such
     # worlds are *static*: ``routers``/``subnets`` are lazy read-only
     # maps and ``resolution`` is a FrozenLPM, so the register_*/remove
-    # mutators below raise on them.
+    # mutators below raise on them, before changing anything.
     artifact_path: str | None = None
     artifact_fingerprint: bytes | None = None
 
     def register_subnet(self, subnet: Subnet) -> None:
-        self.subnets[subnet.prefix.network] = subnet
         self.resolution.insert(
             subnet.prefix, ResolutionEntry(EntryKind.SUBNET, subnet)
         )
+        self.subnets[subnet.prefix.network] = subnet
 
     def register_loop(self, region: LoopRegion) -> None:
-        self.loop_regions.append(region)
         self.resolution.insert(
             region.prefix, ResolutionEntry(EntryKind.LOOP, region)
         )
+        self.loop_regions.append(region)
 
     def register_alias(self, region: AliasRegion) -> None:
-        self.alias_regions.append(region)
         self.resolution.insert(
             region.prefix, ResolutionEntry(EntryKind.ALIAS, region)
         )
+        self.alias_regions.append(region)
 
     def register_infra(self, infra: InfraSubnet) -> None:
-        self.infra_subnets[infra.prefix.network] = infra
         self.resolution.insert(
             infra.prefix, ResolutionEntry(EntryKind.INFRA, infra)
         )
+        self.infra_subnets[infra.prefix.network] = infra
 
     def remove_loop(self, region: LoopRegion) -> None:
         """Drop a loop region (operator applied a null route, Appendix C)."""
-        self.loop_regions.remove(region)
         self.resolution.remove(region.prefix)
+        self.loop_regions.remove(region)
 
     def all_hosts(self) -> Iterator[int]:
         """Every responsive host address in the world."""

@@ -261,20 +261,47 @@ class TestRoundTrip:
         assert loaded.subnets[stale.prefix.network].hosts == subnets[2].hosts
 
     def test_loaded_world_is_static(self, artifact_world):
+        """Every mutator is refused, and a refused one changes nothing:
+        the region lists and the infra dict stay what the FIB routes."""
         from repro.addr.ipv6 import IPv6Prefix
-        from repro.topology.entities import Subnet
-
-        subnet = Subnet(
-            prefix=IPv6Prefix(0xABCD << 64, 64),
-            asn=1,
-            router_id=1,
-            router_interface=(0xABCD << 64) | 1,
+        from repro.topology.entities import (
+            AliasRegion,
+            InfraSubnet,
+            LoopRegion,
+            Subnet,
         )
-        with pytest.raises(TypeError):
-            artifact_world.register_subnet(subnet)
-        if artifact_world.loop_regions:
+
+        world = artifact_world
+        prefix = IPv6Prefix(0xABCD << 64, 64)
+        subnet = Subnet(
+            prefix=prefix, asn=1, router_id=1, router_interface=(0xABCD << 64) | 1
+        )
+        assert world.loop_regions
+        before = (
+            list(world.loop_regions),
+            list(world.alias_regions),
+            dict(world.infra_subnets),
+        )
+        refused = [
+            partial(world.register_subnet, subnet),
+            partial(world.register_loop, LoopRegion(prefix, 1, 1, 2)),
+            partial(world.register_alias, AliasRegion(prefix, 1)),
+            partial(world.register_infra, InfraSubnet(prefix, 1)),
+            partial(world.remove_loop, world.loop_regions[0]),
+        ]
+        for call in refused:
             with pytest.raises(TypeError):
-                artifact_world.remove_loop(artifact_world.loop_regions[0])
+                call()
+            assert (
+                world.loop_regions,
+                world.alias_regions,
+                world.infra_subnets,
+            ) == before, call.func.__name__
+        # The lazy maps are plain Mappings: no assignment, no deletion.
+        with pytest.raises(TypeError):
+            world.routers[1] = world.routers[1]
+        with pytest.raises(TypeError):
+            del world.routers[1]
 
 
 class TestWorkerBootstrap:
