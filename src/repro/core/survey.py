@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..hitlist.aliases import AliasedPrefixList
 from ..hitlist.hitlist import Hitlist
-from ..scanner.backends import RetryPolicy
+from ..scanner.backends import BACKENDS, RetryPolicy
 from ..scanner.pacing import paced_pps
 from ..scanner.records import ScanResult
 from ..scanner.sharded import EXECUTORS, ShardedScanRunner
@@ -118,6 +118,14 @@ class SurveyConfig:
             raise ValueError("shards must be >= 1 and max_shard_retries >= 0")
         if self.parallel not in EXECUTORS:
             raise ValueError(f"parallel must be one of {'/'.join(EXECUTORS)}")
+        # Every survey scan goes through the sharded runner, which refuses
+        # a non-deterministic backend.
+        backends = [name for name, cls in BACKENDS.items() if cls.deterministic]
+        if self.backend not in backends:
+            raise ValueError(
+                f"backend must be one of {'/'.join(backends)}, "
+                f"got {self.backend!r}"
+            )
         self.resilience_policy()  # RetryPolicy rejects bad knobs here
 
     def resilience_policy(self) -> RetryPolicy | None:

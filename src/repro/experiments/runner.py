@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from ..scanner.backends import backend_names
+from ..scanner.backends import BACKENDS
 from ..scanner.checkpoint import CheckpointError
 from ..scanner.cli import add_resilience_flags, check_output_paths, knob_problem
 from ..scanner.sharded import ScanInterrupted, ShardFailedError
@@ -204,10 +204,10 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.backend not in backend_names():
+        if args.backend not in BACKENDS:
             print(
                 f"sra-repro: unknown backend {args.backend!r} "
-                f"(choose from {', '.join(backend_names())})",
+                f"(choose from {', '.join(sorted(BACKENDS))})",
                 file=sys.stderr,
             )
             return 2

@@ -202,7 +202,7 @@ class FaultyBackend(WrappingBackend):
     for blackholes/truncation, adjusts only the returned columns), so a
     transactional retry above observes a clean rollback and reproduces
     the fault-free byte stream — the property the chaos contract tests
-    pin for every registered backend.
+    pin for every backend in ``BACKENDS``.
 
     Batch identity: the ordinal of first sighting, keyed on
     ``(len, first target, last target)`` — retries of a batch keep their

@@ -10,39 +10,26 @@ that operation as an interface, so the simulator, the wire-format
 loopback, and a raw-socket ICMPv6 sender are interchangeable underneath
 the whole stack, and the scanner has one scan loop.
 
-Two pieces mirror the target-stream machinery in
-:mod:`repro.scanner.stream`:
+Which backend a scan uses, with which key, authorization and rate, is
+:class:`~repro.scanner.zmapv6.ScanConfig`'s to say:
+:func:`repro.scanner.backends.build_backend` builds it from those fields.
+No live backend ever crosses a pickle boundary — sharded pool workers
+receive the config and build their own, the way they rebuild worlds from
+``WorldRef``.
 
-* :class:`BackendSpec` — a picklable recipe (``name`` + option pairs),
-  the only backend representation that ever crosses a pickle boundary.
-  Sharded pool workers rebuild their backend from the spec exactly the
-  way they rebuild worlds from ``WorldRef`` — no live sockets or
-  engines are ever pickled.
-* a registry — :func:`register_backend` / :func:`build_backend` /
-  :func:`backend_names` — keyed by spec name, importing the spec's
-  module on demand so workers that never imported the registering
-  module still resolve it.
-
-Capability flags are class-level, readable without instantiating (the
-sharded runner refuses non-deterministic backends *before* building
-anything):
-
-* ``deterministic`` — byte-identical outcomes for identical inputs;
-  required for sharded merges, checkpoint resume, and golden tests,
-* ``requires_privilege`` — needs raw-socket privileges (and explicit
-  authorization) to open.
+``deterministic`` — byte-identical outcomes for identical inputs, as
+required for sharded merges, checkpoint resume and golden tests — is a
+class-level flag, readable without instantiating: the sharded runner
+refuses a non-deterministic backend *before* building anything.
 """
 
 from __future__ import annotations
 
-import importlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
 if TYPE_CHECKING:  # concrete outcome types come from the engine module
     from ...netsim.engine import EngineStats, ProbeColumns, ProbeResult
-    from ...topology.entities import World
 
 
 class BackendError(Exception):
@@ -58,33 +45,6 @@ class BackendPrivilegeError(BackendError):
     """The process lacks the privileges the backend needs (raw sockets)."""
 
 
-@dataclass(frozen=True)
-class BackendSpec:
-    """A picklable recipe: which registered backend, built how.
-
-    A live backend (sockets, an engine) cannot cross a process boundary,
-    so pool workers rebuild it from this: ``module`` is imported before
-    lookup so they resolve the builder without having imported the
-    registering module, and ``options`` is a tuple of ``(key, value)``
-    pairs, keeping the spec hashable and pickle-stable.
-    """
-
-    name: str
-    module: str = "repro.scanner.backends"
-    options: tuple[tuple[str, object], ...] = ()
-
-    def arguments(self) -> dict[str, object]:
-        return dict(self.options)
-
-
-def make_backend_spec(
-    name: str, module: str = "repro.scanner.backends", **options
-) -> BackendSpec:
-    return BackendSpec(
-        name=name, module=module, options=tuple(sorted(options.items()))
-    )
-
-
 class ProbeBackend(ABC):
     """Sends probe batches somewhere and returns their outcomes.
 
@@ -97,8 +57,6 @@ class ProbeBackend(ABC):
       and the backend's epoch — row ``i`` answers probe ``i``, matched by
       probe id, never by arrival order; a probe's second and later
       distinct replies go to the columns' ``extra`` list,
-    * :meth:`spec` round-trips through :func:`build_backend` to an
-      equivalent backend (same name, same capability flags),
     * lifecycle is idempotent: :meth:`open` before the first send (the
       scanner calls it defensively), :meth:`close` when done; both are
       no-ops where there is nothing to hold open,
@@ -109,37 +67,11 @@ class ProbeBackend(ABC):
 
     name: ClassVar[str] = "abstract"
     deterministic: ClassVar[bool] = True
-    requires_privilege: ClassVar[bool] = False
 
     #: Replies that arrived but failed probe extraction/validation and
     #: were dropped (zmap's "validation failed" drop).  Cumulative over
     #: the backend's lifetime; the scanner reports per-scan deltas.
     unmatched_replies: int = 0
-
-    # ---------------- construction ---------------- #
-
-    @classmethod
-    @abstractmethod
-    def from_spec(
-        cls,
-        spec: BackendSpec,
-        *,
-        world: "World | None" = None,
-        engine=None,
-        epoch: int = 0,
-        defer_rate_limit: bool = False,
-    ) -> "ProbeBackend":
-        """Rebuild a backend from its picklable spec.
-
-        ``world`` (and optionally a pre-built ``engine``) ground the
-        simulated backends; wire backends ignore both.  ``epoch`` and
-        ``defer_rate_limit`` parameterise a freshly-built engine the way
-        :func:`repro.scanner.sharded.scan_shard` needs it.
-        """
-
-    @abstractmethod
-    def spec(self) -> BackendSpec:
-        """The picklable recipe that rebuilds this backend."""
 
     # ---------------- lifecycle ---------------- #
 
@@ -223,11 +155,11 @@ class ProbeBackend(ABC):
 
 
 class WrappingBackend(ProbeBackend):
-    """A backend built around a live one (never from a spec, never
-    registered), changing what happens to a batch on its way through.
+    """A backend built around a live one, changing what happens to a
+    batch on its way through.
 
-    Capability flags, ``spec()`` and every lifecycle/observability surface
-    are the wrapped backend's, so the layers above see that backend; a
+    Capability flags and every lifecycle/observability surface are the
+    wrapped backend's, so the layers above see that backend; a
     subclass writes only its ``probe_columns``.
     """
 
@@ -236,16 +168,6 @@ class WrappingBackend(ProbeBackend):
         # Instance-level capability flags mirror the wrapped backend.
         self.name = inner.name
         self.deterministic = inner.deterministic
-        self.requires_privilege = inner.requires_privilege
-
-    @classmethod
-    def from_spec(cls, spec: BackendSpec, **_) -> "ProbeBackend":
-        raise TypeError(
-            f"{cls.__name__} wraps a built backend; it is not spec-built"
-        )
-
-    def spec(self) -> BackendSpec:
-        return self.inner.spec()
 
     def open(self) -> None:
         self.inner.open()
@@ -294,60 +216,3 @@ class WrappingBackend(ProbeBackend):
 
     def pop_warnings(self) -> list[str]:
         return self.inner.pop_warnings()
-
-
-# --------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------- #
-
-_BACKENDS: dict[str, type[ProbeBackend]] = {}
-
-
-def register_backend(name: str, cls: type[ProbeBackend]) -> type[ProbeBackend]:
-    """Register a backend class under its spec name."""
-    _BACKENDS[name] = cls
-    return cls
-
-
-def backend_names() -> list[str]:
-    """Registered backend names, sorted (the ``--backend`` choices)."""
-    return sorted(_BACKENDS)
-
-
-def backend_class(
-    name: str, module: str = "repro.scanner.backends"
-) -> type[ProbeBackend]:
-    """Resolve a backend class by name, importing ``module`` on demand.
-
-    This is how capability flags (``deterministic``, ...) are read
-    without building a backend — and therefore without tripping the raw
-    backend's authorization check.
-    """
-    if name not in _BACKENDS:
-        importlib.import_module(module)
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"no probe backend registered as {name!r} "
-            f"(choose from {', '.join(backend_names())})"
-        ) from None
-
-
-def build_backend(
-    spec: BackendSpec,
-    world: "World | None" = None,
-    *,
-    engine=None,
-    epoch: int = 0,
-    defer_rate_limit: bool = False,
-) -> ProbeBackend:
-    """Rebuild the backend a spec describes (what pool workers run)."""
-    cls = backend_class(spec.name, spec.module)
-    return cls.from_spec(
-        spec,
-        world=world,
-        engine=engine,
-        epoch=epoch,
-        defer_rate_limit=defer_rate_limit,
-    )

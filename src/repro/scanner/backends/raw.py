@@ -5,7 +5,7 @@ construction requires ``authorized=True`` (the CLIs map this to an
 explicit ``--i-am-authorized`` flag), and :meth:`open` converts a
 raw-socket permission failure into a typed
 :class:`~repro.scanner.backends.base.BackendPrivilegeError` — unprivileged
-environments (CI, tests) can import, spec-validate, and reason about this
+environments (CI, tests) can import, construct, and reason about this
 backend without ever opening a socket.
 
 Send path: probes are encoded with the same byte-accurate
@@ -43,7 +43,7 @@ import struct
 from collections import Counter
 import threading
 import time as wallclock
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ...netsim.engine import FLAG_LOST, FLAG_REPLY, EngineStats, ProbeColumns
 from ...packet.icmpv6 import ICMPv6Message, ICMPv6Type, echo_request
@@ -53,15 +53,9 @@ from ..pacing import paced_pps
 from .base import (
     BackendAuthorizationError,
     BackendPrivilegeError,
-    BackendSpec,
     ProbeBackend,
-    make_backend_spec,
-    register_backend,
 )
 from .wiresim import DEFAULT_PROBE_KEY
-
-if TYPE_CHECKING:
-    from ...topology.entities import World
 
 
 def _address_text(address: int) -> str:
@@ -79,7 +73,6 @@ class RawSocketBackend(ProbeBackend):
 
     name = "raw"
     deterministic = False
-    requires_privilege = True
 
     def __init__(
         self,
@@ -106,8 +99,8 @@ class RawSocketBackend(ProbeBackend):
         self.pps = pps
         self.linger = linger
         # Socket receive timeout: the receiver thread's shutdown-check
-        # cadence.  A spec option (not a constant) so operators can trade
-        # shutdown latency against wakeup rate.
+        # cadence.  A constructor argument (not a constant) so a caller
+        # can trade shutdown latency against wakeup rate.
         self.recv_timeout = recv_timeout
         self.unmatched_replies = 0
         self._warnings: list[str] = []
@@ -120,37 +113,6 @@ class RawSocketBackend(ProbeBackend):
         # probe_id -> (probed target, [(source, icmp_type, code), ...] in
         # arrival order), for the probes of the batch in flight
         self._matched: dict[int, tuple[int, list[tuple[int, int, int]]]] = {}
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: BackendSpec,
-        *,
-        world: "World | None" = None,
-        engine=None,
-        epoch: int = 0,
-        defer_rate_limit: bool = False,
-    ) -> "RawSocketBackend":
-        options = spec.arguments()
-        backend = cls(
-            key=options.get("key", DEFAULT_PROBE_KEY),
-            authorized=bool(options.get("authorized", False)),
-            pps=float(options.get("pps", 1_000.0)),
-            linger=float(options.get("linger", 1.0)),
-            recv_timeout=float(options.get("recv_timeout", 0.2)),
-        )
-        backend._epoch = epoch
-        return backend
-
-    def spec(self) -> BackendSpec:
-        return make_backend_spec(
-            self.name,
-            key=self.key,
-            authorized=True,  # an instance only exists when authorized
-            pps=self.pps,
-            linger=self.linger,
-            recv_timeout=self.recv_timeout,
-        )
 
     # ---------------- lifecycle ---------------- #
 
@@ -188,8 +150,8 @@ class RawSocketBackend(ProbeBackend):
         if self._receiver is not None:
             # The receiver wakes at most every recv_timeout to check
             # _running, so two cycles (plus reply-drain slack) is an
-            # honest join budget; derived from the spec options instead
-            # of a hardcoded constant.
+            # honest join budget; derived from the constructor arguments
+            # instead of a hardcoded constant.
             join_timeout = self.linger + 2.0 * self.recv_timeout
             self._receiver.join(timeout=join_timeout)
             if self._receiver.is_alive():
@@ -355,5 +317,3 @@ class RawSocketBackend(ProbeBackend):
                     cols.count[row] = count
         return cols
 
-
-register_backend(RawSocketBackend.name, RawSocketBackend)

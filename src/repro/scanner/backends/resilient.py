@@ -37,9 +37,9 @@ token buckets, which are not snapshotted: an attempt that fails *after*
 probing a live rate limiter (``stats.probes`` moved) is not sent again —
 neither retried nor bisected — but quarantined, ``"unrepeatable"``.
 
-The wrapper is built *around* an existing backend (never from a spec,
-never registered): nesting a policy inside ``BackendSpec`` options would
-break the plain-data spec contract.  Every backend answers in
+The wrapper is built *around* an existing backend and is not in
+``BACKENDS``: the scanner adds it whenever ``ScanConfig.retry_policy`` is
+set, whichever backend the config names.  Every backend answers in
 ``ProbeColumns``, so breaker, attempts, bisection and quarantine have one
 body: a quiet row is a zeroed flag byte, and a bisected batch is its
 halves spliced back together.
@@ -297,10 +297,9 @@ class CircuitBreaker:
 class ResilientBackend(WrappingBackend):
     """Wraps any :class:`ProbeBackend` with a :class:`RetryPolicy`.
 
-    Built around a live backend by the scanner (never from a spec):
-    ``spec()`` and every capability/observability surface delegate to
-    the wrapped backend, so the layers above see the inner backend with
-    failure semantics changed underneath.
+    Built around a live backend by the scanner: every capability and
+    observability surface delegates to the wrapped backend, so the layers
+    above see the inner backend with failure semantics changed underneath.
     """
 
     def __init__(

@@ -12,11 +12,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ...netsim.engine import SimulationEngine
-from .base import BackendSpec, ProbeBackend, make_backend_spec, register_backend
+from .base import ProbeBackend
 
 if TYPE_CHECKING:
     from ...netsim.engine import EngineStats, ProbeColumns
-    from ...topology.entities import World
 
 
 class SimBackend(ProbeBackend):
@@ -24,33 +23,9 @@ class SimBackend(ProbeBackend):
 
     name = "sim"
     deterministic = True
-    requires_privilege = False
 
     def __init__(self, engine: SimulationEngine) -> None:
         self.engine = engine
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: BackendSpec,
-        *,
-        world: "World | None" = None,
-        engine: SimulationEngine | None = None,
-        epoch: int = 0,
-        defer_rate_limit: bool = False,
-    ) -> "SimBackend":
-        if engine is None:
-            if world is None:
-                raise ValueError(
-                    "sim backend needs a world (or a pre-built engine)"
-                )
-            engine = SimulationEngine(
-                world, epoch=epoch, defer_rate_limit=defer_rate_limit
-            )
-        return cls(engine)
-
-    def spec(self) -> BackendSpec:
-        return make_backend_spec(self.name)
 
     # ---------------- epoch + observability ---------------- #
 
@@ -104,5 +79,3 @@ class SimBackend(ProbeBackend):
             targets, times, hop_limit=hop_limit, probe_ids=probe_ids, out=out
         )
 
-
-register_backend(SimBackend.name, SimBackend)

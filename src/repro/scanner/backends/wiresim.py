@@ -32,12 +32,11 @@ from ...packet.icmpv6 import (
 )
 from ...packet.ipv6hdr import HEADER_LENGTH, IPv6Header
 from ...packet.probe import build_probe_packet, extract_probe
-from .base import BackendSpec, ProbeBackend, make_backend_spec, register_backend
+from .base import ProbeBackend
 from .sim import SimBackend
 
 if TYPE_CHECKING:
     from ...netsim.engine import EngineStats, ProbeColumns, SimulationEngine
-    from ...topology.entities import World
 
 # The scanner's default probe-authentication key (mirrors ScanConfig.key;
 # kept here so backends never import the scanner module).
@@ -49,35 +48,11 @@ class WireSimBackend(ProbeBackend):
 
     name = "wire-sim"
     deterministic = True
-    requires_privilege = False
 
     def __init__(self, inner: SimBackend, *, key: bytes = DEFAULT_PROBE_KEY) -> None:
         self.inner = inner
         self.key = key
         self.unmatched_replies = 0
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: BackendSpec,
-        *,
-        world: "World | None" = None,
-        engine: "SimulationEngine | None" = None,
-        epoch: int = 0,
-        defer_rate_limit: bool = False,
-    ) -> "WireSimBackend":
-        options = spec.arguments()
-        inner = SimBackend.from_spec(
-            spec,
-            world=world,
-            engine=engine,
-            epoch=epoch,
-            defer_rate_limit=defer_rate_limit,
-        )
-        return cls(inner, key=options.get("key", DEFAULT_PROBE_KEY))
-
-    def spec(self) -> BackendSpec:
-        return make_backend_spec(self.name, key=self.key)
 
     # ---------------- delegation to the wrapped simulator ---------------- #
 
@@ -178,5 +153,3 @@ class WireSimBackend(ProbeBackend):
                 self.unmatched_replies += 1
         return cols
 
-
-register_backend(WireSimBackend.name, WireSimBackend)

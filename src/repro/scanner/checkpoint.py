@@ -72,7 +72,9 @@ __all__ = [
 # rebuild recipe, which no code read back).
 # v5: a journaled ShardOutcome holds its records and checks as the ring
 # frame's columns (v4 pickled one ScanRecord and one tuple per row).
-CHECKPOINT_SCHEMA_VERSION = 5
+# v6: the config key holds the backend's name and probe key (v5 pickled
+# a backend rebuild recipe whose class this build no longer has).
+CHECKPOINT_SCHEMA_VERSION = 6
 
 # 8-byte magic, then schema (u32), payload length (u64), CRC-32 (u32),
 # big-endian, then the pickled payload.
@@ -154,7 +156,7 @@ def config_key(config: "ScanConfig") -> tuple:
     Probe times, permutation order, and stochastic draws are functions of
     exactly these; ``batch_size`` and telemetry cadence are deliberately
     excluded (they are pinned bit-invariant by the determinism suite).
-    The backend rides along as its picklable ``BackendSpec`` — resuming a
+    The backend rides along as its name and probe key — resuming a
     ``wire-sim`` journal with a ``sim`` config (or a different probe key)
     is a config mismatch like any other.  So does the resilience policy:
     quarantine semantics decide which probes a completed shard gave up
@@ -167,7 +169,8 @@ def config_key(config: "ScanConfig") -> tuple:
         config.hop_limit,
         config.seed,
         config.permute,
-        config.backend_spec(),
+        config.backend,
+        config.key,
         config.retry_policy,
     )
 

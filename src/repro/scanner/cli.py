@@ -29,10 +29,10 @@ from ..telemetry.scan import ScanTelemetry
 from ..topology.config import WorldConfig, tiny_config
 from ..topology.generator import build_world
 from .backends import (
+    BACKENDS,
     BackendPrivilegeError,
-    RawSocketBackend,
     RetryPolicy,
-    backend_names,
+    build_backend,
 )
 from .checkpoint import CheckpointError
 from .pacing import paced_pps
@@ -387,10 +387,10 @@ def main(argv: list[str] | None = None) -> int:
     if problem is not None:
         print(f"sra-scan: {problem}", file=sys.stderr)
         return 2
-    if args.backend not in backend_names():
+    if args.backend not in BACKENDS:
         print(
             f"sra-scan: unknown backend {args.backend!r} "
-            f"(choose from {', '.join(backend_names())})",
+            f"(choose from {', '.join(sorted(BACKENDS))})",
             file=sys.stderr,
         )
         return 2
@@ -643,7 +643,7 @@ def _raw_scan(args, telemetry):
         return 1
 
     scan_config = _scan_config(args, len(targets), args.seed)
-    backend = RawSocketBackend(authorized=True, pps=scan_config.pps)
+    backend = build_backend(scan_config)
     scanner = ZMapV6Scanner(backend, scan_config, telemetry=telemetry)
     try:
         result = scanner.scan(targets, name="raw", epoch=args.epoch)

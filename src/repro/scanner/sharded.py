@@ -56,12 +56,7 @@ from ..telemetry.scan import (
 )
 from ..topology.artifact import WorldRef, resolve_world_ref, world_payload
 from ..topology.entities import World
-from .backends import (
-    ResilienceStats,
-    RetryPolicy,
-    backend_class,
-    build_backend,
-)
+from .backends import BACKENDS, ResilienceStats, RetryPolicy, build_backend
 from .checkpoint import (
     ScanCheckpoint,
     config_key,
@@ -245,17 +240,14 @@ def scan_shard(
         # per-probe target access the plan names.
         chaos.delay_shard(shard)
         targets = chaos.wrap_targets(targets, shard, attempt)
-    # The backend is rebuilt from config.backend_spec() around this
-    # deferred engine — the config crossing the pickle boundary *is* the
-    # backend transport, exactly like WorldRef for worlds; no live
-    # backend is ever pickled.  Built explicitly (rather than inside the
-    # scanner) so chaos can interpose transport faults *under* the
-    # resilience wrapper the scanner adds on top — the layering a flaky
-    # NIC would have.
+    # The backend is built from the config around this deferred engine —
+    # the config crossing the pickle boundary *is* the backend transport,
+    # exactly like WorldRef for worlds; no live backend is ever pickled.
+    # Built explicitly (rather than inside the scanner) so chaos can
+    # interpose transport faults *under* the resilience wrapper the
+    # scanner adds on top — the layering a flaky NIC would have.
     engine = SimulationEngine(world, epoch=epoch, defer_rate_limit=True)
-    backend = build_backend(
-        config.backend_spec(), world=world, engine=engine, epoch=epoch
-    )
+    backend = build_backend(config, engine)
     if chaos is not None:
         backend = chaos.wrap_backend(backend, shard)
     scanner = ZMapV6Scanner(
@@ -712,8 +704,7 @@ class ShardedScanRunner:
         journal auto-resumes).
         """
         config = config or ScanConfig()
-        spec = config.backend_spec()
-        if not backend_class(spec.name, module=spec.module).deterministic:
+        if not BACKENDS[config.backend].deterministic:
             # The whole runner contract — deferred replay, checkpoints,
             # byte-identical merges — presumes reproducible probes.
             raise ValueError(

@@ -44,14 +44,13 @@ from ..telemetry.scan import (
     populate_registry,
 )
 from .backends import (
+    BACKENDS,
     DEFAULT_PROBE_KEY,
-    BackendSpec,
     ProbeBackend,
     ResilienceStats,
     ResilientBackend,
     RetryPolicy,
     build_backend,
-    make_backend_spec,
 )
 from .records import RecordColumns, ScanRecord, ScanResult
 from .stream import (
@@ -122,6 +121,11 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.pps <= 0:
             raise ValueError("pps must be positive")
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r} "
+                f"(choose from {', '.join(sorted(BACKENDS))})"
+            )
         if self.retry_policy is not None and not isinstance(
             self.retry_policy, RetryPolicy
         ):
@@ -136,22 +140,6 @@ class ScanConfig:
             raise ValueError("batch_size must be >= 1")
         if self.progress_every < 0:
             raise ValueError("progress_every must be >= 0")
-
-    def backend_spec(self) -> BackendSpec:
-        """The picklable recipe for this config's backend.
-
-        This — not a live backend — is what crosses pickle boundaries:
-        sharded pool workers and checkpoint journals carry the spec and
-        rebuild the backend locally, the same protocol ``WorldRef``
-        uses.
-        """
-        if self.backend == "wire-sim":
-            return make_backend_spec("wire-sim", key=self.key)
-        if self.backend == "raw":
-            return make_backend_spec(
-                "raw", key=self.key, authorized=self.authorized, pps=self.pps
-            )
-        return make_backend_spec(self.backend)
 
 
 class ZMapV6Scanner:
@@ -186,13 +174,9 @@ class ZMapV6Scanner:
         if isinstance(engine, ProbeBackend):
             self.backend = engine
         else:
-            # Rebuild-from-spec is the same code path pool workers run,
-            # so a locally-built scanner and a worker-built one agree.
-            self.backend = build_backend(
-                self.config.backend_spec(),
-                world=engine.world,
-                engine=engine,
-            )
+            # The same call pool workers make, so a locally-built scanner
+            # and a worker-built one agree.
+            self.backend = build_backend(self.config, engine)
         policy = self.config.retry_policy
         if policy is not None and not isinstance(self.backend, ResilientBackend):
             self.backend = ResilientBackend(

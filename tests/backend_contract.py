@@ -4,21 +4,23 @@ Any probe backend — the stock ``sim``/``wire-sim``/``raw`` or an
 extension — must honour one contract so the scanner, the sharded runner,
 and the checkpoint journals can treat them interchangeably:
 
-* it is registered (``backend_names()``) and declares its capability
-  flags (``deterministic``, ``requires_privilege``),
-* its :class:`BackendSpec` round-trips: picklable, rebuildable via
-  ``build_backend`` into an equivalent backend (what sharded pool
-  workers do — no live backend ever crosses the pickle boundary),
+* it is listed in ``BACKENDS`` under its name and declares whether it is
+  ``deterministic``,
+* :func:`build_backend` builds it from a :class:`ScanConfig` that went
+  through pickle exactly as from the original (what sharded pool workers
+  do — no live backend ever crosses the pickle boundary),
 * ``probe_columns`` answers one row per probe: ``n`` equal to the batch
   size, the caller's targets/times borrowed, the backend's epoch, and
   probes counted into ``stats``,
 * every *deterministic* backend produces records, main-channel
   telemetry, and Prometheus output **byte-identical** to the ``sim``
-  baseline, at 1, 4 and 8 shards (the property that makes the backend a
-  pure execution dial, like batch size and shard count),
-* privileged backends (``raw``) enrol for spec/validation only: they
-  must be constructible and spec-checkable without ever opening a
-  socket, and must refuse construction without explicit authorization.
+  baseline, at 1, 4 and 8 shards and on a process pool (the property
+  that makes the backend a pure execution dial, like batch size and
+  shard count),
+* non-deterministic backends (``raw``) probe real networks, so they
+  enrol for construction/validation only: they must be constructible
+  without ever opening a socket, and must refuse construction without
+  explicit authorization.
 
 Import the suite and parametrise it with :class:`BackendCase` rows::
 
@@ -31,8 +33,8 @@ Import the suite and parametrise it with :class:`BackendCase` rows::
     class TestContract(BackendContract):
         pass
 
-``default_cases()`` enrols every registered backend automatically, so a
-newly registered backend joins the suite for free.
+``default_cases()`` enrols every name in ``BACKENDS``, so a backend added
+to the table joins the suite for free.
 """
 
 from __future__ import annotations
@@ -42,16 +44,15 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.netsim.engine import SimulationEngine
 from repro.netsim.faults import ChaosEngine, FaultPlan, FaultyBackend
 from repro.scanner.backends import (
+    BACKENDS,
     BackendAuthorizationError,
     ProbeBackend,
     ResilientBackend,
     RetryPolicy,
-    backend_class,
-    backend_names,
     build_backend,
-    make_backend_spec,
 )
 from repro.scanner.records import records_jsonl
 from repro.scanner.sharded import ShardedScanRunner
@@ -69,33 +70,27 @@ class BackendCase:
     """One parametrisation of the contract suite."""
 
     id: str
-    name: str  # registered backend name
-    # Privileged backends enrol for registration/spec/validation only:
+    name: str  # a key of BACKENDS
+    # Non-deterministic backends enrol for construction/validation only:
     # probing them would touch real networks or need capabilities.
     probes: bool = True
 
 
 def default_cases() -> list[BackendCase]:
-    """Every registered backend; privileged ones spec/validation-only."""
+    """Every backend in ``BACKENDS``; non-deterministic ones
+    construction/validation-only."""
     return [
-        BackendCase(
-            id=f"backend-{name}",
-            name=name,
-            probes=not backend_class(name).requires_privilege,
-        )
-        for name in backend_names()
+        BackendCase(id=f"backend-{name}", name=name, probes=cls.deterministic)
+        for name, cls in sorted(BACKENDS.items())
     ]
 
 
-def _build(case: BackendCase, world) -> ProbeBackend:
-    """A fresh backend for a case, the way ScanConfig/workers build one."""
-    if backend_class(case.name).requires_privilege:
-        # Authorized construction, but never open(): the contract for
-        # privileged backends is validation without sockets.
-        spec = make_backend_spec(case.name, authorized=True)
-    else:
-        spec = ScanConfig(backend=case.name).backend_spec()
-    return build_backend(spec, world=world, epoch=CASE_EPOCH)
+def _build(case: BackendCase, world, config: ScanConfig | None = None):
+    """A fresh backend for a case, the way the scanner and pool workers
+    build one.  Authorized, but never opened here: the contract for a
+    backend that probes real networks is validation without sockets."""
+    config = config or ScanConfig(backend=case.name, authorized=True)
+    return build_backend(config, SimulationEngine(world, epoch=CASE_EPOCH))
 
 
 def _world_targets(world, count: int = 64) -> list[int]:
@@ -116,6 +111,7 @@ def _scan_output(
     *,
     retry_policy: "RetryPolicy | None" = None,
     chaos: "ChaosEngine | None" = None,
+    executor: str = "serial",
 ):
     """(records, main telemetry, Prometheus, result, telemetry facade) of
     one sharded scan — optionally under a resilience policy and a chaos
@@ -123,7 +119,7 @@ def _scan_output(
     targets = _world_targets(world, 96)
     telemetry = ScanTelemetry()
     runner = ShardedScanRunner(
-        world, shards=shards, executor="serial", telemetry=telemetry, chaos=chaos
+        world, shards=shards, executor=executor, telemetry=telemetry, chaos=chaos
     )
     result = runner.scan(
         targets,
@@ -145,44 +141,40 @@ def _scan_output(
 class BackendContract:
     """The suite.  Subclass it next to a ``backend_case`` fixture."""
 
-    # -- registration + capabilities -- #
+    # -- the table + capabilities -- #
 
     def test_registered_with_capability_flags(self, backend_case):
-        cls = backend_class(backend_case.name)
+        cls = BACKENDS[backend_case.name]
         assert issubclass(cls, ProbeBackend)
         assert cls.name == backend_case.name
-        for flag in ("deterministic", "requires_privilege"):
-            assert isinstance(getattr(cls, flag), bool), flag
-        # A backend that probes real networks can never be deterministic.
-        if cls.requires_privilege:
-            assert not cls.deterministic
+        assert isinstance(cls.deterministic, bool)
 
-    # -- spec round-trip -- #
+    # -- built from a pickled config -- #
 
-    def test_spec_round_trip(self, backend_case, tiny_world):
-        backend = _build(backend_case, tiny_world)
-        spec = backend.spec()
-        assert spec.name == backend_case.name
-        # The spec is what crosses the pickle boundary to pool workers.
-        assert pickle.loads(pickle.dumps(spec)) == spec
-        rebuilt = build_backend(spec, world=tiny_world, epoch=CASE_EPOCH)
+    def test_pickled_config_builds_the_same_backend(
+        self, backend_case, tiny_world
+    ):
+        """The config, not a live backend, is what crosses the pickle
+        boundary to pool workers: it pickles to an equal config, and the
+        backend built from it has the same class, name and probe key."""
+        config = ScanConfig(
+            backend=backend_case.name, key=b"k" * 32, authorized=True
+        )
+        shipped = pickle.loads(pickle.dumps(config))
+        assert shipped == config
+        backend = _build(backend_case, tiny_world, config)
+        rebuilt = _build(backend_case, tiny_world, shipped)
         assert type(rebuilt) is type(backend)
-        assert rebuilt.spec() == spec
-        rebuilt.close()
-        backend.close()
-
-    def test_spec_arguments_are_plain_data(self, backend_case, tiny_world):
-        backend = _build(backend_case, tiny_world)
-        for key, value in backend.spec().arguments().items():
-            assert isinstance(key, str)
-            assert isinstance(value, (str, bytes, int, float, bool, type(None)))
-        backend.close()
+        assert rebuilt.name == backend.name == backend_case.name
+        for built in (backend, rebuilt):
+            assert getattr(built, "key", config.key) == config.key
+            built.close()
 
     # -- probing: row alignment -- #
 
     def test_probe_columns_aligns_rows(self, backend_case, tiny_world):
         if not backend_case.probes:
-            pytest.skip("privileged backend: spec/validation only")
+            pytest.skip("network backend: construction/validation only")
         backend = _build(backend_case, tiny_world)
         backend.open()
         try:
@@ -198,31 +190,35 @@ class BackendContract:
         finally:
             backend.close()
 
-    # -- privileged backends validate without sockets -- #
+    # -- network backends validate without sockets -- #
 
     def test_privileged_backend_requires_authorization(self, backend_case):
-        cls = backend_class(backend_case.name)
-        if not cls.requires_privilege:
-            pytest.skip("unprivileged backend")
+        if backend_case.probes:
+            pytest.skip("simulated backend")
         with pytest.raises(BackendAuthorizationError):
-            build_backend(make_backend_spec(backend_case.name))
+            build_backend(ScanConfig(backend=backend_case.name))
 
     # -- deterministic backends are byte-identical to sim -- #
 
-    @pytest.mark.parametrize("shards", (1, 4, 8))
+    @pytest.mark.parametrize(
+        "shards, executor",
+        [(1, "serial"), (4, "serial"), (8, "serial"), (2, "process")],
+        ids=["1", "4", "8", "2-process"],
+    )
     def test_byte_identical_to_sim_baseline(
-        self, backend_case, tiny_world, shards
+        self, backend_case, tiny_world, shards, executor
     ):
         """Records, main-channel telemetry, and Prometheus output of any
-        deterministic backend equal the ``sim`` baseline's, bit for bit,
-        at every shard count — backend choice is an execution dial, not
-        an output dial."""
+        deterministic backend equal the serial ``sim`` baseline's, bit for
+        bit, at every shard count and on a process pool, whose workers
+        build their backend from the pickled config — backend choice is
+        an execution dial, not an output dial."""
         if not backend_case.probes:
-            pytest.skip("privileged backend: spec/validation only")
-        if not backend_class(backend_case.name).deterministic:
-            pytest.skip("non-deterministic backend")
+            pytest.skip("network backend: construction/validation only")
         baseline = _scan_output(tiny_world, "sim", shards)
-        got = _scan_output(tiny_world, backend_case.name, shards)
+        got = _scan_output(
+            tiny_world, backend_case.name, shards, executor=executor
+        )
         assert got[0] == baseline[0], "records diverged from sim"
         assert got[1] == baseline[1], "telemetry events diverged from sim"
         assert got[2] == baseline[2], "Prometheus output diverged from sim"
@@ -231,9 +227,7 @@ class BackendContract:
 
     def _chaos_skip(self, backend_case):
         if not backend_case.probes:
-            pytest.skip("privileged backend: spec/validation only")
-        if not backend_class(backend_case.name).deterministic:
-            pytest.skip("non-deterministic backend")
+            pytest.skip("network backend: construction/validation only")
 
     @pytest.mark.parametrize("shards", (1, 4, 8))
     def test_resilient_wrapper_is_identity(

@@ -1,9 +1,9 @@
-"""Run the shared probe-backend contract over every registered backend.
+"""Run the shared probe-backend contract over every backend in ``BACKENDS``.
 
 The suite itself lives in ``backend_contract.py`` so extension modules
 can parametrise it with their own backends; this module pins that every
 stock backend (``sim``, ``wire-sim``, ``raw``) honours the contract —
-``raw`` for registration/spec/validation only, never touching a socket.
+``raw`` for construction/validation only, never touching a socket.
 """
 
 import pytest
@@ -23,11 +23,11 @@ class TestBackendContract(BackendContract):
 
 
 def test_every_registered_backend_is_covered():
-    """Registering a new backend must auto-enrol it in the contract."""
-    from repro.scanner.backends import backend_names
+    """A backend added to ``BACKENDS`` is enrolled in the contract."""
+    from repro.scanner.backends import BACKENDS
 
     covered = {case.id for case in CASES}
-    for name in backend_names():
+    for name in BACKENDS:
         assert f"backend-{name}" in covered
 
 

@@ -2,8 +2,8 @@
 
 The cross-backend contract lives in ``backend_contract.py``; this module
 covers the seam's specifics: the unmatched-reply accounting (the
-previously *silent* drop), checkpoint keys carrying the backend spec,
-the sharded runner refusing non-deterministic backends, the CLI
+previously *silent* drop), checkpoint keys carrying the backend name and
+probe key, the sharded runner refusing non-deterministic backends, the CLI
 validation one-liners, and — when the environment grants raw sockets — a
 live ``raw`` loopback scan.
 """
@@ -20,14 +20,13 @@ from repro.netsim.engine import SimulationEngine
 from repro.packet.icmpv6 import ICMPv6Type
 from repro.packet.ipv6hdr import IPv6Header
 from repro.scanner.backends import (
+    BACKENDS,
     BackendAuthorizationError,
     BackendPrivilegeError,
     RawSocketBackend,
     SimBackend,
     WireSimBackend,
-    backend_class,
     build_backend,
-    make_backend_spec,
 )
 from repro.scanner.checkpoint import config_key
 from repro.scanner.cli import main as scan_main
@@ -217,10 +216,14 @@ class TestBackendSpecPlumbing:
         assert backend.epoch == 4
         backend.new_epoch(7)
         assert engine.epoch == 7 and backend.epoch == 7
-        built = SimBackend.from_spec(
-            make_backend_spec("sim"), world=tiny_world, epoch=4
-        )
-        assert built.epoch == 4
+
+    def test_config_rejects_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend 'nope'"):
+            ScanConfig(backend="nope")
+
+    def test_simulated_backend_needs_an_engine(self):
+        with pytest.raises(ValueError, match="needs an engine"):
+            build_backend(ScanConfig(backend="wire-sim"))
 
     def test_scanner_accepts_backend_directly(self, tiny_world):
         backend = SimBackend(SimulationEngine(tiny_world, epoch=0))
@@ -256,21 +259,15 @@ class TestRawBackendValidation:
         with pytest.raises(BackendAuthorizationError):
             RawSocketBackend()
         with pytest.raises(BackendAuthorizationError):
-            build_backend(make_backend_spec("raw"))
-
-    def test_spec_round_trip_without_sockets(self):
-        backend = RawSocketBackend(authorized=True, pps=500.0, linger=0.5)
-        spec = backend.spec()
-        rebuilt = build_backend(spec)
-        assert isinstance(rebuilt, RawSocketBackend)
-        assert rebuilt.pps == 500.0
-        assert rebuilt.linger == 0.5
-        assert rebuilt.spec() == spec
+            build_backend(ScanConfig(backend="raw"))
+        backend = build_backend(
+            ScanConfig(backend="raw", authorized=True, pps=500.0)
+        )
+        assert isinstance(backend, RawSocketBackend)
+        assert backend.pps == 500.0
 
     def test_capability_flags(self):
-        cls = backend_class("raw")
-        assert cls.requires_privilege
-        assert not cls.deterministic
+        assert not BACKENDS["raw"].deterministic
 
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="pps"):

@@ -299,8 +299,10 @@ class TestCorruptionDetection:
     # accumulator must never be added to one, so they are refused too.  v2
     # journals pickled a metrics registry into every shard's telemetry, v3
     # ones the target stream's rebuild recipe, v4 ones one ScanRecord per
-    # row.
-    @pytest.mark.parametrize("schema", [1, 2, 3, 4, CHECKPOINT_SCHEMA_VERSION + 1])
+    # row, v5 ones a BackendSpec in the config key.
+    @pytest.mark.parametrize(
+        "schema", [1, 2, 3, 4, 5, CHECKPOINT_SCHEMA_VERSION + 1]
+    )
     def test_schema_skew(self, tmp_path, schema):
         assert schema != CHECKPOINT_SCHEMA_VERSION
         path = self._saved(tmp_path)
@@ -428,7 +430,7 @@ class TestCLIExitCodes:
         assert "truncated" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("schema", [2, 3, 4])
+    @pytest.mark.parametrize("schema", [2, 3, 4, 5])
     def test_stale_schema_checkpoint_exits_4(self, tmp_path, capsys, schema):
         from repro.scanner.cli import main
 
@@ -441,7 +443,7 @@ class TestCLIExitCodes:
         captured = capsys.readouterr()
         assert code == 4
         assert (
-            f"uses checkpoint schema v{schema}; this build speaks v5"
+            f"uses checkpoint schema v{schema}; this build speaks v6"
             in captured.err
         )
         assert captured.err.count("\n") == 1

@@ -61,6 +61,8 @@ class TestRunnerPlumbing:
             {"shards": 0},
             {"parallel": "thread"},
             {"max_shard_retries": -1},
+            {"backend": "nope"},
+            {"backend": "raw"},
         ],
     )
     def test_bad_override_fails_at_construction(self, override):

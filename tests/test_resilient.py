@@ -42,12 +42,10 @@ from repro.netsim.engine import (
 )
 from repro.netsim.faults import ChaosEngine, FaultPlan, FaultyBackend
 from repro.scanner.backends import (
-    BackendSpec,
     BackendTimeoutError,
     CircuitBreaker,
     ResilientBackend,
     RetryPolicy,
-    make_backend_spec,
     ProbeBackend,
 )
 from repro.scanner.checkpoint import (
@@ -78,7 +76,6 @@ class ScriptedBackend(ProbeBackend):
 
     name = "scripted"
     deterministic = True
-    requires_privilege = False
 
     def __init__(self, script=(), release=None):
         self.script = list(script)  # "ok" | "fail" | "short" | "hang"
@@ -88,14 +85,6 @@ class ScriptedBackend(ProbeBackend):
         self._stats = EngineStats()
         self._checks: list[tuple[float, int]] = []
         self._release = release
-
-    @classmethod
-    def from_spec(cls, spec, *, world=None, engine=None, epoch=0,
-                  defer_rate_limit=False):
-        raise TypeError("test backend; never spec-built")
-
-    def spec(self) -> BackendSpec:
-        return make_backend_spec("sim")
 
     @property
     def epoch(self) -> int:
@@ -696,12 +685,12 @@ def test_faulty_backend_blackhole_eats_echo_replies(tiny_world):
     from repro.scanner.backends import build_backend
     from repro.scanner.cli import build_targets
 
-    spec = ScanConfig(backend="sim").backend_spec()
+    config = ScanConfig(backend="sim")
     targets = list(
         build_targets(tiny_world, "bgp-plain", max_targets=16, seed=5)
     )
     times = [i / 1000.0 for i in range(len(targets))]
-    clean = build_backend(spec, world=tiny_world, epoch=0)
+    clean = build_backend(config, SimulationEngine(tiny_world, epoch=0))
     baseline = clean.send_batch(targets, times)
     echoes = sum(
         reply.count
@@ -711,7 +700,7 @@ def test_faulty_backend_blackhole_eats_echo_replies(tiny_world):
     )
     assert echoes > 0, "vacuous: the tiny world answered nothing"
 
-    fresh = build_backend(spec, world=tiny_world, epoch=0)
+    fresh = build_backend(config, SimulationEngine(tiny_world, epoch=0))
     faulty = FaultyBackend(fresh, FaultPlan(backend_blackhole=True))
     eaten = faulty.send_batch(targets, times)
     assert all(
