@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.aliasfilter import filter_aliased
 from repro.core.probing import run_sra_vs_random
-from repro.netsim.engine import SimulationEngine
+from repro.netsim.engine import FLAG_LOOPED, FLAG_REPLY, SimulationEngine
 from repro.scanner.targets import hitlist_slash64_targets
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
 
@@ -44,13 +44,18 @@ def test_ablation_hoplimit_bounds_amplification(benchmark, quick):
         mass = {}
         for hop_limit in (8, 16, 32, 64, 128):
             engine = SimulationEngine(world, epoch=50 + hop_limit)
-            total = 0
-            for index, target in enumerate(targets):
-                result = engine.probe(
-                    target, index / 1000.0, hop_limit=hop_limit, probe_id=index
-                )
-                total += result.amplification
-            mass[hop_limit] = total
+            cols = engine.probe_columns(
+                targets,
+                [index / 1000.0 for index in range(len(targets))],
+                hop_limit=hop_limit,
+                probe_ids=range(len(targets)),
+            )
+            # A looped row's reply count is the probe's amplification.
+            mass[hop_limit] = sum(
+                cols.count[i]
+                for i in range(cols.n)
+                if cols.flags[i] == FLAG_LOOPED | FLAG_REPLY
+            )
         return mass
 
     mass = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -129,16 +129,9 @@ class SurveyConfig:
         self.resilience_policy()  # RetryPolicy rejects bad knobs here
 
     def resilience_policy(self) -> RetryPolicy | None:
-        """The survey-wide :class:`RetryPolicy`, or None when unconfigured.
-
-        Jitter is seeded from the survey seed so backoff delays are part
-        of the same reproducible universe as everything else.
-        """
+        """The survey-wide :class:`RetryPolicy`, or None when unconfigured."""
         return RetryPolicy.from_knobs(
-            self.backend_retries,
-            self.backend_timeout,
-            self.breaker_threshold,
-            seed=self.seed,
+            self.backend_retries, self.backend_timeout, self.breaker_threshold
         )
 
 

@@ -1,17 +1,22 @@
-"""A yarrp-style traceroute engine on top of the simulator.
+"""A sequential traceroute engine on top of the simulator.
 
 Traceroute sends probes with increasing hop limits; each Time Exceeded
 reveals one transit router interface, and the final reply (Echo or
-Destination Unreachable) terminates the trace.  The CAIDA-Ark and
-RIPE-Atlas dataset builders run campaigns of these traces.
+Destination Unreachable) terminates the trace.  Each probe is a one-row
+``probe_columns`` batch, sent only after the previous one was answered —
+unlike yarrp's stateless randomised sweep (ROADMAP.md item 9(e)).  The
+CAIDA-Ark and RIPE-Atlas dataset builders run campaigns of these traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..netsim.engine import SimulationEngine
+from ..netsim.engine import FLAG_REPLY, ProbeColumns, SimulationEngine
 from ..packet.icmpv6 import ICMPv6Type
+
+_ECHO_REPLY = int(ICMPv6Type.ECHO_REPLY)
+_TIME_EXCEEDED = int(ICMPv6Type.TIME_EXCEEDED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,56 +55,44 @@ def traceroute(
     probe_id_base: int = 0,
     probes_per_hop: int = 1,
 ) -> TracerouteResult:
-    """Trace towards ``target`` with increasing hop limits."""
+    """Trace towards ``target`` with increasing hop limits.  A probe's
+    row carries its one reply (the engine sends no second one)."""
     result = TracerouteResult(target=target)
+    cols = ProbeColumns()
     for ttl in range(1, max_hops + 1):
-        hop_reply = None
-        terminal = None
         for attempt in range(probes_per_hop):
-            outcome = engine.probe(
-                target,
-                time + ttl * 1e-3,
+            row = engine.probe_columns(
+                (target,),
+                (time + ttl * 1e-3,),
                 hop_limit=ttl,
-                probe_id=probe_id_base + ttl * 4 + attempt,
+                probe_ids=(probe_id_base + ttl * 4 + attempt,),
+                out=cols,
             )
-            for reply in outcome.replies:
-                if reply.icmp_type is ICMPv6Type.TIME_EXCEEDED:
-                    hop_reply = reply
-                else:
-                    terminal = reply
-            if hop_reply is not None or terminal is not None:
+            if row.flags[0] & FLAG_REPLY:
                 break
-        if terminal is not None:
-            result.hops.append(
-                TracerouteHop(ttl, terminal.source, int(terminal.icmp_type))
-            )
-            result.reached = terminal.icmp_type is ICMPv6Type.ECHO_REPLY
-            result.destination_source = terminal.source
-            return result
-        if hop_reply is not None:
-            result.hops.append(
-                TracerouteHop(ttl, hop_reply.source, int(hop_reply.icmp_type))
-            )
-            # Heuristic every traceroute tool uses: stop when the same
-            # source repeats (we are past the last replying router or in
-            # a loop).
-            if (
-                len(result.hops) >= 2
-                and result.hops[-2].source == hop_reply.source
-            ):
-                return result
-            # Persistent-loop signature: sources alternating A,B,A,B
-            # (Maier & Ullrich's detection criterion).
-            if len(result.hops) >= 4:
-                a, b, c, d = (hop.source for hop in result.hops[-4:])
-                if a is not None and b is not None and a == c and b == d and a != b:
-                    result.loop_detected = True
-                    return result
         else:
             result.hops.append(TracerouteHop(ttl, None, None))
             # Three consecutive silent hops: give up (gap limit).
             if len(result.hops) >= 3 and all(
                 hop.source is None for hop in result.hops[-3:]
             ):
+                return result
+            continue
+        source, icmp_type = row.source(0), row.icmp_type[0]
+        result.hops.append(TracerouteHop(ttl, source, icmp_type))
+        if icmp_type != _TIME_EXCEEDED:
+            result.reached = icmp_type == _ECHO_REPLY
+            result.destination_source = source
+            return result
+        # Heuristic every traceroute tool uses: stop when the same source
+        # repeats (we are past the last replying router or in a loop).
+        if len(result.hops) >= 2 and result.hops[-2].source == source:
+            return result
+        # Persistent-loop signature: sources alternating A,B,A,B (Maier &
+        # Ullrich's detection criterion).
+        if len(result.hops) >= 4:
+            a, b, c, d = (hop.source for hop in result.hops[-4:])
+            if a is not None and b is not None and a == c and b == d and a != b:
+                result.loop_detected = True
                 return result
     return result

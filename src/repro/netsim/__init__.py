@@ -1,12 +1,6 @@
 """Network simulator: rate limiting, stochastic gates, and the probe engine."""
 
-from .engine import (
-    AMPLIFICATION_CAP,
-    EngineStats,
-    ProbeResult,
-    Reply,
-    SimulationEngine,
-)
+from .engine import AMPLIFICATION_CAP, EngineStats, SimulationEngine
 from .faults import (
     ChaosEngine,
     FaultPlan,
@@ -26,8 +20,6 @@ __all__ = [
     "InjectedCrash",
     "InjectedSinkError",
     "PcapWriter",
-    "ProbeResult",
-    "Reply",
     "SimulationEngine",
     "TokenBucket",
     "capture_scan",

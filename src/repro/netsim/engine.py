@@ -22,8 +22,9 @@ routers alternating between answering and silence under cross traffic);
 Echo replies are never rate limited, which is exactly the asymmetry SRA
 probing exploits.
 
-All of this is one kernel, :meth:`SimulationEngine.probe_columns`;
-:meth:`SimulationEngine.probe` is that kernel on a one-row batch.  Its
+All of this is one kernel, :meth:`SimulationEngine.probe_columns`, and
+its answer is one type, :class:`ProbeColumns` — a caller whose next
+probe depends on the last reply (traceroute) sends one-row batches.  Its
 oracle is ``tests/reference_engine.py``, a slow per-probe model written
 from the RFCs and the paper rather than from this file.
 """
@@ -51,7 +52,8 @@ from .stochastic import (
 )
 
 # Cap on materialised reply counts for amplified loops; counts above this
-# are reported truthfully in `Reply.count` but the engine never enumerates.
+# are reported truthfully in `ProbeColumns.count` but the engine never
+# enumerates.
 AMPLIFICATION_CAP = 1 << 22  # ~4.2M replies per probe
 
 _PURPOSE_LOSS = b"loss"
@@ -82,51 +84,6 @@ _DRAW_FLAKY, _DRAW_HOST, _DRAW_DIRECT, _DRAW_FLIP = (
 )
 _PURPOSE_BG_WINDOW = b"bgwin"
 _PURPOSE_BG_JITTER = b"bgjit"
-
-
-@dataclass(slots=True)
-class Reply:
-    """One (possibly replicated) ICMPv6 reply arriving at the vantage.
-
-    Treated as immutable by convention; not ``frozen=True`` because the
-    frozen ``__init__`` funnels every field through ``object.__setattr__``,
-    which costs ~3x on this allocation-heavy hot path.
-    """
-
-    source: int
-    icmp_type: ICMPv6Type
-    code: int
-    count: int = 1
-    router_id: int | None = None
-
-    @property
-    def is_echo(self) -> bool:
-        return self.icmp_type is ICMPv6Type.ECHO_REPLY
-
-    @property
-    def is_error(self) -> bool:
-        return self.icmp_type.is_error
-
-
-@dataclass(slots=True)
-class ProbeResult:
-    """Everything a probe produced.
-
-    Immutable by convention (see :class:`Reply` for why not ``frozen``).
-    """
-
-    target: int
-    time: float
-    epoch: int
-    replies: tuple[Reply, ...] = ()
-    lost: bool = False
-    looped: bool = False
-    amplification: int = 0
-    transit_hops: int = 0
-
-    @property
-    def replied(self) -> bool:
-        return bool(self.replies)
 
 
 @dataclass(slots=True)
@@ -170,9 +127,9 @@ _RESULT_COLUMNS = (
 class ProbeColumns:
     """One probe batch as packed parallel columns (structure-of-arrays).
 
-    The columnar kernel (:meth:`SimulationEngine.probe_columns`) fills one
-    of these per batch instead of allocating a ``ProbeResult``/``Reply``
-    pair per probe.  Input columns (``targets``, ``times``) are borrowed
+    The kernel (:meth:`SimulationEngine.probe_columns`) fills one of these
+    per batch, and every backend answers in one; no per-probe object is
+    ever built.  Input columns (``targets``, ``times``) are borrowed
     references to the caller's sequences; result columns are compact
     ``array`` buffers reused across batches via ``out=``.
 
@@ -197,7 +154,6 @@ class ProbeColumns:
 
     __slots__ = (
         "n",
-        "epoch",
         "targets",
         "times",
         *_RESULT_COLUMNS,
@@ -209,7 +165,6 @@ class ProbeColumns:
 
     def __init__(self) -> None:
         self.n = 0
-        self.epoch = 0
         self.targets: Sequence[int] = ()
         self.times: Sequence[float] = ()
         self.flags = array("B")
@@ -275,46 +230,6 @@ class ProbeColumns:
         """The reply source address of row ``i`` as a 128-bit int."""
         return (self.source_hi[i] << 64) | self.source_lo[i]
 
-    def result(self, i: int) -> ProbeResult:
-        """Row ``i`` as the per-probe dataclasses, its extra replies after
-        the column one.  ``amplification`` is the reply count of a looped
-        row that got a reply (1 when the flood was not amplified), else 0."""
-        flags = self.flags[i]
-        if flags & FLAG_LOST:
-            return ProbeResult(self.targets[i], self.times[i], self.epoch, lost=True)
-        looped = bool(flags & FLAG_LOOPED)
-        replies: tuple[Reply, ...] = ()
-        amplification = 0
-        if flags & FLAG_REPLY:
-            count = self.count[i]
-            router_id = self.router_id[i]
-            replies = (
-                Reply(
-                    self.source(i),
-                    ICMPv6Type(self.icmp_type[i]),
-                    self.code[i],
-                    count,
-                    None if router_id < 0 else router_id,
-                ),
-            )
-            if looped:
-                amplification = count
-        if self.extra:
-            replies += tuple(
-                Reply(source, ICMPv6Type(icmp_type), code, count)
-                for row, source, icmp_type, code, count in self.extra
-                if row == i
-            )
-        return ProbeResult(
-            self.targets[i],
-            self.times[i],
-            self.epoch,
-            replies,
-            looped=looped,
-            amplification=amplification,
-            transit_hops=self.transit[i],
-        )
-
 
 class SimulationEngine:
     """Stateful per-epoch simulation: owns rate-limiter buckets.
@@ -367,7 +282,6 @@ class SimulationEngine:
         # pays a single `is not None` check there and nothing on the
         # per-probe fast path.
         self.telemetry = None
-        self._row = ProbeColumns()  # probe()'s one-row batch
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -384,26 +298,6 @@ class SimulationEngine:
     # the probe path
     # ------------------------------------------------------------------ #
 
-    def probe(
-        self,
-        target: int,
-        time: float,
-        *,
-        hop_limit: int = 64,
-        probe_id: int = 0,
-    ) -> ProbeResult:
-        """Send one ICMPv6 Echo Request from the vantage to ``target``: the
-        kernel on a one-row batch, decoded.  For callers whose next probe
-        depends on the last reply (traceroute); anything that can batch
-        should call :meth:`probe_columns`."""
-        return self.probe_columns(
-            (target,),
-            (time,),
-            hop_limit=hop_limit,
-            probe_ids=(probe_id,),
-            out=self._row,
-        ).result(0)
-
     def probe_columns(
         self,
         targets: Sequence[int],
@@ -416,10 +310,10 @@ class SimulationEngine:
         """Send one Echo Request per target, filling packed result columns.
 
         This is the engine's only kernel: the scanner's hot path, and
-        (one row at a time) :meth:`probe`.  Instead of one
-        ``ProbeResult``/``Reply`` allocation per probe it writes parallel
-        ``array`` columns, in three phases, all in probe order, so a batch
-        answers exactly what the same probes sent one per call would —
+        (one row at a time) traceroute's.  Instead of one object per probe
+        it writes parallel ``array`` columns, in three phases, all in
+        probe order, so a batch answers exactly what the same probes sent
+        one per call would —
         and what ``tests/reference_engine.py``, the independent per-probe
         model it is checked against, answers:
 
@@ -447,7 +341,6 @@ class SimulationEngine:
         n = len(targets)
         cols = out if out is not None else ProbeColumns()
         cols.blank(targets, times)
-        cols.epoch = epoch
         flags = cols.flags
 
         # -------- phase A: loss draws --------------------------------- #

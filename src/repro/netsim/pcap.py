@@ -21,7 +21,7 @@ from ..packet.ipv6hdr import HEADER_LENGTH, IPv6Header
 from ..packet.probe import build_probe_packet
 from ..packet.icmpv6 import ICMPv6Message
 from ..topology.entities import World
-from .engine import ProbeColumns, SimulationEngine
+from .engine import FLAG_REPLY, ProbeColumns, SimulationEngine
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_VERSION = (2, 4)
@@ -156,23 +156,24 @@ def capture_scan(
             request = ICMPv6Message.decode(
                 wire[HEADER_LENGTH:], src=vantage, dst=target
             )
-            for reply in cols.result(row).replies:
-                if reply.icmp_type is ICMPv6Type.ECHO_REPLY:
-                    message = echo_reply_for(request)
-                else:
-                    message = error_message(reply.icmp_type, reply.code, wire)
-                raw = message.encode(reply.source, vantage)
-                header = IPv6Header(
-                    src=reply.source,
-                    dst=vantage,
-                    payload_length=len(raw),
-                    hop_limit=64,
-                )
-                packet = header.encode() + raw
-                duplicates = min(reply.count, max_duplicates)
-                for duplicate in range(duplicates):
-                    pcap.write(time + 0.001 + duplicate * 1e-6, packet)
-                counters["replies"] += 1
-                counters["flood_packets"] += duplicates - 1
-                counters["flood_truncated"] += reply.count - duplicates
+            if not cols.flags[row] & FLAG_REPLY:
+                continue
+            # The engine's one reply per row; a flood is its ``count``.
+            icmp_type = ICMPv6Type(cols.icmp_type[row])
+            if icmp_type is ICMPv6Type.ECHO_REPLY:
+                message = echo_reply_for(request)
+            else:
+                message = error_message(icmp_type, cols.code[row], wire)
+            source, count = cols.source(row), cols.count[row]
+            raw = message.encode(source, vantage)
+            header = IPv6Header(
+                src=source, dst=vantage, payload_length=len(raw), hop_limit=64
+            )
+            packet = header.encode() + raw
+            duplicates = min(count, max_duplicates)
+            for duplicate in range(duplicates):
+                pcap.write(time + 0.001 + duplicate * 1e-6, packet)
+            counters["replies"] += 1
+            counters["flood_packets"] += duplicates - 1
+            counters["flood_truncated"] += count - duplicates
     return counters

@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
 if TYPE_CHECKING:  # concrete outcome types come from the engine module
-    from ...netsim.engine import EngineStats, ProbeColumns, ProbeResult
+    from ...netsim.engine import EngineStats, ProbeColumns
 
 
 class BackendError(Exception):
@@ -53,10 +53,10 @@ class ProbeBackend(ABC):
 
     * :meth:`probe_columns` returns one
       :class:`~repro.netsim.engine.ProbeColumns` with ``n`` equal to the
-      number of input rows, the caller's ``targets``/``times`` borrowed,
-      and the backend's epoch — row ``i`` answers probe ``i``, matched by
-      probe id, never by arrival order; a probe's second and later
-      distinct replies go to the columns' ``extra`` list,
+      number of input rows and the caller's ``targets``/``times``
+      borrowed — row ``i`` answers probe ``i``, matched by probe id,
+      never by arrival order; a probe's second and later distinct
+      replies go to the columns' ``extra`` list,
     * lifecycle is idempotent: :meth:`open` before the first send (the
       scanner calls it defensively), :meth:`close` when done; both are
       no-ops where there is nothing to hold open,
@@ -146,12 +146,6 @@ class ProbeBackend(ABC):
         """Send one probe per ``(target, time)`` row; one answer per row,
         in row order, replies matched back by probe id.  Read the columns
         *returned*: usually ``out``, but not necessarily."""
-
-    def send_batch(self, targets, times, **options) -> "list[ProbeResult]":
-        """:meth:`probe_columns` with each row decoded by
-        ``ProbeColumns.result``, for callers that want dataclasses."""
-        cols = self.probe_columns(targets, times, **options)
-        return [cols.result(i) for i in range(cols.n)]
 
 
 class WrappingBackend(ProbeBackend):

@@ -288,7 +288,6 @@ class RawSocketBackend(ProbeBackend):
         """The batch's matched replies as ``cols``: a probe's first
         distinct reply in its row, the rest in ``extra``."""
         cols.blank(targets, times)
-        cols.epoch = self._epoch
         stats = self._stats
         with self._lock:
             for row, probe_id in enumerate(probe_ids):

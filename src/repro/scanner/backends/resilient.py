@@ -17,8 +17,7 @@ where a fault costs at most one batch:
   While open, batches fail fast into quarantine without touching the
   backend; after a cooldown one trial batch decides re-close vs re-open.
 * :class:`ResilientBackend` — a wrapper that retries failed batches with
-  seeded exponential backoff (deterministic jitter via
-  :func:`~repro.netsim.stochastic.stable_unit`), recovers hung sends
+  capped exponential backoff, recovers hung sends
   with a watchdog deadline, and — when retries are exhausted — bisects
   the batch to isolate poison probes, quarantining only those as
   explicit :class:`BackendFault` outcomes.  Quarantined probes surface
@@ -56,15 +55,11 @@ from functools import partial
 from typing import Callable, Sequence
 
 from ...netsim.engine import ProbeColumns
-from ...netsim.stochastic import stable_unit
 from .base import BackendError, ProbeBackend, WrappingBackend
 
 
 class BackendTimeoutError(BackendError):
     """A send exceeded the policy's watchdog deadline."""
-
-
-_JITTER_PURPOSE = b"backend-retry-jitter"
 
 
 def _finite(value: float) -> bool:
@@ -77,9 +72,8 @@ class RetryPolicy:
 
     Frozen, hashable, picklable: it travels inside ``ScanConfig`` to
     pool workers and into ``config_key`` (so checkpoint resume across a
-    policy change raises ``CheckpointMismatchError``).  With the default
-    ``jitter=0.0`` the backoff schedule is exactly the sharded runner's
-    historical ``min(backoff * 2**attempt, cap)``.
+    policy change raises ``CheckpointMismatchError``).  The backoff
+    schedule is the sharded runner's ``min(backoff * 2**attempt, cap)``.
     """
 
     #: Retries per batch after the first attempt (0 = fail immediately).
@@ -88,12 +82,6 @@ class RetryPolicy:
     backoff: float = 0.05
     #: Backoff ceiling in seconds.
     backoff_cap: float = 5.0
-    #: Fraction of each delay that is randomised, in [0, 1].  The draw
-    #: is deterministic (``stable_unit`` keyed by seed/shard/batch/
-    #: attempt), so two runs of the same scan back off identically.
-    jitter: float = 0.0
-    #: Seed for the jitter draws (scans pass their scan seed).
-    seed: int = 0
     #: Per-batch watchdog deadline in wall seconds; ``None`` disables
     #: the watchdog thread entirely (direct delegation).
     timeout: float | None = None
@@ -117,8 +105,6 @@ class RetryPolicy:
             raise ValueError("backoff must be a finite non-negative number")
         if not _finite(self.backoff_cap) or self.backoff_cap < 0:
             raise ValueError("backoff_cap must be a finite non-negative number")
-        if not _finite(self.jitter) or not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
         if self.timeout is not None and (
             not _finite(self.timeout) or self.timeout <= 0
         ):
@@ -148,8 +134,6 @@ class RetryPolicy:
         retries: int,
         timeout: float | None,
         breaker_threshold: float | None,
-        *,
-        seed: int,
     ) -> "RetryPolicy | None":
         """The policy the three operator knobs ask for, or None when all
         are unset (no retries, no deadline, no breaker): the scan then
@@ -160,22 +144,12 @@ class RetryPolicy:
             max_retries=retries,
             timeout=timeout,
             breaker_threshold=breaker_threshold,
-            seed=seed,
         )
 
-    def backoff_delay(self, attempt: int, *keys: int) -> float:
-        """Delay before retry ``attempt`` (0-based), in seconds.
-
-        ``min(backoff * 2**attempt, backoff_cap)``, with the last
-        ``jitter`` fraction replaced by a deterministic draw — the delay
-        always lies in ``[base * (1 - jitter), base]`` and never exceeds
-        ``backoff_cap``.
-        """
-        base = min(self.backoff * (2.0**attempt), self.backoff_cap)
-        if self.jitter == 0.0 or base == 0.0:
-            return base
-        unit = stable_unit(self.seed, _JITTER_PURPOSE, *keys, attempt)
-        return base * (1.0 - self.jitter) + base * self.jitter * unit
+    def backoff_delay(self, attempt: int) -> float:
+        """Delay before retry ``attempt`` (0-based), in seconds:
+        ``min(backoff * 2**attempt, backoff_cap)``."""
+        return min(self.backoff * (2.0**attempt), self.backoff_cap)
 
 
 @dataclass(frozen=True)
@@ -307,14 +281,12 @@ class ResilientBackend(WrappingBackend):
         inner: ProbeBackend,
         policy: RetryPolicy,
         *,
-        shard: int = 0,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         join: Callable[[threading.Thread, float], None] | None = None,
     ) -> None:
         super().__init__(inner)
         self.policy = policy
-        self.shard = shard
         self.resilience = ResilienceStats()
         self._sleep = sleep
         self._join = join if join is not None else threading.Thread.join
@@ -331,12 +303,6 @@ class ResilientBackend(WrappingBackend):
             )
 
     # ---------------- probing ---------------- #
-
-    # benchmarks/e2e/trace.py looks this name up in the class body
-    # (``vars(ResilientBackend)["send_batch"]``); the phase timers of
-    # ROADMAP.md item 3's second slice replace that lookup and delete
-    # this line.
-    send_batch = ProbeBackend.send_batch
 
     def probe_columns(
         self,
@@ -377,6 +343,12 @@ class ResilientBackend(WrappingBackend):
             )
         return answered
 
+    # benchmarks/e2e/trace.py looks this name up in the class body
+    # (``vars(ResilientBackend)["send_batch"]``); the phase timers of
+    # ROADMAP.md item 3's second slice replace that lookup and delete
+    # this line.
+    send_batch = probe_columns
+
     def _recover(
         self,
         ordinal: int,
@@ -395,7 +367,7 @@ class ResilientBackend(WrappingBackend):
         probe, quiet rows standing in for quarantined ones.
         """
         answered, failure, attempts = self._attempts(
-            ordinal, targets, times, hop_limit, probe_ids, cols, retries
+            targets, times, hop_limit, probe_ids, cols, retries
         )
         if failure is None:
             return answered, False
@@ -428,7 +400,6 @@ class ResilientBackend(WrappingBackend):
 
     def _attempts(
         self,
-        ordinal: int,
         targets: Sequence[int],
         times: Sequence[float],
         hop_limit: int,
@@ -443,9 +414,7 @@ class ResilientBackend(WrappingBackend):
         for attempt in range(1, retries + 2):
             if attempt > 1:
                 self.resilience.retries += 1
-                delay = self.policy.backoff_delay(
-                    attempt - 2, self.shard, ordinal
-                )
+                delay = self.policy.backoff_delay(attempt - 2)
                 if delay > 0:
                     self._sleep(delay)
             marker = self._begin_attempt()
@@ -552,5 +521,4 @@ class ResilientBackend(WrappingBackend):
         # keeping row alignment and `sent` honest while faulted_probes
         # says how many of those silences were ours.
         cols.blank(targets, times)
-        cols.epoch = self.inner.epoch
         return cols

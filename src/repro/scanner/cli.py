@@ -131,8 +131,8 @@ def add_resilience_flags(parser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="retry each failed backend batch up to N times (seeded "
-        "deterministic backoff) before splitting/quarantining it; any "
+        help="retry each failed backend batch up to N times (exponential "
+        "backoff) before splitting/quarantining it; any "
         "resilience flag wraps the backend in the resilient transport "
         "layer (default: no wrapper)",
     )
@@ -195,13 +195,8 @@ def _scan_config(args, targets: int, seed: int) -> ScanConfig:
         progress_every=args.progress_every,
         backend=args.backend,
         authorized=args.i_am_authorized,
-        # Jitter draws are seeded from the world seed, so retried runs
-        # stay in the same reproducible universe as the probes.
         retry_policy=RetryPolicy.from_knobs(
-            args.backend_retries or 0,
-            args.backend_timeout,
-            args.breaker_threshold,
-            seed=args.seed,
+            args.backend_retries or 0, args.backend_timeout, args.breaker_threshold
         ),
     )
     if args.batch_size is not None:

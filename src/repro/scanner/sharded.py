@@ -155,7 +155,9 @@ class ScanOrderError(RuntimeError):
 # than the scan itself; the shards run in this process instead.
 PROCESS_POOL_THRESHOLD = 16_384
 
-# Ceiling of the exponential backoff between shard retry rounds, seconds.
+# First delay and ceiling of the exponential backoff between shard retry
+# rounds, seconds.
+SHARD_BACKOFF = 0.1
 SHARD_BACKOFF_CAP = 5.0
 
 EXECUTORS = ("auto", "process", "serial")
@@ -624,7 +626,6 @@ class ShardedScanRunner:
         executor: str = "auto",
         telemetry: ScanTelemetry | None = None,
         max_shard_retries: int = 0,
-        retry_backoff: float = 0.1,
         checkpoint_dir: "str | Path | None" = None,
         chaos: ChaosEngine | None = None,
         sleep: "Callable[[float], None]" = time.sleep,
@@ -640,14 +641,12 @@ class ShardedScanRunner:
         self.executor = executor
         self.telemetry = telemetry
         self.max_shard_retries = max_shard_retries
-        self.retry_backoff = retry_backoff
         # Injectable so fault-injection tests drive the retry loop in
-        # zero wall-time; the schedule itself comes from RetryPolicy's
-        # backoff math (jitter 0 = the historical formula, bit for bit).
+        # zero wall-time; the schedule itself is RetryPolicy's backoff.
         self._sleep = sleep
         self._retry_schedule = RetryPolicy(
             max_retries=max_shard_retries,
-            backoff=retry_backoff,
+            backoff=SHARD_BACKOFF,
             backoff_cap=SHARD_BACKOFF_CAP,
         )
         self.checkpoint_dir = (
@@ -875,6 +874,9 @@ class ShardedScanRunner:
                 yield result
         finally:
             self._prefetched = None
+            # The two closures name each other (and hold the pool): unbind
+            # both, so the campaign leaves no cycle for the collector.
+            send = collected = None
             if pool is not None:
                 # An interrupt leaves running shards to release their
                 # frames on arrival (below) instead of waiting them out.

@@ -179,9 +179,7 @@ class ZMapV6Scanner:
             self.backend = build_backend(self.config, engine)
         policy = self.config.retry_policy
         if policy is not None and not isinstance(self.backend, ResilientBackend):
-            self.backend = ResilientBackend(
-                self.backend, policy, shard=self.config.shard
-            )
+            self.backend = ResilientBackend(self.backend, policy)
         # Back-compat alias: simulated backends expose the engine they
         # wrap; wire backends have none.
         self.engine = getattr(self.backend, "engine", None)
@@ -360,10 +358,10 @@ class ZMapV6Scanner:
         regression tests pin this).  Each batch reuses one
         :class:`ProbeColumns` buffer; :class:`ScanRecord` rows are built
         straight from the packed columns (or the reply rows copied column
-        to column, when the scan packs), so the per-probe dataclasses never
-        exist here.  Batches reach the backend, and records leave, in
-        ``batch_size`` groups, which is what lets the raw backend pace a
-        whole batch and pay its receive linger once per batch.
+        to column, when the scan packs).  Batches reach the backend, and
+        records leave, in ``batch_size`` groups, which is what lets the raw
+        backend pace a whole batch and pay its receive linger once per
+        batch.
         """
         config = self.config
         backend = self.backend

@@ -185,7 +185,6 @@ class BackendContract:
             cols = backend.probe_columns(targets, times, probe_ids=ids)
             assert cols.n == len(targets)
             assert cols.targets is targets and cols.times is times
-            assert cols.epoch == CASE_EPOCH
             assert backend.stats.probes == len(targets)
         finally:
             backend.close()
@@ -256,7 +255,7 @@ class BackendContract:
         deterministic surfaces: the record stream, main telemetry, and
         Prometheus export equal the fault-free run's, byte for byte."""
         self._chaos_skip(backend_case)
-        policy = RetryPolicy(max_retries=3, backoff=0.0, seed=CASE_SEED)
+        policy = RetryPolicy(max_retries=3, backoff=0.0)
         chaos = ChaosEngine(
             FaultPlan(
                 seed=CASE_SEED,
@@ -292,7 +291,7 @@ class BackendContract:
         quiet rows counted by ``faulted_probes``, and the quarantine is
         visible on the ops channel."""
         self._chaos_skip(backend_case)
-        policy = RetryPolicy(max_retries=1, backoff=0.0, seed=CASE_SEED)
+        policy = RetryPolicy(max_retries=1, backoff=0.0)
         chaos = ChaosEngine(
             FaultPlan(
                 seed=CASE_SEED,

@@ -2,9 +2,9 @@
 
 The reference model takes its randomness as an injected ``draw``; here it
 is the world's keyed hash, so the model and the kernel see the same coin
-flips and must then agree row for row.  Kernel rows and ``ProbeResult``s
-are decoded into the model's :class:`~reference_engine.Outcome`, so a
-failing comparison prints both sides in one shape.
+flips and must then agree row for row.  Kernel rows are decoded into the
+model's :class:`~reference_engine.Outcome`, so a failing comparison
+prints both sides in one shape.
 """
 
 from __future__ import annotations
@@ -58,21 +58,19 @@ def row_of(cols, i: int) -> Outcome:
     )
 
 
-def result_of(result) -> Outcome:
-    """A ``ProbeResult`` (from ``probe()`` or ``send_batch``) as an
-    Outcome, after checking the fields an Outcome does not carry."""
-    if result.lost:
-        assert (result.replies, result.looped, result.transit_hops) == ((), False, 0)
-        return Outcome(lost=True)
-    answer = None
-    if result.replies:
-        (reply,) = result.replies
-        answer = Answer(
-            reply.source, int(reply.icmp_type), reply.code, reply.count, reply.router_id
-        )
-    flood = answer.count if result.looped and answer is not None else 0
-    assert result.amplification == flood
-    return Outcome(looped=result.looped, transit=result.transit_hops, answer=answer)
+def probe_row(engine, target: int, time: float, *, hop_limit=64, probe_id=0):
+    """One probe as a one-row ``probe_columns`` batch, read by
+    :func:`row_of`."""
+    cols = engine.probe_columns(
+        (target,), (time,), hop_limit=hop_limit, probe_ids=(probe_id,)
+    )
+    return row_of(cols, 0)
+
+
+def flood(outcome: Outcome) -> int:
+    """Replies a looped probe drew (its amplification), 0 for any other
+    row or a looped one the limiter silenced."""
+    return outcome.answer.count if outcome.looped and outcome.answer else 0
 
 
 def reference_rows(world, targets, times, *, epoch, hop_limit=64, probe_ids=None):

@@ -14,9 +14,10 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from reference_harness import row_of
 
 from repro.core.survey import SRASurvey, SurveyConfig
-from repro.netsim.engine import SimulationEngine
+from repro.netsim.engine import FLAG_REPLY, SimulationEngine
 from repro.packet.icmpv6 import ICMPv6Type
 from repro.packet.ipv6hdr import IPv6Header
 from repro.scanner.backends import (
@@ -81,10 +82,12 @@ class TestWireSimHopLimit:
 
     @staticmethod
     def _send(backend, targets):
+        """Every row as an ``Outcome``, then the extra replies."""
         times = [i * 1e-3 for i in range(len(targets))]
-        return backend.send_batch(
+        cols = backend.probe_columns(
             targets, times, hop_limit=2, probe_ids=range(len(targets))
         )
+        return [row_of(cols, i) for i in range(cols.n)], list(cols.extra)
 
     def test_wire_sim_probes_with_the_decoded_hop_limit(
         self, tiny_world, monkeypatch
@@ -96,9 +99,9 @@ class TestWireSimHopLimit:
 
         sim = self._send(SimBackend(SimulationEngine(tiny_world, epoch=3)), targets)
         assert any(
-            reply.icmp_type is ICMPv6Type.TIME_EXCEEDED
-            for outcome in sim
-            for reply in outcome.replies
+            row.answer is not None
+            and row.answer.icmp_type == ICMPv6Type.TIME_EXCEEDED
+            for row in sim[0]
         )
         assert self._send(wire_sim(), targets) == sim
 
@@ -412,18 +415,21 @@ class TestRawLoopback:
         try:
             backend.new_epoch(1)
             loopback = 1  # ::1
-            outcomes = backend.send_batch(
+            cols = backend.probe_columns(
                 [loopback, loopback],
                 [0.0, 0.001],
                 probe_ids=[(1 << 32) | 0, (1 << 32) | 1],
             )
-            assert len(outcomes) == 2
-            for outcome in outcomes:
-                assert not outcome.lost
-                assert any(reply.is_echo for reply in outcome.replies)
-                assert all(
-                    reply.source == loopback for reply in outcome.replies
-                )
+            assert cols.n == 2
+            for row in range(2):
+                assert cols.flags[row] & FLAG_REPLY
+                replies = [(cols.source(row), cols.icmp_type[row])] + [
+                    (source, icmp_type)
+                    for i, source, icmp_type, *_ in cols.extra
+                    if i == row
+                ]
+                assert (loopback, ICMPv6Type.ECHO_REPLY) in replies
+                assert all(source == loopback for source, _ in replies)
             assert backend.stats.probes == 2
             assert backend.stats.echo_replies >= 2
         finally:

@@ -55,7 +55,7 @@ def run_scan(world, targets, *, shards, chaos=None, retries=0, **kwargs):
         shards=shards,
         executor=kwargs.pop("executor", "serial"),
         max_shard_retries=retries,
-        retry_backoff=0.0,
+        sleep=lambda _d: None,
     )
     result = runner.scan(
         targets,
@@ -263,7 +263,7 @@ class TestInterruptSalvage:
         telemetry = ScanTelemetry()
         # A pool: the interrupt lands while sibling shards are in flight.
         runner = ShardedScanRunner(
-            tiny_world, shards=4, executor="process", retry_backoff=0.0
+            tiny_world, shards=4, executor="process", sleep=lambda _d: None
         )
         chaos = ChaosEngine(plan=FaultPlan(interrupt_after_shards=2))
         with pytest.raises(ScanInterrupted) as excinfo:
@@ -304,7 +304,7 @@ class TestInterruptSalvage:
     def test_salvage_counter_on_resume(self, tiny_world, fault_targets, tmp_path):
         checkpoint = tmp_path / "count.ckpt"
         runner = ShardedScanRunner(
-            tiny_world, shards=4, executor="serial", retry_backoff=0.0
+            tiny_world, shards=4, executor="serial", sleep=lambda _d: None
         )
         with pytest.raises(ScanInterrupted):
             runner.scan(
@@ -357,7 +357,7 @@ class TestArtifactWorldFaults:
         )
         checkpoint = tmp_path / "artifact.ckpt"
         runner = ShardedScanRunner(
-            world, shards=4, executor="process", retry_backoff=0.0
+            world, shards=4, executor="process", sleep=lambda _d: None
         )
         with pytest.raises(ScanInterrupted):
             runner.scan(
@@ -443,7 +443,7 @@ class TestAdaptiveStrategyFaults:
                 tiny_world,
                 shards=4,
                 executor=executor,
-                retry_backoff=0.0,
+                sleep=lambda _d: None,
                 **kwargs,
             )
 
@@ -524,7 +524,7 @@ class TestAdaptiveStrategyFaults:
             tiny_world,
             shards=4,
             executor="serial",
-            retry_backoff=0.0,
+            sleep=lambda _d: None,
             checkpoint_dir=checkpoint_dir,
             interrupt_call=3,
         )

@@ -14,14 +14,13 @@ import random
 from dataclasses import asdict
 
 import pytest
-from reference_harness import reference_rows, reference_scan, result_of, row_of
+from reference_harness import probe_row, reference_rows, reference_scan, row_of
 
 from repro.core.probing import run_sra_vs_random
 from repro.core.survey import INPUT_SET_NAMES, SRASurvey, SurveyConfig
 from repro.netsim.engine import FLAG_REPLY, SimulationEngine
 from repro.netsim.faults import FailingSink, InjectedSinkError
 from repro.scanner.sharded import ShardedScanRunner
-from repro.scanner.backends.base import ProbeBackend
 from repro.scanner.backends.sim import SimBackend
 from repro.scanner.records import ScanRecord
 from repro.scanner.stream import (
@@ -179,9 +178,6 @@ class TestBatchPathEquivalence:
         class ColumnsOnly(SimBackend):
             calls = 0
 
-            def send_batch(self, *args, **kwargs):
-                raise AssertionError("send_batch decoder taken")
-
             def probe_columns(self, targets, *args, **kwargs):
                 assert len(targets) == 1
                 self.calls += 1
@@ -197,26 +193,17 @@ class TestBatchPathEquivalence:
         )
 
     @pytest.mark.parametrize("with_ids", [True, False])
-    def test_send_batch_decoder_is_the_probe_reference(
+    def test_sim_backend_rows_are_the_reference(
         self, tiny_world, stress_targets, with_ids
     ):
-        """The sim backend's rows against the reference model, as
-        ``probe_columns`` returns them and as the base class's
-        ``send_batch`` decodes them (probe ids given or defaulted to 0)."""
+        """The sim backend's rows against the reference model (probe ids
+        given or defaulted to 0)."""
         targets = stress_targets[:600]
         times = [i / 150_000.0 for i in range(len(targets))]
         ids = list(range(len(targets))) if with_ids else None
         expected, stats = reference_rows(
             tiny_world, targets, times, epoch=2, probe_ids=ids
         )
-        batch = SimBackend(SimulationEngine(tiny_world, epoch=2))
-        assert [
-            result_of(result)
-            for result in ProbeBackend.send_batch(
-                batch, targets, times, probe_ids=ids
-            )
-        ] == expected
-        assert asdict(batch.stats) == stats
         columnar = SimBackend(SimulationEngine(tiny_world, epoch=2))
         cols = columnar.probe_columns(targets, times, probe_ids=ids)
         assert [row_of(cols, i) for i in range(cols.n)] == expected
@@ -225,7 +212,7 @@ class TestBatchPathEquivalence:
     def test_probe_columns_match_serial_probe(self, tiny_world, stress_targets):
         """Column-level contract: the packed verdict/source/TTL columns
         hold, row for row, what the reference model answers one probe at
-        a time, and ``probe()`` (the kernel on one row, decoded) does too."""
+        a time, and so do one-row batches."""
         targets = stress_targets[:600]
         times = [i / 150_000.0 for i in range(len(targets))]
         ids = list(range(len(targets)))
@@ -238,7 +225,7 @@ class TestBatchPathEquivalence:
         assert asdict(col_engine.stats) == stats
         serial_engine = SimulationEngine(tiny_world, epoch=2)
         assert [
-            result_of(serial_engine.probe(target, time, probe_id=probe_id))
+            probe_row(serial_engine, target, time, probe_id=probe_id)
             for target, time, probe_id in zip(targets, times, ids)
         ] == expected
         assert asdict(serial_engine.stats) == stats
@@ -879,7 +866,7 @@ class TestCrashResumeDeterminism:
 
     def _runner(self, world, shards):
         return ShardedScanRunner(
-            world, shards=shards, executor="serial", retry_backoff=0.0
+            world, shards=shards, executor="serial", sleep=lambda _d: None
         )
 
     def _scan(self, world, targets, *, shards, checkpoint, sink_path=None,
@@ -1031,7 +1018,7 @@ class TestCrashResumeDeterminism:
                 world,
                 shards=4,
                 executor="serial",
-                retry_backoff=0.0,
+                sleep=lambda _d: None,
                 checkpoint_dir=checkpoint_dir,
                 chaos=chaos,
             )
@@ -1082,7 +1069,7 @@ class TestCrashResumeDeterminism:
                 tiny_world,
                 shards=shards,
                 executor="serial",
-                retry_backoff=0.0,
+                sleep=lambda _d: None,
                 checkpoint_dir=checkpoint_dir,
                 chaos=chaos,
             )

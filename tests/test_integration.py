@@ -5,6 +5,7 @@ invariants that individual unit tests cannot see.
 """
 
 import pytest
+from reference_harness import flood, probe_row
 
 from repro.core.aliasfilter import is_self_reply
 from repro.core.survey import SRASurvey, SurveyConfig
@@ -161,9 +162,9 @@ class TestAmplificationSafety:
         region = buggy[0]
         target = region.prefix.network | 0xF00
         engine = SimulationEngine(world, epoch=0)
-        amp_64 = engine.probe(target, 0.0, hop_limit=64, probe_id=1).amplification
-        amp_32 = engine.probe(target, 1.0, hop_limit=32, probe_id=2).amplification
-        amp_16 = engine.probe(target, 2.0, hop_limit=16, probe_id=3).amplification
+        amp_64 = flood(probe_row(engine, target, 0.0, hop_limit=64, probe_id=1))
+        amp_32 = flood(probe_row(engine, target, 1.0, hop_limit=32, probe_id=2))
+        amp_16 = flood(probe_row(engine, target, 2.0, hop_limit=16, probe_id=3))
         assert amp_64 >= amp_32 >= amp_16
         assert amp_64 > amp_16
 

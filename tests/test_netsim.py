@@ -1,6 +1,7 @@
 """Behavioural tests for the simulation engine, rate limiter, stochastics."""
 
 import pytest
+from reference_harness import flood, probe_row
 
 from repro.netsim.engine import AMPLIFICATION_CAP, SimulationEngine
 from repro.netsim.ratelimit import TokenBucket
@@ -96,12 +97,12 @@ class TestEngineSubnetBehaviour:
     def test_sra_reply_vendor(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=0)
         subnet = _subnet_with_behavior(tiny_world, SRABehavior.REPLY)
-        result = engine.probe(subnet.sra_address, 0.0, probe_id=1)
+        result = probe_row(engine, subnet.sra_address, 0.0, probe_id=1)
         if result.lost:
-            result = engine.probe(subnet.sra_address, 0.0, probe_id=2)
-        assert result.replies
-        reply = result.replies[0]
-        assert reply.icmp_type is ICMPv6Type.ECHO_REPLY
+            result = probe_row(engine, subnet.sra_address, 0.0, probe_id=2)
+        reply = result.answer
+        assert reply is not None
+        assert reply.icmp_type == ICMPv6Type.ECHO_REPLY
         router = tiny_world.routers[subnet.router_id]
         assert reply.source in router.all_addresses()
 
@@ -109,20 +110,20 @@ class TestEngineSubnetBehaviour:
         engine = SimulationEngine(tiny_world, epoch=0)
         subnet = _subnet_with_behavior(tiny_world, SRABehavior.DROP)
         for probe_id in range(3):
-            result = engine.probe(subnet.sra_address, 0.0, probe_id=probe_id)
+            result = probe_row(engine, subnet.sra_address, 0.0, probe_id=probe_id)
             if not result.lost:
-                assert result.replies == ()
+                assert result.answer is None
 
     def test_sra_error_vendor(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=0)
         subnet = _subnet_with_behavior(tiny_world, SRABehavior.ERROR)
         saw_error = False
         for probe_id in range(20):
-            result = engine.probe(
-                subnet.sra_address, probe_id * 0.5, probe_id=probe_id
-            )
-            for reply in result.replies:
-                assert reply.icmp_type is ICMPv6Type.DESTINATION_UNREACHABLE
+            reply = probe_row(
+                engine, subnet.sra_address, probe_id * 0.5, probe_id=probe_id
+            ).answer
+            if reply is not None:
+                assert reply.icmp_type == ICMPv6Type.DESTINATION_UNREACHABLE
                 saw_error = True
         assert saw_error
 
@@ -137,10 +138,10 @@ class TestEngineSubnetBehaviour:
                 break
         assert host is not None
         for probe_id in range(10):
-            result = engine.probe(host, 0.0, probe_id=probe_id)
-            if result.replies:
-                assert result.replies[0].source == host
-                assert result.replies[0].icmp_type is ICMPv6Type.ECHO_REPLY
+            reply = probe_row(engine, host, 0.0, probe_id=probe_id).answer
+            if reply is not None:
+                assert reply.source == host
+                assert reply.icmp_type == ICMPv6Type.ECHO_REPLY
                 return
         raise AssertionError("host never replied in 10 tries")
 
@@ -153,9 +154,9 @@ class TestEngineSubnetBehaviour:
             pytest.skip("tiny world has no aliased subnet")
         target = aliased.prefix.network + 0xDEAD
         for probe_id in range(5):
-            result = engine.probe(target, 0.0, probe_id=probe_id)
-            if result.replies:
-                assert result.replies[0].source == target
+            reply = probe_row(engine, target, 0.0, probe_id=probe_id).answer
+            if reply is not None:
+                assert reply.source == target
                 return
         raise AssertionError("aliased subnet never replied")
 
@@ -169,9 +170,11 @@ class TestEngineSubnetBehaviour:
         if aliased is None:
             pytest.skip("tiny world has no aliased subnet")
         for probe_id in range(5):
-            result = engine.probe(aliased.sra_address, 0.0, probe_id=probe_id)
-            if result.replies:
-                assert result.replies[0].source == aliased.sra_address
+            reply = probe_row(
+                engine, aliased.sra_address, 0.0, probe_id=probe_id
+            ).answer
+            if reply is not None:
+                assert reply.source == aliased.sra_address
                 return
 
     def test_unassigned_address_in_subnet_errors(self, tiny_world):
@@ -182,9 +185,9 @@ class TestEngineSubnetBehaviour:
             target += 1
         saw = False
         for probe_id in range(20):
-            result = engine.probe(target, probe_id * 0.5, probe_id=probe_id)
-            for reply in result.replies:
-                assert reply.icmp_type is ICMPv6Type.DESTINATION_UNREACHABLE
+            reply = probe_row(engine, target, probe_id * 0.5, probe_id=probe_id).answer
+            if reply is not None:
+                assert reply.icmp_type == ICMPv6Type.DESTINATION_UNREACHABLE
                 assert reply.code == UnreachableCode.ADDRESS_UNREACHABLE
                 saw = True
         assert saw
@@ -196,8 +199,10 @@ class TestEngineRouting:
         target = 0x3FFF << 112  # far outside any allocation
         saw = False
         for probe_id in range(10):
-            result = engine.probe(target + probe_id, probe_id * 1.0, probe_id=probe_id)
-            for reply in result.replies:
+            reply = probe_row(
+                engine, target + probe_id, probe_id * 1.0, probe_id=probe_id
+            ).answer
+            if reply is not None:
                 assert reply.code == UnreachableCode.NO_ROUTE
                 upstream = tiny_world.routers[
                     tiny_world.vantage.upstream_router_id
@@ -211,24 +216,24 @@ class TestEngineRouting:
         subnet = _subnet_with_behavior(tiny_world, SRABehavior.REPLY)
         hops = tiny_world.paths[subnet.asn]
         for ttl in range(1, len(hops) + 1):
-            result = engine.probe(
-                subnet.sra_address, float(ttl), hop_limit=ttl, probe_id=100 + ttl
-            )
-            for reply in result.replies:
-                assert reply.icmp_type is ICMPv6Type.TIME_EXCEEDED
+            reply = probe_row(
+                engine, subnet.sra_address, float(ttl), hop_limit=ttl, probe_id=100 + ttl
+            ).answer
+            if reply is not None:
+                assert reply.icmp_type == ICMPv6Type.TIME_EXCEEDED
                 assert reply.source == hops[ttl - 1].interface
 
     def test_hop_limit_zero_silent(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=0)
         subnet = next(iter(tiny_world.subnets.values()))
-        result = engine.probe(subnet.sra_address, 0.0, hop_limit=0, probe_id=7)
-        assert result.replies == ()
+        result = probe_row(engine, subnet.sra_address, 0.0, hop_limit=0, probe_id=7)
+        assert result.answer is None
 
     def test_packet_loss_deterministic(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=0)
         subnet = next(iter(tiny_world.subnets.values()))
-        a = engine.probe(subnet.sra_address, 0.0, probe_id=55)
-        b = engine.probe(subnet.sra_address, 0.0, probe_id=55)
+        a = probe_row(engine, subnet.sra_address, 0.0, probe_id=55)
+        b = probe_row(engine, subnet.sra_address, 0.0, probe_id=55)
         assert a.lost == b.lost
 
     def test_direct_ping_of_router_interface(self, tiny_world):
@@ -242,12 +247,12 @@ class TestEngineRouting:
         assert answering
         subnet = answering[0]
         for probe_id in range(5):
-            result = engine.probe(
-                subnet.router_interface, 0.0, probe_id=probe_id
-            )
-            if result.replies:
-                assert result.replies[0].source == subnet.router_interface
-                assert result.replies[0].is_echo
+            reply = probe_row(
+                engine, subnet.router_interface, 0.0, probe_id=probe_id
+            ).answer
+            if reply is not None:
+                assert reply.source == subnet.router_interface
+                assert reply.icmp_type == ICMPv6Type.ECHO_REPLY
                 return
 
     def test_non_answering_router_silent_on_direct_probe(self, tiny_world):
@@ -261,8 +266,10 @@ class TestEngineRouting:
         assert silent
         subnet = silent[0]
         for probe_id in range(5):
-            result = engine.probe(subnet.router_interface, 0.0, probe_id=probe_id)
-            assert all(not r.is_echo for r in result.replies)
+            reply = probe_row(
+                engine, subnet.router_interface, 0.0, probe_id=probe_id
+            ).answer
+            assert reply is None or reply.icmp_type != ICMPv6Type.ECHO_REPLY
 
 
 class TestEngineLoops:
@@ -275,12 +282,13 @@ class TestEngineLoops:
         region, target = self._loop_target(tiny_world)
         saw = False
         for probe_id in range(20):
-            result = engine.probe(target, probe_id * 1.0, probe_id=probe_id)
+            result = probe_row(engine, target, probe_id * 1.0, probe_id=probe_id)
             if result.lost:
                 continue
             assert result.looped
-            for reply in result.replies:
-                assert reply.icmp_type is ICMPv6Type.TIME_EXCEEDED
+            reply = result.answer
+            if reply is not None:
+                assert reply.icmp_type == ICMPv6Type.TIME_EXCEEDED
                 customer = tiny_world.routers[region.customer_router_id]
                 assert reply.router_id == customer.router_id
                 saw = True
@@ -300,25 +308,25 @@ class TestEngineLoops:
         if buggy_region is None:
             pytest.skip("no strongly-buggy loop router in tiny world")
         target = buggy_region.prefix.network | 0x42
-        low = engine.probe(target, 0.0, hop_limit=16, probe_id=1)
-        high = engine.probe(target, 1.0, hop_limit=128, probe_id=2)
-        assert high.amplification > low.amplification
+        low = probe_row(engine, target, 0.0, hop_limit=16, probe_id=1)
+        high = probe_row(engine, target, 1.0, hop_limit=128, probe_id=2)
+        assert flood(high) > flood(low)
 
     def test_amplification_capped(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=0)
         region, target = self._loop_target(tiny_world)
-        result = engine.probe(target, 0.0, hop_limit=255, probe_id=3)
-        assert result.amplification <= AMPLIFICATION_CAP
+        result = probe_row(engine, target, 0.0, hop_limit=255, probe_id=3)
+        assert flood(result) <= AMPLIFICATION_CAP
 
     def test_null_route_fix_stops_loop(self):
         world = build_world(tiny_config(seed=21))
         engine = SimulationEngine(world, epoch=0)
         region = world.loop_regions[0]
         target = region.prefix.network | 0x99
-        before = engine.probe(target, 0.0, probe_id=4)
+        before = probe_row(engine, target, 0.0, probe_id=4)
         assert before.looped
         world.remove_loop(region)
-        after = engine.probe(target, 1.0, probe_id=5)
+        after = probe_row(engine, target, 1.0, probe_id=5)
         assert not after.looped
 
 
@@ -336,8 +344,8 @@ class TestEngineRateLimiting:
         targets = [net + 0xBAD for net in router.subnet_interfaces][:200]
         replies = 0
         for index, target in enumerate(targets):
-            result = engine.probe(target, 0.0, probe_id=index)  # same instant
-            replies += len(result.replies)
+            result = probe_row(engine, target, 0.0, probe_id=index)  # same instant
+            replies += result.answer is not None
         assert replies < len(targets) * 0.8
 
     def test_echo_never_rate_limited(self, tiny_world):
@@ -362,11 +370,14 @@ class TestEngineRateLimiting:
         echoes = 0
         probed = 0
         for index, network in enumerate(healthy):
-            result = engine.probe(network, 0.0, probe_id=index)
+            result = probe_row(engine, network, 0.0, probe_id=index)
             if result.lost:
                 continue
             probed += 1
-            echoes += sum(1 for r in result.replies if r.is_echo)
+            echoes += (
+                result.answer is not None
+                and result.answer.icmp_type == ICMPv6Type.ECHO_REPLY
+            )
         assert probed > 0
         assert echoes == probed
 
@@ -377,12 +388,12 @@ class TestEngineRateLimiting:
         )
         targets = [net + 0xBAD for net in router.subnet_interfaces][:60]
         first = sum(
-            len(engine.probe(t, 0.0, probe_id=i).replies)
+            probe_row(engine, t, 0.0, probe_id=i).answer is not None
             for i, t in enumerate(targets)
         )
         engine.new_epoch(1)
         second = sum(
-            len(engine.probe(t, 0.0, probe_id=i).replies)
+            probe_row(engine, t, 0.0, probe_id=i).answer is not None
             for i, t in enumerate(targets)
         )
         # The second epoch starts with fresh buckets: roughly as many
@@ -432,7 +443,7 @@ class TestEngineRateLimiting:
     def test_stats_counters(self, tiny_world):
         engine = SimulationEngine(tiny_world, epoch=0)
         subnet = _subnet_with_behavior(tiny_world, SRABehavior.REPLY)
-        engine.probe(subnet.sra_address, 0.0, probe_id=1)
+        probe_row(engine, subnet.sra_address, 0.0, probe_id=1)
         assert engine.stats.probes == 1
 
     def test_requires_vantage(self):

@@ -197,7 +197,6 @@ def test_duplicate_replies_fold_into_one_row(network, backend):
     cols = _probe(backend)
     assert cols.n == len(TARGETS)
     assert cols.targets is TARGETS and cols.times is TIMES
-    assert cols.epoch == EPOCH
     assert _replies(cols) == [[(target, ECHO, 0, 2)] for target in TARGETS]
     assert cols.extra == []
     assert list(cols.router_id[: cols.n]) == [-1] * len(TARGETS)
@@ -237,12 +236,6 @@ def test_distinct_sources_are_kept_in_arrival_order(network, backend):
     ]
     assert backend.stats.lost == 2
     assert (backend.stats.echo_replies, backend.stats.error_replies) == (2, 3)
-    # The dataclass decoder keeps every reply, in the same order.
-    decoded = backend.send_batch(TARGETS, TIMES, probe_ids=IDS)
-    assert [reply.source for reply in decoded[1].replies] == [
-        ROUTER_A, TARGETS[1], ROUTER_B,
-    ]
-    assert decoded[0].lost and not decoded[2].lost
 
 
 def test_a_scan_records_every_distinct_reply(network, backend):
@@ -396,7 +389,5 @@ def test_reply_naming_another_target_is_counted_not_matched(network, backend):
         return [(reply, other)]
 
     network.respond = other_scan
-    decoded = backend.send_batch(TARGETS, TIMES, probe_ids=IDS)
-    assert [outcome.replies for outcome in decoded] == [()] * len(TARGETS)
-    assert all(outcome.lost for outcome in decoded)
+    assert _replies(_probe(backend)) == [None] * len(TARGETS)
     assert backend.unmatched_replies == len(TARGETS)

@@ -7,22 +7,25 @@ plus the tiny world loaded from an artifact, so ``FrozenLPM`` answers the
 lookups) and probe schedules over every destination class: times out of
 order, hop limits at 0, 1 and every transit length ±1, epochs including
 2**62 and -1.  The kernel must match the model row for row and in
-``EngineStats`` at batch 1 and 1024, through ``probe()``, and as four
-deferred shards plus the merge's rate-limit replay.
+``EngineStats`` at batch 1 and 1024, and as four deferred shards plus
+the merge's rate-limit replay.
 """
 
 from __future__ import annotations
 
 import ast
 import random
+from collections import Counter
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from reference_harness import reference_rows, reference_scan, result_of, row_of
+from reference_engine import ECHO, EXCEEDED
+from reference_harness import reference, reference_rows, reference_scan, row_of
 
+from repro.datasets.traceroute import traceroute
 from repro.netsim.engine import ProbeColumns, SimulationEngine
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.zmapv6 import ScanConfig
@@ -221,13 +224,6 @@ class TestKernelAgainstReference:
                 assert row_of(cols, 0) == want, i
             assert asdict(single.stats) == stats
 
-            serial = SimulationEngine(world, epoch=epoch)
-            assert [
-                result_of(serial.probe(target, time, hop_limit=hop_limit, probe_id=pid))
-                for target, time, pid in zip(targets, times, ids)
-            ] == expected
-            assert asdict(serial.stats) == stats
-
         check()
 
     def test_four_deferred_shards_plus_replay_match(self, harness_cases):
@@ -254,3 +250,77 @@ class TestKernelAgainstReference:
             assert asdict(result.engine_stats) == stats
 
         check()
+
+
+def reference_trace(model, target, *, time, probe_id_base, probes_per_hop, max_hops=32):
+    """Traceroute's stop rules, in its order, over the reference model's
+    answers: ``(hops, reached, loop_detected, destination_source, why it
+    stopped)``, each hop ``(ttl, source, icmp_type)``."""
+    hops = []
+    for ttl in range(1, max_hops + 1):
+        for attempt in range(probes_per_hop):
+            answer = model.probe(
+                target,
+                time + ttl * 1e-3,
+                hop_limit=ttl,
+                probe_id=probe_id_base + ttl * 4 + attempt,
+            ).answer
+            if answer is not None:
+                break
+        else:
+            hops.append((ttl, None, None))
+            if len(hops) >= 3 and all(source is None for _, source, _ in hops[-3:]):
+                return hops, False, False, None, "gap"
+            continue
+        source = answer.source
+        hops.append((ttl, source, answer.icmp_type))
+        if answer.icmp_type != EXCEEDED:
+            reached = answer.icmp_type == ECHO
+            return hops, reached, False, source, "echo" if reached else "error"
+        if len(hops) >= 2 and hops[-2][1] == source:
+            return hops, False, False, None, "repeat"
+        if len(hops) >= 4:
+            a, b, c, d = (source for _, source, _ in hops[-4:])
+            if None not in (a, b) and a == c and b == d and a != b:
+                return hops, False, True, None, "alternation"
+    return hops, False, False, None, "max hops"
+
+
+class TestTracerouteAgainstReference:
+    @pytest.mark.parametrize("probes_per_hop", [1, 2])
+    def test_traces_match_hop_for_hop(self, tiny_world, probes_per_hop):
+        """``traceroute`` over every destination class — looping and
+        unrouted space included — on one engine epoch, as the Ark
+        campaign runs it, equals its stop rules driven by the model."""
+        targets = [
+            target for kind in destination_classes(tiny_world) for target in kind[:5]
+        ]
+        assert len(targets) >= 50
+        engine = SimulationEngine(tiny_world, epoch=2000)
+        model = reference(tiny_world, epoch=2000)
+        endings = Counter()
+        for index, target in enumerate(targets):
+            time, base = index * 0.05, (1 << 40) + index * 256
+            trace = traceroute(
+                engine,
+                target,
+                time=time,
+                probe_id_base=base,
+                probes_per_hop=probes_per_hop,
+            )
+            *expected, why = reference_trace(
+                model,
+                target,
+                time=time,
+                probe_id_base=base,
+                probes_per_hop=probes_per_hop,
+            )
+            assert [
+                [(hop.ttl, hop.source, hop.icmp_type) for hop in trace.hops],
+                trace.reached,
+                trace.loop_detected,
+                trace.destination_source,
+            ] == expected, hex(target)
+            endings[why] += 1
+        assert asdict(engine.stats) == model.stats
+        assert endings.keys() >= {"echo", "error", "repeat", "gap"}, endings

@@ -5,8 +5,8 @@ end-to-end properties — wrapper identity, transient-fault byte identity,
 quarantine, the breaker cycle under a real scan.  This file covers the
 mechanisms underneath:
 
-* ``RetryPolicy`` validation and the backoff/jitter math (hypothesis
-  properties: bounds, determinism, jitter-0 exactness),
+* ``RetryPolicy`` validation and its capped exponential backoff
+  (a hypothesis property),
 * transactional attempts: a failed ``probe_columns`` rolls back stats,
   deferred rate-limit checks, and ``unmatched_replies``,
 * the watchdog deadline recovering a hung backend (injected join, zero
@@ -41,6 +41,7 @@ from repro.netsim.engine import (
     SimulationEngine,
 )
 from repro.netsim.faults import ChaosEngine, FaultPlan, FaultyBackend
+from repro.packet.icmpv6 import ICMPv6Type
 from repro.scanner.backends import (
     BackendTimeoutError,
     CircuitBreaker,
@@ -121,7 +122,6 @@ class ScriptedBackend(ProbeBackend):
         step = self._step(targets, times)
         cols = out if out is not None else ProbeColumns()
         cols.blank(targets, times)
-        cols.epoch = self._epoch
         for row, target in enumerate(targets):
             cols.flags[row] = FLAG_REPLY
             cols.source_hi[row] = (target ^ 1) >> 64
@@ -172,8 +172,6 @@ class PoisonBackend(ScriptedBackend):
         {"backoff": -0.1},
         {"backoff": float("nan")},
         {"backoff_cap": float("inf")},
-        {"jitter": -0.01},
-        {"jitter": 1.01},
         {"timeout": 0.0},
         {"timeout": float("nan")},
         {"breaker_threshold": 0.0},
@@ -194,13 +192,13 @@ def test_from_knobs_is_none_when_all_unset_else_the_policy():
     """What ``sra-scan``'s flags and ``SurveyConfig``'s fields both build."""
     from repro.core.survey import SurveyConfig
 
-    assert RetryPolicy.from_knobs(0, None, None, seed=9) is None
+    assert RetryPolicy.from_knobs(0, None, None) is None
     assert SurveyConfig(seed=9).resilience_policy() is None
     for retries, timeout, threshold in [(2, None, None), (0, 1.5, None), (0, None, 0.5)]:
         expected = RetryPolicy(
-            max_retries=retries, timeout=timeout, breaker_threshold=threshold, seed=9
+            max_retries=retries, timeout=timeout, breaker_threshold=threshold
         )
-        assert RetryPolicy.from_knobs(retries, timeout, threshold, seed=9) == expected
+        assert RetryPolicy.from_knobs(retries, timeout, threshold) == expected
         config = SurveyConfig(
             seed=9,
             backend_retries=retries,
@@ -209,15 +207,15 @@ def test_from_knobs_is_none_when_all_unset_else_the_policy():
         )
         assert config.resilience_policy() == expected
     with pytest.raises(ValueError, match="max_retries"):
-        RetryPolicy.from_knobs(-1, None, None, seed=9)
+        RetryPolicy.from_knobs(-1, None, None)
 
 
 def test_policy_is_picklable_and_hashable():
     import pickle
 
-    policy = RetryPolicy(max_retries=3, jitter=0.5, seed=7)
+    policy = RetryPolicy(max_retries=3, backoff=0.5, timeout=2.0)
     assert pickle.loads(pickle.dumps(policy)) == policy
-    assert hash(policy) == hash(RetryPolicy(max_retries=3, jitter=0.5, seed=7))
+    assert hash(policy) == hash(RetryPolicy(max_retries=3, backoff=0.5, timeout=2.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -225,36 +223,13 @@ def test_policy_is_picklable_and_hashable():
     attempt=st.integers(0, 20),
     backoff=st.floats(0.0, 100.0),
     cap=st.floats(0.0, 100.0),
-    jitter=st.floats(0.0, 1.0),
-    seed=st.integers(0, 2**32 - 1),
-    keys=st.lists(st.integers(0, 1_000), max_size=3),
 )
-def test_backoff_delay_bounds_and_determinism(
-    attempt, backoff, cap, jitter, seed, keys
-):
-    policy = RetryPolicy(
-        backoff=backoff, backoff_cap=cap, jitter=jitter, seed=seed
-    )
-    delay = policy.backoff_delay(attempt, *keys)
-    base = min(backoff * 2.0**attempt, cap)
-    assert 0.0 <= delay <= cap + 1e-9
-    assert base * (1.0 - jitter) - 1e-9 <= delay <= base + 1e-9
-    # Same policy, same keys, same delay: retried runs back off alike.
-    assert delay == policy.backoff_delay(attempt, *keys)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    attempt=st.integers(0, 20),
-    backoff=st.floats(0.0, 100.0),
-    cap=st.floats(0.0, 100.0),
-)
-def test_zero_jitter_reproduces_exponential_formula(attempt, backoff, cap):
+def test_backoff_delay_is_capped_exponential(attempt, backoff, cap):
     policy = RetryPolicy(backoff=backoff, backoff_cap=cap)
     assert policy.backoff_delay(attempt) == min(backoff * 2.0**attempt, cap)
 
 
-def test_jitterless_schedule_matches_historical_shard_backoff():
+def test_schedule_matches_historical_shard_backoff():
     # The sharded runner's pre-policy formula, bit for bit.
     policy = RetryPolicy(max_retries=5, backoff=0.1, backoff_cap=5.0)
     assert [policy.backoff_delay(i) for i in range(7)] == [
@@ -398,7 +373,7 @@ def test_abandoned_attempt_cannot_write_into_returned_columns():
 def test_timeout_error_names_the_deadline():
     with pytest.raises(ValueError):
         RetryPolicy(timeout=-1.0)
-    error = BackendTimeoutError("send_batch exceeded the 2.0s deadline")
+    error = BackendTimeoutError("send exceeded the 2.0s deadline")
     assert "2.0s" in str(error)
 
 
@@ -474,6 +449,30 @@ def test_config_key_includes_retry_policy():
     assert with_policy == config_key(
         ScanConfig(pps=100.0, retry_policy=RetryPolicy())
     )
+
+
+# One changed value per policy field; a new field must join this table.
+POLICY_CHANGES = {
+    "max_retries": 3,
+    "backoff": 0.07,
+    "backoff_cap": 6.0,
+    "timeout": 1.0,
+    "breaker_threshold": 0.5,
+    "breaker_window": 9,
+    "breaker_min_batches": 5,
+    "breaker_cooldown": 2.0,
+    "max_split_depth": 3,
+}
+
+
+def test_config_key_changes_with_every_policy_field():
+    from dataclasses import fields
+
+    assert set(POLICY_CHANGES) == {field.name for field in fields(RetryPolicy)}
+    default = config_key(ScanConfig(pps=100.0, retry_policy=RetryPolicy()))
+    for name, value in POLICY_CHANGES.items():
+        changed = ScanConfig(pps=100.0, retry_policy=RetryPolicy(**{name: value}))
+        assert config_key(changed) != default, name
 
 
 def test_resume_across_policy_change_fails_loudly():
@@ -563,16 +562,14 @@ class _Built(Exception):
 def test_cli_flags_build_the_same_configs(argv, knobs, tiny_world, monkeypatch):
     """Each CLI turns the flags into the RetryPolicy / SurveyConfig it
     always has: no wrapper when every knob is unset, else exactly the
-    knobs given, seeded by ``--seed``."""
+    knobs given."""
     import repro.experiments.runner as runner
     import repro.scanner.cli as cli
     from dataclasses import replace
 
     from repro.experiments.world import quick_scale
 
-    expected = (
-        None if knobs is None else RetryPolicy.from_knobs(*knobs, seed=2024)
-    )
+    expected = None if knobs is None else RetryPolicy.from_knobs(*knobs)
     built = []
     real_scan_config = cli._scan_config
 
@@ -690,22 +687,21 @@ def test_faulty_backend_blackhole_eats_echo_replies(tiny_world):
         build_targets(tiny_world, "bgp-plain", max_targets=16, seed=5)
     )
     times = [i / 1000.0 for i in range(len(targets))]
+    def echoes(cols):
+        return [
+            row
+            for row in range(cols.n)
+            if cols.flags[row] & FLAG_REPLY and cols.icmp_type[row] == ICMPv6Type.ECHO_REPLY
+        ]
+
     clean = build_backend(config, SimulationEngine(tiny_world, epoch=0))
-    baseline = clean.send_batch(targets, times)
-    echoes = sum(
-        reply.count
-        for outcome in baseline
-        for reply in outcome.replies
-        if reply.is_echo
+    assert echoes(clean.probe_columns(targets, times)), (
+        "vacuous: the tiny world answered nothing"
     )
-    assert echoes > 0, "vacuous: the tiny world answered nothing"
 
     fresh = build_backend(config, SimulationEngine(tiny_world, epoch=0))
     faulty = FaultyBackend(fresh, FaultPlan(backend_blackhole=True))
-    eaten = faulty.send_batch(targets, times)
-    assert all(
-        not reply.is_echo for outcome in eaten for reply in outcome.replies
-    )
+    assert echoes(faulty.probe_columns(targets, times)) == []
     # Counters stay coherent with the surviving replies.
     assert fresh.stats.echo_replies == 0
 
@@ -726,8 +722,7 @@ def test_resilience_is_invisible_without_math_weirdness():
     backend = ResilientBackend(
         inner, RetryPolicy(max_retries=0, backoff=0.0), sleep=lambda _d: None
     )
-    outcomes = backend.send_batch(TARGETS, TIMES)
-    assert len(outcomes) == len(TARGETS)
+    assert send(backend) == ANSWERED
     assert backend.resilience.empty()
     assert math.isfinite(RetryPolicy().backoff_delay(1000))
 
@@ -760,18 +755,6 @@ def scenario_targets(tiny_world):
     for region in tiny_world.loop_regions[:2]:
         targets.extend(region.prefix.network | offset for offset in range(1, 12))
     return targets
-
-
-@pytest.fixture()
-def sim_refuses_per_probe_calls(monkeypatch):
-    """Any scan that calls the ``send_batch`` decoder instead of
-    ``probe_columns`` fails loudly (a refused call is a backend fault:
-    retried, then quarantined, then visible in every comparison below)."""
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a scan called the send_batch decoder")
-
-    monkeypatch.setattr(SimBackend, "send_batch", refuse)
 
 
 def _scenario_scan(world, targets, *, backend, shards, batch_size, plan, policy):
@@ -838,8 +821,7 @@ BISECTED = (
 @pytest.mark.parametrize("batch_size", [1, 1024])
 @pytest.mark.parametrize("scenario", sorted(TRANSIENT))
 def test_transient_scenarios_reproduce_fault_free_bytes(
-    tiny_world, scenario_targets, sim_refuses_per_probe_calls,
-    scenario, batch_size, shards,
+    tiny_world, scenario_targets, scenario, batch_size, shards,
 ):
     _assert_transient(
         tiny_world, scenario_targets, scenario, batch_size, shards,
@@ -850,7 +832,7 @@ def test_transient_scenarios_reproduce_fault_free_bytes(
 @pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("batch_size", [16, 128])
 def test_bisected_batch_is_spliced_back_to_fault_free_bytes(
-    tiny_world, scenario_targets, sim_refuses_per_probe_calls, batch_size, shards
+    tiny_world, scenario_targets, batch_size, shards
 ):
     plan, policy = BISECTED
     _assert_transient(
@@ -913,8 +895,7 @@ LOSSY = {
 @pytest.mark.parametrize("batch_size", [1, 64])
 @pytest.mark.parametrize("scenario", sorted(LOSSY))
 def test_lossy_scenarios_match_across_backends(
-    tiny_world, scenario_targets, sim_refuses_per_probe_calls,
-    scenario, batch_size, shards,
+    tiny_world, scenario_targets, scenario, batch_size, shards,
 ):
     plan, policy = LOSSY[scenario]
     clean, clean_result, _ = _scenario_scan(
@@ -994,7 +975,7 @@ def _scanner_scan(backend, targets, policy, batch_size):
 
 @pytest.mark.parametrize("batch_size", [16, 1024])
 def test_bisection_isolates_a_poison_probe_in_a_real_scan(
-    tiny_world, scenario_targets, sim_refuses_per_probe_calls, batch_size
+    tiny_world, scenario_targets, batch_size
 ):
     clean, clean_result, _ = _scanner_scan(
         SimBackend(SimulationEngine(tiny_world, defer_rate_limit=True)),
@@ -1023,7 +1004,7 @@ def test_bisection_isolates_a_poison_probe_in_a_real_scan(
 
 
 def test_hung_columnar_send_is_recovered_by_the_watchdog(
-    tiny_world, scenario_targets, sim_refuses_per_probe_calls
+    tiny_world, scenario_targets
 ):
     """FaultyBackend's hang over ``sim``, a real (short) deadline and a
     real join: the abandoned attempt is released at ``close()`` and ends;
