@@ -106,7 +106,6 @@ def run_sra_vs_random(
     pps: float = 50_000.0,
     scan_duration: float = 6.0,
     seed: int = 23,
-    batch_size: int = 1024,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
 ) -> ComparisonSeries:
@@ -126,7 +125,7 @@ def run_sra_vs_random(
             name=f"random-epoch{epoch}",
             subnet_length=subnet_length,
         )
-        config = ScanConfig(pps=paced, seed=seed + epoch, batch_size=batch_size)
+        config = ScanConfig(pps=paced, seed=seed + epoch)
         jobs += [
             (sra_targets, config, f"sra-epoch{epoch}", epoch),
             (random_targets, config, f"random-epoch{epoch}", epoch),
@@ -189,7 +188,6 @@ def run_visibility(
     scan_duration: float = 6.0,
     seed: int = 31,
     epoch_base: int = 1000,
-    batch_size: int = 1024,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
 ) -> VisibilityReport:
@@ -201,7 +199,7 @@ def run_visibility(
     jobs = [
         (
             ordered,
-            ScanConfig(pps=paced, seed=seed + day, batch_size=batch_size),
+            ScanConfig(pps=paced, seed=seed + day),
             f"direct-day{day}",
             epoch_base + day,
         )
@@ -258,7 +256,6 @@ def run_stability(
     pps: float = 50_000.0,
     scan_duration: float = 6.0,
     seed: int = 41,
-    batch_size: int = 1024,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
 ) -> StabilityReport:
@@ -269,7 +266,7 @@ def run_stability(
     jobs = [
         (
             sra_targets,
-            ScanConfig(pps=paced, seed=seed + epoch, batch_size=batch_size),
+            ScanConfig(pps=paced, seed=seed + epoch),
             f"stability-{epoch}",
             epoch,
         )
@@ -292,7 +289,6 @@ def run_direct_discovery(
     scan_duration: float = 6.0,
     seed: int = 53,
     epoch: int = 500,
-    batch_size: int = 1024,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
 ) -> set[int]:
@@ -301,7 +297,7 @@ def run_direct_discovery(
     paced = paced_pps(len(router_ips), scan_duration, pps)
     result = (runner or ShardedScanRunner(world, shards=1)).scan(
         sorted(router_ips),
-        ScanConfig(pps=paced, seed=seed, batch_size=batch_size),
+        ScanConfig(pps=paced, seed=seed),
         name="direct",
         epoch=epoch,
         telemetry=telemetry,

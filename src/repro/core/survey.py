@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from ..hitlist.aliases import AliasedPrefixList
 from ..hitlist.hitlist import Hitlist
-from ..scanner.backends import BACKENDS, RetryPolicy
 from ..scanner.pacing import paced_pps
 from ..scanner.records import ScanResult
 from ..scanner.sharded import EXECUTORS, ShardedScanRunner
@@ -53,7 +52,9 @@ class SurveyConfig:
 
     The paper probes 28.2 B addresses; the budgets scale each input set to
     simulator size while keeping their *relative* magnitudes (hitlist ≪
-    artificial partitions).
+    artificial partitions).  Batch size, backend and retry policy are
+    not fields: no output byte depends on them, so survey scans run
+    :class:`ScanConfig`'s defaults (``sra-scan`` sets them for one scan).
     """
 
     seed: int = 11
@@ -80,59 +81,20 @@ class SurveyConfig:
     # wall-clock time only, never results.
     shards: int = 1
     parallel: str = "auto"
-    # Probes handed to the backend per call — a chunk size.  Like the
-    # sharding knobs this is a pure throughput dial: results are
-    # bit-identical for any value.
-    batch_size: int = 1024
-    # Probe backend for every survey scan ("sim" or "wire-sim"; the
-    # sharded runner refuses non-deterministic backends).  Another pure
-    # execution dial: wire-sim output is byte-identical to sim's.
-    backend: str = "sim"
-    # Observability: when True the survey creates (or reuses, if one is
-    # passed to SRASurvey) a ScanTelemetry facade shared across all five
-    # input-set scans; progress_every is the per-scan probe cadence of
-    # `progress` events (0 = none).
-    telemetry: bool = False
+    # Per-scan probe cadence of telemetry `progress` events (0 = none).
     progress_every: int = 0
-    # Crash tolerance: retry budget per failed shard, and a directory for
-    # per-(scan, epoch) checkpoint journals — inputs to the runner's one
-    # dispatch loop (journal after every shard, retry with backoff,
-    # salvage on SIGINT/SIGTERM); a journal left in checkpoint_dir from
-    # an interrupted run auto-resumes and finishes byte-identically.
-    max_shard_retries: int = 0
+    # A directory for per-(scan, epoch) checkpoint journals: a journal
+    # left there by an interrupted run auto-resumes and finishes
+    # byte-identically.
     checkpoint_dir: str | None = None
-    # Backend resilience: per-batch retry budget, per-batch watchdog
-    # deadline, and circuit-breaker open threshold.  All unset (the
-    # defaults) means no ResilientBackend wrapper at all — the scans run
-    # exactly as before this layer existed.
-    backend_retries: int = 0
-    backend_timeout: float | None = None
-    breaker_threshold: float | None = None
 
     def __post_init__(self) -> None:
         if not self.pps > 0:
             raise ValueError(f"pps must be positive, got {self.pps}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.shards < 1 or self.max_shard_retries < 0:
-            raise ValueError("shards must be >= 1 and max_shard_retries >= 0")
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.parallel not in EXECUTORS:
             raise ValueError(f"parallel must be one of {'/'.join(EXECUTORS)}")
-        # Every survey scan goes through the sharded runner, which refuses
-        # a non-deterministic backend.
-        backends = [name for name, cls in BACKENDS.items() if cls.deterministic]
-        if self.backend not in backends:
-            raise ValueError(
-                f"backend must be one of {'/'.join(backends)}, "
-                f"got {self.backend!r}"
-            )
-        self.resilience_policy()  # RetryPolicy rejects bad knobs here
-
-    def resilience_policy(self) -> RetryPolicy | None:
-        """The survey-wide :class:`RetryPolicy`, or None when unconfigured."""
-        return RetryPolicy.from_knobs(
-            self.backend_retries, self.backend_timeout, self.breaker_threshold
-        )
 
 
 def _input_set_factories(
@@ -278,14 +240,11 @@ class SRASurvey:
         self.hitlist = hitlist
         self.alias_list = alias_list
         self.config = config or SurveyConfig()
-        if telemetry is None and self.config.telemetry:
-            telemetry = ScanTelemetry()
         self.telemetry = telemetry
         self.runner = runner or ShardedScanRunner(
             world,
             shards=self.config.shards,
             executor=self.config.parallel,
-            max_shard_retries=self.config.max_shard_retries,
             checkpoint_dir=self.config.checkpoint_dir,
         )
 
@@ -333,10 +292,7 @@ class SRASurvey:
             pps=paced_pps(len(targets), self.config.scan_duration, self.config.pps),
             hop_limit=self.config.hop_limit,
             seed=self.config.seed,
-            batch_size=self.config.batch_size,
             progress_every=self.config.progress_every,
-            backend=self.config.backend,
-            retry_policy=self.config.resilience_policy(),
         )
 
     def run_input_set(

@@ -36,7 +36,6 @@ class TracerouteResult:
     hops: list[TracerouteHop] = field(default_factory=list)
     reached: bool = False
     destination_source: int | None = None
-    loop_detected: bool = False
 
     def responding_sources(self) -> set[int]:
         """All addresses that answered along this trace."""
@@ -85,14 +84,9 @@ def traceroute(
             result.destination_source = source
             return result
         # Heuristic every traceroute tool uses: stop when the same source
-        # repeats (we are past the last replying router or in a loop).
+        # repeats (we are past the last replying router or in a loop: the
+        # simulator answers a looping probe from the loop's one customer
+        # router, so a loop repeats its source rather than alternating).
         if len(result.hops) >= 2 and result.hops[-2].source == source:
             return result
-        # Persistent-loop signature: sources alternating A,B,A,B (Maier &
-        # Ullrich's detection criterion).
-        if len(result.hops) >= 4:
-            a, b, c, d = (hop.source for hop in result.hops[-4:])
-            if a is not None and b is not None and a == c and b == d and a != b:
-                result.loop_detected = True
-                return result
     return result

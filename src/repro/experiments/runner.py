@@ -10,14 +10,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
 from typing import Callable
 
-from ..scanner.backends import BACKENDS
 from ..scanner.checkpoint import CheckpointError
-from ..scanner.cli import add_resilience_flags, check_output_paths, knob_problem
+from ..scanner.cli import check_output_paths
 from ..scanner.sharded import ScanInterrupted, ShardFailedError
 from ..telemetry.scan import ScanTelemetry
 from .base import ExperimentReport
@@ -139,25 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         "--pps",
         type=float,
         default=None,
-        help="override the scale's survey probe rate",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="probes per engine batch of the survey's scans (throughput "
-        "dial; results are bit-identical for any value)",
-    )
-    add_resilience_flags(
-        parser.add_argument_group("backend resilience of the survey's scans")
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="probe backend of the survey's scans: 'sim' (default) or "
-        "'wire-sim' (byte-accurate wire round trip; identical outputs, "
-        "slower). 'raw' is refused — experiments run on the simulator",
+        help="override the probe rate of the survey and the strategy race",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -182,35 +164,24 @@ def main(argv: list[str] | None = None) -> int:
         "--list", action="store_true", help="list experiment ids and exit"
     )
     args = parser.parse_args(argv)
-    # One-line stderr + exit 2 for bad numeric knobs and output paths,
-    # matching sra-scan: they would otherwise surface as a ValueError
-    # traceback deep inside the first campaign scan, or after it.
-    problem = knob_problem(args) or check_output_paths(
-        [
-            ("--checkpoint-dir", args.checkpoint_dir),
-            ("--telemetry-out", args.telemetry_out),
-            ("--metrics-out", args.metrics_out),
-        ]
-    )
+    # One-line stderr + exit 2 for a bad rate or output path, matching
+    # sra-scan: they would otherwise surface as a ValueError traceback
+    # deep inside the first campaign scan, or after it.
+    if args.pps is not None and args.pps <= 0:
+        problem = "--pps must be positive"
+    elif args.pps is not None and not math.isfinite(args.pps):
+        problem = "--pps must be finite"
+    else:
+        problem = check_output_paths(
+            [
+                ("--checkpoint-dir", args.checkpoint_dir),
+                ("--telemetry-out", args.telemetry_out),
+                ("--metrics-out", args.metrics_out),
+            ]
+        )
     if problem is not None:
         print(f"sra-repro: {problem}", file=sys.stderr)
         return 2
-    if args.backend is not None:
-        if args.backend == "raw":
-            print(
-                "sra-repro: --backend raw is not allowed; experiments "
-                "reproduce the paper on the simulator (use sra-scan "
-                "--backend raw --i-am-authorized for real probing)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.backend not in BACKENDS:
-            print(
-                f"sra-repro: unknown backend {args.backend!r} "
-                f"(choose from {', '.join(sorted(BACKENDS))})",
-                file=sys.stderr,
-            )
-            return 2
     if args.shards is not None and args.shards < 1:
         parser.error("--shards must be >= 1")
 
@@ -230,11 +201,6 @@ def main(argv: list[str] | None = None) -> int:
         shards=args.shards,
         checkpoint_dir=args.checkpoint_dir,
         pps=args.pps,
-        batch_size=args.batch_size,
-        backend=args.backend,
-        backend_retries=args.backend_retries,
-        backend_timeout=args.backend_timeout,
-        breaker_threshold=args.breaker_threshold,
     )
     telemetry = (
         ScanTelemetry() if (args.telemetry_out or args.metrics_out) else None

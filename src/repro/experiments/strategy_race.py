@@ -31,10 +31,10 @@ from typing import TYPE_CHECKING
 from ..scanner.pacing import paced_pps
 from ..scanner.sharded import ShardedScanRunner
 from ..scanner.strategies import (
+    STRATEGIES,
     StrategyEpochRow,
     build_strategy,
     run_strategy_epochs,
-    strategy_names,
 )
 from ..scanner.zmapv6 import ScanConfig
 from .base import ExperimentReport
@@ -99,7 +99,6 @@ def run_strategy_race(
     seed: int = 97,
     pps: float = 50_000.0,
     scan_duration: float = 6.0,
-    batch_size: int = 1024,
     runner: "ShardedScanRunner | None" = None,
     telemetry: "ScanTelemetry | None" = None,
     epoch_base: int = EPOCH_BASE,
@@ -113,7 +112,7 @@ def run_strategy_race(
     """
     if epochs < 1:
         raise ValueError(f"race needs at least one epoch, got {epochs}")
-    names = tuple(strategies) if strategies is not None else strategy_names()
+    names = tuple(strategies) if strategies is not None else sorted(STRATEGIES)
     race = RaceResult(epochs=epochs, budget=budget, seed=seed)
     runner = runner or ShardedScanRunner(world, shards=1)
     for name in names:
@@ -127,7 +126,6 @@ def run_strategy_race(
             scan_config=lambda index, size: ScanConfig(
                 pps=paced_pps(size, scan_duration, pps),
                 seed=seed + index,
-                batch_size=batch_size,
             ),
             epoch_base=epoch_base,
             telemetry=telemetry,

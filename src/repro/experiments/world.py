@@ -214,7 +214,6 @@ class ExperimentContext:
             shards=self.scale.survey_config.shards,
             executor=self.scale.survey_config.parallel,
             telemetry=self.telemetry,
-            max_shard_retries=self.scale.survey_config.max_shard_retries,
             checkpoint_dir=self.scale.survey_config.checkpoint_dir,
         )
 
@@ -332,7 +331,6 @@ class ExperimentContext:
             seed=config.seed,
             pps=config.pps,
             scan_duration=config.scan_duration,
-            batch_size=config.batch_size,
             runner=self.runner,
             telemetry=self.telemetry,
         )
@@ -357,16 +355,11 @@ def get_context(
     unknown name is a :class:`TypeError`, a value the config rejects a
     :class:`ValueError`).  The ones ``sra-repro`` passes: ``shards``
     overrides the automatic shard count (results are identical either
-    way; this tunes parallel scan execution only).  ``checkpoint_dir``
-    makes every campaign scan journal per (scan, epoch) there — an
-    interrupted ``sra-repro`` run resumes from those journals and
-    regenerates identical tables/figures.  ``pps``, ``batch_size``,
-    ``backend`` (deterministic simulated backends only; ``sim`` and
-    ``wire-sim`` produce identical outputs) and ``backend_retries`` /
-    ``backend_timeout`` / ``breaker_threshold`` (see
-    :class:`repro.scanner.backends.RetryPolicy`; an identity without
-    fault injection) configure the survey's scans — the re-scan and
-    strategy-race campaigns build their own ``ScanConfig``.
+    way).  ``checkpoint_dir`` makes every campaign scan journal per
+    (scan, epoch) there — an interrupted ``sra-repro`` run resumes from
+    those journals and regenerates identical tables/figures.  ``pps``
+    sets the probe rate of the survey and the strategy race; the Fig. 5/6
+    re-scans keep their own.
     """
     overrides = {
         name: value for name, value in overrides.items() if value is not None

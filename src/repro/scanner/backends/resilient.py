@@ -58,6 +58,15 @@ from ...netsim.engine import ProbeColumns
 from .base import BackendError, ProbeBackend, WrappingBackend
 
 
+#: The breaker's tuning under a policy's ``breaker_threshold``: the
+#: sliding window of final batch outcomes the failure rate is computed
+#: over, the outcomes it needs before it may open, and the seconds it
+#: stays open before a half-open trial.
+BREAKER_WINDOW = 8
+BREAKER_MIN_BATCHES = 4
+BREAKER_COOLDOWN = 1.0
+
+
 class BackendTimeoutError(BackendError):
     """A send exceeded the policy's watchdog deadline."""
 
@@ -85,15 +94,10 @@ class RetryPolicy:
     #: Per-batch watchdog deadline in wall seconds; ``None`` disables
     #: the watchdog thread entirely (direct delegation).
     timeout: float | None = None
-    #: Windowed batch failure rate in (0, 1] that opens the breaker;
+    #: Windowed batch failure rate in (0, 1] that opens the breaker
+    #: (over :data:`BREAKER_WINDOW` batches, see :class:`CircuitBreaker`);
     #: ``None`` disables the breaker.
     breaker_threshold: float | None = None
-    #: Sliding window of final batch outcomes the rate is computed over.
-    breaker_window: int = 8
-    #: Minimum outcomes in the window before the breaker may open.
-    breaker_min_batches: int = 4
-    #: Seconds the breaker stays open before a half-open trial.
-    breaker_cooldown: float = 1.0
     #: Bisect exhausted batches to isolate poison probes, up to this
     #: many levels deep (0 = quarantine the whole batch at once).
     max_split_depth: int = 2
@@ -114,17 +118,6 @@ class RetryPolicy:
             or not 0.0 < self.breaker_threshold <= 1.0
         ):
             raise ValueError("breaker_threshold must be in (0, 1]")
-        if not isinstance(self.breaker_window, int) or self.breaker_window < 1:
-            raise ValueError("breaker_window must be a positive integer")
-        if (
-            not isinstance(self.breaker_min_batches, int)
-            or self.breaker_min_batches < 1
-        ):
-            raise ValueError("breaker_min_batches must be a positive integer")
-        if not _finite(self.breaker_cooldown) or self.breaker_cooldown < 0:
-            raise ValueError(
-                "breaker_cooldown must be a finite non-negative number"
-            )
         if not isinstance(self.max_split_depth, int) or self.max_split_depth < 0:
             raise ValueError("max_split_depth must be a non-negative integer")
 
@@ -296,9 +289,9 @@ class ResilientBackend(WrappingBackend):
         if policy.breaker_threshold is not None:
             self.breaker = CircuitBreaker(
                 threshold=policy.breaker_threshold,
-                window=policy.breaker_window,
-                min_batches=policy.breaker_min_batches,
-                cooldown=policy.breaker_cooldown,
+                window=BREAKER_WINDOW,
+                min_batches=BREAKER_MIN_BATCHES,
+                cooldown=BREAKER_COOLDOWN,
                 clock=clock,
             )
 

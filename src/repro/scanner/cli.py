@@ -44,7 +44,7 @@ from .sharded import (
     auto_shard_count,
 )
 from .stream import CsvSink, JsonlSink, LazyStream, RecordSink, TeeSink
-from .strategies import build_strategy, run_strategy_epochs, strategy_names
+from .strategies import STRATEGIES, build_strategy, run_strategy_epochs
 from .targets import (
     TargetList,
     bgp_plain_targets,
@@ -122,69 +122,6 @@ def check_output_paths(paths: "list[tuple[str, str | None]]") -> str | None:
     return None
 
 
-def add_resilience_flags(parser) -> None:
-    """The backend-resilience flags of both CLIs (see
-    :class:`~repro.scanner.backends.RetryPolicy`); ``parser`` may be an
-    argument group."""
-    parser.add_argument(
-        "--backend-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry each failed backend batch up to N times (exponential "
-        "backoff) before splitting/quarantining it; any "
-        "resilience flag wraps the backend in the resilient transport "
-        "layer (default: no wrapper)",
-    )
-    parser.add_argument(
-        "--backend-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-batch watchdog deadline; a hung backend batch is "
-        "recovered and retried (default: no deadline)",
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="circuit-breaker open threshold as a batch failure rate in "
-        "(0, 1]; an open breaker quarantines batches without probing "
-        "until its cooldown expires (default: no breaker)",
-    )
-
-
-def knob_problem(args, *checks: "tuple[str, bool]") -> str | None:
-    """The first bad numeric knob as a one-line message, or None.
-
-    Checks the rate, batch and resilience flags both CLIs share, so what
-    ``ScanConfig``, ``SurveyConfig`` or ``RetryPolicy`` would raise on
-    (NaN and infinities included) never reaches them as a traceback,
-    then the caller's own ``(message, bad)`` ``checks``.
-    """
-    pps, batch, retries = args.pps, args.batch_size, args.backend_retries
-    timeout, threshold = args.backend_timeout, args.breaker_threshold
-    for message, bad in (
-        ("--pps must be positive", pps is not None and pps <= 0),
-        ("--pps must be finite", pps is not None and not math.isfinite(pps)),
-        ("--batch-size must be >= 1", batch is not None and batch < 1),
-        ("--backend-retries must be >= 0", retries is not None and retries < 0),
-        (
-            "--backend-timeout must be finite and positive",
-            timeout is not None and not 0 < timeout < math.inf,  # and not NaN
-        ),
-        (
-            "--breaker-threshold must be in (0, 1]",
-            threshold is not None and not 0 < threshold <= 1,  # and not NaN
-        ),
-        *checks,
-    ):
-        if bad:
-            return message
-    return None
-
-
 def _scan_config(args, targets: int, seed: int) -> ScanConfig:
     """The :class:`ScanConfig` of one scan, whatever the mode: paced at
     ``--pps``, or to cover ``targets`` in ``--duration`` virtual seconds."""
@@ -216,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--input-set", choices=INPUT_SETS, default="bgp-plain")
     parser.add_argument(
         "--strategy",
-        choices=strategy_names(),
+        choices=sorted(STRATEGIES),
         default=None,
         help="run a multi-epoch discovery strategy instead of a one-shot "
         "--input-set scan; adaptive strategies feed each epoch's records "
@@ -331,7 +268,33 @@ def main(argv: list[str] | None = None) -> int:
         help="retry a crashed shard up to N times on a fresh pool "
         "(bounded exponential backoff) before giving up",
     )
-    add_resilience_flags(parser)
+    parser.add_argument(
+        "--backend-retries",
+        type=int,
+        default=None,
+        metavar="N",
+        help="retry each failed backend batch up to N times (exponential "
+        "backoff) before splitting/quarantining it; any "
+        "resilience flag wraps the backend in the resilient transport "
+        "layer (default: no wrapper)",
+    )
+    parser.add_argument(
+        "--backend-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-batch watchdog deadline; a hung backend batch is "
+        "recovered and retried (default: no deadline)",
+    )
+    parser.add_argument(
+        "--breaker-threshold",
+        type=float,
+        default=None,
+        metavar="RATE",
+        help="circuit-breaker open threshold as a batch failure rate in "
+        "(0, 1]; an open breaker quarantines batches without probing "
+        "until its cooldown expires (default: no breaker)",
+    )
     parser.add_argument(
         "--world-artifact",
         metavar="PATH",
@@ -363,11 +326,28 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--summary", action="store_true", help="print totals")
     args = parser.parse_args(argv)
-    # One-line stderr + exit 2 for bad numeric knobs: these used to leak
-    # through as tracebacks (ScanConfig ValueError) or silent weird
-    # slicing (a negative --max-targets slices from the *end* of the set).
-    problem = knob_problem(
-        args,
+    # One-line stderr + exit 2 for bad numeric knobs, so what ScanConfig
+    # or RetryPolicy would raise on (NaN and infinities included) never
+    # reaches them as a traceback, and a negative --max-targets never
+    # slices from the *end* of the set.
+    pps, retries = args.pps, args.backend_retries
+    timeout, threshold = args.backend_timeout, args.breaker_threshold
+    for problem, bad in (
+        ("--pps must be positive", pps is not None and pps <= 0),
+        ("--pps must be finite", pps is not None and not math.isfinite(pps)),
+        (
+            "--batch-size must be >= 1",
+            args.batch_size is not None and args.batch_size < 1,
+        ),
+        ("--backend-retries must be >= 0", retries is not None and retries < 0),
+        (
+            "--backend-timeout must be finite and positive",
+            timeout is not None and not 0 < timeout < math.inf,  # and not NaN
+        ),
+        (
+            "--breaker-threshold must be in (0, 1]",
+            threshold is not None and not 0 < threshold <= 1,  # and not NaN
+        ),
         (
             "--duration must be finite and positive",
             not 0 < args.duration < math.inf,  # NaN fails this comparison too
@@ -378,10 +358,10 @@ def main(argv: list[str] | None = None) -> int:
             args.max_targets is not None and args.max_targets < 0,
         ),
         ("--max-shard-retries must be >= 0", args.max_shard_retries < 0),
-    )
-    if problem is not None:
-        print(f"sra-scan: {problem}", file=sys.stderr)
-        return 2
+    ):
+        if bad:
+            print(f"sra-scan: {problem}", file=sys.stderr)
+            return 2
     if args.backend not in BACKENDS:
         print(
             f"sra-scan: unknown backend {args.backend!r} "

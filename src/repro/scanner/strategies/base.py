@@ -48,10 +48,7 @@ if TYPE_CHECKING:
 __all__ = [
     "StrategyEpochRow",
     "TargetStrategy",
-    "build_strategy",
-    "register_strategy",
     "run_strategy_epochs",
-    "strategy_names",
 ]
 
 DEFAULT_BUDGET = 10_000
@@ -60,7 +57,7 @@ DEFAULT_BUDGET = 10_000
 class TargetStrategy(ABC):
     """A (possibly feedback-driven) producer of probe-target windows.
 
-    Subclasses set ``name`` (the registry key), implement
+    Subclasses set ``name`` (their ``STRATEGIES`` key), implement
     :meth:`targets_for`, and — when adaptive — override
     :meth:`observe`/:meth:`feedback_state`/:meth:`restore` as a matched
     triple.  ``budget`` caps every window's size; ``seed`` drives any
@@ -211,50 +208,3 @@ def run_strategy_epochs(
             )
         strategy.observe(result.records)
         yield row, result
-
-
-# --------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------- #
-
-_STRATEGIES: dict[str, type[TargetStrategy]] = {}
-
-
-def register_strategy(cls: type[TargetStrategy]) -> type[TargetStrategy]:
-    """Class decorator: register a strategy under its ``name``."""
-    name = cls.name
-    if not name or name == TargetStrategy.name:
-        raise ValueError(f"strategy class {cls.__name__} needs a real name")
-    _STRATEGIES[name] = cls
-    return cls
-
-
-def _ensure_builtin() -> None:
-    """Import the built-in strategy modules (they self-register)."""
-    from . import baselines, entropy, feedback  # noqa: F401
-
-
-def strategy_names() -> tuple[str, ...]:
-    """Every registered strategy name, sorted (the race's run order)."""
-    _ensure_builtin()
-    return tuple(sorted(_STRATEGIES))
-
-
-def build_strategy(
-    name: str,
-    world: "World",
-    *,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-    **kwargs,
-) -> TargetStrategy:
-    """Instantiate a registered strategy against a world."""
-    _ensure_builtin()
-    try:
-        cls = _STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown strategy {name!r}; "
-            f"choose from {', '.join(sorted(_STRATEGIES))}"
-        ) from None
-    return cls(world, seed=seed, budget=budget, **kwargs)

@@ -18,7 +18,7 @@ from ...addr.randomgen import random_targets_for_sras
 from ...datasets.tum import harvest_hitlist
 from ..stream import LazyStream, TargetStream
 from ..targets import hitlist_slash64_targets
-from .base import TargetStrategy, register_strategy
+from .base import TargetStrategy
 
 if TYPE_CHECKING:
     from ...topology.entities import World
@@ -44,7 +44,6 @@ class _HitlistSeededStrategy(TargetStrategy):
         return self._seed_targets
 
 
-@register_strategy
 class SRAAnycastStrategy(_HitlistSeededStrategy):
     """Probe each /64's subnet-router anycast address, every epoch.
 
@@ -59,7 +58,6 @@ class SRAAnycastStrategy(_HitlistSeededStrategy):
         return self._window_list(self._seeds())
 
 
-@register_strategy
 class RandomBaselineStrategy(_HitlistSeededStrategy):
     """One random in-subnet address per /64 per epoch (Fig. 5 control)."""
 

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ...addr.ipv6 import network_of
 from ...datasets.tum import harvest_hitlist
-from .base import TargetStrategy, register_strategy
+from .base import TargetStrategy
 
 if TYPE_CHECKING:
     from ...topology.entities import World
@@ -81,7 +81,6 @@ def _expand_group(values: Sequence[Sequence[int]], cap: int) -> Iterator[int]:
         yield sid
 
 
-@register_strategy
 class EntropyClusteredStrategy(TargetStrategy):
     """Low-entropy /64 expansion of seen addresses, per Beholder."""
 

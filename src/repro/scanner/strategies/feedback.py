@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from ...analysis.hitlist_feedback import contributing_prefixes
 from ...datasets.tum import published_alias_list
-from .base import register_strategy
 from .baselines import _HitlistSeededStrategy
 
 if TYPE_CHECKING:
@@ -34,7 +33,6 @@ __all__ = ["HitlistFeedbackStrategy"]
 SUBNET_ID_SPACE = 1 << 16  # /64s under one /48
 
 
-@register_strategy
 class HitlistFeedbackStrategy(_HitlistSeededStrategy):
     """Hitlist seeds, then expansion around contributing /48 prefixes."""
 

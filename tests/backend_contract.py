@@ -54,6 +54,7 @@ from repro.scanner.backends import (
     RetryPolicy,
     build_backend,
 )
+from repro.scanner.backends.resilient import BREAKER_MIN_BATCHES
 from repro.scanner.records import records_jsonl
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.zmapv6 import ScanConfig
@@ -320,9 +321,10 @@ class BackendContract:
         a half-open trial, and its success closes the breaker."""
         self._chaos_skip(backend_case)
         inner = _build(backend_case, tiny_world)
+        failures = BREAKER_MIN_BATCHES  # the fewest the breaker opens on
         faulty = FaultyBackend(
             inner,
-            FaultPlan(backend_error_batches=2, backend_error_attempts=None),
+            FaultPlan(backend_error_batches=failures, backend_error_attempts=None),
         )
         clock = [0.0]
         policy = RetryPolicy(
@@ -330,9 +332,6 @@ class BackendContract:
             backoff=0.0,
             max_split_depth=0,
             breaker_threshold=0.5,
-            breaker_window=4,
-            breaker_min_batches=2,
-            breaker_cooldown=10.0,
         )
         backend = ResilientBackend(
             faulty, policy, sleep=lambda _delay: None, clock=lambda: clock[0]
@@ -340,28 +339,30 @@ class BackendContract:
         backend.open()
         try:
             backend.new_epoch(CASE_EPOCH)
-            targets = _world_targets(tiny_world, 16)
-            batches = [targets[i : i + 4] for i in range(0, 16, 4)]
+            targets = _world_targets(tiny_world, 4 * (failures + 2))
+            batches = [targets[i : i + 4] for i in range(0, len(targets), 4)]
             times = [0.0, 0.001, 0.002, 0.003]
             send = backend.probe_columns
-            outcomes = [send(batches[0], times)]
-            assert backend.breaker.state == "closed"
-            outcomes.append(send(batches[1], times))
+            outcomes = []
+            for batch in batches[: failures - 1]:
+                outcomes.append(send(batch, times))
+                assert backend.breaker.state == "closed"
+            outcomes.append(send(batches[failures - 1], times))
             assert backend.breaker.state == "open"
             # Open breaker: quarantined without touching the transport.
-            outcomes.append(send(batches[2], times))
+            outcomes.append(send(batches[failures], times))
             assert backend.resilience.breaker_fastfails == 1
             # Cooldown expiry -> half-open trial -> success closes it.
             clock[0] = 100.0
-            outcomes.append(send(batches[3], times))
+            outcomes.append(send(batches[failures + 1], times))
             assert backend.breaker.state == "closed"
             assert backend.resilience.transitions == [
                 ("closed", "open"),
                 ("open", "half-open"),
                 ("half-open", "closed"),
             ]
-            assert [batch.n for batch in outcomes] == [4, 4, 4, 4]
-            assert backend.resilience.faulted_probes == 12
-            assert backend.resilience.quarantined_batches == 3
+            assert [batch.n for batch in outcomes] == [4] * (failures + 2)
+            assert backend.resilience.faulted_probes == 4 * (failures + 1)
+            assert backend.resilience.quarantined_batches == failures + 1
         finally:
             backend.close()

@@ -53,7 +53,7 @@ from repro.scanner.stream import (
     TargetStream,
     shard_positions,
 )
-from repro.scanner.strategies import build_strategy, strategy_names
+from repro.scanner.strategies import STRATEGIES, build_strategy
 from repro.scanner.targets import TargetList
 from repro.scanner.zmapv6 import ScanConfig
 
@@ -100,7 +100,7 @@ def _strategy_window(world, name: str, epoch: int = 0) -> TargetStream:
 def default_cases() -> list[StreamCase]:
     """Every registered strategy plus the stock stream implementations."""
     cases = []
-    for name in strategy_names():
+    for name in sorted(STRATEGIES):
         cases.append(
             StreamCase(
                 id=f"strategy-{name}",

@@ -16,7 +16,6 @@ from types import SimpleNamespace
 import pytest
 from reference_harness import row_of
 
-from repro.core.survey import SRASurvey, SurveyConfig
 from repro.netsim.engine import FLAG_REPLY, SimulationEngine
 from repro.packet.icmpv6 import ICMPv6Type
 from repro.packet.ipv6hdr import IPv6Header
@@ -31,50 +30,10 @@ from repro.scanner.backends import (
 )
 from repro.scanner.checkpoint import config_key
 from repro.scanner.cli import main as scan_main
-from repro.scanner.records import ScanResult, records_jsonl
+from repro.scanner.records import ScanResult
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
 from repro.telemetry.scan import UNMATCHED_REPLIES_TOTAL, ScanTelemetry
-
-MINI_BUDGETS = dict(
-    seed=13,
-    slash48_per_prefix=4,
-    max_bgp_48=400,
-    slash64_per_prefix=4,
-    max_bgp_64=300,
-    route6_per_prefix=2,
-    max_route6=400,
-    max_hitlist=400,
-)
-
-
-class TestMiniSurveyEquivalence:
-    """Table 2 mini-survey: wire-sim output == sim output, byte for byte."""
-
-    def _run(self, world, hitlist, alias_list, backend):
-        survey = SRASurvey(
-            world,
-            hitlist,
-            alias_list=alias_list,
-            config=SurveyConfig(**MINI_BUDGETS, backend=backend),
-        )
-        return survey.run()
-
-    def test_wire_sim_survey_matches_sim(
-        self, tiny_world, tiny_hitlist, tiny_alias_list
-    ):
-        sim = self._run(tiny_world, tiny_hitlist, tiny_alias_list, "sim")
-        wire = self._run(tiny_world, tiny_hitlist, tiny_alias_list, "wire-sim")
-        assert sim.input_sets.keys() == wire.input_sets.keys()
-        for name in sim.input_sets:
-            left = sim.input_sets[name].result
-            right = wire.input_sets[name].result
-            assert records_jsonl(left.records) == records_jsonl(
-                right.records
-            ), name
-            assert left.engine_stats == right.engine_stats, name
-            assert right.unmatched_replies == 0, name
-
 
 class TestWireSimHopLimit:
     """wire-sim probes the simulator with the hop limit decoded off the
@@ -376,19 +335,28 @@ class TestCliValidation:
             ["--targets-file", str(targets)], capsys, "--backend raw"
         )
 
-    def test_repro_rejects_raw(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--backend", "raw"],
+            ["--backend", "nope"],
+            ["--backend", "wire-sim"],
+            ["--batch-size", "64"],
+            ["--backend-retries", "1"],
+            ["--backend-timeout", "5"],
+            ["--breaker-threshold", "0.5"],
+        ],
+    )
+    def test_repro_has_no_backend_or_batch_flag(self, argv, capsys):
+        """Experiments reproduce the paper on the simulator's default
+        backend, batch size and retry policy: ``sra-repro`` takes none
+        of those flags."""
         from repro.experiments.runner import main as repro_main
 
-        assert repro_main(["--backend", "raw", "--list"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("sra-repro: ")
-        assert "simulator" in err
-
-    def test_repro_rejects_unknown_backend(self, capsys):
-        from repro.experiments.runner import main as repro_main
-
-        assert repro_main(["--backend", "nope", "--list"]) == 2
-        assert "unknown backend" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            repro_main([*argv, "--list"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _raw_socket_available() -> bool:

@@ -156,11 +156,12 @@ def test_a_pooled_survey_leaves_only_the_pool(world):
         max_bgp_64=2_000,
         max_route6=2_000,
         max_hitlist=2_000,
-        telemetry=True,
         shards=2,
         parallel="process",
     )
-    survey = SRASurvey(world, hitlist, alias_list=aliases, config=config)
+    survey = SRASurvey(
+        world, hitlist, alias_list=aliases, config=config, telemetry=ScanTelemetry()
+    )
     garbage = cyclic_garbage(survey.run)
     assert len(garbage) < SCAN_GARBAGE_BOUND, Counter(map(type, garbage))
 

@@ -356,12 +356,25 @@ class TestCampaignsEnterThroughTheRunner:
 
     @pytest.mark.parametrize(
         "campaign",
-        [run_sra_vs_random, run_stability, run_visibility, run_direct_discovery],
+        [
+            run_sra_vs_random,
+            run_stability,
+            run_visibility,
+            run_direct_discovery,
+            pytest.param(
+                lambda world, _targets, **knobs: run_strategy_race(world, **knobs),
+                id="run_strategy_race",
+            ),
+        ],
     )
-    @pytest.mark.parametrize("knob", ["max_shard_retries", "checkpoint_dir"])
+    @pytest.mark.parametrize(
+        "knob", ["max_shard_retries", "checkpoint_dir", "batch_size"]
+    )
     def test_recovery_is_configured_on_the_runner(
         self, tiny_world, campaign, knob
     ):
+        """Recovery is the runner's; the batch size, which no output byte
+        depends on, is no campaign's (scans run ScanConfig's default)."""
         with pytest.raises(TypeError, match=knob):
             campaign(tiny_world, [], **{knob: 1})
 

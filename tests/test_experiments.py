@@ -40,29 +40,38 @@ class TestRunnerPlumbing:
         assert get_context("quick", shards=None, pps=None) is get_context("quick")
 
     def test_context_overrides_are_survey_config_fields(self):
-        context = get_context("quick", batch_size=64, backend_retries=1)
-        assert context is get_context("quick", backend_retries=1, batch_size=64)
+        context = get_context("quick", pps=900.0, shards=3)
+        assert context is get_context("quick", shards=3, pps=900.0)
         assert context is not get_context("quick")
         config = context.scale.survey_config
-        assert (config.batch_size, config.backend_retries) == (64, 1)
+        assert (config.pps, config.shards) == (900.0, 3)
         assert config.max_hitlist == quick_scale().survey_config.max_hitlist
         with pytest.raises(TypeError, match="warp_factor"):
             get_context("quick", warp_factor=9)
 
     @pytest.mark.parametrize(
+        "name",
+        [
+            "batch_size", "backend", "backend_retries", "backend_timeout",
+            "breaker_threshold", "max_shard_retries", "telemetry",
+        ],
+    )
+    def test_removed_dial_is_not_a_survey_field(self, name):
+        """Execution dials no output byte depends on are not survey
+        fields: neither the config nor a context override takes them."""
+        with pytest.raises(TypeError, match=name):
+            SurveyConfig(**{name: 1})
+        with pytest.raises(TypeError, match=name):
+            get_context("quick", **{name: 1})
+
+    @pytest.mark.parametrize(
         "override",
         [
             {"pps": 0.0},
+            {"pps": -5.0},
             {"pps": float("nan")},
-            {"batch_size": 0},
-            {"backend_retries": -1},
-            {"backend_timeout": 0.0},
-            {"breaker_threshold": 1.5},
             {"shards": 0},
             {"parallel": "thread"},
-            {"max_shard_retries": -1},
-            {"backend": "nope"},
-            {"backend": "raw"},
         ],
     )
     def test_bad_override_fails_at_construction(self, override):

@@ -341,7 +341,7 @@ class TestCLIs:
         [
             (["--pps", "0"], "--pps must be positive"),
             (["--pps", "-1"], "--pps must be positive"),
-            (["--batch-size", "0"], "--batch-size must be >= 1"),
+            (["--pps", "nan"], "--pps must be finite"),
         ],
     )
     def test_sra_repro_rejects_bad_knobs(self, capsys, flags, message):

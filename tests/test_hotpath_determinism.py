@@ -297,7 +297,7 @@ class TestBatchPathEquivalence:
 
 
 class TestFig5Determinism:
-    """Fig. 5 campaign: chunks of one vs batched vs sharded."""
+    """Fig. 5 campaign: serial vs sharded vs fanned out."""
 
     @pytest.fixture(scope="class")
     def sra_targets(self, tiny_hitlist):
@@ -308,13 +308,6 @@ class TestFig5Determinism:
         return [
             scan_snapshot(scan.result) for scan in series.sra + series.random
         ]
-
-    def test_batched_matches_single_probe(self, tiny_world, sra_targets):
-        single = self._series_snapshots(tiny_world, sra_targets, batch_size=1)
-        batched = self._series_snapshots(
-            tiny_world, sra_targets, batch_size=512
-        )
-        assert batched == single
 
     @pytest.mark.parametrize("shards", [4, 8])
     def test_sharded_matches_serial(self, tiny_world, sra_targets, shards):
@@ -338,7 +331,7 @@ class TestFig5Determinism:
 
 class TestTable2Determinism:
     """Table 2 survey: discovered router-IP sets and EngineStats are
-    invariant under batching and 1/4/8-way sharding."""
+    invariant under 1/4/8-way sharding."""
 
     BUDGETS = dict(
         seed=13,
@@ -358,27 +351,10 @@ class TestTable2Determinism:
         )
         return survey.run()
 
-    def _snapshots(self, survey_result):
-        return {
-            name: scan_snapshot(result.result)
-            for name, result in survey_result.input_sets.items()
-        }
-
     @pytest.fixture(scope="class")
     def baseline(self, tiny_world, tiny_hitlist, tiny_alias_list):
-        """The chunk-of-one, single-shard survey everything must match."""
-        return self._run(
-            tiny_world, tiny_hitlist, tiny_alias_list, batch_size=1
-        )
-
-    def test_batched_survey_matches(
-        self, tiny_world, tiny_hitlist, tiny_alias_list, baseline
-    ):
-        batched = self._run(
-            tiny_world, tiny_hitlist, tiny_alias_list, batch_size=256
-        )
-        assert self._snapshots(batched) == self._snapshots(baseline)
-        assert batched.table2_rows() == baseline.table2_rows()
+        """The single-shard survey everything must match."""
+        return self._run(tiny_world, tiny_hitlist, tiny_alias_list)
 
     @pytest.mark.parametrize("shards", [4, 8])
     def test_sharded_survey_matches(

@@ -254,8 +254,7 @@ class TestKernelAgainstReference:
 
 def reference_trace(model, target, *, time, probe_id_base, probes_per_hop, max_hops=32):
     """Traceroute's stop rules, in its order, over the reference model's
-    answers: ``(hops, reached, loop_detected, destination_source, why it
-    stopped)``, each hop ``(ttl, source, icmp_type)``."""
+    answers: ``(hops, reached, destination_source, why it stopped)``, each hop ``(ttl, source, icmp_type)``."""
     hops = []
     for ttl in range(1, max_hops + 1):
         for attempt in range(probes_per_hop):
@@ -270,20 +269,16 @@ def reference_trace(model, target, *, time, probe_id_base, probes_per_hop, max_h
         else:
             hops.append((ttl, None, None))
             if len(hops) >= 3 and all(source is None for _, source, _ in hops[-3:]):
-                return hops, False, False, None, "gap"
+                return hops, False, None, "gap"
             continue
         source = answer.source
         hops.append((ttl, source, answer.icmp_type))
         if answer.icmp_type != EXCEEDED:
             reached = answer.icmp_type == ECHO
-            return hops, reached, False, source, "echo" if reached else "error"
+            return hops, reached, source, "echo" if reached else "error"
         if len(hops) >= 2 and hops[-2][1] == source:
-            return hops, False, False, None, "repeat"
-        if len(hops) >= 4:
-            a, b, c, d = (source for _, source, _ in hops[-4:])
-            if None not in (a, b) and a == c and b == d and a != b:
-                return hops, False, True, None, "alternation"
-    return hops, False, False, None, "max hops"
+            return hops, False, None, "repeat"
+    return hops, False, None, "max hops"
 
 
 class TestTracerouteAgainstReference:
@@ -318,7 +313,6 @@ class TestTracerouteAgainstReference:
             assert [
                 [(hop.ttl, hop.source, hop.icmp_type) for hop in trace.hops],
                 trace.reached,
-                trace.loop_detected,
                 trace.destination_source,
             ] == expected, hex(target)
             endings[why] += 1

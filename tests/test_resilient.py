@@ -54,6 +54,11 @@ from repro.scanner.checkpoint import (
     ScanCheckpoint,
     config_key,
 )
+from repro.scanner.backends.resilient import (
+    BREAKER_COOLDOWN,
+    BREAKER_MIN_BATCHES,
+    BREAKER_WINDOW,
+)
 from repro.scanner.backends.sim import SimBackend
 from repro.scanner.backends.wiresim import WireSimBackend
 from repro.scanner.records import ScanResult, merge_results, records_jsonl
@@ -177,9 +182,6 @@ class PoisonBackend(ScriptedBackend):
         {"breaker_threshold": 0.0},
         {"breaker_threshold": 1.5},
         {"breaker_threshold": float("nan")},
-        {"breaker_window": 0},
-        {"breaker_min_batches": 0},
-        {"breaker_cooldown": -1.0},
         {"max_split_depth": -1},
     ],
 )
@@ -188,26 +190,12 @@ def test_policy_rejects_bad_knobs(kwargs):
         RetryPolicy(**kwargs)
 
 
-def test_from_knobs_is_none_when_all_unset_else_the_policy():
-    """What ``sra-scan``'s flags and ``SurveyConfig``'s fields both build."""
-    from repro.core.survey import SurveyConfig
-
-    assert RetryPolicy.from_knobs(0, None, None) is None
-    assert SurveyConfig(seed=9).resilience_policy() is None
-    for retries, timeout, threshold in [(2, None, None), (0, 1.5, None), (0, None, 0.5)]:
-        expected = RetryPolicy(
-            max_retries=retries, timeout=timeout, breaker_threshold=threshold
-        )
-        assert RetryPolicy.from_knobs(retries, timeout, threshold) == expected
-        config = SurveyConfig(
-            seed=9,
-            backend_retries=retries,
-            backend_timeout=timeout,
-            breaker_threshold=threshold,
-        )
-        assert config.resilience_policy() == expected
-    with pytest.raises(ValueError, match="max_retries"):
-        RetryPolicy.from_knobs(-1, None, None)
+@pytest.mark.parametrize(
+    "name", ["breaker_window", "breaker_min_batches", "breaker_cooldown"]
+)
+def test_breaker_tuning_is_not_a_policy_field(name):
+    with pytest.raises(TypeError, match=name):
+        RetryPolicy(**{name: 1})
 
 
 def test_policy_is_picklable_and_hashable():
@@ -276,23 +264,55 @@ def test_exhausted_batch_records_last_error():
 
 
 def test_open_breaker_fast_fails_without_touching_the_backend():
-    inner = ScriptedBackend(script=["fail", "fail"])
+    failures = BREAKER_MIN_BATCHES  # the fewest the breaker opens on
+    inner = ScriptedBackend(script=["fail"] * failures)
     policy = RetryPolicy(
-        max_retries=0, backoff=0.0, max_split_depth=0,
-        breaker_threshold=0.5, breaker_window=4, breaker_min_batches=2,
-        breaker_cooldown=10.0,
+        max_retries=0, backoff=0.0, max_split_depth=0, breaker_threshold=0.5
     )
     backend = ResilientBackend(
         inner, policy, sleep=lambda _d: None, clock=lambda: 0.0
     )
-    for _ in range(3):
+    for _ in range(failures + 1):
         assert send(backend) == [None] * len(TARGETS)
     assert backend.breaker.state == "open"
-    assert inner.calls == 2, "the third batch never reached the backend"
+    assert inner.calls == failures, "the last batch never reached the backend"
     assert backend.resilience.breaker_fastfails == 1
     assert [fault.reason for fault in backend.resilience.faults] == [
-        "exhausted", "exhausted", "breaker-open",
+        *["exhausted"] * failures, "breaker-open",
     ]
+
+
+def test_resilient_breaker_takes_the_module_tuning():
+    backend = ResilientBackend(
+        ScriptedBackend(script=[]), RetryPolicy(breaker_threshold=0.5)
+    )
+    breaker = backend.breaker
+    assert breaker._window.maxlen == BREAKER_WINDOW
+    assert breaker.min_batches == BREAKER_MIN_BATCHES
+    assert breaker.cooldown == BREAKER_COOLDOWN
+    assert ResilientBackend(ScriptedBackend(script=[]), RetryPolicy()).breaker is None
+
+
+def test_open_breaker_half_opens_after_the_module_cooldown():
+    failures = BREAKER_MIN_BATCHES
+    clock = [0.0]
+    inner = ScriptedBackend(script=["fail"] * failures + ["ok"])
+    policy = RetryPolicy(
+        max_retries=0, backoff=0.0, max_split_depth=0, breaker_threshold=0.5
+    )
+    backend = ResilientBackend(
+        inner, policy, sleep=lambda _d: None, clock=lambda: clock[0]
+    )
+    for _ in range(failures):
+        send(backend)
+    assert backend.breaker.state == "open"
+    clock[0] = BREAKER_COOLDOWN / 2
+    assert send(backend) == [None] * len(TARGETS)
+    assert inner.calls == failures, "still cooling down: fast-failed"
+    clock[0] = BREAKER_COOLDOWN
+    assert None not in send(backend)
+    assert inner.calls == failures + 1, "the half-open trial ran"
+    assert backend.breaker.state == "closed"
 
 
 # ---------------- watchdog deadline ---------------- #
@@ -458,9 +478,6 @@ POLICY_CHANGES = {
     "backoff_cap": 6.0,
     "timeout": 1.0,
     "breaker_threshold": 0.5,
-    "breaker_window": 9,
-    "breaker_min_batches": 5,
-    "breaker_cooldown": 2.0,
     "max_split_depth": 3,
 }
 
@@ -507,9 +524,15 @@ def _cli_main(prog):
     return main
 
 
-# Both CLIs take these flags from one definition and refuse what
-# RetryPolicy / SurveyConfig would raise on.
-_SHARED_BAD_FLAGS = [
+# sra-scan refuses what RetryPolicy / ScanConfig would raise on;
+# sra-repro has no resilience flags and checks only its rate.
+_BAD_RATES = [
+    (["--pps", "0"], "--pps"),
+    (["--pps", "-1"], "--pps"),
+    (["--pps", "nan"], "--pps"),
+    (["--pps", "inf"], "--pps"),
+]
+_BAD_SCAN_FLAGS = [
     (["--backend-retries", "-1"], "--backend-retries"),
     (["--backend-timeout", "0"], "--backend-timeout"),
     (["--backend-timeout", "-3"], "--backend-timeout"),
@@ -518,18 +541,14 @@ _SHARED_BAD_FLAGS = [
     (["--breaker-threshold", "0"], "--breaker-threshold"),
     (["--breaker-threshold", "1.5"], "--breaker-threshold"),
     (["--breaker-threshold", "nan"], "--breaker-threshold"),
-    (["--pps", "nan"], "--pps"),
-    (["--pps", "inf"], "--pps"),
+    *_BAD_RATES,
 ]
 
 
 @pytest.mark.parametrize(
     "prog, argv, fragment",
-    [
-        (prog, argv, fragment)
-        for prog in ("sra-scan", "sra-repro")
-        for argv, fragment in _SHARED_BAD_FLAGS
-    ]
+    [("sra-scan", argv, fragment) for argv, fragment in _BAD_SCAN_FLAGS]
+    + [("sra-repro", argv, fragment) for argv, fragment in _BAD_RATES]
     + [("sra-scan", ["--max-shard-retries", "-1"], "--max-shard-retries")],
 )
 def test_cli_rejects_bad_resilience_flags(prog, argv, fragment, capsys):
@@ -541,7 +560,7 @@ def test_cli_rejects_bad_resilience_flags(prog, argv, fragment, capsys):
 
 
 class _Built(Exception):
-    """Stops a CLI once it has built its scan or survey config."""
+    """Stops ``sra-scan`` once it has built its scan config."""
 
 
 @pytest.mark.parametrize(
@@ -560,14 +579,9 @@ class _Built(Exception):
     ],
 )
 def test_cli_flags_build_the_same_configs(argv, knobs, tiny_world, monkeypatch):
-    """Each CLI turns the flags into the RetryPolicy / SurveyConfig it
-    always has: no wrapper when every knob is unset, else exactly the
-    knobs given."""
-    import repro.experiments.runner as runner
+    """``sra-scan`` turns the flags into the RetryPolicy it always has:
+    no wrapper when every knob is unset, else exactly the knobs given."""
     import repro.scanner.cli as cli
-    from dataclasses import replace
-
-    from repro.experiments.world import quick_scale
 
     expected = None if knobs is None else RetryPolicy.from_knobs(*knobs)
     built = []
@@ -584,25 +598,6 @@ def test_cli_flags_build_the_same_configs(argv, knobs, tiny_world, monkeypatch):
     assert built[0].retry_policy == expected
     if "--pps" in argv:
         assert (built[0].pps, built[0].batch_size) == (900.0, 7)
-
-    real_get_context = runner.get_context
-
-    def get_context(*args, **kwargs):
-        built.append(real_get_context(*args, **kwargs).scale.survey_config)
-        raise _Built
-
-    monkeypatch.setattr(runner, "get_context", get_context)
-    with pytest.raises(_Built):
-        runner.main(["table2", *argv])
-    retries, timeout, threshold = knobs or (0, None, None)
-    overrides = dict(
-        backend_retries=retries, backend_timeout=timeout, breaker_threshold=threshold
-    )
-    if "--pps" in argv:
-        overrides.update(pps=900.0, batch_size=7)
-    survey_config = replace(quick_scale(2024).survey_config, **overrides)
-    assert built[1] == survey_config
-    assert (built[1].resilience_policy() is None) == (expected is None)
 
 
 def test_scan_cli_accepts_resilience_flags(tmp_path, capsys):
@@ -873,14 +868,15 @@ def _assert_transient(
 LOSSY = {
     # Echo replies never arrive; errors do.
     "blackhole": (FaultPlan(backend_blackhole=True), RetryPolicy(max_retries=1)),
-    # Two dead batches open the breaker, which never cools down: the rest
-    # of every shard fast-fails without touching the transport.
+    # The fewest dead batches that open the breaker, which never cools
+    # down on the frozen clock: the rest of every shard fast-fails
+    # without touching the transport.
     "breaker-open": (
-        FaultPlan(backend_error_batches=2, backend_error_attempts=None),
+        FaultPlan(
+            backend_error_batches=BREAKER_MIN_BATCHES, backend_error_attempts=None
+        ),
         RetryPolicy(
-            max_retries=0, backoff=0.0, max_split_depth=0,
-            breaker_threshold=0.5, breaker_window=4, breaker_min_batches=2,
-            breaker_cooldown=1e9,
+            max_retries=0, backoff=0.0, max_split_depth=0, breaker_threshold=0.5
         ),
     ),
     # One dead shard transport, retried, bisected, quarantined.
@@ -891,13 +887,26 @@ LOSSY = {
 }
 
 
+class FrozenClockResilientBackend(ResilientBackend):
+    """The scanner's wrapper on a frozen clock: an open breaker stays open
+    however long the scan takes."""
+
+    def __init__(self, inner, policy):
+        super().__init__(inner, policy, clock=lambda: 0.0)
+
+
+# A batch of 16 leaves every one of four shards more batches than the
+# breaker needs to open.
 @pytest.mark.parametrize("shards", [1, 4])
-@pytest.mark.parametrize("batch_size", [1, 64])
+@pytest.mark.parametrize("batch_size", [1, 16])
 @pytest.mark.parametrize("scenario", sorted(LOSSY))
 def test_lossy_scenarios_match_across_backends(
-    tiny_world, scenario_targets, scenario, batch_size, shards,
+    tiny_world, scenario_targets, scenario, batch_size, shards, monkeypatch,
 ):
     plan, policy = LOSSY[scenario]
+    monkeypatch.setattr(
+        "repro.scanner.zmapv6.ResilientBackend", FrozenClockResilientBackend
+    )
     clean, clean_result, _ = _scenario_scan(
         tiny_world, scenario_targets, backend="sim", shards=shards,
         batch_size=batch_size, plan=None, policy=None,

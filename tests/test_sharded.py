@@ -50,6 +50,7 @@ from repro.scanner.targets import (
     bgp_slash48_targets,
 )
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
+from repro.telemetry.scan import ScanTelemetry
 
 
 @pytest.fixture(scope="module")
@@ -1043,10 +1044,11 @@ def survey_of(world, hitlist, alias_list, **knobs):
         max_bgp_64=2_000,
         max_route6=2_000,
         max_hitlist=2_000,
-        telemetry=True,
         **knobs,
     )
-    return SRASurvey(world, hitlist, alias_list=alias_list, config=config)
+    return SRASurvey(
+        world, hitlist, alias_list=alias_list, config=config, telemetry=ScanTelemetry()
+    )
 
 
 def per_scan_survey(survey, times=1):

@@ -18,13 +18,11 @@ import pytest
 
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.strategies import (
+    STRATEGIES,
     Telescope,
     TelescopeReport,
     build_strategy,
-    register_strategy,
-    strategy_names,
 )
-from repro.scanner.strategies.base import TargetStrategy
 from repro.scanner.strategies.entropy import nybble_entropy, subnet_id_of
 from repro.scanner.zmapv6 import ScanConfig
 from repro.experiments.strategy_race import (
@@ -43,12 +41,13 @@ def serial_race(tiny_world):
 
 class TestRegistry:
     def test_builtin_strategies_registered(self):
-        assert strategy_names() == (
+        assert sorted(STRATEGIES) == [
             "entropy-clustered",
             "hitlist-feedback",
             "random-baseline",
             "sra-anycast",
-        )
+        ]
+        assert all(cls.name == name for name, cls in STRATEGIES.items())
 
     def test_unknown_strategy_raises(self, tiny_world):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -57,14 +56,6 @@ class TestRegistry:
     def test_bad_budget_raises(self, tiny_world):
         with pytest.raises(ValueError, match="budget"):
             build_strategy("sra-anycast", tiny_world, budget=0)
-
-    def test_register_requires_real_name(self):
-        with pytest.raises(ValueError, match="real name"):
-
-            @register_strategy
-            class Nameless(TargetStrategy):  # noqa: F811 - test local
-                def targets_for(self, epoch):
-                    return []
 
     def test_static_strategy_rejects_foreign_state(self, tiny_world):
         strategy = build_strategy("sra-anycast", tiny_world, budget=10)
@@ -75,7 +66,7 @@ class TestRegistry:
 
 class TestWindows:
     def test_windows_respect_budget_and_dedup(self, tiny_world):
-        for name in strategy_names():
+        for name in sorted(STRATEGIES):
             strategy = build_strategy(name, tiny_world, seed=5, budget=150)
             for epoch in (0, 1):
                 window = list(strategy.window(epoch))
@@ -83,7 +74,7 @@ class TestWindows:
                 assert len(set(window)) == len(window), (name, epoch)
 
     def test_windows_are_deterministic_per_instance(self, tiny_world):
-        for name in strategy_names():
+        for name in sorted(STRATEGIES):
             first = build_strategy(name, tiny_world, seed=5, budget=100)
             second = build_strategy(name, tiny_world, seed=5, budget=100)
             assert list(first.window(0)) == list(second.window(0)), name
@@ -218,12 +209,10 @@ class TestRace:
         seen = {(row.strategy, row.epoch) for row in serial_race.rows}
         assert seen == {
             (name, epoch)
-            for name in strategy_names()
+            for name in sorted(STRATEGIES)
             for epoch in range(RACE_KW["epochs"])
         }
-        assert {s.strategy for s in serial_race.summaries} == set(
-            strategy_names()
-        )
+        assert {s.strategy for s in serial_race.summaries} == set(STRATEGIES)
 
     def test_sra_wins_the_race(self, serial_race):
         """The paper's claim, at test scale: SRA probing discovers at
@@ -247,10 +236,8 @@ class TestRace:
         lines = serial_race.to_table_jsonl().splitlines()
         rows = [json.loads(line) for line in lines]
         kinds = [row["kind"] for row in rows]
-        expected_epochs = len(strategy_names()) * RACE_KW["epochs"]
-        assert kinds == ["epoch"] * expected_epochs + ["summary"] * len(
-            strategy_names()
-        )
+        expected_epochs = len(STRATEGIES) * RACE_KW["epochs"]
+        assert kinds == ["epoch"] * expected_epochs + ["summary"] * len(STRATEGIES)
         assert format_race_table(serial_race).count("\n") >= len(lines)
 
     def test_bad_epochs_raises(self, tiny_world):
@@ -301,7 +288,7 @@ class TestRaceExperiment:
         assert report.data["table_jsonl"]
         assert "sra-anycast" in report.text
         rows = report.data["rows"]
-        assert len(rows) == len(strategy_names()) * quick_context.scale.race_epochs
+        assert len(rows) == len(STRATEGIES) * quick_context.scale.race_epochs
 
     def test_report_artifacts_written(self, quick_context, tmp_path):
         from repro.experiments.runner import (

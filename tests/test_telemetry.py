@@ -390,7 +390,7 @@ class TestShardedTelemetry:
 
 
 class TestSurveyTelemetry:
-    def test_survey_config_creates_facade_and_covers_all_input_sets(
+    def test_survey_telemetry_covers_all_input_sets(
         self, tiny_world, tiny_hitlist, tiny_alias_list
     ):
         config = SurveyConfig(
@@ -402,14 +402,16 @@ class TestSurveyTelemetry:
             route6_per_prefix=2,
             max_route6=400,
             max_hitlist=400,
-            telemetry=True,
             shards=1,
             parallel="serial",
         )
         survey = SRASurvey(
-            tiny_world, tiny_hitlist, alias_list=tiny_alias_list, config=config
+            tiny_world,
+            tiny_hitlist,
+            alias_list=tiny_alias_list,
+            config=config,
+            telemetry=ScanTelemetry(),
         )
-        assert survey.telemetry is not None
         survey.run()
         scans = {
             e["scan"]

@@ -13,6 +13,7 @@ Regenerate deliberately (after verifying the change is intended) with::
 from pathlib import Path
 
 from repro.core.survey import SRASurvey, SurveyConfig
+from repro.telemetry.scan import ScanTelemetry
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 EVENTS_GOLDEN = GOLDEN_DIR / "table2_mini.events.jsonl"
@@ -29,7 +30,6 @@ MINI_BUDGETS = dict(
     route6_per_prefix=2,
     max_route6=600,
     max_hitlist=600,
-    telemetry=True,
     progress_every=200,
     shards=1,
     parallel="serial",
@@ -43,6 +43,7 @@ def run_mini_survey(world, hitlist, alias_list):
         hitlist,
         alias_list=alias_list,
         config=SurveyConfig(**MINI_BUDGETS),
+        telemetry=ScanTelemetry(),
     )
     survey.run()
     return survey.telemetry
