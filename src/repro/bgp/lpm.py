@@ -11,9 +11,13 @@ A block-cache miss runs :mod:`repro.bgp.blockcache`'s one miss path,
 shared with :class:`~repro.bgp.frozenfib.FrozenLPM`: a ``dict.get`` in
 the longest row, else a ``bisect_right`` in the disjoint address ranges
 :func:`repro.bgp.frozenfib.flatten` makes of the shorter rows; this class
-supplies only that data (``_miss_path``).  Every ``insert`` / ``remove``
-drops the range table (and the cache); the next lookup rebuilds it,
-linear (plus a sort) in the entries *below the longest row*.  That
+supplies only that data (``_miss_path``).  Every ``remove`` drops the
+range table and the cache, and so does every ``insert`` except one at a
+stored length while neither exists (no lookup since the last drop):
+that one leaves the block shift as it was and has nothing stale to
+drop, so building a world pays no drop per subnet.  The next lookup
+rebuilds the range table, linear (plus a sort) in the entries *below
+the longest row*.  That
 assumes those are few and that mutations come in runs — build, then scan
 — as in generated worlds (see :mod:`repro.bgp.frozenfib`).  A table
 mutated between every two lookups, or one whose longest row is the
@@ -63,7 +67,10 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
             # Lookup rows reference the table dict, so only a new length
             # needs a rebuild (after populating — empty tables are pruned).
             self._rebuild_tables()
-        self._mutated()
+        if new_length or self._path is not None or self._cache:
+            # At a stored length the block shift stays: only a built range
+            # table or a cached block can be stale.
+            self._mutated()
 
     def remove(self, prefix: IPv6Prefix) -> bool:
         table = self._by_length.get(prefix.length)

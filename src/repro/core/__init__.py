@@ -1,7 +1,6 @@
 """The paper's contribution: SRA survey orchestration and method comparisons."""
 
 from .aliasfilter import AliasFilterStats, filter_aliased, is_self_reply
-from .campaign import CampaignReport, MeasurementPlan, run_measurement_plan
 from .probing import (
     ComparisonSeries,
     MethodScan,
@@ -23,8 +22,6 @@ from .survey import (
 
 __all__ = [
     "AliasFilterStats",
-    "CampaignReport",
-    "MeasurementPlan",
     "ComparisonSeries",
     "INPUT_SET_NAMES",
     "InputSetResult",
@@ -37,7 +34,6 @@ __all__ = [
     "filter_aliased",
     "is_self_reply",
     "run_direct_discovery",
-    "run_measurement_plan",
     "run_sra_vs_random",
     "run_stability",
     "run_visibility",

@@ -15,11 +15,12 @@ reproduce its *statistical* role:
 
 from __future__ import annotations
 
-import random
+from random import Random
 
 from ..hitlist.aliases import AliasedPrefixList
 from ..hitlist.hitlist import Hitlist
 from ..topology.entities import World
+from ..topology.generator import _randbelow
 
 
 def harvest_hitlist(
@@ -47,25 +48,31 @@ def harvest_hitlist(
         raise ValueError("stale_fraction must be in [0, 1)")
     if not 0 <= router_fraction < 1:
         raise ValueError("router_fraction must be in [0, 1)")
-    rng = random.Random(seed)
+    rng = Random(seed)
+    random = rng.random
+    getrandbits = rng.getrandbits
     hitlist = Hitlist(name=name)
-    for subnet in world.subnets.values():
+    add = hitlist.add
+    subnets = world.subnets.values()
+    for subnet in subnets:
         for host in subnet.hosts:
-            if rng.random() < coverage:
-                hitlist.add(host)
+            if random() < coverage:
+                add(host)
     if router_fraction:
-        for subnet in world.subnets.values():
-            if rng.random() < router_fraction:
-                hitlist.add(subnet.router_interface)
+        for subnet in subnets:
+            if random() < router_fraction:
+                add(subnet.router_interface)
     live_count = len(hitlist)
     stale_count = int(live_count * stale_fraction / (1 - stale_fraction))
-    announcements = world.bgp.prefixes()
+    # rng.choice(announcements), then rng.randrange(1, 1 << free_bits)
+    # inside it, as the (network, range width) pairs computed once.
+    spans = [(p.network, (1 << (128 - p.length)) - 1) for p in world.bgp.prefixes()]
+    if any(width == 0 for _, width in spans):
+        raise ValueError("a /128 announcement has no stale address to draw")
     added = 0
-    while added < stale_count and announcements:
-        prefix = rng.choice(announcements)
-        free_bits = 128 - prefix.length
-        address = prefix.network | rng.randrange(1, 1 << free_bits)
-        if hitlist.add(address):
+    while added < stale_count and spans:
+        network, width = spans[_randbelow(getrandbits, len(spans))]
+        if add(network | (1 + _randbelow(getrandbits, width))):
             added += 1
     return hitlist
 
@@ -83,7 +90,7 @@ def published_alias_list(
     """
     if not 0 <= recall <= 1:
         raise ValueError("recall must be in [0, 1]")
-    rng = random.Random(seed)
+    rng = Random(seed)
     alias_list = AliasedPrefixList()
     for region in world.alias_regions:
         if rng.random() < recall:

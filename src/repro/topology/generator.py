@@ -22,10 +22,12 @@ reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import math
-import random
+from random import Random
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from math import exp, log
 from pathlib import Path
 
 import networkx as nx
@@ -54,6 +56,62 @@ _INFRA_SLASH48_INDEX = 0xFFFF
 _ALIAS_INDEX_RANGE = (0x4000, 0x7FFF)
 _LOOP_INDEX_RANGE = (0x8000, 0xFEFF)
 _ACTIVE_CLUSTER_SLASH48 = 8  # active subnets cluster in the first /48s
+_IFACE_IIDS = (1, 1, 1, 2, 0xFE)  # a subnet's router interface IID
+# expovariate rates of the /64 placement: each draw divides by one of
+# these floats, as Random.expovariate does (1 / 6.0 is inexact, so a
+# multiplication by 6 would draw other worlds).
+_SLASH64_IN_LONG_RATE = 1 / 8.0
+_SLASH48_CLUSTER_RATE = 1 / 6.0
+_SLASH64_IN_48_RATE = 1 / 2.0
+
+
+def _randbelow(getrandbits, n: int) -> int:
+    """``Random.randrange(n)`` from the bound ``getrandbits``: CPython's
+    ``Random._randbelow_with_getrandbits``, the same calls in the same
+    order, so ``randrange(a, b)`` is ``a + _randbelow(g, b - a)`` and
+    ``choice(seq)`` is ``seq[_randbelow(g, len(seq))]``, without their
+    argument checks."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _random_slash64(prefix: IPv6Prefix, random, getrandbits) -> int:
+    """A /64 network inside ``prefix``, drawn with the bound ``random`` /
+    ``getrandbits`` of the builder's generator.
+
+    Allocation mimics operational practice: customer /48s are drawn
+    half from a dense low-index cluster (sequential assignment) and
+    half spread across the whole announcement (regional/PoP split),
+    while the /64 index *within* a /48 is strongly low-biased — the
+    first /64 of an assignment is the one most likely in use.  The
+    spread component is what gives the enumerating/sampling /48 scans
+    a realistic, density-proportional hit rate.  Each
+    ``-log(1.0 - random()) / rate`` is ``Random.expovariate(rate)``.
+    """
+    length = prefix.length
+    if length >= 64:
+        return prefix.network
+    if length > 48:
+        index = int(-log(1.0 - random()) / _SLASH64_IN_LONG_RATE)
+        return prefix.network | (min((1 << (64 - length)) - 1, index) << 64)
+    slash48_span = 1 << (48 - length)
+    if random() < 0.5:
+        slash48 = int(-log(1.0 - random()) / _SLASH48_CLUSTER_RATE)
+        if slash48 >= slash48_span:
+            slash48 = slash48_span - 1
+    else:
+        slash48 = _randbelow(getrandbits, slash48_span)
+    slash64 = int(-log(1.0 - random()) / _SLASH64_IN_48_RATE)
+    if slash64 > 0xFFFF:
+        slash64 = 0xFFFF
+    elif slash64 == 0 and slash48 == 0:
+        # The announcement's subnet zero is governed by the explicit
+        # subnet_zero_active_probability coin, not by random placement.
+        slash64 = 1
+    return prefix.network | (slash48 << 80) | (slash64 << 64)
 
 
 @dataclass(slots=True)
@@ -82,7 +140,7 @@ class WorldBuilder:
         self, config: WorldConfig, *, artifact_writer=None
     ) -> None:
         self.config = config
-        self.rng = random.Random(config.seed)
+        self.rng = Random(config.seed)
         self.world = World(
             seed=config.seed,
             bgp=BGPTable(),
@@ -538,7 +596,7 @@ class WorldBuilder:
         config = self.config
         mean = config.mean_subnets_per_as * slot.size_factor
         sigma = 1.0
-        mu = math.log(max(mean, 1.0)) - sigma * sigma / 2
+        mu = log(max(mean, 1.0)) - sigma * sigma / 2
         value = int(self.rng.lognormvariate(mu, sigma))
         return max(1, min(config.max_subnets_per_as, value))
 
@@ -548,45 +606,18 @@ class WorldBuilder:
         eligible = [p for p in info.prefixes if p.length <= 64]
         if not eligible:
             return networks
+        # Random.choices(eligible, weights)[0] per draw, its cumulative
+        # weights built once: the same random() call picks the same prefix.
+        cum = list(accumulate(3.0 if p == eligible[0] else 1.0 for p in eligible))
+        total = cum[-1] + 0.0
+        hi = len(eligible) - 1
+        random = self.rng.random
+        getrandbits = self.rng.getrandbits
         while len(networks) < count and attempts < count * 6:
             attempts += 1
-            prefix = self.rng.choices(
-                eligible, weights=[3.0 if p == eligible[0] else 1.0 for p in eligible]
-            )[0]
-            networks.add(self._random_slash64(prefix))
+            prefix = eligible[bisect_right(cum, random() * total, 0, hi)]
+            networks.add(_random_slash64(prefix, random, getrandbits))
         return networks
-
-    def _random_slash64(self, prefix: IPv6Prefix) -> int:
-        """A /64 network inside ``prefix``.
-
-        Allocation mimics operational practice: customer /48s are drawn
-        half from a dense low-index cluster (sequential assignment) and
-        half spread across the whole announcement (regional/PoP split),
-        while the /64 index *within* a /48 is strongly low-biased — the
-        first /64 of an assignment is the one most likely in use.  The
-        spread component is what gives the enumerating/sampling /48 scans
-        a realistic, density-proportional hit rate.
-        """
-        free_bits = 64 - prefix.length
-        if free_bits <= 0:
-            return prefix.network
-        if prefix.length > 48:
-            span = 1 << free_bits
-            index = min(span - 1, int(self.rng.expovariate(1 / 8.0)))
-            return prefix.network | (index << (128 - 64))
-        slash48_span = 1 << (48 - prefix.length)
-        if self.rng.random() < 0.5:
-            slash48 = min(
-                slash48_span - 1, int(self.rng.expovariate(1 / 6.0))
-            )
-        else:
-            slash48 = self.rng.randrange(slash48_span)
-        slash64 = min(0xFFFF, int(self.rng.expovariate(1 / 2.0)))
-        if slash48 == 0 and slash64 == 0:
-            # The announcement's subnet zero is governed by the explicit
-            # subnet_zero_active_probability coin, not by random placement.
-            slash64 = 1
-        return prefix.network | (slash48 << (128 - 48)) | (slash64 << (128 - 64))
 
     def _attach_routers(
         self, info: ASInfo, networks: list[int], single_router_as: bool
@@ -648,23 +679,25 @@ class WorldBuilder:
 
     def _create_subnet(self, info: ASInfo, router: Router, network: int) -> None:
         config = self.config
-        iface = network | self.rng.choice((1, 1, 1, 2, 0xFE))
-        hosts = tuple(
-            sorted(
-                {
-                    network | self._host_iid()
-                    for _ in range(
-                        min(
-                            config.max_hosts_per_subnet,
-                            self._poisson(config.mean_hosts_per_subnet),
-                        )
-                    )
-                }
-                - {network, iface}
-            )
-        )
+        random = self.rng.random
+        getrandbits = self.rng.getrandbits
+        iface = network | _IFACE_IIDS[_randbelow(getrandbits, 5)]
+        # Knuth's Poisson draw (the means are tiny), capped.
+        limit = exp(-config.mean_hosts_per_subnet)
+        count, product = 0, random()
+        while product > limit:
+            count += 1
+            product *= random()
+        hosts = set()
+        for _ in range(min(config.max_hosts_per_subnet, count)):
+            if random() < 0.4:
+                hosts.add(network | (3 + _randbelow(getrandbits, 0xFD)))  # low byte
+            else:  # SLAAC-ish, never 0
+                hosts.add(network | _randbelow(getrandbits, 1 << 64) | 0x1)
+        hosts.discard(network)
+        hosts.discard(iface)
         death_epoch: int | None = None
-        if self.rng.random() < config.subnet_death_probability * 6:
+        if random() < config.subnet_death_probability * 6:
             death_epoch = 1 + self._geometric(
                 1.0 / max(config.subnet_death_probability, 1e-9) / 20
             )
@@ -673,9 +706,9 @@ class WorldBuilder:
             asn=info.asn,
             router_id=router.router_id,
             router_interface=iface,
-            hosts=hosts,
-            aliased=self.rng.random() < config.aliased_subnet_fraction,
-            flaky=self.rng.random() < config.flaky_subnet_fraction,
+            hosts=tuple(sorted(hosts)),
+            aliased=random() < config.aliased_subnet_fraction,
+            flaky=random() < config.flaky_subnet_fraction,
             death_epoch=death_epoch,
         )
         router.subnet_interfaces[network] = iface
@@ -683,11 +716,6 @@ class WorldBuilder:
         if router.loopback == 0:
             router.loopback = iface
         self._register_subnet(subnet)
-
-    def _host_iid(self) -> int:
-        if self.rng.random() < 0.4:
-            return self.rng.randrange(3, 0x100)  # low-byte assignment
-        return self.rng.randrange(1 << 64) | 0x1  # SLAAC-ish, never 0
 
     # ------------------------------------------------------------------ #
     # step 7: aliases
@@ -898,16 +926,6 @@ class WorldBuilder:
         if mean <= 0:
             return 0
         return int(self.rng.expovariate(1.0 / mean))
-
-    def _poisson(self, mean: float) -> int:
-        # Knuth's algorithm; means here are tiny so this is fast.
-        limit = math.exp(-mean)
-        k, product = 0, 1.0
-        while True:
-            product *= self.rng.random()
-            if product <= limit:
-                return k
-            k += 1
 
 
 def build_world(config: WorldConfig | None = None) -> World:

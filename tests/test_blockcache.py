@@ -279,6 +279,25 @@ class TestMutationInvalidates:
         table.insert(p("2001:db8::/32"), "new")
         assert table.longest_match(address)[1] == "new"
 
+    def test_insert_at_a_stored_length_after_a_negative_lookup(self, cache_size):
+        """An insert at a length already stored skips the drop only while
+        no lookup has built the range table or cached a block; after a
+        lookup that found nothing in its block, a new network there (in
+        the longest row, then in a shorter one) is seen at once."""
+        table = LengthIndexedLPM(cache_size=cache_size)
+        table.insert(p("2001:db8:1:1::/64"), "leaf")
+        table.insert(p("2001:db8:2::/48"), "slice")
+        table.insert(p("2001:db8:1:2::/64"), "built")  # stored length, no lookup
+        assert _lookups(table, parse_address("2001:db8:1:2::1"))[0][1] == "built"
+        missing = parse_address("2001:db8:1:3::1")
+        assert _lookups(table, missing) == (None, None)
+        table.insert(p("2001:db8:1:3::/64"), "new leaf")
+        assert _lookups(table, missing) == ((p("2001:db8:1:3::/64"), "new leaf"),) * 2
+        short_miss = parse_address("2001:db8:3::1")
+        assert _lookups(table, short_miss) == (None, None)
+        table.insert(p("2001:db8:3::/48"), "new slice")
+        assert _lookups(table, short_miss) == ((p("2001:db8:3::/48"), "new slice"),) * 2
+
     def test_block_shift_tracks_mutation(self, cache_size):
         table = LengthIndexedLPM(cache_size=cache_size)
         table.insert(p("2001:db8::/32"), "a")

@@ -1,5 +1,5 @@
 """Tests for the extension features: pcap capture, rate-limit inference,
-hitlist feedback, artifact export, the campaign orchestrator, and the CLIs."""
+hitlist feedback, artifact export, and the CLIs."""
 
 import json
 
@@ -7,8 +7,6 @@ import pytest
 
 from repro.analysis.hitlist_feedback import contribute_to_hitlist
 from repro.analysis.ratelimit_infer import infer_error_rate_limit, probe_train
-from repro.core.campaign import MeasurementPlan, run_measurement_plan
-from repro.core.survey import SurveyConfig
 from repro.hitlist.aliases import AliasedPrefixList
 from repro.hitlist.hitlist import Hitlist
 from repro.addr.ipv6 import IPv6Prefix
@@ -237,37 +235,6 @@ class TestArtifactExport:
         )
 
 
-class TestCampaign:
-    def test_full_plan(self, tiny_world, tiny_hitlist, tiny_alias_list):
-        plan = MeasurementPlan(
-            survey_config=SurveyConfig(
-                seed=9,
-                slash48_per_prefix=16,
-                max_bgp_48=3000,
-                slash64_per_prefix=16,
-                max_bgp_64=2000,
-                route6_per_prefix=8,
-                max_route6=3000,
-                max_hitlist=2000,
-            ),
-            visibility_days=2,
-            stability_scans=2,
-            comparison_scans=2,
-            max_stability_targets=1500,
-            max_visibility_routers=1500,
-        )
-        report = run_measurement_plan(
-            tiny_world, tiny_hitlist, alias_list=tiny_alias_list, plan=plan
-        )
-        headline = report.headline()
-        assert headline["router_ips"] > 0
-        assert 0 <= headline["never_answer_directly"] <= 1
-        assert headline["stable_same_router_last_scan"] > 0.4
-        assert "sra_advantage_over_random" in headline
-        # SRA discovers more than direct probing of the same routers.
-        assert headline["sra_gain_over_direct"] > 0
-
-
 class TestCLIs:
     def test_sra_scan_writes_csv(self, tmp_path, capsys):
         from repro.scanner.cli import main
@@ -351,32 +318,6 @@ class TestCLIs:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == f"sra-repro: {message}\n"
-
-
-class TestCampaignVariants:
-    def test_plan_without_comparison(self, tiny_world, tiny_hitlist):
-        plan = MeasurementPlan(
-            survey_config=SurveyConfig(
-                seed=10,
-                slash48_per_prefix=8,
-                max_bgp_48=1500,
-                slash64_per_prefix=8,
-                max_bgp_64=1000,
-                route6_per_prefix=4,
-                max_route6=1500,
-                max_hitlist=1000,
-            ),
-            visibility_days=1,
-            stability_scans=2,
-            run_comparison=False,
-            max_stability_targets=800,
-            max_visibility_routers=800,
-        )
-        report = run_measurement_plan(tiny_world, tiny_hitlist, plan=plan)
-        assert report.comparison is None
-        headline = report.headline()
-        assert "sra_advantage_over_random" not in headline
-        assert headline["router_ips"] > 0
 
 
 class TestCLIVariants:

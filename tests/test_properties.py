@@ -21,6 +21,7 @@ from repro.netsim.stochastic import stable_unit
 from repro.packet.icmpv6 import ICMPv6Message, echo_request
 from repro.packet.ipv6hdr import IPv6Header, internet_checksum
 from repro.packet.probe import decode_payload, encode_payload
+from repro.topology.generator import _randbelow
 
 addresses = st.integers(min_value=0, max_value=(1 << 128) - 1)
 lengths = st.integers(min_value=0, max_value=128)
@@ -327,6 +328,23 @@ class TestStochasticProperties:
         b = stable_unit(seed, b"purpose", *keys)
         assert a == b
         assert 0.0 <= a < 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+        st.lists(st.integers(min_value=1, max_value=1 << 70), min_size=1, max_size=8),
+    )
+    def test_randbelow_is_randrange(self, seed, bounds):
+        """World generation draws ``randrange``/``choice`` through
+        ``_randbelow``; a run of its draws must be ``Random.randrange``'s,
+        and leave the generator in the same state (same getrandbits calls).
+        If CPython ever changes ``Random._randbelow``, this says so."""
+        expected, actual = random.Random(seed), random.Random(seed)
+        getrandbits = actual.getrandbits
+        assert [_randbelow(getrandbits, n) for n in bounds] == [
+            expected.randrange(n) for n in bounds
+        ]
+        assert actual.random() == expected.random()
 
 
 class TestContributionProperties:
