@@ -35,7 +35,19 @@ def random_targets_for_sras(
     sra_addresses: Iterable[int], subnet_length: int, rng: random.Random
 ) -> Iterator[int]:
     """Random-probing targets for the same /``subnet_length`` subnets as
-    a list of SRA addresses, enabling apples-to-apples SRA vs random runs."""
-    span = 1 << (ADDRESS_BITS - subnet_length)
+    a list of SRA addresses, enabling apples-to-apples SRA vs random runs.
+
+    Each target is ``sra + rng.randrange(1, span)``, drawn with exactly
+    that call's ``getrandbits`` calls; a /128 has no host bits to draw
+    and raises :class:`ValueError` like ``randrange(1, 1)``.
+    """
+    width = (1 << (ADDRESS_BITS - subnet_length)) - 1
+    if width <= 0:
+        raise ValueError(f"a /{subnet_length} subnet has no random address")
+    getrandbits = rng.getrandbits
+    bits = width.bit_length()
     for sra in sra_addresses:
-        yield sra + rng.randrange(1, span)
+        offset = getrandbits(bits)
+        while offset >= width:
+            offset = getrandbits(bits)
+        yield sra + 1 + offset

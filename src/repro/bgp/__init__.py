@@ -1,15 +1,10 @@
-"""BGP substrate: longest-prefix-match maps, announcement table, and dump I/O."""
+"""BGP substrate: longest-prefix-match maps and the announcement table."""
 
 from .lpm import LengthIndexedLPM
-from .dump import DumpFormatError, parse_dump_line, read_dump, write_dump
 from .table import Announcement, BGPTable
 
 __all__ = [
     "Announcement",
     "BGPTable",
-    "DumpFormatError",
     "LengthIndexedLPM",
-    "parse_dump_line",
-    "read_dump",
-    "write_dump",
 ]

@@ -350,6 +350,7 @@ class SimulationEngine:
         # stable_unit packs them.  A batch with any odd-shaped target,
         # probe id or epoch takes the generic draw throughout.
         simple_epoch = 0 <= epoch < _WORD_LIMIT
+        mask63 = _MASK63
         lost_count = 0
         if loss > 0.0 and n:
             ids = probe_ids if probe_ids is not None else repeat(0, n)
@@ -361,15 +362,10 @@ class SimulationEngine:
                 copy = base_hasher(seed, _PURPOSE_LOSS).copy
                 pack = _PACK_LOSS_4.pack
                 threshold = bernoulli_threshold(loss)
-                for i, (target, probe_id) in enumerate(zip(targets, ids)):
+                for i, target, probe_id in zip(range(n), targets, ids):
                     hasher = copy()
                     hasher.update(
-                        pack(
-                            target & _MASK63,
-                            (target >> 62) & _MASK63,
-                            probe_id,
-                            epoch,
-                        )
+                        pack(target & mask63, (target >> 62) & mask63, probe_id, epoch)
                     )
                     if hasher.digest() < threshold:
                         flags[i] = FLAG_LOST
@@ -436,7 +432,6 @@ class SimulationEngine:
         icmp_unreach = int(ICMPv6Type.DESTINATION_UNREACHABLE)
         icmp_exceeded = int(ICMPv6Type.TIME_EXCEEDED)
         code_addr_unreach = int(UnreachableCode.ADDRESS_UNREACHABLE)
-        mask63 = _MASK63
         mask64 = _MASK64
         pack2 = _PACK_2.pack
         pack3 = _PACK_3.pack

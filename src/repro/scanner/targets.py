@@ -18,10 +18,10 @@ from typing import Iterable, Iterator, Sequence
 from ..addr.ipv6 import AddressError, format_address, parse_address
 from ..addr.partition import (
     hitlist_targets,
-    route6_targets,
+    route6_by_prefix,
     stage1_targets,
-    stage2_targets,
-    stage3_targets,
+    stage2_by_prefix,
+    stage3_by_prefix,
 )
 from ..bgp.table import BGPTable
 from ..hitlist.hitlist import Hitlist
@@ -159,19 +159,31 @@ def _bounded(targets: Iterable[int], max_targets: int | None) -> list[int]:
     return bounded
 
 
-def _cut(targets: Iterable[int], max_targets: int | None) -> list[int]:
-    """The first ``max_targets`` of a partition generator's distinct
-    targets, pulling no target (and so no random draw) past the cut."""
+def _cut(chunks: Iterable[Iterable[int]], max_targets: int | None) -> list[int]:
+    """The first ``max_targets`` targets of a partition generator's
+    chunks of distinct targets (one per prefix), pulling no chunk past
+    the cut, and a lazy chunk only as far as the cut: no random draw
+    happens past it."""
     if max_targets is not None and max_targets < 0:
         raise ValueError(f"max_targets must be >= 0, got {max_targets}")
-    return list(islice(targets, max_targets))
+    targets: list[int] = []
+    if max_targets == 0:
+        return targets
+    for chunk in chunks:
+        if max_targets is None:
+            targets += chunk
+        else:
+            targets += islice(chunk, max_targets - len(targets))
+            if len(targets) == max_targets:
+                break
+    return targets
 
 
 def bgp_plain_targets(bgp: BGPTable, *, max_targets: int | None = None) -> TargetList:
     """Stage 1: the SRA address of every announced prefix."""
     return TargetList(
         name="bgp-plain",
-        targets=_cut(stage1_targets(bgp.prefixes()), max_targets),
+        targets=_cut([stage1_targets(bgp.prefixes())], max_targets),
     )
 
 
@@ -186,7 +198,9 @@ def bgp_slash48_targets(
     return TargetList(
         name="bgp-48",
         targets=_cut(
-            stage2_targets(bgp.prefixes(), max_per_prefix=max_per_prefix, rng=rng),
+            stage2_by_prefix(
+                bgp.prefixes(), max_per_prefix=max_per_prefix, rng=rng
+            ),
             max_targets,
         ),
         subnet_length=48,
@@ -204,7 +218,9 @@ def bgp_slash64_targets(
     return TargetList(
         name="bgp-64",
         targets=_cut(
-            stage3_targets(bgp.prefixes(), max_per_prefix=max_per_prefix, rng=rng),
+            stage3_by_prefix(
+                bgp.prefixes(), max_per_prefix=max_per_prefix, rng=rng
+            ),
             max_targets,
         ),
         subnet_length=64,
@@ -222,7 +238,7 @@ def route6_slash64_targets(
     return TargetList(
         name="route6-64",
         targets=_cut(
-            route6_targets(irr.prefixes(), per_prefix=per_prefix, rng=rng),
+            route6_by_prefix(irr.prefixes(), per_prefix=per_prefix, rng=rng),
             max_targets,
         ),
         subnet_length=64,
@@ -240,6 +256,6 @@ def hitlist_slash64_targets(
     )
     return TargetList(
         name="hitlist-64",
-        targets=_cut(hitlist_targets(addresses), max_targets),
+        targets=_cut([hitlist_targets(addresses)], max_targets),
         subnet_length=64,
     )

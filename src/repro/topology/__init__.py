@@ -15,7 +15,6 @@ from .entities import (
     VantagePoint,
     World,
 )
-from .export import ArtifactBundle, export_artifacts, load_artifacts
 from .generator import WorldBuilder, build_world
 from .mitigation import (
     DisclosureReport,
@@ -33,7 +32,6 @@ from .profiles import (
 
 __all__ = [
     "ASInfo",
-    "ArtifactBundle",
     "ASType",
     "AliasRegion",
     "DEFAULT_COUNTRIES",
@@ -54,8 +52,6 @@ __all__ = [
     "WorldConfig",
     "apply_null_route",
     "build_world",
-    "export_artifacts",
-    "load_artifacts",
     "fix_all_loops_for_asn",
     "render_null_route_config",
     "run_disclosure_campaign",

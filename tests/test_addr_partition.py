@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.addr.ipv6 import AddressError, IPv6Prefix, parse_address
 from repro.addr.partition import (
+    _overlap_groups,
     _partition,
     hitlist_targets,
     route6_targets,
@@ -22,6 +23,7 @@ from repro.bgp.table import Announcement, BGPTable
 from repro.irr.database import IRRDatabase
 from repro.irr.rpsl import Route6Object
 from repro.scanner.targets import (
+    _cut,
     bgp_plain_targets,
     bgp_slash48_targets,
     bgp_slash64_targets,
@@ -141,6 +143,50 @@ class TestStage2:
         targets = list(stage2_targets(announcements))
         assert len(targets) == len(set(targets)) == 16
 
+    @given(
+        picks=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.sampled_from([30, 36, 40, 44, 47, 48, 50, 52, 64]),
+            ),
+            max_size=10,
+        ),
+        max_per_prefix=st.integers(min_value=0, max_value=20),
+        seed=st.integers(min_value=0, max_value=99),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_nested_announcements_dedup_like_one_seen_set(
+        self, picks, max_per_prefix, seed
+    ):
+        """Announcements that nest, repeat or lift to one /48 are filtered
+        against each other only, with the draws made as before: the
+        targets are the first occurrences of every announcement's sample
+        or lifted supernet, in order."""
+        base = parse_address("2001:db8::")
+        announced = [
+            IPv6Prefix.of(base | (jitter << 82), length) for jitter, length in picks
+        ]
+        rng, reference = random.Random(seed), random.Random(seed)
+        expected = []
+        for prefix in announced:
+            if prefix.length > 48:
+                lifted = prefix.supernet(48)
+                if not any(o.length < 48 and o.covers(lifted) for o in announced):
+                    expected.append(lifted.network)
+                continue
+            count = 1 << (48 - prefix.length)
+            indices = (
+                range(count)
+                if count <= max_per_prefix
+                else reference.sample(range(count), max_per_prefix)
+            )
+            expected += [prefix.network | (index << 80) for index in indices]
+        got = list(
+            stage2_targets(announced, max_per_prefix=max_per_prefix, rng=rng)
+        )
+        assert got == list(dict.fromkeys(expected))
+        assert rng.getstate() == reference.getstate()
+
 
 class TestStage3:
     def test_only_slash48_announcements_expanded(self):
@@ -165,6 +211,17 @@ class TestStage3:
         announcements = prefixes("2001:db8:1::/48")
         targets = list(stage3_targets(announcements, max_per_prefix=None))
         assert len(targets) == 1 << 16
+
+    def test_repeated_announcement_adds_nothing(self):
+        announcements = prefixes("2001:db8:1::/48", "2001:db9::/48", "2001:db8:1::/48")
+        targets = list(stage3_targets(announcements, max_per_prefix=3))
+        assert targets == [
+            parse_address(text)
+            for text in (
+                "2001:db8:1::", "2001:db8:1:1::", "2001:db8:1:2::",
+                "2001:db9::", "2001:db9:0:1::", "2001:db9:0:2::",
+            )
+        ]  # fmt: skip
 
 
 class TestRoute6:
@@ -197,6 +254,46 @@ class TestRoute6:
         registration = IPv6Prefix.parse("2001:db8:42::/48")
         for target in route6_targets([registration], per_prefix=50, rng=rng):
             assert target in registration
+
+    @given(
+        picks=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=40, max_value=72),
+            ),
+            max_size=10,
+        ),
+        per_prefix=st.integers(min_value=0, max_value=40),
+        seed=st.integers(min_value=0, max_value=99),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_nested_registrations_dedup_like_one_seen_set(
+        self, picks, per_prefix, seed
+    ):
+        """Registrations that nest, repeat or share a /64 are filtered
+        against each other only, isolated ones not at all: the targets
+        and the draws are the first occurrences of every registration's
+        sample, in order."""
+        base = parse_address("2001:db8::")
+        registered = [
+            IPv6Prefix.of(base | (jitter << 70), length) for jitter, length in picks
+        ]
+        rng, reference = random.Random(seed), random.Random(seed)
+        expected = []
+        for prefix in registered:
+            if prefix.length > 64:
+                expected.append(sra_of(prefix.network, 64))
+                continue
+            count = 1 << (64 - prefix.length)
+            indices = (
+                range(count)
+                if count <= per_prefix
+                else reference.sample(range(count), per_prefix)
+            )
+            expected += [prefix.network | (index << 64) for index in indices]
+        got = list(route6_targets(registered, per_prefix=per_prefix, rng=rng))
+        assert got == list(dict.fromkeys(expected))
+        assert rng.getstate() == reference.getstate()
 
 
 class TestHitlistTargets:
@@ -299,6 +396,35 @@ class TestPartitionAgainstPrefixMethods:
                 s.network for s in subnets if s.network not in expected
             ]
         assert list(stage2_targets(announcements, max_per_prefix=3)) == expected
+
+    @given(
+        picks=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=7),
+                st.integers(min_value=20, max_value=80),
+            ),
+            max_size=12,
+        ),
+        length=st.sampled_from([48, 64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_overlap_groups_equal_pairwise_overlap(self, picks, length):
+        """Two prefixes share a group exactly when their regions (cut at
+        /``length``) overlap; a prefix overlapping none has no group."""
+        base = parse_address("2001:db8::")
+        listed = [IPv6Prefix.of(base | (jitter << 76), bits) for jitter, bits in picks]
+        regions = [p.supernet(min(p.length, length)) for p in listed]
+        groups = _overlap_groups(listed, length)
+        for i, region in enumerate(regions):
+            overlapping = [
+                j
+                for j, other in enumerate(regions)
+                if j != i and (region.covers(other) or other.covers(region))
+            ]
+            if not overlapping:
+                assert groups[i] is None
+            for j in overlapping:
+                assert groups[i] is not None and groups[i] == groups[j]
 
     def test_shorter_new_length_is_an_address_error(self):
         prefix = IPv6Prefix.parse("2001:db8:1::/48")
@@ -416,3 +542,25 @@ class TestBuildersLeaveTheRngWhereTheyDid:
         assert len(builders[name](random.Random(3), 1)) == 1
         with pytest.raises(ValueError, match="max_targets"):
             builders[name](random.Random(3), -1)
+
+    def test_cut_pulls_no_chunk_and_no_target_past_the_cut(self):
+        """``_cut`` takes whole chunks up to the cut, and from a lazy chunk
+        only the targets it keeps: nothing past the cut is drawn."""
+        pulled = []
+
+        def chunks():
+            pulled.append("list")
+            yield [1, 2]
+            pulled.append("lazy")
+            yield (pulled.append(t) or t for t in (3, 4, 5))
+            pulled.append("past")
+            yield [6]
+
+        assert _cut(chunks(), 4) == [1, 2, 3, 4]
+        assert pulled == ["list", "lazy", 3, 4]
+        pulled.clear()
+        assert _cut(chunks(), 2) == [1, 2]
+        assert pulled == ["list"]
+        pulled.clear()
+        assert _cut(chunks(), 0) == [] and pulled == []
+        assert _cut(chunks(), None) == [1, 2, 3, 4, 5, 6]

@@ -1,16 +1,6 @@
-"""Tests for the BGP substrate: LPM, table, and dump I/O."""
-
-import io
-
-import pytest
+"""Tests for the BGP substrate: LPM and announcement table."""
 
 from repro.addr.ipv6 import IPv6Prefix, parse_address
-from repro.bgp.dump import (
-    DumpFormatError,
-    parse_dump_line,
-    read_dump,
-    write_dump,
-)
 from repro.bgp.lpm import LengthIndexedLPM
 from repro.bgp.table import Announcement, BGPTable
 
@@ -236,66 +226,3 @@ class TestBGPTable:
         assert table.origin_of(parse_address("2001:db8:1::9")) == 64999
         assert table.origin_of(parse_address("2001:db8:2::9")) == 64500
 
-
-class TestDump:
-    def test_parse_line(self):
-        announcement = parse_dump_line("2001:db8::/32 64500\n")
-        assert announcement == Announcement(p("2001:db8::/32"), 64500)
-
-    def test_parse_line_skips_comment_and_blank(self):
-        assert parse_dump_line("# comment") is None
-        assert parse_dump_line("   ") is None
-
-    def test_parse_line_errors(self):
-        with pytest.raises(DumpFormatError):
-            parse_dump_line("2001:db8::/32")
-        with pytest.raises(DumpFormatError):
-            parse_dump_line("2001:db8::/32 not-a-number")
-        with pytest.raises(DumpFormatError):
-            parse_dump_line("2001:db8::1/32 64500")
-        with pytest.raises(DumpFormatError):
-            parse_dump_line("2001:db8::/32 99999999999")
-
-    def test_roundtrip_via_stream(self):
-        announcements = [
-            Announcement(p("2001:db8::/32"), 64500),
-            Announcement(p("2001:db9::/48"), 64501),
-        ]
-        buffer = io.StringIO()
-        write_dump(announcements, buffer, header="test dump")
-        buffer.seek(0)
-        table = read_dump(buffer)
-        assert len(table) == 2
-        assert table.origin_of(parse_address("2001:db9::1")) == 64501
-
-    def test_read_dump_skips_comments_and_blanks(self):
-        buffer = io.StringIO("# hi\n2001:db8::/32 7\n\n2001:db9::/48 8\n")
-        table = read_dump(buffer)
-        assert [a.origin_asn for a in table] == [7, 8]
-
-    def test_read_dump_rejects_bad_line(self):
-        buffer = io.StringIO("2001:db8::/32 7\n2001:db9::/48\n")
-        with pytest.raises(DumpFormatError):
-            read_dump(buffer)
-
-    def test_roundtrip_via_file(self, tmp_path):
-        path = tmp_path / "dump.txt"
-        write_dump([Announcement(p("2001:db8::/32"), 1)], path)
-        table = read_dump(path)
-        assert p("2001:db8::/32") in table
-
-    def test_write_sorted(self):
-        buffer = io.StringIO()
-        write_dump(
-            [
-                Announcement(p("2001:db9::/48"), 2),
-                Announcement(p("2001:db8::/32"), 1),
-            ],
-            buffer,
-        )
-        lines = [
-            line
-            for line in buffer.getvalue().splitlines()
-            if not line.startswith("#")
-        ]
-        assert lines == ["2001:db8::/32 1", "2001:db9::/48 2"]

@@ -173,34 +173,45 @@ class TestCachePolicy:
             assert table.longest_match(outside) is None
         assert walks == [inside, outside]
 
-    def test_eviction_is_fifo_and_batched(self, build):
-        """A full cache drops its oldest eighth at once and keeps the rest."""
+    def test_a_miss_into_a_full_cache_leaves_only_its_block(self, build):
+        """A full cache is emptied by a miss, which then stores its own
+        block; a hit into the full cache evicts nothing."""
         table = build([(p("2001:db8::/32"), "a")], 64)
+        shift = table.block_shift
         blocks = [BASE | (block << 80) for block in range(65)]
         for address in blocks[:64]:
             table.longest_match(address)
+            assert len(table._cache) <= 64
+        assert set(table._cache) == {address >> shift for address in blocks[:64]}
+        table.longest_match(blocks[0])
         assert len(table._cache) == 64
-        table.longest_match(blocks[64])
-        kept = set(table._cache)
-        assert len(kept) == 64 - 8 + 1
-        shift = table.block_shift
-        assert not kept & {address >> shift for address in blocks[:8]}
-        assert kept >= {address >> shift for address in blocks[8:]}
+        assert table.longest_match(blocks[64]) == (p("2001:db8::/32"), "a")
+        assert list(table._cache) == [blocks[64] >> shift]
 
     def test_batch_evicts_like_scalar_misses(self, build):
-        """The batch loop's inline miss path evicts by the same rule, and
-        a hit into the full cache evicts nothing."""
-        table = build([(p("2001:db8::/32"), "a")], 64)
-        blocks = [BASE | (block << 80) for block in range(65)]
-        out = [None] * len(blocks)
-        table.longest_match_batch(blocks, range(64), out)
-        table.longest_match_batch(blocks, [0], out)
-        assert len(table._cache) == 64
-        table.longest_match_batch(blocks, [64], out)
-        kept = set(table._cache)
-        shift = table.block_shift
-        assert kept == {address >> shift for address in blocks[8:]}
-        assert out == [(p("2001:db8::/32"), "a")] * 65
+        """The batch loop's inline miss path evicts by the same rule: after
+        every call the cache holds the same blocks, in the same order, as
+        per-address lookups leave, and never more than its size."""
+        entries = [(p("2001:db8::/32"), "a"), (p("2001:db8:4000::/36"), "b")]
+        batched, scalar = build(entries, 8), build(entries, 8)
+        rng = random.Random(5)
+        blocks = [BASE | (rng.randrange(24) << 80) for _ in range(400)]
+        for start in range(0, len(blocks), 7):
+            indices = range(start, min(start + 7, len(blocks)))
+            out = [None] * len(blocks)
+            batched.longest_match_batch(blocks, indices, out)
+            for i in indices:
+                assert out[i] == scalar.longest_match(blocks[i])
+            assert list(batched._cache) == list(scalar._cache)
+            assert len(batched._cache) <= 8
+        table = build(entries, 8)
+        fresh = [BASE | ((block + 100) << 80) for block in range(9)]
+        out = [None] * 9
+        table.longest_match_batch(fresh, range(8), out)
+        table.longest_match_batch(fresh, [3], out)
+        assert len(table._cache) == 8
+        table.longest_match_batch(fresh, [0, 8], out)  # a hit, then a miss
+        assert list(table._cache) == [fresh[8] >> table.block_shift]
 
     def test_key_granularity_follows_longest_stored(self, build):
         # With a /64 stored the cache must distinguish sibling /64s of

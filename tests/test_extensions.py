@@ -1,7 +1,5 @@
 """Tests for the extension features: pcap capture, rate-limit inference,
-hitlist feedback, artifact export, and the CLIs."""
-
-import json
+hitlist feedback, and the CLIs."""
 
 import pytest
 
@@ -20,7 +18,6 @@ from repro.netsim.pcap import (
 from repro.packet.icmpv6 import ICMPv6Type
 from repro.packet.ipv6hdr import IPv6Header
 from repro.scanner.records import ScanRecord, ScanResult
-from repro.topology.export import export_artifacts, load_artifacts
 from repro.topology.profiles import SRABehavior
 
 
@@ -201,38 +198,6 @@ class TestHitlistFeedback:
         )
         assert report.added == 3
         assert 300 in hitlist
-
-
-class TestArtifactExport:
-    def test_roundtrip(self, tiny_world, tiny_hitlist, tiny_alias_list, tmp_path):
-        directory = export_artifacts(
-            tiny_world,
-            tmp_path / "artifacts",
-            hitlist=tiny_hitlist,
-            alias_list=tiny_alias_list,
-        )
-        bundle = load_artifacts(directory)
-        assert len(bundle.bgp) == len(tiny_world.bgp)
-        assert len(bundle.irr) == len(tiny_world.irr)
-        assert bundle.hitlist is not None
-        assert len(bundle.hitlist) == len(tiny_hitlist)
-        assert len(bundle.aliases) == len(tiny_alias_list)
-        assert bundle.summary["ases"] == len(tiny_world.ases)
-        assert bundle.summary["seed"] == tiny_world.seed
-
-    def test_default_ground_truth_export(self, tiny_world, tmp_path):
-        directory = export_artifacts(tiny_world, tmp_path / "gt")
-        bundle = load_artifacts(directory)
-        assert bundle.summary["hitlist_entries"] == sum(
-            1 for _ in tiny_world.all_hosts()
-        )
-
-    def test_summary_is_valid_json(self, tiny_world, tmp_path):
-        directory = export_artifacts(tiny_world, tmp_path / "json")
-        summary = json.loads((directory / "summary.json").read_text())
-        assert summary["looping_slash48s"] == sum(
-            region.slash48_count() for region in tiny_world.loop_regions
-        )
 
 
 class TestCLIs:

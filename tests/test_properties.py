@@ -2,7 +2,8 @@
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.addr.ipv6 import (
@@ -12,8 +13,9 @@ from repro.addr.ipv6 import (
     parse_address,
     prefix_mask,
 )
-from repro.addr.partition import hitlist_targets, stage2_targets
+from repro.addr.partition import _sample_range, hitlist_targets, stage2_targets
 from repro.addr.permutation import CyclicPermutation, next_prime
+from repro.addr.randomgen import random_targets_for_sras
 from repro.addr.sra import is_sra_candidate, sra_address, sra_of
 from repro.bgp.lpm import LengthIndexedLPM
 from repro.netsim.ratelimit import TokenBucket
@@ -345,6 +347,56 @@ class TestStochasticProperties:
             expected.randrange(n) for n in bounds
         ]
         assert actual.random() == expected.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+        n=st.one_of(
+            st.integers(min_value=0, max_value=5_000),
+            st.integers(min_value=0, max_value=1 << 24),
+        ),
+        share=st.floats(min_value=0.0, max_value=1.0),
+    )
+    # Both of CPython's branches at their edges: the pool (n <= setsize)
+    # and the set, where setsize is 21 up to k = 5, then 21 + 4**ceil(...).
+    @example(seed=1, n=21, share=1.0)
+    @example(seed=1, n=22, share=5 / 22)
+    @example(seed=1, n=1_045, share=128 / 1_045)
+    @example(seed=1, n=1_046, share=128 / 1_046)
+    @example(seed=1, n=1 << 24, share=2_000 / (1 << 24))
+    def test_sample_range_is_sample(self, seed, n, share):
+        """The partition generators draw their per-prefix samples through
+        ``_sample_range``: it must be ``Random.sample(range(n), k)``, and
+        leave the generator in the same state, on both of its branches.
+        If CPython ever changes ``Random.sample``, this says so."""
+        k = min(round(n * share), 4_000)
+        expected, actual = random.Random(seed), random.Random(seed)
+        assert _sample_range(n, k, actual) == expected.sample(range(n), k)
+        assert actual.getstate() == expected.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+        length=st.sampled_from([48, 64, 127]),
+        networks=st.lists(addresses, max_size=40),
+    )
+    def test_random_targets_are_randrange(self, seed, length, networks):
+        """The Fig. 5 baseline draws ``sra + randrange(1, span)`` per SRA,
+        with ``randrange``'s getrandbits calls."""
+        sras = [network & prefix_mask(length) for network in networks]
+        span = 1 << (128 - length)
+        expected, actual = random.Random(seed), random.Random(seed)
+        assert list(random_targets_for_sras(sras, length, actual)) == [
+            sra + expected.randrange(1, span) for sra in sras
+        ]
+        assert actual.getstate() == expected.getstate()
+
+    def test_random_targets_refuse_a_slash128(self):
+        sra = parse_address("2001:db8::1")
+        with pytest.raises(ValueError):
+            random.Random(1).randrange(1, 1)
+        with pytest.raises(ValueError):
+            list(random_targets_for_sras([sra], 128, random.Random(1)))
 
 
 class TestContributionProperties:
