@@ -9,6 +9,7 @@ metadata layer uses :meth:`BGPTable.origin_of` for address→ASN mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from ..addr.ipv6 import IPv6Prefix
@@ -59,7 +60,9 @@ class BGPTable:
 
     def prefixes(self) -> list[IPv6Prefix]:
         """All announced prefixes, sorted (covering before more-specific)."""
-        return sorted(self._announcements)
+        # By key: the same (network, length) order as IPv6Prefix's
+        # generated comparisons, without a Python-level call per compare.
+        return sorted(self._announcements, key=attrgetter("network", "length"))
 
     @property
     def lpm(self) -> LengthIndexedLPM[int]:

@@ -23,6 +23,10 @@ comes back through ``runner.scan`` in campaign order; with no pool,
 each scans in place, one after another.  At any shard count the
 results are the same bytes — a runner changes wall-clock
 time only; crash tolerance (retries, journals) is configured on it.
+
+A whole scan a pool worker ran comes back as packed columns, and the
+campaigns here read it only through :class:`ScanResult`'s views, so
+they never build a :class:`~repro.scanner.records.ScanRecord` for it.
 """
 
 from __future__ import annotations
@@ -209,12 +213,7 @@ def run_visibility(
         for result in scans:
             # Count a router visible only if it answered from the probed
             # address.
-            responsive = {
-                record.source
-                for record in result.records
-                if record.is_echo and record.source == record.target
-            }
-            report.daily_responsive.append(responsive)
+            report.daily_responsive.append(result.direct_echo_sources())
     return report
 
 
@@ -302,8 +301,4 @@ def run_direct_discovery(
         epoch=epoch,
         telemetry=telemetry,
     )
-    return {
-        record.source
-        for record in result.records
-        if record.is_echo and record.source == record.target
-    }
+    return result.direct_echo_sources()

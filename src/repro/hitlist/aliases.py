@@ -8,7 +8,6 @@ prefixes, and the paper's alias filter checks reply sources against it
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from ..addr.ipv6 import IPv6Prefix
@@ -38,20 +37,3 @@ class AliasedPrefixList:
     def contains_address(self, address: int) -> bool:
         """True if ``address`` falls inside any known aliased prefix."""
         return self._lpm.longest_match(address) is not None
-
-    @classmethod
-    def load(cls, path: str | Path) -> "AliasedPrefixList":
-        """Load one prefix per line; blanks and ``#`` comments ignored."""
-        prefixes = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                text = line.strip()
-                if text and not text.startswith("#"):
-                    prefixes.append(IPv6Prefix.parse(text))
-        return cls(prefixes)
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(f"# aliased prefixes ({len(self)})\n")
-            for prefix in self:
-                handle.write(str(prefix) + "\n")

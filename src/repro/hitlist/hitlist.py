@@ -9,10 +9,8 @@ the past" may be gone — which is why the paper's response rates matter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..addr.ipv6 import AddressError, format_address, parse_address
 from ..addr.partition import STAGE3_LENGTH, hitlist_targets
 
 
@@ -55,24 +53,3 @@ class Hitlist:
         into 700 M /64 targets in the paper.
         """
         return list(hitlist_targets(self._addresses, subnet_length=STAGE3_LENGTH))
-
-    @classmethod
-    def load(cls, path: str | Path, *, name: str | None = None) -> "Hitlist":
-        """Load one address per line; blanks and ``#`` comments ignored."""
-        hitlist = cls(name=name or Path(path).stem)
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                try:
-                    hitlist.add(parse_address(text))
-                except AddressError as exc:
-                    raise AddressError(f"{path}:{line_number}: {exc}") from exc
-        return hitlist
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(f"# hitlist: {self.name} ({len(self)} addresses)\n")
-            for address in self._addresses:
-                handle.write(format_address(address) + "\n")

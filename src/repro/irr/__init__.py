@@ -1,13 +1,9 @@
-"""IRR substrate: RPSL route6 objects and an in-memory database."""
+"""IRR substrate: route6 objects and an in-memory database."""
 
 from .database import IRRDatabase
-from .rpsl import RPSLError, Route6Object, parse_database, parse_route6, serialize_database
+from .rpsl import Route6Object
 
 __all__ = [
     "IRRDatabase",
-    "RPSLError",
     "Route6Object",
-    "parse_database",
-    "parse_route6",
-    "serialize_database",
 ]

@@ -1,12 +1,12 @@
-"""An in-memory IRR database of route6 objects with file I/O."""
+"""An in-memory IRR database of route6 objects."""
 
 from __future__ import annotations
 
-from pathlib import Path
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from ..addr.ipv6 import IPv6Prefix
-from .rpsl import Route6Object, parse_database, serialize_database
+from .rpsl import Route6Object
 
 
 class IRRDatabase:
@@ -35,14 +35,9 @@ class IRRDatabase:
 
     def prefixes(self) -> list[IPv6Prefix]:
         """Distinct registered prefixes, sorted."""
-        return sorted({prefix for prefix, _ in self._objects})
-
-    @classmethod
-    def load(cls, path: str | Path) -> "IRRDatabase":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls(parse_database(text))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            serialize_database(list(self._objects.values())), encoding="utf-8"
+        # By key: the same (network, length) order as IPv6Prefix's
+        # generated comparisons, without a Python-level call per compare.
+        return sorted(
+            {prefix for prefix, _ in self._objects},
+            key=attrgetter("network", "length"),
         )

@@ -1,4 +1,4 @@
-"""RPSL ``route6`` object parsing and serialisation (RFC 2622/4012 subset).
+"""RPSL ``route6`` objects (RFC 2622/4012).
 
 IRR databases hold routing-policy objects; the one the SRA survey consumes
 is ``route6``, which registers an IPv6 prefix with its intended origin AS::
@@ -9,27 +9,20 @@ is ``route6``, which registers an IPv6 prefix with its intended origin AS::
     mnt-by:     MAINT-EXAMPLE
     source:     RIPE
 
-Objects are attribute blocks separated by blank lines; attribute values may
-continue onto following lines that start with whitespace.  We parse the
-subset of the grammar the survey needs and keep unknown attributes verbatim
-so round trips are lossless.
+The simulated world registers its objects directly; no RPSL text is read
+or written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from ..addr.ipv6 import AddressError, IPv6Prefix
-
-
-class RPSLError(ValueError):
-    """Raised for malformed RPSL text."""
+from ..addr.ipv6 import IPv6Prefix
 
 
 @dataclass(frozen=True, slots=True)
 class Route6Object:
-    """A parsed ``route6`` object."""
+    """One ``route6`` object."""
 
     prefix: IPv6Prefix
     origin_asn: int
@@ -37,109 +30,3 @@ class Route6Object:
     maintainer: str = ""
     source: str = ""
     extra: tuple[tuple[str, str], ...] = field(default_factory=tuple)
-
-    def to_rpsl(self) -> str:
-        """Serialise back to RPSL text (without trailing blank line)."""
-        lines = [
-            f"route6:         {self.prefix}",
-            f"origin:         AS{self.origin_asn}",
-        ]
-        if self.descr:
-            lines.append(f"descr:          {self.descr}")
-        if self.maintainer:
-            lines.append(f"mnt-by:         {self.maintainer}")
-        for key, value in self.extra:
-            lines.append(f"{key + ':':<16}{value}")
-        if self.source:
-            lines.append(f"source:         {self.source}")
-        return "\n".join(lines)
-
-
-def _attribute_lines(block: str) -> Iterator[tuple[str, str]]:
-    """Yield (key, value) pairs, folding continuation lines."""
-    current_key: str | None = None
-    current_value: list[str] = []
-    for raw in block.splitlines():
-        if raw.startswith(("%", "#")):
-            continue
-        if raw[:1] in (" ", "\t", "+") and current_key is not None:
-            current_value.append(raw.lstrip("+ \t"))
-            continue
-        if current_key is not None:
-            yield current_key, " ".join(current_value).strip()
-        if not raw.strip():
-            current_key = None
-            current_value = []
-            continue
-        key, sep, value = raw.partition(":")
-        if not sep:
-            raise RPSLError(f"attribute line without colon: {raw!r}")
-        current_key = key.strip().lower()
-        current_value = [value.strip()]
-    if current_key is not None:
-        yield current_key, " ".join(current_value).strip()
-
-
-def parse_route6(block: str) -> Route6Object:
-    """Parse a single route6 object from its RPSL text block."""
-    prefix: IPv6Prefix | None = None
-    origin: int | None = None
-    descr = ""
-    maintainer = ""
-    source = ""
-    extra: list[tuple[str, str]] = []
-    for key, value in _attribute_lines(block):
-        if key == "route6":
-            try:
-                prefix = IPv6Prefix.parse(value)
-            except AddressError as exc:
-                raise RPSLError(f"bad route6 prefix {value!r}: {exc}") from exc
-        elif key == "origin":
-            asn_text = value.upper().removeprefix("AS")
-            try:
-                origin = int(asn_text)
-            except ValueError as exc:
-                raise RPSLError(f"bad origin {value!r}") from exc
-        elif key == "descr":
-            descr = value
-        elif key == "mnt-by":
-            maintainer = value
-        elif key == "source":
-            source = value
-        else:
-            extra.append((key, value))
-    if prefix is None:
-        raise RPSLError("object has no route6 attribute")
-    if origin is None:
-        raise RPSLError(f"route6 {prefix} has no origin attribute")
-    return Route6Object(
-        prefix=prefix,
-        origin_asn=origin,
-        descr=descr,
-        maintainer=maintainer,
-        source=source,
-        extra=tuple(extra),
-    )
-
-
-def parse_database(text: str) -> list[Route6Object]:
-    """Parse a whole-file RPSL dump of blank-line separated objects.
-
-    Non-route6 objects (those whose first attribute is not ``route6``)
-    are skipped, matching how IRR mirrors are filtered in practice.
-    """
-    objects: list[Route6Object] = []
-    for block in text.split("\n\n"):
-        if not block.strip():
-            continue
-        attributes = dict(_attribute_lines(block))
-        if "route6" not in attributes:
-            continue
-        objects.append(parse_route6(block))
-    return objects
-
-
-def serialize_database(objects: list[Route6Object]) -> str:
-    """Serialise objects with blank-line separators, sorted by prefix."""
-    ordered = sorted(objects, key=lambda obj: obj.prefix)
-    return "\n\n".join(obj.to_rpsl() for obj in ordered) + "\n"

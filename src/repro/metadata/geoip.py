@@ -9,8 +9,6 @@ code never touches topology internals.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..addr.ipv6 import IPv6Prefix
 from ..bgp.lpm import LengthIndexedLPM
 from ..topology.entities import World
@@ -40,25 +38,6 @@ class GeoIPDatabase:
             for prefix in info.prefixes:
                 database.add(prefix, info.country)
         return database
-
-    @classmethod
-    def load(cls, path: str | Path) -> "GeoIPDatabase":
-        """Load ``<prefix> <ISO3>`` lines."""
-        database = cls()
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                prefix_text, _, country = text.partition(" ")
-                database.add(IPv6Prefix.parse(prefix_text), country.strip())
-        return database
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            for prefix, country in self._lpm.items():
-                handle.write(f"{prefix} {country}\n")
-
 
 # ISO3 -> continent, for the Fig. 10 per-continent grouping.
 CONTINENT_OF: dict[str, str] = {

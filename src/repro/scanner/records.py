@@ -3,13 +3,18 @@
 A :class:`ScanRecord` is one received reply row — what the paper's pipeline
 gets out of ZMapv6 after matching replies back to probes.  A
 :class:`ScanResult` aggregates a whole scan: counters, per-source views,
-and the echo/error/both classification of router IPs (Fig. 4).
+and the echo/error/both classification of router IPs (Fig. 4).  It holds
+its rows as records or as the :class:`RecordColumns` a pool worker packed
+them into; the views read either form, and ``records`` is built from
+columns only when first read.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, fields
+from itertools import compress
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -105,7 +110,9 @@ class RecordColumns:
     fields are machine-width arrays.  This is the wire layout of shard
     frames (:mod:`repro.scanner.shmring`) and of whole scans a campaign
     pool ships home: flat buffers, so a worker hands its records over
-    without pickling a single Python object per row.
+    without pickling a single Python object per row.  A whole scan stays
+    in this form in the parent, as the rows of its :class:`ScanResult`,
+    until something reads its ``records``.
 
     ``from_records`` / ``to_records`` round-trip exactly — field for
     field, including ``count`` and the full float ``time``.
@@ -175,22 +182,38 @@ class RecordColumns:
             getattr(self, name).extend(map(getattr(probe, name).__getitem__, rows))
         self.time.extend(map(times.__getitem__, rows))
 
-    def to_records(self, intern: "dict[int, int] | None" = None) -> list[ScanRecord]:
-        """The rows as records; with ``intern``, every address is the int
-        object it holds for that value (added on first sight)."""
-        targets = join_columns(self.target_hi, self.target_lo)
-        sources = join_columns(self.source_hi, self.source_lo)
-        if intern is not None:
-            share = intern.setdefault
-            targets = [share(value, value) for value in targets]
-            sources = [share(value, value) for value in sources]
-        columns = (self.icmp_type, self.code, self.count, self.time)
-        return list(map(ScanRecord, targets, sources, *columns))
+    def to_records(self) -> list[ScanRecord]:
+        """The rows as records."""
+        return list(
+            map(
+                ScanRecord,
+                self.addresses("target"),
+                self.addresses("source"),
+                self.icmp_type,
+                self.code,
+                self.count,
+                self.time,
+            )
+        )
+
+    def addresses(self, name: str) -> Iterable[int]:
+        """The ``target`` or ``source`` column as 128-bit ints."""
+        return join_columns(getattr(self, f"{name}_hi"), getattr(self, f"{name}_lo"))
+
+
+_ECHO_REPLY = int(ICMPv6Type.ECHO_REPLY)
 
 
 @dataclass(slots=True)
 class ScanResult:
     """All records of one scan plus send-side counters.
+
+    ``records`` may be given (or assigned) as :class:`RecordColumns`:
+    the rows are then kept packed, and the list — exactly
+    ``columns.to_records()`` — is built on the first read of ``records``
+    and kept in their place.  The views below read the rows in whichever
+    form they are held, so a result only they are asked of never builds
+    a :class:`ScanRecord`.
 
     A scan run with a streaming :class:`~repro.scanner.stream.RecordSink`
     does not buffer its records here; ``records_streamed`` counts the
@@ -222,6 +245,28 @@ class ScanResult:
     # what makes the partial result honest.
     faulted_probes: int = 0
 
+    def _held(self) -> "list[ScanRecord] | RecordColumns":
+        """The rows as held, read without building records."""
+        return _records_slot.__get__(self)
+
+    def _column(self, name: str) -> Iterable:
+        """One field of every row, read from the rows as they are held."""
+        rows = self._held()
+        if type(rows) is not RecordColumns:
+            return map(attrgetter(name), rows)
+        if name in ("target", "source"):
+            return rows.addresses(name)
+        return getattr(rows, name)
+
+    def _echo_rows(self) -> Iterable[bool]:
+        """Per row, whether it is an Echo Reply."""
+        return map(_ECHO_REPLY.__eq__, self._column("icmp_type"))
+
+    def _echo_pairs(self) -> Iterable[tuple[int, int]]:
+        """``(target, source)`` of every Echo Reply row."""
+        pairs = zip(self._column("target"), self._column("source"))
+        return compress(pairs, self._echo_rows())
+
     # ---------------- aggregate counters ---------------- #
 
     @property
@@ -233,17 +278,17 @@ class ScanResult:
         are "only visible in raw packet captures" (§7) — that raw volume
         is :attr:`flood_packets`.
         """
-        return len(self.records) + self.records_streamed
+        return len(self._held()) + self.records_streamed
 
     @property
     def flood_packets(self) -> int:
         """Unsolicited duplicate packets from loop amplification."""
-        return sum(record.count - 1 for record in self.records)
+        return sum(self._column("count")) - len(self._held())
 
     @property
     def responsive_targets(self) -> int:
         """Distinct probed targets that yielded at least one reply."""
-        return len({record.target for record in self.records})
+        return len(set(self._column("target")))
 
     @property
     def reply_rate(self) -> float:
@@ -254,13 +299,19 @@ class ScanResult:
 
     def sources(self) -> set[int]:
         """All distinct reply source addresses."""
-        return {record.source for record in self.records}
+        return set(self._column("source"))
 
     def echo_sources(self) -> set[int]:
-        return {record.source for record in self.records if record.is_echo}
+        return set(compress(self._column("source"), self._echo_rows()))
 
     def error_sources(self) -> set[int]:
-        return {record.source for record in self.records if record.is_error}
+        errors = map((128).__gt__, self._column("icmp_type"))
+        return set(compress(self._column("source"), errors))
+
+    def direct_echo_sources(self) -> set[int]:
+        """Sources that echoed from the very address probed: routers
+        answering a direct probe (Fig. 6a)."""
+        return {source for target, source in self._echo_pairs() if source == target}
 
     def classify_sources(self) -> dict[str, set[int]]:
         """Partition sources into echo-only / error-only / both (Fig. 4)."""
@@ -276,9 +327,9 @@ class ScanResult:
         """Map each target to its (first) echo-reply source — the SRA→router
         binding used by the stability analysis (Fig. 6b)."""
         mapping: dict[int, int] = {}
-        for record in self.records:
-            if record.is_echo and record.target not in mapping:
-                mapping[record.target] = record.source
+        for target, source in self._echo_pairs():
+            if target not in mapping:
+                mapping[target] = source
         return mapping
 
     # ---------------- persistence ---------------- #
@@ -290,6 +341,30 @@ class ScanResult:
 
     def write_jsonl(self, path: str | Path) -> None:
         atomic_write_text(Path(path), records_jsonl(self.records))
+
+
+# The slot ``ScanResult.records`` is stored in: a list, or the columns the
+# descriptor below turns into one on first read.
+_records_slot = ScanResult.records
+
+
+class _Records:
+    """``ScanResult.records``: the list, built once from held columns."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return self
+        rows = _records_slot.__get__(result)
+        if type(rows) is RecordColumns:
+            rows = rows.to_records()
+            _records_slot.__set__(result, rows)
+        return rows
+
+    def __set__(self, result, rows) -> None:
+        _records_slot.__set__(result, rows)
+
+
+ScanResult.records = _Records()
 
 
 def merge_results(name: str, results: Iterable[ScanResult]) -> ScanResult:

@@ -575,9 +575,9 @@ class _Job:
     """One :meth:`ShardedScanRunner.scan_all` job, from its start (config
     resolved, so a lazy set realised) until its result is yielded.  Once
     submitted, ``futures`` is what the campaign's pool runs ahead for it:
-    ``{future: 0}`` for the whole scan on one shard (its records rebuilt
-    over ``intern``), ``{future: shard}`` on several (frames named by
-    ``scan``); ``collected`` tells the campaign that work is in."""
+    ``{future: 0}`` for the whole scan on one shard (its rows held as the
+    columns the worker packed), ``{future: shard}`` on several (frames
+    named by ``scan``); ``collected`` tells the campaign that work is in."""
 
     targets: Sequence[int]
     config: ScanConfig
@@ -585,7 +585,6 @@ class _Job:
     epoch: int
     futures: "dict[Future, int] | None" = None
     scan: str = ""
-    intern: "dict[int, int] | None" = None
     collected: "Callable[[], None] | None" = None
 
 
@@ -739,7 +738,8 @@ class ShardedScanRunner:
             (future,) = prefetched.futures
             result, columns, capture, resilience = future.result()
             prefetched.collected()
-            result.records += columns.to_records(prefetched.intern)
+            # Held as shipped: records are built only if someone reads them.
+            result.records = columns
             return scanner.adopt(target_list, result, capture, resilience)
         before = self.ring_stats.as_dict()
         try:
@@ -812,8 +812,6 @@ class ShardedScanRunner:
         # task (pickling them once per job instead held ~10 MiB more).
         shared = {id(t): t for t, *_ in jobs if isinstance(t, list)}
         slots = {key: index for index, key in enumerate(shared)}
-        # The address ints every record the campaign rebuilds shares.
-        intern: dict[int, int] = {}
         pool = None
         started: deque[_Job] = deque()
         unsent: deque[_Job] = deque()  # started jobs not yet offered to the pool
@@ -841,7 +839,7 @@ class ShardedScanRunner:
                         _worker_scan, payload, job.config, job.name, job.epoch, capture
                     )
                     job.futures = {future: 0}
-                job.intern, job.collected = intern, collected
+                job.collected = collected
                 flying += 1
 
         def collected() -> None:

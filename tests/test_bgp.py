@@ -200,6 +200,14 @@ class TestBGPTable:
             p("2001:db9::/48"),
         ]
 
+    def test_prefixes_in_the_order_of_plain_sorted(self, quick_context):
+        """Sorted by (network, length) key, in IPv6Prefix's own order, for
+        the quick world's BGP table and IRR database (whose prefixes nest)."""
+        world = quick_context.world
+        assert world.bgp.prefixes() == sorted(a.prefix for a in world.bgp)
+        assert world.irr.prefixes() == sorted({obj.prefix for obj in world.irr})
+        assert len(world.irr.prefixes()) > 100
+
     def test_withdraw(self):
         table = self._table()
         assert table.withdraw(p("2001:db8:1::/48"))

@@ -1,110 +1,13 @@
-"""Tests for the IRR (RPSL route6) substrate and hitlist containers."""
+"""Tests for the IRR (route6) substrate and hitlist containers."""
 
+import pickle
 import random
 
-import pytest
-
-from repro.addr.ipv6 import AddressError, IPv6Prefix, parse_address
+from repro.addr.ipv6 import IPv6Prefix, parse_address
 from repro.hitlist.aliases import AliasedPrefixList
 from repro.hitlist.hitlist import Hitlist
 from repro.irr.database import IRRDatabase
-from repro.irr.rpsl import (
-    RPSLError,
-    Route6Object,
-    parse_database,
-    parse_route6,
-    serialize_database,
-)
-
-BLOCK = """\
-route6:         2001:db8:1::/48
-origin:         AS64500
-descr:          Example customer block
-mnt-by:         MAINT-EXAMPLE
-source:         RIPE
-"""
-
-
-class TestRPSLParse:
-    def test_parse_basic(self):
-        obj = parse_route6(BLOCK)
-        assert obj.prefix == IPv6Prefix.parse("2001:db8:1::/48")
-        assert obj.origin_asn == 64500
-        assert obj.descr == "Example customer block"
-        assert obj.maintainer == "MAINT-EXAMPLE"
-        assert obj.source == "RIPE"
-
-    def test_parse_lowercase_origin(self):
-        obj = parse_route6("route6: 2001:db8::/32\norigin: as7\n")
-        assert obj.origin_asn == 7
-
-    def test_continuation_lines(self):
-        block = (
-            "route6: 2001:db8::/32\n"
-            "origin: AS1\n"
-            "descr: line one\n"
-            "        line two\n"
-            "+line three\n"
-        )
-        obj = parse_route6(block)
-        assert obj.descr == "line one line two line three"
-
-    def test_unknown_attributes_preserved(self):
-        block = BLOCK + "remarks:        keep me\n"
-        obj = parse_route6(block)
-        assert ("remarks", "keep me") in obj.extra
-        assert "remarks" in obj.to_rpsl()
-
-    def test_comments_skipped(self):
-        obj = parse_route6("% mirror header\n" + BLOCK)
-        assert obj.origin_asn == 64500
-
-    def test_missing_route6(self):
-        with pytest.raises(RPSLError):
-            parse_route6("origin: AS1\n")
-
-    def test_missing_origin(self):
-        with pytest.raises(RPSLError):
-            parse_route6("route6: 2001:db8::/32\n")
-
-    def test_bad_prefix(self):
-        with pytest.raises(RPSLError):
-            parse_route6("route6: bogus/48\norigin: AS1\n")
-
-    def test_bad_origin(self):
-        with pytest.raises(RPSLError):
-            parse_route6("route6: 2001:db8::/32\norigin: ASXY\n")
-
-    def test_line_without_colon(self):
-        with pytest.raises(RPSLError):
-            parse_route6("route6 2001:db8::/32\n")
-
-    def test_roundtrip(self):
-        obj = parse_route6(BLOCK)
-        assert parse_route6(obj.to_rpsl()) == obj
-
-
-class TestRPSLDatabaseText:
-    def test_parse_database_multiple(self):
-        text = BLOCK + "\n" + BLOCK.replace("2001:db8:1::/48", "2001:db8:2::/48")
-        objects = parse_database(text)
-        assert len(objects) == 2
-
-    def test_parse_database_skips_other_classes(self):
-        text = "mntner: MAINT-X\nsource: RIPE\n\n" + BLOCK
-        assert len(parse_database(text)) == 1
-
-    def test_serialize_sorted(self):
-        objects = [
-            Route6Object(IPv6Prefix.parse("2001:db9::/48"), 2),
-            Route6Object(IPv6Prefix.parse("2001:db8::/48"), 1),
-        ]
-        text = serialize_database(objects)
-        assert text.index("2001:db8::") < text.index("2001:db9::")
-
-    def test_serialize_parse_roundtrip(self):
-        objects = parse_database(BLOCK)
-        assert parse_database(serialize_database(objects)) == objects
+from repro.irr.rpsl import Route6Object
 
 
 class TestIRRDatabase:
@@ -147,13 +50,21 @@ class TestIRRDatabase:
         assert not db.remove(prefix, 1)
         assert len(db) == 0
 
-    def test_save_load(self, tmp_path):
-        db = IRRDatabase([Route6Object(IPv6Prefix.parse("2001:db8::/48"), 64500)])
-        path = tmp_path / "irr.db"
-        db.save(path)
-        loaded = IRRDatabase.load(path)
-        assert len(loaded) == 1
-        assert loaded.prefixes() == [IPv6Prefix.parse("2001:db8::/48")]
+    def test_survives_pickle(self):
+        """The world artifact pickles the database, extra attributes and all."""
+        prefix = IPv6Prefix.parse("2001:db8::/48")
+        db = IRRDatabase(
+            [
+                Route6Object(
+                    prefix, 1, "customer", "MAINT-X", "RIPE", (("remarks", "r"),)
+                ),
+                Route6Object(IPv6Prefix.parse("2001:db8::/32"), 2),
+            ]
+        )
+        thawed = pickle.loads(pickle.dumps(db))
+        assert list(thawed) == list(db)
+        assert thawed.prefixes() == db.prefixes()
+        assert next(iter(thawed)).extra == (("remarks", "r"),)
 
 
 class TestHitlist:
@@ -184,19 +95,14 @@ class TestHitlist:
         )
         assert len(hitlist.unique_slash64s()) == 2
 
-    def test_save_load(self, tmp_path):
-        hitlist = Hitlist(name="test")
-        hitlist.extend([parse_address("2001:db8::1"), parse_address("::2")])
-        path = tmp_path / "hitlist.txt"
-        hitlist.save(path)
-        loaded = Hitlist.load(path)
-        assert loaded.addresses() == hitlist.addresses()
-
-    def test_load_reports_line_number(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2001:db8::1\nnot-an-address\n")
-        with pytest.raises(AddressError, match="2"):
-            Hitlist.load(path)
+    def test_addresses_is_a_copy_in_first_seen_order(self):
+        hitlist = Hitlist()
+        hitlist.extend([9, 4, 9, 1])
+        addresses = hitlist.addresses()
+        assert addresses == [9, 4, 1]
+        addresses.append(7)
+        assert 7 not in hitlist
+        assert hitlist.addresses() == [9, 4, 1]
 
 
 class TestAliasedPrefixList:
@@ -213,13 +119,12 @@ class TestAliasedPrefixList:
         assert len(alias_list) == 2
         assert list(alias_list)[0] == IPv6Prefix.parse("2001:db8::/48")
 
-    def test_save_load(self, tmp_path):
+    def test_add_after_a_lookup_is_seen(self):
         alias_list = AliasedPrefixList([IPv6Prefix.parse("2001:db8::/48")])
-        path = tmp_path / "aliases.txt"
-        alias_list.save(path)
-        loaded = AliasedPrefixList.load(path)
-        assert len(loaded) == 1
-        assert loaded.contains_address(parse_address("2001:db8::1"))
+        address = parse_address("2001:db9::1")
+        assert not alias_list.contains_address(address)
+        alias_list.add(IPv6Prefix.parse("2001:db9::/64"))
+        assert alias_list.contains_address(address)
 
     def test_containment_equals_brute_force(self):
         """Against ``any(p.covers(...))`` over the plain prefix list,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.addr.ipv6 import IPv6Prefix, parse_address
 from repro.analysis.comparison import SourceComparison
 from repro.analysis.geodist import (
     continent_type_crosstab,
@@ -39,22 +40,21 @@ class TestGeoIP:
         geo = GeoIPDatabase.from_world(tiny_world)
         assert geo.country_of(0x3BAD << 112) is None
 
-    def test_save_load(self, tiny_world, tmp_path):
-        geo = GeoIPDatabase.from_world(tiny_world)
-        path = tmp_path / "geo.txt"
-        geo.save(path)
-        loaded = GeoIPDatabase.load(path)
-        subnet = next(iter(tiny_world.subnets.values()))
-        assert loaded.country_of(subnet.router_interface) == geo.country_of(
-            subnet.router_interface
-        )
-
     def test_country_is_the_owning_as_country(self, tiny_world):
         geo = GeoIPDatabase.from_world(tiny_world)
         for subnet in tiny_world.subnets.values():
             assert geo.country_of(subnet.router_interface) == (
                 tiny_world.ases[subnet.asn].country
             )
+
+    def test_longest_prefix_wins(self):
+        geo = GeoIPDatabase()
+        geo.add(IPv6Prefix.parse("2001:db8::/32"), "DEU")
+        geo.add(IPv6Prefix.parse("2001:db8:1::/48"), "FRA")
+        assert len(geo) == 2
+        assert geo.country_of(parse_address("2001:db8:1::5")) == "FRA"
+        assert geo.country_of(parse_address("2001:db8:2::5")) == "DEU"
+        assert geo.country_of(parse_address("2001:db9::5")) is None
 
     def test_continent_of(self):
         assert continent_of("IND") == "AS"
@@ -107,14 +107,11 @@ class TestASTypeDatabase:
         asn = next(iter(tiny_world.ases))
         assert db.type_of(asn) is tiny_world.ases[asn].as_type
 
-    def test_save_load(self, tiny_world, tmp_path):
+    def test_from_world_covers_every_as(self, tiny_world):
         db = ASTypeDatabase.from_world(tiny_world)
-        path = tmp_path / "types.txt"
-        db.save(path)
-        loaded = ASTypeDatabase.load(path)
-        assert len(loaded) == len(db)
-        asn = next(iter(tiny_world.ases))
-        assert loaded.type_of(asn) is db.type_of(asn)
+        assert len(db) == len(tiny_world.ases)
+        for asn, info in tiny_world.ases.items():
+            assert db.type_of(asn) is info.as_type
 
     def test_add(self):
         db = ASTypeDatabase()
