@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import compress
 
 from ..metadata.geoip import GeoIPDatabase
+from ..packet.icmpv6 import ICMPv6Type
 from ..scanner.records import ScanResult
 
 SLASH48_SHIFT = 128 - 48
@@ -38,15 +40,15 @@ class LoopAnalysis:
         return analysis
 
     def ingest(self, scan: ScanResult) -> None:
-        for record in scan.records:
-            if not record.is_time_exceeded:
-                continue
-            slash48 = (record.target >> SLASH48_SHIFT) << SLASH48_SHIFT
-            self.loops_per_router.setdefault(record.source, set()).add(slash48)
-            if record.count > self.amplification_per_router.get(record.source, 0):
-                self.amplification_per_router[record.source] = record.count
-            if record.count > self.amplification_per_slash48.get(slash48, 0):
-                self.amplification_per_slash48[slash48] = record.count
+        looped = map(int(ICMPv6Type.TIME_EXCEEDED).__eq__, scan.column("icmp_type"))
+        rows = zip(scan.column("target"), scan.column("source"), scan.column("count"))
+        for target, source, count in compress(rows, looped):
+            slash48 = (target >> SLASH48_SHIFT) << SLASH48_SHIFT
+            self.loops_per_router.setdefault(source, set()).add(slash48)
+            if count > self.amplification_per_router.get(source, 0):
+                self.amplification_per_router[source] = count
+            if count > self.amplification_per_slash48.get(slash48, 0):
+                self.amplification_per_slash48[slash48] = count
 
     # ---------------- headline numbers ---------------- #
 

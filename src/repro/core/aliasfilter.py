@@ -16,11 +16,14 @@ quantified by the alias ablation benchmark.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_, eq, not_, or_
 
 from ..hitlist.aliases import AliasedPrefixList
+from ..packet.icmpv6 import ICMPv6Type
 from ..scanner.records import ScanRecord, ScanResult
-
 
 @dataclass(frozen=True, slots=True)
 class AliasFilterStats:
@@ -48,35 +51,46 @@ def filter_aliased(
 
     Also drops *all* records of any target identified as aliased by rule 1
     — once the subnet is known to answer on everything, none of its replies
-    are evidence of a router.
+    are evidence of a router.  Reads the rows as columns, looks each
+    distinct source up once, and builds no record.
     """
-    aliased_targets = {
-        record.target for record in result.records if is_self_reply(record)
-    }
-    kept: list[ScanRecord] = []
-    dropped_self = 0
-    dropped_list = 0
-    for record in result.records:
-        if record.target in aliased_targets:
-            dropped_self += 1
-            continue
-        if alias_list is not None and alias_list.contains_address(record.source):
-            dropped_list += 1
-            continue
-        kept.append(record)
+    rows = result.columns()
+    # Rule 1 (:func:`is_self_reply`), in full only where the low halves match.
+    echo = map(int(ICMPv6Type.ECHO_REPLY).__eq__, rows.icmp_type)
+    same = rows.select(bytes(map(and_, echo, map(eq, rows.source_lo, rows.target_lo))))
+    aliased = {t for t, s in zip(same.addresses("target"), same.addresses("source")) if t == s}
+    listed = set()
+    if alias_list is not None:
+        listed = set(filter(alias_list.contains_address, set(rows.addresses("source"))))
+    by_target = _rows_among(rows.target_hi, rows.target_lo, aliased)
+    by_list = _rows_among(rows.source_hi, rows.source_lo, listed)
+    keep = bytes(map(not_, map(or_, by_target, by_list)))
+    kept = keep.count(1)
+    if kept < len(rows):
+        rows = rows.select(keep)
     filtered = ScanResult(
         name=result.name,
         epoch=result.epoch,
         sent=result.sent,
         lost=result.lost,
-        records=kept,
+        records=rows,
         loops_observed=result.loops_observed,
         duration=result.duration,
         engine_stats=result.engine_stats,
     )
+    dropped_self = by_target.count(1)
     stats = AliasFilterStats(
-        kept=len(kept),
+        kept=kept,
         dropped_self_reply=dropped_self,
-        dropped_alias_list=dropped_list,
+        dropped_alias_list=len(keep) - kept - dropped_self,
     )
     return filtered, stats
+
+
+def _rows_among(hi: array, lo: array, addresses: set[int]) -> bytes:
+    """Per row, whether its address (halves ``hi``, ``lo``) is one of
+    ``addresses``, tested in full only where the high half is."""
+    among = bytearray(map({address >> 64 for address in addresses}.__contains__, hi))
+    for row in compress(range(len(among)), bytes(among)):
+        among[row] = (hi[row] << 64 | lo[row]) in addresses
+    return bytes(among)

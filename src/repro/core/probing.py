@@ -24,9 +24,8 @@ each scans in place, one after another.  At any shard count the
 results are the same bytes — a runner changes wall-clock
 time only; crash tolerance (retries, journals) is configured on it.
 
-A whole scan a pool worker ran comes back as packed columns, and the
-campaigns here read it only through :class:`ScanResult`'s views, so
-they never build a :class:`~repro.scanner.records.ScanRecord` for it.
+The campaigns read each scan only through :class:`ScanResult`'s views,
+which read its rows as columns, so they never build a record.
 """
 
 from __future__ import annotations

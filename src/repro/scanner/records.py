@@ -3,10 +3,9 @@
 A :class:`ScanRecord` is one received reply row — what the paper's pipeline
 gets out of ZMapv6 after matching replies back to probes.  A
 :class:`ScanResult` aggregates a whole scan: counters, per-source views,
-and the echo/error/both classification of router IPs (Fig. 4).  It holds
-its rows as records or as the :class:`RecordColumns` a pool worker packed
-them into; the views read either form, and ``records`` is built from
-columns only when first read.
+and the echo/error/both classification of router IPs (Fig. 4).  A scan
+holds its rows as the :class:`RecordColumns` the scanner packed them
+into; the views read them, and ``records`` is built on first read.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field, fields
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..addr.ipv6 import format_address, join_columns, split_into
 from ..atomicio import atomic_write_text
@@ -107,12 +106,10 @@ class RecordColumns:
     """A list of :class:`ScanRecord` rows as packed parallel columns.
 
     Addresses are int-pair (hi, lo) ``array('Q')`` columns; the small
-    fields are machine-width arrays.  This is the wire layout of shard
-    frames (:mod:`repro.scanner.shmring`) and of whole scans a campaign
-    pool ships home: flat buffers, so a worker hands its records over
-    without pickling a single Python object per row.  A whole scan stays
-    in this form in the parent, as the rows of its :class:`ScanResult`,
-    until something reads its ``records``.
+    fields are machine-width arrays.  A buffered scan keeps its rows in
+    this form — packed by the scanner, shipped as flat buffers in shard
+    frames (:mod:`repro.scanner.shmring`) and pool results — until
+    something reads its ``records``.  Iterating builds the records.
 
     ``from_records`` / ``to_records`` round-trip exactly — field for
     field, including ``count`` and the full float ``time``.
@@ -145,56 +142,53 @@ class RecordColumns:
 
     @classmethod
     def from_records(cls, records: "Iterable[ScanRecord]") -> "RecordColumns":
-        rows = records if isinstance(records, list) else list(records)
-        cols = cls.empty(len(rows))
-        target_hi = cols.target_hi
-        target_lo = cols.target_lo
-        source_hi = cols.source_hi
-        source_lo = cols.source_lo
-        icmp_type = cols.icmp_type
-        code = cols.code
-        count = cols.count
-        time = cols.time
-        mask = (1 << 64) - 1
-        for i, record in enumerate(rows):
-            target_hi[i] = record.target >> 64
-            target_lo[i] = record.target & mask
-            source_hi[i] = record.source >> 64
-            source_lo[i] = record.source & mask
-            icmp_type[i] = record.icmp_type
-            code[i] = record.code
-            count[i] = record.count
-            time[i] = record.time
+        rows = list(records)
+        cols = cls.empty()
+        for name in ("target", "source"):
+            values = list(map(attrgetter(name), rows))
+            split_into(values, getattr(cols, f"{name}_hi"), getattr(cols, f"{name}_lo"))
+        for name in ("icmp_type", "code", "count", "time"):
+            getattr(cols, name).extend(map(attrgetter(name), rows))
         return cols
+
+    def select(self, keep: bytes) -> "RecordColumns":
+        """The rows ``keep`` marks, as new columns."""
+        columns = map(self.__getattribute__, self.__slots__)
+        return RecordColumns(*(array(c.typecode, compress(c, keep)) for c in columns))
 
     def pack_rows(self, rows: Iterable[int], targets, times, probe) -> None:
         """Append rows ``rows`` of a probe batch without building a
         :class:`ScanRecord`: target and time from the batch, the reply
-        from the kernel's result columns (a ``ProbeColumns``), which must
-        carry no extra replies (only ``raw`` writes those, and a packed
-        scan is a simulated one)."""
-        if probe.extra:
-            raise ValueError("pack_rows takes one reply per row; got extras")
+        from the kernel's result columns (a ``ProbeColumns``).  A row with
+        extra replies (only ``raw`` has them) packs its column reply
+        first, then its extras in arrival order."""
         rows = list(rows)
-        hits = list(map(targets.__getitem__, rows))
-        split_into(hits, self.target_hi, self.target_lo)
-        for name in ("source_hi", "source_lo", "icmp_type", "code", "count"):
-            getattr(self, name).extend(map(getattr(probe, name).__getitem__, rows))
+        if probe.extra:
+            # Sorted stably on the row: a row's column reply before its extras.
+            replies = [
+                (row, probe.source(row), probe.icmp_type[row], probe.code[row], probe.count[row])
+                for row in rows
+            ]
+            rows, sources, *values = zip(*sorted(replies + probe.extra, key=itemgetter(0)))
+            split_into(sources, self.source_hi, self.source_lo)
+            for name, column in zip(("icmp_type", "code", "count"), values):
+                getattr(self, name).extend(column)
+        else:
+            for name in ("source_hi", "source_lo", "icmp_type", "code", "count"):
+                getattr(self, name).extend(map(getattr(probe, name).__getitem__, rows))
+        split_into(
+            list(map(targets.__getitem__, rows)), self.target_hi, self.target_lo
+        )
         self.time.extend(map(times.__getitem__, rows))
+
+    def __iter__(self) -> Iterator[ScanRecord]:
+        """The rows as records, built as they are read."""
+        addresses = self.addresses("target"), self.addresses("source")
+        return map(ScanRecord, *addresses, self.icmp_type, self.code, self.count, self.time)
 
     def to_records(self) -> list[ScanRecord]:
         """The rows as records."""
-        return list(
-            map(
-                ScanRecord,
-                self.addresses("target"),
-                self.addresses("source"),
-                self.icmp_type,
-                self.code,
-                self.count,
-                self.time,
-            )
-        )
+        return list(self)
 
     def addresses(self, name: str) -> Iterable[int]:
         """The ``target`` or ``source`` column as 128-bit ints."""
@@ -208,12 +202,12 @@ _ECHO_REPLY = int(ICMPv6Type.ECHO_REPLY)
 class ScanResult:
     """All records of one scan plus send-side counters.
 
-    ``records`` may be given (or assigned) as :class:`RecordColumns`:
-    the rows are then kept packed, and the list — exactly
+    A scan holds its rows as :class:`RecordColumns` (``records`` may be
+    given or assigned either form): the list — exactly
     ``columns.to_records()`` — is built on the first read of ``records``
     and kept in their place.  The views below read the rows in whichever
-    form they are held, so a result only they are asked of never builds
-    a :class:`ScanRecord`.
+    form they are held, through :meth:`column`, so a result only they are
+    asked of never builds a :class:`ScanRecord`.
 
     A scan run with a streaming :class:`~repro.scanner.stream.RecordSink`
     does not buffer its records here; ``records_streamed`` counts the
@@ -249,8 +243,8 @@ class ScanResult:
         """The rows as held, read without building records."""
         return _records_slot.__get__(self)
 
-    def _column(self, name: str) -> Iterable:
-        """One field of every row, read from the rows as they are held."""
+    def column(self, name: str) -> Iterable:
+        """One record field of every row, read from the rows as held."""
         rows = self._held()
         if type(rows) is not RecordColumns:
             return map(attrgetter(name), rows)
@@ -258,13 +252,18 @@ class ScanResult:
             return rows.addresses(name)
         return getattr(rows, name)
 
+    def columns(self) -> RecordColumns:
+        """The rows as columns: those held, or packed from held records."""
+        rows = self._held()
+        return rows if type(rows) is RecordColumns else RecordColumns.from_records(rows)
+
     def _echo_rows(self) -> Iterable[bool]:
         """Per row, whether it is an Echo Reply."""
-        return map(_ECHO_REPLY.__eq__, self._column("icmp_type"))
+        return map(_ECHO_REPLY.__eq__, self.column("icmp_type"))
 
     def _echo_pairs(self) -> Iterable[tuple[int, int]]:
         """``(target, source)`` of every Echo Reply row."""
-        pairs = zip(self._column("target"), self._column("source"))
+        pairs = zip(self.column("target"), self.column("source"))
         return compress(pairs, self._echo_rows())
 
     # ---------------- aggregate counters ---------------- #
@@ -283,12 +282,12 @@ class ScanResult:
     @property
     def flood_packets(self) -> int:
         """Unsolicited duplicate packets from loop amplification."""
-        return sum(self._column("count")) - len(self._held())
+        return sum(self.column("count")) - len(self._held())
 
     @property
     def responsive_targets(self) -> int:
         """Distinct probed targets that yielded at least one reply."""
-        return len(set(self._column("target")))
+        return len(set(self.column("target")))
 
     @property
     def reply_rate(self) -> float:
@@ -299,14 +298,14 @@ class ScanResult:
 
     def sources(self) -> set[int]:
         """All distinct reply source addresses."""
-        return set(self._column("source"))
+        return set(self.column("source"))
 
     def echo_sources(self) -> set[int]:
-        return set(compress(self._column("source"), self._echo_rows()))
+        return set(compress(self.column("source"), self._echo_rows()))
 
     def error_sources(self) -> set[int]:
-        errors = map((128).__gt__, self._column("icmp_type"))
-        return set(compress(self._column("source"), errors))
+        errors = map((128).__gt__, self.column("icmp_type"))
+        return set(compress(self.column("source"), errors))
 
     def direct_echo_sources(self) -> set[int]:
         """Sources that echoed from the very address probed: routers
@@ -368,14 +367,16 @@ ScanResult.records = _Records()
 
 
 def merge_results(name: str, results: Iterable[ScanResult]) -> ScanResult:
-    """Concatenate several scans (e.g. shards) into one result.
+    """Concatenate several scans (e.g. shards) into one result, whose rows
+    are the inputs' columns one after another.
 
     Shards of one scan run *concurrently* over the same virtual clock, so
     the merged wall-clock duration is the maximum, not the sum.  The epoch
     is carried over from the inputs (they are expected to agree; the first
     result wins when they do not).
     """
-    merged = ScanResult(name=name)
+    rows = RecordColumns.empty()
+    merged = ScanResult(name=name, records=rows)
     stats_seen: list[EngineStats] = []
     first = True
     for result in results:
@@ -389,7 +390,9 @@ def merge_results(name: str, results: Iterable[ScanResult]) -> ScanResult:
         merged.unmatched_replies += result.unmatched_replies
         merged.faulted_probes += result.faulted_probes
         merged.duration = max(merged.duration, result.duration)
-        merged.records.extend(result.records)
+        columns = result.columns()
+        for name in rows.__slots__:
+            getattr(rows, name).extend(getattr(columns, name))
         if result.engine_stats is not None:
             stats_seen.append(result.engine_stats)
     if stats_seen:

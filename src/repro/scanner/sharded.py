@@ -30,12 +30,13 @@ import os
 import signal
 import threading
 import time
+from array import array
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from operator import itemgetter
+from operator import getitem, itemgetter, not_, or_
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -170,7 +171,7 @@ def auto_shard_count(limit: int = 8) -> int:
 
 @dataclass(slots=True)
 class ShardOutcome:
-    """One shard's scan plus everything the merge needs to finish it."""
+    """One shard's scan (its rows as columns) plus what the merge needs."""
 
     shard: int
     result: ScanResult
@@ -184,7 +185,7 @@ class ShardOutcome:
     # Denominator of this shard's index window (IndexWindow(shard, shards)):
     # the merge validates that outcomes tile the permutation exactly once.
     shards: int = 1
-    # Shared-memory frame holding the records and checks while the outcome
+    # Shared-memory frame holding the rows and checks while the outcome
     # crosses a process boundary (see repro.scanner.shmring).  Drained —
     # and cleared — in the parent before the merge or the checkpoint
     # journal ever touch the outcome.
@@ -200,14 +201,14 @@ class ShardOutcome:
         # Pickled (pool future, ring fallback, checkpoint journal) as the
         # ring frame's columns: no ScanRecord or check tuple is pickled.
         state = {field.name: getattr(self, field.name) for field in fields(self)}
+        columns = outcome_columns(self.result, state.pop("checks"))
         state["result"] = replace(self.result, records=[])
-        columns = outcome_columns(self.result.records, state.pop("checks"))
         return _restore_outcome, (state, *columns)
 
 
 def _restore_outcome(state: dict, *columns) -> ShardOutcome:
-    records, checks = outcome_rows(*columns)
-    state["result"].records = records
+    rows, checks = outcome_rows(*columns)
+    state["result"].records = rows
     return ShardOutcome(checks=checks, **state)
 
 
@@ -292,9 +293,9 @@ def merge_shard_outcomes(
 
     Replays every recorded rate-limit check in global virtual-time order
     on a fresh engine; checks the replay rejects drop their provisional
-    error record and move from ``error_replies`` to ``suppressed_errors``.
-    Records are then interleaved by probe time, which *is* the global
-    permutation order.
+    error rows and move from ``error_replies`` to ``suppressed_errors``.
+    The shards' columns are then interleaved by probe time, which *is*
+    the global permutation order, one column at a time.
 
     With ``telemetry`` the scan's metrics are folded once, here, from the
     corrected stats and the merged records — the serial run's, so its
@@ -309,7 +310,7 @@ def merge_shard_outcomes(
     ordered = sorted(outcomes, key=lambda outcome: outcome.shard)
     _validate_shard_windows(ordered)
     for outcome in ordered:
-        # Outcomes that crossed a process boundary carry their records and
+        # Outcomes that crossed a process boundary carry their rows and
         # checks in a shared-memory frame; drain them here, in serial
         # shard order (no-op for in-process shards and for outcomes the
         # dispatch loop already drained).
@@ -336,24 +337,20 @@ def merge_shard_outcomes(
         if not replay.error_allowed(router_id, time):
             disallowed += 1
             dropped[shard].add(time)
+    del checks  # replayed: its memory is free for the rows and the sink
 
-    results: list[ScanResult] = []
     for outcome in ordered:
-        doomed = dropped[outcome.shard]
-        if doomed:
-            outcome.result.records = [
-                record
-                for record in outcome.result.records
-                if not (record.is_error and record.time in doomed)
-            ]
+        rows = outcome.result.columns()
+        if doomed := dropped[outcome.shard]:
+            # A doomed probe time loses its error rows, not its replies.
+            spared = map(not_, map(doomed.__contains__, rows.time))
+            rows = rows.select(bytes(map(or_, map((128).__le__, rows.icmp_type), spared)))
+        outcome.result.records = rows  # what its shard_finished counts
         outcome.result.engine_stats = outcome.stats
-        results.append(outcome.result)
-
-    merged = merge_results(name, results)
+    # Counters only: the rows are interleaved below, not concatenated.
+    merged = merge_results(name, [replace(o.result, records=[]) for o in ordered])
     merged.epoch = epoch
-    # Probe times are distinct per probe and sorted() is stable, so records
-    # of one probe keep their order while probes interleave serially.
-    merged.records.sort(key=lambda record: record.time)
+    merged.records = rows = _interleave_by_time([o.result.columns() for o in ordered])
     if merged.engine_stats is not None:
         merged.engine_stats.error_replies -= disallowed
         merged.engine_stats.suppressed_errors += disallowed
@@ -361,15 +358,16 @@ def merge_shard_outcomes(
         # Into a registry of the scan's own: a sink that fails below
         # leaves the facade's untouched.
         registry = populate_registry(
-            MetricsRegistry(), merged.engine_stats, merged.records
+            MetricsRegistry(), merged.engine_stats, rows.time, rows.count
         )
     if sink is not None:
-        # Shards must buffer their records for the replay correction, so
+        # Shards must buffer their rows for the replay correction, so
         # streaming drains here, post-merge — in exact serial order, and
         # before the closing telemetry so gauges see the drained state.
-        sink.drain(merged.records)
-        merged.records_streamed += len(merged.records)
-        merged.records.clear()
+        # The sink takes records built from the columns a chunk at a time.
+        sink.drain(rows)
+        merged.records_streamed += len(rows)
+        merged.records = []
 
     if telemetry is not None:
         captures = [
@@ -395,6 +393,28 @@ def merge_shard_outcomes(
             resilience=[(outcome.shard, outcome.resilience) for outcome in ordered],
         )
     return merged
+
+
+def _interleave_by_time(parts: "list[RecordColumns]") -> RecordColumns:
+    """The rows of ``parts`` in probe-time order (a stable sort: a probe's
+    rows keep theirs), gathered once per column by ``(part, row)`` index."""
+    if len(parts) == 1:
+        return parts[0]
+    where, rows, times = array("I"), array("q"), array("d")
+    for index, part in enumerate(parts):
+        where.extend(itertools.repeat(index, len(part)))
+        rows.extend(range(len(part)))
+        times.extend(part.time)
+    order = sorted(range(len(times)), key=times.__getitem__)
+    where = array("I", map(where.__getitem__, order))
+    rows = array("q", map(rows.__getitem__, order))
+    del order, times
+    gathered = []
+    for name in RecordColumns.__slots__:
+        sources = [getattr(part, name) for part in parts]
+        picked = map(getitem, map(sources.__getitem__, where), rows)
+        gathered.append(array(sources[0].typecode, picked))
+    return RecordColumns(*gathered)
 
 
 def _validate_shard_windows(ordered: Sequence[ShardOutcome]) -> None:
@@ -536,17 +556,16 @@ def _worker_targets(targets):
 
 
 def _worker_scan(targets, config: ScanConfig, name: str, epoch: int, capture: bool):
-    """One whole scan in place in a pool worker: its result, reply rows
-    packed instead of records, and the capture and resilience the parent
-    adopts it with."""
+    """One whole scan in place in a pool worker: its result, its reply
+    rows as columns (pickled with them, the result would build records),
+    and the capture and resilience the parent adopts it with."""
     scanner = _scanner_in_place(
         _WORKER_WORLD, config, epoch, capture_telemetry=capture
     )
-    columns = RecordColumns.empty()
-    result = scanner.scan(
-        _worker_targets(targets), name=name, epoch=epoch, columns=columns
-    )
-    return result, columns, scanner.last_capture, scanner.last_resilience
+    result = scanner.scan(_worker_targets(targets), name=name, epoch=epoch)
+    rows = result.columns()
+    result.records = []
+    return result, rows, scanner.last_capture, scanner.last_resilience
 
 
 def _submit(pool, targets, config, scan: str, attempts, work) -> "dict[Future, int]":
@@ -736,10 +755,9 @@ class ShardedScanRunner:
             if prefetched is None:
                 return scanner.scan(target_list, name=name, epoch=epoch, sink=sink)
             (future,) = prefetched.futures
-            result, columns, capture, resilience = future.result()
+            # The rows are held as shipped, as columns.
+            result, result.records, capture, resilience = future.result()
             prefetched.collected()
-            # Held as shipped: records are built only if someone reads them.
-            result.records = columns
             return scanner.adopt(target_list, result, capture, resilience)
         before = self.ring_stats.as_dict()
         try:

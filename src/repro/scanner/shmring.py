@@ -1,15 +1,15 @@
 """Zero-copy shared-memory transport for the shard → merge hand-off.
 
-A pool worker packs its outcome's records and checks into flat parallel
-columns (:class:`~repro.scanner.records.RecordColumns` plus two check
-arrays) and memcpys them — one buffer-protocol copy per column, no per-row
-objects — into a single ``multiprocessing.shared_memory`` segment.  What
-crosses the pickle channel is a tiny :class:`RingHandle` claim ticket.
-The parent attaches, rebuilds the rows straight out of the mapping, and
-unlinks.  The frame's columns are also the pickled and journaled form of
-an outcome (:func:`outcome_columns` / :func:`outcome_rows`): the pool
-future, the pickle fallback below and the checkpoint journal never pickle
-a :class:`ScanRecord` or a check tuple either.
+A pool worker's outcome holds its rows as flat parallel columns
+(:class:`~repro.scanner.records.RecordColumns`); it memcpys them and two
+check arrays — one buffer-protocol copy per column, no per-row objects —
+into a single ``multiprocessing.shared_memory`` segment.  What crosses
+the pickle channel is a tiny :class:`RingHandle` claim ticket.  The
+parent attaches, copies the columns back out, and unlinks: neither side
+builds a record.  The frame's columns are also the pickled and journaled
+form of an outcome (:func:`outcome_columns` / :func:`outcome_rows`): the
+pool future, the pickle fallback below and the checkpoint journal never
+pickle a :class:`ScanRecord` or a check tuple either.
 
 Frame layout (one segment per shard outcome)::
 
@@ -19,8 +19,8 @@ Frame layout (one segment per shard outcome)::
 
 Ownership protocol: the worker *creates* the segment but immediately
 unregisters it from its resource tracker — the parent owns the unlink.
-Draining is therefore mandatory; :func:`drain_outcome` both rebuilds the
-payload and releases the segment, and :func:`release_outcome` unlinks an
+Draining is therefore mandatory; :func:`drain_outcome` both copies the
+payload out and releases the segment, and :func:`release_outcome` unlinks an
 undrained frame when a failure or interrupt means its payload will never
 be merged.
 
@@ -40,7 +40,8 @@ from typing import TYPE_CHECKING
 
 from .records import RecordColumns
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from .records import ScanResult
     from .sharded import ShardOutcome
 
 try:  # gate: platforms without POSIX/System V shared memory pickle instead
@@ -106,17 +107,17 @@ class RingStats:
         }
 
 
-def outcome_columns(records: list, checks: list) -> tuple:
-    """Records and checks as the frame's columns: :class:`RecordColumns`,
-    check times as ``array('d')``, check router ids as ``array('q')``."""
+def outcome_columns(result: "ScanResult", checks: list) -> tuple:
+    """A shard's rows and checks as the frame's columns: its rows, check
+    times as ``array('d')``, check router ids as ``array('q')``."""
     times = array("d", map(itemgetter(0), checks))
     routers = array("q", map(itemgetter(1), checks))
-    return RecordColumns.from_records(records), times, routers
+    return result.columns(), times, routers
 
 
 def outcome_rows(cols: RecordColumns, times: array, routers: array) -> tuple:
-    """The inverse of :func:`outcome_columns`: records and checks."""
-    return cols.to_records(), list(zip(times, routers))
+    """The inverse of :func:`outcome_columns`: rows and check tuples."""
+    return cols, list(zip(times, routers))
 
 
 def _columns(cols: RecordColumns, times: array, routers: array) -> tuple:
@@ -156,9 +157,8 @@ def pack_outcome(outcome: "ShardOutcome", name: str | None = None) -> bool:
     if shared_memory is None:
         outcome.ring_fallback = True
         return False
-    records = outcome.result.records
-    checks = outcome.checks
-    columns = _columns(*outcome_columns(records, checks))
+    rows, times, routers = outcome_columns(outcome.result, outcome.checks)
+    columns = _columns(rows, times, routers)
     total = _HEADER.size + sum(
         len(column) * column.itemsize for column in columns
     )
@@ -169,7 +169,7 @@ def pack_outcome(outcome: "ShardOutcome", name: str | None = None) -> bool:
         return False
     try:
         buf = segment.buf
-        _HEADER.pack_into(buf, 0, _MAGIC, len(records), len(checks))
+        _HEADER.pack_into(buf, 0, _MAGIC, len(rows), len(times))
         offset = _HEADER.size
         for column in columns:
             view = memoryview(column).cast("B")
@@ -188,7 +188,7 @@ def pack_outcome(outcome: "ShardOutcome", name: str | None = None) -> bool:
     name = segment.name
     segment.close()
     outcome.ring = RingHandle(
-        name=name, nbytes=total, records=len(records), checks=len(checks)
+        name=name, nbytes=total, records=len(rows), checks=len(times)
     )
     outcome.result.records = []
     outcome.checks = []
@@ -198,7 +198,7 @@ def pack_outcome(outcome: "ShardOutcome", name: str | None = None) -> bool:
 def drain_outcome(
     outcome: "ShardOutcome", stats: RingStats | None = None
 ) -> None:
-    """Rebuild an outcome's records and checks from its ring frame.
+    """Copy an outcome's rows and checks back out of its ring frame.
 
     Runs in the parent, before the merge or the checkpoint journal ever
     look at the outcome.  Idempotent: outcomes without a frame
@@ -212,8 +212,8 @@ def drain_outcome(
     handle = getattr(outcome, "ring", None)
     if handle is None:
         return
-    records, checks = _read_frame(handle)
-    outcome.result.records = records
+    rows, checks = _read_frame(handle)
+    outcome.result.records = rows
     outcome.checks = checks
     outcome.ring = None
     if stats is not None:
@@ -223,7 +223,7 @@ def drain_outcome(
         stats.checks += handle.checks
 
 
-def _read_frame(handle: RingHandle) -> tuple[list, list[tuple[float, int]]]:
+def _read_frame(handle: RingHandle) -> tuple[RecordColumns, list[tuple[float, int]]]:
     if shared_memory is None:  # pragma: no cover - handle implies support
         raise RuntimeError(
             "received a shared-memory ring handle on a platform without "

@@ -15,7 +15,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from ..addr.ipv6 import AddressError, format_address, parse_address
+from ..addr.ipv6 import AddressError, parse_address
 from ..addr.partition import (
     hitlist_targets,
     route6_by_prefix,
@@ -90,17 +90,6 @@ class TargetList(TargetStream):
             targets=rng.sample(self.targets, k),
             subnet_length=self.subnet_length,
         )
-
-    def save(self, path: str | Path) -> None:
-        """Write one target per line — the format the paper's Go address
-        generator feeds into ZMapv6."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(f"# targets: {self.name}")
-            if self.subnet_length is not None:
-                handle.write(f" (subnet length /{self.subnet_length})")
-            handle.write(f" [{len(self.targets)}]\n")
-            for target in self.targets:
-                handle.write(format_address(target) + "\n")
 
     @classmethod
     def load(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import compress, islice
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..netsim.engine import (
@@ -52,7 +51,7 @@ from .backends import (
     RetryPolicy,
     build_backend,
 )
-from .records import RecordColumns, ScanRecord, ScanResult
+from .records import RecordColumns, ScanResult
 from .stream import (
     IndexWindow,
     RecordSink,
@@ -65,21 +64,6 @@ from .stream import (
 # flags bytes -> FLAG_REPLY for rows that carry a reply (one record each).
 _REPLY_ROWS = bytes(flag & FLAG_REPLY for flag in range(256))
 _LOOPED_REPLY = FLAG_LOOPED | FLAG_REPLY
-
-
-def _records_with_extra(cols, replied, targets, times) -> list[ScanRecord]:
-    """A batch's records when rows carry extra replies (``raw``): each
-    row's column reply first, then its extras in arrival order."""
-    rows = [
-        (row, cols.source(row), cols.icmp_type[row], cols.code[row], cols.count[row])
-        for row in compress(range(cols.n), replied)
-    ]
-    # A stable sort on the row keeps a row's column reply before its extras.
-    rows = sorted(rows + cols.extra, key=itemgetter(0))
-    return [
-        ScanRecord(targets[row], source, icmp_type, code, count, times[row])
-        for row, source, icmp_type, code, count in rows
-    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,8 +172,8 @@ class ZMapV6Scanner:
         self.last_resilience: ResilienceStats | None = None
         self.last_capture: ShardTelemetry | None = None
         self._capture: ShardTelemetry | None = None
-        self._deliver: Callable[[list[ScanRecord]], None] | None = None
-        self._pack: RecordColumns | None = None
+        self._rows: RecordColumns | None = None
+        self._deliver: Callable[[RecordColumns], None] | None = None
 
     def scan(
         self,
@@ -198,7 +182,6 @@ class ZMapV6Scanner:
         name: str = "scan",
         epoch: int | None = None,
         sink: RecordSink | None = None,
-        columns: RecordColumns | None = None,
     ) -> ScanResult:
         """Probe every target once; returns the matched reply records.
 
@@ -210,9 +193,9 @@ class ZMapV6Scanner:
         has any, instead of buffering in ``result.records``
         (``result.records_streamed`` counts them); everything else —
         counters, telemetry events, metrics — is byte-identical to the
-        buffered path.  With ``columns`` (and no sink) the scan packs its
-        matched rows there instead of building records, as a pool worker
-        ships a scan home.
+        buffered path.  A buffered scan packs its matched rows as
+        :class:`RecordColumns`; a record is built only when something
+        reads ``result.records`` (or a sink takes it).
         """
         config = self.config
         backend = self.backend
@@ -238,16 +221,15 @@ class ZMapV6Scanner:
             if self.telemetry is not None:
                 self._scan_started(result, len(target_list))
         self._capture = capture
-        self._pack = columns
         if sink is None:
-            self._deliver = result.records.extend
+            self._rows = result.records = RecordColumns.empty()
         else:
 
-            def deliver(batch: list[ScanRecord]) -> None:
+            def deliver(batch: RecordColumns) -> None:
                 sink.drain(batch)
                 result.records_streamed += len(batch)
                 if registry is not None:
-                    populate_registry(registry, None, batch)
+                    populate_registry(registry, None, batch.time, batch.count)
 
             self._deliver = deliver
         if collector is not None:
@@ -258,8 +240,8 @@ class ZMapV6Scanner:
             if collector is not None:
                 backend.telemetry = None
             self._capture = None
+            self._rows = None
             self._deliver = None
-            self._pack = None
         result.sent = sent
         result.duration = (last_position + 1) / config.pps if sent else 0.0
         result.engine_stats = replace(backend.stats)
@@ -307,7 +289,9 @@ class ZMapV6Scanner:
     def _scan_closed(
         self, result: ScanResult, registry: MetricsRegistry, targets: Sequence[int]
     ) -> None:
-        populate_registry(registry, result.engine_stats, result.records)
+        populate_registry(
+            registry, result.engine_stats, result.column("time"), result.column("count")
+        )
         self.telemetry.scan_closed(
             scan=result.name,
             epoch=result.epoch,
@@ -356,19 +340,18 @@ class ZMapV6Scanner:
 
         The chunking is invisible in the results (the determinism
         regression tests pin this).  Each batch reuses one
-        :class:`ProbeColumns` buffer; :class:`ScanRecord` rows are built
-        straight from the packed columns (or the reply rows copied column
-        to column, when the scan packs).  Batches reach the backend, and
-        records leave, in ``batch_size`` groups, which is what lets the raw
-        backend pace a whole batch and pay its receive linger once per
-        batch.
+        :class:`ProbeColumns` buffer, whose reply rows are copied column to
+        column into the scan's :class:`RecordColumns` (or a batch's own,
+        handed to the sink).  Batches reach the backend, and records
+        leave, in ``batch_size`` groups, which is what lets the raw backend
+        pace a whole batch and pay its receive linger once per batch.
         """
         config = self.config
         backend = self.backend
         hop_limit = config.hop_limit
         probe_columns = backend.probe_columns
+        rows = self._rows
         deliver = self._deliver
-        pack = self._pack
         capture = self._capture
         every = config.progress_every if capture is not None else 0
         progress = (0, 0, 0, 0)
@@ -390,26 +373,9 @@ class ZMapV6Scanner:
             replied = flags.translate(_REPLY_ROWS)
             probes_lost += flags.count(FLAG_LOST)
             loops_observed += flags.count(FLAG_LOOPED) + flags.count(_LOOPED_REPLY)
-            source_hi = cols.source_hi
-            source_lo = cols.source_lo
-            icmp_col = cols.icmp_type
-            code_col = cols.code
-            count_col = cols.count
-            if pack is not None:
-                pack.pack_rows(compress(range(n), replied), targets, times, cols)
-            elif cols.extra:
-                deliver(_records_with_extra(cols, replied, targets, times))
-            elif batch := [
-                ScanRecord(
-                    target=targets[offset],
-                    source=(source_hi[offset] << 64) | source_lo[offset],
-                    icmp_type=icmp_col[offset],
-                    code=code_col[offset],
-                    count=count_col[offset],
-                    time=times[offset],
-                )
-                for offset in compress(range(n), replied)
-            ]:
+            batch = rows if deliver is None else RecordColumns.empty()
+            batch.pack_rows(compress(range(n), replied), targets, times, cols)
+            if deliver is not None and len(batch):
                 deliver(batch)
             if every:
                 progress = self._capture_batch_progress(

@@ -264,9 +264,10 @@ class ShardTelemetry:
 
 
 def populate_registry(
-    registry: MetricsRegistry, stats: "EngineStats | None", records: Iterable
+    registry: MetricsRegistry, stats: "EngineStats | None", times: Iterable, counts: Iterable
 ) -> MetricsRegistry:
-    """Fold a scan's final engine stats and records into a registry.
+    """Fold a scan's final engine stats and its records' ``time`` and
+    ``count`` columns (all it reads of them) into a registry.
 
     Counters *add*, so one registry can accumulate a whole campaign.
     Counter sums and fixed-edge histograms are order-independent
@@ -291,11 +292,11 @@ def populate_registry(
     )
     count = 0
     flood_total = 0
-    for record in records:
+    for time, replicas in zip(times, counts):
         count += 1
-        vtimes.observe(record.time)
-        amplification.observe(record.count)
-        flood_total += record.count - 1
+        vtimes.observe(time)
+        amplification.observe(replicas)
+        flood_total += replicas - 1
     registry.counter(RECORDS_TOTAL, "matched reply records").inc(count)
     registry.counter(
         FLOOD_PACKETS_TOTAL, "unsolicited duplicates from loop amplification"
@@ -414,7 +415,7 @@ class ScanTelemetry:
                     vtime=shard_result.duration,
                     shard=shard,
                     sent=shard_result.sent,
-                    records=len(shard_result.records),
+                    records=shard_result.received,
                     lost=shard_result.lost,
                     loops=shard_result.loops_observed,
                     duration=shard_result.duration,
@@ -452,7 +453,7 @@ class ScanTelemetry:
         self.registry.gauge(
             RECORDS_BUFFERED_GAUGE,
             "reply records the last scan held in memory",
-        ).set(len(result.records))
+        ).set(result.received - result.records_streamed)
         self.unmatched_replies_recorded(
             scan=scan,
             epoch=epoch,

@@ -7,7 +7,6 @@ invariants that individual unit tests cannot see.
 import pytest
 from reference_harness import flood, probe_row
 
-from repro.core.aliasfilter import is_self_reply
 from repro.core.survey import SRASurvey, SurveyConfig
 from repro.datasets.tum import published_alias_list
 from repro.metadata.asn import ASNMapper
@@ -66,7 +65,7 @@ class TestSurveyEndToEnd:
     def test_no_self_replies_survive_filter(self, pipeline):
         for result in pipeline.input_sets.values():
             for record in result.result.records:
-                assert not is_self_reply(record)
+                assert not (record.is_echo and record.source == record.target)
 
     def test_all_sources_geolocatable(self, pipeline, tiny_world):
         geo = GeoIPDatabase.from_world(tiny_world)

@@ -42,7 +42,7 @@ from repro.scanner.backends import (
     ResilientBackend,
     RetryPolicy,
 )
-from repro.scanner.records import RecordColumns
+from repro.scanner.records import RecordColumns, ScanRecord
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
 from repro.telemetry.scan import ScanTelemetry
 
@@ -266,6 +266,30 @@ def test_a_scan_records_every_distinct_reply(network, backend):
     assert progress[-1]["records"] == 4
 
 
+@pytest.mark.parametrize("batch_size", [1, 2, 4])
+def test_raw_scan_packs_its_replies_in_arrival_order(network, backend, batch_size):
+    """Duplicates fold into one row, and a probe's distinct replies come
+    in arrival order, its column reply first: today's records."""
+    config = ScanConfig(pps=1_000.0, seed=5, batch_size=batch_size)
+    network.respond = lambda probe: [_echo(probe)]
+    visits = ZMapV6Scanner(backend, config).scan(TARGETS, name="raw", epoch=EPOCH)
+    network.respond = _multi_reply
+    result = ZMapV6Scanner(backend, config).scan(TARGETS, name="raw", epoch=EPOCH)
+    replies = {
+        TARGETS[1]: [
+            (ROUTER_A, TIME_EXCEEDED, 2),
+            (TARGETS[1], ECHO, 1),
+            (ROUTER_B, TIME_EXCEEDED, 1),
+        ],
+        TARGETS[2]: [(TARGETS[2], ECHO, 1)],
+    }
+    assert result.records == [
+        ScanRecord(visit.target, source, icmp_type, 0, count, visit.time)
+        for visit in visits.records
+        for source, icmp_type, count in replies.get(visit.target, [])
+    ]
+
+
 def test_a_bisected_batch_keeps_its_extra_replies(network, backend):
     """A batch that never goes through whole is bisected by the resilient
     wrapper; the halves' extra replies are spliced back at their rows."""
@@ -299,18 +323,25 @@ def test_a_blackhole_eats_extra_echo_replies(network, backend):
     assert (backend.stats.echo_replies, backend.stats.error_replies) == (0, 3)
 
 
-def test_extra_replies_splice_and_refuse_packing():
-    """Bisection splices extras with their rows; packing refuses them."""
+def test_extra_replies_splice_and_pack_after_their_row():
+    """Bisection splices extras with their rows; packing puts each row's
+    column reply first, then its extras in arrival order."""
     half = ProbeColumns()
     half.blank([1, 2], [0.0, 0.1])
     half.flags[1] = FLAG_REPLY
+    half.source_hi[1], half.source_lo[1] = ROUTER_B >> 64, ROUTER_B & (2**64 - 1)
+    half.icmp_type[1], half.code[1], half.count[1] = TIME_EXCEEDED, 0, 2
     half.extra.append((1, ROUTER_A, TIME_EXCEEDED, 0, 1))
     whole = ProbeColumns()
     whole.blank([0, 0, 1, 2], [0.0] * 4)
     whole.splice(2, half)
     assert whole.extra == [(3, ROUTER_A, TIME_EXCEEDED, 0, 1)]
-    with pytest.raises(ValueError, match="extra"):
-        RecordColumns.empty().pack_rows([1], [1, 2], [0.0, 0.1], half)
+    packed = RecordColumns.empty()
+    packed.pack_rows([1], [1, 2], [0.0, 0.1], half)
+    assert packed.to_records() == [
+        ScanRecord(2, ROUTER_B, TIME_EXCEEDED, 0, 2, 0.1),
+        ScanRecord(2, ROUTER_A, TIME_EXCEEDED, 0, 1, 0.1),
+    ]
     whole.blank([5], [0.0])
     assert whole.extra == []
 
