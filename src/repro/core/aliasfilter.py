@@ -17,7 +17,7 @@ quantified by the alias ablation benchmark.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from operator import and_, eq, not_, or_
 
@@ -68,16 +68,7 @@ def filter_aliased(
     kept = keep.count(1)
     if kept < len(rows):
         rows = rows.select(keep)
-    filtered = ScanResult(
-        name=result.name,
-        epoch=result.epoch,
-        sent=result.sent,
-        lost=result.lost,
-        records=rows,
-        loops_observed=result.loops_observed,
-        duration=result.duration,
-        engine_stats=result.engine_stats,
-    )
+    filtered = replace(result, records=rows)
     dropped_self = by_target.count(1)
     stats = AliasFilterStats(
         kept=kept,

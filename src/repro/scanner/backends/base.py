@@ -126,9 +126,10 @@ class ProbeBackend(ABC):
 
     def pop_warnings(self) -> list[str]:
         """Drain queued operational warnings (e.g. a receiver thread
-        that refused to join).  The scanner surfaces them on the ops
-        telemetry channel; wrapper backends delegate to the wrapped
-        backend.  Empty for backends with nothing to warn about."""
+        that refused to join).  Whoever closes the backend reads them
+        (``sra-scan`` prints them to stderr); wrapper backends delegate to
+        the wrapped backend.  Empty for backends with nothing to warn
+        about."""
         return []
 
     # ---------------- probing ---------------- #

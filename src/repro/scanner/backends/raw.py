@@ -155,8 +155,8 @@ class RawSocketBackend(ProbeBackend):
             join_timeout = self.linger + 2.0 * self.recv_timeout
             self._receiver.join(timeout=join_timeout)
             if self._receiver.is_alive():
-                # Don't leak a thread silently: queue an operational
-                # warning for the scanner/CLI to surface (ops channel).
+                # Don't leak a thread silently: queue a warning, which
+                # sra-scan prints to stderr after closing the backend.
                 self._warnings.append(
                     "receiver thread failed to join within "
                     f"{join_timeout:.1f}s; daemon thread leaked"

@@ -158,7 +158,8 @@ class BackendFault:
 
 @dataclass
 class ResilienceStats:
-    """Per-backend resilience counters (picklable; rides ShardOutcome)."""
+    """Per-backend resilience counters; a scan's delta rides its
+    ``ScanResult.resilience`` (picklable, so through pools and journals)."""
 
     retries: int = 0
     timeouts: int = 0
@@ -183,6 +184,12 @@ class ResilienceStats:
     def copy(self) -> "ResilienceStats":
         return replace(
             self, faults=list(self.faults), transitions=list(self.transitions)
+        )
+
+    def __add__(self, other: "ResilienceStats") -> "ResilienceStats":
+        """Counts summed, ``faults`` and ``transitions`` concatenated."""
+        return ResilienceStats(
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
         )
 
     def since(self, before: "ResilienceStats") -> "ResilienceStats":

@@ -74,7 +74,10 @@ __all__ = [
 # frame's columns (v4 pickled one ScanRecord and one tuple per row).
 # v6: the config key holds the backend's name and probe key (v5 pickled
 # a backend rebuild recipe whose class this build no longer has).
-CHECKPOINT_SCHEMA_VERSION = 6
+# v7: a TelemetrySnapshot holds the one event stream and registry (v6 also
+# pickled an ops stream, its seq and its registry), and a journaled shard's
+# resilience delta rides its result (v6 kept it on the ShardOutcome).
+CHECKPOINT_SCHEMA_VERSION = 7
 
 # 8-byte magic, then schema (u32), payload length (u64), CRC-32 (u32),
 # big-endian, then the pickled payload.
@@ -100,20 +103,13 @@ class CheckpointMismatchError(CheckpointError):
 
 @dataclass(slots=True)
 class TelemetrySnapshot:
-    """A :class:`~repro.telemetry.scan.ScanTelemetry` facade, frozen.
-
-    Captures both channels — the deterministic scan stream (events, seq,
-    registry) and the operational stream (checkpoint/retry/resume events
-    and counters) — so a resumed process picks up the event stream at the
-    exact sequence number the crashed process reached.
-    """
+    """A :class:`~repro.telemetry.scan.ScanTelemetry` facade, frozen: its
+    events, seq and registry, so a resumed process picks up the event
+    stream at the exact sequence number the crashed process reached."""
 
     events: list = field(default_factory=list)
     seq: int = 0
     registry: object = None
-    ops_events: list = field(default_factory=list)
-    ops_seq: int = 0
-    ops_registry: object = None
 
 
 def snapshot_telemetry(telemetry: "ScanTelemetry") -> TelemetrySnapshot:
@@ -123,9 +119,6 @@ def snapshot_telemetry(telemetry: "ScanTelemetry") -> TelemetrySnapshot:
         events=telemetry.events,
         seq=telemetry._seq,
         registry=telemetry.registry,
-        ops_events=telemetry.ops_events,
-        ops_seq=telemetry._ops_seq,
-        ops_registry=telemetry.ops_registry,
     )
 
 
@@ -144,10 +137,6 @@ def restore_telemetry(
     telemetry._seq = snapshot.seq
     if snapshot.registry is not None:
         telemetry.registry = snapshot.registry
-    telemetry.ops_events = list(snapshot.ops_events)
-    telemetry._ops_seq = snapshot.ops_seq
-    if snapshot.ops_registry is not None:
-        telemetry.ops_registry = snapshot.ops_registry
 
 
 def config_key(config: "ScanConfig") -> tuple:

@@ -23,6 +23,7 @@ from ..packet.icmpv6 import ICMPv6Type
 
 if TYPE_CHECKING:  # avoid a hard scanner -> netsim import at module load
     from ..netsim.engine import EngineStats
+    from .backends.resilient import ResilienceStats
 
 
 @dataclass(slots=True)
@@ -233,11 +234,10 @@ class ScanResult:
     # (failed payload auth, unknown probe id).  Always 0 on the pure
     # simulator; the wire backends make this loss visible.
     unmatched_replies: int = 0
-    # Probes quarantined by the resilience layer (ResilientBackend):
-    # counted in `sent` and present as quiet no-reply rows, but their
-    # silence is a transport fault, not a measurement — this counter is
-    # what makes the partial result honest.
-    faulted_probes: int = 0
+    # What the resilience layer (ResilientBackend) did during the scan:
+    # retries, watchdog timeouts, quarantined batches and breaker
+    # transitions.  None when the scan ran without a RetryPolicy.
+    resilience: "ResilienceStats | None" = None
 
     def _held(self) -> "list[ScanRecord] | RecordColumns":
         """The rows as held, read without building records."""
@@ -267,6 +267,14 @@ class ScanResult:
         return compress(pairs, self._echo_rows())
 
     # ---------------- aggregate counters ---------------- #
+
+    @property
+    def faulted_probes(self) -> int:
+        """Probes the resilience layer quarantined: counted in ``sent``
+        and present as quiet no-reply rows, but their silence is a
+        transport fault, not a measurement — this count is what makes the
+        partial result honest."""
+        return 0 if self.resilience is None else self.resilience.faulted_probes
 
     @property
     def received(self) -> int:
@@ -371,7 +379,9 @@ def merge_results(name: str, results: Iterable[ScanResult]) -> ScanResult:
     are the inputs' columns one after another.
 
     Shards of one scan run *concurrently* over the same virtual clock, so
-    the merged wall-clock duration is the maximum, not the sum.  The epoch
+    the merged wall-clock duration is the maximum, not the sum.  Resilience
+    deltas add up in input order (counts summed, faults and breaker
+    transitions one input's after another's).  The epoch
     is carried over from the inputs (they are expected to agree; the first
     result wins when they do not).
     """
@@ -388,7 +398,12 @@ def merge_results(name: str, results: Iterable[ScanResult]) -> ScanResult:
         merged.loops_observed += result.loops_observed
         merged.records_streamed += result.records_streamed
         merged.unmatched_replies += result.unmatched_replies
-        merged.faulted_probes += result.faulted_probes
+        if result.resilience is not None:
+            merged.resilience = (
+                result.resilience
+                if merged.resilience is None
+                else merged.resilience + result.resilience
+            )
         merged.duration = max(merged.duration, result.duration)
         columns = result.columns()
         for name in rows.__slots__:

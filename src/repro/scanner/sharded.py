@@ -57,7 +57,7 @@ from ..telemetry.scan import (
 )
 from ..topology.artifact import WorldRef, resolve_world_ref, world_payload
 from ..topology.entities import World
-from .backends import BACKENDS, ResilienceStats, RetryPolicy, build_backend
+from .backends import BACKENDS, RetryPolicy, build_backend
 from .checkpoint import (
     ScanCheckpoint,
     config_key,
@@ -192,10 +192,6 @@ class ShardOutcome:
     ring: RingHandle | None = None
     # The worker wanted the ring but had to fall back to pickling.
     ring_fallback: bool = False
-    # Resilience delta (retries/timeouts/quarantines/breaker activity)
-    # when the scan ran under a RetryPolicy; None otherwise.  Picklable —
-    # the parent folds it into ops telemetry after the merge.
-    resilience: "ResilienceStats | None" = None
 
     def __reduce__(self):
         # Pickled (pool future, ring fallback, checkpoint journal) as the
@@ -273,7 +269,6 @@ def scan_shard(
         checks=list(scanner.backend.pending_checks),
         telemetry=capture,
         shards=shards,
-        resilience=scanner.last_resilience,
     )
 
 
@@ -306,6 +301,10 @@ def merge_shard_outcomes(
     replay engine doubles as the authority for ``rate_limit_engaged``
     events: deferred shards never exercise the limiter, but the replay
     walks the exact serial check sequence.
+
+    ``backend`` is read by nothing; it stays so that callers written
+    against this signature (the e2e benchmark's tracer wraps this
+    function) keep working.
     """
     ordered = sorted(outcomes, key=lambda outcome: outcome.shard)
     _validate_shard_windows(ordered)
@@ -387,10 +386,8 @@ def merge_shard_outcomes(
                 first_suppressed=collector.first_suppressed,
             ),
             registry=registry,
-            backend=backend,
             targets_buffered=targets_buffered,
             shard_results=[(outcome.shard, outcome.result) for outcome in ordered],
-            resilience=[(outcome.shard, outcome.resilience) for outcome in ordered],
         )
     return merged
 
@@ -558,14 +555,14 @@ def _worker_targets(targets):
 def _worker_scan(targets, config: ScanConfig, name: str, epoch: int, capture: bool):
     """One whole scan in place in a pool worker: its result, its reply
     rows as columns (pickled with them, the result would build records),
-    and the capture and resilience the parent adopts it with."""
+    and the capture the parent adopts it with."""
     scanner = _scanner_in_place(
         _WORKER_WORLD, config, epoch, capture_telemetry=capture
     )
     result = scanner.scan(_worker_targets(targets), name=name, epoch=epoch)
     rows = result.columns()
     result.records = []
-    return result, rows, scanner.last_capture, scanner.last_resilience
+    return result, rows, scanner.last_capture
 
 
 def _submit(pool, targets, config, scan: str, attempts, work) -> "dict[Future, int]":
@@ -756,36 +753,23 @@ class ShardedScanRunner:
                 return scanner.scan(target_list, name=name, epoch=epoch, sink=sink)
             (future,) = prefetched.futures
             # The rows are held as shipped, as columns.
-            result, result.records, capture, resilience = future.result()
+            result, result.records, capture = future.result()
             prefetched.collected()
-            return scanner.adopt(target_list, result, capture, resilience)
-        before = self.ring_stats.as_dict()
-        try:
-            return self._scan_shards(
-                target_list,
-                config,
-                name=name,
-                epoch=epoch,
-                telemetry=effective,
-                sink=sink,
-                checkpoint_path=checkpoint_path,
-                # checkpoint_dir journals auto-resume: a file left behind
-                # means an interrupted scan, and resuming is always
-                # byte-safe.
-                resume=resume or self.checkpoint_dir is not None,
-                chaos=chaos,
-                prefetched=prefetched,
-            )
-        finally:
-            if effective is not None:
-                # The scan's shared-memory transport deltas go to the ops
-                # channel (``sra_scan_ring_*`` counters), win or lose.
-                after = self.ring_stats.as_dict()
-                effective.ring_stats_updated(
-                    scan=name,
-                    epoch=epoch,
-                    stats={key: after[key] - before[key] for key in after},
-                )
+            return scanner.adopt(target_list, result, capture)
+        return self._scan_shards(
+            target_list,
+            config,
+            name=name,
+            epoch=epoch,
+            telemetry=effective,
+            sink=sink,
+            checkpoint_path=checkpoint_path,
+            # checkpoint_dir journals auto-resume: a file left behind
+            # means an interrupted scan, and resuming is always byte-safe.
+            resume=resume or self.checkpoint_dir is not None,
+            chaos=chaos,
+            prefetched=prefetched,
+        )
 
     def scan_all(
         self,
@@ -830,13 +814,13 @@ class ShardedScanRunner:
         # task (pickling them once per job instead held ~10 MiB more).
         shared = {id(t): t for t, *_ in jobs if isinstance(t, list)}
         slots = {key: index for index, key in enumerate(shared)}
-        pool = None
+        pool = restore_sigterm = None
         started: deque[_Job] = deque()
         unsent: deque[_Job] = deque()  # started jobs not yet offered to the pool
         flying = 0
 
         def send() -> None:
-            nonlocal pool, flying
+            nonlocal pool, restore_sigterm, flying
             while unsent and flying < flight:
                 job = unsent.popleft()
                 size = len(job.targets)  # realised here, not in the feeder thread
@@ -844,6 +828,7 @@ class ShardedScanRunner:
                     continue  # its shards run in this process, in its turn
                 if pool is None:
                     pool = _open_pool(self.world, workers, tuple(shared.values()))
+                    restore_sigterm = self._unwind_on_sigterm()
                 payload = slots.get(id(job.targets), job.targets)
                 if sharded:
                     job.scan = _scan_id()
@@ -894,6 +879,7 @@ class ShardedScanRunner:
             # both, so the campaign leaves no cycle for the collector.
             send = collected = None
             if pool is not None:
+                restore_sigterm()
                 # An interrupt leaves running shards to release their
                 # frames on arrival (below) instead of waiting them out.
                 pool.shutdown(wait=not self._interrupted, cancel_futures=True)
@@ -938,6 +924,23 @@ class ShardedScanRunner:
             safe = name.replace(os.sep, "_")
             return self.checkpoint_dir / f"{safe}-epoch{epoch}.ckpt"
         return None
+
+    def _unwind_on_sigterm(self) -> "Callable[[], object]":
+        """Make SIGTERM raise :class:`ScanInterrupted` wherever the main
+        thread is, so a campaign that has a pool out unwinds through
+        :meth:`scan_all`'s cleanup, also while its caller works between
+        two results; by default SIGTERM would kill the process and leave
+        the ring frames in ``/dev/shm``.  Returns what puts the handler
+        found back.  (Inside a scan :meth:`_signal_guard` takes over.)"""
+        if threading.current_thread() is not threading.main_thread():
+            return lambda: None
+
+        def handler(signum, frame):  # pragma: no cover - signal delivery
+            self._interrupted = True
+            raise ScanInterrupted(None, 0, self.shards)
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        return partial(signal.signal, signal.SIGTERM, previous)
 
     @contextmanager
     def _signal_guard(self):
@@ -1007,15 +1010,8 @@ class ShardedScanRunner:
             )
             outcomes = dict(journal.outcomes)
             resumed = True
-            if telemetry is not None:
-                if journal.telemetry is not None:
-                    restore_telemetry(telemetry, journal.telemetry)
-                telemetry.scan_resumed(
-                    scan=name,
-                    epoch=epoch,
-                    completed=len(outcomes),
-                    remaining=shards - len(outcomes),
-                )
+            if telemetry is not None and journal.telemetry is not None:
+                restore_telemetry(telemetry, journal.telemetry)
         if telemetry is not None and not resumed:
             telemetry.scan_started(
                 scan=name,
@@ -1023,9 +1019,6 @@ class ShardedScanRunner:
                 targets=target_count,
                 shards=shards,
                 pps=config.pps,
-            )
-            telemetry.backend_selected(
-                scan=name, epoch=epoch, backend=config.backend
             )
 
         def flush() -> None:
@@ -1057,15 +1050,6 @@ class ShardedScanRunner:
         def complete(outcome: ShardOutcome) -> None:
             outcomes[outcome.shard] = outcome
             flush()
-            if telemetry is not None and checkpoint_path is not None:
-                telemetry.scan_checkpointed(
-                    scan=name,
-                    epoch=epoch,
-                    vtime=outcome.result.duration,
-                    shard=outcome.shard,
-                    completed=len(outcomes),
-                    remaining=shards - len(outcomes),
-                )
             if chaos is not None and chaos.wants_interrupt(len(outcomes)):
                 self._interrupted = True
 
@@ -1101,14 +1085,6 @@ class ShardedScanRunner:
                         raise ShardFailedError(
                             shard, attempts[shard], error, checkpoint_path
                         )
-                    if telemetry is not None:
-                        telemetry.shard_retried(
-                            scan=name,
-                            epoch=epoch,
-                            shard=shard,
-                            attempt=attempts[shard],
-                            error=f"{type(error).__name__}: {error}",
-                        )
                     pending.append(shard)
                 if pending:
                     delay = self._retry_schedule.backoff_delay(round_index)
@@ -1125,7 +1101,6 @@ class ShardedScanRunner:
             targets_buffered=stream_buffered(target_list),
             sink=sink,
             ring_stats=self.ring_stats,
-            backend=config.backend,
         )
         if checkpoint_path is not None:
             # The scan is whole; a leftover journal would make the next
@@ -1147,8 +1122,8 @@ class ShardedScanRunner:
 
         Each round gets a *fresh* pool — a hard-crashed worker breaks a
         process pool for good, so reuse is never safe.  ``complete`` is
-        called in the parent as each shard finishes (checkpoint + ops
-        telemetry); an interrupt request stops the round early, leaving
+        called in the parent as each shard finishes (checkpoint, chaos
+        interrupt); an interrupt request stops the round early, leaving
         in-flight shards for a future resume.
         """
         failures: list[tuple[int, BaseException]] = []

@@ -46,7 +46,6 @@ from .backends import (
     BACKENDS,
     DEFAULT_PROBE_KEY,
     ProbeBackend,
-    ResilienceStats,
     ResilientBackend,
     RetryPolicy,
     build_backend,
@@ -169,7 +168,6 @@ class ZMapV6Scanner:
         self.engine = getattr(self.backend, "engine", None)
         self.telemetry = telemetry
         self.capture_telemetry = capture_telemetry or telemetry is not None
-        self.last_resilience: ResilienceStats | None = None
         self.last_capture: ShardTelemetry | None = None
         self._capture: ShardTelemetry | None = None
         self._rows: RecordColumns | None = None
@@ -247,11 +245,7 @@ class ZMapV6Scanner:
         result.engine_stats = replace(backend.stats)
         result.unmatched_replies = backend.unmatched_replies - unmatched_before
         if resilience_before is not None:
-            delta = backend.resilience.since(resilience_before)
-            result.faulted_probes = delta.faulted_probes
-            self.last_resilience = delta
-        else:
-            self.last_resilience = None
+            result.resilience = backend.resilience.since(resilience_before)
         if capture is not None and collector is not None:
             capture.first_loop = dict(collector.first_loop)
             capture.first_suppressed = dict(collector.first_suppressed)
@@ -262,13 +256,11 @@ class ZMapV6Scanner:
                 self._scan_closed(result, registry, target_list)
         return result
 
-    def adopt(self, targets, result: ScanResult, capture, resilience) -> ScanResult:
+    def adopt(self, targets, result: ScanResult, capture) -> ScanResult:
         """Finish ``result``, the scan of ``targets`` a twin of this
         scanner ran with capture on in a pool worker, as :meth:`scan`
-        would have: the same telemetry, from the twin's ``capture`` and
-        ``resilience`` delta."""
+        would have: the same telemetry, from the twin's ``capture``."""
         self.last_capture = capture
-        self.last_resilience = resilience
         if self.telemetry is not None:
             self._scan_started(result, len(targets))
             self._scan_closed(result, MetricsRegistry(), targets)
@@ -281,9 +273,6 @@ class ZMapV6Scanner:
             targets=targets,
             shards=self.config.shards,
             pps=self.config.pps,
-        )
-        self.telemetry.backend_selected(
-            scan=result.name, epoch=result.epoch, backend=self.backend.name
         )
 
     def _scan_closed(
@@ -298,10 +287,7 @@ class ZMapV6Scanner:
             result=result,
             capture=self.last_capture,
             registry=registry,
-            backend=self.backend.name,
             targets_buffered=stream_buffered(targets),
-            resilience=[(self.config.shard, self.last_resilience)],
-            warnings=self.backend.pop_warnings(),
         )
 
     def _chunks(

@@ -30,17 +30,9 @@ Event types and their extra fields:
   (one per epoch of a discovery-strategy race; ``scan`` is the strategy
   name)
 
-Operational (crash-recovery) event types, emitted on the facade's
-*separate* ops stream so the main stream stays byte-identical between a
-resumed scan and an uninterrupted one:
-
-* ``scan_checkpointed`` — ``shard`` (just completed), ``completed``,
-  ``remaining``
-* ``shard_retried``     — ``shard``, ``attempt``, ``error``
-* ``scan_resumed``      — ``completed``, ``remaining``
-* ``backend_selected``  — ``backend`` (omitted for the default ``sim``)
-* ``unmatched_replies`` — ``backend``, ``count`` (replies that failed
-  probe matching; omitted when zero)
+There is one stream.  How a particular execution went (checkpoints,
+retries, resumes, backend resilience, shard transport) is not an event:
+DESIGN §6 names where each of those facts lives.
 
 Serialisation is deterministic by construction: keys sort, separators are
 fixed, and every value is derived from the virtual clock and seeded
@@ -66,18 +58,6 @@ EVENT_TYPES = (
     "shard_finished",
     "scan_finished",
     "strategy_window",
-    # operational (crash-recovery / transport) stream
-    "scan_checkpointed",
-    "shard_retried",
-    "scan_resumed",
-    "ring_stats",
-    "backend_selected",
-    "unmatched_replies",
-    # resilient transport (retry / breaker / quarantine) stream
-    "backend_resilience",
-    "breaker_transition",
-    "batch_quarantined",
-    "backend_warning",
 )
 
 __all__ = [

@@ -47,22 +47,10 @@ if TYPE_CHECKING:  # telemetry stays import-light; scans are duck-typed
 
 __all__ = [
     "AMPLIFICATION_EDGES",
-    "BACKEND_RETRIES_TOTAL",
-    "BACKEND_SCANS_TOTAL",
-    "BACKEND_TIMEOUTS_TOTAL",
-    "BACKEND_WARNINGS_TOTAL",
-    "BREAKER_TRANSITIONS_TOTAL",
-    "CHECKPOINTS_TOTAL",
-    "FAULTED_PROBES_TOTAL",
-    "QUARANTINED_BATCHES_TOTAL",
     "ENGINE_STAT_COUNTERS",
     "RECORDS_BUFFERED_GAUGE",
     "REPLY_VTIME_EDGES",
-    "RESUMES_TOTAL",
-    "SHARDS_SALVAGED_TOTAL",
-    "SHARD_RETRIES_TOTAL",
     "TARGETS_BUFFERED_GAUGE",
-    "UNMATCHED_REPLIES_TOTAL",
     "HotPathCollector",
     "ScanTelemetry",
     "ShardTelemetry",
@@ -115,7 +103,7 @@ TARGETS_BUFFERED_GAUGE = "sra_scan_targets_buffered"
 RECORDS_BUFFERED_GAUGE = "sra_scan_records_buffered"
 # Per-strategy race counters: what each discovery strategy spent and
 # found, keyed by strategy name in the metric name (the flat registry
-# has no labels).  Deterministic facts of the race — main channel.
+# has no labels).  Deterministic facts of the race.
 STRATEGY_COUNTER_SUFFIXES = {
     "windows_total": "strategy windows scanned",
     "probes_total": "probe targets the strategy spent",
@@ -128,55 +116,6 @@ STRATEGY_COUNTER_SUFFIXES = {
 def strategy_metric_name(strategy: str, suffix: str) -> str:
     """``sra_strategy_<name>_<suffix>`` with Prometheus-safe characters."""
     return f"sra_strategy_{strategy.replace('-', '_')}_{suffix}"
-# Operational (crash-recovery) counters.  These live on the facade's
-# separate ops registry: checkpoints, retries, and resumes are properties
-# of *this process's* execution, not of the scan's deterministic outcome,
-# so keeping them out of the main registry is what lets a resumed run's
-# Prometheus export stay byte-identical to an uninterrupted run's.
-CHECKPOINTS_TOTAL = "sra_scan_checkpoints_total"
-SHARD_RETRIES_TOTAL = "sra_scan_shard_retries_total"
-RESUMES_TOTAL = "sra_scan_resumes_total"
-SHARDS_SALVAGED_TOTAL = "sra_scan_shards_salvaged_total"
-# Probe-backend accounting (ops-channel too: *which executor* probed and
-# what inbound traffic failed to match are execution properties — the
-# deterministic outcome of a sim/wire-sim scan is identical either way).
-BACKEND_SCANS_TOTAL = "sra_scan_backend_scans_total"
-UNMATCHED_REPLIES_TOTAL = "sra_scan_unmatched_replies_total"
-# Backend-resilience counters (ops-channel: retries, watchdog timeouts,
-# breaker trips, and quarantines describe how this process fought its
-# transport, not what the scan found — a retried run's main channel is
-# byte-identical to a fault-free one's).
-BACKEND_RETRIES_TOTAL = "sra_scan_backend_retries_total"
-BACKEND_TIMEOUTS_TOTAL = "sra_scan_backend_timeouts_total"
-QUARANTINED_BATCHES_TOTAL = "sra_scan_quarantined_batches_total"
-FAULTED_PROBES_TOTAL = "sra_scan_faulted_probes_total"
-BREAKER_TRANSITIONS_TOTAL = "sra_scan_breaker_transitions_total"
-BACKEND_WARNINGS_TOTAL = "sra_scan_backend_warnings_total"
-# Shared-memory shard-transport counters (also ops-channel: they describe
-# how this process moved bytes, not what the scan found).  Names mirror
-# RingStats fields: sra_scan_ring_<field>_total.
-RING_COUNTERS = {
-    "segments": (
-        "sra_scan_ring_segments_total",
-        "shared-memory frames shipped by shard workers",
-    ),
-    "bytes": (
-        "sra_scan_ring_bytes_total",
-        "bytes moved through shared-memory frames",
-    ),
-    "records": (
-        "sra_scan_ring_records_total",
-        "scan records transported via shared memory",
-    ),
-    "checks": (
-        "sra_scan_ring_checks_total",
-        "rate-limit checks transported via shared memory",
-    ),
-    "fallbacks": (
-        "sra_scan_ring_fallbacks_total",
-        "shard outcomes that fell back to pickle transport",
-    ),
-}
 
 
 class HotPathCollector:
@@ -313,21 +252,18 @@ class ScanTelemetry:
     across scans.  ``sra-scan --telemetry-out/--metrics-out`` and
     ``sra-repro --telemetry-out`` are thin wrappers over the two sinks.
 
-    Crash-recovery machinery reports on a *second* channel
-    (``ops_events`` / ``ops_registry``): checkpoint, retry, and resume
-    events describe how this particular process execution went, not what
-    the scan deterministically produced, so they must never perturb the
-    main stream — the byte-identity contract between resumed and
-    uninterrupted runs depends on it.
+    Only what the scan deterministically produced lands here, so a resumed
+    run exports the bytes of an uninterrupted one.  How one execution went
+    rides elsewhere: unmatched replies and the resilience delta on the
+    :class:`~repro.scanner.records.ScanResult`, shard-transport counters on
+    the runner's ``ring_stats``, retries and interrupts in the runner's
+    typed errors (DESIGN §6).
     """
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.events: list[dict] = []
         self._seq = 0
-        self.ops_registry = MetricsRegistry()
-        self.ops_events: list[dict] = []
-        self._ops_seq = 0
 
     # ------------------------------------------------------------------ #
     # event emission
@@ -374,11 +310,8 @@ class ScanTelemetry:
         result: "ScanResult",
         capture: ShardTelemetry,
         registry: MetricsRegistry,
-        backend: str,
         targets_buffered: int = 0,
         shard_results: "Sequence[tuple[int, ScanResult]]" = (),
-        resilience: Iterable[tuple[int, object]] = (),
-        warnings: Iterable[str] = (),
     ) -> None:
         """The closing sequence of every scan, in place or sharded.
 
@@ -386,11 +319,9 @@ class ScanTelemetry:
         order, one ``shard_finished`` per ``(shard, result)`` of
         ``shard_results`` (none for a scan run in place), the scan's
         ``registry`` (:func:`populate_registry` of its final stats and
-        records) into the facade's, ``scan_finished`` with the summary
+        records) into the facade's, then ``scan_finished`` with the summary
         gauges/counters (``sra_scans_total``, last duration, and the
-        streaming-pipeline memory gauges), then the ops channel: unmatched
-        replies, per-``(shard, delta)`` ``resilience``, backend
-        ``warnings``.
+        streaming-pipeline memory gauges).
 
         ``targets_buffered`` is how many target values the scan's input
         stream held in memory (``TargetStream.buffered``; a plain list
@@ -454,20 +385,6 @@ class ScanTelemetry:
             RECORDS_BUFFERED_GAUGE,
             "reply records the last scan held in memory",
         ).set(result.received - result.records_streamed)
-        self.unmatched_replies_recorded(
-            scan=scan,
-            epoch=epoch,
-            backend=backend,
-            count=result.unmatched_replies,
-        )
-        for shard, delta in resilience:
-            self.backend_resilience_recorded(
-                scan=scan, epoch=epoch, shard=shard, stats=delta
-            )
-        for message in warnings:
-            self.backend_warning_recorded(
-                scan=scan, epoch=epoch, backend=backend, message=message
-            )
 
     def strategy_window_finished(
         self,
@@ -482,11 +399,11 @@ class ScanTelemetry:
     ) -> None:
         """Record one epoch of a discovery-strategy race.
 
-        Emits a main-channel ``strategy_window`` event and bumps the
-        per-strategy counters.  Everything here is a deterministic fact
-        of the race (yield, budget spend, telescope exposure), so the
-        main channel's byte-identity contract across shard counts and
-        resume paths extends to strategy telemetry unchanged.
+        Emits a ``strategy_window`` event and bumps the per-strategy
+        counters.  Everything here is a deterministic fact of the race
+        (yield, budget spend, telescope exposure), so the byte-identity
+        contract across shard counts and resume paths extends to strategy
+        telemetry unchanged.
         """
         self.emit(
             make_event(
@@ -514,276 +431,6 @@ class ScanTelemetry:
             ).inc(amounts[suffix])
 
     # ------------------------------------------------------------------ #
-    # operational (crash-recovery) channel
-    # ------------------------------------------------------------------ #
-
-    def emit_ops(self, event: dict) -> dict:
-        """Append one event to the ops stream (its own ``seq`` space)."""
-        event["seq"] = self._ops_seq
-        self._ops_seq += 1
-        self.ops_events.append(event)
-        return event
-
-    def scan_checkpointed(
-        self,
-        *,
-        scan: str,
-        epoch: int,
-        vtime: float,
-        shard: int,
-        completed: int,
-        remaining: int,
-    ) -> None:
-        self.emit_ops(
-            make_event(
-                "scan_checkpointed",
-                scan=scan,
-                epoch=epoch,
-                vtime=vtime,
-                shard=shard,
-                completed=completed,
-                remaining=remaining,
-            )
-        )
-        self.ops_registry.counter(
-            CHECKPOINTS_TOTAL, "scan checkpoints written"
-        ).inc()
-
-    def shard_retried(
-        self,
-        *,
-        scan: str,
-        epoch: int,
-        shard: int,
-        attempt: int,
-        error: str,
-    ) -> None:
-        self.emit_ops(
-            make_event(
-                "shard_retried",
-                scan=scan,
-                epoch=epoch,
-                vtime=0.0,
-                shard=shard,
-                attempt=attempt,
-                error=error,
-            )
-        )
-        self.ops_registry.counter(
-            SHARD_RETRIES_TOTAL, "shard attempts retried after failure"
-        ).inc()
-
-    def scan_resumed(
-        self,
-        *,
-        scan: str,
-        epoch: int,
-        completed: int,
-        remaining: int,
-    ) -> None:
-        self.emit_ops(
-            make_event(
-                "scan_resumed",
-                scan=scan,
-                epoch=epoch,
-                vtime=0.0,
-                completed=completed,
-                remaining=remaining,
-            )
-        )
-        self.ops_registry.counter(
-            RESUMES_TOTAL, "scans resumed from a checkpoint"
-        ).inc()
-        self.ops_registry.counter(
-            SHARDS_SALVAGED_TOTAL,
-            "completed shards salvaged from checkpoints instead of re-run",
-        ).inc(completed)
-
-    def backend_selected(
-        self, *, scan: str, epoch: int, backend: str
-    ) -> None:
-        """Record which probe backend executed a scan.
-
-        Ops-channel, and skipped entirely for the default ``sim``
-        backend: a simulated scan's ops export stays byte-identical to
-        what it was before the backend seam existed, and — just as
-        important — ``sim`` and ``wire-sim`` runs of the same scan keep
-        byte-identical *main* channels (backend identity never leaks
-        there).
-        """
-        if backend == "sim":
-            return
-        self.emit_ops(
-            make_event(
-                "backend_selected",
-                scan=scan,
-                epoch=epoch,
-                vtime=0.0,
-                backend=backend,
-            )
-        )
-        self.ops_registry.counter(
-            BACKEND_SCANS_TOTAL, "scans executed by a non-default backend"
-        ).inc()
-
-    def unmatched_replies_recorded(
-        self, *, scan: str, epoch: int, backend: str, count: int
-    ) -> None:
-        """Count inbound replies the backend could not match to a probe.
-
-        These were silently dropped before (an invisible loss mode); now
-        every wire backend surfaces them.  Zero counts are skipped — the
-        ``ring_stats_updated`` idiom — so scans with nothing unmatched
-        (every ``sim`` scan, and every healthy ``wire-sim`` scan) leave
-        the ops export untouched.
-        """
-        if count <= 0:
-            return
-        self.emit_ops(
-            make_event(
-                "unmatched_replies",
-                scan=scan,
-                epoch=epoch,
-                vtime=0.0,
-                backend=backend,
-                count=count,
-            )
-        )
-        self.ops_registry.counter(
-            UNMATCHED_REPLIES_TOTAL,
-            "inbound replies that failed probe matching (auth or id)",
-        ).inc(count)
-
-    def backend_resilience_recorded(
-        self, *, scan: str, epoch: int, shard: int, stats
-    ) -> None:
-        """Fold one scan's resilience deltas into the ops channel.
-
-        ``stats`` is a (duck-typed) :class:`~repro.scanner.backends.\
-        resilient.ResilienceStats` delta: one ``backend_resilience``
-        summary event plus one ``breaker_transition`` event per breaker
-        state change and one ``batch_quarantined`` event per
-        :class:`BackendFault`, with matching ``sra_scan_*`` counters.
-        ``None``/empty deltas are skipped — the ``ring_stats_updated``
-        idiom — so scans without a policy (and policy-wrapped scans that
-        never saw a fault) leave the ops export byte-identical.
-        """
-        if stats is None or stats.empty():
-            return
-        self.emit_ops(
-            make_event(
-                "backend_resilience",
-                scan=scan,
-                epoch=epoch,
-                vtime=0.0,
-                shard=shard,
-                retries=stats.retries,
-                timeouts=stats.timeouts,
-                quarantined_batches=stats.quarantined_batches,
-                faulted_probes=stats.faulted_probes,
-                breaker_fastfails=stats.breaker_fastfails,
-            )
-        )
-        for from_state, to_state in stats.transitions:
-            self.emit_ops(
-                make_event(
-                    "breaker_transition",
-                    scan=scan,
-                    epoch=epoch,
-                    vtime=0.0,
-                    shard=shard,
-                    from_state=from_state,
-                    to_state=to_state,
-                )
-            )
-        for fault in stats.faults:
-            self.emit_ops(
-                make_event(
-                    "batch_quarantined",
-                    scan=scan,
-                    epoch=epoch,
-                    vtime=0.0,
-                    shard=shard,
-                    batch=fault.batch,
-                    probes=fault.probes,
-                    attempts=fault.attempts,
-                    reason=fault.reason,
-                    error=fault.error,
-                )
-            )
-        ops = self.ops_registry
-        if stats.retries:
-            ops.counter(
-                BACKEND_RETRIES_TOTAL, "probe batches retried by the backend"
-            ).inc(stats.retries)
-        if stats.timeouts:
-            ops.counter(
-                BACKEND_TIMEOUTS_TOTAL,
-                "probe batches abandoned at the watchdog deadline",
-            ).inc(stats.timeouts)
-        if stats.quarantined_batches:
-            ops.counter(
-                QUARANTINED_BATCHES_TOTAL,
-                "probe batches quarantined after exhausting retries",
-            ).inc(stats.quarantined_batches)
-        if stats.faulted_probes:
-            ops.counter(
-                FAULTED_PROBES_TOTAL,
-                "probes quarantined as BackendFault outcomes",
-            ).inc(stats.faulted_probes)
-        if stats.transitions:
-            ops.counter(
-                BREAKER_TRANSITIONS_TOTAL,
-                "circuit breaker state transitions",
-            ).inc(len(stats.transitions))
-
-    def backend_warning_recorded(
-        self, *, scan: str, epoch: int, backend: str, message: str
-    ) -> None:
-        """Surface a backend's operational warning (e.g. a receiver
-        thread that refused to join) on the ops channel instead of
-        letting it vanish."""
-        self.emit_ops(
-            make_event(
-                "backend_warning",
-                scan=scan,
-                epoch=epoch,
-                vtime=0.0,
-                backend=backend,
-                message=message,
-            )
-        )
-        self.ops_registry.counter(
-            BACKEND_WARNINGS_TOTAL, "operational warnings raised by backends"
-        ).inc()
-
-    def ring_stats_updated(
-        self, *, scan: str, epoch: int, stats: dict[str, int]
-    ) -> None:
-        """Fold one scan's shared-memory transport deltas into the ops
-        channel (one ``ring_stats`` event plus ``sra_scan_ring_*``
-        counters).  The sharded runner calls this with per-scan deltas of
-        its cumulative :class:`~repro.scanner.shmring.RingStats`; all-zero
-        deltas (the serial executor, pickle fallback) are skipped so
-        ops exports stay unchanged for scans that never touched a ring.
-        """
-        if not any(stats.get(field, 0) for field in RING_COUNTERS):
-            return
-        self.emit_ops(
-            make_event(
-                "ring_stats",
-                scan=scan,
-                epoch=epoch,
-                vtime=0.0,
-                **{field: stats.get(field, 0) for field in RING_COUNTERS},
-            )
-        )
-        for field, (name, help_text) in RING_COUNTERS.items():
-            self.ops_registry.counter(name, help_text).inc(
-                stats.get(field, 0)
-            )
-
-    # ------------------------------------------------------------------ #
     # sinks
     # ------------------------------------------------------------------ #
 
@@ -793,17 +440,8 @@ class ScanTelemetry:
     def write_jsonl(self, path: str | Path) -> None:
         write_events(self.events, path)
 
-    def to_ops_jsonl(self) -> str:
-        return events_to_jsonl(self.ops_events)
-
-    def write_ops_jsonl(self, path: str | Path) -> None:
-        write_events(self.ops_events, path)
-
     def to_prometheus(self) -> str:
         return self.registry.to_prometheus()
 
     def write_prometheus(self, path: str | Path) -> None:
         atomic_write_text(Path(path), self.to_prometheus())
-
-    def to_ops_prometheus(self) -> str:
-        return self.ops_registry.to_prometheus()

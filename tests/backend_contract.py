@@ -250,7 +250,7 @@ class BackendContract:
         assert got[3].faulted_probes == 0
 
     def test_transient_faults_reproduce_fault_free_bytes(
-        self, backend_case, tiny_world, tmp_path
+        self, backend_case, tiny_world
     ):
         """Retried transient transport faults leave no trace on the
         deterministic surfaces: the record stream, main telemetry, and
@@ -270,27 +270,21 @@ class BackendContract:
         got = _scan_output(
             tiny_world, backend_case.name, 4, retry_policy=policy, chaos=chaos
         )
-        telemetry = got[4]
-        # Ops stream to disk first: CI uploads *.ops.jsonl on failure.
-        telemetry.write_ops_jsonl(
-            tmp_path / f"{backend_case.name}-transient.ops.jsonl"
-        )
         assert got[0] == baseline[0], "records diverged under transient faults"
         assert got[1] == baseline[1], "telemetry diverged under transient faults"
         assert got[2] == baseline[2], "Prometheus diverged under transient faults"
         assert got[3].faulted_probes == 0
         # Non-vacuity: the chaos plan really injected (and the resilience
-        # layer really retried) — visible on the ops channel only.
-        ops = telemetry.to_ops_jsonl()
-        assert '"backend_resilience"' in ops
+        # layer really retried) — visible on the result only.
+        assert got[3].resilience.retries > 0
 
     def test_permanent_faults_quarantine_honestly(
-        self, backend_case, tiny_world, tmp_path
+        self, backend_case, tiny_world
     ):
         """A permanently-dead shard transport quarantines instead of
         killing the scan: the run completes, the dead shard's probes are
         quiet rows counted by ``faulted_probes``, and the quarantine is
-        visible on the ops channel."""
+        visible on the result."""
         self._chaos_skip(backend_case)
         policy = RetryPolicy(max_retries=1, backoff=0.0)
         chaos = ChaosEngine(
@@ -300,17 +294,14 @@ class BackendContract:
                 backend_error_attempts=None,
             )
         )
-        records, _, _, result, telemetry = _scan_output(
+        records, _, _, result, _ = _scan_output(
             tiny_world, backend_case.name, 4, retry_policy=policy, chaos=chaos
-        )
-        telemetry.write_ops_jsonl(
-            tmp_path / f"{backend_case.name}-permanent.ops.jsonl"
         )
         assert result.sent == 96, "quarantined probes must stay counted"
         assert result.faulted_probes == 24, "one dead shard of four"
-        ops = telemetry.to_ops_jsonl()
-        assert '"batch_quarantined"' in ops
-        assert '"reason":"exhausted"' in ops
+        faults = result.resilience.faults
+        assert sum(fault.probes for fault in faults) == 24
+        assert "exhausted" in {fault.reason for fault in faults}
 
     def test_breaker_cycles_open_half_open_closed(
         self, backend_case, tiny_world

@@ -33,7 +33,7 @@ from repro.scanner.cli import main as scan_main
 from repro.scanner.records import ScanResult
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
-from repro.telemetry.scan import UNMATCHED_REPLIES_TOTAL, ScanTelemetry
+from repro.telemetry.scan import ScanTelemetry
 
 class TestWireSimHopLimit:
     """wire-sim probes the simulator with the hop limit decoded off the
@@ -126,7 +126,9 @@ class TestUnmatchedReplyAccounting:
         assert wire.received == 0
         assert wire.unmatched_replies == sim.received
 
-    def test_unmatched_total_reaches_ops_channel(self, tiny_world, monkeypatch):
+    def test_unmatched_total_rides_the_result_alone(self, tiny_world, monkeypatch):
+        """The unmatched count lives on the result; the backend's name and
+        the count never reach the telemetry export."""
         monkeypatch.setattr(
             "repro.scanner.backends.wiresim.extract_probe",
             lambda message, key: None,
@@ -140,27 +142,15 @@ class TestUnmatchedReplyAccounting:
             range_targets(tiny_world, 64), name="unmatched", epoch=9001
         )
         assert result.unmatched_replies > 0
-        counter = telemetry.ops_registry.get(UNMATCHED_REPLIES_TOTAL)
-        assert counter is not None
-        assert counter.value == result.unmatched_replies
-        kinds = [event["event"] for event in telemetry.ops_events]
-        assert "unmatched_replies" in kinds
-        assert "backend_selected" in kinds
+        exported = telemetry.to_jsonl() + telemetry.to_prometheus()
+        assert "wire-sim" not in exported and "unmatched_replies" not in exported
 
-    def test_healthy_scans_leave_ops_channel_untouched(self, tiny_world):
-        """The skip-zero idiom: a sim scan emits no backend ops events."""
-        telemetry = ScanTelemetry()
-        scanner = ZMapV6Scanner(
-            SimulationEngine(tiny_world, epoch=0),
-            ScanConfig(pps=5_000.0, seed=3),
-            telemetry=telemetry,
-        )
-        result = scanner.scan(
-            range_targets(tiny_world, 64), name="healthy", epoch=9002
-        )
+    def test_healthy_scan_reports_nothing_unmatched_or_retried(self, tiny_world):
+        result = ZMapV6Scanner(
+            SimulationEngine(tiny_world, epoch=0), ScanConfig(pps=5_000.0, seed=3)
+        ).scan(range_targets(tiny_world, 64), name="healthy", epoch=9002)
         assert result.unmatched_replies == 0
-        assert telemetry.ops_events == []
-        assert telemetry.ops_registry.get(UNMATCHED_REPLIES_TOTAL) is None
+        assert result.resilience is None and result.faulted_probes == 0
 
 
 class TestBackendSpecPlumbing:

@@ -89,9 +89,6 @@ class TestRoundTrip:
         telemetry.scan_started(
             scan="rt", epoch=1, targets=len(targets), shards=2, pps=config.pps
         )
-        telemetry.scan_checkpointed(
-            scan="rt", epoch=1, vtime=1.0, shard=1, completed=1, remaining=1
-        )
         checkpoint = make_checkpoint(
             name="rt",
             epoch=1,
@@ -123,7 +120,6 @@ class TestRoundTrip:
         restore_telemetry(restored, loaded.telemetry)
         assert restored.to_jsonl() == telemetry.to_jsonl()
         assert restored.to_prometheus() == telemetry.to_prometheus()
-        assert restored.to_ops_jsonl() == telemetry.to_ops_jsonl()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -240,15 +236,11 @@ class TestTelemetrySnapshot:
         telemetry.scan_started(
             scan="s", epoch=0, targets=10, shards=2, pps=100.0
         )
-        telemetry.scan_checkpointed(
-            scan="s", epoch=0, vtime=1.0, shard=0, completed=1, remaining=1
-        )
         snapshot = snapshot_telemetry(telemetry)
         restored = ScanTelemetry()
         restore_telemetry(restored, snapshot)
         assert restored.to_jsonl() == telemetry.to_jsonl()
         assert restored.to_prometheus() == telemetry.to_prometheus()
-        assert restored.to_ops_jsonl() == telemetry.to_ops_jsonl()
         # Emission continues at the exact next sequence number.
         restored.scan_started(
             scan="t", epoch=1, targets=5, shards=1, pps=50.0
@@ -299,9 +291,10 @@ class TestCorruptionDetection:
     # accumulator must never be added to one, so they are refused too.  v2
     # journals pickled a metrics registry into every shard's telemetry, v3
     # ones the target stream's rebuild recipe, v4 ones one ScanRecord per
-    # row, v5 ones a BackendSpec in the config key.
+    # row, v5 ones a BackendSpec in the config key, v6 ones an ops stream in
+    # the telemetry snapshot.
     @pytest.mark.parametrize(
-        "schema", [1, 2, 3, 4, 5, CHECKPOINT_SCHEMA_VERSION + 1]
+        "schema", [1, 2, 3, 4, 5, 6, CHECKPOINT_SCHEMA_VERSION + 1]
     )
     def test_schema_skew(self, tmp_path, schema):
         assert schema != CHECKPOINT_SCHEMA_VERSION
@@ -430,7 +423,7 @@ class TestCLIExitCodes:
         assert "truncated" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("schema", [2, 3, 4, 5])
+    @pytest.mark.parametrize("schema", [2, 3, 4, 5, 6])
     def test_stale_schema_checkpoint_exits_4(self, tmp_path, capsys, schema):
         from repro.scanner.cli import main
 
@@ -443,7 +436,7 @@ class TestCLIExitCodes:
         captured = capsys.readouterr()
         assert code == 4
         assert (
-            f"uses checkpoint schema v{schema}; this build speaks v6"
+            f"uses checkpoint schema v{schema}; this build speaks v7"
             in captured.err
         )
         assert captured.err.count("\n") == 1

@@ -25,6 +25,7 @@ from repro.core.probing import run_stability
 from repro.core.survey import SRASurvey, SurveyConfig
 from repro.hitlist.aliases import AliasedPrefixList
 from repro.netsim.engine import EngineStats
+from repro.scanner.backends import ResilienceStats
 from repro.scanner.records import RecordColumns, ScanRecord, ScanResult
 from repro.scanner.sharded import ShardedScanRunner, ShardOutcome, merge_shard_outcomes
 from repro.scanner.stream import MemorySink
@@ -271,6 +272,22 @@ def test_columnar_alias_filter_equals_the_record_filter(records, listed, as_colu
     assert (filtered.name, filtered.epoch, filtered.sent, filtered.lost) == (
         "scan", 3, 50, 2
     )
+
+
+def test_alias_filter_keeps_the_scan_counters():
+    """The filter drops rows, not what the scan counted: every field but
+    the rows comes through, the resilience delta included."""
+    resilience = ResilienceStats(retries=1, quarantined_batches=1, faulted_probes=4)
+    result = ScanResult(
+        name="scan", epoch=3, sent=50, lost=2, loops_observed=5, duration=1.5,
+        engine_stats=EngineStats(probes=50), records_streamed=7,
+        unmatched_replies=2, resilience=resilience,
+        records=[ScanRecord(1, 1, ECHO, 0), ScanRecord(2, 9, ECHO, 0)],
+    )
+    filtered, stats = filter_aliased(result)
+    assert stats.kept == 1
+    assert (filtered.faulted_probes, filtered.unmatched_replies) == (4, 2)
+    assert replace(filtered, records=[]) == replace(result, records=[])
 
 
 # ---------------------------------------------------------------------- #

@@ -23,6 +23,7 @@ from repro.netsim.faults import (
     InjectedSinkError,
     truncate_tail,
 )
+from repro.scanner.checkpoint import load_checkpoint
 from repro.scanner.sharded import (
     ScanInterrupted,
     ShardedScanRunner,
@@ -48,14 +49,18 @@ def fault_targets(tiny_world):
     )
 
 
-def run_scan(world, targets, *, shards, chaos=None, retries=0, **kwargs):
+def run_scan(
+    world, targets, *, shards, chaos=None, retries=0, sleeps=None, **kwargs
+):
+    """One runner scan; ``sleeps`` (a list) collects the backoff delays
+    the runner sleeps between retry rounds, one per round."""
     telemetry = ScanTelemetry()
     runner = ShardedScanRunner(
         world,
         shards=shards,
         executor=kwargs.pop("executor", "serial"),
         max_shard_retries=retries,
-        sleep=lambda _d: None,
+        sleep=(lambda _d: None) if sleeps is None else sleeps.append,
     )
     result = runner.scan(
         targets,
@@ -141,31 +146,36 @@ class TestCrashRetry:
         clean, clean_telemetry = run_scan(
             tiny_world, fault_targets, shards=4, retries=2, executor=executor
         )
-        chaos = ChaosEngine(
-            plan=FaultPlan(crash_shard=2, crash_at_probe=25, crash_attempts=2)
-        )
+        plan = FaultPlan(crash_shard=2, crash_at_probe=25, crash_attempts=2)
+        sleeps = []
         faulted, telemetry = run_scan(
             tiny_world,
             fault_targets,
             shards=4,
             retries=2,
             executor=executor,
-            chaos=chaos,
+            chaos=ChaosEngine(plan=plan),
+            sleeps=sleeps,
         )
         assert faulted.records == clean.records
         assert faulted.engine_stats == clean.engine_stats
-        # The deterministic channel is fault-invariant...
+        # The telemetry export is fault-invariant...
         assert telemetry.to_jsonl() == clean_telemetry.to_jsonl()
         assert telemetry.to_prometheus() == clean_telemetry.to_prometheus()
-        # ...and the ops channel records exactly the injected retries.
-        retried = [
-            event
-            for event in telemetry.ops_events
-            if event["event"] == "shard_retried"
-        ]
-        assert [event["shard"] for event in retried] == [2, 2]
-        assert [event["attempt"] for event in retried] == [1, 2]
-        assert all("InjectedCrash" in event["error"] for event in retried)
+        # ...and the runner backed off exactly before the two retries.
+        assert sleeps == [0.1, 0.2]
+        # One retry fewer, and the same crashes name the shard that failed.
+        with pytest.raises(ShardFailedError) as excinfo:
+            run_scan(
+                tiny_world,
+                fault_targets,
+                shards=4,
+                retries=1,
+                executor=executor,
+                chaos=ChaosEngine(plan=plan),
+            )
+        assert (excinfo.value.shard, excinfo.value.attempts) == (2, 2)
+        assert isinstance(excinfo.value.error, InjectedCrash)
 
     def test_retry_budget_exhaustion_raises(self, tiny_world, fault_targets):
         chaos = ChaosEngine(
@@ -191,15 +201,14 @@ class TestCrashRetry:
         chaos = ChaosEngine(
             plan=FaultPlan(seed=4, crash_probability=0.45)
         )
-        faulted, telemetry = run_scan(
-            tiny_world, fault_targets, shards=4, retries=3, chaos=chaos
+        sleeps = []
+        faulted, _ = run_scan(
+            tiny_world, fault_targets, shards=4, retries=3, chaos=chaos,
+            sleeps=sleeps,
         )
         assert faulted.records == clean.records
-        # seed=7 at p=0.45 fates at least one (shard, attempt) to crash.
-        assert any(
-            event["event"] == "shard_retried"
-            for event in telemetry.ops_events
-        )
+        # The crashes cost at least one retry round.
+        assert sleeps
 
     def test_slow_shards_change_nothing(self, tiny_world, fault_targets):
         clean, _ = run_scan(tiny_world, fault_targets, shards=4)
@@ -233,32 +242,27 @@ class TestHardCrash:
                 crash_shard=1, crash_at_probe=10, crash_attempts=1, hard=True
             )
         )
-        faulted, telemetry = run_scan(
+        sleeps = []
+        faulted, _ = run_scan(
             tiny_world,
             fault_targets,
             shards=2,
             retries=2,
             executor="process",
             chaos=chaos,
+            sleeps=sleeps,
         )
         assert faulted.records == clean.records
         assert faulted.engine_stats == clean.engine_stats
-        # Collateral shards on the broken pool may retry too; the planned
-        # victim must be among them.
-        retried = {
-            event["shard"]
-            for event in telemetry.ops_events
-            if event["event"] == "shard_retried"
-        }
-        assert 1 in retried
+        # The victim's one crash costs one retry round (collateral shards
+        # on the broken pool retry in the same round).
+        assert sleeps == [0.1]
 
 
 class TestInterruptSalvage:
     def test_interrupt_salvages_completed_shards(
         self, tiny_world, fault_targets, tmp_path
     ):
-        from repro.scanner.checkpoint import load_checkpoint
-
         checkpoint = tmp_path / "salvage.ckpt"
         telemetry = ScanTelemetry()
         # A pool: the interrupt lands while sibling shards are in flight.
@@ -281,11 +285,7 @@ class TestInterruptSalvage:
         assert interrupted.completed >= 2
         assert interrupted.remaining == 4 - interrupted.completed
         journal = load_checkpoint(checkpoint)
-        assert journal.completed_shards == sorted(
-            event["shard"]
-            for event in telemetry.ops_events
-            if event["event"] == "scan_checkpointed"
-        )
+        assert len(journal.completed_shards) == interrupted.completed
         assert journal.shards - len(journal.completed_shards) == interrupted.remaining
 
     def test_request_interrupt_before_scan(self, tiny_world, fault_targets):
@@ -301,41 +301,36 @@ class TestInterruptSalvage:
         )
         assert result.sent == len(fault_targets)
 
-    def test_salvage_counter_on_resume(self, tiny_world, fault_targets, tmp_path):
+    def test_resume_reruns_only_the_missing_shards(
+        self, tiny_world, fault_targets, tmp_path, monkeypatch
+    ):
+        from repro.scanner import sharded
+
+        clean, _ = run_scan(tiny_world, fault_targets, shards=4)
         checkpoint = tmp_path / "count.ckpt"
-        runner = ShardedScanRunner(
-            tiny_world, shards=4, executor="serial", sleep=lambda _d: None
-        )
         with pytest.raises(ScanInterrupted):
-            runner.scan(
+            run_scan(
+                tiny_world,
                 fault_targets,
-                CONFIG,
-                name="count",
-                epoch=1,
-                telemetry=ScanTelemetry(),
+                shards=4,
                 checkpoint=checkpoint,
                 chaos=ChaosEngine(plan=FaultPlan(interrupt_after_shards=2)),
             )
-        telemetry = ScanTelemetry()
-        ShardedScanRunner(tiny_world, shards=4, executor="serial").scan(
-            fault_targets,
-            CONFIG,
-            name="count",
-            epoch=1,
-            telemetry=telemetry,
-            checkpoint=checkpoint,
-            resume=True,
+        salvaged = load_checkpoint(checkpoint).completed_shards
+        assert len(salvaged) >= 2
+        scanned = []
+        real = sharded.scan_shard
+
+        def spy(world, config, targets, **kwargs):
+            scanned.append(kwargs["shard"])
+            return real(world, config, targets, **kwargs)
+
+        monkeypatch.setattr(sharded, "scan_shard", spy)
+        resumed, _ = run_scan(
+            tiny_world, fault_targets, shards=4, checkpoint=checkpoint, resume=True
         )
-        resumed = [
-            event
-            for event in telemetry.ops_events
-            if event["event"] == "scan_resumed"
-        ]
-        assert len(resumed) == 1
-        assert resumed[0]["completed"] >= 2
-        metrics = telemetry.to_ops_prometheus()
-        assert "sra_scan_resumes_total 1" in metrics
-        assert "sra_scan_shards_salvaged_total" in metrics
+        assert sorted(scanned) == sorted(set(range(4)) - set(salvaged))
+        assert resumed.records == clean.records
 
 
 class TestArtifactWorldFaults:
@@ -369,22 +364,19 @@ class TestArtifactWorldFaults:
                 checkpoint=checkpoint,
                 chaos=ChaosEngine(plan=FaultPlan(interrupt_after_shards=2)),
             )
-        telemetry = ScanTelemetry()
+        assert load_checkpoint(checkpoint).completed_shards
         resumed = ShardedScanRunner(world, shards=4, executor="process").scan(
             fault_targets,
             CONFIG,
             name="faulted",
             epoch=1,
-            telemetry=telemetry,
+            telemetry=ScanTelemetry(),
             checkpoint=checkpoint,
             resume=True,
         )
         assert resumed.records == clean.records
         assert resumed.engine_stats == clean.engine_stats
-        assert any(
-            event["event"] == "scan_resumed"
-            for event in telemetry.ops_events
-        )
+        assert not checkpoint.exists(), "the finished resume drops its journal"
 
     def test_hard_crash_recovers_on_artifact_world(
         self, fault_targets, tmp_path
@@ -405,20 +397,18 @@ class TestArtifactWorldFaults:
                 crash_shard=1, crash_at_probe=10, crash_attempts=1, hard=True
             )
         )
-        faulted, telemetry = run_scan(
+        sleeps = []
+        faulted, _ = run_scan(
             world,
             fault_targets,
             shards=2,
             retries=2,
             executor="process",
             chaos=chaos,
+            sleeps=sleeps,
         )
         assert faulted.records == clean.records
-        assert 1 in {
-            event["shard"]
-            for event in telemetry.ops_events
-            if event["event"] == "shard_retried"
-        }
+        assert sleeps == [0.1]
 
 
 class TestAdaptiveStrategyFaults:

@@ -16,7 +16,7 @@ mechanisms underneath:
 * checkpoint ``config_key`` refusing a resume across a policy change,
 * CLI validation (exit 2 + one-line stderr) for the resilience flags,
 * the sharded runner's injectable retry-backoff sleep,
-* ``merge_results`` summing ``faulted_probes``,
+* ``merge_results`` adding up resilience deltas (``faulted_probes`` reads them),
 * ``FaultyBackend``'s short-outcome and blackhole modes.
 
 Every backend answers in ``ProbeColumns``, so ``ResilientBackend`` and
@@ -43,8 +43,10 @@ from repro.netsim.engine import (
 from repro.netsim.faults import ChaosEngine, FaultPlan, FaultyBackend
 from repro.packet.icmpv6 import ICMPv6Type
 from repro.scanner.backends import (
+    BackendFault,
     BackendTimeoutError,
     CircuitBreaker,
+    ResilienceStats,
     ResilientBackend,
     RetryPolicy,
     ProbeBackend,
@@ -62,7 +64,7 @@ from repro.scanner.backends.resilient import (
 from repro.scanner.backends.sim import SimBackend
 from repro.scanner.backends.wiresim import WireSimBackend
 from repro.scanner.records import ScanResult, merge_results, records_jsonl
-from repro.scanner.sharded import ShardedScanRunner
+from repro.scanner.sharded import ScanInterrupted, ShardedScanRunner
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
 from repro.telemetry.scan import ScanTelemetry
 
@@ -652,16 +654,38 @@ def test_shard_retry_backoff_uses_injected_sleep(tiny_world):
 
 
 def test_merge_results_sums_faulted_probes():
+    fault = BackendFault(batch=0, probes=3, attempts=2, error="e", reason="exhausted")
+    later = BackendFault(batch=5, probes=4, attempts=1, error="f", reason="breaker-open")
     merged = merge_results(
         "merged",
         [
-            ScanResult(name="a", sent=10, faulted_probes=3),
-            ScanResult(name="b", sent=10, faulted_probes=0),
-            ScanResult(name="c", sent=10, faulted_probes=4),
+            ScanResult(
+                name="a", sent=10,
+                resilience=ResilienceStats(
+                    retries=1, quarantined_batches=1, faulted_probes=3,
+                    faults=[fault], transitions=[("closed", "open")],
+                ),
+            ),
+            ScanResult(name="b", sent=10),
+            ScanResult(
+                name="c", sent=10,
+                resilience=ResilienceStats(
+                    timeouts=2, quarantined_batches=1, faulted_probes=4,
+                    breaker_fastfails=1, faults=[later],
+                    transitions=[("open", "half-open")],
+                ),
+            ),
         ],
     )
     assert merged.faulted_probes == 7
     assert merged.sent == 30
+    # Counts summed, faults and transitions in input order.
+    assert merged.resilience == ResilienceStats(
+        retries=1, timeouts=2, quarantined_batches=2, faulted_probes=7,
+        breaker_fastfails=1, faults=[fault, later],
+        transitions=[("closed", "open"), ("open", "half-open")],
+    )
+    assert merge_results("m", [ScanResult(name="a")]).resilience is None
 
 
 def test_faulty_backend_short_mode_truncates_once():
@@ -752,14 +776,16 @@ def scenario_targets(tiny_world):
     return targets
 
 
-def _scenario_scan(world, targets, *, backend, shards, batch_size, plan, policy):
+def _scenario_scan(
+    world, targets, *, backend, shards, batch_size, plan, policy, executor="serial"
+):
     """One runner scan under ``plan`` (None: an empty plan — the same
     deferred-shard execution, nothing injected)."""
     telemetry = ScanTelemetry()
     runner = ShardedScanRunner(
         world,
         shards=shards,
-        executor="serial",
+        executor=executor,
         telemetry=telemetry,
         chaos=ChaosEngine(plan if plan is not None else FaultPlan()),
     )
@@ -781,11 +807,7 @@ def _scenario_scan(world, targets, *, backend, shards, batch_size, plan, policy)
         telemetry.to_jsonl(),
         telemetry.to_prometheus(),
     )
-    return surfaces, result, telemetry
-
-
-def _ops(telemetry, kind):
-    return [event for event in telemetry.ops_events if event["event"] == kind]
+    return surfaces, result
 
 
 TRANSIENT = {
@@ -832,12 +854,12 @@ def test_bisected_batch_is_spliced_back_to_fault_free_bytes(
     plan, policy = BISECTED
     _assert_transient(
         tiny_world, scenario_targets, "bisected", batch_size, shards, plan, policy,
-        leaves_ops_trace=False,  # no retry, no quarantine: nothing to report
+        leaves_trace=False,  # no retry, no quarantine: nothing to report
     )
     # Non-vacuity: without the bisection the same plan costs a batch a shard.
     from dataclasses import replace
 
-    _, unsplit, _ = _scenario_scan(
+    _, unsplit = _scenario_scan(
         tiny_world, scenario_targets, backend="sim", shards=shards,
         batch_size=batch_size, plan=plan, policy=replace(policy, max_split_depth=0),
     )
@@ -846,23 +868,24 @@ def test_bisected_batch_is_spliced_back_to_fault_free_bytes(
 
 def _assert_transient(
     tiny_world, scenario_targets, scenario, batch_size, shards, plan, policy,
-    leaves_ops_trace=True,
+    leaves_trace=True,
 ):
-    clean, _, _ = _scenario_scan(
+    clean, _ = _scenario_scan(
         tiny_world, scenario_targets, backend="sim", shards=shards,
         batch_size=batch_size, plan=None, policy=None,
     )
     for backend in ("sim", "wire-sim"):
-        got, result, telemetry = _scenario_scan(
+        got, result = _scenario_scan(
             tiny_world, scenario_targets, backend=backend, shards=shards,
             batch_size=batch_size, plan=plan, policy=policy,
         )
         assert got == clean and clean[0], (scenario, backend)
         assert result.faulted_probes == 0
         # Non-vacuity: the plan fired and the wrapper recovered, which
-        # only the ops channel may show.  (A batch of one cannot be short.)
-        if leaves_ops_trace and not (scenario == "short-batch" and batch_size == 1):
-            assert _ops(telemetry, "backend_resilience"), (scenario, backend)
+        # only the result's resilience delta may show.  (A batch of one
+        # cannot be short.)
+        if leaves_trace and not (scenario == "short-batch" and batch_size == 1):
+            assert not result.resilience.empty(), (scenario, backend)
 
 
 LOSSY = {
@@ -907,15 +930,15 @@ def test_lossy_scenarios_match_across_backends(
     monkeypatch.setattr(
         "repro.scanner.zmapv6.ResilientBackend", FrozenClockResilientBackend
     )
-    clean, clean_result, _ = _scenario_scan(
+    clean, clean_result = _scenario_scan(
         tiny_world, scenario_targets, backend="sim", shards=shards,
         batch_size=batch_size, plan=None, policy=None,
     )
-    columnar, result, telemetry = _scenario_scan(
+    columnar, result = _scenario_scan(
         tiny_world, scenario_targets, backend="sim", shards=shards,
         batch_size=batch_size, plan=plan, policy=policy,
     )
-    wire, wire_result, _ = _scenario_scan(
+    wire, wire_result = _scenario_scan(
         tiny_world, scenario_targets, backend="wire-sim", shards=shards,
         batch_size=batch_size, plan=plan, policy=policy,
     )
@@ -934,11 +957,57 @@ def test_lossy_scenarios_match_across_backends(
         ]
     elif scenario == "breaker-open":
         assert result.faulted_probes == result.sent
-        reasons = {event["reason"] for event in _ops(telemetry, "batch_quarantined")}
+        reasons = {fault.reason for fault in result.resilience.faults}
         assert reasons == {"exhausted", "breaker-open"}
     else:
         per_shard = len(range(0, len(scenario_targets), shards))
         assert result.faulted_probes == per_shard
+
+
+@pytest.mark.parametrize("scenario", ["error-draws", "dead-shard"])
+def test_resilience_delta_is_the_same_from_a_pool(
+    tiny_world, scenario_targets, scenario
+):
+    """Shards run in pool workers bring their resilience deltas home on
+    their results, and the merge adds them up in shard order: the
+    scan's ``result.resilience`` is the one its shards run in place give."""
+    plan, policy = {**TRANSIENT, **LOSSY}[scenario]
+    serial, pooled = (
+        _scenario_scan(
+            tiny_world, scenario_targets, backend="sim", shards=4, batch_size=16,
+            plan=plan, policy=policy, executor=executor,
+        )[1]
+        for executor in ("serial", "process")
+    )
+    assert not serial.resilience.empty(), "vacuous: the plan changed nothing"
+    assert pooled.resilience == serial.resilience
+    assert pooled.records == serial.records
+
+
+def test_resilience_delta_survives_a_resume(tiny_world, scenario_targets, tmp_path):
+    """A journalled shard keeps its resilience delta on its result: a scan
+    interrupted and resumed reports the delta an uninterrupted one does."""
+    from dataclasses import replace
+
+    plan, policy = LOSSY["dead-shard"]
+    config = ScanConfig(pps=20_000.0, seed=5, batch_size=16, retry_policy=policy)
+
+    def scan(chaos_plan, **kwargs):
+        runner = ShardedScanRunner(
+            tiny_world, shards=4, executor="serial", chaos=ChaosEngine(chaos_plan)
+        )
+        return runner.scan(
+            scenario_targets, config, name="resume", epoch=SCENARIO_EPOCH, **kwargs
+        )
+
+    whole = scan(plan)
+    checkpoint = tmp_path / "resume.ckpt"
+    with pytest.raises(ScanInterrupted):
+        scan(replace(plan, interrupt_after_shards=2), checkpoint=checkpoint)
+    resumed = scan(plan, checkpoint=checkpoint, resume=True)
+    assert whole.resilience.faults, "vacuous: the dead shard quarantined nothing"
+    assert resumed.resilience == whole.resilience
+    assert resumed.records == whole.records
 
 
 class _PoisonMixin:
@@ -997,7 +1066,7 @@ def test_bisection_isolates_a_poison_probe_in_a_real_scan(
         inner = SimBackend(SimulationEngine(tiny_world, defer_rate_limit=True))
         backend = cls(inner.engine) if cls is PoisonSim else cls(inner)
         backend.poison = poison
-        got, result, scanner = _scanner_scan(
+        got, result, _ = _scanner_scan(
             backend, scenario_targets, policy, batch_size
         )
         assert result.faulted_probes == 1
@@ -1005,7 +1074,7 @@ def test_bisection_isolates_a_poison_probe_in_a_real_scan(
         assert result.records == [
             record for record in clean_result.records if record.target != poison
         ]
-        (fault,) = scanner.last_resilience.faults
+        (fault,) = result.resilience.faults
         assert (fault.probes, fault.reason) == (1, "exhausted")
         surfaces.append(got)
     assert surfaces[0] == surfaces[1]
@@ -1034,8 +1103,8 @@ def test_hung_columnar_send_is_recovered_by_the_watchdog(
         RetryPolicy(max_retries=1, backoff=0.0, timeout=0.2), 256,
     )
     assert got == clean
-    assert scanner.last_resilience.timeouts == 1
-    assert scanner.last_resilience.retries == 1
+    assert result.resilience.timeouts == 1
+    assert result.resilience.retries == 1
     assert result.faulted_probes == 0
     (hung,) = [
         thread
@@ -1082,26 +1151,25 @@ def test_failed_send_on_a_live_limiter_is_quarantined_not_repeated(deferred):
         backend = SimBackend(SimulationEngine(world, defer_rate_limit=deferred))
         if plan is not None:
             backend = FaultyBackend(backend, plan)
-        scanner = ZMapV6Scanner(backend, config)
-        return scanner.scan(targets, name="limiter", epoch=0), scanner
+        return ZMapV6Scanner(backend, config).scan(targets, name="limiter", epoch=0)
 
-    clean, _ = scan(None)
+    clean = scan(None)
     # The first batch comes back one row short *after* the engine ran it.
-    faulted, scanner = scan(FaultPlan(backend_short_batch=0))
+    faulted = scan(FaultPlan(backend_short_batch=0))
     errors = sum(record.is_error for record in clean.records)
     assert errors > 100, "vacuous: nothing to rate-limit"
     if deferred:
         assert faulted.records == clean.records
         assert faulted.engine_stats == clean.engine_stats
         assert faulted.faulted_probes == 0
-        assert scanner.last_resilience.retries == 1
+        assert faulted.resilience.retries == 1
     else:
         assert len(clean.records) < len(targets) // 4, "the limiter must bite"
-        (fault,) = scanner.last_resilience.faults
+        (fault,) = faulted.resilience.faults
         assert fault.reason == "unrepeatable"
         assert (fault.batch, fault.attempts, fault.probes) == (0, 1, 1024)
         assert "short outcome list" in fault.error
-        assert scanner.last_resilience.retries == 0, "nothing was sent twice"
+        assert faulted.resilience.retries == 0, "nothing was sent twice"
         assert faulted.faulted_probes == 1024
         assert faulted.sent == clean.sent
         # The quarantined batch is silent and uncounted by the engine.

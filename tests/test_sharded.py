@@ -4,7 +4,10 @@ import multiprocessing
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
@@ -1096,8 +1099,7 @@ def snapshot(survey, results):
         ],
         telemetry.to_jsonl(),
         telemetry.to_prometheus(),
-        [e for e in telemetry.ops_events if e["event"] == "ring_stats"],
-        telemetry.to_ops_prometheus(),
+        survey.runner.ring_stats,
     )
 
 
@@ -1235,6 +1237,41 @@ def _crash_on_bgp64(targets, config, scan, **kwargs):
     return _real_worker_scan_shard_for_survey(targets, config, scan, **kwargs)
 
 
+# A campaign on a two-shard pool that takes its first result and then
+# works on it (as the survey alias-filters) while the next jobs' shards run.
+_CAMPAIGN_BETWEEN_RESULTS = """
+import multiprocessing, random, time
+from contextlib import closing
+from repro.scanner.sharded import ShardedScanRunner
+from repro.scanner.targets import bgp_slash48_targets
+from repro.scanner.zmapv6 import ScanConfig
+from repro.topology.config import tiny_config
+from repro.topology.generator import build_world
+
+world = build_world(tiny_config(seed=7))
+targets = list(
+    bgp_slash48_targets(
+        world.bgp, max_per_prefix=16, max_targets=2_500, rng=random.Random(0)
+    )
+)
+jobs = [(targets, ScanConfig(pps=200_000.0, seed=5), f"job{i}", i) for i in range(4)]
+runner = ShardedScanRunner(world, shards=2, executor="process")
+with closing(runner.scan_all(jobs)) as scans:
+    next(scans)
+    print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+    time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` still runs (a zombie does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 class TestSurveyPipelineFailures:
     """The survey's shared shard pool fails the way per-scan pools do:
     the same typed errors, and every time the pool is joined and every
@@ -1302,6 +1339,47 @@ class TestSurveyPipelineFailures:
         assert multiprocessing.active_children() == []
         assert survey.runner._prefetched is None
         assert excinfo.traceback
+
+    def test_sigterm_between_results_unwinds_the_campaign(self, tmp_path):
+        """SIGTERM while the caller works on a result and the pool has
+        the next jobs out: the campaign ends in ScanInterrupted through
+        scan_all's cleanup, leaving no worker and no ring frame."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        stderr = tmp_path / "stderr"
+        with open(stderr, "w") as err:
+            # Its own process group, which its pool workers join: whatever
+            # is left of it at the end can be killed in one call.
+            child = subprocess.Popen(
+                [sys.executable, "-c", _CAMPAIGN_BETWEEN_RESULTS],
+                stdout=subprocess.PIPE,
+                stderr=err,
+                env={**os.environ, "PYTHONPATH": path},
+                text=True,
+                start_new_session=True,
+            )
+        frames = f"sra{child.pid}-"
+        workers = left = []
+        try:
+            workers = [int(pid) for pid in child.stdout.readline().split()]
+            child.send_signal(signal.SIGTERM)
+            child.wait(timeout=60)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and (
+                any(map(_running, workers))
+                or any(name.startswith(frames) for name in shm_segments())
+            ):
+                time.sleep(0.05)
+            left = list(filter(_running, workers))
+        finally:
+            child.stdout.close()
+            if child.poll() is None or left:
+                os.killpg(child.pid, signal.SIGKILL)
+                child.wait()
+        assert workers, stderr.read_text()
+        assert "ScanInterrupted" in stderr.read_text()
+        assert left == []
+        assert not any(name.startswith(frames) for name in shm_segments())
 
     def test_closing_the_campaign_after_one_result_joins_the_pool(self, survey):
         scans = survey.runner.scan_all(survey_jobs(survey))
@@ -1401,7 +1479,7 @@ class TestSurveyParallel:
     ):
         """One pool for the whole survey, and byte for byte what per-scan
         pools export: records, engine stats, Table 2, telemetry JSONL,
-        Prometheus text and the ops channel's ring_stats events."""
+        Prometheus text and the runner's ring counters."""
         knobs = dict(shards=shards, parallel="process")
         per_scan = survey_of(tiny_world, tiny_hitlist, tiny_alias_list, **knobs)
         pools = count_pools(monkeypatch)
@@ -1412,7 +1490,6 @@ class TestSurveyParallel:
         result = survey.run()
         assert len(pools) == 1
         assert snapshot(survey, [result]) == expected
-        assert survey.runner.ring_stats == per_scan.runner.ring_stats
         assert survey.runner.ring_stats.segments == 5 * shards
         serial = survey_of(
             tiny_world, tiny_hitlist, tiny_alias_list, parallel="serial"
