@@ -61,7 +61,7 @@ def filter_aliased(
     aliased = {t for t, s in zip(same.addresses("target"), same.addresses("source")) if t == s}
     listed = set()
     if alias_list is not None:
-        listed = set(filter(alias_list.contains_address, set(rows.addresses("source"))))
+        listed = set(alias_list.listed([*set(rows.addresses("source"))]))
     by_target = _rows_among(rows.target_hi, rows.target_lo, aliased)
     by_list = _rows_among(rows.source_hi, rows.source_lo, listed)
     keep = bytes(map(not_, map(or_, by_target, by_list)))

@@ -37,7 +37,8 @@ INPUT_SET_NAMES = ("bgp-plain", "bgp-48", "bgp-64", "route6-64", "hitlist-64")
 # exactly this order for the sampled targets to match the eager build.
 _RNG_SET_ORDER = ("bgp-48", "bgp-64", "route6-64")
 
-_SUBNET_LENGTHS = {
+# The prefix length each input set's targets are the SRA addresses of.
+SUBNET_LENGTHS = {
     "bgp-plain": None,
     "bgp-48": 48,
     "bgp-64": 64,
@@ -269,7 +270,7 @@ class SRASurvey:
             stream = LazyStream(
                 factory,
                 name=name,
-                subnet_length=_SUBNET_LENGTHS[name],
+                subnet_length=SUBNET_LENGTHS[name],
                 after=previous if name in _RNG_SET_ORDER else None,
             )
             if name in _RNG_SET_ORDER:
@@ -280,7 +281,7 @@ class SRASurvey:
                 self.hitlist, max_targets=self.config.max_hitlist
             ),
             name="hitlist-64",
-            subnet_length=_SUBNET_LENGTHS["hitlist-64"],
+            subnet_length=SUBNET_LENGTHS["hitlist-64"],
         )
         return streams
 

@@ -8,7 +8,8 @@ prefixes, and the paper's alias filter checks reply sources against it
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 from ..addr.ipv6 import IPv6Prefix
 from ..bgp.lpm import LengthIndexedLPM
@@ -37,3 +38,9 @@ class AliasedPrefixList:
     def contains_address(self, address: int) -> bool:
         """True if ``address`` falls inside any known aliased prefix."""
         return self._lpm.longest_match(address) is not None
+
+    def listed(self, addresses: Sequence[int]) -> list[int]:
+        """The ``addresses`` inside any known aliased prefix, in one batch."""
+        found: list = [None] * len(addresses)
+        self._lpm.longest_match_batch(addresses, range(len(addresses)), found)
+        return list(compress(addresses, found))

@@ -9,7 +9,7 @@ the past" may be gone — which is why the paper's response rates matter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..addr.partition import STAGE3_LENGTH, hitlist_targets
 
@@ -29,10 +29,6 @@ class Hitlist:
         self._seen.add(address)
         self._addresses.append(address)
         return True
-
-    def extend(self, addresses: Iterable[int]) -> int:
-        """Add many addresses, returning how many were new."""
-        return sum(1 for address in addresses if self.add(address))
 
     def __len__(self) -> int:
         return len(self._addresses)

@@ -3,10 +3,10 @@
 Recovery code that is only ever exercised by real crashes is recovery
 code that does not work.  This module provides a :class:`ChaosEngine`
 that injects the failure modes the scan runner must survive — worker
-crashes at an exact probe index, sink-write exceptions, truncated JSONL
-output, slow shards, and operator interrupts — all *deterministically*:
-stochastic faults are keyed BLAKE2 draws over ``(seed, purpose, shard,
-attempt)`` exactly like every other stochastic decision in the simulator
+crashes at an exact probe index, sink-write exceptions, slow shards,
+and operator interrupts — all *deterministically*: stochastic faults
+are keyed BLAKE2 draws over ``(seed, purpose, shard, attempt)`` exactly
+like every other stochastic decision in the simulator
 (:mod:`repro.netsim.stochastic`), so a failing CI run reproduces locally
 from the seed alone.
 
@@ -23,8 +23,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
-
-from pathlib import Path
 
 from ..packet.icmpv6 import ICMPv6Type
 from ..scanner.backends.base import BackendError, ProbeBackend, WrappingBackend
@@ -43,7 +41,6 @@ __all__ = [
     "InjectedBackendError",
     "InjectedCrash",
     "InjectedSinkError",
-    "truncate_tail",
 ]
 
 _ECHO_REPLY = int(ICMPv6Type.ECHO_REPLY)
@@ -320,18 +317,6 @@ class FaultyBackend(WrappingBackend):
             and attempt == 0
             and len(targets) > 1
         )
-
-
-def truncate_tail(path: str | Path, drop_bytes: int) -> None:
-    """Chop ``drop_bytes`` off a file's tail — a torn write, simulated.
-
-    Used by tests to model the crash-mid-write corruption that atomic
-    renames prevent and checkpoint CRCs detect.
-    """
-    path = Path(path)
-    size = path.stat().st_size
-    with open(path, "r+b") as handle:
-        handle.truncate(max(0, size - drop_bytes))
 
 
 @dataclass(slots=True)

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from ..addr.ipv6 import AddressError
 from ..core.aliasfilter import filter_aliased
+from ..core.survey import INPUT_SET_NAMES as INPUT_SETS, SUBNET_LENGTHS
 from ..datasets.tum import harvest_hitlist, published_alias_list
 from ..telemetry.scan import ScanTelemetry
 from ..topology.config import WorldConfig, tiny_config
@@ -54,16 +55,6 @@ from .targets import (
     route6_slash64_targets,
 )
 from .zmapv6 import ScanConfig, ZMapV6Scanner
-
-INPUT_SETS = ("bgp-plain", "bgp-48", "bgp-64", "route6-64", "hitlist-64")
-
-_SUBNET_LENGTHS = {
-    "bgp-plain": None,
-    "bgp-48": 48,
-    "bgp-64": 64,
-    "route6-64": 64,
-    "hitlist-64": 64,
-}
 
 
 def _materialise_targets(
@@ -101,7 +92,7 @@ def build_targets(
             world, input_set, max_targets=max_targets, seed=seed
         ),
         name=input_set,
-        subnet_length=_SUBNET_LENGTHS[input_set],
+        subnet_length=SUBNET_LENGTHS[input_set],
     )
 
 

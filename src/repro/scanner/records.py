@@ -50,10 +50,6 @@ class ScanRecord:
     def is_error(self) -> bool:
         return self.icmp_type < 128
 
-    @property
-    def is_time_exceeded(self) -> bool:
-        return self.icmp_type == ICMPv6Type.TIME_EXCEEDED
-
 
 # The two text formats of a record stream, each rendered a batch at a time
 # by one function — shared by ``ScanResult.write_*`` and the streaming sinks

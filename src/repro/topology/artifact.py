@@ -57,8 +57,10 @@ import shutil
 import struct
 import sys
 from array import array
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -113,14 +115,20 @@ _SECTION_NAMES = (
 # background error load, interface var (word offset, count), subnet
 # interface var (word offset, count).
 _ROUTER = struct.Struct("<qqHHHQQQQddQIQI")
-_RF_REPLIES_FROM_PEERING = 1 << 0
-_RF_ANSWERS_DIRECT_PING = 1 << 1
-_RF_UNSTABLE_REPLY_SOURCE = 1 << 2
-_RF_IS_BORDER = 1 << 3
-_RF_ERRORS_FROM_PRIMARY = 1 << 4
-_RF_SRA_FROM_PRIMARY = 1 << 5
-_RF_EMITS_UNREACHABLES = 1 << 6
-_RF_HAS_PEERING = 1 << 7
+# Router flag bits: the boolean fields in bit order, then "has a peering
+# LAN address".
+_ROUTER_FLAGS = (
+    "replies_from_peering",
+    "answers_direct_ping",
+    "unstable_reply_source",
+    "is_border",
+    "errors_from_primary",
+    "sra_from_primary",
+    "emits_unreachables",
+)
+_RF_BITS = tuple(1 << bit for bit in range(len(_ROUTER_FLAGS)))
+_RF_HAS_PEERING = 1 << len(_ROUTER_FLAGS)
+_router_flags = attrgetter(*_ROUTER_FLAGS)
 
 # Subnet fixed record: network (hi, lo), asn, router id, router interface
 # (hi, lo), flags, death epoch, host (count, word offset).
@@ -132,13 +140,8 @@ _SF_HAS_DEATH = 1 << 2
 # Resolution per-length block header: length u32, pad u32, entry count u64
 # — followed by hi words, lo words, refs (i64), kind bytes (padded to 8).
 _RES_BLOCK = struct.Struct("<IIQ")
-_KIND_CODES = {
-    EntryKind.SUBNET: 0,
-    EntryKind.ALIAS: 1,
-    EntryKind.LOOP: 2,
-    EntryKind.INFRA: 3,
-}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+_CODE_KINDS = (EntryKind.SUBNET, EntryKind.ALIAS, EntryKind.LOOP, EntryKind.INFRA)
+_KIND_CODES = {kind: code for code, kind in enumerate(_CODE_KINDS)}
 
 
 class ArtifactError(RuntimeError):
@@ -157,6 +160,19 @@ def build_fingerprint(config) -> bytes:
 
 def _pad8(n: int) -> int:
     return (8 - n % 8) % 8
+
+
+def _keep_last(hi: array, lo: array) -> list[int]:
+    """Indices of the (hi, lo) keys in key order, a repeated key at its
+    last registration: a later one overwrites an earlier one, exactly like
+    dict insert in the mutable maps."""
+    kept: list[int] = []
+    for i in sorted(range(len(hi)), key=lambda i: (hi[i], lo[i], i)):
+        if kept and hi[kept[-1]] == hi[i] and lo[kept[-1]] == lo[i]:
+            kept[-1] = i
+        else:
+            kept.append(i)
+    return kept
 
 
 # --------------------------------------------------------------------- #
@@ -234,21 +250,7 @@ class WorldArtifactWriter:
             var.append(network & _LO)
             var.append(iface >> 64)
             var.append(iface & _LO)
-        flags = 0
-        if router.replies_from_peering:
-            flags |= _RF_REPLIES_FROM_PEERING
-        if router.answers_direct_ping:
-            flags |= _RF_ANSWERS_DIRECT_PING
-        if router.unstable_reply_source:
-            flags |= _RF_UNSTABLE_REPLY_SOURCE
-        if router.is_border:
-            flags |= _RF_IS_BORDER
-        if router.errors_from_primary:
-            flags |= _RF_ERRORS_FROM_PRIMARY
-        if router.sra_from_primary:
-            flags |= _RF_SRA_FROM_PRIMARY
-        if router.emits_unreachables:
-            flags |= _RF_EMITS_UNREACHABLES
+        flags = sum(compress(_RF_BITS, _router_flags(router)))
         peering = router.peering_lan_address
         if peering is not None:
             flags |= _RF_HAS_PEERING
@@ -349,18 +351,7 @@ class WorldArtifactWriter:
         out += b"\0" * 4  # keep following blocks 8-aligned
         for length in sorted(self._res, reverse=True):
             hi, lo, kinds, refs = self._res[length]
-            order = sorted(
-                range(len(hi)), key=lambda i: (hi[i], lo[i], i)
-            )
-            # Keep-last dedupe: a later registration of the same network
-            # overwrites an earlier one, exactly like dict insert in the
-            # mutable resolution index.
-            kept: list[int] = []
-            for i in order:
-                if kept and hi[kept[-1]] == hi[i] and lo[kept[-1]] == lo[i]:
-                    kept[-1] = i
-                else:
-                    kept.append(i)
+            kept = _keep_last(hi, lo)
             out += _RES_BLOCK.pack(length, 0, len(kept))
             out += array("Q", (hi[i] for i in kept)).tobytes()
             out += array("Q", (lo[i] for i in kept)).tobytes()
@@ -372,13 +363,7 @@ class WorldArtifactWriter:
 
     def _subnet_index_bytes(self) -> bytes:
         hi, lo = self._subnet_hi, self._subnet_lo
-        order = sorted(range(len(hi)), key=lambda i: (hi[i], lo[i], i))
-        kept: list[int] = []
-        for i in order:
-            if kept and hi[kept[-1]] == hi[i] and lo[kept[-1]] == lo[i]:
-                kept[-1] = i  # keep-last: later registration wins
-            else:
-                kept.append(i)
+        kept = _keep_last(hi, lo)
         out = bytearray()
         out += struct.pack("<Q", len(kept))
         out += array("Q", (hi[i] for i in kept)).tobytes()
@@ -395,12 +380,9 @@ class WorldArtifactWriter:
         for handle in self._spill.values():
             handle.flush()
             handle.close()
-        countries = [None] * len(self._strings["countries"])
-        for name, idx in self._strings["countries"].items():
-            countries[idx] = name
-        vendors = [None] * len(self._strings["vendors"])
-        for name, idx in self._strings["vendors"].items():
-            vendors[idx] = name
+        # ``_intern`` numbers names in insertion order.
+        countries = list(self._strings["countries"])
+        vendors = list(self._strings["vendors"])
         meta = {
             "seed": self.seed,
             "packet_loss": world.packet_loss,
@@ -588,9 +570,9 @@ class _ArtifactReader:
         self._subnets_off = sections["subnets"][0]
         self.router_rows: int = self.meta["router_rows"]
         self.subnet_rows: int = self.meta["subnet_rows"]
-        self._router_var = self._words("router_var", "Q")
-        self._router_index = self._words("router_index", "q")
-        self._hosts = self._words("subnet_hosts", "Q")
+        self._router_var = self._section("router_var").cast("Q")
+        self._router_index = self._section("router_index").cast("q")
+        self._hosts = self._section("subnet_hosts").cast("Q")
         index = self._section("subnet_index")
         (index_count,) = struct.unpack_from("<Q", index, 0)
         word = 8
@@ -610,9 +592,6 @@ class _ArtifactReader:
         offset, length = self._sections[name]
         return self._view[offset : offset + length]
 
-    def _words(self, name: str, typecode: str) -> memoryview:
-        return self._section(name).cast(typecode)
-
     # ---------------- routers ---------------- #
 
     def router(self, router_id: int) -> Router:
@@ -631,52 +610,24 @@ class _ArtifactReader:
         return _ROUTER.unpack_from(self._view, self._routers_off + row * _ROUTER.size)[0]
 
     def _router_at(self, row: int) -> Router:
-        (
-            router_id,
-            asn,
-            country_idx,
-            vendor_idx,
-            flags,
-            loop_hi,
-            loop_lo,
-            peer_hi,
-            peer_lo,
-            replication,
-            background,
-            iface_off,
-            iface_count,
-            subif_off,
-            subif_count,
-        ) = _ROUTER.unpack_from(self._view, self._routers_off + row * _ROUTER.size)
+        (router_id, asn, country_idx, vendor_idx, flags, loop_hi, loop_lo,
+         peer_hi, peer_lo, replication, background, iface_off, iface_count,
+         subif_off, subif_count) = _ROUTER.unpack_from(
+            self._view, self._routers_off + row * _ROUTER.size
+        )
         var = self._router_var
-        interfaces = [
-            (var[iface_off + 2 * k] << 64) | var[iface_off + 2 * k + 1]
-            for k in range(iface_count)
-        ]
-        subnet_interfaces: dict[int, int] = {}
-        base = subif_off
-        for _ in range(subif_count):
-            network = (var[base] << 64) | var[base + 1]
-            subnet_interfaces[network] = (var[base + 2] << 64) | var[base + 3]
-            base += 4
         router = Router(
             router_id=router_id,
             asn=asn,
             country=self.countries[country_idx],
             vendor=self.vendors[vendor_idx],
             loopback=(loop_hi << 64) | loop_lo,
-            interface_addresses=interfaces,
-            subnet_interfaces=subnet_interfaces,
+            interface_addresses=_Addresses(var, iface_off, iface_count, list),  # type: ignore[arg-type]
+            subnet_interfaces=_InterfaceMap(var, subif_off, subif_count),  # type: ignore[arg-type]
             peering_lan_address=(
                 (peer_hi << 64) | peer_lo if flags & _RF_HAS_PEERING else None
             ),
-            replies_from_peering=bool(flags & _RF_REPLIES_FROM_PEERING),
-            answers_direct_ping=bool(flags & _RF_ANSWERS_DIRECT_PING),
-            unstable_reply_source=bool(flags & _RF_UNSTABLE_REPLY_SOURCE),
-            is_border=bool(flags & _RF_IS_BORDER),
-            errors_from_primary=bool(flags & _RF_ERRORS_FROM_PRIMARY),
-            sra_from_primary=bool(flags & _RF_SRA_FROM_PRIMARY),
-            emits_unreachables=bool(flags & _RF_EMITS_UNREACHABLES),
+            **{name: bool(flags & bit) for name, bit in zip(_ROUTER_FLAGS, _RF_BITS)},
             replication_factor=replication,
             background_error_load=background,
         )
@@ -694,29 +645,16 @@ class _ArtifactReader:
         cached = self._subnet_cache.get(row)
         if cached is not None:
             return cached
-        (
-            net_hi,
-            net_lo,
-            asn,
-            router_id,
-            iface_hi,
-            iface_lo,
-            flags,
-            death,
-            host_count,
-            host_off,
-        ) = _SUBNET.unpack_from(self._view, self._subnets_off + row * _SUBNET.size)
-        words = self._hosts
-        hosts = tuple(
-            (words[host_off + 2 * k] << 64) | words[host_off + 2 * k + 1]
-            for k in range(host_count)
+        (net_hi, net_lo, asn, router_id, iface_hi, iface_lo, flags, death,
+         host_count, host_off) = _SUBNET.unpack_from(
+            self._view, self._subnets_off + row * _SUBNET.size
         )
         subnet = Subnet(
             prefix=IPv6Prefix((net_hi << 64) | net_lo, 64),
             asn=asn,
             router_id=router_id,
             router_interface=(iface_hi << 64) | iface_lo,
-            hosts=hosts,
+            hosts=_Addresses(self._hosts, host_off, host_count, tuple) if host_count else (),
             aliased=bool(flags & _SF_ALIASED),
             flaky=bool(flags & _SF_FLAKY),
             death_epoch=death if flags & _SF_HAS_DEATH else None,
@@ -753,6 +691,97 @@ class _ArtifactReader:
                 )
             )
         return rows
+
+
+def _pairs(words, off: int, n: int, stride: int) -> Iterator[int]:
+    """The ``n`` addresses whose (hi, lo) words start every ``stride``
+    words from ``words[off]``."""
+    for j in range(off, off + stride * n, stride):
+        yield (words[j] << 64) | words[j + 1]
+
+
+def _find(words, off: int, n: int, stride: int, address: object) -> int:
+    """Word index of ``address`` among :func:`_pairs`, or -1; compares
+    words, so the stored addresses are never built."""
+    if isinstance(address, int):
+        hi, lo = address >> 64, address & _LO
+        for j in range(off, off + stride * n, stride):
+            if words[j + 1] == lo and words[j] == hi:
+                return j
+    return -1
+
+
+class _Addresses(Sequence):
+    """Read-only view of ``n`` addresses stored as (hi, lo) word pairs from
+    ``words[off]`` in the mapped file: a decoded subnet's ``hosts`` and a
+    decoded router's ``interface_addresses``, read on demand instead of
+    copied.  Equal to, and pickled as, the ``kind`` (tuple or list) a built
+    world holds there."""
+
+    __slots__ = ("_words", "_off", "_n", "_kind")
+
+    def __init__(self, words, off: int, n: int, kind: type) -> None:
+        self._words, self._off, self._n, self._kind = words, off, n, kind
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._kind(self)[i]
+        if not -self._n <= i < self._n:
+            raise IndexError("address index out of range")
+        j = self._off + 2 * (i % self._n)
+        return (self._words[j] << 64) | self._words[j + 1]
+
+    def __iter__(self) -> Iterator[int]:
+        return _pairs(self._words, self._off, self._n, 2)
+
+    def __contains__(self, address: object) -> bool:
+        return _find(self._words, self._off, self._n, 2, address) >= 0
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (self._kind, _Addresses)):
+            return self._kind(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return self._kind, (self._kind(self),)
+
+    def __repr__(self) -> str:
+        return repr(self._kind(self))
+
+
+class _InterfaceMap(Mapping):
+    """Read-only ``{network: interface}`` view of a decoded router's
+    ``subnet_interfaces``, stored as (network hi, lo, interface hi, lo)
+    word quads; equal to, and pickled as, the dict a built world holds."""
+
+    __slots__ = ("_words", "_off", "_n")
+
+    def __init__(self, words, off: int, n: int) -> None:
+        self._words, self._off, self._n = words, off, n
+
+    def __getitem__(self, network: int) -> int:
+        j = _find(self._words, self._off, self._n, 4, network)
+        if j < 0:
+            raise KeyError(network)
+        return (self._words[j + 2] << 64) | self._words[j + 3]
+
+    def __iter__(self) -> Iterator[int]:
+        return _pairs(self._words, self._off, self._n, 4)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __reduce__(self):
+        values = _pairs(self._words, self._off + 2, self._n, 4)
+        return dict, (dict(zip(self, values)),)
+
+    def __repr__(self) -> str:
+        return repr(self.__reduce__()[1][0])
 
 
 class _LazyEntries:
@@ -847,7 +876,8 @@ class _RowItems(ItemsView):
 class LazySubnetMap(Mapping):
     """Read-only ``{network: Subnet}`` over the artifact (row order ==
     registration order, duplicate registrations collapse keep-last — and
-    then the generic ``Mapping`` views apply, not the row-walked ones)."""
+    then the generic ``Mapping`` views apply, not the row-walked ones).
+    A decoded subnet is cached; its ``hosts`` stay in the mapped file."""
 
     __slots__ = ("_reader",)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Sequence
 
 from ..addr.ipv6 import IPv6Prefix
 from ..bgp.table import BGPTable
@@ -39,6 +39,10 @@ class Router:
     *provider's* space — substitutes when ``replies_from_peering`` is set,
     reproducing the paper's observation that SRA replies sometimes carry
     upstream addresses, making AS attribution error-prone.
+
+    A router decoded from a world artifact holds read-only views over the
+    mapped file in ``interface_addresses`` and ``subnet_interfaces``; they
+    compare equal to, and pickle as, the list and dict a built world holds.
     """
 
     router_id: int
@@ -82,7 +86,9 @@ class Router:
 class Subnet:
     """An active (assigned) subnet with its attached periphery router.
 
-    ``hosts`` are responsive end-host addresses inside the subnet.
+    ``hosts`` are responsive end-host addresses inside the subnet: a tuple
+    in a built world, a read-only view over the mapped file in one decoded
+    from a world artifact (equal to, and pickled as, the tuple).
     ``flaky`` subnets answer only intermittently across scan epochs and
     ``death_epoch`` marks permanent churn — both drive the paper's
     stability figures (Fig. 6b).
@@ -92,7 +98,7 @@ class Subnet:
     asn: int
     router_id: int
     router_interface: int
-    hosts: tuple[int, ...] = ()
+    hosts: Sequence[int] = ()
     aliased: bool = False
     flaky: bool = False
     death_epoch: int | None = None
@@ -250,8 +256,3 @@ class World:
         """Drop a loop region (operator applied a null route, Appendix C)."""
         self.resolution.remove(region.prefix)
         self.loop_regions.remove(region)
-
-    def all_hosts(self) -> Iterator[int]:
-        """Every responsive host address in the world."""
-        for subnet in self.subnets.values():
-            yield from subnet.hosts

@@ -304,6 +304,133 @@ class TestRoundTrip:
             del world.routers[1]
 
 
+def _views(tiny_world, artifact_world):
+    """(view, built value) of every sequence field of every entity, with
+    the built world's type for each."""
+    for network, subnet in tiny_world.subnets.items():
+        yield artifact_world.subnets[network].hosts, subnet.hosts
+    for rid, router in tiny_world.routers.items():
+        loaded = artifact_world.routers[rid]
+        yield loaded.interface_addresses, router.interface_addresses
+        yield loaded.subnet_interfaces, router.subnet_interfaces
+
+
+class TestEntityViews:
+    """Decoded entities read their hosts and interfaces from the mapped
+    file: each view behaves like the tuple, list or dict it replaces."""
+
+    def test_fields_are_views_not_copies(self, tiny_world, artifact_world):
+        views = [(view, built) for view, built in _views(tiny_world, artifact_world) if built]
+        assert {type(built) for _, built in views} == {tuple, list, dict}
+        assert not any(isinstance(view, (tuple, list, dict)) for view, _ in views)
+
+    def test_equal_in_both_directions(self, tiny_world, artifact_world):
+        for view, built in _views(tiny_world, artifact_world):
+            assert view == built and built == view
+            assert not (view != built) and not (built != view)
+            other = list(built) if isinstance(built, tuple) else tuple(built)
+            if not isinstance(built, dict):
+                assert view != other and other != view  # tuple != list
+            assert view != [*built, 1] and [*built, 1] != view
+            assert view == view
+        # Two views of one word run compare as a tuple and a list would.
+        hosts = next(v for v, b in _views(tiny_world, artifact_world) if b)
+        as_list = artifact_module._Addresses(hosts._words, hosts._off, len(hosts), list)
+        assert hosts != as_list and as_list != hosts
+        assert as_list == artifact_module._Addresses(
+            hosts._words, hosts._off, len(hosts), list
+        )
+
+    def test_sequence_protocol(self, tiny_world, artifact_world):
+        rng = random.Random(11)
+        for view, built in _views(tiny_world, artifact_world):
+            if isinstance(built, dict):
+                continue
+            assert len(view) == len(built)
+            assert list(view) == list(built)
+            assert list(reversed(view)) == list(reversed(built))
+            for i in range(-len(built), len(built)):
+                assert view[i] == built[i]
+            for bad in (len(built), -len(built) - 1):
+                with pytest.raises(IndexError):
+                    view[bad]
+            start, stop = sorted(rng.randrange(-3, len(built) + 3) for _ in range(2))
+            for part in (slice(start, stop), slice(None, None, -1), slice(1, None, 2)):
+                assert view[part] == built[part]
+                assert type(view[part]) is type(built)
+            for address in built:
+                assert address in view
+                assert view.index(address) == built.index(address)
+                assert view.count(address) == 1
+            # Each address with one bit flipped in its low, then its high word.
+            near = [a ^ bit for a in built for bit in (1, 1 << 64)]
+            for absent in (0, 1, (1 << 128) - 1, *near):
+                assert (absent in view) == (absent in built)
+            assert "2001:db8::1" not in view and None not in view
+
+    def test_mapping_protocol(self, tiny_world, artifact_world):
+        for view, built in _views(tiny_world, artifact_world):
+            if not isinstance(built, dict):
+                continue
+            assert len(view) == len(built)
+            assert list(view) == list(built)
+            assert list(view.items()) == list(built.items())
+            assert list(view.values()) == list(built.values())
+            for network, interface in built.items():
+                assert network in view
+                assert view[network] == interface
+                assert view.get(network) == interface
+            near = [network ^ bit for network in built for bit in (1, 1 << 64)]
+            for absent in (0, *(a for a in near if a not in built)):
+                assert absent not in view
+                assert view.get(absent) is None
+                with pytest.raises(KeyError):
+                    view[absent]
+            assert "x" not in view
+
+    def test_pickle_materialises(self, tiny_world, artifact_world):
+        for view, built in _views(tiny_world, artifact_world):
+            copy = pickle.loads(pickle.dumps(view))
+            assert type(copy) is type(built)
+            assert copy == built
+            assert repr(view) == repr(built)
+        network = next(n for n, s in tiny_world.subnets.items() if s.hosts)
+        subnet = pickle.loads(pickle.dumps(artifact_world.subnets[network]))
+        assert subnet == tiny_world.subnets[network]
+        assert type(subnet.hosts) is tuple
+        rid = next(r for r, x in tiny_world.routers.items() if x.subnet_interfaces)
+        router = pickle.loads(pickle.dumps(artifact_world.routers[rid]))
+        assert router == tiny_world.routers[rid]
+        assert type(router.interface_addresses) is list
+        assert type(router.subnet_interfaces) is dict
+
+    def test_ixp_capture_is_unchanged(self, tiny_world, artifact_world):
+        from repro.datasets.ixp import run_ixp_capture
+
+        built = run_ixp_capture(tiny_world, packets=100_000, sample_rate=50)
+        loaded = run_ixp_capture(artifact_world, packets=100_000, sample_rate=50)
+        assert built.packets_sampled > 0
+        assert loaded == built
+
+    def test_random_target_scan_equals_in_memory_scan(self, tiny_world, artifact_world):
+        """Random in-subnet targets plus every host: the kernel path that
+        asks ``target in subnet.hosts``, answered both ways."""
+        from repro.addr.randomgen import random_targets_for_sras
+
+        subnets = list(tiny_world.subnets.values())
+        targets = [host for subnet in subnets for host in subnet.hosts]
+        targets += random_targets_for_sras(
+            (s.sra_address for s in subnets), 64, random.Random(4)
+        )
+        scan = TestScanByteIdentity._scan_bytes
+        eager = scan(tiny_world, targets, 1, "serial")
+        loaded = scan(artifact_world, targets, 1, "serial")
+        assert loaded == eager
+        hosts = {host for subnet in subnets for host in subnet.hosts}
+        replies = {target for target, source, *_ in eager[0] if target == source}
+        assert len(replies & hosts) > len(hosts) // 2
+
+
 class TestWorkerBootstrap:
     def test_world_payload_is_kilobytes(self, tiny_world, artifact_world):
         """The whole point: artifact worlds ship a path, not a world."""

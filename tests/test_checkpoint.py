@@ -21,8 +21,8 @@ from functools import wraps
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import truncate_tail
 
-from repro.netsim.faults import truncate_tail
 from repro.scanner.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointCorruptError,

@@ -1,6 +1,7 @@
 """Tests for the comparison-dataset builders (§5)."""
 
 import pytest
+from helpers import all_hosts
 
 from repro.datasets.caida import run_ark_campaign
 from repro.datasets.common import AddressDataset
@@ -79,7 +80,7 @@ class TestTumHarvest:
         full = harvest_hitlist(
             tiny_world, coverage=1.0, stale_fraction=0.0, router_fraction=0.0
         )
-        hosts = set(tiny_world.all_hosts())
+        hosts = set(all_hosts(tiny_world))
         assert set(full.addresses()) == hosts
 
     def test_router_fraction_adds_interfaces(self, tiny_world):
@@ -95,13 +96,13 @@ class TestTumHarvest:
 
     def test_stale_entries_added(self, tiny_world):
         hitlist = harvest_hitlist(tiny_world, coverage=0.5, stale_fraction=0.4)
-        hosts = set(tiny_world.all_hosts())
+        hosts = set(all_hosts(tiny_world))
         stale = [a for a in hitlist if a not in hosts]
         assert len(stale) == pytest.approx(len(hitlist) * 0.4, rel=0.15)
 
     def test_stale_entries_routed(self, tiny_world):
         hitlist = harvest_hitlist(tiny_world, coverage=0.3, stale_fraction=0.5)
-        hosts = set(tiny_world.all_hosts())
+        hosts = set(all_hosts(tiny_world))
         for address in hitlist:
             if address not in hosts:
                 assert tiny_world.bgp.is_routed(address)
@@ -110,7 +111,7 @@ class TestTumHarvest:
         hitlist = harvest_hitlist(
             tiny_world, coverage=0.5, stale_fraction=0.0, router_fraction=0.5
         )
-        hosts = set(tiny_world.all_hosts())
+        hosts = set(all_hosts(tiny_world))
         interfaces = {s.router_interface for s in tiny_world.subnets.values()}
         assert hitlist
         for address in hitlist:
@@ -180,7 +181,7 @@ class TestIXPCapture:
 
     def test_addresses_are_hosts(self, tiny_world):
         capture = run_ixp_capture(tiny_world, packets=50_000, sample_rate=50)
-        hosts = set(tiny_world.all_hosts())
+        hosts = set(all_hosts(tiny_world))
         loopbacks = {r.loopback for r in tiny_world.routers.values()}
         for address in capture.all_addresses():
             assert address in hosts or address in loopbacks

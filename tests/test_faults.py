@@ -12,6 +12,7 @@ reproduces from its seed alone.
 import random
 
 import pytest
+from helpers import truncate_tail
 
 from repro.netsim.faults import (
     HARD_CRASH_EXIT,
@@ -21,7 +22,6 @@ from repro.netsim.faults import (
     FaultPlan,
     InjectedCrash,
     InjectedSinkError,
-    truncate_tail,
 )
 from repro.scanner.checkpoint import load_checkpoint
 from repro.scanner.sharded import (

@@ -5,6 +5,7 @@ invariants that individual unit tests cannot see.
 """
 
 import pytest
+from helpers import all_hosts
 from reference_harness import flood, probe_row
 
 from repro.core.survey import SRASurvey, SurveyConfig
@@ -53,7 +54,7 @@ class TestSurveyEndToEnd:
     def test_discovered_sources_are_plausible(self, pipeline, tiny_world, router_of):
         """Echo sources must be real router addresses, host addresses, or
         aliased self-replies already removed by the filter."""
-        hosts = set(tiny_world.all_hosts())
+        hosts = set(all_hosts(tiny_world))
         for result in pipeline.input_sets.values():
             for record in result.result.records:
                 if record.is_echo:

@@ -3,6 +3,8 @@
 import pickle
 import random
 
+from helpers import extend
+
 from repro.addr.ipv6 import IPv6Prefix, parse_address
 from repro.hitlist.aliases import AliasedPrefixList
 from repro.hitlist.hitlist import Hitlist
@@ -76,28 +78,29 @@ class TestHitlist:
 
     def test_extend_counts_new(self):
         hitlist = Hitlist()
-        assert hitlist.extend([1, 2, 2, 3]) == 3
+        assert extend(hitlist, [1, 2, 2, 3]) == 3
 
     def test_contains_and_iter_order(self):
         hitlist = Hitlist()
-        hitlist.extend([5, 3, 5, 9])
+        extend(hitlist, [5, 3, 5, 9])
         assert 3 in hitlist
         assert list(hitlist) == [5, 3, 9]
 
     def test_unique_slash64s(self):
         hitlist = Hitlist()
-        hitlist.extend(
+        extend(
+            hitlist,
             [
                 parse_address("2001:db8::1"),
                 parse_address("2001:db8::2"),
                 parse_address("2001:db8:0:1::1"),
-            ]
+            ],
         )
         assert len(hitlist.unique_slash64s()) == 2
 
     def test_addresses_is_a_copy_in_first_seen_order(self):
         hitlist = Hitlist()
-        hitlist.extend([9, 4, 9, 1])
+        extend(hitlist, [9, 4, 9, 1])
         addresses = hitlist.addresses()
         assert addresses == [9, 4, 1]
         addresses.append(7)
@@ -128,7 +131,8 @@ class TestAliasedPrefixList:
 
     def test_containment_equals_brute_force(self):
         """Against ``any(p.covers(...))`` over the plain prefix list,
-        nested and adjacent prefixes included."""
+        nested and adjacent prefixes included, one address at a time and
+        in one batch."""
         rng = random.Random(12)
         bases = [rng.getrandbits(128) for _ in range(4)]
         listed = {
@@ -149,8 +153,12 @@ class TestAliasedPrefixList:
                 alias_list.add(IPv6Prefix(0, 0))
                 listed.add(IPv6Prefix(0, 0))
             assert len(alias_list) == len(listed)
+            inside = []
             for address in queries:
                 host = IPv6Prefix(address, 128)
                 assert alias_list.contains_address(address) == any(
                     prefix.covers(host) for prefix in listed
                 )
+                inside += [address] * alias_list.contains_address(address)
+            # The batched form, which the survey's alias filter uses.
+            assert alias_list.listed(queries) == inside

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from helpers import is_time_exceeded
 
 from repro.addr.ipv6 import format_address
 from repro.packet.icmpv6 import ICMPv6Type
@@ -37,7 +38,7 @@ class TestScanRecord:
         assert record(1, 2, ECHO).is_echo
         assert not record(1, 2, ECHO).is_error
         assert record(1, 2, UNREACH).is_error
-        assert record(1, 2, TIMEX).is_time_exceeded
+        assert is_time_exceeded(record(1, 2, TIMEX))
 
 
 class TestScanResult:
