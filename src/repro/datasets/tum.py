@@ -15,12 +15,24 @@ reproduce its *statistical* role:
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from random import Random
 
+from ..addr.ipv6 import IPv6Prefix
 from ..hitlist.aliases import AliasedPrefixList
 from ..hitlist.hitlist import Hitlist
+from ..topology.artifact import LazySubnetMap
 from ..topology.entities import World
 from ..topology.generator import _randbelow
+
+
+def _subnet_rows(world: World) -> Iterator[tuple[int, int, bool, Sequence[int]]]:
+    """``(network, router interface, aliased, hosts)`` of every subnet in
+    ``world.subnets`` order; an artifact world's read from its mapped rows."""
+    if isinstance(world.subnets, LazySubnetMap):
+        return world.subnets.rows()
+    subnets = world.subnets.values()
+    return ((s.prefix.network, s.router_interface, s.aliased, s.hosts) for s in subnets)
 
 
 def harvest_hitlist(
@@ -41,6 +53,7 @@ def harvest_hitlist(
     interface addresses are also included — the extended TUM hitlist folds
     in traceroute-discovered router addresses, which is what gives the
     (small) SRA/hitlist overlap the paper reports (§5.2: 4.4 M shared).
+    On an artifact world the walk reads its subnet rows, not ``Subnet``s.
     """
     if not 0 < coverage <= 1:
         raise ValueError("coverage must be in (0, 1]")
@@ -53,15 +66,16 @@ def harvest_hitlist(
     getrandbits = rng.getrandbits
     hitlist = Hitlist(name=name)
     add = hitlist.add
-    subnets = world.subnets.values()
-    for subnet in subnets:
-        for host in subnet.hosts:
+    interfaces = []  # every host draw comes before the first interface draw
+    for _, interface, _, hosts in _subnet_rows(world):
+        interfaces.append(interface)
+        for host in hosts:
             if random() < coverage:
                 add(host)
     if router_fraction:
-        for subnet in subnets:
+        for interface in interfaces:
             if random() < router_fraction:
-                add(subnet.router_interface)
+                add(interface)
     live_count = len(hitlist)
     stale_count = int(live_count * stale_fraction / (1 - stale_fraction))
     # rng.choice(announcements), then rng.randrange(1, 1 << free_bits)
@@ -86,7 +100,8 @@ def published_alias_list(
     """The community aliased-prefix list: high but imperfect recall.
 
     Covers ``recall`` of the world's aliased subnets/regions; the rest must
-    be caught by the survey's self-reply rule.
+    be caught by the survey's self-reply rule.  An artifact world's
+    subnets are read from its rows, as the harvest reads them.
     """
     if not 0 <= recall <= 1:
         raise ValueError("recall must be in [0, 1]")
@@ -95,7 +110,7 @@ def published_alias_list(
     for region in world.alias_regions:
         if rng.random() < recall:
             alias_list.add(region.prefix)
-    for subnet in world.subnets.values():
-        if subnet.aliased and rng.random() < recall:
-            alias_list.add(subnet.prefix)
+    for network, _, aliased, _ in _subnet_rows(world):
+        if aliased and rng.random() < recall:
+            alias_list.add(IPv6Prefix(network, 64))
     return alias_list

@@ -14,6 +14,7 @@ the raw traffic as pcap).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import random
@@ -42,6 +43,7 @@ from .sharded import (
     ScanInterrupted,
     ShardedScanRunner,
     ShardFailedError,
+    _collector_paused,
     auto_shard_count,
 )
 from .stream import CsvSink, JsonlSink, LazyStream, RecordSink, TeeSink
@@ -456,27 +458,33 @@ def main(argv: list[str] | None = None) -> int:
             # own targets file, directly through an unsharded scanner.
             outcome = _raw_scan(args, telemetry)
         else:
-            config = (
-                tiny_config(args.seed)
-                if args.world == "tiny"
-                else WorldConfig(seed=args.seed)
-            )
-            if args.world_artifact:
-                world = _artifact_world(config, args.world_artifact)
-            else:
-                world = build_world(config)
-            runner = ShardedScanRunner(
-                world,
-                shards=auto_shard_count() if args.shards == 0 else args.shards,
-                executor=args.parallel,
-                telemetry=telemetry,
-                max_shard_retries=args.max_shard_retries,
-                # A strategy journals one file per epoch; --input-set
-                # names its single journal per scan.
-                checkpoint_dir=args.checkpoint if args.strategy else None,
-            )
-            mode = _strategy_scan if args.strategy else _input_set_scan
-            outcome = mode(world, args, runner)
+            with _collector_paused():
+                config = (
+                    tiny_config(args.seed)
+                    if args.world == "tiny"
+                    else WorldConfig(seed=args.seed)
+                )
+                if args.world_artifact:
+                    world = _artifact_world(config, args.world_artifact)
+                else:
+                    world = build_world(config)
+                runner = ShardedScanRunner(
+                    world,
+                    shards=auto_shard_count() if args.shards == 0 else args.shards,
+                    executor=args.parallel,
+                    telemetry=telemetry,
+                    max_shard_retries=args.max_shard_retries,
+                    # A strategy journals one file per epoch; --input-set
+                    # names its single journal per scan.
+                    checkpoint_dir=args.checkpoint if args.strategy else None,
+                )
+                mode = _strategy_scan if args.strategy else _input_set_scan
+                outcome = mode(world, args, runner)
+                if not gc.get_freeze_count():  # nothing a caller froze
+                    # What the job keeps has no cycles: move it to the oldest
+                    # generation unwalked, not by a collection that frees nothing.
+                    gc.freeze()
+                    gc.unfreeze()
     except CheckpointError as error:
         # Corrupt / truncated / mismatched journal: a clear one-liner, no
         # traceback — the operator decides whether to delete and restart.

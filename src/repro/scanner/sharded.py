@@ -282,7 +282,6 @@ def merge_shard_outcomes(
     targets_buffered: int = 0,
     sink: RecordSink | None = None,
     ring_stats: RingStats | None = None,
-    backend: str = "sim",
 ) -> ScanResult:
     """Merge deferred-mode shards into the exact serial result.
 
@@ -301,10 +300,6 @@ def merge_shard_outcomes(
     replay engine doubles as the authority for ``rate_limit_engaged``
     events: deferred shards never exercise the limiter, but the replay
     walks the exact serial check sequence.
-
-    ``backend`` is read by nothing; it stays so that callers written
-    against this signature (the e2e benchmark's tracer wraps this
-    function) keep working.
     """
     ordered = sorted(outcomes, key=lambda outcome: outcome.shard)
     _validate_shard_windows(ordered)
@@ -519,7 +514,8 @@ def _init_worker(world: "World | WorldRef", targets: tuple[Sequence[int], ...]) 
 @contextmanager
 def _collector_paused():
     """Pause the cyclic collector, then restore the state found: what a
-    scan keeps (decoded entities, records, replay checks) has no cycles."""
+    scan or a CLI job keeps (decoded entities, records, replay checks, a
+    hitlist) has no cycles."""
     enabled = gc.isenabled()
     gc.disable()
     try:

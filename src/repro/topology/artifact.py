@@ -57,7 +57,7 @@ import shutil
 import struct
 import sys
 from array import array
-from collections.abc import ItemsView, Mapping, Sequence, ValuesView
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
@@ -855,28 +855,9 @@ class LazyRouterMap(Mapping):
         )
 
 
-class _RowValues(ValuesView):
-    """``values()`` of a :class:`LazySubnetMap` without duplicates, walked
-    by row: what ``__getitem__`` returns (same cached objects, same order)
-    without a sorted-index search per row."""
-
-    def __iter__(self) -> Iterator[Subnet]:
-        reader = self._mapping._reader
-        return map(reader.subnet, range(reader.subnet_rows))
-
-
-class _RowItems(ItemsView):
-    """``items()`` twin of :class:`_RowValues`."""
-
-    def __iter__(self) -> Iterator[tuple[int, Subnet]]:
-        for subnet in _RowValues(self._mapping):
-            yield subnet.prefix.network, subnet
-
-
 class LazySubnetMap(Mapping):
     """Read-only ``{network: Subnet}`` over the artifact (row order ==
-    registration order, duplicate registrations collapse keep-last — and
-    then the generic ``Mapping`` views apply, not the row-walked ones).
+    registration order, duplicate registrations collapse keep-last).
     A decoded subnet is cached; its ``hosts`` stay in the mapped file."""
 
     __slots__ = ("_reader",)
@@ -897,27 +878,25 @@ class LazySubnetMap(Mapping):
         return len(self._reader._subnet_keys) == self._reader.subnet_rows
 
     def __iter__(self) -> Iterator[int]:
-        if self._one_row_per_key():
-            reader = self._reader
-            return map(reader.subnet_network_at, range(reader.subnet_rows))
-        return self._iter_deduped()
-
-    def values(self) -> ValuesView:
-        return _RowValues(self) if self._one_row_per_key() else super().values()
-
-    def items(self) -> ItemsView:
-        return _RowItems(self) if self._one_row_per_key() else super().items()
-
-    def _iter_deduped(self) -> Iterator[int]:
-        # Dict semantics under overwrite: first insertion position, so
-        # yield each network at its first-seen row only.
         reader = self._reader
-        seen: set[int] = set()
-        for row in range(reader.subnet_rows):
-            network = reader.subnet_network_at(row)
-            if network not in seen:
-                seen.add(network)
-                yield network
+        networks = map(reader.subnet_network_at, range(reader.subnet_rows))
+        if self._one_row_per_key():
+            return networks
+        # Dict semantics under overwrite: each network at its first row.
+        return iter(dict.fromkeys(networks))
+
+    def rows(self) -> Iterator[tuple[int, int, bool, Sequence[int]]]:
+        """``(network, router interface, aliased, hosts)`` of each subnet in
+        ``values()`` order, read from the mapped rows: decodes no ``Subnet``."""
+        reader = self._reader
+        records = _SUBNET.iter_unpack(reader._section("subnets"))
+        if not self._one_row_per_key():  # a network's last row holds its facts
+            records = list(records)
+            records = [records[reader.subnet_row_of(network)] for network in self]
+        for net_hi, net_lo, _, _, if_hi, if_lo, flags, _, count, off in records:
+            hosts = _Addresses(reader._hosts, off, count, tuple) if count else ()
+            network, interface = (net_hi << 64) | net_lo, (if_hi << 64) | if_lo
+            yield network, interface, bool(flags & _SF_ALIASED), hosts
 
 
 # --------------------------------------------------------------------- #

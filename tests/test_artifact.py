@@ -18,6 +18,7 @@ from functools import partial
 
 import pytest
 
+from repro.datasets.tum import harvest_hitlist, published_alias_list
 from repro.scanner import sharded as sharded_module
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.targets import bgp_slash48_targets
@@ -34,7 +35,7 @@ from repro.topology.artifact import (
     world_payload,
 )
 from repro.topology.config import tiny_config
-from repro.topology.generator import build_world_artifact
+from repro.topology.generator import build_world, build_world_artifact
 
 ROUTER_FIELDS = (
     "router_id",
@@ -87,6 +88,51 @@ def artifact_world(artifact_path):
     compare the two representations directly.
     """
     return build_world_artifact(tiny_config(seed=7), artifact_path)
+
+
+def _artifact_with_a_duplicate(tiny_world, tmp_path):
+    """``tiny_world`` saved with its third subnet registered twice: first
+    with other facts (no hosts, another interface, flipped flags), later
+    with its own. Returns the loaded world and the dict the registrations
+    make."""
+    from dataclasses import replace
+
+    from repro.topology.artifact import WorldArtifactWriter
+    from repro.topology.entities import EntryKind
+
+    subnets = list(tiny_world.subnets.values())
+    stale = replace(
+        subnets[2],
+        hosts=(),
+        router_interface=subnets[2].router_interface ^ 1,
+        aliased=not subnets[2].aliased,
+        flaky=not subnets[2].flaky,
+    )
+    registrations = subnets[:2] + [stale] + subnets[3:6] + [subnets[2]] + subnets[6:]
+    reference = {}
+    writer = WorldArtifactWriter(
+        tmp_path / "dup.sraw", seed=tiny_world.seed, fingerprint=bytes(32)
+    )
+    rows = {}
+    for subnet in registrations:
+        reference[subnet.prefix.network] = subnet
+        rows[subnet.prefix.network] = writer.add_subnet(subnet)
+    assert list(reference) == list(tiny_world.subnets)
+    for router in tiny_world.routers.values():
+        writer.add_router(router)
+    for prefix, entry in tiny_world.resolution.items():
+        if entry.kind is EntryKind.SUBNET:
+            writer.add_resolution(prefix, entry.kind, rows[prefix.network])
+    return load_world_artifact(writer.finalize(tiny_world)), reference
+
+
+def _column_and_object_readers(world, built):
+    """The harvest and the published alias list of an artifact ``world``
+    (read from its rows) and of ``built`` (read from its objects)."""
+    return [
+        (harvest_hitlist(w).addresses(), list(published_alias_list(w)))
+        for w in (world, built)
+    ]
 
 
 class TestRoundTrip:
@@ -232,33 +278,12 @@ class TestRoundTrip:
 
     def test_subnet_views_with_a_duplicate_registration(self, tiny_world, tmp_path):
         """A subnet registered twice keeps its first position and its last
-        value, like the dict it stands in for — on the generic views."""
-        from dataclasses import replace
-
-        from repro.topology.artifact import WorldArtifactWriter
-        from repro.topology.entities import EntryKind
-
-        subnets = list(tiny_world.subnets.values())
-        stale = replace(subnets[2], hosts=(), flaky=not subnets[2].flaky)
-        registrations = subnets[:2] + [stale] + subnets[3:6] + [subnets[2]] + subnets[6:]
-        reference = {}
-        writer = WorldArtifactWriter(
-            tmp_path / "dup.sraw", seed=tiny_world.seed, fingerprint=bytes(32)
-        )
-        rows = {}
-        for subnet in registrations:
-            reference[subnet.prefix.network] = subnet
-            rows[subnet.prefix.network] = writer.add_subnet(subnet)
-        assert list(reference) == list(tiny_world.subnets)
-        for router in tiny_world.routers.values():
-            writer.add_router(router)
-        for prefix, entry in tiny_world.resolution.items():
-            if entry.kind is EntryKind.SUBNET:
-                writer.add_resolution(prefix, entry.kind, rows[prefix.network])
-        loaded = load_world_artifact(writer.finalize(tiny_world))
-        assert len(loaded.subnets) == len(reference) == len(registrations) - 1
+        value, like the dict it stands in for."""
+        loaded, reference = _artifact_with_a_duplicate(tiny_world, tmp_path)
+        assert len(loaded.subnets) == len(reference) == len(tiny_world.subnets)
         self._assert_views_match(loaded.subnets, reference)
-        assert loaded.subnets[stale.prefix.network].hosts == subnets[2].hosts
+        network = list(reference)[2]
+        assert loaded.subnets[network].hosts == tiny_world.subnets[network].hosts
 
     def test_loaded_world_is_static(self, artifact_world):
         """Every mutator is refused, and a refused one changes nothing:
@@ -429,6 +454,39 @@ class TestEntityViews:
         hosts = {host for subnet in subnets for host in subnet.hosts}
         replies = {target for target, source, *_ in eager[0] if target == source}
         assert len(replies & hosts) > len(hosts) // 2
+
+
+class TestColumnReaders:
+    """``harvest_hitlist`` and ``published_alias_list`` read an artifact
+    world's subnet rows: the built world's lists, and no ``Subnet``."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    def test_equal_the_object_readers(self, seed, tmp_path):
+        config = tiny_config(seed)
+        loaded = build_world_artifact(config, tmp_path / "world.sraw")
+        columns, objects = _column_and_object_readers(loaded, build_world(config))
+        assert columns == objects
+        assert len(objects[0]) and len(objects[1])
+
+    def test_a_duplicate_registration_reads_keep_last(self, tiny_world, tmp_path):
+        """The stale first registration's facts (no hosts, another
+        interface, the aliased flag flipped) would change both lists."""
+        loaded, _ = _artifact_with_a_duplicate(tiny_world, tmp_path)
+        columns, objects = _column_and_object_readers(loaded, tiny_world)
+        assert columns == objects
+        network, interface, aliased, hosts = list(loaded.subnets.rows())[2]
+        original = tiny_world.subnets[network]
+        assert (interface, aliased, hosts) == (
+            original.router_interface,
+            original.aliased,
+            original.hosts,
+        )
+
+    def test_a_fresh_world_decodes_no_subnet(self, tiny_world, tmp_path):
+        world = load_world_artifact(save_world(tiny_world, tmp_path / "fresh.sraw"))
+        harvest_hitlist(world)
+        published_alias_list(world)
+        assert len(world.subnets._reader._subnet_cache) == 0
 
 
 class TestWorkerBootstrap:

@@ -9,6 +9,7 @@ refcount alone, not left behind as cyclic garbage.
 """
 
 import gc
+import os
 import random
 from collections import Counter
 
@@ -18,6 +19,7 @@ from repro.core.survey import SRASurvey, SurveyConfig
 from repro.datasets.tum import harvest_hitlist, published_alias_list
 from repro.netsim.engine import SimulationEngine
 from repro.netsim.faults import ChaosEngine, FaultPlan
+from repro.scanner import cli
 from repro.scanner import sharded as sharded_module
 from repro.scanner.backends.resilient import RetryPolicy
 from repro.scanner.sharded import (
@@ -29,6 +31,7 @@ from repro.scanner.stream import CsvSink, JsonlSink, TeeSink
 from repro.scanner.targets import bgp_slash48_targets
 from repro.scanner.zmapv6 import ScanConfig, ZMapV6Scanner
 from repro.telemetry.scan import ScanTelemetry
+from repro.topology import artifact as artifact_module
 from repro.topology.artifact import load_world_artifact
 from repro.topology.config import tiny_config
 from repro.topology.generator import build_world_artifact
@@ -227,3 +230,102 @@ class TestPause:
             finally:
                 pool.shutdown()
             assert not gc.isenabled()
+
+
+def _interrupted(*args, **kwargs):
+    raise ScanInterrupted(None, 0, 1)
+
+
+def _broken(*args, **kwargs):
+    raise RuntimeError("target generation failed")
+
+
+class TestCliPause:
+    """``sra-scan`` runs its whole simulated job paused: world load,
+    harvest, target generation, the scan and its mode's own work.  What
+    the job keeps then moves to the oldest generation, unwalked."""
+
+    def argv(self, artifact_path, *extra):
+        return [
+            "--world", "tiny",
+            "--seed", "3",
+            "--world-artifact", str(artifact_path),
+            "--input-set", "hitlist-64",
+            "--max-targets", "2000",
+            *extra,
+        ]  # fmt: skip
+
+    def test_the_harvest_runs_paused(self, artifact_path, monkeypatch, capsys):
+        seen = []
+        real = cli.harvest_hitlist
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "harvest_hitlist", spy)
+        gc.enable()
+        assert cli.main(self.argv(artifact_path)) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "extra, patch, outcome",
+        [
+            ((), None, 0),
+            (("--max-targets", "0"), None, 1),
+            (("--checkpoint", "{bad}", "--resume"), None, 4),
+            ((), (cli.ShardedScanRunner, "scan", _interrupted), 5),
+            ((), (cli, "build_targets", _broken), RuntimeError),
+        ],
+        ids=["exit-0", "exit-1", "exit-4", "exit-5", "raises"],
+    )
+    def test_state_is_restored(
+        self, artifact_path, tmp_path, monkeypatch, capsys, enabled, extra, patch, outcome
+    ):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"SRACKPT\n" + b"\x00" * 4)
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        argv = self.argv(artifact_path, *(arg.format(bad=bad) for arg in extra))
+        (gc.enable if enabled else gc.disable)()
+        if isinstance(outcome, int):
+            assert cli.main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                cli.main(argv)
+        assert gc.isenabled() is enabled
+
+    def test_what_the_job_keeps_skips_the_young_collections(
+        self, artifact_path, capsys
+    ):
+        """The subnets the scan decoded sit in the oldest generation when
+        ``main`` returns: no young collection walked them on the way."""
+        gc.enable()
+        assert cli.main(self.argv(artifact_path)) == 0
+        world = artifact_module._RESOLVED[str(artifact_path)]
+        decoded = list(world.subnets._reader._subnet_cache.values())
+        assert decoded
+        oldest = {id(item) for item in gc.get_objects(generation=2)}
+        assert all(id(subnet) in oldest for subnet in decoded)
+
+    def test_what_a_caller_froze_stays_frozen(self, artifact_path, capsys):
+        held = [[]]
+        gc.freeze()
+        try:
+            assert cli.main(self.argv(artifact_path)) == 0
+            assert not any(item is held for item in gc.get_objects())
+        finally:
+            gc.unfreeze()
+        assert any(item is held for item in gc.get_objects())
+
+    def test_a_run_leaves_only_the_argument_parser(self, artifact_path, capsys):
+        """What ``main`` leaves for the collector is the argument parser's
+        own cycles (argparse's help formatters), which a run that stops
+        right after parsing leaves too: the job itself leaves nothing."""
+        parsed_only = cyclic_garbage(lambda: cli.main(["--pps", "-1"]))
+        argv = self.argv(artifact_path, "--output", os.devnull)
+        garbage = cyclic_garbage(lambda: cli.main(argv))
+        kinds = Counter(type(item).__name__ for item in garbage)
+        assert kinds == Counter(type(item).__name__ for item in parsed_only)
