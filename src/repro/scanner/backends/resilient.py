@@ -31,7 +31,7 @@ before delegating and rolls all three back on failure, so a retried
 batch never double-counts probes or double-appends deferred rate-limit
 checks — which keeps a retried run byte-identical to a fault-free one
 (pinned by the backend contract suite) **over a deferred engine**, as
-every journalled, sharded or chaos run has.  A live engine also drains
+every journalled or sharded run has.  A live engine also drains
 token buckets, which are not snapshotted: an attempt that fails *after*
 probing a live rate limiter (``stats.probes`` moved) is not sent again —
 neither retried nor bisected — but quarantined, ``"unrepeatable"``.
@@ -455,8 +455,9 @@ class ResilientBackend(WrappingBackend):
         if not watchdog:
             return send()
         # Watchdog: run the send on a daemon thread and abandon it at
-        # the deadline.  A well-behaved hung call (e.g. FaultyBackend's
-        # injected hang) blocks *before* mutating shared state and
+        # the deadline.  A well-behaved hung call (e.g. a wedged raw
+        # socket, or the injected hang of the fault tests in
+        # ``tests/faults.py``) blocks *before* mutating shared state and
         # raises when released at close, so abandonment is safe.
         box: list = []
 

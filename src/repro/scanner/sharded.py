@@ -38,15 +38,9 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from operator import getitem, itemgetter, not_, or_
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..netsim.engine import EngineStats, SimulationEngine
-
-if TYPE_CHECKING:
-    # Import lazily: netsim.faults imports the backend seam (its
-    # FaultyBackend is a ProbeBackend), so a module-level import here
-    # would be circular.  ChaosEngine is only ever named in annotations.
-    from ..netsim.faults import ChaosEngine
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.scan import (
     HotPathCollector,
@@ -57,7 +51,7 @@ from ..telemetry.scan import (
 )
 from ..topology.artifact import WorldRef, resolve_world_ref, world_payload
 from ..topology.entities import World
-from .backends import BACKENDS, RetryPolicy, build_backend
+from .backends import BACKENDS, RetryPolicy
 from .checkpoint import (
     ScanCheckpoint,
     config_key,
@@ -218,7 +212,6 @@ def scan_shard(
     shard: int,
     shards: int,
     collect_telemetry: bool = False,
-    chaos: ChaosEngine | None = None,
     attempt: int = 0,
 ) -> ShardOutcome:
     """Run one shard of a scan with the rate limiter deferred.
@@ -232,25 +225,16 @@ def scan_shard(
     rate limiting because both preserve per-shard probe order: the
     recorded ``(time, router_id)`` checks come out in exactly the order a
     per-probe scan would record them, which the merge replay relies on.
+
+    ``attempt`` is the retry ordinal of this run of the shard (0 first);
+    it names the shard's ring frame, and fault tests key on it.
     """
-    if chaos is not None:
-        # Fault injection arms here, inside the (possibly pooled) worker:
-        # a planned crash for this (shard, attempt) fires at the exact
-        # per-probe target access the plan names.
-        chaos.delay_shard(shard)
-        targets = chaos.wrap_targets(targets, shard, attempt)
-    # The backend is built from the config around this deferred engine —
-    # the config crossing the pickle boundary *is* the backend transport,
-    # exactly like WorldRef for worlds; no live backend is ever pickled.
-    # Built explicitly (rather than inside the scanner) so chaos can
-    # interpose transport faults *under* the resilience wrapper the
-    # scanner adds on top — the layering a flaky NIC would have.
-    engine = SimulationEngine(world, epoch=epoch, defer_rate_limit=True)
-    backend = build_backend(config, engine)
-    if chaos is not None:
-        backend = chaos.wrap_backend(backend, shard)
+    # The scanner builds the backend from the config around this deferred
+    # engine — the config crossing the pickle boundary *is* the backend
+    # transport, exactly like WorldRef for worlds; no live backend is
+    # ever pickled.
     scanner = ZMapV6Scanner(
-        backend,
+        SimulationEngine(world, epoch=epoch, defer_rate_limit=True),
         replace(config, shard=shard, shards=shards),
         capture_telemetry=collect_telemetry,
     )
@@ -622,11 +606,11 @@ class ShardedScanRunner:
     backoff up to ``max_shard_retries`` times and then end the scan in
     :class:`ShardFailedError`, and SIGINT/SIGTERM end it in
     :class:`ScanInterrupted` with the completed shards salvaged into the
-    journal.  A journal, a retry budget and a :class:`ChaosEngine` are
-    inputs to that loop, not a mode; any of them also sends a
-    ``shards=1`` scan through it, which otherwise runs in place.  A
-    resumed scan re-runs only the missing index windows and merges to
-    the exact bytes an uninterrupted run produces.
+    journal.  A journal and a retry budget are inputs to that loop, not
+    a mode; either also sends a ``shards=1`` scan through it, which
+    otherwise runs in place.  A resumed scan re-runs only the missing
+    index windows and merges to the exact bytes an uninterrupted run
+    produces.
     """
 
     def __init__(
@@ -638,7 +622,6 @@ class ShardedScanRunner:
         telemetry: ScanTelemetry | None = None,
         max_shard_retries: int = 0,
         checkpoint_dir: "str | Path | None" = None,
-        chaos: ChaosEngine | None = None,
         sleep: "Callable[[float], None]" = time.sleep,
     ) -> None:
         if executor not in EXECUTORS:
@@ -663,7 +646,6 @@ class ShardedScanRunner:
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
-        self.chaos = chaos
         # Shared-memory transport counters, accumulated across every scan
         # this runner executes (exported as a CI artifact by smoke-perf).
         self.ring_stats = RingStats()
@@ -691,7 +673,6 @@ class ShardedScanRunner:
         sink: RecordSink | None = None,
         checkpoint: "str | Path | None" = None,
         resume: bool = False,
-        chaos: ChaosEngine | None = None,
     ) -> ScanResult:
         """Scan all targets across ``self.shards`` shards and merge.
 
@@ -723,7 +704,6 @@ class ShardedScanRunner:
                 "ZMapV6Scanner directly instead)"
             )
         effective = telemetry if telemetry is not None else self.telemetry
-        chaos = chaos if chaos is not None else self.chaos
         target_list = scannable(targets)
         prefetched = self._prefetched
         if prefetched is None or not prefetched.futures:
@@ -739,7 +719,7 @@ class ShardedScanRunner:
                 )
             self._prefetched = None
         checkpoint_path = self._checkpoint_path(checkpoint, name, epoch)
-        if self.shards == 1 and self._unattended(checkpoint_path, chaos):
+        if self.shards == 1 and self._unattended(checkpoint_path):
             # Scan in place, which is also what streams a sink batch by
             # batch — or adopt the very scan scan_all ran in a worker.
             scanner = _scanner_in_place(
@@ -763,7 +743,6 @@ class ShardedScanRunner:
             # checkpoint_dir journals auto-resume: a file left behind
             # means an interrupted scan, and resuming is always byte-safe.
             resume=resume or self.checkpoint_dir is not None,
-            chaos=chaos,
             prefetched=prefetched,
         )
 
@@ -778,8 +757,8 @@ class ShardedScanRunner:
         ``config`` may be a function of the targets, called when the job
         starts, so a lazy stream paced by its size is realised in turn.
 
-        With nothing to journal, retry or inject, jobs run ahead on one
-        pool, opened for the first job that goes to it, and ``scan``
+        With nothing to journal or retry, jobs run ahead on one pool,
+        opened for the first job that goes to it, and ``scan``
         adopts their work — the very scans and shards it would have run.
         On one shard that is whole scans, when the executor resolves to
         ``process`` over the campaign's targets; on several, the shards
@@ -798,7 +777,7 @@ class ShardedScanRunner:
             size = sum(stream_buffered(targets) for targets, *_ in jobs)
             forks = self._resolve_executor(size) == "process"
             workers = min(auto_shard_count(), len(jobs))
-        forks = forks and self._unattended(self.checkpoint_dir, self.chaos)
+        forks = forks and self._unattended(self.checkpoint_dir)
         # Pool jobs submitted and not yet collected, at most.
         flight = max(1, 2 * workers // self.shards)
         # Jobs started (config resolved, so a lazy set realised), the one
@@ -828,7 +807,7 @@ class ShardedScanRunner:
                 payload = slots.get(id(job.targets), job.targets)
                 if sharded:
                     job.scan = _scan_id()
-                    work = self._shard_work(job.name, job.epoch, capture, None)
+                    work = self._shard_work(job.name, job.epoch, capture)
                     attempts = dict.fromkeys(range(self.shards), 0)
                     job.futures = _submit(
                         pool, payload, job.config, job.scan, attempts, work
@@ -884,21 +863,15 @@ class ShardedScanRunner:
                     if job.futures:
                         _release_unclaimed(job.futures, job.scan, {})
 
-    def _unattended(self, journal: "Path | None", chaos: ChaosEngine | None) -> bool:
-        """Whether a scan has nothing to journal, retry or inject (on one
-        shard, nothing to merge either: it runs in place)."""
-        return journal is None and self.max_shard_retries == 0 and chaos is None
+    def _unattended(self, journal: "Path | None") -> bool:
+        """Whether a scan has nothing to journal or retry (on one shard,
+        nothing to merge either: it runs in place)."""
+        return journal is None and self.max_shard_retries == 0
 
-    def _shard_work(
-        self, name: str, epoch: int, capture: bool, chaos: ChaosEngine | None
-    ) -> dict:
+    def _shard_work(self, name: str, epoch: int, capture: bool) -> dict:
         """What every attempt of every shard of a scan is called with."""
         return dict(
-            name=name,
-            epoch=epoch,
-            shards=self.shards,
-            collect_telemetry=capture,
-            chaos=chaos,
+            name=name, epoch=epoch, shards=self.shards, collect_telemetry=capture
         )
 
     def _resolve_executor(self, size: int) -> str:
@@ -973,7 +946,6 @@ class ShardedScanRunner:
         sink: RecordSink | None,
         checkpoint_path: Path | None,
         resume: bool,
-        chaos: ChaosEngine | None,
         prefetched: _Job | None = None,
     ) -> ScanResult:
         """The one dispatch loop: run, collect, journal, retry, merge.
@@ -1046,10 +1018,8 @@ class ShardedScanRunner:
         def complete(outcome: ShardOutcome) -> None:
             outcomes[outcome.shard] = outcome
             flush()
-            if chaos is not None and chaos.wants_interrupt(len(outcomes)):
-                self._interrupted = True
 
-        work = self._shard_work(name, epoch, telemetry is not None, chaos)
+        work = self._shard_work(name, epoch, telemetry is not None)
         # The first round of a prefetched scan already runs on scan_all's
         # pool, which unlinks whatever frames it leaves behind.
         scan = _scan_id() if prefetched is None else prefetched.scan
@@ -1118,9 +1088,9 @@ class ShardedScanRunner:
 
         Each round gets a *fresh* pool — a hard-crashed worker breaks a
         process pool for good, so reuse is never safe.  ``complete`` is
-        called in the parent as each shard finishes (checkpoint, chaos
-        interrupt); an interrupt request stops the round early, leaving
-        in-flight shards for a future resume.
+        called in the parent as each shard finishes (checkpoint); an
+        interrupt request stops the round early, leaving in-flight shards
+        for a future resume.
         """
         failures: list[tuple[int, BaseException]] = []
         if self._resolve_executor(len(target_list)) == "serial":
@@ -1168,8 +1138,8 @@ class ShardedScanRunner:
         outstanding = set(futures)
         while outstanding and not self._interrupted:
             # Wake at each completion, so a finished shard drains while its
-            # siblings run, and every 0.2 s, so an interrupt (signal handler
-            # or chaos plan) is honoured promptly.
+            # siblings run, and every 0.2 s, so an interrupt (a signal
+            # handler or request_interrupt) is honoured promptly.
             done, outstanding = wait(outstanding, 0.2, FIRST_COMPLETED)
             for future in done:
                 if self._interrupted:

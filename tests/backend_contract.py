@@ -39,13 +39,14 @@ to the table joins the suite for free.
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 from dataclasses import dataclass
 
 import pytest
+from faults import ChaosEngine, FaultPlan, FaultyBackend, injected
 
 from repro.netsim.engine import SimulationEngine
-from repro.netsim.faults import ChaosEngine, FaultPlan, FaultyBackend
 from repro.scanner.backends import (
     BACKENDS,
     BackendAuthorizationError,
@@ -120,20 +121,21 @@ def _scan_output(
     targets = _world_targets(world, 96)
     telemetry = ScanTelemetry()
     runner = ShardedScanRunner(
-        world, shards=shards, executor=executor, telemetry=telemetry, chaos=chaos
+        world, shards=shards, executor=executor, telemetry=telemetry
     )
-    result = runner.scan(
-        targets,
-        ScanConfig(
-            pps=10_000.0,
-            seed=CASE_SEED,
-            backend=backend_name,
-            progress_every=25,
-            retry_policy=retry_policy,
-        ),
-        name="backend-contract",
-        epoch=CASE_EPOCH + 100,
-    )
+    with injected(chaos) if chaos is not None else contextlib.nullcontext():
+        result = runner.scan(
+            targets,
+            ScanConfig(
+                pps=10_000.0,
+                seed=CASE_SEED,
+                backend=backend_name,
+                progress_every=25,
+                retry_policy=retry_policy,
+            ),
+            name="backend-contract",
+            epoch=CASE_EPOCH + 100,
+        )
     records = records_jsonl(result.records)
     assert records, "vacuous comparison: the contract scan got no replies"
     return records, telemetry.to_jsonl(), telemetry.to_prometheus(), result, telemetry

@@ -4,33 +4,39 @@ Recovery code that is only ever exercised by real crashes is recovery
 code that does not work.  This module provides a :class:`ChaosEngine`
 that injects the failure modes the scan runner must survive — worker
 crashes at an exact probe index, sink-write exceptions, slow shards,
-and operator interrupts — all *deterministically*: stochastic faults
-are keyed BLAKE2 draws over ``(seed, purpose, shard, attempt)`` exactly
-like every other stochastic decision in the simulator
+transport faults and operator interrupts — all *deterministically*:
+stochastic faults are keyed BLAKE2 draws over ``(seed, purpose, shard,
+attempt)`` exactly like every other stochastic decision in the simulator
 (:mod:`repro.netsim.stochastic`), so a failing CI run reproduces locally
 from the seed alone.
 
-The engine is plain data and picklable, so it rides the same process-pool
-payload as the scan config and fires *inside* the worker — a "hard" crash
-is a genuine ``os._exit`` that the parent observes as a broken pool, not
-a polite exception.
+The runner takes no fault plan.  :func:`injected` arms one by patching
+seams the runner already has, for the scans run inside its block; a
+process pool forked there inherits the patches, so its faults fire
+*inside* the worker — a "hard" crash is a genuine ``os._exit`` that the
+parent observes as a broken pool, not a polite exception.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from ..packet.icmpv6 import ICMPv6Type
-from ..scanner.backends.base import BackendError, ProbeBackend, WrappingBackend
-from .engine import FLAG_REPLY
-from .stochastic import stable_unit
+import pytest
+
+from repro.netsim.engine import FLAG_REPLY
+from repro.netsim.stochastic import stable_unit
+from repro.packet.icmpv6 import ICMPv6Type
+from repro.scanner import sharded, zmapv6
+from repro.scanner.backends.base import BackendError, ProbeBackend, WrappingBackend
 
 if TYPE_CHECKING:
-    from .engine import ProbeColumns
+    from repro.netsim.engine import ProbeColumns
 
 __all__ = [
     "ChaosEngine",
@@ -41,6 +47,7 @@ __all__ = [
     "InjectedBackendError",
     "InjectedCrash",
     "InjectedSinkError",
+    "injected",
 ]
 
 _ECHO_REPLY = int(ICMPv6Type.ECHO_REPLY)
@@ -323,8 +330,8 @@ class FaultyBackend(WrappingBackend):
 class ChaosEngine:
     """Applies a :class:`FaultPlan` at the scan runner's seams.
 
-    Picklable plain data: process-pool workers receive a copy and decide
-    locally (and identically, thanks to keyed hashing) whether their
+    Plain data: a forked process-pool worker holds a copy and decides
+    locally (and identically, thanks to keyed hashing) whether its
     (shard, attempt) is fated to fail.
     """
 
@@ -385,3 +392,62 @@ class ChaosEngine:
         """Should the runner self-interrupt after this many completions?"""
         after = self.plan.interrupt_after_shards
         return after is not None and completed_shards >= after
+
+
+@contextmanager
+def injected(chaos: ChaosEngine) -> Iterator[ChaosEngine]:
+    """Run the scans inside the block under ``chaos``'s plan.
+
+    Patches, until the block ends: ``sharded.scan_shard`` (delay the
+    shard, then arm its targets by ``(shard, attempt)``),
+    ``zmapv6.build_backend`` (transport faults *under* the resilience
+    wrapper the scanner adds, where a flaky NIC would sit), the runner's
+    ``_unattended`` (every scan takes the dispatch loop, a one-shard one
+    too, and ``scan_all`` runs nothing ahead) and the ``complete`` each
+    ``_run_round`` receives (``interrupt_after_shards`` counts the
+    scan's outcomes, a resumed journal's included).
+
+    A pool worker sees the patches only by inheriting them from a fork,
+    so a round about to open a pool under any other start method skips
+    the test rather than run it unpatched.
+    """
+    scan_shard = sharded.scan_shard
+    build_backend = zmapv6.build_backend
+    run_round = sharded.ShardedScanRunner._run_round
+
+    def faulted_scan_shard(world, config, targets, *, shard, attempt=0, **work):
+        chaos.delay_shard(shard)
+        targets = chaos.wrap_targets(targets, shard, attempt)
+        return scan_shard(world, config, targets, shard=shard, attempt=attempt, **work)
+
+    def faulted_build_backend(config, engine=None):
+        return chaos.wrap_backend(build_backend(config, engine), config.shard)
+
+    def counted_run_round(self, pending, target_list, *args):
+        *args, complete = args
+        if self._resolve_executor(len(target_list)) != "serial":
+            method = multiprocessing.get_start_method()
+            if method != "fork":
+                pytest.skip(
+                    "pool workers inherit the fault patches only when "
+                    f"forked; the start method is {method!r}"
+                )
+        # Every shard a round does not run is done: in the journal a scan
+        # resumed, or completed by an earlier round.
+        done = self.shards - len(pending)
+
+        def counted(outcome):
+            nonlocal done
+            complete(outcome)
+            done += 1
+            if chaos.wants_interrupt(done):
+                self._interrupted = True
+
+        return run_round(self, pending, target_list, *args, counted)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sharded, "scan_shard", faulted_scan_shard)
+        patch.setattr(zmapv6, "build_backend", faulted_build_backend)
+        patch.setattr(sharded.ShardedScanRunner, "_unattended", lambda *_: False)
+        patch.setattr(sharded.ShardedScanRunner, "_run_round", counted_run_round)
+        yield chaos

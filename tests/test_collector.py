@@ -12,13 +12,14 @@ import gc
 import os
 import random
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
+from faults import ChaosEngine, FaultPlan, injected
 
 from repro.core.survey import SRASurvey, SurveyConfig
 from repro.datasets.tum import harvest_hitlist, published_alias_list
 from repro.netsim.engine import SimulationEngine
-from repro.netsim.faults import ChaosEngine, FaultPlan
 from repro.scanner import cli
 from repro.scanner import sharded as sharded_module
 from repro.scanner.backends.resilient import RetryPolicy
@@ -183,13 +184,13 @@ class TestPause:
         ids=["returns", "shard-failed", "interrupted"],
     )
     def test_state_is_restored(self, world, targets, enabled, plan, error):
-        chaos = ChaosEngine(plan=plan) if plan is not None else None
-        runner = ShardedScanRunner(world, shards=2, executor="serial", chaos=chaos)
+        runner = ShardedScanRunner(world, shards=2, executor="serial")
+        armed = injected(ChaosEngine(plan=plan)) if plan is not None else nullcontext()
         (gc.enable if enabled else gc.disable)()
         if error is None:
             runner.scan(targets, CONFIG)
         else:
-            with pytest.raises(error):
+            with pytest.raises(error), armed:
                 runner.scan(targets, CONFIG)
         assert gc.isenabled() is enabled
 

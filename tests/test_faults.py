@@ -1,20 +1,22 @@
 """Fault injection: the recovery paths, exercised deterministically.
 
 Every failure mode the runner claims to survive is staged here with a
-:class:`~repro.netsim.faults.ChaosEngine` and checked against a no-fault
-run of the same scan: crashes at an exact probe index, retry budgets,
+:class:`faults.ChaosEngine` armed by :func:`faults.injected` and checked
+against a no-fault run of the same scan: crashes at an exact probe index, retry budgets,
 broken process pools (hard ``os._exit`` crashes), operator interrupts
 with salvage, straggler shards, and sink write failures.  Fault draws
 are keyed hashes of (seed, shard, attempt), so every one of these tests
 reproduces from its seed alone.
 """
 
+import ast
+import multiprocessing
 import random
+from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
-from helpers import truncate_tail
-
-from repro.netsim.faults import (
+from faults import (
     HARD_CRASH_EXIT,
     ChaosEngine,
     CrashingSequence,
@@ -22,7 +24,11 @@ from repro.netsim.faults import (
     FaultPlan,
     InjectedCrash,
     InjectedSinkError,
+    injected,
 )
+from helpers import truncate_tail
+
+from repro.scanner import sharded
 from repro.scanner.checkpoint import load_checkpoint
 from repro.scanner.sharded import (
     ScanInterrupted,
@@ -52,8 +58,9 @@ def fault_targets(tiny_world):
 def run_scan(
     world, targets, *, shards, chaos=None, retries=0, sleeps=None, **kwargs
 ):
-    """One runner scan; ``sleeps`` (a list) collects the backoff delays
-    the runner sleeps between retry rounds, one per round."""
+    """One runner scan, under ``chaos`` when given; ``sleeps`` (a list)
+    collects the backoff delays the runner sleeps between retry rounds,
+    one per round."""
     telemetry = ScanTelemetry()
     runner = ShardedScanRunner(
         world,
@@ -62,15 +69,10 @@ def run_scan(
         max_shard_retries=retries,
         sleep=(lambda _d: None) if sleeps is None else sleeps.append,
     )
-    result = runner.scan(
-        targets,
-        CONFIG,
-        name="faulted",
-        epoch=1,
-        telemetry=telemetry,
-        chaos=chaos,
-        **kwargs,
-    )
+    with injected(chaos) if chaos is not None else nullcontext():
+        result = runner.scan(
+            targets, CONFIG, name="faulted", epoch=1, telemetry=telemetry, **kwargs
+        )
     return result, telemetry
 
 
@@ -270,7 +272,7 @@ class TestInterruptSalvage:
             tiny_world, shards=4, executor="process", sleep=lambda _d: None
         )
         chaos = ChaosEngine(plan=FaultPlan(interrupt_after_shards=2))
-        with pytest.raises(ScanInterrupted) as excinfo:
+        with pytest.raises(ScanInterrupted) as excinfo, injected(chaos):
             runner.scan(
                 fault_targets,
                 CONFIG,
@@ -278,7 +280,6 @@ class TestInterruptSalvage:
                 epoch=1,
                 telemetry=telemetry,
                 checkpoint=checkpoint,
-                chaos=chaos,
             )
         interrupted = excinfo.value
         assert interrupted.checkpoint_path == checkpoint
@@ -292,13 +293,8 @@ class TestInterruptSalvage:
         """A pre-set interrupt flag is cleared at scan start, not obeyed."""
         runner = ShardedScanRunner(tiny_world, shards=2, executor="serial")
         runner.request_interrupt()
-        result = runner.scan(
-            fault_targets,
-            CONFIG,
-            name="fresh",
-            epoch=1,
-            chaos=ChaosEngine(),
-        )
+        with injected(ChaosEngine()):
+            result = runner.scan(fault_targets, CONFIG, name="fresh", epoch=1)
         assert result.sent == len(fault_targets)
 
     def test_resume_reruns_only_the_missing_shards(
@@ -333,6 +329,39 @@ class TestInterruptSalvage:
         assert resumed.records == clean.records
 
 
+class TestInterruptCount:
+    """``interrupt_after_shards`` counts every outcome the scan holds: in
+    this round, in earlier ones and in the journal it resumed."""
+
+    def interrupted(self, tiny_world, fault_targets, plan, **kwargs):
+        with pytest.raises(ScanInterrupted) as excinfo:
+            run_scan(
+                tiny_world, fault_targets, shards=4, chaos=ChaosEngine(plan=plan),
+                **kwargs,
+            )
+        return excinfo.value.completed, excinfo.value.remaining
+
+    def test_within_a_round(self, tiny_world, fault_targets):
+        plan = FaultPlan(interrupt_after_shards=2)
+        assert self.interrupted(tiny_world, fault_targets, plan) == (2, 2)
+
+    def test_across_rounds(self, tiny_world, fault_targets):
+        # Shards 1-3 complete in the first round, shard 0 in the retry.
+        plan = FaultPlan(crash_shard=0, crash_at_probe=1, interrupt_after_shards=4)
+        assert self.interrupted(tiny_world, fault_targets, plan, retries=1) == (4, 0)
+
+    def test_with_a_resumed_journal(self, tiny_world, fault_targets, tmp_path):
+        checkpoint = tmp_path / "count.ckpt"
+        first = FaultPlan(interrupt_after_shards=2)
+        assert self.interrupted(
+            tiny_world, fault_targets, first, checkpoint=checkpoint
+        ) == (2, 2)
+        then = FaultPlan(interrupt_after_shards=3)
+        assert self.interrupted(
+            tiny_world, fault_targets, then, checkpoint=checkpoint, resume=True
+        ) == (3, 1)
+
+
 class TestArtifactWorldFaults:
     def test_crash_resume_against_artifact_world(
         self, tiny_world, fault_targets, tmp_path
@@ -354,7 +383,8 @@ class TestArtifactWorldFaults:
         runner = ShardedScanRunner(
             world, shards=4, executor="process", sleep=lambda _d: None
         )
-        with pytest.raises(ScanInterrupted):
+        chaos = ChaosEngine(plan=FaultPlan(interrupt_after_shards=2))
+        with pytest.raises(ScanInterrupted), injected(chaos):
             runner.scan(
                 fault_targets,
                 CONFIG,
@@ -362,7 +392,6 @@ class TestArtifactWorldFaults:
                 epoch=1,
                 telemetry=ScanTelemetry(),
                 checkpoint=checkpoint,
-                chaos=ChaosEngine(plan=FaultPlan(interrupt_after_shards=2)),
             )
         assert load_checkpoint(checkpoint).completed_shards
         resumed = ShardedScanRunner(world, shards=4, executor="process").scan(
@@ -453,14 +482,14 @@ class TestAdaptiveStrategyFaults:
         # Faulted run: interrupt after 2 of 4 shards with a checkpoint.
         checkpoint = tmp_path / f"{name}.ckpt"
         crashed = strategy()
-        with pytest.raises(ScanInterrupted):
+        chaos = ChaosEngine(plan=FaultPlan(interrupt_after_shards=2))
+        with pytest.raises(ScanInterrupted), injected(chaos):
             fresh().scan(
                 crashed.window(0),
                 CONFIG,
                 name=f"adaptive-{name}",
                 epoch=1,
                 checkpoint=checkpoint,
-                chaos=ChaosEngine(plan=FaultPlan(interrupt_after_shards=2)),
             )
         # The crash wiped all in-memory state: rebuild the strategy cold
         # (epoch-0 windows are pure functions of the world, so the
@@ -503,9 +532,9 @@ class TestAdaptiveStrategyFaults:
             def scan(self, *args, **kw):
                 self._calls += 1
                 if self._calls == self._interrupt_call:
-                    kw["chaos"] = ChaosEngine(
-                        plan=FaultPlan(interrupt_after_shards=2)
-                    )
+                    chaos = ChaosEngine(plan=FaultPlan(interrupt_after_shards=2))
+                    with injected(chaos):
+                        return super().scan(*args, **kw)
                 return super().scan(*args, **kw)
 
         # Crash inside the 3rd scan — mid-way through the second
@@ -547,17 +576,119 @@ class TestSinkFaults:
         runner = ShardedScanRunner(tiny_world, shards=2, executor="serial")
         with pytest.raises(InjectedSinkError):
             try:
-                runner.scan(
-                    fault_targets,
-                    CONFIG,
-                    name="sinkfail",
-                    epoch=1,
-                    sink=chaos.wrap_sink(sink),
-                    chaos=chaos,
-                )
+                with injected(chaos):
+                    runner.scan(
+                        fault_targets,
+                        CONFIG,
+                        name="sinkfail",
+                        epoch=1,
+                        sink=chaos.wrap_sink(sink),
+                    )
             finally:
                 sink.abort()
         # The destination was never promoted: only the .partial remains.
         assert not path.exists()
         partial = path.with_name(path.name + ".partial")
         assert partial.exists()
+
+
+class TestInjectedNeedsFork:
+    """Pool workers see the fault patches only by inheriting them."""
+
+    def test_a_pool_under_another_start_method_skips(
+        self, tiny_world, fault_targets, monkeypatch
+    ):
+        opened = []
+        monkeypatch.setattr(
+            multiprocessing, "get_start_method", lambda *_args: "forkserver"
+        )
+        monkeypatch.setattr(sharded, "_open_pool", lambda *args: opened.append(args))
+        runner = ShardedScanRunner(tiny_world, shards=2, executor="process")
+        with pytest.raises(pytest.skip.Exception, match="'forkserver'"):
+            with injected(ChaosEngine()):
+                runner.scan(fault_targets, CONFIG, name="forkless", epoch=1)
+        assert opened == [], "the round opened a pool it could not patch"
+
+    def test_serial_rounds_run_under_any_start_method(
+        self, tiny_world, fault_targets, monkeypatch
+    ):
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda *_args: "spawn")
+        runner = ShardedScanRunner(tiny_world, shards=2, executor="serial")
+        with injected(ChaosEngine(plan=FaultPlan(crash_shard=0))):
+            with pytest.raises(ShardFailedError):
+                runner.scan(fault_targets, CONFIG, name="forkless", epoch=1)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# What only tests may name: the fault apparatus and the test modules.
+APPARATUS = {"chaos", "ChaosEngine", "FaultPlan", "FaultyBackend"}
+TEST_MODULES = {"tests", *(path.stem for path in Path(__file__).parent.glob("*.py"))}
+
+
+def _identifiers(tree: ast.AST):
+    """Every identifier ``tree`` names, a quoted annotation's included;
+    docstrings and other strings name none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        for field in ("annotation", "returns"):
+            quoted = getattr(node, field, None)
+            if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                yield from _identifiers(ast.parse(quoted.value, mode="eval"))
+
+
+def _imported(tree: ast.AST):
+    """The dotted parts of every module ``tree`` imports (and of every
+    name it imports from one, which may be a module)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield from alias.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            yield from (node.module or "").split(".")
+            yield from (alias.name for alias in node.names)
+
+
+class TestApparatusStaysInTests:
+    """No scan path carries fault injection: ``src/`` neither imports
+    the apparatus nor names it."""
+
+    def test_src_imports_no_test_module(self):
+        offending = {
+            f"{path.relative_to(SRC)}: {part}"
+            for path in SRC.rglob("*.py")
+            for part in _imported(ast.parse(path.read_text()))
+            if part in TEST_MODULES
+        }
+        assert not offending, sorted(offending)
+
+    def test_src_names_no_fault_apparatus(self):
+        offending = {
+            f"{path.relative_to(SRC)}: {name}"
+            for path in SRC.rglob("*.py")
+            for name in _identifiers(ast.parse(path.read_text()))
+            if name in APPARATUS
+        }
+        assert not offending, sorted(offending)
+
+    def test_the_checks_see_what_they_look_for(self):
+        tree = ast.parse(
+            '"""A docstring may say chaos and FaultPlan."""\n'
+            "from ..netsim.faults import ChaosEngine\n"
+            "def scan(chaos: 'ChaosEngine | None' = None): run(chaos=chaos)\n"
+        )
+        assert "faults" in set(_imported(tree))
+        assert {"chaos", "ChaosEngine"} <= set(_identifiers(tree))
+        assert not APPARATUS & set(_identifiers(ast.parse('"chaos FaultPlan"')))

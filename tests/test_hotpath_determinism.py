@@ -11,15 +11,16 @@ reference model.
 """
 
 import random
+from contextlib import nullcontext
 from dataclasses import asdict
 
 import pytest
+from faults import ChaosEngine, FailingSink, FaultPlan, InjectedSinkError, injected
 from reference_harness import probe_row, reference_rows, reference_scan, row_of
 
 from repro.core.probing import run_sra_vs_random
 from repro.core.survey import INPUT_SET_NAMES, SRASurvey, SurveyConfig
 from repro.netsim.engine import FLAG_REPLY, SimulationEngine
-from repro.netsim.faults import FailingSink, InjectedSinkError
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.backends.sim import SimBackend
 from repro.scanner.records import ScanRecord
@@ -828,7 +829,8 @@ class TestCrashResumeDeterminism:
     for byte: merged records, Prometheus export, telemetry JSONL, and
     streamed JSONL output files.
 
-    The interrupted run uses a :class:`ChaosEngine` to self-interrupt
+    The interrupted run uses a :class:`ChaosEngine` (armed by
+    :func:`faults.injected`) to self-interrupt
     mid-scan (exactly what the SIGINT/SIGTERM handlers do) and salvages
     completed shards into a checkpoint; the resume re-runs only the
     missing index windows.  The baseline runs with checkpointing enabled
@@ -852,17 +854,17 @@ class TestCrashResumeDeterminism:
         telemetry = ScanTelemetry()
         sink = JsonlSink(sink_path) if sink_path else None
         try:
-            result = self._runner(world, shards).scan(
-                targets,
-                ScanConfig(**self.CFG),
-                name="scan",
-                epoch=self.EPOCH,
-                telemetry=telemetry,
-                sink=sink,
-                checkpoint=checkpoint,
-                resume=resume,
-                chaos=chaos,
-            )
+            with injected(chaos) if chaos is not None else nullcontext():
+                result = self._runner(world, shards).scan(
+                    targets,
+                    ScanConfig(**self.CFG),
+                    name="scan",
+                    epoch=self.EPOCH,
+                    telemetry=telemetry,
+                    sink=sink,
+                    checkpoint=checkpoint,
+                    resume=resume,
+                )
         except BaseException:
             if sink is not None:
                 sink.abort()
@@ -875,7 +877,6 @@ class TestCrashResumeDeterminism:
     def test_resume_is_byte_identical(
         self, tiny_world, stress_targets, tmp_path, shards
     ):
-        from repro.netsim.faults import ChaosEngine, FaultPlan
         from repro.scanner.sharded import ScanInterrupted
 
         checkpoint = tmp_path / f"scan-{shards}.ckpt"
@@ -959,7 +960,6 @@ class TestCrashResumeDeterminism:
         """The paper's Table 2 mini-survey, killed mid-campaign and
         resumed from its checkpoint directory: identical survey output."""
         from repro.core.survey import SRASurvey, SurveyConfig
-        from repro.netsim.faults import ChaosEngine, FaultPlan
         from repro.scanner.sharded import ScanInterrupted
         from repro.datasets.tum import harvest_hitlist, published_alias_list
         from repro.topology.config import tiny_config
@@ -989,22 +989,21 @@ class TestCrashResumeDeterminism:
                 runner=runner,
             ).run()
 
-        def runner(chaos=None):
+        def runner():
             return ShardedScanRunner(
                 world,
                 shards=4,
                 executor="serial",
                 sleep=lambda _d: None,
                 checkpoint_dir=checkpoint_dir,
-                chaos=chaos,
             )
 
         baseline = survey(
             ShardedScanRunner(world, shards=4, executor="serial")
         )
         chaos = ChaosEngine(plan=FaultPlan(interrupt_after_shards=2))
-        with pytest.raises(ScanInterrupted):
-            survey(runner(chaos=chaos))
+        with pytest.raises(ScanInterrupted), injected(chaos):
+            survey(runner())
         assert list(checkpoint_dir.glob("*.ckpt"))
         # Re-running the same campaign auto-resumes from the journals.
         resumed = survey(runner())
@@ -1024,7 +1023,6 @@ class TestCrashResumeDeterminism:
     ):
         """The Fig. 5 SRA-vs-random campaign, killed mid-epoch and
         resumed from its checkpoint directory: identical series."""
-        from repro.netsim.faults import ChaosEngine, FaultPlan
         from repro.scanner.sharded import ScanInterrupted
 
         sra_targets = tiny_hitlist.unique_slash64s()[:1200]
@@ -1040,14 +1038,13 @@ class TestCrashResumeDeterminism:
                 for scan in series.sra + series.random
             ]
 
-        def runner(chaos=None):
+        def runner():
             return ShardedScanRunner(
                 tiny_world,
                 shards=shards,
                 executor="serial",
                 sleep=lambda _d: None,
                 checkpoint_dir=checkpoint_dir,
-                chaos=chaos,
             )
 
         baseline = campaign(
@@ -1056,8 +1053,8 @@ class TestCrashResumeDeterminism:
         chaos = ChaosEngine(
             plan=FaultPlan(interrupt_after_shards=max(1, shards // 2))
         )
-        with pytest.raises(ScanInterrupted):
-            campaign(runner(chaos=chaos))
+        with pytest.raises(ScanInterrupted), injected(chaos):
+            campaign(runner())
         assert list(checkpoint_dir.glob("*.ckpt"))
         # Re-running the same campaign auto-resumes from the journals.
         resumed = campaign(runner())

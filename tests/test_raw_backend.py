@@ -23,10 +23,10 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from faults import FaultPlan, FaultyBackend
 
 import repro.scanner.backends.raw as raw
 from repro.netsim.engine import FLAG_LOST, FLAG_REPLY, ProbeColumns
-from repro.netsim.faults import FaultPlan, FaultyBackend
 from repro.packet.icmpv6 import (
     ICMPv6Message,
     ICMPv6Type,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from faults import ChaosEngine, FaultPlan, FaultyBackend, injected
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +41,6 @@ from repro.netsim.engine import (
     ProbeColumns,
     SimulationEngine,
 )
-from repro.netsim.faults import ChaosEngine, FaultPlan, FaultyBackend
 from repro.packet.icmpv6 import ICMPv6Type
 from repro.scanner.backends import (
     BackendFault,
@@ -636,15 +636,15 @@ def test_shard_retry_backoff_uses_injected_sleep(tiny_world):
         executor="serial",
         max_shard_retries=2,
         sleep=delays.append,
-        chaos=chaos,
     )
     targets = build_targets(tiny_world, "bgp-plain", max_targets=32, seed=5)
-    result = runner.scan(
-        targets,
-        ScanConfig(pps=10_000.0, seed=5),
-        name="backoff-sleep",
-        epoch=7300,
-    )
+    with injected(chaos):
+        result = runner.scan(
+            targets,
+            ScanConfig(pps=10_000.0, seed=5),
+            name="backoff-sleep",
+            epoch=7300,
+        )
     assert result.sent == len(targets)
     # Two failed rounds, exponential schedule, zero wall-time.
     assert delays == [0.1, 0.2]
@@ -748,10 +748,10 @@ def test_resilience_is_invisible_without_math_weirdness():
 
 # ---------------- real scans through the wrappers ---------------------- #
 #
-# The scans below run probe_columns -> wrapper -> chaos -> backend, over
-# ``sim`` and over ``wire-sim``.  Each scenario is held to the fault-free
-# bytes where the fault is transient, and to the other backend's run of
-# the same plan where it is not.
+# The scans below run probe_columns -> wrapper -> FaultyBackend -> backend
+# (armed by ``faults.injected``), over ``sim`` and over ``wire-sim``.  Each
+# scenario is held to the fault-free bytes where the fault is transient,
+# and to the other backend's run of the same plan where it is not.
 
 SCENARIO_EPOCH = 7400
 CLEAN = "the fault-free bytes"
@@ -783,25 +783,22 @@ def _scenario_scan(
     deferred-shard execution, nothing injected)."""
     telemetry = ScanTelemetry()
     runner = ShardedScanRunner(
-        world,
-        shards=shards,
-        executor=executor,
-        telemetry=telemetry,
-        chaos=ChaosEngine(plan if plan is not None else FaultPlan()),
+        world, shards=shards, executor=executor, telemetry=telemetry
     )
-    result = runner.scan(
-        targets,
-        ScanConfig(
-            pps=20_000.0,
-            seed=5,
-            backend=backend,
-            batch_size=batch_size,
-            progress_every=100,
-            retry_policy=policy,
-        ),
-        name="scenario",
-        epoch=SCENARIO_EPOCH,
-    )
+    with injected(ChaosEngine(plan if plan is not None else FaultPlan())):
+        result = runner.scan(
+            targets,
+            ScanConfig(
+                pps=20_000.0,
+                seed=5,
+                backend=backend,
+                batch_size=batch_size,
+                progress_every=100,
+                retry_policy=policy,
+            ),
+            name="scenario",
+            epoch=SCENARIO_EPOCH,
+        )
     surfaces = (
         records_jsonl(result.records),
         telemetry.to_jsonl(),
@@ -993,12 +990,11 @@ def test_resilience_delta_survives_a_resume(tiny_world, scenario_targets, tmp_pa
     config = ScanConfig(pps=20_000.0, seed=5, batch_size=16, retry_policy=policy)
 
     def scan(chaos_plan, **kwargs):
-        runner = ShardedScanRunner(
-            tiny_world, shards=4, executor="serial", chaos=ChaosEngine(chaos_plan)
-        )
-        return runner.scan(
-            scenario_targets, config, name="resume", epoch=SCENARIO_EPOCH, **kwargs
-        )
+        runner = ShardedScanRunner(tiny_world, shards=4, executor="serial")
+        with injected(ChaosEngine(chaos_plan)):
+            return runner.scan(
+                scenario_targets, config, name="resume", epoch=SCENARIO_EPOCH, **kwargs
+            )
 
     whole = scan(plan)
     checkpoint = tmp_path / "resume.ckpt"
@@ -1008,6 +1004,56 @@ def test_resilience_delta_survives_a_resume(tiny_world, scenario_targets, tmp_pa
     assert whole.resilience.faults, "vacuous: the dead shard quarantined nothing"
     assert resumed.resilience == whole.resilience
     assert resumed.records == whole.records
+
+
+# What EXPERIMENTS.md's "Resilient transport under chaos" walkthrough
+# prints: the test below is its code.
+WALKTHROUGH = [
+    "transient: sent=96 received=15 faulted=0",
+    "ResilienceStats(retries=2, timeouts=0, quarantined_batches=0, "
+    "faulted_probes=0, breaker_fastfails=0, faults=[], transitions=[])",
+    "dead shard: sent=96 received=11 faulted=24",
+    "ResilienceStats(retries=3, timeouts=0, quarantined_batches=4, "
+    "faulted_probes=24, breaker_fastfails=0, faults=["
+    + ", ".join(
+        "BackendFault(batch=0, probes=6, attempts=1, error='InjectedBackendError: "
+        f"injected backend error (shard 2, batch {batch}, attempt 0)', "
+        "reason='exhausted')"
+        for batch in (2, 3, 5, 6)
+    )
+    + "], transitions=[])",
+]
+
+
+def test_chaos_walkthrough(tiny_world):
+    """One sharded scan with a RetryPolicy under two fault plans; what
+    the resilience layer did is read off the scan's own result."""
+    from repro.scanner.cli import build_targets
+
+    targets = build_targets(tiny_world, "bgp-plain", max_targets=96, seed=5)
+    config = ScanConfig(
+        pps=10_000.0, seed=5,
+        retry_policy=RetryPolicy(max_retries=3, backoff=0.0, breaker_threshold=0.8),
+    )
+    plans = {
+        "transient": FaultPlan(
+            seed=5, backend_error_probability=0.6, backend_error_attempts=1
+        ),
+        "dead shard": FaultPlan(
+            seed=5, backend_error_shard=2, backend_error_attempts=None
+        ),
+    }
+    lines = []
+    for label, plan in plans.items():
+        runner = ShardedScanRunner(tiny_world, shards=4, executor="serial")
+        with injected(ChaosEngine(plan)):
+            result = runner.scan(targets, config, name="chaos-demo", epoch=0)
+        lines.append(
+            f"{label}: sent={result.sent} received={result.received} "
+            f"faulted={result.faulted_probes}"
+        )
+        lines.append(str(result.resilience))
+    assert lines == WALKTHROUGH
 
 
 class _PoisonMixin:

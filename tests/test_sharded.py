@@ -13,16 +13,11 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import pytest
+from faults import ChaosEngine, CrashingSequence, FaultPlan, InjectedCrash, injected
 
 from repro.core.survey import SRASurvey, SurveyConfig, SurveyResult
 from repro.datasets.tum import harvest_hitlist, published_alias_list
 from repro.netsim.engine import EngineStats, SimulationEngine
-from repro.netsim.faults import (
-    ChaosEngine,
-    CrashingSequence,
-    FaultPlan,
-    InjectedCrash,
-)
 from repro.scanner.pacing import paced_pps
 from repro.scanner.records import (
     ScanRecord,
@@ -798,9 +793,9 @@ def _pack_then_fail(*args, **kwargs):
 
 
 class TestJournallessFailures:
-    """A multi-shard scan with no checkpoint, retry budget or chaos plan
-    runs the same dispatch loop as a journaled one, so its failures are
-    the same typed errors — not a worker's raw traceback."""
+    """A multi-shard scan with no checkpoint or retry budget runs the
+    same dispatch loop as a journaled one, so its failures are the same
+    typed errors — not a worker's raw traceback."""
 
     CONFIG = ScanConfig(pps=200_000.0, seed=5)
 
@@ -848,10 +843,8 @@ class TestJournallessFailures:
             plan=FaultPlan(crash_shard=1, crash_at_probe=10, hard=True)
         )
         runner = ShardedScanRunner(tiny_world, shards=2, executor="process")
-        with pytest.raises(ShardFailedError) as excinfo:
-            runner.scan(
-                stress_targets, self.CONFIG, name="plain", epoch=1, chaos=chaos
-            )
+        with pytest.raises(ShardFailedError) as excinfo, injected(chaos):
+            runner.scan(stress_targets, self.CONFIG, name="plain", epoch=1)
         assert isinstance(excinfo.value.error, BrokenProcessPool)
         assert shm_segments() == before
 
