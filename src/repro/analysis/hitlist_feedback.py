@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..addr.ipv6 import network_of
 from ..hitlist.aliases import AliasedPrefixList
 from ..hitlist.hitlist import Hitlist
-from ..scanner.records import ScanRecord, ScanResult
+from ..scanner.records import ScanResult
 
 
 @dataclass(slots=True)
@@ -77,63 +76,3 @@ def contribute_to_hitlist(
         else:
             report.already_known += 1
     return report
-
-
-def contributing_sources(
-    records: Iterable[ScanRecord],
-    *,
-    alias_list: AliasedPrefixList | None = None,
-    include_error_sources: bool = False,
-) -> list[int]:
-    """Reply sources that qualify as hitlist contributions, sorted.
-
-    The record-level twin of :func:`contribute_to_hitlist`'s acceptance
-    rule (Echo sources unless ``include_error_sources``, never aliased),
-    for consumers that react to raw scan records rather than merged
-    :class:`ScanResult`\\ s — the ``hitlist-feedback`` discovery strategy
-    feeds each epoch's records through this between scans.  The result
-    depends only on the record *set* (sorted, deduplicated), so any
-    record ordering — including a crash-resumed journal replay — yields
-    the same answer.
-    """
-    echo_sources: set[int] = set()
-    error_sources: set[int] = set()
-    for record in records:
-        if record.is_error:
-            error_sources.add(record.source)
-        else:
-            echo_sources.add(record.source)
-    error_only = error_sources - echo_sources
-    accepted: list[int] = []
-    for source in sorted(echo_sources | error_only):
-        if alias_list is not None and alias_list.contains_address(source):
-            continue
-        if not include_error_sources and source in error_only:
-            continue
-        accepted.append(source)
-    return accepted
-
-
-def contributing_prefixes(
-    records: Iterable[ScanRecord],
-    *,
-    prefix_length: int = 48,
-    alias_list: AliasedPrefixList | None = None,
-    include_error_sources: bool = False,
-) -> list[int]:
-    """Distinct ``/prefix_length`` networks of the contributing sources.
-
-    These are the regions a feedback-driven scan expands around next
-    epoch: a router that answered from a prefix is evidence the prefix
-    is populated (Gasser et al.'s hitlist-seeded scanning rationale).
-    """
-    return sorted(
-        {
-            network_of(source, prefix_length)
-            for source in contributing_sources(
-                records,
-                alias_list=alias_list,
-                include_error_sources=include_error_sources,
-            )
-        }
-    )

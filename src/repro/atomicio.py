@@ -12,9 +12,10 @@ produces therefore goes through one of two disciplines:
   the destination.  POSIX rename is atomic, so readers see either the old
   complete file or the new complete file, never a mix.
 * **incremental writes** (:func:`partial_path`): streaming sinks append
-  to ``<dest>.partial`` and atomically rename to ``<dest>`` on a clean
-  close.  A crash leaves only the clearly-labelled partial file; the
-  final path either does not exist yet or holds a previous complete run.
+  to ``<dest>.partial``, ``fsync`` it and atomically rename it to
+  ``<dest>`` on a clean close.  A crash leaves only the clearly-labelled
+  partial file; the final path either does not exist yet or holds a
+  previous complete run.
 
 Both fsync the containing directory afterwards (best effort — some
 filesystems refuse), so the rename itself survives power loss.

@@ -54,7 +54,7 @@ def filter_aliased(
     are evidence of a router.  Reads the rows as columns, looks each
     distinct source up once, and builds no record.
     """
-    rows = result.columns()
+    rows = result.rows
     # Rule 1 (:func:`is_self_reply`), in full only where the low halves match.
     echo = map(int(ICMPv6Type.ECHO_REPLY).__eq__, rows.icmp_type)
     same = rows.select(bytes(map(and_, echo, map(eq, rows.source_lo, rows.target_lo))))
@@ -68,7 +68,7 @@ def filter_aliased(
     kept = keep.count(1)
     if kept < len(rows):
         rows = rows.select(keep)
-    filtered = replace(result, records=rows)
+    filtered = replace(result, rows=rows)
     dropped_self = by_target.count(1)
     stats = AliasFilterStats(
         kept=kept,

@@ -21,6 +21,7 @@ import random
 import sys
 from contextlib import nullcontext
 from dataclasses import replace as dc_replace
+from functools import partial
 from pathlib import Path
 
 from ..addr.ipv6 import AddressError
@@ -46,7 +47,7 @@ from .sharded import (
     _collector_paused,
     auto_shard_count,
 )
-from .stream import CsvSink, JsonlSink, LazyStream, RecordSink, TeeSink
+from .stream import CountingSink, CsvSink, JsonlSink, LazyStream, RecordSink, TeeSink
 from .strategies import STRATEGIES, build_strategy, run_strategy_epochs
 from .targets import (
     TargetList,
@@ -450,8 +451,12 @@ def main(argv: list[str] | None = None) -> int:
         ScanTelemetry() if (args.telemetry_out or args.metrics_out) else None
     )
     runner: ShardedScanRunner | None = None
-    # A mode returns an exit code, or its result and a callable that
-    # renders the summary lines.
+    # Every mode's rows go through one sink, which also counts them for
+    # the summary.  A mode returns an exit code, or the rows it buffered
+    # (None when its sink took them) and a callable that renders the
+    # summary lines from the counts.
+    counts = CountingSink() if args.summary or not (args.output or args.jsonl) else None
+    open_sink = partial(_record_sink, args, counts)
     try:
         if args.backend == "raw":
             # No simulated world at all: raw scans probe the operator's
@@ -478,8 +483,10 @@ def main(argv: list[str] | None = None) -> int:
                     # names its single journal per scan.
                     checkpoint_dir=args.checkpoint if args.strategy else None,
                 )
-                mode = _strategy_scan if args.strategy else _input_set_scan
-                outcome = mode(world, args, runner)
+                if args.strategy:
+                    outcome = _strategy_scan(world, args, runner)
+                else:
+                    outcome = _input_set_scan(world, args, runner, open_sink)
                 if not gc.get_freeze_count():  # nothing a caller froze
                     # What the job keeps has no cycles: move it to the oldest
                     # generation unwalked, not by a collection that frees nothing.
@@ -505,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if isinstance(outcome, int):
         return outcome
-    result, summary = outcome
+    rows, summary = outcome
 
     if telemetry is not None:
         if args.telemetry_out:
@@ -516,13 +523,11 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.ring_stats_out).write_text(
             json.dumps(runner.ring_stats.as_dict(), indent=2) + "\n"
         )
-    if not args.stream_records:
-        if args.output:
-            result.write_csv(args.output)
-        if args.jsonl:
-            result.write_jsonl(args.jsonl)
-    if args.summary or not (args.output or args.jsonl):
-        print("\n".join(summary()))
+    if rows is not None:
+        with open_sink() as sink:
+            sink.drain(rows)
+    if counts is not None:
+        print("\n".join(summary(counts)))
     if args.max_rss_check is not None:
         peak = peak_rss_mib()
         if peak > args.max_rss_check:
@@ -535,7 +540,19 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _input_set_scan(world, args, runner):
+def _record_sink(args, counts: CountingSink | None) -> RecordSink:
+    """Where a scan's rows go: the ``--output`` CSV, the ``--jsonl`` file
+    and the summary's ``counts``, as one tee (its text sinks share the
+    rendered addresses)."""
+    sinks: list[RecordSink] = [] if counts is None else [counts]
+    if args.output:
+        sinks.append(CsvSink(args.output))
+    if args.jsonl:
+        sinks.append(JsonlSink(args.jsonl))
+    return sinks[0] if len(sinks) == 1 else TeeSink(tuple(sinks))
+
+
+def _input_set_scan(world, args, runner, open_sink):
     """The default mode: one scan of one generated ``--input-set``."""
     targets = build_targets(
         world, args.input_set, max_targets=args.max_targets, seed=args.seed
@@ -544,18 +561,11 @@ def _input_set_scan(world, args, runner):
         print("no targets generated", file=sys.stderr)
         return 1
     scan_config = _scan_config(args, len(targets), args.seed)
-    sink: RecordSink | None = None
-    if args.stream_records:
-        outputs: list[RecordSink] = []
-        if args.output:
-            outputs.append(CsvSink(args.output))
-        if args.jsonl:
-            outputs.append(JsonlSink(args.jsonl))
-        sink = outputs[0] if len(outputs) == 1 else TeeSink(tuple(outputs))
+    sink = open_sink() if args.stream_records else None
     # As a context manager a sink closes on success and aborts — staged
     # output left unpromoted — when the scan raises.
     with sink if sink is not None else nullcontext():
-        result: ScanResult = runner.scan(
+        result = runner.scan(
             targets,
             scan_config,
             name=args.input_set,
@@ -579,21 +589,23 @@ def _input_set_scan(world, args, runner):
         )
     count = len(targets)
 
-    def summary() -> list[str]:
-        classes = result.classify_sources()
+    def summary(counts: CountingSink) -> list[str]:
+        classes = counts.classify_sources()
+        responsive = len(counts.responsive_targets)
+        reply_rate = responsive / result.sent if result.sent else 0.0
         return [
             f"input set  : {args.input_set} ({count} targets)",
             f"probe rate : {scan_config.pps:.0f} pps (virtual)",
             f"shards     : {runner.shards} ({args.parallel})",
-            f"replies    : {result.received} ({result.reply_rate:.1%} of targets)",
-            f"router IPs : {len(result.sources())}",
+            f"replies    : {counts.emitted} ({reply_rate:.1%} of targets)",
+            f"router IPs : {len(counts.sources)}",
             "classes    : "
             f"echo={len(classes['echo'])} error={len(classes['error'])} "
             f"both={len(classes['both'])}",
             f"loops hit  : {result.loops_observed}",
         ]
 
-    return result, summary
+    return None if sink else result.rows, summary
 
 
 def _raw_scan(args, telemetry):
@@ -630,11 +642,11 @@ def _raw_scan(args, telemetry):
         # surface it rather than leak silently.
         for warning in backend.pop_warnings():
             print(f"sra-scan: warning: {warning}", file=sys.stderr)
-    return result, lambda: [
+    return result.rows, lambda counts: [
         f"targets    : {len(targets)} (raw backend)",
         f"probe rate : {scan_config.pps:.0f} pps (ceiling)",
-        f"replies    : {result.received}",
-        f"router IPs : {len(result.sources())}",
+        f"replies    : {counts.emitted}",
+        f"router IPs : {len(counts.sources)}",
         f"unmatched  : {result.unmatched_replies}",
     ]
 
@@ -675,12 +687,12 @@ def _strategy_scan(world, args, runner):
     merged = merge_results(args.strategy, results)
     if not args.no_alias_filter:
         merged, _ = filter_aliased(merged, published_alias_list(world))
-    return merged, lambda: [
+    return merged.rows, lambda counts: [
         f"strategy   : {args.strategy} ({epochs} epochs x {budget} budget)",
         f"shards     : {runner.shards} ({args.parallel})",
         *epoch_lines,
-        f"replies    : {merged.received}",
-        f"router IPs : {len(merged.sources())}",
+        f"replies    : {counts.emitted}",
+        f"router IPs : {len(counts.sources)}",
     ]
 
 

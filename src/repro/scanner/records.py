@@ -5,7 +5,8 @@ gets out of ZMapv6 after matching replies back to probes.  A
 :class:`ScanResult` aggregates a whole scan: counters, per-source views,
 and the echo/error/both classification of router IPs (Fig. 4).  A scan
 holds its rows as the :class:`RecordColumns` the scanner packed them
-into; the views read them, and ``records`` is built on first read.
+into; the views and the text renderers read them, and ``records`` is a
+view built on each read.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from dataclasses import dataclass, field, fields
 from itertools import compress
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..addr.ipv6 import format_address, join_columns, split_into
-from ..atomicio import atomic_write_text
 from ..packet.icmpv6 import ICMPv6Type
 
 if TYPE_CHECKING:  # avoid a hard scanner -> netsim import at module load
@@ -60,53 +60,55 @@ class ScanRecord:
 CSV_HEADER = "target,source,icmp_type,code,count,time\r\n"
 
 
-def address_text(records: "Sequence[ScanRecord]") -> list[tuple[str, str]]:
-    """``(target, source)`` of each record as RFC 5952 text — most of the
-    cost of either format, so whoever writes both renders it once."""
-    return [
-        (format_address(record.target), format_address(record.source))
-        for record in records
-    ]
+def address_text(rows: "RecordColumns") -> tuple[list[str], list[str]]:
+    """The target and source columns as RFC 5952 text — most of the cost
+    of either format, so whoever writes both renders it once."""
+    return (
+        list(map(format_address, rows.addresses("target"))),
+        list(map(format_address, rows.addresses("source"))),
+    )
 
 
-def records_jsonl(records: "Sequence[ScanRecord]", text=None) -> str:
-    """The records as canonical JSONL, one line each (``text``: their
+def _text_rows(rows: "RecordColumns", text) -> Iterator[tuple]:
+    """Per row: target and source text, then the four small fields."""
+    small = rows.icmp_type, rows.code, rows.count, rows.time
+    return zip(*(text or address_text(rows)), *small)
+
+
+def records_jsonl(rows: "RecordColumns", text=None) -> str:
+    """The rows as canonical JSONL, one line each (``text``: their
     :func:`address_text`, when the caller already has it)."""
     return "".join(
         [
             f'{{"target": "{target}", "source": "{source}", '
-            f'"icmp_type": {record.icmp_type:d}, "code": {record.code:d}, '
-            f'"count": {record.count:d}, "time": {record.time!r}}}\n'
-            for record, (target, source) in zip(
-                records, text or address_text(records)
-            )
+            f'"icmp_type": {icmp_type:d}, "code": {code:d}, '
+            f'"count": {count:d}, "time": {time!r}}}\n'
+            for target, source, icmp_type, code, count, time in _text_rows(rows, text)
         ]
     )
 
 
-def records_csv(records: "Sequence[ScanRecord]", text=None) -> str:
-    """The records as :data:`CSV_HEADER` rows (excel dialect: nothing
+def records_csv(rows: "RecordColumns", text=None) -> str:
+    """The rows as :data:`CSV_HEADER` rows (excel dialect: nothing
     quoted, ``\\r\\n`` line ends), header not included."""
     return "".join(
         [
-            f"{target},{source},{record.icmp_type:d},{record.code:d},"
-            f"{record.count:d},{record.time:.6f}\r\n"
-            for record, (target, source) in zip(
-                records, text or address_text(records)
-            )
+            f"{target},{source},{icmp_type:d},{code:d},{count:d},{time:.6f}\r\n"
+            for target, source, icmp_type, code, count, time in _text_rows(rows, text)
         ]
     )
 
 
 @dataclass(slots=True)
 class RecordColumns:
-    """A list of :class:`ScanRecord` rows as packed parallel columns.
+    """Reply rows as packed parallel columns: the one row form of a scan.
 
     Addresses are int-pair (hi, lo) ``array('Q')`` columns; the small
-    fields are machine-width arrays.  A buffered scan keeps its rows in
-    this form — packed by the scanner, shipped as flat buffers in shard
-    frames (:mod:`repro.scanner.shmring`) and pool results — until
-    something reads its ``records``.  Iterating builds the records.
+    fields are machine-width arrays.  Rows stay in this form from the
+    kernel to the reader — packed by the scanner, shipped as flat buffers
+    in shard frames (:mod:`repro.scanner.shmring`) and pool results, read
+    by the views of :class:`ScanResult` and rendered by the sinks.  Only
+    iterating builds :class:`ScanRecord`\\ s.
 
     ``from_records`` / ``to_records`` round-trip exactly — field for
     field, including ``count`` and the full float ``time``.
@@ -147,6 +149,15 @@ class RecordColumns:
         for name in ("icmp_type", "code", "count", "time"):
             getattr(cols, name).extend(map(attrgetter(name), rows))
         return cols
+
+    def __getitem__(self, rows: slice) -> "RecordColumns":
+        """The rows of the slice ``rows``, as new columns."""
+        return RecordColumns(*(getattr(self, name)[rows] for name in self.__slots__))
+
+    def extend(self, rows: "RecordColumns") -> None:
+        """Append ``rows`` after these."""
+        for name in self.__slots__:
+            getattr(self, name).extend(getattr(rows, name))
 
     def select(self, keep: bytes) -> "RecordColumns":
         """The rows ``keep`` marks, as new columns."""
@@ -195,21 +206,20 @@ class RecordColumns:
 _ECHO_REPLY = int(ICMPv6Type.ECHO_REPLY)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class ScanResult:
-    """All records of one scan plus send-side counters.
+    """All reply rows of one scan plus send-side counters.
 
-    A scan holds its rows as :class:`RecordColumns` (``records`` may be
-    given or assigned either form): the list — exactly
-    ``columns.to_records()`` — is built on the first read of ``records``
-    and kept in their place.  The views below read the rows in whichever
-    form they are held, through :meth:`column`, so a result only they are
-    asked of never builds a :class:`ScanRecord`.
+    A scan holds its rows in one form, the :class:`RecordColumns` in
+    ``rows``; the views below read them column by column and build no
+    :class:`ScanRecord`.  ``records`` is a read view for users and tests,
+    built from the rows on each read; a list given as ``records=`` or
+    assigned to ``records`` is packed into ``rows`` once.
 
     A scan run with a streaming :class:`~repro.scanner.stream.RecordSink`
-    does not buffer its records here; ``records_streamed`` counts the
-    rows handed to the sink so the aggregate counters stay truthful.
-    Record-derived views (:meth:`sources`, :meth:`classify_sources`, ...)
+    does not buffer its rows here; ``records_streamed`` counts the rows
+    handed to the sink so the aggregate counters stay truthful.
+    Row-derived views (:meth:`sources`, :meth:`classify_sources`, ...)
     are only meaningful for buffered scans — streaming consumers get the
     same aggregates from a :class:`~repro.scanner.stream.CountingSink`.
     """
@@ -218,13 +228,13 @@ class ScanResult:
     epoch: int = 0
     sent: int = 0
     lost: int = 0
-    records: list[ScanRecord] = field(default_factory=list)
+    rows: RecordColumns = field(default_factory=RecordColumns.empty)
     loops_observed: int = 0
     duration: float = 0.0
     # Snapshot of the driving engine's counters (suppressed errors, loop
     # hits, ...) so observability survives merging and parallel execution.
     engine_stats: "EngineStats | None" = None
-    # Records emitted to an external RecordSink instead of `records`.
+    # Rows emitted to an external RecordSink instead of `rows`.
     records_streamed: int = 0
     # Inbound replies the backend could not match to an outstanding probe
     # (failed payload auth, unknown probe id).  Always 0 on the pure
@@ -235,23 +245,44 @@ class ScanResult:
     # transitions.  None when the scan ran without a RetryPolicy.
     resilience: "ResilienceStats | None" = None
 
-    def _held(self) -> "list[ScanRecord] | RecordColumns":
-        """The rows as held, read without building records."""
-        return _records_slot.__get__(self)
+    def __init__(
+        self,
+        name: str,
+        epoch: int = 0,
+        sent: int = 0,
+        lost: int = 0,
+        records: "Iterable[ScanRecord] | RecordColumns | None" = None,
+        loops_observed: int = 0,
+        duration: float = 0.0,
+        engine_stats: "EngineStats | None" = None,
+        records_streamed: int = 0,
+        unmatched_replies: int = 0,
+        resilience: "ResilienceStats | None" = None,
+        rows: RecordColumns | None = None,
+    ) -> None:
+        self.name, self.epoch, self.sent, self.lost = name, epoch, sent, lost
+        self.loops_observed, self.duration = loops_observed, duration
+        self.engine_stats, self.records_streamed = engine_stats, records_streamed
+        self.unmatched_replies, self.resilience = unmatched_replies, resilience
+        if records is not None:  # wins: ``replace(result, records=...)`` passes both
+            self.records = records
+        else:
+            self.rows = RecordColumns.empty() if rows is None else rows
+
+    @property
+    def records(self) -> list[ScanRecord]:
+        """The rows as records, built on each read."""
+        return self.rows.to_records()
+
+    @records.setter
+    def records(self, rows: "Iterable[ScanRecord] | RecordColumns") -> None:
+        self.rows = rows if type(rows) is RecordColumns else RecordColumns.from_records(rows)
 
     def column(self, name: str) -> Iterable:
-        """One record field of every row, read from the rows as held."""
-        rows = self._held()
-        if type(rows) is not RecordColumns:
-            return map(attrgetter(name), rows)
+        """One record field of every row."""
         if name in ("target", "source"):
-            return rows.addresses(name)
-        return getattr(rows, name)
-
-    def columns(self) -> RecordColumns:
-        """The rows as columns: those held, or packed from held records."""
-        rows = self._held()
-        return rows if type(rows) is RecordColumns else RecordColumns.from_records(rows)
+            return self.rows.addresses(name)
+        return getattr(self.rows, name)
 
     def _echo_rows(self) -> Iterable[bool]:
         """Per row, whether it is an Echo Reply."""
@@ -281,12 +312,12 @@ class ScanResult:
         are "only visible in raw packet captures" (§7) — that raw volume
         is :attr:`flood_packets`.
         """
-        return len(self._held()) + self.records_streamed
+        return len(self.rows) + self.records_streamed
 
     @property
     def flood_packets(self) -> int:
         """Unsolicited duplicate packets from loop amplification."""
-        return sum(self.column("count")) - len(self._held())
+        return sum(self.column("count")) - len(self.rows)
 
     @property
     def responsive_targets(self) -> int:
@@ -338,36 +369,18 @@ class ScanResult:
     # ---------------- persistence ---------------- #
 
     def write_csv(self, path: str | Path) -> None:
-        # Built in memory and written atomically (temp + rename + fsync):
-        # a crash mid-write must never leave a torn CSV at the final path.
-        atomic_write_text(Path(path), CSV_HEADER + records_csv(self.records))
+        # Staged at ``<path>.partial`` and promoted on a clean close: a
+        # crash mid-write never leaves a torn CSV at the final path.
+        from .stream import CsvSink  # stream imports this module
+
+        with CsvSink(path) as sink:
+            sink.drain(self.rows)
 
     def write_jsonl(self, path: str | Path) -> None:
-        atomic_write_text(Path(path), records_jsonl(self.records))
+        from .stream import JsonlSink
 
-
-# The slot ``ScanResult.records`` is stored in: a list, or the columns the
-# descriptor below turns into one on first read.
-_records_slot = ScanResult.records
-
-
-class _Records:
-    """``ScanResult.records``: the list, built once from held columns."""
-
-    def __get__(self, result, owner=None):
-        if result is None:
-            return self
-        rows = _records_slot.__get__(result)
-        if type(rows) is RecordColumns:
-            rows = rows.to_records()
-            _records_slot.__set__(result, rows)
-        return rows
-
-    def __set__(self, result, rows) -> None:
-        _records_slot.__set__(result, rows)
-
-
-ScanResult.records = _Records()
+        with JsonlSink(path) as sink:
+            sink.drain(self.rows)
 
 
 def merge_results(name: str, results: Iterable[ScanResult]) -> ScanResult:
@@ -382,7 +395,7 @@ def merge_results(name: str, results: Iterable[ScanResult]) -> ScanResult:
     result wins when they do not).
     """
     rows = RecordColumns.empty()
-    merged = ScanResult(name=name, records=rows)
+    merged = ScanResult(name=name, rows=rows)
     stats_seen: list[EngineStats] = []
     first = True
     for result in results:
@@ -401,9 +414,7 @@ def merge_results(name: str, results: Iterable[ScanResult]) -> ScanResult:
                 else merged.resilience + result.resilience
             )
         merged.duration = max(merged.duration, result.duration)
-        columns = result.columns()
-        for name in rows.__slots__:
-            getattr(rows, name).extend(getattr(columns, name))
+        rows.extend(result.rows)
         if result.engine_stats is not None:
             stats_seen.append(result.engine_stats)
     if stats_seen:

@@ -192,13 +192,13 @@ class ShardOutcome:
         # ring frame's columns: no ScanRecord or check tuple is pickled.
         state = {field.name: getattr(self, field.name) for field in fields(self)}
         columns = outcome_columns(self.result, state.pop("checks"))
-        state["result"] = replace(self.result, records=[])
+        state["result"] = replace(self.result, rows=RecordColumns.empty())
         return _restore_outcome, (state, *columns)
 
 
 def _restore_outcome(state: dict, *columns) -> ShardOutcome:
     rows, checks = outcome_rows(*columns)
-    state["result"].records = rows
+    state["result"].rows = rows
     return ShardOutcome(checks=checks, **state)
 
 
@@ -318,17 +318,19 @@ def merge_shard_outcomes(
     del checks  # replayed: its memory is free for the rows and the sink
 
     for outcome in ordered:
-        rows = outcome.result.columns()
+        rows = outcome.result.rows
         if doomed := dropped[outcome.shard]:
             # A doomed probe time loses its error rows, not its replies.
             spared = map(not_, map(doomed.__contains__, rows.time))
             rows = rows.select(bytes(map(or_, map((128).__le__, rows.icmp_type), spared)))
-        outcome.result.records = rows  # what its shard_finished counts
+        outcome.result.rows = rows  # what its shard_finished counts
         outcome.result.engine_stats = outcome.stats
     # Counters only: the rows are interleaved below, not concatenated.
-    merged = merge_results(name, [replace(o.result, records=[]) for o in ordered])
+    merged = merge_results(
+        name, [replace(o.result, rows=RecordColumns.empty()) for o in ordered]
+    )
     merged.epoch = epoch
-    merged.records = rows = _interleave_by_time([o.result.columns() for o in ordered])
+    merged.rows = rows = _interleave_by_time([o.result.rows for o in ordered])
     if merged.engine_stats is not None:
         merged.engine_stats.error_replies -= disallowed
         merged.engine_stats.suppressed_errors += disallowed
@@ -342,10 +344,9 @@ def merge_shard_outcomes(
         # Shards must buffer their rows for the replay correction, so
         # streaming drains here, post-merge — in exact serial order, and
         # before the closing telemetry so gauges see the drained state.
-        # The sink takes records built from the columns a chunk at a time.
         sink.drain(rows)
         merged.records_streamed += len(rows)
-        merged.records = []
+        merged.rows = RecordColumns.empty()
 
     if telemetry is not None:
         captures = [
@@ -533,16 +534,13 @@ def _worker_targets(targets):
 
 
 def _worker_scan(targets, config: ScanConfig, name: str, epoch: int, capture: bool):
-    """One whole scan in place in a pool worker: its result, its reply
-    rows as columns (pickled with them, the result would build records),
-    and the capture the parent adopts it with."""
+    """One whole scan in place in a pool worker: its result, rows packed
+    as columns, and the capture the parent adopts it with."""
     scanner = _scanner_in_place(
         _WORKER_WORLD, config, epoch, capture_telemetry=capture
     )
     result = scanner.scan(_worker_targets(targets), name=name, epoch=epoch)
-    rows = result.columns()
-    result.records = []
-    return result, rows, scanner.last_capture
+    return result, scanner.last_capture
 
 
 def _submit(pool, targets, config, scan: str, attempts, work) -> "dict[Future, int]":
@@ -681,13 +679,13 @@ class ShardedScanRunner:
         from the merged result; both come out shard-count invariant
         except for the per-shard ``progress`` / ``shard_finished`` events.
 
-        ``sink`` streams records out instead of buffering them on the
-        returned result.  A scan run in place drains each batch's records
+        ``sink`` streams rows out instead of buffering them on the
+        returned result.  A scan run in place drains each batch's rows
         as they are matched; deferred shards must buffer theirs for the
         rate-limit replay, so the sink is drained once after the merge.
-        Either way the sink sees the records in exact serial order and the
-        returned result carries them in ``records_streamed`` instead of
-        ``records``.
+        Either way the sink sees the rows in exact serial order and the
+        returned result counts them in ``records_streamed`` instead of
+        holding them in ``rows``.
 
         ``checkpoint`` names the journal file for this scan (overriding
         the runner's ``checkpoint_dir`` naming); ``resume`` loads it if
@@ -728,8 +726,7 @@ class ShardedScanRunner:
             if prefetched is None:
                 return scanner.scan(target_list, name=name, epoch=epoch, sink=sink)
             (future,) = prefetched.futures
-            # The rows are held as shipped, as columns.
-            result, result.records, capture = future.result()
+            result, capture = future.result()
             prefetched.collected()
             return scanner.adopt(target_list, result, capture)
         return self._scan_shards(
@@ -995,11 +992,7 @@ class ShardedScanRunner:
             snapshot = (
                 snapshot_telemetry(telemetry) if telemetry is not None else None
             )
-            sink_offset = None
-            if sink is not None:
-                byte_offset = getattr(sink, "byte_offset", None)
-                if callable(byte_offset):
-                    sink_offset = byte_offset()
+            sink_offset = None if sink is None else sink.byte_offset()
             save_checkpoint(
                 ScanCheckpoint(
                     name=name,

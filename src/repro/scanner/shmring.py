@@ -112,7 +112,7 @@ def outcome_columns(result: "ScanResult", checks: list) -> tuple:
     times as ``array('d')``, check router ids as ``array('q')``."""
     times = array("d", map(itemgetter(0), checks))
     routers = array("q", map(itemgetter(1), checks))
-    return result.columns(), times, routers
+    return result.rows, times, routers
 
 
 def outcome_rows(cols: RecordColumns, times: array, routers: array) -> tuple:
@@ -190,7 +190,7 @@ def pack_outcome(outcome: "ShardOutcome", name: str | None = None) -> bool:
     outcome.ring = RingHandle(
         name=name, nbytes=total, records=len(rows), checks=len(times)
     )
-    outcome.result.records = []
+    outcome.result.rows = RecordColumns.empty()
     outcome.checks = []
     return True
 
@@ -213,7 +213,7 @@ def drain_outcome(
     if handle is None:
         return
     rows, checks = _read_frame(handle)
-    outcome.result.records = rows
+    outcome.result.rows = rows
     outcome.checks = checks
     outcome.ring = None
     if stats is not None:

@@ -14,10 +14,10 @@ them), carry provenance (name, subnet length), and cross a process pool
 as the targets they hold.
 
 Feedback-driven strategies implement :meth:`TargetStrategy.observe`:
-the race feeds each epoch's merged records back before asking for the
-next window.  Two invariants make adaptive scans crash-tolerant:
+the race feeds each epoch's merged :class:`ScanResult` back before asking
+for the next window.  Two invariants make adaptive scans crash-tolerant:
 
-* ``observe`` must be a pure function of the record *set* (order
+* ``observe`` must be a pure function of the result's row *set* (order
   independent) folded into the prior feedback state, and
 * :meth:`feedback_state` / :meth:`restore` round-trip that state as a
   small picklable tuple.
@@ -34,7 +34,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from ..records import ScanRecord, ScanResult
+from ..records import ScanResult
 from ..stream import TargetStream
 from ..targets import TargetList, _bounded
 from .telescope import Telescope
@@ -91,13 +91,13 @@ class TargetStrategy(ABC):
 
     # -- the adaptive feedback loop -- #
 
-    def observe(self, records: Iterable[ScanRecord]) -> None:
-        """Fold one epoch's scan records into the feedback state.
+    def observe(self, result: ScanResult) -> None:
+        """Fold one epoch's scan into the feedback state.
 
         The default strategy is static: observing is a no-op.  Adaptive
-        overrides must derive their update from the record *set* only —
-        never record order or arrival timing — so resumed scans converge
-        to identical state.
+        overrides must derive their update from the result's row *set*
+        only — never row order or arrival timing — so resumed scans
+        converge to identical state.
         """
 
     def feedback_state(self) -> tuple:
@@ -156,8 +156,8 @@ def run_strategy_epochs(
     ``scan_name(index)``, under ``scan_config(index, window size)``, in
     world epoch ``epoch_base + index``), classifies the window against a
     telescope, rolls the router-IP tally and reports the window to
-    ``telemetry``.  The merged records are fed back last: adaptive
-    strategies shape the next window from exactly the records a resumed
+    ``telemetry``.  The merged result is fed back last: adaptive
+    strategies shape the next window from exactly the rows a resumed
     run reconstructs from its journal.
     """
     telescope = Telescope(strategy.world)
@@ -206,5 +206,5 @@ def run_strategy_epochs(
                 dark_probes=row.dark_probes,
                 suppressed_errors=row.suppressed_errors,
             )
-        strategy.observe(result.records)
+        strategy.observe(result)
         yield row, result

@@ -105,10 +105,8 @@ class EntropyClusteredStrategy(TargetStrategy):
 
     # -- feedback -- #
 
-    def observe(self, records) -> None:
-        for record in records:
-            if record.is_echo:
-                self._learned.add(record.source)
+    def observe(self, result) -> None:
+        self._learned |= result.echo_sources()
 
     def feedback_state(self) -> tuple:
         return tuple(sorted(self._learned))

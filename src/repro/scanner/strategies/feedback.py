@@ -2,8 +2,8 @@
 
 Epoch 0 probes the community hitlist's /64 SRA population — the highest
 yield input the paper found.  Between epochs the strategy runs the scan
-records through the hitlist-contribution acceptance rule
-(:func:`repro.analysis.hitlist_feedback.contributing_prefixes`): Echo
+through the hitlist-contribution acceptance rule
+(:func:`repro.analysis.hitlist_feedback.contribute_to_hitlist`): Echo
 sources that are not aliased mark their covering /48 as *contributing*.
 Later windows spend most of the budget expanding random /64s inside
 contributing prefixes — the "a live router implies a populated region"
@@ -20,12 +20,15 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from ...analysis.hitlist_feedback import contributing_prefixes
+from ...addr.ipv6 import network_of
+from ...analysis.hitlist_feedback import contribute_to_hitlist
 from ...datasets.tum import published_alias_list
+from ...hitlist.hitlist import Hitlist
 from .baselines import _HitlistSeededStrategy
 
 if TYPE_CHECKING:
     from ...hitlist.aliases import AliasedPrefixList
+    from ..records import ScanResult
     from ...topology.entities import World
 
 __all__ = ["HitlistFeedbackStrategy"]
@@ -55,14 +58,12 @@ class HitlistFeedbackStrategy(_HitlistSeededStrategy):
 
     # -- feedback -- #
 
-    def observe(self, records) -> None:
+    def observe(self, result: "ScanResult") -> None:
         if self._aliases is None:
             self._aliases = published_alias_list(self.world)
-        self._contributing.update(
-            contributing_prefixes(
-                records, prefix_length=48, alias_list=self._aliases
-            )
-        )
+        # What the scan would add to an empty hitlist, by covering /48.
+        added = contribute_to_hitlist(Hitlist(), [result], alias_list=self._aliases)
+        self._contributing.update(network_of(a, 48) for a in added.new_addresses)
 
     def feedback_state(self) -> tuple:
         return tuple(sorted(self._contributing))

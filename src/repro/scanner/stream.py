@@ -15,37 +15,38 @@ shape:
   itself — a computable stream is O(1) as an object too, and a realised
   :class:`LazyStream` pickles as the targets it holds — so no worker
   ever re-runs a generator.
-* :class:`RecordSink` — where matched reply records go.  ``drain`` is
-  the write path (``emit`` is a drain of one record): a scan streaming
-  in place drains each batch's records, a sharded one drains the merged
-  list once.  The in-memory
-  sink preserves today's :class:`~repro.scanner.records.ScanResult`
-  semantics; the JSONL/CSV sinks render and write a bounded chunk of rows
-  at a time (byte identical to ``ScanResult.write_jsonl``/``write_csv``
-  output, whose renderers they share); the counting sink keeps
-  aggregates only.
+* :class:`RecordSink` — where matched reply rows go, as
+  :class:`~repro.scanner.records.RecordColumns`.  ``drain`` is the write
+  path: a scan streaming in place drains each batch's rows, a sharded one
+  drains the merged rows once.  The in-memory sink holds columns as a
+  buffered :class:`~repro.scanner.records.ScanResult` does; the JSONL/CSV
+  sinks render and write a bounded chunk of rows at a time (and are what
+  ``ScanResult.write_jsonl``/``write_csv`` drain through); the counting
+  sink keeps aggregates only.
 * :func:`shard_positions` — the single source of truth for the
   zmap-style permuted visit order and its shard windows, shared by the
   serial scanner and the sharded runner.
 
 Determinism contract: a stream yields exactly the same target sequence
-as the materialised list it replaces, and sinks receive records in probe
+as the materialised list it replaces, and sinks receive rows in probe
 order, so streamed scans are byte-identical to the list path.
 """
 
 from __future__ import annotations
 
+import os
 from abc import abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
+from operator import not_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ..addr.ipv6 import ADDRESS_BITS, IPv6Prefix
 from ..addr.permutation import CyclicPermutation
 from ..atomicio import partial_path, replace_partial
-from .records import CSV_HEADER, ScanRecord, address_text, records_csv, records_jsonl
+from .records import CSV_HEADER, RecordColumns, address_text, records_csv, records_jsonl
 
 __all__ = [
     "CountingSink",
@@ -375,23 +376,21 @@ def stream_buffered(targets) -> int:
 # --------------------------------------------------------------------- #
 
 
-# Records per chunk of a drain: bounds the text a sink renders at once
-# (~150 bytes per record and format) however long the input.
+# Rows per chunk of a drain: bounds the text a sink renders at once
+# (~150 bytes per row and format) however long the input.
 _DRAIN_CHUNK = 1024
 
 
 class RecordSink:
-    """Where matched reply records go, in probe order.
+    """Where matched reply rows go, in probe order, as :class:`RecordColumns`.
 
-    :meth:`drain` is the write path: it hands its input, in bounded
-    chunks, to :meth:`_write_chunk` — by default a loop over :meth:`emit`,
-    which in turn defaults to a drain of one record, so a sink implements
-    exactly one of the two (the text sinks: the chunk).  No sink overrides
-    ``drain``: it is where a whole record stream passes, and where the
-    end-to-end benchmark's tracer times sink output.  ``close`` flushes
-    and releases any underlying file handle.  Sinks count what they emit
-    so callers can report totals without buffering records.  Sinks are
-    context managers:
+    :meth:`drain` is the write path: it hands its rows, in slices of at
+    most ``_DRAIN_CHUNK``, to :meth:`_write_chunk`, which every sink
+    implements.  No sink overrides ``drain``: it is where a whole row
+    stream passes, and where the end-to-end benchmark's tracer times sink
+    output.  ``close`` flushes and releases any underlying file handle.
+    Sinks count the rows they take so callers can report totals without
+    buffering them.  Sinks are context managers:
     ``with JsonlSink(path) as sink: scanner.scan(..., sink=sink)``.
 
     Crash safety: file-backed sinks stage their output at
@@ -403,21 +402,15 @@ class RecordSink:
 
     emitted: int = 0
 
-    def emit(self, record: ScanRecord) -> None:
-        """One record: a drain of one."""
-        self.drain((record,))
+    def drain(self, rows: RecordColumns) -> None:
+        """Write ``rows`` in order, ``_DRAIN_CHUNK`` at a time."""
+        size = len(rows)
+        for start in range(0, size, _DRAIN_CHUNK):
+            chunk = rows if size <= _DRAIN_CHUNK else rows[start : start + _DRAIN_CHUNK]
+            self._write_chunk(chunk)
 
-    def drain(self, records: Iterable[ScanRecord]) -> None:
-        """Emit ``records`` in order, ``_DRAIN_CHUNK`` at a time."""
-        iterator = iter(records)
-        write_chunk = self._write_chunk
-        while chunk := list(islice(iterator, _DRAIN_CHUNK)):
-            write_chunk(chunk)
-
-    def _write_chunk(self, chunk: list[ScanRecord]) -> None:
-        emit = self.emit
-        for record in chunk:
-            emit(record)
+    def _write_chunk(self, rows: RecordColumns) -> None:
+        raise NotImplementedError
 
     def close(self) -> None:
         """Flush, release resources, and promote staged output."""
@@ -441,27 +434,27 @@ class RecordSink:
 
 
 class MemorySink(RecordSink):
-    """Buffer records in a list — today's ``ScanResult`` behaviour."""
+    """Buffer the rows, as the columns a buffered ``ScanResult`` holds."""
 
-    __slots__ = ("records",)
+    __slots__ = ("rows",)
 
-    def __init__(self, records: list[ScanRecord] | None = None) -> None:
-        self.records: list[ScanRecord] = records if records is not None else []
+    def __init__(self) -> None:
+        self.rows = RecordColumns.empty()
 
     @property
     def emitted(self) -> int:
-        return len(self.records)
+        return len(self.rows)
 
-    def emit(self, record: ScanRecord) -> None:
-        self.records.append(record)
+    def _write_chunk(self, rows: RecordColumns) -> None:
+        self.rows.extend(rows)
 
 
 class _TextSink(RecordSink):
-    """A record stream as text, a chunk per write, to a path — staged at
-    ``<dest>.partial``, promoted atomically on clean close — or to an open
-    text handle the caller keeps.  A subclass names its format's batch
-    renderer in :mod:`repro.scanner.records`: streamed bytes are those of
-    the matching ``ScanResult.write_*`` by construction.
+    """A row stream as text, a chunk per write, to a path — staged at
+    ``<dest>.partial``, fsynced and promoted atomically on clean close —
+    or to an open text handle the caller keeps.  A subclass names its
+    format's batch renderer in :mod:`repro.scanner.records`; the
+    ``ScanResult.write_*`` writers drain through these sinks.
     """
 
     __slots__ = ("emitted", "_handle", "_owns", "_dest", "_bytes")
@@ -486,18 +479,21 @@ class _TextSink(RecordSink):
         # character written is one byte).
         self._bytes = len(self._header)
 
-    def _write_chunk(self, chunk: list[ScanRecord], text=None) -> None:
-        """``text``: the chunk's ``address_text``, when a tee has it."""
-        rendered = self._render(chunk, text)
+    def _write_chunk(self, rows: RecordColumns, text=None) -> None:
+        """``text``: the rows' ``address_text``, when a tee has it."""
+        rendered = self._render(rows, text)
         self._handle.write(rendered)
         self._bytes += len(rendered)
-        self.emitted += len(chunk)
+        self.emitted += len(rows)
 
     def byte_offset(self) -> int:
         return self._bytes
 
     def close(self) -> None:
         if self._owns and not self._handle.closed:
+            # The data reaches the disk before the rename makes it final.
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
             self._handle.close()
             replace_partial(self._dest)
 
@@ -507,11 +503,11 @@ class _TextSink(RecordSink):
 
 
 class JsonlSink(_TextSink):
-    """Stream records to a JSONL file as they are matched.
+    """Stream rows to a JSONL file as they are matched.
 
-    The bytes written are identical to ``ScanResult.write_jsonl`` on the
-    buffered records — the streaming mode changes memory use, never
-    output (pinned by the determinism tests).
+    ``ScanResult.write_jsonl`` drains the buffered rows through this
+    sink, so the streaming mode changes memory use, never output (pinned
+    by the determinism tests).
     """
 
     __slots__ = ()
@@ -519,7 +515,7 @@ class JsonlSink(_TextSink):
 
 
 class CsvSink(_TextSink):
-    """Stream records to CSV, byte-identical to ``ScanResult.write_csv``."""
+    """Stream rows to CSV, as ``ScanResult.write_csv`` does."""
 
     __slots__ = ()
     _render = staticmethod(records_csv)
@@ -527,11 +523,11 @@ class CsvSink(_TextSink):
 
 
 class CountingSink(RecordSink):
-    """Keep scan aggregates without storing a single record.
+    """Keep scan aggregates without storing a single row.
 
-    Tracks the counters Table 2 needs — records, echo/error split, flood
+    Tracks the counters Table 2 needs — rows, echo/error split, flood
     packets, distinct responsive targets and reply sources — in O(sources)
-    memory (sets of distinct addresses, never records).
+    memory (sets of distinct addresses, never rows).
     """
 
     __slots__ = (
@@ -555,17 +551,17 @@ class CountingSink(RecordSink):
         self.echo_sources: set[int] = set()
         self.error_sources: set[int] = set()
 
-    def emit(self, record: ScanRecord) -> None:
-        self.emitted += 1
-        self.flood_packets += record.count - 1
-        self.responsive_targets.add(record.target)
-        self.sources.add(record.source)
-        if record.icmp_type < 128:
-            self.errors += 1
-            self.error_sources.add(record.source)
-        else:
-            self.echo += 1
-            self.echo_sources.add(record.source)
+    def _write_chunk(self, rows: RecordColumns) -> None:
+        self.emitted += len(rows)
+        self.flood_packets += sum(rows.count) - len(rows)
+        self.responsive_targets.update(rows.addresses("target"))
+        sources = list(rows.addresses("source"))
+        self.sources.update(sources)
+        errors = bytes(map((128).__gt__, rows.icmp_type))
+        self.errors += errors.count(1)
+        self.echo += len(rows) - errors.count(1)
+        self.error_sources.update(compress(sources, errors))
+        self.echo_sources.update(compress(sources, map(not_, errors)))
 
     def classify_sources(self) -> dict[str, set[int]]:
         """Echo-only / error-only / both partition (Fig. 4), like
@@ -579,23 +575,23 @@ class CountingSink(RecordSink):
 
 @dataclass(slots=True)
 class TeeSink(RecordSink):
-    """Fan one record stream out to several sinks."""
+    """Fan one row stream out to several sinks."""
 
     sinks: tuple[RecordSink, ...] = field(default_factory=tuple)
     emitted: int = 0
 
-    def _write_chunk(self, chunk: list[ScanRecord]) -> None:
+    def _write_chunk(self, rows: RecordColumns) -> None:
         # Address text is most of a text sink's work and the same for
         # every format: render it once per chunk for all of them.
         text = None
         for sink in self.sinks:
             if isinstance(sink, _TextSink):
                 if text is None:
-                    text = address_text(chunk)
-                sink._write_chunk(chunk, text)
+                    text = address_text(rows)
+                sink._write_chunk(rows, text)
             else:
-                sink.drain(chunk)
-        self.emitted += len(chunk)
+                sink.drain(rows)
+        self.emitted += len(rows)
 
     def close(self) -> None:
         for sink in self.sinks:

@@ -186,14 +186,13 @@ class ZMapV6Scanner:
         ``targets`` may be any sequence — a list, a
         :class:`~repro.scanner.targets.TargetList`, or a lazy
         :class:`~repro.scanner.stream.TargetStream`; non-sequence
-        iterables are materialised.  With a ``sink``, matched records
-        stream to it in probe order, one ``sink.drain`` per batch that
-        has any, instead of buffering in ``result.records``
-        (``result.records_streamed`` counts them); everything else —
-        counters, telemetry events, metrics — is byte-identical to the
-        buffered path.  A buffered scan packs its matched rows as
-        :class:`RecordColumns`; a record is built only when something
-        reads ``result.records`` (or a sink takes it).
+        iterables are materialised.  With a ``sink``, matched rows
+        stream to it in probe order, one ``sink.drain`` of
+        :class:`RecordColumns` per batch that has any, instead of
+        buffering in ``result.rows`` (``result.records_streamed`` counts
+        them); everything else — counters, telemetry events, metrics — is
+        byte-identical to the buffered path.  Neither path builds a
+        :class:`~repro.scanner.records.ScanRecord`.
         """
         config = self.config
         backend = self.backend
@@ -220,7 +219,7 @@ class ZMapV6Scanner:
                 self._scan_started(result, len(target_list))
         self._capture = capture
         if sink is None:
-            self._rows = result.records = RecordColumns.empty()
+            self._rows = result.rows
         else:
 
             def deliver(batch: RecordColumns) -> None:
@@ -252,7 +251,7 @@ class ZMapV6Scanner:
             self.last_capture = capture
             if self.telemetry is not None:
                 # Records a sink took are already folded in, batch by
-                # batch, and result.records is empty: this adds the stats.
+                # batch, and result.rows is empty: this adds the stats.
                 self._scan_closed(result, registry, target_list)
         return result
 

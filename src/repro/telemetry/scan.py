@@ -326,7 +326,7 @@ class ScanTelemetry:
         ``targets_buffered`` is how many target values the scan's input
         stream held in memory (``TargetStream.buffered``; a plain list
         counts in full).  Records buffered is read off the result — a
-        streaming-sink scan leaves ``result.records`` empty.
+        streaming-sink scan leaves ``result.rows`` empty.
         """
         self.emit_sorted(
             capture.events

@@ -136,7 +136,7 @@ def _scan_output(
             name="backend-contract",
             epoch=CASE_EPOCH + 100,
         )
-    records = records_jsonl(result.records)
+    records = records_jsonl(result.rows)
     assert records, "vacuous comparison: the contract scan got no replies"
     return records, telemetry.to_jsonl(), telemetry.to_prometheus(), result, telemetry
 

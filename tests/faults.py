@@ -34,6 +34,7 @@ from repro.netsim.stochastic import stable_unit
 from repro.packet.icmpv6 import ICMPv6Type
 from repro.scanner import sharded, zmapv6
 from repro.scanner.backends.base import BackendError, ProbeBackend, WrappingBackend
+from repro.scanner.stream import RecordSink
 
 if TYPE_CHECKING:
     from repro.netsim.engine import ProbeColumns
@@ -162,12 +163,14 @@ class CrashingSequence:
         return self._targets[index]
 
 
-class FailingSink:
-    """A record-sink proxy whose ``emit`` fails after N successes."""
+class FailingSink(RecordSink):
+    """A record-sink proxy that passes exactly ``fail_after`` rows on to
+    ``sink``, then fails: in ``_write_chunk``, so streaming and
+    post-merge drains count rows identically."""
 
     __slots__ = ("_sink", "_remaining")
 
-    def __init__(self, sink, fail_after: int) -> None:
+    def __init__(self, sink: RecordSink, fail_after: int) -> None:
         self._sink = sink
         self._remaining = fail_after
 
@@ -175,26 +178,18 @@ class FailingSink:
     def emitted(self) -> int:
         return self._sink.emitted
 
-    def emit(self, record) -> None:
-        if self._remaining <= 0:
+    def _write_chunk(self, rows) -> None:
+        passed = rows[: self._remaining]
+        self._sink.drain(passed)
+        self._remaining -= len(passed)
+        if len(passed) < len(rows):
             raise InjectedSinkError("planned sink write failure")
-        self._remaining -= 1
-        self._sink.emit(record)
-
-    def drain(self, records) -> None:
-        # Route the bulk path through the failing emit so the injection
-        # counts records identically in streaming and post-merge drains.
-        for record in records:
-            self.emit(record)
 
     def close(self) -> None:
         self._sink.close()
 
-    def __enter__(self) -> "FailingSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def byte_offset(self) -> int | None:
+        return self._sink.byte_offset()
 
 
 class FaultyBackend(WrappingBackend):

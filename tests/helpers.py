@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import pytest
 
 from repro.hitlist.hitlist import Hitlist
 from repro.packet.icmpv6 import ICMPv6Type
@@ -19,6 +22,22 @@ def truncate_tail(path: str | Path, drop_bytes: int) -> None:
     size = path.stat().st_size
     with open(path, "r+b") as handle:
         handle.truncate(max(0, size - drop_bytes))
+
+
+@contextmanager
+def counting_records() -> Iterator[list[int]]:
+    """Every ``ScanRecord`` this process builds inside the block, one
+    entry each (forked pool workers count in their own memory)."""
+    built: list[int] = []
+    init = ScanRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ScanRecord, "__init__", counting_init)
+        yield built
 
 
 def all_hosts(world: World) -> Iterator[int]:

@@ -93,7 +93,7 @@ def _strategy_window(world, name: str, epoch: int = 0) -> TargetStream:
                 name=f"contract-{name}",
                 epoch=CASE_EPOCH + prior,
             )
-            strategy.observe(result.records)
+            strategy.observe(result)
     return strategy.window(epoch)
 
 
@@ -274,5 +274,5 @@ class StreamContract:
                 name=f"contract-{case.id}",
                 epoch=CASE_EPOCH + 100,
             )
-            outputs.append(records_jsonl(result.records))
+            outputs.append(records_jsonl(result.rows))
         assert outputs[0] == outputs[1] == outputs[2]

@@ -37,7 +37,7 @@ from repro.scanner.checkpoint import (
     snapshot_telemetry,
     target_fingerprint,
 )
-from repro.scanner.records import records_csv
+from repro.scanner.records import RecordColumns, records_csv
 from repro.scanner.sharded import scan_shard
 from repro.scanner.targets import bgp_plain_targets
 from repro.scanner.zmapv6 import ScanConfig
@@ -178,13 +178,20 @@ class TestColumnarOutcomes:
         save_checkpoint(checkpoint, path)
         payload = path.read_bytes()[len(b"SRACKPT\n") + struct.calcsize(">IQI") :]
         assert b"ScanRecord" not in payload
-        # v4 pickled the outcome's fields as they are: one ScanRecord and
-        # one check tuple per row.
+        # v4 pickled the outcome's fields as they were: one ScanRecord
+        # (its result held a record list) and one check tuple per row.
+        held_as_records = (
+            replace(outcome.result, rows=RecordColumns.empty()),
+            outcome.result.records,
+        )
         v4_style = pickle.dumps(
             replace(
                 checkpoint,
                 outcomes={
-                    1: {f.name: getattr(outcome, f.name) for f in fields(outcome)}
+                    1: {
+                        **{f.name: getattr(outcome, f.name) for f in fields(outcome)},
+                        "result": held_as_records,
+                    }
                 },
             ),
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -207,7 +214,7 @@ class TestColumnarOutcomes:
                 tiny_world, shards=2, executor="process"
             )
             result = runner.scan(targets, config, name="scan", epoch=1)
-            return records_csv(result.records), runner.ring_stats
+            return records_csv(result.rows), runner.ring_stats
 
         ring_bytes, ring_stats = run()
         assert (ring_stats.segments, ring_stats.fallbacks) == (2, 0)

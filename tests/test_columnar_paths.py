@@ -183,9 +183,9 @@ def test_a_sink_takes_the_merged_records(drawn):
     data, rejected = drawn
     sink = MemorySink()
     merged = merged_with(outcomes_of(data), rejected, sink=sink)
-    assert sink.records == reference_merge(data, rejected)
+    assert list(sink.rows) == reference_merge(data, rejected)
     assert merged.records == []
-    assert merged.records_streamed == len(sink.records)
+    assert merged.records_streamed == len(sink.rows)
 
 
 def test_ties_keep_shard_order_and_row_order():

@@ -1,8 +1,8 @@
 """A ScanResult that holds its rows as RecordColumns.
 
 A pool worker ships a whole scan home as packed columns, and the parent
-keeps them: ``records`` is built from them on first read, and the views
-read them directly.  These tests hold both forms to each other.
+keeps them: ``records`` is a view built from them on each read, and the
+views read them directly.  These tests hold the two to each other.
 """
 
 from __future__ import annotations
@@ -97,10 +97,8 @@ def test_views_of_held_columns_equal_the_records_views(records, streamed):
     result = held(columns, **counters)
     assert views(result) == views(expected)
     assert views(result) == reference_views(records, **counters)
-    # Read once, built once, exactly to_records(); the views still agree.
-    built = result.records
-    assert built == columns.to_records() == records
-    assert result.records is built
+    # Read, exactly to_records(); the views still agree.
+    assert result.records == columns.to_records() == records
     assert views(result) == views(expected)
 
 

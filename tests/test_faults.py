@@ -30,6 +30,7 @@ from helpers import truncate_tail
 
 from repro.scanner import sharded
 from repro.scanner.checkpoint import load_checkpoint
+from repro.scanner.records import RecordColumns, ScanRecord
 from repro.scanner.sharded import (
     ScanInterrupted,
     ShardedScanRunner,
@@ -119,14 +120,17 @@ class TestFaultPlanUnits:
             sequence[1]
 
     def test_failing_sink_fails_after_n(self):
+        rows = RecordColumns.from_records(
+            ScanRecord(target, 10 + target, 129, 0) for target in range(5)
+        )
         inner = MemorySink()
-        sink = FailingSink(inner, fail_after=2)
-        sink.emit("a")
-        sink.emit("b")
+        sink = FailingSink(inner, fail_after=3)
+        sink.drain(rows[:2])
         assert sink.emitted == 2
         with pytest.raises(InjectedSinkError):
-            sink.emit("c")
-        assert inner.records == ["a", "b"]
+            sink.drain(rows[2:])
+        assert sink.emitted == 3
+        assert inner.rows == rows[:3]
 
     def test_truncate_tail(self, tmp_path):
         path = tmp_path / "out.jsonl"
@@ -477,7 +481,7 @@ class TestAdaptiveStrategyFaults:
             name=f"adaptive-{name}",
             epoch=1,
         )
-        clean.observe(result.records)
+        clean.observe(result)
 
         # Faulted run: interrupt after 2 of 4 shards with a checkpoint.
         checkpoint = tmp_path / f"{name}.ckpt"
@@ -504,7 +508,7 @@ class TestAdaptiveStrategyFaults:
             resume=True,
         )
         assert replayed.records == result.records
-        resumed.observe(replayed.records)
+        resumed.observe(replayed)
         assert resumed.feedback_state() == clean.feedback_state()
         assert resumed.feedback_state()  # the scan actually taught it
         assert list(resumed.window(1)) == list(clean.window(1))

@@ -570,7 +570,7 @@ class TestStreamVsListEquivalence:
         streamed = self._scan(
             tiny_world, stress_targets, batch_size=batch_size, sink=sink
         )
-        assert sink.records == buffered.records
+        assert sink.rows == buffered.rows
         assert streamed.records == []
         assert streamed.records_streamed == len(buffered.records)
         assert streamed.received == buffered.received
@@ -608,9 +608,9 @@ class TestStreamVsListEquivalence:
             def __init__(self, sink):
                 self.sink, self.batches = sink, []
 
-            def drain(self, records):
-                self.batches.append(list(records))
-                self.sink.drain(self.batches[-1])
+            def drain(self, rows):
+                self.batches.append(rows)
+                self.sink.drain(rows)
 
         memory = MemorySink()
         spy = DrainSpy(TeeSink((memory, JsonlSink(tmp_path / "stream.jsonl"))))
@@ -618,7 +618,7 @@ class TestStreamVsListEquivalence:
             tiny_world, stress_targets, batch_size=batch_size, sink=spy
         )
         spy.sink.close()
-        assert memory.records == buffered.records
+        assert memory.rows == buffered.rows
         assert (tmp_path / "stream.jsonl").read_bytes() == (
             tmp_path / "buffered.jsonl"
         ).read_bytes()
@@ -628,7 +628,7 @@ class TestStreamVsListEquivalence:
         for record in buffered.records:
             position = round(record.time * self.CFG["pps"])
             expected.setdefault(position // batch_size, []).append(record)
-        assert spy.batches == list(expected.values())
+        assert [list(batch) for batch in spy.batches] == list(expected.values())
 
     def test_failed_streaming_scan_leaves_the_facade_untouched(
         self, tiny_world, stress_targets
@@ -724,7 +724,7 @@ class TestStreamVsListEquivalence:
             epoch=self.EPOCH,
             sink=sink,
         )
-        assert sink.records == serial.records
+        assert sink.rows == serial.rows
         assert result.records == []
         assert result.records_streamed == len(serial.records)
 
@@ -817,10 +817,10 @@ class TestStreamVsListEquivalence:
             checkpoint=tmp_path / "scan.ckpt" if journaled else None,
         )
         assert sharded.to_prometheus() == serial.to_prometheus()
-        assert memory.records == reference.records
+        assert memory.rows == reference.rows
         assert (len(result.records), result.records_streamed) == (
             0,
-            len(reference.records),
+            len(reference.rows),
         )
 
 

@@ -800,7 +800,7 @@ def _scenario_scan(
             epoch=SCENARIO_EPOCH,
         )
     surfaces = (
-        records_jsonl(result.records),
+        records_jsonl(result.rows),
         telemetry.to_jsonl(),
         telemetry.to_prometheus(),
     )
@@ -1090,7 +1090,7 @@ def _scanner_scan(backend, targets, policy, batch_size):
     )
     result = scanner.scan(targets, name="scenario", epoch=SCENARIO_EPOCH)
     surfaces = (
-        records_jsonl(result.records),
+        records_jsonl(result.rows),
         telemetry.to_jsonl(),
         telemetry.to_prometheus(),
     )

@@ -13,6 +13,7 @@ Pins the comparative claims and the determinism contract:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -100,9 +101,9 @@ class TestAdaptiveFeedback:
             epoch=4000,
         )
         forward = build_strategy(name, tiny_world, seed=5, budget=200)
-        forward.observe(result.records)
+        forward.observe(result)
         reversed_ = build_strategy(name, tiny_world, seed=5, budget=200)
-        reversed_.observe(list(reversed(result.records)))
+        reversed_.observe(replace(result, records=list(reversed(result.records))))
         assert forward.feedback_state() == reversed_.feedback_state()
         assert forward.feedback_state()  # the scan must actually teach it
         assert list(forward.window(1)) == list(reversed_.window(1))
@@ -119,7 +120,7 @@ class TestAdaptiveFeedback:
             name=f"restore-{name}",
             epoch=4100,
         )
-        taught.observe(result.records)
+        taught.observe(result)
         cold = build_strategy(name, tiny_world, seed=5, budget=200)
         cold.restore(taught.feedback_state())
         assert cold.feedback_state() == taught.feedback_state()
@@ -143,7 +144,7 @@ class TestAdaptiveFeedback:
             name="window-feedback",
             epoch=4200,
         )
-        strategy.observe(result.records)
+        strategy.observe(result)
         window = strategy.window(1)
         assert type(window) is TargetList
         clone = pickle.loads(pickle.dumps(window))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.addr.ipv6 import IPv6Prefix, format_address, parse_address
 from repro.addr.permutation import CyclicPermutation
 from repro.core.survey import SRASurvey, SurveyConfig
-from repro.scanner.records import ScanRecord, ScanResult
+from repro.scanner.records import RecordColumns, ScanRecord, ScanResult
 from repro.scanner.stream import (
     CountingSink,
     CsvSink,
@@ -359,6 +359,10 @@ class TestGauges:
         assert stream_buffered(iter(())) == 0
 
 
+def _rows() -> RecordColumns:
+    return RecordColumns.from_records(_records())
+
+
 def _records():
     return [
         ScanRecord(target=1, source=10, icmp_type=129, code=0, count=1, time=0.1),
@@ -372,16 +376,16 @@ def _records():
 class TestSinks:
     def test_memory_sink_preserves_records(self):
         sink = MemorySink()
-        for record in _records():
-            sink.emit(record)
-        assert sink.records == _records()
-        assert sink.emitted == 5
+        sink.drain(_rows())
+        sink.drain(_rows()[:2])
+        assert list(sink.rows) == _records() + _records()[:2]
+        assert sink.emitted == 7
 
     def test_counting_sink_matches_result_aggregates(self):
         result = ScanResult(name="s", records=_records())
         sink = CountingSink()
-        for record in _records():
-            sink.emit(record)
+        for start in range(5):  # row by row: the fold adds up
+            sink.drain(_rows()[start : start + 1])
         assert sink.emitted == len(result.records)
         assert sink.flood_packets == result.flood_packets
         assert len(sink.responsive_targets) == result.responsive_targets
@@ -389,6 +393,7 @@ class TestSinks:
         assert sink.echo_sources == result.echo_sources()
         assert sink.error_sources == result.error_sources()
         assert sink.classify_sources() == result.classify_sources()
+        assert (sink.echo, sink.errors) == (3, 2)
 
     def test_jsonl_sink_to_handle_matches_writer(self, tmp_path):
         import io
@@ -398,8 +403,7 @@ class TestSinks:
         result.write_jsonl(path)
         handle = io.StringIO()
         sink = JsonlSink(handle)
-        for record in _records():
-            sink.emit(record)
+        sink.drain(_rows())
         sink.close()  # caller-owned handle stays open
         assert handle.getvalue() == path.read_text()
         assert sink.emitted == 5
@@ -407,15 +411,14 @@ class TestSinks:
     def test_tee_fans_out(self):
         first, second = MemorySink(), MemorySink()
         tee = TeeSink((first, second))
-        for record in _records():
-            tee.emit(record)
-        assert first.records == second.records == _records()
+        tee.drain(_rows())
+        assert list(first.rows) == list(second.rows) == _records()
         assert tee.emitted == 5
 
     def test_sink_context_manager_closes_owned_file(self, tmp_path):
         path = tmp_path / "ctx.jsonl"
         with JsonlSink(path) as sink:
-            sink.emit(_records()[0])
+            sink.drain(_rows()[:1])
         assert path.read_text().startswith("{")
 
 
@@ -498,20 +501,20 @@ def _reference_text(records) -> tuple[str, str]:
     return jsonl.getvalue(), table.getvalue()
 
 
-def _feed_at_once(sink, records):
-    sink.drain(records)
+def _feed_at_once(sink, rows):
+    sink.drain(rows)
 
 
-def _feed_in_pieces(sink, records):
-    # Uneven pieces, a generator among them, one longer than a chunk.
-    cuts = [0, 1, 1, 8, 1500, len(records)]
+def _feed_in_pieces(sink, rows):
+    # Uneven pieces, an empty one among them, one longer than a chunk.
+    cuts = [0, 1, 1, 8, 1500, len(rows)]
     for start, stop in zip(cuts, cuts[1:]):
-        sink.drain(record for record in records[start:stop])
+        sink.drain(rows[start:stop])
 
 
-def _feed_one_by_one(sink, records):
-    for record in records:
-        sink.emit(record)
+def _feed_one_by_one(sink, rows):
+    for start in range(len(rows)):
+        sink.drain(rows[start : start + 1])
 
 
 class TestTextSinksAgainstReference:
@@ -535,7 +538,7 @@ class TestTextSinksAgainstReference:
         else:
             sinks = [jsonl, table]
         for sink in sinks:
-            feed(sink, records)
+            feed(sink, RecordColumns.from_records(records))
         # Staged, not yet promoted.
         assert (tmp_path / "r.jsonl.partial").exists()
         assert not (tmp_path / "r.jsonl").exists()
@@ -548,7 +551,7 @@ class TestTextSinksAgainstReference:
         assert table.byte_offset() == (tmp_path / "r.csv").stat().st_size
         assert jsonl.emitted == table.emitted == len(records)
         if tee:
-            assert memory.records == records
+            assert list(memory.rows) == records
             assert sinks[0].emitted == len(records)
             assert sinks[0].byte_offset() == len(expected_jsonl) + len(expected_csv)
 
@@ -563,7 +566,7 @@ class TestTextSinksAgainstReference:
 
     def test_empty_stream_is_a_header_only_csv(self, tmp_path):
         with TeeSink((JsonlSink(tmp_path / "e.jsonl"), CsvSink(tmp_path / "e.csv"))) as tee:
-            tee.drain([])
+            tee.drain(RecordColumns.empty())
         assert (tmp_path / "e.jsonl").read_bytes() == b""
         assert (tmp_path / "e.csv").read_bytes() == _reference_text([])[1].encode()
         assert tee.byte_offset() == (tmp_path / "e.csv").stat().st_size
@@ -573,7 +576,7 @@ class TestTextSinksAgainstReference:
         dest = tmp_path / "out.txt"
         with pytest.raises(RuntimeError, match="scan died"):
             with kind(dest) as sink:
-                sink.drain(self.RECORDS[:10])
+                sink.drain(RecordColumns.from_records(self.RECORDS[:10]))
                 raise RuntimeError("scan died")
         assert not dest.exists()
         partial = tmp_path / "out.txt.partial"
@@ -581,6 +584,39 @@ class TestTextSinksAgainstReference:
         sink.abort()  # idempotent
         sink.close()  # a closed handle is never promoted afterwards
         assert not dest.exists()
+
+    @pytest.mark.parametrize("write", ["jsonl-sink", "csv-sink", "write_csv", "write_jsonl"])
+    def test_promotion_fsyncs_the_data_before_the_rename(self, tmp_path, monkeypatch, write):
+        """A clean close makes the staged file durable, then final: the
+        data's fsync comes before ``os.replace`` (and the directory's
+        after), as in ``atomic_write_bytes``."""
+        import os
+
+        dest = tmp_path / "out.txt"
+        staged = tmp_path / "out.txt.partial"
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def spy_replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        rows = RecordColumns.from_records(self.RECORDS[:10])
+        if write.endswith("sink"):
+            with (JsonlSink if write == "jsonl-sink" else CsvSink)(dest) as sink:
+                sink.drain(rows)
+        else:
+            getattr(ScanResult(name="s", records=rows), write)(dest)
+        data = dest.stat().st_ino
+        assert not staged.exists()
+        assert calls[:2] == [("fsync", data), ("replace", data)]
+        assert calls[2:] == [("fsync", tmp_path.stat().st_ino)]
 
     def test_drain_is_the_base_class_write_path(self):
         # The benchmark's tracer spans RecordSink.drain itself: a subclass
