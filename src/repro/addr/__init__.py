@@ -14,10 +14,7 @@ from .partition import (
     STAGE2_LENGTH,
     STAGE3_LENGTH,
     hitlist_targets,
-    route6_targets,
     stage1_targets,
-    stage2_targets,
-    stage3_targets,
 )
 from .permutation import CyclicPermutation, next_prime
 from .randomgen import random_address_in, random_targets, random_targets_for_sras
@@ -41,10 +38,7 @@ __all__ = [
     "random_address_in",
     "random_targets",
     "random_targets_for_sras",
-    "route6_targets",
     "sra_address",
     "sra_of",
     "stage1_targets",
-    "stage2_targets",
-    "stage3_targets",
 ]

@@ -22,8 +22,8 @@ cheap while preserving the selection semantics.
 Targets are plain integers end to end — ``network | (index << shift)`` —
 never an :class:`IPv6Prefix` per target: arguments are checked once per
 prefix, and every generator emits each target once.  The stage-2, stage-3
-and Route(6) generators come in two shapes: ``*_by_prefix`` yields one
-chunk of targets per prefix, and ``*_targets`` chains those chunks.  A
+and Route(6) generators (``*_by_prefix``) yield one chunk of targets per
+prefix; ``itertools.chain.from_iterable`` flattens them.  A
 chunk holds the prefix's targets that no earlier chunk held; only
 prefixes whose regions overlap are filtered, each group against its own
 ``seen`` set (:func:`_fresh`).  Random draws happen per prefix, when the
@@ -38,7 +38,6 @@ draws one index per target pulled.
 from __future__ import annotations
 
 import random
-from itertools import chain
 from math import ceil, log
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -122,8 +121,15 @@ def stage2_by_prefix(
     max_per_prefix: int | None = None,
     rng: random.Random | None = None,
 ) -> Iterator[Iterable[int]]:
-    """Stage 2's targets (:func:`stage2_targets`), one chunk per
-    announcement."""
+    """SRA addresses of the /48 partition of all announcements (Stage 2),
+    one chunk per announcement.
+
+    Announcements more specific than /48 are lifted to their /48 supernet
+    unless another announcement covers that supernet (the paper found ~3 k
+    such more-specifics).  With ``max_per_prefix`` set, at most that many
+    /48 subnets are drawn per announcement — uniformly at random when an
+    ``rng`` is given, else the first ones in address order.
+    """
     # "Another" announcement covering a /48 is a strictly shorter one:
     # their networks, by length mask.
     shorter: dict[int, set[int]] = {}
@@ -145,54 +151,24 @@ def stage2_by_prefix(
     return _fresh(announcements, STAGE2_LENGTH, candidates)
 
 
-def stage2_targets(
-    announcements: Sequence[IPv6Prefix],
-    *,
-    max_per_prefix: int | None = None,
-    rng: random.Random | None = None,
-) -> Iterator[int]:
-    """SRA addresses of the /48 partition of all announcements (Stage 2).
-
-    Announcements more specific than /48 are lifted to their /48 supernet
-    unless another announcement covers that supernet (the paper found ~3 k
-    such more-specifics).  With ``max_per_prefix`` set, at most that many
-    /48 subnets are drawn per announcement — uniformly at random when an
-    ``rng`` is given, else the first ones in address order.
-    """
-    return chain.from_iterable(
-        stage2_by_prefix(announcements, max_per_prefix=max_per_prefix, rng=rng)
-    )
-
-
 def stage3_by_prefix(
     announcements: Iterable[IPv6Prefix],
     *,
     max_per_prefix: int | None = None,
     rng: random.Random | None = None,
 ) -> Iterator[Iterable[int]]:
-    """Stage 3's targets (:func:`stage3_targets`), one chunk per /48
-    announcement."""
+    """SRA addresses of the /64 partition of /48 announcements (Stage 3),
+    one chunk per /48 announcement.
+
+    Per the paper, only announcements of length exactly /48 are expanded
+    (expanding everything would explode the target count), and nothing more
+    specific than a /64 is generated.  ``max_per_prefix`` and ``rng`` cut
+    each chunk as in :func:`stage2_by_prefix`.
+    """
     return _fresh(
         [prefix for prefix in announcements if prefix.length == STAGE2_LENGTH],
         STAGE3_LENGTH,
         lambda prefix: _partition(prefix, STAGE3_LENGTH, max_per_prefix, rng),
-    )
-
-
-def stage3_targets(
-    announcements: Iterable[IPv6Prefix],
-    *,
-    max_per_prefix: int | None = None,
-    rng: random.Random | None = None,
-) -> Iterator[int]:
-    """SRA addresses of the /64 partition of /48 announcements (Stage 3).
-
-    Per the paper, only announcements of length exactly /48 are expanded
-    (expanding everything would explode the target count), and nothing more
-    specific than a /64 is generated.
-    """
-    return chain.from_iterable(
-        stage3_by_prefix(announcements, max_per_prefix=max_per_prefix, rng=rng)
     )
 
 
@@ -266,9 +242,15 @@ def route6_by_prefix(
     per_prefix: int = 10_000,
     rng: random.Random,
 ) -> Iterator[Iterable[int]]:
-    """Route(6)'s targets (:func:`route6_targets`), one chunk per route6
-    object; a lazy one, drawing one index per target pulled, for an
-    object of more than 2**24 /64s."""
+    """Up to ``per_prefix`` random /64 SRA addresses per route6 object, one
+    chunk per object; a lazy one, drawing one index per target pulled, for
+    an object of more than 2**24 /64s.
+
+    Mirrors the paper's IRR construction: nearly half the route6 objects are
+    /48s, so 10 k random /64s cover only ~15 % of each /48's 65 536 /64s —
+    the sampling (not enumeration) is deliberate and load-bearing for the
+    error-dominated response mix the paper reports for this input.
+    """
     if per_prefix < 0:
         raise ValueError(f"per_prefix must be >= 0, got {per_prefix}")
     slash64 = prefix_mask(STAGE3_LENGTH)
@@ -289,24 +271,6 @@ def route6_by_prefix(
         return _sparse_subnets(base, shift, count, per_prefix, rng)
 
     return _fresh(list(route6_prefixes), STAGE3_LENGTH, candidates)
-
-
-def route6_targets(
-    route6_prefixes: Iterable[IPv6Prefix],
-    *,
-    per_prefix: int = 10_000,
-    rng: random.Random,
-) -> Iterator[int]:
-    """Up to ``per_prefix`` random /64 SRA addresses per route6 object.
-
-    Mirrors the paper's IRR construction: nearly half the route6 objects are
-    /48s, so 10 k random /64s cover only ~15 % of each /48's 65 536 /64s —
-    the sampling (not enumeration) is deliberate and load-bearing for the
-    error-dominated response mix the paper reports for this input.
-    """
-    return chain.from_iterable(
-        route6_by_prefix(route6_prefixes, per_prefix=per_prefix, rng=rng)
-    )
 
 
 def _sparse_subnets(

@@ -83,19 +83,18 @@ def infer_error_rate_limit(
     *,
     probe_rates: tuple[float, ...] = (2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 200.0),
     duration: float = 20.0,
-    epoch: int = 7000,
 ) -> RateLimitEstimate:
     """Estimate the RFC 4443 token-bucket parameters of a subnet's router.
 
-    Each rate gets its own fresh-bucket engine epoch (real measurements
-    space trains far apart for the same reason).  The refill-rate estimate
+    Each rate gets its own fresh-bucket engine epoch, from 7000 up (real
+    measurements space trains far apart for the same reason).  The refill-rate estimate
     is the median *received rate* over saturated trains; the burst
     estimate comes from the excess passes of the most aggressive train
     over its steady-state expectation.
     """
     points: list[RatePoint] = []
     for index, probe_rate in enumerate(probe_rates):
-        engine = SimulationEngine(world, epoch=epoch + index)
+        engine = SimulationEngine(world, epoch=7000 + index)
         points.append(
             probe_train(
                 engine,

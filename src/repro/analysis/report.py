@@ -56,16 +56,16 @@ def render_ccdf(
     points: Sequence[tuple[int, float]],
     *,
     title: str,
-    max_rows: int = 12,
 ) -> str:
-    """A log-bucketed textual CCDF (stands in for the Fig. 8 plots)."""
+    """A log-bucketed textual CCDF (stands in for the Fig. 8 plots), at
+    most 12 thresholds."""
     if not points:
         return f"{title}\n(no data)"
     # Pick representative thresholds: powers of ~4 within the value range.
     thresholds: list[int] = []
     value = 1
     limit = points[-1][0]
-    while value <= limit and len(thresholds) < max_rows:
+    while value <= limit and len(thresholds) < 12:
         thresholds.append(value)
         value = max(value + 1, value * 4)
     rows = []

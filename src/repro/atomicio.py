@@ -76,11 +76,9 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     fsync_directory(path.parent)
 
 
-def atomic_write_text(
-    path: str | Path, text: str, encoding: str = "utf-8"
-) -> None:
-    """Text-mode convenience wrapper over :func:`atomic_write_bytes`."""
-    atomic_write_bytes(path, text.encode(encoding))
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """UTF-8 text-mode convenience wrapper over :func:`atomic_write_bytes`."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def partial_path(path: str | Path) -> Path:

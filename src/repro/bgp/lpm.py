@@ -144,10 +144,9 @@ class LengthIndexedLPM(BlockCachedLPM[V]):
             for network in sorted(table):
                 yield table[network]
 
-    def frozen(self, *, cache_size: int | None = None):
+    def frozen(self):
         """A read-only :class:`~repro.bgp.frozenfib.FrozenLPM` snapshot of
-        the current contents: sorted array columns instead of dicts,
-        shareable across shard workers, lookups pinned bit-identical."""
-        if cache_size is None:
-            cache_size = self._cache_size
-        return FrozenLPM.freeze(self, cache_size=cache_size)
+        the current contents, with this table's cache size: sorted array
+        columns instead of dicts, shareable across shard workers, lookups
+        pinned bit-identical."""
+        return FrozenLPM.freeze(self, cache_size=self._cache_size)

@@ -35,7 +35,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 
 from ..addr.randomgen import random_targets_for_sras
-from ..scanner.pacing import paced_pps
+from ..scanner.pacing import PAPER_PPS, PAPER_SCAN_DURATION, paced_pps
 from ..scanner.records import ScanResult
 from ..scanner.sharded import ShardedScanRunner
 from ..scanner.stream import LazyStream
@@ -105,9 +105,7 @@ def run_sra_vs_random(
     sra_targets: list[int],
     *,
     epochs: int = 6,
-    subnet_length: int = 64,
-    pps: float = 50_000.0,
-    scan_duration: float = 6.0,
+    scan_duration: float = PAPER_SCAN_DURATION,
     seed: int = 23,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
@@ -115,18 +113,16 @@ def run_sra_vs_random(
     """Fig. 5: paired SRA and random scans of the same /64 subnets."""
     series = ComparisonSeries()
     runner = runner or ShardedScanRunner(world, shards=1)
-    paced = paced_pps(len(sra_targets), scan_duration, pps)
+    paced = paced_pps(len(sra_targets), scan_duration, PAPER_PPS)
     jobs = []
     for epoch in range(epochs):
         rng = random.Random((seed << 8) | epoch)
         # Lazy, and released once scanned: only the random draws of the
         # scans in flight are ever resident next to the shared SRA list.
         random_targets = LazyStream(
-            lambda rng=rng: random_targets_for_sras(
-                sra_targets, subnet_length, rng
-            ),
+            lambda rng=rng: random_targets_for_sras(sra_targets, 64, rng),
             name=f"random-epoch{epoch}",
-            subnet_length=subnet_length,
+            subnet_length=64,
         )
         config = ScanConfig(pps=paced, seed=seed + epoch)
         jobs += [
@@ -187,10 +183,6 @@ def run_visibility(
     router_ips: set[int],
     *,
     days: int = 7,
-    pps: float = 50_000.0,
-    scan_duration: float = 6.0,
-    seed: int = 31,
-    epoch_base: int = 1000,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
 ) -> VisibilityReport:
@@ -198,13 +190,14 @@ def run_visibility(
     report = VisibilityReport(probed=set(router_ips))
     ordered = sorted(router_ips)
     runner = runner or ShardedScanRunner(world, shards=1)
-    paced = paced_pps(len(ordered), scan_duration, pps)
+    paced = paced_pps(len(ordered), PAPER_SCAN_DURATION, PAPER_PPS)
+    # Day d scans with seed 31 + d in epoch 1000 + d, clear of Fig. 5's.
     jobs = [
         (
             ordered,
-            ScanConfig(pps=paced, seed=seed + day),
+            ScanConfig(pps=paced, seed=31 + day),
             f"direct-day{day}",
-            epoch_base + day,
+            1000 + day,
         )
         for day in range(days)
     ]
@@ -251,8 +244,6 @@ def run_stability(
     sra_targets: list[int],
     *,
     epochs: int = 6,
-    pps: float = 50_000.0,
-    scan_duration: float = 6.0,
     seed: int = 41,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
@@ -260,7 +251,7 @@ def run_stability(
     """Fig. 6b: does re-probing an SRA reveal the same router IP?"""
     report = StabilityReport()
     runner = runner or ShardedScanRunner(world, shards=1)
-    paced = paced_pps(len(sra_targets), scan_duration, pps)
+    paced = paced_pps(len(sra_targets), PAPER_SCAN_DURATION, PAPER_PPS)
     jobs = [
         (
             sra_targets,
@@ -283,21 +274,17 @@ def run_direct_discovery(
     world: World,
     router_ips: set[int],
     *,
-    pps: float = 50_000.0,
-    scan_duration: float = 6.0,
-    seed: int = 53,
-    epoch: int = 500,
     runner: ShardedScanRunner | None = None,
     telemetry: ScanTelemetry | None = None,
 ) -> set[int]:
     """One direct scan of known router addresses — the baseline for the
     "SRA discovers 80 % more than direct targeting" comparison."""
-    paced = paced_pps(len(router_ips), scan_duration, pps)
+    paced = paced_pps(len(router_ips), PAPER_SCAN_DURATION, PAPER_PPS)
     result = (runner or ShardedScanRunner(world, shards=1)).scan(
         sorted(router_ips),
-        ScanConfig(pps=paced, seed=seed),
+        ScanConfig(pps=paced, seed=53),
         name="direct",
-        epoch=epoch,
+        epoch=500,
         telemetry=telemetry,
     )
     return result.direct_echo_sources()

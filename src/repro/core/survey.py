@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..hitlist.aliases import AliasedPrefixList
 from ..hitlist.hitlist import Hitlist
-from ..scanner.pacing import paced_pps
+from ..scanner.pacing import PAPER_PPS, PAPER_SCAN_DURATION, paced_pps
 from ..scanner.records import ScanResult
 from ..scanner.sharded import EXECUTORS, ShardedScanRunner
 from ..scanner.stream import LazyStream, TargetStream
@@ -59,13 +59,9 @@ class SurveyConfig:
     """
 
     seed: int = 11
-    pps: float = 50_000.0
-    # Virtual scan duration per input set.  Real scans sweep their target
-    # space slowly (the paper: 28.2 B targets in ~1.5 days); pacing each
-    # scan over a fixed virtual duration keeps the per-router probe rate
-    # — and therefore RFC 4443 bucket pressure — at realistic levels
-    # regardless of the scaled-down target count.
-    scan_duration: float = 6.0
+    pps: float = PAPER_PPS
+    # Virtual scan duration per input set (scanner/pacing.py says why).
+    scan_duration: float = PAPER_SCAN_DURATION
     hop_limit: int = 64
     max_bgp_plain: int | None = None
     slash48_per_prefix: int = 192
@@ -319,12 +315,12 @@ class SRASurvey:
             alias_stats=alias_stats,
         )
 
-    def run(self, *, epoch: int = 0) -> SurveyResult:
-        """Scan all five input sets and aggregate."""
-        return self.run_repeated(1, epoch_base=epoch)[0]
+    def run(self) -> SurveyResult:
+        """Scan all five input sets, in epoch 0, and aggregate."""
+        return self.run_repeated(1)[0]
 
-    def run_repeated(self, times: int = 2, *, epoch_base: int = 0) -> list[SurveyResult]:
-        """Run the whole survey ``times`` times in consecutive epochs.
+    def run_repeated(self, times: int = 2) -> list[SurveyResult]:
+        """Run the whole survey ``times`` times, in epochs ``0..times-1``.
 
         The paper performs each scan at least twice (§3.2); the *final*
         router-IP list is compiled from the initial scan of each input
@@ -338,7 +334,7 @@ class SRASurvey:
         """
         if times < 1:
             raise ValueError("times must be >= 1")
-        epochs = range(epoch_base, epoch_base + times)
+        epochs = range(times)
         streams = self.build_input_sets()
         jobs = [
             (targets, self.scan_config, name, epoch)

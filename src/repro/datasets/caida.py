@@ -22,14 +22,12 @@ from .traceroute import traceroute
 def run_ark_campaign(
     world: World,
     *,
-    seed: int = 71,
-    epoch: int = 2000,
-    max_hops: int = 32,
     max_prefixes: int | None = None,
 ) -> AddressDataset:
-    """Traceroute ``<prefix>::1`` and a random address per announcement."""
-    rng = random.Random(seed)
-    engine = SimulationEngine(world, epoch=epoch)
+    """Traceroute ``<prefix>::1`` and a random address per announcement,
+    32 hops at most, in epoch 2000."""
+    rng = random.Random(71)
+    engine = SimulationEngine(world, epoch=2000)
     dataset = AddressDataset(name="caida-ark")
     prefixes = world.bgp.prefixes()
     if max_prefixes is not None and len(prefixes) > max_prefixes:
@@ -43,7 +41,7 @@ def run_ark_campaign(
             trace = traceroute(
                 engine,
                 target,
-                max_hops=max_hops,
+                max_hops=32,
                 time=time,
                 probe_id_base=probe_id,
             )

@@ -19,6 +19,9 @@ from dataclasses import dataclass, field
 from ..topology.entities import World
 from .common import AddressDataset
 
+# Skew of the members' activity: the r-th busiest sends with weight r**-1.2.
+_ZIPF_EXPONENT = 1.2
+
 
 @dataclass(slots=True)
 class IXPFlowDataset:
@@ -44,7 +47,6 @@ def run_ixp_capture(
     seed: int = 79,
     packets: int = 2_000_000,
     sample_rate: int = 256,
-    zipf_exponent: float = 1.2,
 ) -> IXPFlowDataset:
     """Generate IXP traffic and keep a 1:``sample_rate`` packet sample.
 
@@ -80,7 +82,7 @@ def run_ixp_capture(
     weights = [0.0] * len(members)
     for rank, member_index in enumerate(ranked, start=1):
         weights[member_index] = (
-            (1.0 / rank**zipf_exponent) if member_hosts[member_index] else 0.0
+            (1.0 / rank**_ZIPF_EXPONENT) if member_hosts[member_index] else 0.0
         )
 
     indices = list(range(len(members)))

@@ -29,16 +29,14 @@ def run_atlas_campaign(
     world: World,
     hitlist: Hitlist,
     *,
-    seed: int = 73,
-    epoch: int = 2100,
     probe_as_fraction: float = 0.5,
     max_targets: int = 2000,
-    max_hops: int = 32,
 ) -> AddressDataset:
-    """Build the Atlas-style dataset: target traces + probe-local hops."""
-    rng = random.Random(seed)
+    """Build the Atlas-style dataset: target traces (32 hops at most, in
+    epoch 2100) + probe-local hops."""
+    rng = random.Random(73)
     dataset = AddressDataset(name="ripe-atlas")
-    engine = SimulationEngine(world, epoch=epoch)
+    engine = SimulationEngine(world, epoch=2100)
 
     # Traces towards (a sample of) hitlist targets.
     addresses = hitlist.addresses()
@@ -48,7 +46,7 @@ def run_atlas_campaign(
     probe_id = 1 << 41
     for target in addresses:
         trace = traceroute(
-            engine, target, max_hops=max_hops, time=time, probe_id_base=probe_id
+            engine, target, max_hops=32, time=time, probe_id_base=probe_id
         )
         dataset.update(trace.responding_sources())
         time += 0.05

@@ -42,7 +42,6 @@ def harvest_hitlist(
     stale_fraction: float = 0.65,
     router_fraction: float = 0.03,
     seed: int = 97,
-    name: str = "tum-hitlist",
 ) -> Hitlist:
     """Build a community-style hitlist from the world's host population.
 
@@ -64,7 +63,7 @@ def harvest_hitlist(
     rng = Random(seed)
     random = rng.random
     getrandbits = rng.getrandbits
-    hitlist = Hitlist(name=name)
+    hitlist = Hitlist(name="tum-hitlist")
     add = hitlist.add
     interfaces = []  # every host draw comes before the first interface draw
     for _, interface, _, hosts in _subnet_rows(world):

@@ -28,7 +28,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
-from ..scanner.pacing import paced_pps
+from ..scanner.pacing import PAPER_PPS, PAPER_SCAN_DURATION, paced_pps
 from ..scanner.sharded import ShardedScanRunner
 from ..scanner.strategies import (
     STRATEGIES,
@@ -93,29 +93,26 @@ class RaceResult:
 def run_strategy_race(
     world: "World",
     *,
-    strategies: "tuple[str, ...] | None" = None,
     epochs: int = 4,
     budget: int = 10_000,
     seed: int = 97,
-    pps: float = 50_000.0,
-    scan_duration: float = 6.0,
+    pps: float = PAPER_PPS,
+    scan_duration: float = PAPER_SCAN_DURATION,
     runner: "ShardedScanRunner | None" = None,
     telemetry: "ScanTelemetry | None" = None,
-    epoch_base: int = EPOCH_BASE,
 ) -> RaceResult:
-    """Race the strategies head-to-head under one probe budget.
+    """Race every registered strategy head-to-head under one probe budget.
 
     Strategies run in sorted-name order, each over the same epoch band
-    ``epoch_base..epoch_base+epochs`` so every strategy faces identical
+    ``EPOCH_BASE..EPOCH_BASE+epochs`` so every strategy faces identical
     world states.  Passing a ``runner`` shards each epoch's scan —
     merge determinism makes the result identical at any shard count.
     """
     if epochs < 1:
         raise ValueError(f"race needs at least one epoch, got {epochs}")
-    names = tuple(strategies) if strategies is not None else sorted(STRATEGIES)
     race = RaceResult(epochs=epochs, budget=budget, seed=seed)
     runner = runner or ShardedScanRunner(world, shards=1)
-    for name in names:
+    for name in sorted(STRATEGIES):
         rows: list[StrategyEpochRow] = []
         echo_ips: set[int] = set()
         for row, result in run_strategy_epochs(
@@ -127,7 +124,7 @@ def run_strategy_race(
                 pps=paced_pps(size, scan_duration, pps),
                 seed=seed + index,
             ),
-            epoch_base=epoch_base,
+            epoch_base=EPOCH_BASE,
             telemetry=telemetry,
         ):
             echo_ips |= result.echo_sources()

@@ -71,15 +71,14 @@ class ExperimentScale:
     race_budget: int = 25_000
 
 
-def _auto_shards(limit: int | None = None) -> int:
+def _auto_shards() -> int:
     """Shard count for experiment contexts: one per core by default.
 
     Sharded merges are deterministic, so any value yields identical
     tables/figures — this only tunes wall-clock time.  The
     ``SRA_MAX_SHARDS`` environment variable pins the count outright
     (CI runners and shared hosts advertise far more CPUs than they
-    should be saturated with); otherwise every core gets a shard, up to
-    ``limit`` when a caller passes one.
+    should be saturated with); otherwise every core gets a shard.
     """
     env = os.environ.get("SRA_MAX_SHARDS")
     if env is not None:
@@ -89,10 +88,7 @@ def _auto_shards(limit: int | None = None) -> int:
             raise ValueError(
                 f"SRA_MAX_SHARDS must be an integer, got {env!r}"
             ) from None
-    cores = os.cpu_count() or 1
-    if limit is not None:
-        cores = min(limit, cores)
-    return max(1, cores)
+    return max(1, os.cpu_count() or 1)
 
 
 def quick_scale(seed: int = 2024) -> ExperimentScale:

@@ -83,6 +83,8 @@ _DRAW_FLAKY, _DRAW_HOST, _DRAW_DIRECT, _DRAW_FLIP = (
     )
 )
 _PURPOSE_BG_WINDOW = b"bgwin"
+# Virtual seconds per on/off draw of a router's background error load.
+_BACKGROUND_WINDOW = 1.0
 _PURPOSE_BG_JITTER = b"bgjit"
 
 
@@ -245,14 +247,12 @@ class SimulationEngine:
         world: World,
         *,
         epoch: int = 0,
-        background_window: float = 1.0,
         defer_rate_limit: bool = False,
     ) -> None:
         if world.vantage is None:
             raise ValueError("world has no vantage point")
         self.world = world
         self.epoch = epoch
-        self.background_window = background_window
         self.stats = EngineStats()
         # Deferred mode: `_error_allowed` records (time, router_id) and lets
         # every error through.  A sharded scan runs each shard deferred, then
@@ -765,7 +765,7 @@ class SimulationEngine:
             state = self._limiters[router_id] = [load, None, None, False]
         load = state[0]
         if load > 0.0:
-            window = int(time / self.background_window)
+            window = int(time / _BACKGROUND_WINDOW)
             if window != state[2]:
                 state[2] = window
                 state[3] = (

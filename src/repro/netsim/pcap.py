@@ -18,7 +18,7 @@ from typing import BinaryIO, Sequence
 
 from ..packet.icmpv6 import ICMPv6Type, echo_reply_for, error_message
 from ..packet.ipv6hdr import HEADER_LENGTH, IPv6Header
-from ..packet.probe import build_probe_packet
+from ..packet.probe import DEFAULT_PROBE_KEY, build_probe_packet
 from ..packet.icmpv6 import ICMPv6Message
 from ..topology.entities import World
 from .engine import FLAG_REPLY, ProbeColumns, SimulationEngine
@@ -114,7 +114,6 @@ def capture_scan(
     epoch: int = 0,
     pps: float = 1_000.0,
     hop_limit: int = 64,
-    key: bytes = b"sra-probing-key-0123456789abcdef",
     max_duplicates: int = 1_000,
 ) -> dict[str, int]:
     """Run a scan and write the raw traffic — probes, replies, and the
@@ -146,7 +145,7 @@ def capture_scan(
                 src=vantage,
                 target=target,
                 probe_id=index,
-                key=key,
+                key=DEFAULT_PROBE_KEY,
                 hop_limit=hop_limit,
                 identifier=index & 0xFFFF,
                 sequence=(index >> 16) & 0xFFFF,

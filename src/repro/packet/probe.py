@@ -23,6 +23,9 @@ from .ipv6hdr import HEADER_LENGTH, IPv6Header, PacketError
 
 PAYLOAD_MAGIC = b"SRA6"
 PAYLOAD_LENGTH = len(PAYLOAD_MAGIC) + 16 + 8 + 4
+# The scanner's probe-authentication key unless a scan names its own
+# (``ScanConfig.key``); ``capture_scan`` always writes with it.
+DEFAULT_PROBE_KEY = b"sra-probing-key-0123456789abcdef"
 
 
 @dataclass(frozen=True, slots=True)

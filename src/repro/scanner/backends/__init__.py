@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ...packet.probe import DEFAULT_PROBE_KEY
 from .base import (
     BackendAuthorizationError,
     BackendError,
@@ -30,7 +31,7 @@ from .resilient import (
     RetryPolicy,
 )
 from .sim import SimBackend
-from .wiresim import DEFAULT_PROBE_KEY, WireSimBackend
+from .wiresim import WireSimBackend
 
 if TYPE_CHECKING:
     from ...netsim.engine import SimulationEngine

@@ -48,14 +48,13 @@ from typing import Sequence
 from ...netsim.engine import FLAG_LOST, FLAG_REPLY, EngineStats, ProbeColumns
 from ...packet.icmpv6 import ICMPv6Message, ICMPv6Type, echo_request
 from ...packet.ipv6hdr import PacketError
-from ...packet.probe import encode_payload, extract_probe
+from ...packet.probe import DEFAULT_PROBE_KEY, encode_payload, extract_probe
 from ..pacing import paced_pps
 from .base import (
     BackendAuthorizationError,
     BackendPrivilegeError,
     ProbeBackend,
 )
-from .wiresim import DEFAULT_PROBE_KEY
 
 
 def _address_text(address: int) -> str:

@@ -31,59 +31,30 @@ from ...packet.icmpv6 import (
     error_message,
 )
 from ...packet.ipv6hdr import HEADER_LENGTH, IPv6Header
-from ...packet.probe import build_probe_packet, extract_probe
-from .base import ProbeBackend
+from ...packet.probe import DEFAULT_PROBE_KEY, build_probe_packet, extract_probe
+from .base import WrappingBackend
 from .sim import SimBackend
 
 if TYPE_CHECKING:
-    from ...netsim.engine import EngineStats, ProbeColumns, SimulationEngine
-
-# The scanner's default probe-authentication key (mirrors ScanConfig.key;
-# kept here so backends never import the scanner module).
-DEFAULT_PROBE_KEY = b"sra-probing-key-0123456789abcdef"
+    from ...netsim.engine import ProbeColumns
 
 
-class WireSimBackend(ProbeBackend):
-    """Wire-format encode/decode round trip wrapping the ``sim`` backend."""
+class WireSimBackend(WrappingBackend):
+    """Wire-format encode/decode round trip wrapping the ``sim`` backend.
+
+    Everything but its name, its probe-id need (payloads always carry
+    the id) and its own unmatched-reply count is the wrapped backend's.
+    """
 
     name = "wire-sim"
-    deterministic = True
+    needs_probe_ids = True
+    # Its own drop count, not the wrapped simulator's (which has none).
+    unmatched_replies = 0
 
     def __init__(self, inner: SimBackend, *, key: bytes = DEFAULT_PROBE_KEY) -> None:
-        self.inner = inner
+        super().__init__(inner)
+        self.name = WireSimBackend.name  # not the wrapped "sim"
         self.key = key
-        self.unmatched_replies = 0
-
-    # ---------------- delegation to the wrapped simulator ---------------- #
-
-    @property
-    def engine(self) -> "SimulationEngine":
-        return self.inner.engine
-
-    @property
-    def epoch(self) -> int:
-        return self.inner.epoch
-
-    def new_epoch(self, epoch: int) -> None:
-        self.inner.new_epoch(epoch)
-
-    @property
-    def stats(self) -> "EngineStats":
-        return self.inner.stats
-
-    @property
-    def pending_checks(self) -> list[tuple[float, int]]:
-        return self.inner.pending_checks
-
-    @property
-    def telemetry(self):
-        return self.inner.telemetry
-
-    @telemetry.setter
-    def telemetry(self, collector) -> None:
-        self.inner.telemetry = collector
-
-    # ---------------- probing ---------------- #
 
     def probe_columns(
         self,

@@ -10,8 +10,8 @@ wastes probe budget).  This module gives
   — the scan's identity (name, epoch, shard count, config key and a
   target fingerprint; the targets themselves are the resuming caller's
   to supply again), every finished :class:`~repro.scanner.sharded.ShardOutcome`
-  (records *and* deferred rate-limit checks, as the ring frame's columns),
-  the streaming sink's byte offset, and a snapshot of the shared
+  (records *and* deferred rate-limit checks, as the ring frame's columns)
+  and a snapshot of the shared
   :class:`~repro.telemetry.scan.ScanTelemetry` facade;
 * a resume loads the journal, restores the telemetry snapshot, and
   re-runs **only the index windows of the missing shards** (each window
@@ -77,7 +77,9 @@ __all__ = [
 # v7: a TelemetrySnapshot holds the one event stream and registry (v6 also
 # pickled an ops stream, its seq and its registry), and a journaled shard's
 # resilience delta rides its result (v6 kept it on the ShardOutcome).
-CHECKPOINT_SCHEMA_VERSION = 7
+# v8: a ScanCheckpoint has no ``sink_offset`` (v7 saved the sink's byte
+# offset, which no resume read).
+CHECKPOINT_SCHEMA_VERSION = 8
 
 # 8-byte magic, then schema (u32), payload length (u64), CRC-32 (u32),
 # big-endian, then the pickled payload.
@@ -196,9 +198,6 @@ class ScanCheckpoint:
     # Completed shards, by shard index.  Records are pristine (pre-merge:
     # the rate-limit replay prunes at merge time, never here).
     outcomes: "dict[int, ShardOutcome]" = field(default_factory=dict)
-    # Byte offset the streaming record sink had flushed when this
-    # checkpoint was written (None when the scan buffers records).
-    sink_offset: int | None = None
     telemetry: TelemetrySnapshot | None = None
 
     @property

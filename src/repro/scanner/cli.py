@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import random
 import sys
 from contextlib import nullcontext
 from dataclasses import replace as dc_replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from ..addr.ipv6 import AddressError
@@ -135,7 +134,10 @@ def _scan_config(args, targets: int, seed: int) -> ScanConfig:
     return config
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: building one leaves reference
+    cycles (argparse's help formatters) for the collector."""
     parser = argparse.ArgumentParser(prog="sra-scan", description=__doc__)
     parser.add_argument("--seed", type=int, default=2024, help="world seed")
     parser.add_argument(
@@ -234,14 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         "(the alias filter needs the full record set)",
     )
     parser.add_argument(
-        "--max-rss-check",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="exit 3 if the process's peak RSS exceeded MB mebibytes "
-        "(a guard rail for constant-memory scans)",
-    )
-    parser.add_argument(
         "--checkpoint",
         metavar="PATH",
         help="journal completed shards to PATH after each shard; with "
@@ -307,18 +301,17 @@ def main(argv: list[str] | None = None) -> int:
         "--metrics-out", help="write Prometheus-text metrics here"
     )
     parser.add_argument(
-        "--ring-stats-out",
-        metavar="PATH",
-        help="write the runner's shared-memory transport counters "
-        "(segments/bytes/records/checks/fallbacks) as JSON here",
-    )
-    parser.add_argument(
         "--progress-every",
         type=int,
         default=1000,
         help="emit a telemetry progress event every N probes (0 = none)",
     )
     parser.add_argument("--summary", action="store_true", help="print totals")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     # One-line stderr + exit 2 for bad numeric knobs, so what ScanConfig
     # or RetryPolicy would raise on (NaN and infinities included) never
@@ -438,7 +431,6 @@ def main(argv: list[str] | None = None) -> int:
             ("--pcap", args.pcap),
             ("--telemetry-out", args.telemetry_out),
             ("--metrics-out", args.metrics_out),
-            ("--ring-stats-out", args.ring_stats_out),
             ("--checkpoint", args.checkpoint),
             ("--world-artifact", args.world_artifact),
         ]
@@ -450,7 +442,6 @@ def main(argv: list[str] | None = None) -> int:
     telemetry = (
         ScanTelemetry() if (args.telemetry_out or args.metrics_out) else None
     )
-    runner: ShardedScanRunner | None = None
     # Every mode's rows go through one sink, which also counts them for
     # the summary.  A mode returns an exit code, or the rows it buffered
     # (None when its sink took them) and a callable that renders the
@@ -519,24 +510,11 @@ def main(argv: list[str] | None = None) -> int:
             telemetry.write_jsonl(args.telemetry_out)
         if args.metrics_out:
             telemetry.write_prometheus(args.metrics_out)
-    if args.ring_stats_out and runner is not None:
-        Path(args.ring_stats_out).write_text(
-            json.dumps(runner.ring_stats.as_dict(), indent=2) + "\n"
-        )
     if rows is not None:
         with open_sink() as sink:
             sink.drain(rows)
     if counts is not None:
         print("\n".join(summary(counts)))
-    if args.max_rss_check is not None:
-        peak = peak_rss_mib()
-        if peak > args.max_rss_check:
-            print(
-                f"sra-scan: peak RSS {peak:.1f} MiB exceeded "
-                f"--max-rss-check {args.max_rss_check:.1f} MiB",
-                file=sys.stderr,
-            )
-            return 3
     return 0
 
 
@@ -717,17 +695,6 @@ def _artifact_world(config, path: str):
             file=sys.stderr,
         )
     return build_world_artifact(config, path)
-
-
-def peak_rss_mib() -> float:
-    """This process's lifetime peak resident set size, in MiB."""
-    import resource
-
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is KiB on Linux, bytes on macOS.
-    if sys.platform == "darwin":
-        return peak / (1024 * 1024)
-    return peak / 1024
 
 
 if __name__ == "__main__":

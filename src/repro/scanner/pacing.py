@@ -10,6 +10,10 @@ survey and the probing-method campaigns use this one policy.
 from __future__ import annotations
 
 MIN_PPS = 100.0
+# The paper's pacing: a 50 kpps line rate, each scan spread over 6 virtual
+# seconds.
+PAPER_PPS = 50_000.0
+PAPER_SCAN_DURATION = 6.0
 
 
 def paced_pps(target_count: int, duration: float, ceiling: float) -> float:

@@ -158,9 +158,10 @@ SHARD_BACKOFF_CAP = 5.0
 EXECUTORS = ("auto", "process", "serial")
 
 
-def auto_shard_count(limit: int = 8) -> int:
-    """A sensible default shard count for this machine."""
-    return max(1, min(limit, os.cpu_count() or 1))
+def auto_shard_count() -> int:
+    """A sensible default shard count for this machine: one per core, at
+    most 8."""
+    return max(1, min(8, os.cpu_count() or 1))
 
 
 @dataclass(slots=True)
@@ -992,7 +993,6 @@ class ShardedScanRunner:
             snapshot = (
                 snapshot_telemetry(telemetry) if telemetry is not None else None
             )
-            sink_offset = None if sink is None else sink.byte_offset()
             save_checkpoint(
                 ScanCheckpoint(
                     name=name,
@@ -1002,7 +1002,6 @@ class ShardedScanRunner:
                     target_count=target_count,
                     fingerprint=fingerprint,
                     outcomes=outcomes,
-                    sink_offset=sink_offset,
                     telemetry=snapshot,
                 ),
                 checkpoint_path,

@@ -296,20 +296,14 @@ class SubnetPartitionStream(TargetStream):
 
     __slots__ = ("name", "subnet_length", "prefix", "_step", "_count")
 
-    def __init__(
-        self,
-        prefix: IPv6Prefix,
-        subnet_length: int,
-        *,
-        name: str | None = None,
-    ) -> None:
+    def __init__(self, prefix: IPv6Prefix, subnet_length: int) -> None:
         if subnet_length < prefix.length or subnet_length > ADDRESS_BITS:
             raise ValueError(
                 f"cannot partition /{prefix.length} into /{subnet_length}"
             )
         self.prefix = prefix
         self.subnet_length = subnet_length
-        self.name = name or f"{prefix}@{subnet_length}"
+        self.name = f"{prefix}@{subnet_length}"
         self._step = 1 << (ADDRESS_BITS - subnet_length)
         self._count = 1 << (subnet_length - prefix.length)
 

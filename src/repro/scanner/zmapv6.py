@@ -34,6 +34,7 @@ from ..netsim.engine import (
     ProbeColumns,
     SimulationEngine,
 )
+from ..packet.probe import DEFAULT_PROBE_KEY
 from ..telemetry.events import make_event
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.scan import (
@@ -44,12 +45,12 @@ from ..telemetry.scan import (
 )
 from .backends import (
     BACKENDS,
-    DEFAULT_PROBE_KEY,
     ProbeBackend,
     ResilientBackend,
     RetryPolicy,
     build_backend,
 )
+from .pacing import PAPER_PPS
 from .records import RecordColumns, ScanResult
 from .stream import (
     IndexWindow,
@@ -69,7 +70,7 @@ _LOOPED_REPLY = FLAG_LOOPED | FLAG_REPLY
 class ScanConfig:
     """Scanner knobs; defaults mirror the paper's setup, scaled down."""
 
-    pps: float = 50_000.0
+    pps: float = PAPER_PPS
     hop_limit: int = 64
     seed: int = 1
     shard: int = 0

@@ -66,7 +66,6 @@ def run_disclosure_campaign(
     world: World,
     *,
     response_rate: float = 0.05,
-    rng: random.Random | None = None,
 ) -> DisclosureReport:
     """Contact every operator of a looping AS; a fraction applies the fix.
 
@@ -75,7 +74,7 @@ def run_disclosure_campaign(
     """
     if not 0 <= response_rate <= 1:
         raise ValueError("response_rate must be in [0, 1]")
-    rng = rng or random.Random(0xD15C)
+    rng = random.Random(0xD15C)
     report = DisclosureReport()
     looping_asns = sorted({region.asn for region in world.loop_regions})
     report.contacted_asns = len(looping_asns)

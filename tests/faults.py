@@ -188,9 +188,6 @@ class FailingSink(RecordSink):
     def close(self) -> None:
         self._sink.close()
 
-    def byte_offset(self) -> int | None:
-        return self._sink.byte_offset()
-
 
 class FaultyBackend(WrappingBackend):
     """A :class:`ProbeBackend` wrapper that injects transport faults.

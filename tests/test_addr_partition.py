@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +13,10 @@ from repro.addr.partition import (
     _overlap_groups,
     _partition,
     hitlist_targets,
-    route6_targets,
+    route6_by_prefix,
     stage1_targets,
-    stage2_targets,
-    stage3_targets,
+    stage2_by_prefix,
+    stage3_by_prefix,
 )
 from repro.addr.sra import is_sra_candidate, sra_address, sra_of
 from repro.bgp.table import Announcement, BGPTable
@@ -34,6 +34,11 @@ from repro.scanner.targets import (
 
 def prefixes(*texts):
     return [IPv6Prefix.parse(text) for text in texts]
+
+
+def flat(chunks):
+    """A ``*_by_prefix`` generator's per-prefix chunks, as one list."""
+    return list(chain.from_iterable(chunks))
 
 
 def nth_subnet(prefix, new_length, index):
@@ -101,7 +106,7 @@ class TestStage1:
 class TestStage2:
     def test_enumerates_all_slash48(self):
         announcements = prefixes("2001:db8::/44")
-        targets = list(stage2_targets(announcements))
+        targets = flat(stage2_by_prefix(announcements))
         assert len(targets) == 16
         assert targets[0] == parse_address("2001:db8::")
         assert targets[-1] == parse_address("2001:db8:f::")
@@ -109,9 +114,7 @@ class TestStage2:
     def test_sampling_budget(self):
         announcements = prefixes("2001:db8::/32")
         rng = random.Random(1)
-        targets = list(
-            stage2_targets(announcements, max_per_prefix=10, rng=rng)
-        )
+        targets = flat(stage2_by_prefix(announcements, max_per_prefix=10, rng=rng))
         assert len(targets) == 10
         assert len(set(targets)) == 10
         for target in targets:
@@ -119,28 +122,28 @@ class TestStage2:
 
     def test_slash48_announcement_kept_as_is(self):
         announcements = prefixes("2001:db8:1::/48")
-        assert list(stage2_targets(announcements)) == [
+        assert flat(stage2_by_prefix(announcements)) == [
             parse_address("2001:db8:1::")
         ]
 
     def test_more_specific_lifted_to_supernet(self):
         # A /52 with no covering announcement probes its /48 supernet.
         announcements = prefixes("2001:db8:1:f000::/52")
-        assert list(stage2_targets(announcements)) == [
+        assert flat(stage2_by_prefix(announcements)) == [
             parse_address("2001:db8:1::")
         ]
 
     def test_more_specific_skipped_when_covered(self):
         announcements = prefixes("2001:db8::/32", "2001:db8:1:f000::/52")
         rng = random.Random(2)
-        targets = set(stage2_targets(announcements, max_per_prefix=4, rng=rng))
+        targets = set(flat(stage2_by_prefix(announcements, max_per_prefix=4, rng=rng)))
         # Only the /32's own partition contributes; the /52 adds nothing
         # beyond what the covering /32 already partitions.
         assert len(targets) == 4
 
     def test_deduplicates_overlapping_announcements(self):
         announcements = prefixes("2001:db8::/44", "2001:db8::/48")
-        targets = list(stage2_targets(announcements))
+        targets = flat(stage2_by_prefix(announcements))
         assert len(targets) == len(set(targets)) == 16
 
     @given(
@@ -181,9 +184,7 @@ class TestStage2:
                 else reference.sample(range(count), max_per_prefix)
             )
             expected += [prefix.network | (index << 80) for index in indices]
-        got = list(
-            stage2_targets(announced, max_per_prefix=max_per_prefix, rng=rng)
-        )
+        got = flat(stage2_by_prefix(announced, max_per_prefix=max_per_prefix, rng=rng))
         assert got == list(dict.fromkeys(expected))
         assert rng.getstate() == reference.getstate()
 
@@ -192,9 +193,7 @@ class TestStage3:
     def test_only_slash48_announcements_expanded(self):
         announcements = prefixes("2001:db8::/32", "2001:db9:1::/48")
         rng = random.Random(3)
-        targets = list(
-            stage3_targets(announcements, max_per_prefix=8, rng=rng)
-        )
+        targets = flat(stage3_by_prefix(announcements, max_per_prefix=8, rng=rng))
         assert len(targets) == 8
         for target in targets:
             assert IPv6Prefix.of(target, 48).network == parse_address(
@@ -204,17 +203,17 @@ class TestStage3:
     def test_targets_are_slash64_networks(self):
         announcements = prefixes("2001:db8:1::/48")
         rng = random.Random(4)
-        for target in stage3_targets(announcements, max_per_prefix=32, rng=rng):
+        for target in flat(stage3_by_prefix(announcements, max_per_prefix=32, rng=rng)):
             assert is_sra_candidate(target, 64)
 
     def test_full_enumeration_count(self):
         announcements = prefixes("2001:db8:1::/48")
-        targets = list(stage3_targets(announcements, max_per_prefix=None))
+        targets = flat(stage3_by_prefix(announcements, max_per_prefix=None))
         assert len(targets) == 1 << 16
 
     def test_repeated_announcement_adds_nothing(self):
         announcements = prefixes("2001:db8:1::/48", "2001:db9::/48", "2001:db8:1::/48")
-        targets = list(stage3_targets(announcements, max_per_prefix=3))
+        targets = flat(stage3_by_prefix(announcements, max_per_prefix=3))
         assert targets == [
             parse_address(text)
             for text in (
@@ -227,23 +226,25 @@ class TestStage3:
 class TestRoute6:
     def test_samples_per_prefix(self):
         rng = random.Random(5)
-        targets = list(
-            route6_targets(prefixes("2001:db8:1::/48"), per_prefix=100, rng=rng)
+        targets = flat(
+            route6_by_prefix(prefixes("2001:db8:1::/48"), per_prefix=100, rng=rng)
         )
         assert len(targets) == 100
         assert len(set(targets)) == 100
 
     def test_small_prefix_enumerated(self):
         rng = random.Random(6)
-        targets = list(
-            route6_targets(prefixes("2001:db8:1:fff0::/60"), per_prefix=100, rng=rng)
+        targets = flat(
+            route6_by_prefix(
+                prefixes("2001:db8:1:fff0::/60"), per_prefix=100, rng=rng
+            )
         )
         assert len(targets) == 16  # only 16 /64s exist
 
     def test_longer_than_64_collapsed(self):
         rng = random.Random(7)
-        targets = list(
-            route6_targets(
+        targets = flat(
+            route6_by_prefix(
                 prefixes("2001:db8:1:2:8000::/66"), per_prefix=10, rng=rng
             )
         )
@@ -252,7 +253,7 @@ class TestRoute6:
     def test_targets_inside_registration(self):
         rng = random.Random(8)
         registration = IPv6Prefix.parse("2001:db8:42::/48")
-        for target in route6_targets([registration], per_prefix=50, rng=rng):
+        for target in flat(route6_by_prefix([registration], per_prefix=50, rng=rng)):
             assert target in registration
 
     @given(
@@ -291,7 +292,7 @@ class TestRoute6:
                 else reference.sample(range(count), per_prefix)
             )
             expected += [prefix.network | (index << 64) for index in indices]
-        got = list(route6_targets(registered, per_prefix=per_prefix, rng=rng))
+        got = flat(route6_by_prefix(registered, per_prefix=per_prefix, rng=rng))
         assert got == list(dict.fromkeys(expected))
         assert rng.getstate() == reference.getstate()
 
@@ -395,7 +396,7 @@ class TestPartitionAgainstPrefixMethods:
             expected += [
                 s.network for s in subnets if s.network not in expected
             ]
-        assert list(stage2_targets(announcements, max_per_prefix=3)) == expected
+        assert flat(stage2_by_prefix(announcements, max_per_prefix=3)) == expected
 
     @given(
         picks=st.lists(
@@ -438,12 +439,12 @@ class TestPartitionAgainstPrefixMethods:
     def test_negative_budgets_are_value_errors(self, rng):
         announcements = prefixes("2001:db8::/32", "2001:db8:1::/48")
         with pytest.raises(ValueError, match="max_per_prefix"):
-            list(stage2_targets(announcements, max_per_prefix=-1, rng=rng))
+            flat(stage2_by_prefix(announcements, max_per_prefix=-1, rng=rng))
         with pytest.raises(ValueError, match="max_per_prefix"):
-            list(stage3_targets(announcements, max_per_prefix=-1, rng=rng))
+            flat(stage3_by_prefix(announcements, max_per_prefix=-1, rng=rng))
         for registered in ("2001:db8::/32", "2001:db8:1::/48"):  # both samplers
             with pytest.raises(ValueError, match="per_prefix"):
-                route6_targets(
+                route6_by_prefix(
                     prefixes(registered), per_prefix=-1, rng=random.Random(1)
                 )
 

@@ -97,14 +97,12 @@ class TestRoundTrip:
             target_count=len(targets),
             fingerprint=target_fingerprint(targets),
             outcomes={1: outcome},
-            sink_offset=1234,
             telemetry=snapshot_telemetry(telemetry),
         )
         path = tmp_path / "rt.ckpt"
         save_checkpoint(checkpoint, path)
         loaded = load_checkpoint(path)
         assert loaded.completed_shards == [1]
-        assert loaded.sink_offset == 1234
         got = loaded.outcomes[1]
         # Field for field: the columns hand back plain ints and floats.
         assert [astuple(r) for r in got.result.records] == [
@@ -132,7 +130,6 @@ class TestRoundTrip:
         ),
         target_count=st.integers(min_value=0, max_value=2**40),
         fingerprint=st.integers(min_value=0, max_value=2**32 - 1),
-        sink_offset=st.none() | st.integers(min_value=0, max_value=2**48),
     )
     def test_identity_fields_round_trip(
         self,
@@ -144,7 +141,6 @@ class TestRoundTrip:
         pps,
         target_count,
         fingerprint,
-        sink_offset,
     ):
         path = tmp_path_factory.mktemp("hyp") / "x.ckpt"
         checkpoint = ScanCheckpoint(
@@ -154,7 +150,6 @@ class TestRoundTrip:
             scan_key=config_key(ScanConfig(pps=pps, seed=seed)),
             target_count=target_count,
             fingerprint=fingerprint,
-            sink_offset=sink_offset,
         )
         save_checkpoint(checkpoint, path)
         assert load_checkpoint(path) == checkpoint
@@ -299,9 +294,9 @@ class TestCorruptionDetection:
     # journals pickled a metrics registry into every shard's telemetry, v3
     # ones the target stream's rebuild recipe, v4 ones one ScanRecord per
     # row, v5 ones a BackendSpec in the config key, v6 ones an ops stream in
-    # the telemetry snapshot.
+    # the telemetry snapshot, v7 ones a sink offset.
     @pytest.mark.parametrize(
-        "schema", [1, 2, 3, 4, 5, 6, CHECKPOINT_SCHEMA_VERSION + 1]
+        "schema", [1, 2, 3, 4, 5, 6, 7, CHECKPOINT_SCHEMA_VERSION + 1]
     )
     def test_schema_skew(self, tmp_path, schema):
         assert schema != CHECKPOINT_SCHEMA_VERSION
@@ -430,7 +425,7 @@ class TestCLIExitCodes:
         assert "truncated" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("schema", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("schema", [2, 3, 4, 5, 6, 7])
     def test_stale_schema_checkpoint_exits_4(self, tmp_path, capsys, schema):
         from repro.scanner.cli import main
 
@@ -443,7 +438,7 @@ class TestCLIExitCodes:
         captured = capsys.readouterr()
         assert code == 4
         assert (
-            f"uses checkpoint schema v{schema}; this build speaks v7"
+            f"uses checkpoint schema v{schema}; this build speaks v8"
             in captured.err
         )
         assert captured.err.count("\n") == 1

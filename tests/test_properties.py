@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,7 @@ from repro.addr.ipv6 import (
     parse_address,
     prefix_mask,
 )
-from repro.addr.partition import _sample_range, hitlist_targets, stage2_targets
+from repro.addr.partition import _sample_range, hitlist_targets, stage2_by_prefix
 from repro.addr.permutation import CyclicPermutation, next_prime
 from repro.addr.randomgen import random_targets_for_sras
 from repro.addr.sra import is_sra_candidate, sra_address, sra_of
@@ -178,9 +179,8 @@ class TestStage2Properties:
     def test_stage2_targets_are_distinct_slash48_networks(self, pairs, budget):
         announcements = [make_prefix(a, length) for a, length in pairs]
         rng = random.Random(0)
-        targets = list(
-            stage2_targets(announcements, max_per_prefix=budget, rng=rng)
-        )
+        chunks = stage2_by_prefix(announcements, max_per_prefix=budget, rng=rng)
+        targets = list(chain.from_iterable(chunks))
         assert len(targets) == len(set(targets))
         for target in targets:
             assert network_of(target, 48) == target

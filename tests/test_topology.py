@@ -1,7 +1,12 @@
 """Tests for the world generator: structural invariants and determinism."""
 
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.addr.ipv6 import IPv6Prefix
 from repro.topology.config import WorldConfig, tiny_config
 from repro.topology.entities import ASType, EntryKind
@@ -37,6 +42,21 @@ class TestConfigValidation:
     def test_tiny_config_valid(self):
         config = tiny_config()
         assert config.num_ases == 60
+
+    def test_only_the_queued_priors_are_read_by_nothing(self):
+        """A field no ``src/`` module reads as an attribute changes nothing
+        when a user sets it.  The two listed wait for the next world
+        regeneration (ROADMAP item 9): removing or wiring either one
+        changes ``repr(config)``, so the artifact fingerprint and the
+        world goldens.  Any other dead prior fails here."""
+        read = {
+            node.attr
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        unread = [field.name for field in fields(WorldConfig) if field.name not in read]
+        assert unread == ["flaky_response_probability", "background_window_seconds"]
 
 
 class TestVendorProfiles:
