@@ -90,6 +90,13 @@ def network_of(address: int, length: int) -> int:
     return address & _NETWORK_MASKS[length]
 
 
+def set_slots(self, state: list) -> None:
+    """``__setstate__`` of a frozen slots dataclass: its slots from the list
+    the dataclass's ``__getstate__`` pickled, minus its ``fields()`` walk."""
+    for name, value in zip(self.__slots__, state):
+        object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class IPv6Prefix:
     """An IPv6 prefix (network, length) with the network bits normalised.
@@ -100,6 +107,7 @@ class IPv6Prefix:
 
     network: int
     length: int
+    __setstate__ = set_slots
 
     def __post_init__(self) -> None:
         if not 0 <= self.length <= ADDRESS_BITS:

@@ -53,14 +53,18 @@ class FrozenRow:
     ``keys_hi`` / ``keys_lo`` are parallel sequences of unsigned 64-bit
     words sorted by ``(hi, lo)`` — any object speaking the sequence
     protocol works (``array('Q')``, a ``memoryview(...).cast('Q')`` over
-    an mmap).  ``values`` is a parallel sequence; a lazy implementation
-    may materialise entries on first access, but must return the *same*
-    object for the same index every time, to every thread (callers key
-    caches by payload identity; publish with ``dict.setdefault``).
-    :meth:`match` memoises the interned ``(prefix, value)`` tuple per
-    index on first use: in a :class:`FrozenLPM`'s longest row the memo
-    grows with the entries a scan actually hits, not with the table; every
-    shorter row is matched in full when the map is built (:func:`flatten`).
+    an mmap).  ``values`` is a parallel sequence.  The length is checked
+    here, once; a key with bits set below it raises in :meth:`match`.
+    :meth:`match` interns entry ``i``'s ``(prefix, value)`` tuple on first
+    use, and ``FrozenLPM``'s ``get`` / ``items`` / ``all_matches`` /
+    ``longest_match`` all hand out that tuple or its value: one object per
+    entry, to every caller and thread (callers key caches by payload
+    identity; the memo publishes with ``dict.setdefault``).  A subclass may
+    decode the value in an overriding ``match`` (the world artifact's
+    resolution rows do), keeping this memo as the entry's only cache.  In
+    a :class:`FrozenLPM`'s longest row the memo grows with the entries a
+    scan actually hits; every shorter row is matched in full when the map
+    is built (:func:`flatten`).
     """
 
     __slots__ = ("length", "mask", "keys_hi", "keys_lo", "values", "_matches")
@@ -257,7 +261,7 @@ class FrozenLPM(BlockCachedLPM[V]):
         for row in self._rows_desc:
             if row.length == prefix.length:
                 i = row.find(prefix.network)
-                return row.values[i] if i >= 0 else default
+                return row.match(i)[1] if i >= 0 else default
         return default
 
     def has_cover(self, prefix: IPv6Prefix, *, strict: bool = False) -> bool:
@@ -281,12 +285,7 @@ class FrozenLPM(BlockCachedLPM[V]):
 
     def items(self) -> Iterator[tuple[IPv6Prefix, V]]:
         for row in reversed(self._rows_desc):  # ascending length
-            keys_hi = row.keys_hi
-            keys_lo = row.keys_lo
-            values = row.values
-            for i in range(len(keys_hi)):
-                network = (keys_hi[i] << 64) | keys_lo[i]
-                yield IPv6Prefix(network, row.length), values[i]
+            yield from map(row.match, range(len(row)))
 
     # ------------------------------------------------------------------ #
     # mutation: refused

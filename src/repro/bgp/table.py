@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from ..addr.ipv6 import IPv6Prefix
+from ..addr.ipv6 import IPv6Prefix, set_slots
 from .lpm import LengthIndexedLPM
 
 
@@ -22,6 +22,7 @@ class Announcement:
 
     prefix: IPv6Prefix
     origin_asn: int
+    __setstate__ = set_slots
 
     def __str__(self) -> str:
         return f"{self.prefix} AS{self.origin_asn}"

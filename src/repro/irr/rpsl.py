@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..addr.ipv6 import IPv6Prefix
+from ..addr.ipv6 import IPv6Prefix, set_slots
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,3 +30,4 @@ class Route6Object:
     maintainer: str = ""
     source: str = ""
     extra: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    __setstate__ = set_slots

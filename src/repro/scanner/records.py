@@ -60,13 +60,12 @@ class ScanRecord:
 CSV_HEADER = "target,source,icmp_type,code,count,time\r\n"
 
 
-def address_text(rows: "RecordColumns") -> tuple[list[str], list[str]]:
+def address_text(rows: "RecordColumns", ints=None) -> tuple[list[str], list[str]]:
     """The target and source columns as RFC 5952 text — most of the cost
-    of either format, so whoever writes both renders it once."""
-    return (
-        list(map(format_address, rows.addresses("target"))),
-        list(map(format_address, rows.addresses("source"))),
-    )
+    of either format, so whoever writes both renders it once (``ints``:
+    the two columns as 128-bit ints, when the caller has them)."""
+    targets, sources = ints or (rows.addresses("target"), rows.addresses("source"))
+    return list(map(format_address, targets)), list(map(format_address, sources))
 
 
 def _text_rows(rows: "RecordColumns", text) -> Iterator[tuple]:

@@ -436,6 +436,12 @@ def _validate_shard_windows(ordered: Sequence[ShardOutcome]) -> None:
         )
 
 
+# Shard futures not yet released below.  An abandoned pool (an interrupt)
+# releases on its manager thread, under the resource tracker's lock: a pool
+# forked meanwhile would hand its workers that lock, held for good.
+_UNRELEASED: set[Future] = set()
+
+
 def _release_unclaimed(
     futures: "dict[Future, int]", scan: str, attempts: dict[int, int]
 ) -> None:
@@ -445,13 +451,17 @@ def _release_unclaimed(
     it; shards still running when a scan is abandoned release on arrival."""
 
     def release(frame: str, future: Future) -> None:
-        if future.cancelled():
-            return
-        if future.exception() is None:
-            release_outcome(future.result())
-        else:
-            release_frame(frame)
+        try:
+            if future.cancelled():
+                return
+            if future.exception() is None:
+                release_outcome(future.result())
+            else:
+                release_frame(frame)
+        finally:
+            _UNRELEASED.discard(future)
 
+    _UNRELEASED.update(futures)
     for future, shard in futures.items():
         frame = _frame_name(scan, shard, attempts.get(shard, 0))
         future.add_done_callback(partial(release, frame))
@@ -522,7 +532,9 @@ def _scanner_in_place(world: World, config: ScanConfig, epoch: int, **telemetry)
 
 def _open_pool(world: World, workers: int, targets: tuple) -> ProcessPoolExecutor:
     """A pool whose workers hold ``world`` and the ``targets`` lists its
-    tasks name by index."""
+    tasks name by index, forked once every abandoned shard has released."""
+    while _UNRELEASED:  # each goes as its shard ends
+        time.sleep(0.01)
     return ProcessPoolExecutor(
         workers, initializer=_init_worker, initargs=(world_payload(world), targets)
     )

@@ -545,11 +545,12 @@ class CountingSink(RecordSink):
         self.echo_sources: set[int] = set()
         self.error_sources: set[int] = set()
 
-    def _write_chunk(self, rows: RecordColumns) -> None:
+    def _write_chunk(self, rows: RecordColumns, ints=None) -> None:
+        """``ints``: the target and source int lists, when a tee has them."""
+        targets, sources = ints or (rows.addresses("target"), list(rows.addresses("source")))
         self.emitted += len(rows)
         self.flood_packets += sum(rows.count) - len(rows)
-        self.responsive_targets.update(rows.addresses("target"))
-        sources = list(rows.addresses("source"))
+        self.responsive_targets.update(targets)
         self.sources.update(sources)
         errors = bytes(map((128).__gt__, rows.icmp_type))
         self.errors += errors.count(1)
@@ -575,13 +576,15 @@ class TeeSink(RecordSink):
     emitted: int = 0
 
     def _write_chunk(self, rows: RecordColumns) -> None:
-        # Address text is most of a text sink's work and the same for
-        # every format: render it once per chunk for all of them.
+        # The addresses as ints, and their text, are most of the text and
+        # counting sinks' work: make each once per chunk for all of them.
+        ints = list(rows.addresses("target")), list(rows.addresses("source"))
         text = None
         for sink in self.sinks:
-            if isinstance(sink, _TextSink):
-                if text is None:
-                    text = address_text(rows)
+            if isinstance(sink, CountingSink):
+                sink._write_chunk(rows, ints)
+            elif isinstance(sink, _TextSink):
+                text = text or address_text(rows, ints)
                 sink._write_chunk(rows, text)
             else:
                 sink.drain(rows)

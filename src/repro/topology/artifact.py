@@ -13,11 +13,13 @@ walls:
   finished* (see ``build_world_artifact``), so generation peak RSS is
   bounded by the per-AS working set, not the world size.
 * :func:`load_world_artifact` memory-maps the file and returns a
-  ``World`` whose ``routers``/``subnets`` are lazy read-only maps
-  (entities materialise on first touch and are cached by identity) and
-  whose ``resolution`` is a :class:`~repro.bgp.frozenfib.FrozenLPM`
-  whose key columns are zero-copy ``memoryview`` casts straight into the
-  mmap — every shard worker shares the same physical pages.
+  ``World`` whose ``routers``/``subnets`` are read-only dicts that decode
+  a row on first touch (``__missing__``) and keep it, and whose
+  ``resolution`` is a :class:`~repro.bgp.frozenfib.FrozenLPM` whose key
+  columns are zero-copy ``memoryview`` casts straight into the mmap —
+  every shard worker shares the same physical pages.  A row is decoded
+  once, from slots (only a subnet row's network words are re-checked),
+  and kept once: a resolution entry in its row's match memo.
 * :class:`WorldRef` is the O(KB) worker bootstrap: the sharded runner
   ships ``(path, fingerprint)`` instead of the pickled world and each
   worker resolves it to the world already loaded from that path — the
@@ -66,24 +68,13 @@ from typing import Iterator
 
 from ..addr.ipv6 import IPv6Prefix
 from ..bgp.frozenfib import FrozenLPM, FrozenRow
-from .entities import (
-    EntryKind,
-    ResolutionEntry,
-    Router,
-    Subnet,
-    World,
-)
+from .entities import EntryKind, ResolutionEntry, Router, Subnet, World
 from .profiles import VendorProfile, vendor_by_name
 
 __all__ = [
-    "ArtifactError",
-    "WorldArtifactWriter",
-    "WorldRef",
-    "build_fingerprint",
-    "load_world_artifact",
-    "resolve_world_ref",
-    "save_world",
-]
+    "ArtifactError", "WorldArtifactWriter", "WorldRef", "build_fingerprint",
+    "load_world_artifact", "resolve_world_ref", "save_world",
+]  # fmt: skip
 
 _MAGIC = b"SRAWRLD1"
 _VERSION = 1
@@ -99,24 +90,18 @@ if sys.byteorder != "little":  # pragma: no cover - LE-only project
     raise ImportError("world artifacts require a little-endian platform")
 
 _SECTION_NAMES = (
-    "meta",
-    "small",
-    "routers",
-    "router_var",
-    "router_index",
-    "subnets",
-    "subnet_hosts",
-    "subnet_index",
-    "resolution",
-)
+    "meta", "small", "routers", "router_var", "router_index",
+    "subnets", "subnet_hosts", "subnet_index", "resolution",
+)  # fmt: skip
 
 # Router fixed record: id, asn, country idx, vendor idx, flags,
 # loopback (hi, lo), peering LAN address (hi, lo), replication factor,
 # background error load, interface var (word offset, count), subnet
 # interface var (word offset, count).
 _ROUTER = struct.Struct("<qqHHHQQQQddQIQI")
-# Router flag bits: the boolean fields in bit order, then "has a peering
-# LAN address".
+# Router flag bits: the boolean fields in bit order (which is their order
+# in ``Router``, so a decode passes them positionally), then "has a
+# peering LAN address".
 _ROUTER_FLAGS = (
     "replies_from_peering",
     "answers_direct_ping",
@@ -142,6 +127,12 @@ _SF_HAS_DEATH = 1 << 2
 _RES_BLOCK = struct.Struct("<IIQ")
 _CODE_KINDS = (EntryKind.SUBNET, EntryKind.ALIAS, EntryKind.LOOP, EntryKind.INFRA)
 _KIND_CODES = {kind: code for code, kind in enumerate(_CODE_KINDS)}
+
+# A decode builds its frozen values by setting their slots: the writer
+# packed valid ones, so neither ``__init__`` nor ``__post_init__`` runs.
+_new = object.__new__
+_set_network, _set_length = IPv6Prefix.network.__set__, IPv6Prefix.length.__set__
+_set_kind, _set_payload = ResolutionEntry.kind.__set__, ResolutionEntry.payload.__set__
 
 
 class ArtifactError(RuntimeError):
@@ -518,14 +509,11 @@ def save_world(
 
 
 class _ArtifactReader:
-    """Shared decode state: the mmap, section views, and entity caches.
-
-    Entity caches are keyed by row and grow only with *touched* entities
-    — the property that lets a million-router world scan in a bounded
-    heap.  The same cache backs the lazy maps and the resolution values,
-    so payload identity is stable everywhere (the engine keys per-batch
-    plans by ``id(subnet)``).
-    """
+    """Shared decode state: the mmap and its section views.  It caches
+    nothing: a decoded entity's one memo is the lazy map that hands it out
+    (resolution rows ask the subnet map), which grows only with *touched*
+    entities — what lets a million-router world scan in a bounded heap —
+    and keeps payload identity stable (the engine keys plans by ``id``)."""
 
     def __init__(self, path: Path) -> None:
         self.path = path
@@ -575,36 +563,14 @@ class _ArtifactReader:
         self._hosts = self._section("subnet_hosts").cast("Q")
         index = self._section("subnet_index")
         (index_count,) = struct.unpack_from("<Q", index, 0)
-        word = 8
-        hi_off = word
-        lo_off = hi_off + index_count * word
-        row_off = lo_off + index_count * word
-        self._subnet_keys = FrozenRow(  # values: the network's subnet row
-            64,
-            index[hi_off:lo_off].cast("Q"),
-            index[lo_off:row_off].cast("Q"),
-            index[row_off : row_off + index_count * word].cast("q"),
-        )
-        self._router_cache: dict[int, Router] = {}
-        self._subnet_cache: dict[int, Subnet] = {}
+        # values: the network's subnet row
+        self._subnet_keys = FrozenRow(64, *_key_columns(index, 8, index_count))
 
     def _section(self, name: str) -> memoryview:
         offset, length = self._sections[name]
         return self._view[offset : offset + length]
 
     # ---------------- routers ---------------- #
-
-    def router(self, router_id: int) -> Router:
-        cached = self._router_cache.get(router_id)
-        if cached is not None:
-            return cached
-        slot = router_id - 1
-        if not 0 <= slot < len(self._router_index):
-            raise KeyError(router_id)
-        row = self._router_index[slot]
-        if row < 0:
-            raise KeyError(router_id)
-        return self._router_at(row)
 
     def router_id_at(self, row: int) -> int:
         return _ROUTER.unpack_from(self._view, self._routers_off + row * _ROUTER.size)[0]
@@ -616,22 +582,14 @@ class _ArtifactReader:
             self._view, self._routers_off + row * _ROUTER.size
         )
         var = self._router_var
-        router = Router(
-            router_id=router_id,
-            asn=asn,
-            country=self.countries[country_idx],
-            vendor=self.vendors[vendor_idx],
-            loopback=(loop_hi << 64) | loop_lo,
-            interface_addresses=_Addresses(var, iface_off, iface_count, list),  # type: ignore[arg-type]
-            subnet_interfaces=_InterfaceMap(var, subif_off, subif_count),  # type: ignore[arg-type]
-            peering_lan_address=(
-                (peer_hi << 64) | peer_lo if flags & _RF_HAS_PEERING else None
-            ),
-            **{name: bool(flags & bit) for name, bit in zip(_ROUTER_FLAGS, _RF_BITS)},
-            replication_factor=replication,
-            background_error_load=background,
-        )
-        return self._router_cache.setdefault(router.router_id, router)
+        return Router(
+            router_id, asn, self.countries[country_idx], self.vendors[vendor_idx],
+            (loop_hi << 64) | loop_lo,
+            _Addresses(var, iface_off, iface_count, list),  # type: ignore[arg-type]
+            _InterfaceMap(var, subif_off, subif_count),  # type: ignore[arg-type]
+            (peer_hi << 64) | peer_lo if flags & _RF_HAS_PEERING else None,
+            *[bool(flags & bit) for bit in _RF_BITS], replication, background,
+        )  # fmt: skip
 
     # ---------------- subnets ---------------- #
 
@@ -641,31 +599,28 @@ class _ArtifactReader:
         i = keys.find(network)
         return keys.values[i] if i >= 0 else -1
 
-    def subnet(self, row: int) -> Subnet:
-        cached = self._subnet_cache.get(row)
-        if cached is not None:
-            return cached
+    def _subnet_at(self, row: int, network: int) -> Subnet:
+        """Decode subnet ``row``, which must hold the /64 ``network``."""
         (net_hi, net_lo, asn, router_id, iface_hi, iface_lo, flags, death,
          host_count, host_off) = _SUBNET.unpack_from(
             self._view, self._subnets_off + row * _SUBNET.size
         )
-        subnet = Subnet(
-            prefix=IPv6Prefix((net_hi << 64) | net_lo, 64),
-            asn=asn,
-            router_id=router_id,
-            router_interface=(iface_hi << 64) | iface_lo,
-            hosts=_Addresses(self._hosts, host_off, host_count, tuple) if host_count else (),
-            aliased=bool(flags & _SF_ALIASED),
-            flaky=bool(flags & _SF_FLAKY),
-            death_epoch=death if flags & _SF_HAS_DEATH else None,
-        )
-        return self._subnet_cache.setdefault(row, subnet)
+        if net_lo or net_hi << 64 != network:  # host bits set, or a stray index
+            raise ArtifactError(f"{self.path}: subnet row {row} holds "
+                                f"{net_hi:#x}:{net_lo:#x}, not the /64 {network:#x}")
+        prefix = _new(IPv6Prefix)
+        _set_network(prefix, network)
+        _set_length(prefix, 64)
+        hosts = _Addresses(self._hosts, host_off, host_count, tuple) if host_count else ()
+        return Subnet(
+            prefix, asn, router_id, (iface_hi << 64) | iface_lo, hosts,
+            bool(flags & _SF_ALIASED), bool(flags & _SF_FLAKY),
+            death if flags & _SF_HAS_DEATH else None,
+        )  # fmt: skip
 
     def subnet_network_at(self, row: int) -> int:
-        net_hi, net_lo = struct.unpack_from(
-            "<QQ", self._view, self._subnets_off + row * _SUBNET.size
-        )
-        return (net_hi << 64) | net_lo
+        hi, lo = struct.unpack_from("<QQ", self._view, self._subnets_off + row * _SUBNET.size)
+        return (hi << 64) | lo
 
     # ---------------- resolution ---------------- #
 
@@ -677,20 +632,57 @@ class _ArtifactReader:
         for _ in range(num_lengths):
             length, _pad, count = _RES_BLOCK.unpack_from(section, offset)
             offset += _RES_BLOCK.size
-            hi = section[offset : offset + count * 8].cast("Q")
-            offset += count * 8
-            lo = section[offset : offset + count * 8].cast("Q")
-            offset += count * 8
-            refs = section[offset : offset + count * 8].cast("q")
-            offset += count * 8
+            hi, lo, refs = _key_columns(section, offset, count)
+            offset += count * 24
             kinds = section[offset : offset + count]
             offset += count + _pad8(count)
-            rows.append(
-                FrozenRow(
-                    length, hi, lo, _LazyEntries(self, world, hi, lo, kinds, refs)
-                )
-            )
+            rows.append(_ResolutionRow(length, hi, lo, refs, kinds, world))
         return rows
+
+
+class _ResolutionRow(FrozenRow):
+    """One length of the artifact's resolution index.  ``values`` is its
+    ref column; :meth:`match` decodes entry ``i`` from its kind and ref on
+    first use into the row's memo — the only cache of the entry — and a
+    subnet entry's tuple holds the subnet's own prefix."""
+
+    __slots__ = ("_kinds", "_subnets", "_regions")
+
+    def __init__(self, length, hi, lo, refs, kinds, world: World) -> None:
+        super().__init__(length, hi, lo, refs)
+        self._kinds = kinds
+        # The world's containers, not the world, whose resolution holds
+        # this row: a dropped world is then freed by refcount.  The regions
+        # are in ``_CODE_KINDS`` order, so a kind code indexes them.
+        self._subnets: LazySubnetMap = world.subnets  # type: ignore[assignment]
+        self._regions = (None, world.alias_regions, world.loop_regions, world.infra_subnets)
+
+    def match(self, i: int) -> tuple[IPv6Prefix, ResolutionEntry]:
+        found = self._matches.get(i)
+        if found is None:
+            code = self._kinds[i]
+            kind = _CODE_KINDS[code]
+            ref = self.values[i]
+            network = (self.keys_hi[i] << 64) | self.keys_lo[i]
+            if kind is EntryKind.SUBNET:
+                payload = self._subnets.decoded(network, ref)
+                prefix = payload.prefix
+            else:  # a region by its list index, an infra subnet by its network
+                prefix = IPv6Prefix(network, self.length)
+                payload = self._regions[code][network if kind is EntryKind.INFRA else ref]
+            entry = _new(ResolutionEntry)
+            _set_kind(entry, kind)
+            _set_payload(entry, payload)
+            found = self._matches.setdefault(i, (prefix, entry))
+        return found
+
+
+def _key_columns(section: memoryview, offset: int, count: int) -> list[memoryview]:
+    """The hi (u64), lo (u64) and ref (i64) columns of ``count`` sorted keys
+    laid out one after another from ``offset``: a resolution block's or
+    the subnet index's."""
+    cut = [offset + count * 8 * k for k in range(4)]
+    return [section[a:b].cast(code) for a, b, code in zip(cut, cut[1:], "QQq")]
 
 
 def _pairs(words, off: int, n: int, stride: int) -> Iterator[int]:
@@ -784,59 +776,42 @@ class _InterfaceMap(Mapping):
         return repr(self.__reduce__()[1][0])
 
 
-class _LazyEntries:
-    """Value column of one frozen-resolution row: entries materialise on
-    first access and stay cached (stable identity)."""
-
-    __slots__ = ("_reader", "_regions", "_hi", "_lo", "_kinds", "_refs", "_cache")
-
-    def __init__(self, reader, world, hi, lo, kinds, refs) -> None:
-        self._reader = reader
-        # The world's containers, not the world, whose resolution holds
-        # this column: a dropped world is then freed by refcount.
-        self._regions = world.loop_regions, world.alias_regions, world.infra_subnets
-        self._hi = hi
-        self._lo = lo
-        self._kinds = kinds
-        self._refs = refs
-        self._cache: dict[int, ResolutionEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._kinds)
-
-    def __getitem__(self, i: int) -> ResolutionEntry:
-        entry = self._cache.get(i)
-        if entry is None:
-            kind = _CODE_KINDS[self._kinds[i]]
-            ref = self._refs[i]
-            loops, aliases, infra = self._regions
-            if kind is EntryKind.SUBNET:
-                payload = self._reader.subnet(ref)
-            elif kind is EntryKind.LOOP:
-                payload = loops[ref]
-            elif kind is EntryKind.ALIAS:
-                payload = aliases[ref]
-            else:  # INFRA: keyed by its own network
-                payload = infra[(self._hi[i] << 64) | self._lo[i]]
-            entry = self._cache.setdefault(i, ResolutionEntry(kind, payload))
-        return entry
-
-
-class LazyRouterMap(Mapping):
-    """Read-only ``{router_id: Router}`` over the artifact.
-
-    Lookup materialises (and caches) one router; iteration follows the
-    original insertion order so loaded worlds behave byte-identically to
-    built ones wherever order is observable.
-    """
+class _DecodedMap(dict):
+    """Read-only mapping over artifact rows that is also their memo: a
+    decoded entity sits in the dict, so reading it again is a plain dict
+    lookup, and ``__missing__`` decodes a key's row (racing threads keep
+    the first object stored).  As a mapping it covers every row —
+    ``len``, iteration, ``in``, ``get``, ``==`` and the views — and every
+    mutator raises TypeError."""
 
     __slots__ = ("_reader",)
 
     def __init__(self, reader: _ArtifactReader) -> None:
+        super().__init__()
         self._reader = reader
 
-    def __getitem__(self, router_id: int) -> Router:
-        return self._reader.router(router_id)
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} of a loaded world is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = __or__ = __ror__ = __reversed__ = _refuse
+    clear = copy = pop = popitem = setdefault = update = _refuse
+    __contains__, get, __eq__ = Mapping.__contains__, Mapping.get, Mapping.__eq__
+    keys, values, items = Mapping.keys, Mapping.values, Mapping.items
+    __ne__ = object.__ne__  # not dict's, which compares only what was decoded
+    __repr__ = object.__repr__
+
+
+class LazyRouterMap(_DecodedMap):
+    """``{router_id: Router}`` over the artifact.  Iteration follows the
+    original insertion order so loaded worlds behave byte-identically to
+    built ones wherever order is observable."""
+
+    def __missing__(self, router_id: int) -> Router:
+        index = self._reader._router_index
+        slot = router_id - 1
+        if not 0 <= slot < len(index) or index[slot] < 0:
+            raise KeyError(router_id)
+        return dict.setdefault(self, router_id, self._reader._router_at(index[slot]))
 
     def __len__(self) -> int:
         return self._reader.router_rows
@@ -855,21 +830,22 @@ class LazyRouterMap(Mapping):
         )
 
 
-class LazySubnetMap(Mapping):
-    """Read-only ``{network: Subnet}`` over the artifact (row order ==
-    registration order, duplicate registrations collapse keep-last).
-    A decoded subnet is cached; its ``hosts`` stay in the mapped file."""
+class LazySubnetMap(_DecodedMap):
+    """``{network: Subnet}`` over the artifact (row order == registration
+    order, duplicate registrations collapse keep-last).  A decoded
+    subnet's ``hosts`` stay in the mapped file."""
 
-    __slots__ = ("_reader",)
+    def __missing__(self, network: int) -> Subnet:
+        return self.decoded(network, self._reader.subnet_row_of(network))
 
-    def __init__(self, reader: _ArtifactReader) -> None:
-        self._reader = reader
-
-    def __getitem__(self, network: int) -> Subnet:
-        row = self._reader.subnet_row_of(network)
-        if row < 0:
-            raise KeyError(network)
-        return self._reader.subnet(row)
+    def decoded(self, network: int, row: int) -> Subnet:
+        """``self[network]``, whose ``row`` is known (-1: there is none)."""
+        subnet = dict.get(self, network)
+        if subnet is None:
+            if row < 0:
+                raise KeyError(network)
+            subnet = dict.setdefault(self, network, self._reader._subnet_at(row, network))
+        return subnet
 
     def __len__(self) -> int:
         return len(self._reader._subnet_keys)

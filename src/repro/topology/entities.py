@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..addr.ipv6 import IPv6Prefix
+from ..addr.ipv6 import IPv6Prefix, set_slots
 from ..bgp.table import BGPTable
 from ..irr.database import IRRDatabase
 from .profiles import VendorProfile
@@ -188,6 +188,7 @@ class TransitHop:
 
     router_id: int
     interface: int
+    __setstate__ = set_slots
 
 
 @dataclass(slots=True)

@@ -35,6 +35,7 @@ from repro.topology.artifact import (
     world_payload,
 )
 from repro.topology.config import tiny_config
+from repro.topology.entities import EntryKind
 from repro.topology.generator import build_world, build_world_artifact
 
 ROUTER_FIELDS = (
@@ -72,7 +73,7 @@ def _worker_world_state():
     """Pool task: identity and materialised-subnet count of the world the
     worker's initializer resolved."""
     world = sharded_module._WORKER_WORLD
-    return id(world), len(world.subnets._reader._subnet_cache)
+    return id(world), dict.__len__(world.subnets)
 
 
 @pytest.fixture(scope="module")
@@ -191,24 +192,32 @@ class TestRoundTrip:
     ):
         """A send the resilient watchdog abandoned as slow keeps probing
         the world beside its retry.  Two threads held together inside one
-        row's decode step — both past its cache check — must still come
-        out with one object for that row."""
+        row's decode step — both past its memo check — must still come
+        out with one object for that row.  An entry's decode sets its
+        slots rather than calling ``ResolutionEntry``, so its hold is the
+        payload's setter."""
+        from dataclasses import replace
+
         reader = artifact_module._ArtifactReader(artifact_path)
-        rows = reader.resolution_rows(artifact_world)
+        subnets = artifact_module.LazySubnetMap(reader)
+        routers = artifact_module.LazyRouterMap(reader)
+        rows = reader.resolution_rows(replace(artifact_world, subnets=subnets))
         router_id = next(iter(artifact_world.routers))
+        network = next(iter(artifact_world.subnets))
         lookup = {
-            "ResolutionEntry": lambda: rows[0].values[0],
-            "Subnet": lambda: reader.subnet(0),
-            "Router": lambda: reader.router(router_id),
+            "ResolutionEntry": lambda: rows[0].match(0)[1],
+            "Subnet": lambda: subnets[network],
+            "Router": lambda: routers[router_id],
         }[decoded]
+        hook = {"ResolutionEntry": "_set_payload"}.get(decoded, decoded)
         barrier = threading.Barrier(2)
-        build = getattr(artifact_module, decoded)
+        build = getattr(artifact_module, hook)
 
         def decode(*args, **kwargs):
             barrier.wait(timeout=30)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(artifact_module, decoded, decode)
+        monkeypatch.setattr(artifact_module, hook, decode)
         results: list = [None, None]
 
         def run(slot):
@@ -222,6 +231,36 @@ class TestRoundTrip:
         assert results[0] is not None
         assert results[0] is results[1]
         assert lookup() is results[0]
+
+    def test_a_row_decodes_to_one_prefix_entry_and_payload(self, tiny_world, tmp_path):
+        """However a row is reached — ``longest_match``, ``get``,
+        ``all_matches``, ``items``, the subnet map — it is the same
+        ``ResolutionEntry`` and payload, and a subnet entry's tuple holds
+        the subnet's own prefix."""
+        world = load_world_artifact(save_world(tiny_world, tmp_path / "one.sraw"))
+        resolution = world.resolution
+        items = {prefix: entry for prefix, entry in resolution.items()}
+        subnets = 0
+        for prefix, entry in items.items():
+            address = prefix.network
+            longest = resolution.longest_match(address)
+            if longest[0] != prefix:
+                continue  # a more specific prefix covers its network
+            reached = [
+                longest[1],
+                resolution.get(prefix),
+                next(e for p, e in resolution.all_matches(address) if p == prefix),
+                entry,
+            ]
+            assert all(e is reached[0] for e in reached)
+            assert all(e.payload is reached[0].payload for e in reached)
+            if entry.kind is EntryKind.SUBNET:
+                subnets += 1
+                assert longest[0] is world.subnets[address].prefix
+                assert entry.payload is world.subnets[address]
+        assert subnets == len(tiny_world.subnets)
+        # A second walk hands out the very same tuples.
+        assert all(a is b for a, b in zip(resolution.items(), resolution.items()))
 
     def test_save_world_round_trips_eager_world(self, tiny_world, tmp_path):
         path = save_world(tiny_world, tmp_path / "eager.sraw")
@@ -322,11 +361,95 @@ class TestRoundTrip:
                 world.alias_regions,
                 world.infra_subnets,
             ) == before, call.func.__name__
-        # The lazy maps are plain Mappings: no assignment, no deletion.
-        with pytest.raises(TypeError):
-            world.routers[1] = world.routers[1]
-        with pytest.raises(TypeError):
-            del world.routers[1]
+        # The lazy maps are dicts of what they decoded, but no dict mutator
+        # works on them, and a refused one leaves the memo as it was.
+        for lazy in (world.routers, world.subnets):
+            key = next(iter(lazy))
+            decoded = dict(dict.items(lazy))
+            for mutate in (
+                partial(lazy.__setitem__, key, lazy[key]),
+                partial(lazy.__delitem__, key),
+                partial(lazy.pop, key),
+                lazy.popitem,
+                lazy.clear,
+                partial(lazy.update, {key: None}),
+                partial(lazy.setdefault, key, None),
+                partial(lazy.__ior__, {key: None}),
+                lazy.copy,
+            ):
+                with pytest.raises(TypeError):
+                    mutate()
+                assert dict(dict.items(lazy)) == decoded
+
+    def test_lazy_maps_read_as_whole_mappings(self, tiny_world, tmp_path):
+        """Before and after a decode, a lazy map reads as the built dict:
+        length, order, ``in``, ``get``, ``==`` and ``dict()`` cover every
+        row, not only the decoded ones."""
+        world = load_world_artifact(save_world(tiny_world, tmp_path / "whole.sraw"))
+        for lazy, built in (
+            (world.routers, tiny_world.routers),
+            (world.subnets, tiny_world.subnets),
+        ):
+            key = next(iter(built))
+            assert dict.__len__(lazy) == 0
+            assert len(lazy) == len(built) and list(lazy) == list(built)
+            assert key in lazy and -1 not in lazy and lazy.get(-1, "none") == "none"
+            assert lazy.get(key) is lazy[key] and dict.__len__(lazy) == 1
+            # One decoded row is not the map, for == and != alike.
+            assert lazy != {key: built[key]} and not lazy == {key: built[key]}
+            assert lazy == built and not lazy != built and dict(lazy) == built
+            assert list(lazy.keys()) == list(built)
+            assert "object at" in repr(lazy)
+
+
+class TestCorruptRows:
+    def test_a_subnet_row_with_host_bits_set_names_the_row(self, tiny_world, tmp_path):
+        """A flipped bit in a subnet row's low network word: the map and
+        the resolution both refuse the row, by number, when they decode it."""
+        path = save_world(tiny_world, tmp_path / "corrupt.sraw")
+        reader = artifact_module._ArtifactReader(path)
+        row = 3
+        network, neighbour = map(reader.subnet_network_at, (row, row + 1))
+        low_word = reader._sections["subnets"][0] + row * artifact_module._SUBNET.size + 8
+        del reader
+        with open(path, "r+b") as handle:
+            handle.seek(low_word)
+            handle.write((1).to_bytes(8, "little"))
+        world = load_world_artifact(path)
+        with pytest.raises(ArtifactError, match=f"subnet row {row} holds"):
+            world.subnets[network]
+        with pytest.raises(ArtifactError, match=f"subnet row {row} holds"):
+            world.resolution.longest_match(network)
+        assert world.subnets[neighbour].prefix.network == neighbour
+
+    def test_the_small_section_types_unpickle_into_their_slots(self):
+        """The four frozen types the small section pickles most set their
+        slots straight on unpickling, and pickle exactly as before (their
+        ``__getstate__`` is still the dataclass's)."""
+        from dataclasses import FrozenInstanceError
+
+        from repro.addr.ipv6 import IPv6Prefix, set_slots
+        from repro.bgp.table import Announcement
+        from repro.irr.rpsl import Route6Object
+        from repro.topology.entities import TransitHop
+
+        prefix = IPv6Prefix(0x2001_0DB8 << 96, 32)
+        values = [
+            prefix,
+            Announcement(prefix, 64500),
+            TransitHop(7, (0x2001_0DB8 << 96) | 1),
+            Route6Object(prefix, 64500, "block", "MAINT-X", "RIPE", (("k", "v"),)),
+        ]
+        for value in values:
+            cls = type(value)
+            assert vars(cls)["__setstate__"] is set_slots
+            assert vars(cls)["__getstate__"].__module__ == "dataclasses"
+            loaded = pickle.loads(pickle.dumps(value))
+            assert type(loaded) is cls and loaded == value
+            assert hash(loaded) == hash(value)
+            assert loaded.__getstate__() == value.__getstate__()
+            with pytest.raises(FrozenInstanceError):
+                loaded.__setattr__(cls.__slots__[0], None)
 
 
 def _views(tiny_world, artifact_world):
@@ -486,7 +609,7 @@ class TestColumnReaders:
         world = load_world_artifact(save_world(tiny_world, tmp_path / "fresh.sraw"))
         harvest_hitlist(world)
         published_alias_list(world)
-        assert len(world.subnets._reader._subnet_cache) == 0
+        assert dict.__len__(world.subnets) == 0
 
 
 class TestWorkerBootstrap:
@@ -513,7 +636,7 @@ class TestWorkerBootstrap:
         """A fork-context worker resolves the WorldRef to the parent's very
         world object, with the entities the parent already decoded."""
         next(iter(artifact_world.subnets.values()))  # decode one subnet
-        decoded = len(artifact_world.subnets._reader._subnet_cache)
+        decoded = dict.__len__(artifact_world.subnets)
         assert decoded > 0
         with ProcessPoolExecutor(
             1,

@@ -306,7 +306,7 @@ class TestCliPause:
         gc.enable()
         assert cli.main(self.argv(artifact_path)) == 0
         world = artifact_module._RESOLVED[str(artifact_path)]
-        decoded = list(world.subnets._reader._subnet_cache.values())
+        decoded = list(dict.values(world.subnets))
         assert decoded
         oldest = {id(item) for item in gc.get_objects(generation=2)}
         assert all(id(subnet) in oldest for subnet in decoded)

@@ -444,6 +444,114 @@ class TestArtifactWorldFaults:
         assert sleeps == [0.1]
 
 
+    def test_no_pool_forks_while_an_abandoned_shard_can_release(self, tiny_world):
+        """A shard future whose release has not run (an interrupted scan's
+        shard, still out on the abandoned pool) holds the next pool back
+        until it has: the release takes the resource tracker's lock, and a
+        fork inside it would hand the new workers that lock held."""
+        import threading
+        from concurrent.futures import Future
+
+        abandoned = Future()
+        sharded._release_unclaimed({abandoned: 0}, "sra-abandoned", {})
+        opened: list = []
+        opener = threading.Thread(
+            target=lambda: opened.append(sharded._open_pool(tiny_world, 1, ()))
+        )
+        opener.start()
+        opener.join(0.3)
+        assert opener.is_alive() and not opened
+        abandoned.cancel()  # its release runs: nothing was packed
+        opener.join(30)
+        assert len(opened) == 1
+        opened[0].shutdown()
+
+    def test_interrupt_then_resume_in_one_process_does_not_hang(self, tmp_path):
+        """The fork-hang recipe, in a child process with a deadline: a
+        journaled 4-shard process scan interrupted after 2 shards, then
+        resumed in the same process, round after round.  The child holds
+        the resource tracker's lock 0.1 s longer off the main thread (where
+        abandoned shards release), which makes the race all but certain
+        without the wait in ``_open_pool``: the parent tree hung in round 4
+        of 10 this way."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join(
+            filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")])
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", _INTERRUPT_THEN_RESUME, str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            text=True,
+            start_new_session=True,  # its pool workers join its group
+        )
+        try:
+            out, err = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            out, err = child.communicate()
+            for name in os.listdir("/dev/shm"):  # the killed workers' frames
+                if name.startswith(f"sra{child.pid}-"):
+                    os.unlink(f"/dev/shm/{name}")
+            pytest.fail(f"interrupt + resume hung after rounds {out.split()}")
+        assert child.returncode == 0, err
+        assert out.split() == [str(i) for i in range(_ROUNDS)]
+
+
+_ROUNDS = 8
+_INTERRUPT_THEN_RESUME = f"""
+import random, sys, threading, time
+from multiprocessing import resource_tracker
+from pathlib import Path
+from faults import ChaosEngine, FaultPlan, injected
+from repro.scanner.sharded import ScanInterrupted, ShardedScanRunner
+from repro.scanner.targets import bgp_slash48_targets
+from repro.scanner.zmapv6 import ScanConfig
+from repro.telemetry.scan import ScanTelemetry
+from repro.topology.config import tiny_config
+from repro.topology.generator import build_world_artifact
+
+tracker = resource_tracker._resource_tracker
+check_alive = tracker._check_alive  # runs with the tracker's lock held
+
+
+def slow_check_alive():
+    if threading.current_thread() is not threading.main_thread():
+        time.sleep(0.1)
+    return check_alive()
+
+
+tracker._check_alive = slow_check_alive
+directory = Path(sys.argv[1])
+world = build_world_artifact(tiny_config(seed=7), directory / "world.sraw")
+targets = list(bgp_slash48_targets(
+    world.bgp, max_per_prefix=8, max_targets=1_200, rng=random.Random(11)
+))
+config = ScanConfig(pps=200_000.0, seed=5)
+for round in range({_ROUNDS}):
+    def scan(**kwargs):
+        runner = ShardedScanRunner(world, shards=4, executor="process", sleep=lambda _d: None)
+        return runner.scan(
+            targets, config, name="faulted", epoch=1, telemetry=ScanTelemetry(),
+            checkpoint=directory / f"{{round}}.ckpt", **kwargs
+        )
+    try:
+        with injected(ChaosEngine(plan=FaultPlan(interrupt_after_shards=2))):
+            scan()
+    except ScanInterrupted:
+        pass
+    else:
+        raise SystemExit("the scan was not interrupted")
+    scan(resume=True)
+    print(round, flush=True)
+"""
+
 class TestAdaptiveStrategyFaults:
     """Crash tolerance of feedback-driven discovery strategies.
 

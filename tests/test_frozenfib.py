@@ -386,6 +386,19 @@ class TestFrozenBehaviour:
         with pytest.raises(TypeError):
             frozen.remove(IPv6Prefix(0, 0))
 
+    def test_a_row_checks_its_length_once_and_its_keys_on_match(self):
+        """The length when the row is built; a key with bits set below it
+        when ``match`` builds the key's prefix (the columns are trusted
+        until then: a lookup masks its address to the row's length)."""
+        from repro.addr.ipv6 import AddressError
+
+        with pytest.raises(AddressError, match="prefix length"):
+            FrozenRow(129, array("Q"), array("Q"), [])
+        row = FrozenRow(48, array("Q", [1 << 16, 2 << 16]), array("Q", [0, 1]), ["ok", "bad"])
+        assert row.match(0) == (IPv6Prefix(1 << 80, 48), "ok")
+        with pytest.raises(AddressError, match="host bits"):
+            row.match(1)
+
     def test_empty(self):
         frozen = LengthIndexedLPM().frozen()
         assert len(frozen) == 0

@@ -532,9 +532,9 @@ class TestTextSinksAgainstReference:
         expected_jsonl, expected_csv = _reference_text(records)
         jsonl = JsonlSink(tmp_path / "r.jsonl")
         table = CsvSink(tmp_path / "r.csv")
-        memory = MemorySink()
-        if tee:
-            sinks = [TeeSink((jsonl, memory, table))]
+        memory, counts = MemorySink(), CountingSink()
+        if tee:  # the counter shares the tee's int columns (--summary)
+            sinks = [TeeSink((jsonl, memory, counts, table))]
         else:
             sinks = [jsonl, table]
         for sink in sinks:
@@ -553,6 +553,11 @@ class TestTextSinksAgainstReference:
         if tee:
             assert list(memory.rows) == records
             assert sinks[0].emitted == len(records)
+            alone = CountingSink()
+            feed(alone, RecordColumns.from_records(records))
+            assert [getattr(counts, name) for name in CountingSink.__slots__] == [
+                getattr(alone, name) for name in CountingSink.__slots__
+            ]
             assert sinks[0].byte_offset() == len(expected_jsonl) + len(expected_csv)
 
     def test_scan_result_writers_share_the_bytes(self, tmp_path):
