@@ -164,9 +164,6 @@ class ZMapV6Scanner:
         policy = self.config.retry_policy
         if policy is not None and not isinstance(self.backend, ResilientBackend):
             self.backend = ResilientBackend(self.backend, policy)
-        # Back-compat alias: simulated backends expose the engine they
-        # wrap; wire backends have none.
-        self.engine = getattr(self.backend, "engine", None)
         self.telemetry = telemetry
         self.capture_telemetry = capture_telemetry or telemetry is not None
         self.last_capture: ShardTelemetry | None = None

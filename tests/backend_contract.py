@@ -14,9 +14,10 @@ and the checkpoint journals can treat them interchangeably:
   probes counted into ``stats``,
 * every *deterministic* backend produces records, main-channel
   telemetry, and Prometheus output **byte-identical** to the ``sim``
-  baseline, at 1, 4 and 8 shards and on a process pool (the property
-  that makes the backend a pure execution dial, like batch size and
-  shard count),
+  baseline — ``test_identity_matrix.py`` runs each one in ``BACKENDS``
+  at 1, 4 and 8 shards, batch 1 and 1024, and on a process pool (the
+  property that makes the backend a pure execution dial, like batch
+  size and shard count),
 * non-deterministic backends (``raw``) probe real networks, so they
   enrol for construction/validation only: they must be constructible
   without ever opening a socket, and must refuse construction without
@@ -113,7 +114,6 @@ def _scan_output(
     *,
     retry_policy: "RetryPolicy | None" = None,
     chaos: "ChaosEngine | None" = None,
-    executor: str = "serial",
 ):
     """(records, main telemetry, Prometheus, result, telemetry facade) of
     one sharded scan — optionally under a resilience policy and a chaos
@@ -121,7 +121,7 @@ def _scan_output(
     targets = _world_targets(world, 96)
     telemetry = ScanTelemetry()
     runner = ShardedScanRunner(
-        world, shards=shards, executor=executor, telemetry=telemetry
+        world, shards=shards, executor="serial", telemetry=telemetry
     )
     with injected(chaos) if chaos is not None else contextlib.nullcontext():
         result = runner.scan(
@@ -199,31 +199,6 @@ class BackendContract:
             pytest.skip("simulated backend")
         with pytest.raises(BackendAuthorizationError):
             build_backend(ScanConfig(backend=backend_case.name))
-
-    # -- deterministic backends are byte-identical to sim -- #
-
-    @pytest.mark.parametrize(
-        "shards, executor",
-        [(1, "serial"), (4, "serial"), (8, "serial"), (2, "process")],
-        ids=["1", "4", "8", "2-process"],
-    )
-    def test_byte_identical_to_sim_baseline(
-        self, backend_case, tiny_world, shards, executor
-    ):
-        """Records, main-channel telemetry, and Prometheus output of any
-        deterministic backend equal the serial ``sim`` baseline's, bit for
-        bit, at every shard count and on a process pool, whose workers
-        build their backend from the pickled config — backend choice is
-        an execution dial, not an output dial."""
-        if not backend_case.probes:
-            pytest.skip("network backend: construction/validation only")
-        baseline = _scan_output(tiny_world, "sim", shards)
-        got = _scan_output(
-            tiny_world, backend_case.name, shards, executor=executor
-        )
-        assert got[0] == baseline[0], "records diverged from sim"
-        assert got[1] == baseline[1], "telemetry events diverged from sim"
-        assert got[2] == baseline[2], "Prometheus output diverged from sim"
 
     # -- resilience layer: every backend enrols under chaos -- #
 

@@ -12,9 +12,12 @@ the scan substrate can treat them interchangeably:
   receives): a computable stream as itself in a few hundred bytes, a
   lazy one as a ``TargetList`` of the targets it realised,
 * ``shard_positions`` windows tile the stream: any shard split merged
-  by global position IS the serial visit order (hypothesis property),
-* scanning the stream through a sharded runner produces byte-identical
-  records at 1, 4 and 8 shards.
+  by global position IS the serial visit order (hypothesis property).
+
+With that tiling, a stream scans to the same records at any shard
+count: ``test_identity_matrix.py`` holds the runner to that, and
+``test_core.py``'s strategy-race campaign scans real strategy windows
+at 1 and 4 shards.
 
 Import the suite and parametrise it with :class:`StreamCase` rows::
 
@@ -44,7 +47,6 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.addr.ipv6 import IPv6Prefix
-from repro.scanner.records import records_jsonl
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.stream import (
     IndexWindow,
@@ -71,9 +73,6 @@ class StreamCase:
 
     id: str
     build: Callable[[object], TargetStream]  # world -> fresh stream
-    # Computable streams (e.g. subnet partitions) point outside the
-    # world's routed space; they still scan, just reply-free.
-    scan: bool = True
 
 
 def _strategy_window(world, name: str, epoch: int = 0) -> TargetStream:
@@ -147,7 +146,6 @@ def default_cases() -> list[StreamCase]:
             build=lambda world: SubnetPartitionStream(
                 IPv6Prefix.parse("2001:db8::/40"), 48
             ),
-            scan=False,
         ),
     ]
     return cases
@@ -256,23 +254,3 @@ class StreamContract:
         split.sort(key=lambda pair: pair[0])
         assert [stream[i] for _, i in split] == serial
         assert sorted(i for _, i in split) == list(range(size))
-
-    # -- scan determinism -- #
-
-    def test_records_byte_identical_at_1_4_8_shards(self, case, tiny_world):
-        if not case.scan:
-            pytest.skip("stream points outside the world's routed space")
-        outputs = []
-        for shards in (1, 4, 8):
-            stream = case.build(tiny_world)
-            runner = ShardedScanRunner(
-                tiny_world, shards=shards, executor="serial"
-            )
-            result = runner.scan(
-                stream,
-                ScanConfig(pps=10_000.0, seed=CASE_SEED),
-                name=f"contract-{case.id}",
-                epoch=CASE_EPOCH + 100,
-            )
-            outputs.append(records_jsonl(result.rows))
-        assert outputs[0] == outputs[1] == outputs[2]

@@ -365,9 +365,10 @@ class TestRoundTrip:
         # works on them, and a refused one leaves the memo as it was.
         for lazy in (world.routers, world.subnets):
             key = next(iter(lazy))
+            value = lazy[key]  # decoded before the memo is read
             decoded = dict(dict.items(lazy))
             for mutate in (
-                partial(lazy.__setitem__, key, lazy[key]),
+                partial(lazy.__setitem__, key, value),
                 partial(lazy.__delitem__, key),
                 partial(lazy.pop, key),
                 lazy.popitem,

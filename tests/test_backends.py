@@ -181,16 +181,15 @@ class TestBackendSpecPlumbing:
         backend = SimBackend(SimulationEngine(tiny_world, epoch=0))
         scanner = ZMapV6Scanner(backend, ScanConfig(pps=5_000.0, seed=3))
         assert scanner.backend is backend
-        assert scanner.engine is backend.engine
 
     def test_wire_sim_wraps_engine_from_config(self, tiny_world):
+        engine = SimulationEngine(tiny_world, epoch=0)
         scanner = ZMapV6Scanner(
-            SimulationEngine(tiny_world, epoch=0),
-            ScanConfig(pps=5_000.0, seed=3, backend="wire-sim"),
+            engine, ScanConfig(pps=5_000.0, seed=3, backend="wire-sim")
         )
         assert isinstance(scanner.backend, WireSimBackend)
         assert scanner.backend.key == scanner.config.key
-        assert scanner.engine is scanner.backend.engine
+        assert scanner.backend.engine is engine
 
     def test_sharded_runner_refuses_nondeterministic_backends(
         self, tiny_world

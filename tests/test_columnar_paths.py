@@ -15,6 +15,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
+from helpers import counting_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,19 +38,10 @@ TYPES = [1, 3, 4, 128, ECHO]
 
 
 @pytest.fixture
-def count_records(monkeypatch):
+def count_records():
     """Every ``ScanRecord`` this process builds from here on, counted."""
-    built = []
-    init = ScanRecord.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    # Forked pool workers count in their own memory: only this process's
-    # records land in ``built``.
-    monkeypatch.setattr(ScanRecord, "__init__", counting_init)
-    return built
+    with counting_records() as built:
+        yield built
 
 
 # ---------------------------------------------------------------------- #

@@ -4,10 +4,10 @@ The batched probe engine, the LPM/trie result caches, and the memoised
 stable-randomness hashers are all pure throughput work: results must be
 bit-identical to the independent per-probe model in
 ``reference_engine.py``, called once per probe.  These tests pin that
-contract on the paper's two headline workloads — the Table 2 survey and
-the Fig. 5 SRA-vs-random campaign — across chunk sizes (1 vs N) and
-1/4/8-way sharded execution, plus a scan-level comparison against the
-reference model.
+contract at chunk sizes 1 vs N and on deferred shards, hold sinks,
+telemetry and crash-resume to the plain scan, and compare whole scans
+against the reference model.  The shards × batch × backend × executor ×
+targets × sink comparison lives in ``test_identity_matrix.py``.
 """
 
 import random
@@ -19,7 +19,6 @@ from faults import ChaosEngine, FailingSink, FaultPlan, InjectedSinkError, injec
 from reference_harness import probe_row, reference_rows, reference_scan, row_of
 
 from repro.core.probing import run_sra_vs_random
-from repro.core.survey import INPUT_SET_NAMES, SRASurvey, SurveyConfig
 from repro.netsim.engine import FLAG_REPLY, SimulationEngine
 from repro.scanner.sharded import ShardedScanRunner
 from repro.scanner.backends.sim import SimBackend
@@ -28,7 +27,6 @@ from repro.scanner.stream import (
     CountingSink,
     CsvSink,
     JsonlSink,
-    LazyStream,
     MemorySink,
     TeeSink,
 )
@@ -297,87 +295,6 @@ class TestBatchPathEquivalence:
         assert scan_snapshot(sharded) == scan_snapshot(serial)
 
 
-class TestFig5Determinism:
-    """Fig. 5 campaign: serial vs sharded vs fanned out."""
-
-    @pytest.fixture(scope="class")
-    def sra_targets(self, tiny_hitlist):
-        return tiny_hitlist.unique_slash64s()[:1200]
-
-    def _series_snapshots(self, world, sra_targets, **kwargs):
-        series = run_sra_vs_random(world, sra_targets, epochs=2, **kwargs)
-        return [
-            scan_snapshot(scan.result) for scan in series.sra + series.random
-        ]
-
-    @pytest.mark.parametrize("shards", [4, 8])
-    def test_sharded_matches_serial(self, tiny_world, sra_targets, shards):
-        serial = self._series_snapshots(tiny_world, sra_targets)
-        runner = ShardedScanRunner(
-            tiny_world, shards=shards, executor="serial"
-        )
-        sharded = self._series_snapshots(tiny_world, sra_targets, runner=runner)
-        assert sharded == serial
-
-    def test_fanned_out_matches_serial(self, tiny_world, sra_targets):
-        """Whole scans prefetched on a process pool: every scan's records
-        and EngineStats are the in-place scan's."""
-        serial = self._series_snapshots(tiny_world, sra_targets)
-        runner = ShardedScanRunner(tiny_world, shards=1, executor="process")
-        fanned = self._series_snapshots(tiny_world, sra_targets, runner=runner)
-        assert len(fanned) == 4
-        for got, want in zip(fanned, serial, strict=True):
-            assert got == want
-
-
-class TestTable2Determinism:
-    """Table 2 survey: discovered router-IP sets and EngineStats are
-    invariant under 1/4/8-way sharding."""
-
-    BUDGETS = dict(
-        seed=13,
-        slash48_per_prefix=8,
-        max_bgp_48=1_500,
-        slash64_per_prefix=8,
-        max_bgp_64=1_200,
-        route6_per_prefix=4,
-        max_route6=1_500,
-        max_hitlist=1_500,
-    )
-
-    def _run(self, world, hitlist, alias_list, **overrides):
-        config = SurveyConfig(**{**self.BUDGETS, **overrides})
-        survey = SRASurvey(
-            world, hitlist, alias_list=alias_list, config=config
-        )
-        return survey.run()
-
-    @pytest.fixture(scope="class")
-    def baseline(self, tiny_world, tiny_hitlist, tiny_alias_list):
-        """The single-shard survey everything must match."""
-        return self._run(tiny_world, tiny_hitlist, tiny_alias_list)
-
-    @pytest.mark.parametrize("shards", [4, 8])
-    def test_sharded_survey_matches(
-        self, tiny_world, tiny_hitlist, tiny_alias_list, baseline, shards
-    ):
-        sharded = self._run(
-            tiny_world,
-            tiny_hitlist,
-            tiny_alias_list,
-            shards=shards,
-            parallel="serial",
-        )
-        assert set(sharded.input_sets) == set(INPUT_SET_NAMES)
-        for name, expected in baseline.input_sets.items():
-            got = sharded.input_sets[name]
-            assert got.router_ips == expected.router_ips, name
-            assert scan_snapshot(got.result) == scan_snapshot(
-                expected.result
-            ), name
-        assert sharded.all_router_ips() == baseline.all_router_ips()
-
-
 class TestEpochIsolation:
     """Batching must not leak the memoised hasher across epochs."""
 
@@ -402,105 +319,12 @@ class TestEpochIsolation:
 
 
 class TestTelemetryDeterminism:
-    """Telemetry invariance contract on the stress workload.
-
-    The Prometheus export must be byte-identical across batch sizes and
-    shard counts, the ``loop_detected`` / ``rate_limit_engaged`` /
-    ``scan_finished`` events must be shard-count invariant (first
-    occurrences in virtual time are global properties), and the progress
-    stream must be batch-size invariant.  Two identical runs must produce
-    byte-identical JSONL.
-    """
+    """Telemetry never changes what a scan finds.  (That it is the same
+    for every shard and batch count, and run after run, is
+    tests/test_identity_matrix.py's.)"""
 
     CFG = dict(pps=200_000.0, seed=5, progress_every=500)
     EPOCH = 2
-
-    def _serial(self, world, targets, *, batch_size=1024):
-        telemetry = ScanTelemetry()
-        engine = SimulationEngine(world, epoch=self.EPOCH)
-        scanner = ZMapV6Scanner(
-            engine,
-            ScanConfig(batch_size=batch_size, **self.CFG),
-            telemetry=telemetry,
-        )
-        scanner.scan(targets, name="scan", epoch=self.EPOCH)
-        return telemetry
-
-    def _sharded(self, world, targets, *, shards, executor="serial"):
-        telemetry = ScanTelemetry()
-        runner = ShardedScanRunner(
-            world, shards=shards, executor=executor, telemetry=telemetry
-        )
-        runner.scan(
-            targets, ScanConfig(**self.CFG), name="scan", epoch=self.EPOCH
-        )
-        return telemetry
-
-    @staticmethod
-    def _invariant_events(telemetry):
-        """The shard-count-invariant event subset.
-
-        ``seq`` and ``scan_started.shards`` are the *only* fields allowed
-        to differ between a serial and a sharded run of the same scan —
-        one is stream position, the other reports the run's own config.
-        """
-        return [
-            {
-                key: value
-                for key, value in event.items()
-                if key != "seq"
-                and not (event["event"] == "scan_started" and key == "shards")
-            }
-            for event in telemetry.events
-            if event["event"]
-            in ("scan_started", "loop_detected", "rate_limit_engaged",
-                "scan_finished")
-        ]
-
-    @pytest.fixture(scope="class")
-    def serial_telemetry(self, tiny_world, stress_targets):
-        telemetry = self._serial(tiny_world, stress_targets)
-        # The workload must exercise loops and the rate limiter, or the
-        # invariance assertions below prove nothing.
-        kinds = {event["event"] for event in telemetry.events}
-        assert "loop_detected" in kinds
-        assert "rate_limit_engaged" in kinds
-        assert "progress" in kinds
-        return telemetry
-
-    @pytest.mark.parametrize("shards", [1, 4, 8])
-    def test_prometheus_shard_invariant(
-        self, tiny_world, stress_targets, serial_telemetry, shards
-    ):
-        sharded = self._sharded(tiny_world, stress_targets, shards=shards)
-        assert sharded.to_prometheus() == serial_telemetry.to_prometheus()
-
-    def test_prometheus_batch_invariant(
-        self, tiny_world, stress_targets, serial_telemetry
-    ):
-        single = self._serial(tiny_world, stress_targets, batch_size=1)
-        assert single.to_prometheus() == serial_telemetry.to_prometheus()
-
-    @pytest.mark.parametrize("shards", [4, 8])
-    def test_events_shard_invariant(
-        self, tiny_world, stress_targets, serial_telemetry, shards
-    ):
-        sharded = self._sharded(tiny_world, stress_targets, shards=shards)
-        assert self._invariant_events(sharded) == self._invariant_events(
-            serial_telemetry
-        )
-
-    def test_progress_stream_batch_invariant(
-        self, tiny_world, stress_targets, serial_telemetry
-    ):
-        single = self._serial(tiny_world, stress_targets, batch_size=1)
-        assert single.to_jsonl() == serial_telemetry.to_jsonl()
-
-    def test_repeat_runs_byte_identical(self, tiny_world, stress_targets):
-        first = self._sharded(tiny_world, stress_targets, shards=4)
-        second = self._sharded(tiny_world, stress_targets, shards=4)
-        assert first.to_jsonl() == second.to_jsonl()
-        assert first.to_prometheus() == second.to_prometheus()
 
     def test_telemetry_never_changes_scan_results(
         self, tiny_world, stress_targets
@@ -518,14 +342,11 @@ class TestTelemetryDeterminism:
 
 
 class TestStreamVsListEquivalence:
-    """The streaming pipeline is pure plumbing: target streams and record
-    sinks change memory behaviour, never bytes.
-
-    Pinned across batch sizes 1/1024 and 1/4/8 shards: identical
-    ``ScanResult`` snapshots, identical sink record sequences, identical
-    JSONL/CSV output files, and byte-identical telemetry exports (the
-    ``records_buffered`` gauge is the one *documented* difference between
-    buffered and sink mode, and is asserted exactly).
+    """The streaming pipeline is pure plumbing: record sinks change
+    memory behaviour, never bytes.  Here: file sinks against the writers,
+    one drain per batch, a failing sink, and a journal's one-shard
+    differences.  (List vs stream and buffered vs sink across shard and
+    batch counts are tests/test_identity_matrix.py's.)
     """
 
     CFG = dict(pps=200_000.0, seed=5, progress_every=500)
@@ -543,39 +364,6 @@ class TestStreamVsListEquivalence:
         return scanner.scan(
             targets, name="scan", epoch=self.EPOCH, sink=sink
         )
-
-    def _stream(self, stress_targets):
-        return LazyStream(lambda: list(stress_targets), name="stress")
-
-    @pytest.mark.parametrize("batch_size", [1, 1024])
-    def test_stream_targets_match_list(
-        self, tiny_world, stress_targets, batch_size
-    ):
-        expected = self._scan(
-            tiny_world, list(stress_targets), batch_size=batch_size
-        )
-        got = self._scan(
-            tiny_world, self._stream(stress_targets), batch_size=batch_size
-        )
-        assert scan_snapshot(got) == scan_snapshot(expected)
-
-    @pytest.mark.parametrize("batch_size", [1, 1024])
-    def test_memory_sink_records_identical(
-        self, tiny_world, stress_targets, batch_size
-    ):
-        buffered = self._scan(
-            tiny_world, stress_targets, batch_size=batch_size
-        )
-        sink = MemorySink()
-        streamed = self._scan(
-            tiny_world, stress_targets, batch_size=batch_size, sink=sink
-        )
-        assert sink.rows == buffered.rows
-        assert streamed.records == []
-        assert streamed.records_streamed == len(buffered.records)
-        assert streamed.received == buffered.received
-        assert streamed.sent == buffered.sent
-        assert streamed.engine_stats == buffered.engine_stats
 
     def test_file_sinks_byte_identical_to_writers(
         self, tiny_world, stress_targets, tmp_path
@@ -708,104 +496,19 @@ class TestStreamVsListEquivalence:
         assert pairs and all(ours >= theirs for ours, theirs in pairs)
         assert pairs[-1][0] > pairs[-1][1]  # the limiter did suppress
 
-    @pytest.mark.parametrize("shards", [1, 4, 8])
-    def test_sharded_sink_drains_serial_order(
-        self, tiny_world, stress_targets, shards
+    def test_a_journaled_tee_sink_exports_like_a_serial_sink(
+        self, tiny_world, stress_targets, tmp_path
     ):
-        serial = self._scan(tiny_world, list(stress_targets))
-        sink = MemorySink()
-        runner = ShardedScanRunner(
-            tiny_world, shards=shards, executor="serial"
-        )
-        result = runner.scan(
-            self._stream(stress_targets),
-            ScanConfig(**self.CFG),
-            name="scan",
-            epoch=self.EPOCH,
-            sink=sink,
-        )
-        assert sink.rows == serial.rows
-        assert result.records == []
-        assert result.records_streamed == len(serial.records)
-
-    def test_telemetry_byte_identical_stream_vs_list(
-        self, tiny_world, stress_targets
-    ):
-        with_list = ScanTelemetry()
-        self._scan(tiny_world, list(stress_targets), telemetry=with_list)
-        with_stream = ScanTelemetry()
-        self._scan(
-            tiny_world, self._stream(stress_targets), telemetry=with_stream
-        )
-        assert with_stream.to_jsonl() == with_list.to_jsonl()
-        assert with_stream.to_prometheus() == with_list.to_prometheus()
-
-    @pytest.mark.parametrize("shards", [4, 8])
-    def test_sharded_stream_telemetry_matches_sharded_list(
-        self, tiny_world, stress_targets, shards
-    ):
-        def run(targets):
-            telemetry = ScanTelemetry()
-            runner = ShardedScanRunner(
-                tiny_world, shards=shards, executor="serial",
-                telemetry=telemetry,
-            )
-            runner.scan(
-                targets, ScanConfig(**self.CFG), name="scan", epoch=self.EPOCH
-            )
-            return telemetry
-
-        with_list = run(list(stress_targets))
-        with_stream = run(self._stream(stress_targets))
-        assert with_stream.to_jsonl() == with_list.to_jsonl()
-        assert with_stream.to_prometheus() == with_list.to_prometheus()
-
-    def test_sink_telemetry_differs_only_in_buffered_gauge(
-        self, tiny_world, stress_targets
-    ):
-        """Streaming's one observable telemetry delta, pinned exactly."""
-        buffered = ScanTelemetry()
-        self._scan(tiny_world, stress_targets, telemetry=buffered)
-        streaming = ScanTelemetry()
-        self._scan(
-            tiny_world, stress_targets, telemetry=streaming, sink=MemorySink()
-        )
-
-        def without_gauge(text):
-            return [
-                line
-                for line in text.splitlines()
-                if "sra_scan_records_buffered" not in line
-            ]
-
-        assert without_gauge(streaming.to_prometheus()) == without_gauge(
-            buffered.to_prometheus()
-        )
-        assert streaming.to_prometheus() != buffered.to_prometheus()
-        assert streaming.to_jsonl() == buffered.to_jsonl()
-
-    @pytest.mark.parametrize(
-        "shards, journaled",
-        [
-            pytest.param(1, False, id="1"),
-            pytest.param(4, False, id="4"),
-            # sra-scan's operator shape (the scan_export benchmark): one
-            # deferred shard through the journal and the merge, which
-            # must fold the metrics before the sink takes the records.
-            pytest.param(1, True, id="1-journaled-tee"),
-        ],
-    )
-    def test_sink_mode_exports_shard_invariant(
-        self, tiny_world, stress_targets, shards, journaled, tmp_path
-    ):
-        """With a sink, even the gauges agree across shard counts (the
-        sharded merge drains before closing telemetry)."""
+        """sra-scan's operator shape (the scan_export benchmark): one
+        deferred shard through the journal and the merge, which must fold
+        the metrics before the sink takes the records — even the gauges
+        agree with a serial scan's sink."""
         serial = ScanTelemetry()
         reference = MemorySink()
         self._scan(tiny_world, stress_targets, telemetry=serial, sink=reference)
-        sharded = ScanTelemetry()
+        journaled = ScanTelemetry()
         runner = ShardedScanRunner(
-            tiny_world, shards=shards, executor="serial", telemetry=sharded
+            tiny_world, shards=1, executor="serial", telemetry=journaled
         )
         memory = MemorySink()
         result = runner.scan(
@@ -813,10 +516,10 @@ class TestStreamVsListEquivalence:
             ScanConfig(**self.CFG),
             name="scan",
             epoch=self.EPOCH,
-            sink=TeeSink((memory, CountingSink())) if journaled else memory,
-            checkpoint=tmp_path / "scan.ckpt" if journaled else None,
+            sink=TeeSink((memory, CountingSink())),
+            checkpoint=tmp_path / "scan.ckpt",
         )
-        assert sharded.to_prometheus() == serial.to_prometheus()
+        assert journaled.to_prometheus() == serial.to_prometheus()
         assert memory.rows == reference.rows
         assert (len(result.records), result.records_streamed) == (
             0,

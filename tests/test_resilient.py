@@ -751,7 +751,10 @@ def test_resilience_is_invisible_without_math_weirdness():
 # The scans below run probe_columns -> wrapper -> FaultyBackend -> backend
 # (armed by ``faults.injected``), over ``sim`` and over ``wire-sim``.  Each
 # scenario is held to the fault-free bytes where the fault is transient,
-# and to the other backend's run of the same plan where it is not.
+# and to the other backend's run of the same plan where it is not.  Each
+# runs at two (batch size, shards) pairs, one sharded and one with whole
+# batches: that the fault-free bytes are the same at every pair is
+# tests/test_identity_matrix.py's.
 
 SCENARIO_EPOCH = 7400
 CLEAN = "the fault-free bytes"
@@ -831,8 +834,7 @@ BISECTED = (
 )
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-@pytest.mark.parametrize("batch_size", [1, 1024])
+@pytest.mark.parametrize("batch_size, shards", [(1, 4), (1024, 1)])
 @pytest.mark.parametrize("scenario", sorted(TRANSIENT))
 def test_transient_scenarios_reproduce_fault_free_bytes(
     tiny_world, scenario_targets, scenario, batch_size, shards,
@@ -843,8 +845,7 @@ def test_transient_scenarios_reproduce_fault_free_bytes(
     )
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-@pytest.mark.parametrize("batch_size", [16, 128])
+@pytest.mark.parametrize("batch_size, shards", [(16, 4), (128, 1)])
 def test_bisected_batch_is_spliced_back_to_fault_free_bytes(
     tiny_world, scenario_targets, batch_size, shards
 ):
@@ -917,8 +918,7 @@ class FrozenClockResilientBackend(ResilientBackend):
 
 # A batch of 16 leaves every one of four shards more batches than the
 # breaker needs to open.
-@pytest.mark.parametrize("shards", [1, 4])
-@pytest.mark.parametrize("batch_size", [1, 16])
+@pytest.mark.parametrize("batch_size, shards", [(1, 4), (16, 1)])
 @pytest.mark.parametrize("scenario", sorted(LOSSY))
 def test_lossy_scenarios_match_across_backends(
     tiny_world, scenario_targets, scenario, batch_size, shards, monkeypatch,
