@@ -11,18 +11,18 @@ Three campaigns over the same subnet population:
 * :func:`run_stability` — re-probe the same SRA addresses across epochs
   and check whether the *same* router IP answers (Fig. 6b).
 
-Every scan enters through ``runner.scan`` — the ``runner`` passed in, or
-one ``ShardedScanRunner(world, shards=1)`` per campaign.  The three
+Every scan enters through ``runner.scan`` — the ``runner`` passed in
+(an experiment context's, which has one shard), or one
+``ShardedScanRunner(world, shards=1)`` per campaign.  The three
 campaigns above are sequences of independent scans and hand them to
-``runner.scan_all``: on a one-shard runner whose executor resolves to
-``process`` over the campaign's targets, whole scans run on a worker
-pool; on a multi-shard runner, the shards of each scan that resolves to
-``process`` run on one pool shared by the whole campaign, the next
-scan's shards queued while this one merges.  Either way each result
-comes back through ``runner.scan`` in campaign order; with no pool,
-each scans in place, one after another.  At any shard count the
-results are the same bytes — a runner changes wall-clock
-time only; crash tolerance (retries, journals) is configured on it.
+``runner.scan_all``: when the runner's executor resolves to ``process``
+over the campaign's targets, whole scans run on a worker pool and each
+result comes back through ``runner.scan`` in campaign order; with no
+pool, each scans in place, one after another.  A multi-shard runner
+(only tests pass one) runs each scan's shards on one campaign pool
+instead.  At any shard count the results are the same bytes — a runner
+changes wall-clock time only; crash tolerance (retries, journals) is
+configured on it.
 
 The campaigns read each scan only through :class:`ScanResult`'s views,
 which read its rows as columns, so they never build a record.

@@ -129,13 +129,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="split every scan across N parallel shards "
-        "(default: one per core; results are identical at any count)",
-    )
-    parser.add_argument(
         "--pps",
         type=float,
         default=None,
@@ -182,8 +175,6 @@ def main(argv: list[str] | None = None) -> int:
     if problem is not None:
         print(f"sra-repro: {problem}", file=sys.stderr)
         return 2
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be >= 1")
 
     if args.list:
         for experiment_id in sorted(EXPERIMENTS):
@@ -198,7 +189,6 @@ def main(argv: list[str] | None = None) -> int:
     context = get_context(
         args.scale,
         seed=args.seed,
-        shards=args.shards,
         checkpoint_dir=args.checkpoint_dir,
         pps=args.pps,
     )

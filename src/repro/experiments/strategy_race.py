@@ -105,8 +105,9 @@ def run_strategy_race(
 
     Strategies run in sorted-name order, each over the same epoch band
     ``EPOCH_BASE..EPOCH_BASE+epochs`` so every strategy faces identical
-    world states.  Passing a ``runner`` shards each epoch's scan —
-    merge determinism makes the result identical at any shard count.
+    world states.  Every epoch scans through ``runner`` (an experiment
+    context's one-shard runner, or a fresh one); merge determinism makes
+    the result identical at any shard count.
     """
     if epochs < 1:
         raise ValueError(f"race needs at least one epoch, got {epochs}")

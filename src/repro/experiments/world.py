@@ -16,7 +16,6 @@ Two scales ship by default:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -71,26 +70,6 @@ class ExperimentScale:
     race_budget: int = 25_000
 
 
-def _auto_shards() -> int:
-    """Shard count for experiment contexts: one per core by default.
-
-    Sharded merges are deterministic, so any value yields identical
-    tables/figures — this only tunes wall-clock time.  The
-    ``SRA_MAX_SHARDS`` environment variable pins the count outright
-    (CI runners and shared hosts advertise far more CPUs than they
-    should be saturated with); otherwise every core gets a shard.
-    """
-    env = os.environ.get("SRA_MAX_SHARDS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"SRA_MAX_SHARDS must be an integer, got {env!r}"
-            ) from None
-    return max(1, os.cpu_count() or 1)
-
-
 def quick_scale(seed: int = 2024) -> ExperimentScale:
     return ExperimentScale(
         name="quick",
@@ -111,9 +90,8 @@ def quick_scale(seed: int = 2024) -> ExperimentScale:
             route6_per_prefix=64,
             max_route6=50_000,
             max_hitlist=30_000,
-            shards=_auto_shards(),
-            # In-process shards keep the quick scale light-weight (no
-            # per-run world pickling) and safe under pytest workers.
+            # Every scan runs in place: no per-run world pickling, and
+            # safe under pytest workers.
             parallel="serial",
         ),
         fig5_targets=8_000,
@@ -143,7 +121,6 @@ def full_scale(seed: int = 2024) -> ExperimentScale:
             route6_per_prefix=96,
             max_route6=200_000,
             max_hitlist=None,
-            shards=_auto_shards(),
             parallel="auto",
         ),
         fig5_targets=25_000,
@@ -349,9 +326,8 @@ def get_context(
     ``overrides`` are :class:`~repro.core.survey.SurveyConfig` fields
     replacing the scale's own (``None`` keeps the scale's value; an
     unknown name is a :class:`TypeError`, a value the config rejects a
-    :class:`ValueError`).  The ones ``sra-repro`` passes: ``shards``
-    overrides the automatic shard count (results are identical either
-    way).  ``checkpoint_dir`` makes every campaign scan journal per
+    :class:`ValueError`).  The ones ``sra-repro`` passes:
+    ``checkpoint_dir`` makes every campaign scan journal per
     (scan, epoch) there — an interrupted ``sra-repro`` run resumes from
     those journals and regenerates identical tables/figures.  ``pps``
     sets the probe rate of the survey and the strategy race; the Fig. 5/6

@@ -628,7 +628,7 @@ class ShardedScanRunner:
         self,
         world: World,
         *,
-        shards: int | None = None,
+        shards: int,
         executor: str = "auto",
         telemetry: ScanTelemetry | None = None,
         max_shard_retries: int = 0,
@@ -640,7 +640,7 @@ class ShardedScanRunner:
         if max_shard_retries < 0:
             raise ValueError("max_shard_retries must be >= 0")
         self.world = world
-        self.shards = auto_shard_count() if shards is None else shards
+        self.shards = shards
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         self.executor = executor

@@ -334,12 +334,13 @@ class TestCliValidation:
             ["--backend-retries", "1"],
             ["--backend-timeout", "5"],
             ["--breaker-threshold", "0.5"],
+            ["--shards", "2"],
         ],
     )
     def test_repro_has_no_backend_or_batch_flag(self, argv, capsys):
         """Experiments reproduce the paper on the simulator's default
-        backend, batch size and retry policy: ``sra-repro`` takes none
-        of those flags."""
+        backend, batch size and retry policy, one shard per scan:
+        ``sra-repro`` takes none of those flags."""
         from repro.experiments.runner import main as repro_main
 
         with pytest.raises(SystemExit) as exited:

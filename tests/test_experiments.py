@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.survey import SurveyConfig
 from repro.experiments.runner import EXPERIMENTS, run_experiment
-from repro.experiments.world import get_context, quick_scale
+from repro.experiments.world import full_scale, get_context, quick_scale
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +38,15 @@ class TestRunnerPlumbing:
     def test_context_memoised(self):
         assert get_context("quick") is get_context("quick")
         assert get_context("quick", shards=None, pps=None) is get_context("quick")
+
+    def test_scales_scan_on_one_shard_whatever_the_environment(
+        self, monkeypatch
+    ):
+        """The reproduction has no shard knob: no environment variable
+        moves a scale off one shard."""
+        monkeypatch.setenv("SRA_MAX_SHARDS", "3")
+        assert quick_scale().survey_config.shards == 1
+        assert full_scale().survey_config.shards == 1
 
     def test_context_overrides_are_survey_config_fields(self):
         context = get_context("quick", pps=900.0, shards=3)
